@@ -71,6 +71,7 @@ class DESRuntime(Runtime):
 
     # ------------------------------------------------------------- run loop
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
+        """Run the event loop; the cyclic GC is off inside it and restored after."""
         return self.simulator.run(until=until, max_events=max_events)
 
     def step(self) -> bool:

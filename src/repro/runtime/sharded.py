@@ -96,7 +96,7 @@ class ShardWorkerRuntime(DESRuntime):
 
     Identical to :class:`~repro.runtime.des.DESRuntime` except the
     transport is a :class:`~repro.shard.transport.ShardNetwork`, which
-    splits fan-out into local heap pushes and per-shard outboxes.
+    splits fan-out into local queue pushes and per-shard outboxes.
     """
 
     kind = "sharded"

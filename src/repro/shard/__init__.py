@@ -6,7 +6,7 @@ live on which worker process (:mod:`repro.shard.partition`), derives the
 provably-safe synchronization window from the scenario's minimum cross-shard
 delay (:mod:`repro.shard.lookahead`), frames cross-shard message batches for
 the IPC channel (:mod:`repro.shard.ipc`), splits the network fan-out into
-local heap pushes and remote outbox appends (:mod:`repro.shard.transport`),
+local queue pushes and remote outbox appends (:mod:`repro.shard.transport`),
 and runs the per-worker barrier loop (:mod:`repro.shard.worker`).
 
 Everything here is message-passing only: workers share no mutable state

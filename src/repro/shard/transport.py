@@ -6,8 +6,8 @@ shard-local traffic (same stats order, same uplink serialisation, same RNG
 draw per receiver).  The only change: a receiver living on another shard
 gets its fully-computed delivery entry ``(arrival, sender, receiver,
 message)`` appended to that shard's **outbox** instead of pushed onto the
-local event heap.  Outboxes are flushed at every barrier
-(:meth:`drain_outboxes`) and delivered into the destination shard's heap
+local event queue.  Outboxes are flushed at every barrier
+(:meth:`drain_outboxes`) and delivered into the destination shard's queue
 before its next window (:meth:`enqueue_remote`), which checks the
 conservative-synchronization invariant: no arrival may predate the
 receiving shard's executed horizon.
@@ -21,7 +21,6 @@ the receiving shard never re-rolls RNG for them.
 # staticcheck: hot-path
 from __future__ import annotations
 
-import heapq
 from typing import Any, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.shard.ipc import RemoteEntry, ShardSyncError, encode_batch
@@ -78,7 +77,7 @@ class ShardNetwork(Network):
 
     # --------------------------------------------------------------- sending
     def send(self, sender: int, receiver: int, message: Any, size_bytes: int = 0) -> None:
-        """One unicast; remote receivers get an outbox entry, not a heap push."""
+        """One unicast; remote receivers get an outbox entry, not a queue push."""
         stats = self.stats
         stats.messages_sent += 1
         stats.bytes_sent += size_bytes
@@ -172,7 +171,7 @@ class ShardNetwork(Network):
         now = self.simulator.now()
         uplink_free = self._uplink_free_at.get(sender, 0.0)
 
-        # -------------- DES fast path: inline latency, heap push or outbox
+        # ---------- DES fast path: inline latency, batched push or outbox
         queue = self._fast_queue
         profile = (
             self.latency.multicast_profile(sender, receivers)
@@ -185,11 +184,11 @@ class ShardNetwork(Network):
         )
         if profile is not None:
             base_row, jitter = profile
-            heap = queue._heap
-            seq = queue._counter
-            push = heapq.heappush
+            arrivals: List[float] = []
+            add_arrival = arrivals.append
+            local_receivers: List[int] = []
+            add_local = local_receivers.append
             sent = 0
-            pushed = 0
             if uplink_free < now:
                 uplink_free = now
             for receiver in receivers:
@@ -204,14 +203,14 @@ class ShardNetwork(Network):
                         + processing_delay
                     )
                 if local[receiver]:
-                    push(heap, (arrival, next(seq), deliver, sender, receiver, message))
-                    pushed += 1
+                    add_arrival(arrival)
+                    add_local(receiver)
                 else:
                     outboxes[shard_of[receiver]].append(
                         (arrival, sender, receiver, message)
                     )
             if sent:
-                queue._live += pushed
+                queue.push_calls(arrivals, deliver, sender, local_receivers, message)
                 total_bytes = size_bytes * sent
                 stats.messages_sent += sent
                 stats.bytes_sent += total_bytes
@@ -291,7 +290,7 @@ class ShardNetwork(Network):
         return frames, min_arrival
 
     def enqueue_remote(self, entries: List[RemoteEntry]) -> None:
-        """Deliver incoming cross-shard entries into the local event heap.
+        """Deliver incoming cross-shard entries into the local event queue.
 
         Callers pass the round's entries already merged in deterministic
         order (source-shard order, stably sorted by arrival); each gets the

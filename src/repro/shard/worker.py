@@ -16,7 +16,7 @@ frame      payload                                                  direction
            window and its drain rounds use)
 ``flush``  ``(out_frames, min_outgoing, next_event, events)`` —     wkr->hub
            the window's outbox frames per destination shard, the
-           earliest outgoing arrival, the local heap head, and the
+           earliest outgoing arrival, the next live local event, and the
            cumulative event count
 ``collect`` request the :class:`ShardResult`                        hub->wkr
 ``result`` the pickled :class:`ShardResult`                         wkr->hub
@@ -185,8 +185,11 @@ def worker_entry(conn, config, plan: ShardPlan, shard_id: int) -> None:
                 simulator.run(until=until)
                 network.set_horizon(target)
                 out_frames, min_outgoing = network.drain_outboxes()
-                heap = simulator.queue._heap
-                next_event = heap[0][0] if heap else _INFINITY
+                # peek_time() discards cancelled timers, so the hub's
+                # idle-skip never targets a time at which nothing fires.
+                next_event = simulator.queue.peek_time()
+                if next_event is None:
+                    next_event = _INFINITY
                 windows += 1
                 conn.send_bytes(
                     encode_frame(

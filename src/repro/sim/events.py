@@ -3,15 +3,37 @@
 The queue is the hottest data structure in a DES run (one push/pop per
 message delivery and per timer), so it is built for allocation thrift:
 
-* heap entries are plain tuples ``(time, seq, ...)`` so ordering is decided
-  by C-level tuple comparison instead of a Python ``__lt__`` per sift step;
+* entries are plain tuples ``(time, seq, ...)`` so ordering is decided by
+  C-level tuple comparison instead of a Python ``__lt__`` per sift step;
 * cancellable events are slim ``__slots__`` objects (no dataclass protocol);
 * fire-and-forget deliveries skip the :class:`Event` wrapper entirely via
   :meth:`EventQueue.push_call`, which stores the callable and its three
-  arguments directly in the heap tuple — no closure, no handle.
+  arguments directly in the entry tuple — no closure, no handle.
 
 Events are ordered by ``(time, seq)`` so that two events scheduled for the
 same instant fire in scheduling order, keeping runs deterministic.
+
+**Two-tier calendar queue.**  A saturated n=128 WAN run keeps ~48 k
+deliveries in flight, and a binary heap that deep pays a cache-missing
+``log n`` sift per pop.  The queue therefore splits the timeline into
+buckets of :data:`BUCKET_SECONDS`:
+
+* the *near* tier is one small binary heap;
+* the *far* tier is a dict ``bucket index -> unsorted list`` plus a tiny
+  heap of the occupied bucket indices.
+
+Invariant: the near tier holds exactly the entries whose bucket is ``<=``
+the current bucket; every far list is unsorted and belongs to a later
+bucket.  A far push is an O(1) ``list.append``; when the near tier runs dry
+the earliest far bucket is ``heapify``-ed into it, so every pop is a
+``heappop`` on the few hundred entries of one bucket.  Buckets are disjoint
+time ranges and ``(time, seq)`` decides the order inside one, so the pop
+order is exactly that of a single heap.
+
+The bucket width is a constant, not an option: it only has to be well under
+one network delay (so in-flight traffic lands in the far tier) and wide
+enough to hold more than a handful of events; measured wall time is flat
+from 0.06 ms to 4 ms, so there is nothing to tune.
 """
 
 # staticcheck: hot-path
@@ -19,7 +41,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Optional
+from math import isfinite
+from typing import Any, Callable, Dict, List, Optional, Sequence
+
+#: width of one calendar bucket, in simulated seconds
+BUCKET_SECONDS = 0.001
+_BUCKETS_PER_SECOND = 1.0 / BUCKET_SECONDS
 
 
 class Event:
@@ -56,7 +83,7 @@ class Event:
 class EventQueue:
     """A cancellable priority queue of scheduled work.
 
-    Two entry kinds share one heap (and one ``seq`` counter, so cross-kind
+    Two entry kinds share the queue (and one ``seq`` counter, so cross-kind
     FIFO ties stay deterministic):
 
     * ``(time, seq, Event)`` — cancellable, pushed by :meth:`push`;
@@ -64,23 +91,89 @@ class EventQueue:
       :meth:`push_call`; never cancellable, used for message deliveries.
 
     ``seq`` is unique, so tuple comparison never reaches the third element.
+
+    The tier fields are private to this module and the
+    :meth:`~repro.sim.simulator.Simulator.run` loop; everything else goes
+    through the methods (enforced by a test).
     """
 
     def __init__(self) -> None:
-        self._heap: list = []
+        #: near tier: heap of every entry with bucket <= ``_current``.  The
+        #: list object never changes, so the run loop may hold on to it.
+        self._near: List[tuple] = []
+        self._current = -1
+        #: far tier: later bucket -> its entries, in push order
+        self._far: Dict[int, List[tuple]] = {}
+        #: heap of the keys of ``_far``
+        self._far_buckets: List[int] = []
         self._counter = itertools.count()
         self._live = 0
 
     def push(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
         event = Event(time, next(self._counter), callback, label)
-        heapq.heappush(self._heap, (time, event.seq, event))
-        self._live += 1
+        self._insert((time, event.seq, event))
         return event
 
     def push_call(self, time: float, fn: Callable[..., None], a: Any, b: Any, c: Any) -> None:
         """Schedule ``fn(a, b, c)`` at ``time`` with no cancellation handle."""
-        heapq.heappush(self._heap, (time, next(self._counter), fn, a, b, c))
+        self._insert((time, next(self._counter), fn, a, b, c))
+
+    def push_calls(
+        self, times: Sequence[float], fn: Callable[..., None], a: Any, bs: Sequence[Any], c: Any
+    ) -> None:
+        """Schedule ``fn(a, b, c)`` at ``time`` for each pair of ``zip(times, bs)``.
+
+        The fan-out entry point: equal to one :meth:`push_call` per pair, in
+        order, with the per-call work hoisted out of the loop (``_insert`` is
+        repeated inline for that).  Nothing is scheduled if any time is
+        non-finite.
+        """
+        if not isfinite(sum(times)):  # one NaN or infinity poisons the sum
+            raise ValueError(f"event times must be finite, got {list(times)!r}")
+        current = self._current
+        far = self._far
+        seq = self._counter
+        for time, b in zip(times, bs):
+            bucket = int(time * _BUCKETS_PER_SECOND)
+            if bucket <= current:
+                heapq.heappush(self._near, (time, next(seq), fn, a, b, c))
+            else:
+                entries = far.get(bucket)
+                if entries is None:
+                    far[bucket] = [(time, next(seq), fn, a, b, c)]
+                    heapq.heappush(self._far_buckets, bucket)
+                else:
+                    entries.append((time, next(seq), fn, a, b, c))
+        self._live += len(times)
+
+    def _insert(self, entry: tuple) -> None:
+        try:
+            bucket = int(entry[0] * _BUCKETS_PER_SECOND)
+        except (OverflowError, ValueError):  # infinity, NaN: no bucket
+            raise ValueError(f"event time must be finite, got {entry[0]!r}") from None
+        if bucket <= self._current:
+            heapq.heappush(self._near, entry)
+        else:
+            entries = self._far.get(bucket)
+            if entries is None:
+                self._far[bucket] = [entry]
+                heapq.heappush(self._far_buckets, bucket)
+            else:
+                entries.append(entry)
         self._live += 1
+
+    def _refill(self) -> bool:
+        """Move the earliest far bucket into the (empty) near tier.
+
+        Returns ``False`` when the far tier is empty too.
+        """
+        if not self._far_buckets:
+            return False
+        self._current = heapq.heappop(self._far_buckets)
+        near = self._near
+        near.extend(self._far.pop(self._current))
+        heapq.heapify(near)
+        return True
 
     def _forget(self, event: Event) -> None:
         """Remove ``event`` from the live count exactly once.
@@ -99,11 +192,11 @@ class EventQueue:
 
         Direct-call entries are wrapped into a fired-once :class:`Event` so
         callers see one uniform handle type.  The simulator's run loop reads
-        the heap directly and never pays for this wrapper.
+        the near tier directly and never pays for this wrapper.
         """
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
+        near = self._near
+        while near or self._refill():
+            entry = heapq.heappop(near)
             payload = entry[2]
             if payload.__class__ is not Event:
                 self._live -= 1
@@ -120,14 +213,18 @@ class EventQueue:
         return None
 
     def peek_time(self) -> Optional[float]:
-        """Return the timestamp of the earliest live event without popping."""
-        heap = self._heap
-        while heap:
-            payload = heap[0][2]
+        """Return the timestamp of the earliest live event without popping.
+
+        Cancelled heads are discarded on the way, across both tiers, so the
+        answer is always a time at which something will fire.
+        """
+        near = self._near
+        while near or self._refill():
+            payload = near[0][2]
             if payload.__class__ is Event and payload.cancelled:
-                self._forget(heapq.heappop(heap)[2])
+                self._forget(heapq.heappop(near)[2])
                 continue
-            return heap[0][0]
+            return near[0][0]
         return None
 
     def cancel(self, event: Event) -> None:

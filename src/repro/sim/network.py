@@ -24,7 +24,6 @@ scheduler.
 # staticcheck: hot-path
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
@@ -106,8 +105,8 @@ class Network:
         self._partition_group: Optional[Dict[int, int]] = None
         self._latency_scale: float = 1.0
         self._rng = random.Random(simulator.rng.randint(0, 2**31 - 1))
-        # DES fast path: push delivery entries straight onto the event heap
-        # (None on backends whose scheduler is not the DES EventQueue).
+        # DES fast path: multicast batches its deliveries into the event
+        # queue (None on backends whose scheduler is not the DES EventQueue).
         queue = getattr(simulator, "queue", None)
         self._fast_queue: Optional[EventQueue] = (
             queue if isinstance(queue, EventQueue) else None
@@ -157,7 +156,7 @@ class Network:
         float`` returning the adjusted arrival (must be ``>= arrival``, so
         perturbed runs stay valid executions); it is applied to every
         delivery this transport schedules, in scheduling order.  Installing
-        one disables the multicast direct-heap fast path — the general path
+        one disables the multicast batched fast path — the general path
         is draw-for-draw byte-identical (see :meth:`multicast`), so the
         *zero* perturbation reproduces the unperturbed schedule exactly.
         """
@@ -319,7 +318,8 @@ class Network:
         On the DES backend with a latency model exposing
         :meth:`~repro.sim.latency.LatencyModel.multicast_profile`, the happy
         path (no filter/partition/loss/duplication) computes the propagation
-        inline and pushes delivery entries straight onto the event heap — no
+        inline and hands all arrival times to the event queue in one
+        :meth:`~repro.sim.events.EventQueue.push_calls` batch — no
         per-receiver Python frame at all.  The per-receiver operation order
         (and every RNG draw) matches a loop of :meth:`send` calls exactly,
         so statistics, uplink serialisation, and event ordering are
@@ -349,7 +349,7 @@ class Network:
         now = self.simulator.now()
         uplink_free = self._uplink_free_at.get(sender, 0.0)
 
-        # ---------------- DES fast path: direct heap pushes, inline latency
+        # ------------------- DES fast path: inline latency, one batched push
         queue = self._fast_queue
         profile = (
             self.latency.multicast_profile(sender, receivers)
@@ -362,14 +362,11 @@ class Network:
         )
         if profile is not None:
             base_row, jitter = profile
-            heap = queue._heap
-            seq = queue._counter
-            push = heapq.heappush
-            sent = 0
+            arrivals: List[float] = []
+            add_arrival = arrivals.append
             if uplink_free < now:
                 uplink_free = now
             for receiver in receivers:
-                sent += 1
                 departure = uplink_free = uplink_free + transmission
                 if receiver == sender:
                     # delay() contract: self pairs are 0.0 with NO rng draw
@@ -383,9 +380,10 @@ class Network:
                         + (base_row[receiver] + rng_random() * jitter) * latency_scale
                         + processing_delay
                     )
-                push(heap, (arrival, next(seq), deliver, sender, receiver, message))
+                add_arrival(arrival)
+            sent = len(arrivals)
             if sent:
-                queue._live += sent
+                queue.push_calls(arrivals, deliver, sender, receivers, message)
                 total_bytes = size_bytes * sent
                 stats.messages_sent += sent
                 stats.bytes_sent += total_bytes

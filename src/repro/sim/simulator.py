@@ -3,8 +3,10 @@
 # staticcheck: hot-path
 from __future__ import annotations
 
+import gc
 import heapq
 import random
+from math import isfinite
 from typing import Any, Callable, Optional
 
 from repro.sim.clock import VirtualClock
@@ -86,41 +88,51 @@ class Simulator:
 
         Returns the clock value when the loop stops.
 
-        The loop reads the queue's heap directly: entries are either
-        ``(time, seq, Event)`` or ``(time, seq, fn, a, b, c)`` direct calls
-        (see :class:`~repro.sim.events.EventQueue`), and dispatching them
-        inline avoids a Python frame per event.
+        The loop works on the queue's tiers directly: it drains the near
+        heap, whose entries are either ``(time, seq, Event)`` or ``(time,
+        seq, fn, a, b, c)`` direct calls (see
+        :class:`~repro.sim.events.EventQueue`), dispatching them inline to
+        avoid a Python frame per event, and has the queue load the next
+        bucket when the near heap runs dry.  The horizon is checked by
+        peeking, so nothing is ever popped only to be pushed back.
+
+        The cyclic garbage collector is off while the loop runs and is put
+        back the way it was on the way out, also when a callback raises.
+        The loop builds no reference cycles (reference counting frees every
+        entry and message the moment it is dropped), but the collector would
+        keep re-traversing the tens of thousands of in-flight entries.
         """
         self._stopped = False
         queue = self.queue
-        heap = queue._heap
+        near = queue._near
+        refill = queue._refill
         clock = self.clock
         heappop = heapq.heappop
         processed = 0
         events_class = Event
+        bounded = until is not None
+        if bounded and not isfinite(until):
+            raise ValueError(f"until must be finite, got {until!r}")
+        at_horizon = False
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
-            while heap and not self._stopped:
-                # Pop eagerly (one heap operation per event instead of a
-                # peek + pop); an entry beyond the horizon is pushed back.
-                entry = heappop(heap)
+            while not self._stopped:
+                if not near and not refill():
+                    break
+                if bounded and near[0][0] > until:
+                    at_horizon = True
+                    break
+                entry = heappop(near)
                 payload = entry[2]
                 if payload.__class__ is events_class:
-                    if payload.cancelled:
-                        queue._forget(payload)
-                        continue
-                    if until is not None and entry[0] > until:
-                        heapq.heappush(heap, entry)
-                        clock.advance_to(until)
-                        return until
-                    clock._now = entry[0]
                     queue._forget(payload)
+                    if payload.cancelled:
+                        continue
+                    clock._now = entry[0]
                     payload.popped = True
                     payload.callback()
                 else:
-                    if until is not None and entry[0] > until:
-                        heapq.heappush(heap, entry)
-                        clock.advance_to(until)
-                        return until
                     clock._now = entry[0]
                     queue._live -= 1
                     payload(entry[3], entry[4], entry[5])
@@ -128,13 +140,18 @@ class Simulator:
                 if max_events is not None and processed >= max_events:
                     break
         finally:
+            if gc_was_enabled:
+                gc.enable()
             # Batched: one attribute store per run() instead of one per event.
             self._events_processed += processed
+        if at_horizon:
+            clock.advance_to(until)
+            return until
         # Fast-forward to the horizon only when the queue truly drained:
         # breaking on ``max_events`` (or ``stop()``) leaves live events behind,
         # and jumping the clock past them would make a later ``run()`` process
         # them "in the past".
-        if until is not None and clock._now < until and not self._stopped and not queue:
+        if bounded and clock._now < until and not self._stopped and not queue:
             clock.advance_to(until)
         return clock._now
 

@@ -10,12 +10,19 @@ Covers:
   cancellation, transport, dynamics controls);
 * multicast-path alignment: an honest pass-through interceptor must be
   network-level indistinguishable from no interceptor;
+* the event-queue encapsulation lint: only ``sim/events.py`` and the
+  ``Simulator.run`` loop know the queue's tiers, and the shard worker's
+  idle-skip report goes through ``peek_time()``;
 * crash–recover timer semantics (the ``on_recover`` hook);
 * DES vs realtime equivalence: the same deterministic scenario confirms the
   same block sequence on both backends (realtime variant marked ``slow``).
 """
 
 import os
+import re
+import threading
+from multiprocessing import Pipe
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +59,64 @@ def test_no_direct_simulator_or_network_imports(package):
         f"sans-I/O violation: protocol code must talk to repro.runtime, not "
         f"the DES engine or the OS directly:\n{details}"
     )
+
+
+def test_only_the_queue_and_the_run_loop_touch_the_queue_tiers():
+    """The bucketing rule lives in sim/events.py + Simulator.run, nowhere else.
+
+    Grep-style, like the SEAM lint's ancestor: no other module may reach into
+    an ``EventQueue``'s private fields (the old ``queue._heap`` fast paths);
+    fan-out goes through ``push_calls`` and head peeks through ``peek_time``.
+    """
+    reach_in = re.compile(r"queue\._[a-z]|\._(near|far|far_buckets)\b")
+    owners = {Path("sim/events.py"), Path("sim/simulator.py")}
+    root = Path(SRC, "repro")
+    offenders = [
+        f"{path.relative_to(root)}:{number}: {line.strip()}"
+        for path in sorted(root.rglob("*.py"))
+        if path.relative_to(root) not in owners
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if reach_in.search(line)
+    ]
+    assert not offenders, "EventQueue internals used outside their owners:\n" + "\n".join(offenders)
+
+
+def test_shard_worker_never_advertises_a_cancelled_timer(monkeypatch):
+    """The idle-skip report is the next time something *fires* on the shard."""
+    from repro.protocols import SystemConfig
+    from repro.shard import worker
+    from repro.shard.ipc import decode_frame, encode_frame
+    from repro.shard.partition import plan_shards
+
+    config = SystemConfig(
+        protocol="ladon-pbft", n=4, duration=1.0, batch_size=16, seed=1,
+        runtime="sharded", shards=2,
+    )
+    plan = plan_shards(config.n, 2, config.latency_model())
+    built = []
+    build = worker._build_system
+
+    def capture(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(worker, "_build_system", capture)
+    hub, conn = Pipe()
+    thread = threading.Thread(target=worker.worker_entry, args=(conn, config, plan, 0))
+    thread.start()
+    try:
+        hub.send_bytes(encode_frame(("run", 0.0, False, [])))
+        first_live = decode_frame(hub.recv_bytes())[3]
+        assert 0.0 < first_live < float("inf")
+        # A cancelled timer ahead of everything else: nothing fires at it.
+        simulator = built[0][1].simulator
+        simulator.schedule_at(first_live / 2, lambda: None).cancel()
+        hub.send_bytes(encode_frame(("run", first_live / 4, False, [])))
+        assert decode_frame(hub.recv_bytes())[3] == first_live
+    finally:
+        hub.send_bytes(encode_frame(("stop",)))
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 # ------------------------------------------------------------ the interface

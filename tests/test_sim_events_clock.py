@@ -1,9 +1,16 @@
 """Tests for the event queue, virtual clock and simulator core."""
 
+import gc
+import heapq
+import itertools
+import math
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.clock import VirtualClock
-from repro.sim.events import EventQueue
+from repro.sim.events import BUCKET_SECONDS, EventQueue
 from repro.sim.simulator import Simulator
 
 
@@ -216,3 +223,301 @@ class TestSimulator:
         sim.cancel(event)
         sim.run()
         assert fired == []
+
+
+# ------------------------------------------------- calendar-queue equivalence
+#: times that stress the tiers: exact ties, neighbours inside one bucket,
+#: bucket boundaries, a dense cluster, and the whole 0 … 1e6 s range
+_TIMES = st.one_of(
+    st.sampled_from([0.0, 0.5, 0.5, 2 * BUCKET_SECONDS, 3 * BUCKET_SECONDS, 1e6]),
+    st.floats(min_value=0.0, max_value=3 * BUCKET_SECONDS),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1e6),
+)
+_QUEUE_OPS = st.one_of(
+    st.tuples(st.just("push"), _TIMES),
+    st.tuples(st.just("push_call"), _TIMES),
+    st.tuples(st.just("push_calls"), st.lists(_TIMES, max_size=5)),
+    st.tuples(st.sampled_from(["cancel", "cancel_direct"]), st.integers(min_value=0)),
+    st.tuples(st.just("pop"), st.none()),
+    st.tuples(st.just("peek"), st.none()),
+)
+
+
+class TestCalendarQueueOrder:
+    """The two-tier queue pops in exactly the order of one ``(time, seq)`` heap."""
+
+    @given(st.lists(_QUEUE_OPS, max_size=120))
+    @settings(max_examples=300, deadline=None)
+    def test_interleaved_ops_match_reference_heap(self, ops):
+        queue = EventQueue()
+        reference = []  # heapq of (time, id): ids rise with push order, like seq
+        ids = itertools.count()
+        handles = {}  # id -> Event, for pushes that can be cancelled
+        gone = set()  # ids cancelled or popped
+        lazily_counted = 0  # direct cancels the queue has not noticed yet
+        fired = []
+
+        def record(_a, ident, _c):
+            fired.append(ident)
+
+        def reference_head():
+            while reference and reference[0][1] in gone:
+                heapq.heappop(reference)
+            return reference[0] if reference else None
+
+        def check_pop():
+            expected = reference_head()
+            event = queue.pop()
+            if expected is None:
+                assert event is None
+                return False
+            heapq.heappop(reference)
+            gone.add(expected[1])
+            assert event.time == expected[0]
+            event.callback()
+            assert fired[-1] == expected[1]
+            return True
+
+        for kind, arg in ops:
+            if kind == "push":
+                ident = next(ids)
+                handles[ident] = queue.push(arg, lambda ident=ident: fired.append(ident))
+                heapq.heappush(reference, (arg, ident))
+            elif kind == "push_call":
+                ident = next(ids)
+                queue.push_call(arg, record, None, ident, None)
+                heapq.heappush(reference, (arg, ident))
+            elif kind == "push_calls":
+                batch = [next(ids) for _ in arg]
+                queue.push_calls(arg, record, None, batch, None)
+                for time, ident in zip(arg, batch):
+                    heapq.heappush(reference, (time, ident))
+            elif kind in ("cancel", "cancel_direct"):
+                if not handles:
+                    continue
+                ident = sorted(handles)[arg % len(handles)]
+                if kind == "cancel":
+                    queue.cancel(handles[ident])  # no-op when popped/cancelled
+                elif ident not in gone:
+                    handles[ident].cancel()  # what timers do: bypasses the queue
+                    lazily_counted += 1
+                gone.add(ident)
+            elif kind == "pop":
+                check_pop()
+            else:
+                head = reference_head()
+                assert queue.peek_time() == (None if head is None else head[0])
+            live = sum(1 for _time, ident in reference if ident not in gone)
+            assert live <= len(queue) <= live + lazily_counted
+            assert bool(queue) == (len(queue) > 0)
+        while check_pop():
+            pass
+        assert len(queue) == 0 and not queue and queue.peek_time() is None
+
+    def test_push_into_the_bucket_being_drained(self):
+        queue = EventQueue()
+        order = []
+        for time in (0.0101, 0.0109, 0.0105):
+            queue.push(time, lambda time=time: order.append(time))
+        queue.pop().callback()  # loads the bucket, pops 0.0101
+        queue.push(0.0103, lambda: order.append(0.0103))  # same bucket, before the rest
+        queue.push(0.0100, lambda: order.append(0.0100))  # earlier than anything left
+        queue.push(0.0105, lambda: order.append("tie"))  # equal time: FIFO by seq
+        while queue:
+            queue.pop().callback()
+        assert order == [0.0101, 0.0100, 0.0103, 0.0105, "tie", 0.0109]
+
+    def test_peek_time_looks_past_a_cancelled_bucket(self):
+        queue = EventQueue()
+        queue.push(0.0101, lambda: None)
+        same_bucket = queue.push(0.0102, lambda: None)
+        next_bucket = queue.push(0.0115, lambda: None)
+        queue.push(7.0, lambda: None)
+        assert queue.pop().time == 0.0101
+        same_bucket.cancel()
+        next_bucket.cancel()
+        assert queue.peek_time() == 7.0
+        assert len(queue) == 1
+        assert queue.pop().time == 7.0
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_times_are_a_named_error(self, bad):
+        queue = EventQueue()
+        with pytest.raises(ValueError, match="finite"):
+            queue.push(bad, lambda: None)
+        with pytest.raises(ValueError, match="finite"):
+            queue.push_call(bad, print, 1, 2, 3)
+        with pytest.raises(ValueError, match="finite"):
+            queue.push_calls([0.5, bad], print, 1, [2, 3], 4)
+        assert len(queue) == 0 and queue.pop() is None
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        with pytest.raises(ValueError, match="finite"):
+            sim.run(until=bad)
+        assert sim.run() == 1.0
+
+
+class _HeapSimulator:
+    """Reference: the single-binary-heap run loop the calendar queue replaced."""
+
+    def __init__(self):
+        self.heap = []
+        self.seq = itertools.count()
+        self.time = 0.0
+        self.stopped = False
+
+    def now(self):
+        return self.time
+
+    def schedule_after(self, delay, callback):
+        entry = [self.time + delay, next(self.seq), callback, False]
+        heapq.heappush(self.heap, entry)
+        return entry
+
+    def schedule_call(self, time, fn, a, b, c):
+        heapq.heappush(self.heap, [time, next(self.seq), lambda: fn(a, b, c), False])
+
+    def cancel(self, entry):
+        entry[3] = True
+
+    def stop(self):
+        self.stopped = True
+
+    def run(self, until=None, max_events=None):
+        self.stopped = False
+        processed = 0
+        while self.heap and not self.stopped:
+            if self.heap[0][3]:
+                heapq.heappop(self.heap)
+                continue
+            if until is not None and self.heap[0][0] > until:
+                self.time = until
+                return until
+            self.time, _seq, callback, _cancelled = heapq.heappop(self.heap)
+            callback()
+            processed += 1
+            if max_events is not None and processed >= max_events:
+                break
+        if until is not None and self.time < until and not self.stopped and not self.heap:
+            self.time = until
+        return self.time
+
+
+#: zero delay, same bucket, bucket neighbours, a WAN hop, far timers
+_DELAYS = (0.0, 0.0, 1e-5, 4e-4, BUCKET_SECONDS, 2.5 * BUCKET_SECONDS, 0.04, 1.5, 1e6)
+
+
+def _drive(sim, seed, steps):
+    """A self-scheduling workload; returns everything observable about it."""
+    rng = random.Random(seed)
+    log = []
+    pending = []
+    budget = [300]
+
+    def deliver(parent, child, _c):
+        log.append((parent, child, sim.now()))
+
+    def fire(ident):
+        log.append((ident, sim.now()))
+        if pending and rng.random() < 0.3:
+            sim.cancel(pending.pop(rng.randrange(len(pending))))
+        if rng.random() < 0.02:
+            sim.stop()
+        for child in range(rng.randrange(4)):
+            if budget[0] <= 0:
+                return
+            budget[0] -= 1
+            delay = rng.choice(_DELAYS)
+            if rng.random() < 0.5:
+                sim.schedule_call(sim.now() + delay, deliver, ident, child, None)
+            else:
+                name = (ident, child)
+                pending.append(sim.schedule_after(delay, lambda name=name: fire(name)))
+
+    for root in range(5):
+        sim.schedule_after(rng.choice(_DELAYS), lambda root=root: fire(root))
+    returned = []
+    until = 0.0
+    for advance, max_events in steps:
+        until += advance
+        returned.append((sim.run(until=until, max_events=max_events), sim.now()))
+    returned.append((sim.run(), sim.now()))
+    return log, returned
+
+
+class TestRunLoopEquivalence:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        steps=st.lists(
+            st.tuples(
+                # horizons that land mid-bucket, on a boundary, and far out
+                st.one_of(
+                    st.floats(min_value=0.0, max_value=4 * BUCKET_SECONDS),
+                    st.sampled_from([0.0, BUCKET_SECONDS, 0.04, 2.0]),
+                ),
+                st.one_of(st.none(), st.integers(min_value=1, max_value=20)),
+            ),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_run_matches_single_heap_reference(self, seed, steps):
+        assert _drive(Simulator(), seed, steps) == _drive(_HeapSimulator(), seed, steps)
+
+    def test_run_is_reentrant_with_a_growing_horizon(self):
+        sim = Simulator()
+        fired = []
+        times = [0.0102, 0.0104, 0.0104, 0.0108, 0.0131, 0.5]
+        for index, time in enumerate(times):
+            sim.schedule_at(time, lambda index=index: fired.append((index, sim.now())))
+        assert sim.run(until=0.0050) == 0.0050  # whole near tier past the horizon
+        assert fired == [] and len(sim.queue) == 6
+        assert sim.run(until=0.0104) == 0.0104  # lands mid-bucket, ties included
+        assert fired == [(0, 0.0102), (1, 0.0104), (2, 0.0104)]
+        assert sim.run(until=0.0104) == 0.0104  # same horizon again: nothing to do
+        assert sim.run(until=0.0120) == 0.0120  # rest of the bucket, not the next one
+        assert [index for index, _ in fired] == [0, 1, 2, 3]
+        assert sim.run(until=1.0) == 1.0
+        assert fired[4:] == [(4, 0.0131), (5, 0.5)]
+        assert sim.events_processed == 6 and not sim.queue
+
+    def test_step_and_run_share_the_tiers(self):
+        sim = Simulator()
+        fired = []
+        for time in (0.0101, 0.0102, 0.3):
+            sim.schedule_at(time, lambda time=time: fired.append(time))
+        assert sim.step() and fired == [0.0101]
+        assert sim.run(until=0.2) == 0.2 and fired == [0.0101, 0.0102]
+        assert sim.step() and sim.now() == 0.3
+        assert not sim.step()
+
+
+class TestRunLoopGarbageCollector:
+    """run() quiesces the cyclic collector and always puts it back."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_gc(self):
+        enabled, threshold = gc.isenabled(), gc.get_threshold()
+        yield
+        gc.set_threshold(*threshold)
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_survives_run_and_a_raising_callback(self, enabled):
+        gc.set_threshold(701, 11, 12)
+        (gc.enable if enabled else gc.disable)()
+        seen = []
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: seen.append(gc.isenabled()))
+        sim.run(until=2.0)
+        assert seen == [False]  # off while events run
+        assert gc.isenabled() is enabled and gc.get_threshold() == (701, 11, 12)
+
+        def boom():
+            raise RuntimeError("callback failed")
+
+        sim.schedule_at(3.0, boom)
+        with pytest.raises(RuntimeError, match="callback failed"):
+            sim.run()
+        assert gc.isenabled() is enabled and gc.get_threshold() == (701, 11, 12)
