@@ -8,7 +8,7 @@ every replica except the observer keeps compact audit fingerprints instead
 of full Block/ConfirmedBlock histories.
 
 Reference points on the reference machine (ladon-pbft n=32 WAN saturated,
-see BENCH_pr5.json): pre-overhaul peak RSS grew 44.8 → 63.2 → 93.5 MB over
+measured in PR 5): pre-overhaul peak RSS grew 44.8 → 63.2 → 93.5 MB over
 5 → 10 → 20 simulated seconds (~1.45x per horizon doubling); post-overhaul
 it is ~34 → 38 → 40 MB (~1.08x per doubling).
 
@@ -79,7 +79,8 @@ def test_n128_cell_within_budget():
     """The n=128 WAN saturated cell is routinely runnable: the documented
     budget (EXPERIMENTS.md "Performance") is <= 400 MB peak RSS and about a
     half-million events per simulated second.  A 2-simulated-second slice
-    keeps the guard fast; the full 10 s measurement lives in BENCH_pr5.json."""
+    keeps the guard fast; the full 10 s measurement is ``peak_rss_mb`` of
+    ``pbft-wan-n128`` in ``python -m perfbench``."""
     code = _CHILD.format(src=SRC, duration=2.0).replace("n=32", "n=128")
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True

@@ -9,8 +9,8 @@ simulated events per shard per window).
 Speedup is a *hardware property*: on a single-core box the workers
 serialize, so the barrier + IPC cost is all overhead (short runs pay
 ~1.5x for process startup; longer runs amortize it, and the smaller
-per-shard event heaps roughly break even — BENCH_pr9.json records
-n=128 at 32.4 s sharded vs 33.8 s single on one core).  The speedup
+per-shard event heaps roughly break even — PR 9 measured n=128 at
+32.4 s sharded vs 33.8 s single on one core).  The speedup
 guard therefore only arms when the machine actually exposes enough
 cores; everywhere else it degrades to a bounded-overhead sanity check so
 CI on small runners still exercises the whole code path without
@@ -80,8 +80,8 @@ def test_sharded_n128_scaling():
     most half the single-process wall time (the >= 2x speedup headline).
     With fewer cores there is no parallel hardware to claim the speedup
     from, so the guard degrades to completion + equivalence-grade checks;
-    the speedup itself is recorded in BENCH_pr9.json from a multi-core
-    run.
+    the measured speed-up is ``wall_s`` of ``pbft-wan-n128-shard2`` against
+    ``pbft-wan-n128`` in ``python -m perfbench``.
     """
     cores = available_cores()
     wall_single, single = run_wall_seconds(n=128, duration=10.0)

@@ -12,8 +12,6 @@ Usage::
     python -m repro.bench scenario sweep --scenarios all --workers 4
     python -m repro.bench adversary list
     python -m repro.bench adversary run equivocation --n 4 --duration 20
-    python -m repro.bench perf --scaling --json BENCH.json
-    python -m repro.bench perf --n 128 --duration 10
     python -m repro.bench fuzz run --seeds 16 --workers 4
     python -m repro.bench fuzz replay tests/corpus/*.json
 
@@ -466,10 +464,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return adversary_main(argv[1:])
     if argv and argv[0] == "run":
         return run_main(argv[1:])
-    if argv and argv[0] == "perf":
-        from repro.bench.perf import perf_main
-
-        return perf_main(argv[1:])
     if argv and argv[0] == "fuzz":
         from repro.bench.fuzz_cli import fuzz_main
 
@@ -505,7 +499,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("run          one cell on a chosen backend: 'run --runtime des|realtime'")
         print("scenario     named-scenario engine: 'scenario list|run|sweep' (sweepable)")
         print("adversary    Byzantine attack catalog: 'adversary list|run'")
-        print("perf         hot-path harness: events/s + peak RSS, '--scaling', '--profile'")
         print("fuzz         schedule-space fuzzer: 'fuzz run|replay|shrink'")
         return 0
 

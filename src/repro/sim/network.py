@@ -19,6 +19,13 @@ The ``simulator`` collaborator is duck-typed: anything exposing ``now()``,
 ``schedule_call(time, fn, a, b, c)`` and a seeded ``rng`` works, which is how
 the realtime runtime reuses this exact transport model on a wall-clock
 scheduler.
+
+All three sending paths (:meth:`Network.send`, the :meth:`Network.multicast`
+fast path and its general path) hand a finished delivery to one of two
+*sinks* bound at construction (:meth:`Network._install_sinks`).  That pair is
+the only thing a backend that delivers elsewhere replaces — the sharded
+transport routes remote receivers to outboxes there and overrides no sending
+method, so the arithmetic above exists in this module only.
 """
 
 # staticcheck: hot-path
@@ -105,24 +112,18 @@ class Network:
         self._partition_group: Optional[Dict[int, int]] = None
         self._latency_scale: float = 1.0
         self._rng = random.Random(simulator.rng.randint(0, 2**31 - 1))
-        # DES fast path: multicast batches its deliveries into the event
-        # queue (None on backends whose scheduler is not the DES EventQueue).
+        # The two delivery sinks (see _install_sinks), resolved once here —
+        # send() and multicast() are the hot path.  Arrival times are
+        # provably >= now (departure >= now, delays >= 0), so the DES
+        # backend's unchecked scheduling path is safe; other backends
+        # (realtime) keep their guarded schedule_call and have no batched
+        # sink (their scheduler is not the DES EventQueue).
         queue = getattr(simulator, "queue", None)
-        self._fast_queue: Optional[EventQueue] = (
-            queue if isinstance(queue, EventQueue) else None
-        )
-        # Arrival times are provably >= now (departure >= now, delays >= 0),
-        # so the DES backend's unchecked scheduling path is safe; other
-        # backends (realtime) keep their guarded schedule_call.  Resolved
-        # once here — send() and multicast() are the hot path.
-        self._schedule_call = (
+        self._install_sinks(
             getattr(simulator, "schedule_call_unchecked", None)
-            or simulator.schedule_call
+            or simulator.schedule_call,
+            queue.push_calls if isinstance(queue, EventQueue) else None,
         )
-        # Baseline scheduling state, restored when a delivery perturbation
-        # is removed (see set_delivery_perturbation).
-        self._base_schedule_call = self._schedule_call
-        self._base_fast_queue = self._fast_queue
         self._perturbation = None
         # Scheduler-owned trace recorder: deliveries are recorded here when
         # tracing is on, making the trace a full schedule witness for replay.
@@ -131,6 +132,37 @@ class Network:
         self._trace: TraceRecorder = (
             trace if trace is not None else TraceRecorder(enabled=False)
         )
+
+    # -------------------------------------------------------- delivery sinks
+    def _install_sinks(
+        self,
+        schedule_call: Callable[[float, Callable, int, int, Any], Any],
+        push_calls: Optional[Callable[[List[float], Callable, int, Sequence[int], Any], Any]],
+    ) -> None:
+        """Set where finished deliveries go (construction time only).
+
+        Every sending path ends in one of two callables, and they are the
+        whole seam between the transport arithmetic and the scheduler:
+
+        * ``schedule_call(arrival, fn, sender, receiver, message)`` — one
+          delivery; used by :meth:`send` and the general :meth:`multicast`
+          path;
+        * ``push_calls(arrivals, fn, sender, receivers, message)`` — one
+          whole fan-out (``arrivals[i]`` belongs to ``receivers[i]``); used
+          by the :meth:`multicast` fast path.  ``None`` disables that path.
+
+        It is two callables rather than one because the batched hand-over is
+        what keeps the n=128 fan-out free of a Python frame per receiver; a
+        single per-delivery sink would put that frame back.  Both are bound
+        to instance attributes once, so the sending methods never branch on
+        who is listening.  A subclass that delivers somewhere else (the
+        sharded backend's :class:`~repro.shard.transport.ShardNetwork`)
+        calls this from its constructor with wrappers around the pair the
+        base class resolved; the installed pair is also the *base* that
+        :meth:`set_delivery_perturbation` wraps and later restores.
+        """
+        self._schedule_call = self._base_schedule_call = schedule_call
+        self._push_calls = self._base_push_calls = push_calls
 
     # --------------------------------------------------------- registration
     def register(self, node_id: int, handler: Callable[[int, Any], None]) -> None:
@@ -163,10 +195,10 @@ class Network:
         if perturbation is None:
             self._perturbation = None
             self._schedule_call = self._base_schedule_call
-            self._fast_queue = self._base_fast_queue
+            self._push_calls = self._base_push_calls
             return
         self._perturbation = perturbation
-        self._fast_queue = None
+        self._push_calls = None
         base_schedule = self._base_schedule_call
         perturb = perturbation.perturb
 
@@ -350,10 +382,10 @@ class Network:
         uplink_free = self._uplink_free_at.get(sender, 0.0)
 
         # ------------------- DES fast path: inline latency, one batched push
-        queue = self._fast_queue
+        push_calls = self._push_calls
         profile = (
             self.latency.multicast_profile(sender, receivers)
-            if queue is not None
+            if push_calls is not None
             and link_filter is None
             and not partitioned
             and not drop_probability
@@ -383,7 +415,7 @@ class Network:
                 add_arrival(arrival)
             sent = len(arrivals)
             if sent:
-                queue.push_calls(arrivals, deliver, sender, receivers, message)
+                push_calls(arrivals, deliver, sender, receivers, message)
                 total_bytes = size_bytes * sent
                 stats.messages_sent += sent
                 stats.bytes_sent += total_bytes
@@ -435,7 +467,7 @@ class Network:
 
     def broadcast(self, sender: int, message: Any, size_bytes: int = 0) -> None:
         """Send to every registered node, including the sender itself."""
-        self.multicast(sender, self._registered_sorted, message, size_bytes)
+        self.multicast(sender, self.registered_nodes(), message, size_bytes)
 
     # ------------------------------------------------------------- inspection
     def registered_nodes(self) -> "list[int]":

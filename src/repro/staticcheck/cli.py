@@ -7,10 +7,8 @@ Usage::
     python -m repro.staticcheck src --select DET       # one family
     python -m repro.staticcheck src --ignore HOT-002   # drop one rule
     python -m repro.staticcheck --list-rules           # the catalog
-    python -m repro.staticcheck src --write-baseline staticcheck-baseline.json
-    python -m repro.staticcheck src --baseline staticcheck-baseline.json
 
-Exit codes: 0 clean (or baseline-covered), 1 violations, 2 usage error.
+Exit codes: 0 clean, 1 violations, 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from repro.staticcheck.baseline import load_baseline, write_baseline
 from repro.staticcheck.engine import CheckReport, check_paths
 from repro.staticcheck.rules import ALL_RULES, select_rules
 
@@ -60,16 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="RULE",
         help="skip these rule ids or family prefixes (repeatable)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress violations whose fingerprints appear in FILE",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write current violations to FILE as the new baseline and exit 0",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog and exit"
@@ -140,24 +127,7 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    baseline_fingerprints = None
-    if args.baseline:
-        try:
-            baseline_fingerprints = load_baseline(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot load baseline: {exc}")
-
-    report = check_paths(
-        paths, rules=rules, baseline_fingerprints=baseline_fingerprints
-    )
-
-    if args.write_baseline:
-        count = write_baseline(args.write_baseline, report.violations)
-        stream.write(
-            f"staticcheck: wrote {count} baseline entries to "
-            f"{args.write_baseline}\n"
-        )
-        return 0
+    report = check_paths(paths, rules=rules)
 
     if args.format == "json":
         _render_json(report, stream)

@@ -2,8 +2,8 @@
 
 The engine is deliberately dumb: it turns files into
 :class:`SourceModule` records, hands each to every applicable rule, filters
-the resulting violations through the inline suppressions and the optional
-baseline, and returns a sorted list.  All project knowledge lives in the
+the resulting violations through the inline suppressions, and returns a
+sorted list.  All project knowledge lives in the
 rules (:mod:`repro.staticcheck.rules`).
 """
 
@@ -13,7 +13,7 @@ import ast
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.staticcheck.suppress import Suppression, apply_suppressions, parse_suppressions
 from repro.staticcheck.violations import Violation
@@ -167,7 +167,6 @@ def check_paths(
     paths: Sequence[str],
     *,
     rules: Optional[Sequence] = None,
-    baseline_fingerprints: Optional[Iterable[str]] = None,
 ) -> CheckReport:
     """Check files/trees on disk; the CLI and the tier-1 test both call this."""
     from repro.staticcheck.rules import ALL_RULES
@@ -193,9 +192,6 @@ def check_paths(
             )
             continue
         violations.extend(check_module(source, active))
-    if baseline_fingerprints is not None:
-        known = frozenset(baseline_fingerprints)
-        violations = [v for v in violations if v.fingerprint not in known]
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
     return CheckReport(
         violations=violations, checked_files=len(files), parse_errors=parse_errors

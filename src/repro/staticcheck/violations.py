@@ -2,7 +2,8 @@
 
 A :class:`Violation` pins one rule hit to one source location.  The
 ``fingerprint`` property gives a line-content-based identity that survives
-line-number drift, which is what the optional baseline file keys on.
+line-number drift; it is part of the JSON report so external tooling can
+track a violation across edits.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class Violation:
     line: int
     col: int
     message: str
-    #: the stripped source line, for display and baseline fingerprinting
+    #: the stripped source line, for display and fingerprinting
     snippet: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:

@@ -46,8 +46,11 @@ from repro.shard.ipc import (
     validate_entries,
 )
 from repro.shard.partition import ShardPlan
+from repro.shard.transport import ShardNetwork
 from repro.sim.faults import CrashSpec, DegradationSpec, FaultConfig
 from repro.sim.latency import LanLatency, UniformLatency, WanLatency
+from repro.sim.network import Network, NetworkConfig
+from repro.sim.simulator import Simulator
 
 
 # ------------------------------------------------------------- partitioner
@@ -166,6 +169,112 @@ class TestIpc:
         validate_entries([(0.5, 0, 1, message)])
         with pytest.raises(TypeError, match="non-flyweight"):
             validate_entries([(0.5, 0, 1, object())])
+
+
+# --------------------------------------------------------------- transport
+TRANSPORT_N = 8
+#: shard 0 hosts the even replicas
+TWO_SHARD_PLAN = ShardPlan(
+    shards=2, assignment=tuple(r % 2 for r in range(TRANSPORT_N)), strategy="hash"
+)
+ALL_LOCAL_PLAN = ShardPlan(shards=1, assignment=(0,) * TRANSPORT_N, strategy="hash")
+
+
+def _drive_transport(plan, general):
+    """One traffic script through a plain Network or (``plan``) a shard-0
+    ShardNetwork, same seed.  ``general`` turns on loss, duplication, a
+    partition and a link filter, which forces multicast's per-receiver path.
+    Returns the transport and its ``(time, sender, receiver, message)``
+    delivery log.
+    """
+    from repro.consensus.messages import Prepare
+
+    simulator = Simulator(seed=11)
+    config = NetworkConfig(
+        drop_probability=0.2 if general else 0.0,
+        duplicate_probability=0.3 if general else 0.0,
+    )
+    if plan is None:
+        network = Network(simulator, latency=WanLatency(TRANSPORT_N), config=config)
+        hosted = range(TRANSPORT_N)
+    else:
+        network = ShardNetwork(
+            simulator, latency=WanLatency(TRANSPORT_N), config=config, plan=plan, shard_id=0
+        )
+        hosted = plan.members(0)
+    log = []
+    for node in hosted:
+        network.register(
+            node,
+            lambda sender, message, node=node: log.append(
+                (simulator.now(), sender, node, message)
+            ),
+        )
+    if general:
+        network.set_partition([[0, 1, 2, 3, 4, 5, 6], [7]])
+        network.set_link_filter(lambda sender, receiver: receiver != 5)
+    everyone = list(range(TRANSPORT_N))
+    for phase in range(2):  # the second phase starts with idle uplinks
+        message = Prepare(instance=0, view=0, round=phase, digest="d" * 8, sender=0)
+        for _ in range(3):
+            network.multicast(0, everyone, message, 4096)
+        network.multicast(2, [1, 2, 3, 4], message, 256)
+        for receiver in everyone:
+            network.send(4, receiver, message, 1024)
+        simulator.run(until=0.5 * (phase + 1))
+    simulator.run()
+    return network, log
+
+
+class TestTransportEquivalence:
+    """ShardNetwork *is* the single-process transport plus a router."""
+
+    @pytest.mark.parametrize("general", [False, True], ids=["fast-path", "general-path"])
+    def test_all_local_shard_network_is_the_plain_network(self, general):
+        plain, plain_log = _drive_transport(None, general)
+        shard, shard_log = _drive_transport(ALL_LOCAL_PLAN, general)
+        assert plain_log and shard_log == plain_log
+        assert shard.stats == plain.stats
+        assert shard._rng.getstate() == plain._rng.getstate()
+        assert shard.drain_outboxes() == ([], float("inf"))
+        if general:
+            assert plain.stats.messages_duplicated and plain.stats.drops_by_cause.keys() == {
+                "loss", "partition", "link-filter"
+            }
+
+    @pytest.mark.parametrize("general", [False, True], ids=["fast-path", "general-path"])
+    def test_remote_receivers_go_to_their_outbox_with_the_plain_arrival(self, general):
+        plain, plain_log = _drive_transport(None, general)
+        shard, shard_log = _drive_transport(TWO_SHARD_PLAN, general)
+        # Sender-side effects are the single-process ones...
+        assert shard.stats.messages_sent == plain.stats.messages_sent
+        assert shard.stats.drops_by_cause == plain.stats.drops_by_cause
+        assert shard.stats.messages_duplicated == plain.stats.messages_duplicated
+        assert shard._rng.getstate() == plain._rng.getstate()
+        # ...local receivers are delivered from the queue, in the same order...
+        assert shard_log == [e for e in plain_log if TWO_SHARD_PLAN.assignment[e[2]] == 0]
+        # ...and every remote delivery (duplicates included) sits in shard 1's
+        # outbox with the arrival the plain Network scheduled.
+        frames, min_arrival = shard.drain_outboxes()
+        assert [dest for dest, _ in frames] == [1]
+        remote = sorted(decode_batch(frames[0][1]), key=lambda e: e[:3])
+        expected = sorted(
+            (e for e in plain_log if TWO_SHARD_PLAN.assignment[e[2]] == 1),
+            key=lambda e: e[:3],
+        )
+        assert remote and remote == expected
+        assert min_arrival == remote[0][0]
+
+    def test_broadcast_reaches_remote_replicas(self):
+        shard, _ = _drive_transport(TWO_SHARD_PLAN, general=False)
+        shard.drain_outboxes()
+        shard.broadcast(0, "ping", 64)
+        (_, frame), = shard.drain_outboxes()[0]
+        assert sorted(e[2] for e in decode_batch(frame)) == [1, 3, 5, 7]
+
+    def test_shard_network_overrides_no_sending_method(self):
+        assert "send" not in vars(ShardNetwork)
+        assert "multicast" not in vars(ShardNetwork)
 
 
 # ------------------------------------------------------------ config seams

@@ -6,7 +6,7 @@ Covers:
   rule ID, driven through the real engine via ``check_source``;
 * inline suppressions: same-line, standalone-line, wildcard, wrong-id,
   and the mandatory-reason policy (``SC-001``);
-* rule selection (`--select`/`--ignore` semantics) and the baseline file;
+* rule selection (`--select`/`--ignore` semantics);
 * the CLI: exit codes, text and JSON output schemas, ``--list-rules``;
 * **the enforcement test**: the full suite over ``src/repro/`` must report
   zero violations — this is what makes the invariants permanent.
@@ -24,7 +24,6 @@ from repro.staticcheck import (
     check_source,
     select_rules,
 )
-from repro.staticcheck.baseline import load_baseline, write_baseline
 from repro.staticcheck.cli import main as cli_main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -327,25 +326,6 @@ class TestSelection:
             assert rule.severity in ("warning", "error")
 
 
-# ----------------------------------------------------------------- baseline
-class TestBaseline:
-    def test_roundtrip_filters_known_violations(self, tmp_path):
-        module, source = POSITIVE_FIXTURES["ISO-001"]
-        violations = check_source(source, module=module)
-        assert violations
-        path = tmp_path / "baseline.json"
-        count = write_baseline(str(path), violations)
-        assert count == len(violations)
-        fingerprints = load_baseline(str(path))
-        assert set(fingerprints) == {v.fingerprint for v in violations}
-
-    def test_bad_baseline_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"version": 99, "entries": []}')
-        with pytest.raises(ValueError):
-            load_baseline(str(path))
-
-
 # --------------------------------------------------------------------- CLI
 def _fixture_tree(tmp_path, rule_id):
     """Materialise one positive fixture as a real repro-shaped tree."""
@@ -409,13 +389,6 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_id in ALL_RULE_IDS:
             assert rule_id in out
-
-    def test_baseline_flow(self, tmp_path, capsys):
-        root = _fixture_tree(tmp_path, "HOT-003")
-        baseline = tmp_path / "baseline.json"
-        assert cli_main([root, "--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        assert cli_main([root, "--baseline", str(baseline)]) == 0
 
     def test_syntax_error_reported_not_crashing(self, tmp_path, capsys):
         bad = tmp_path / "repro" / "core" / "broken.py"
