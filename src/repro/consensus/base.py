@@ -10,13 +10,14 @@ simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.block import Block
 from repro.crypto.aggregate import fault_threshold, quorum_threshold
 
 
-@dataclass
+@dataclass(slots=True)
 class InstanceConfig:
     """Static configuration of one consensus instance at one replica."""
 
@@ -99,6 +100,9 @@ class InstanceContext:
     def current_epoch(self) -> int:
         return 0
 
+    def on_view_installed(self, view: int) -> None:
+        """The instance installed ``view`` (e.g. to log view-change completion)."""
+
 
 @dataclass
 class CollectingContext(InstanceContext):
@@ -161,6 +165,19 @@ class CollectingContext(InstanceContext):
 class ConsensusInstance:
     """Common scaffolding for all instance implementations."""
 
+    #: message class -> name of the method handling it.  One table per
+    #: class, not per instance: the hosting replica resolves the names once
+    #: into its route (``MultiBFTReplica._build_route``) and
+    #: :meth:`on_message` resolves them per call.
+    HANDLERS: Mapping[type, str] = MappingProxyType({})
+
+    #: message classes whose handlers account their own entry verification
+    #: (instead of the dispatch site doing it) — subclasses that must record
+    #: extra crypto *before* the entry verify (e.g. Mir's per-batch request
+    #: re-verification) list those classes here to keep the accounting order
+    #: bit-exact with the historical per-handler recording
+    SELF_ACCOUNTING: frozenset = frozenset()
+
     def __init__(self, config: InstanceConfig, context: InstanceContext) -> None:
         self.config = config
         self.context = context
@@ -186,7 +203,22 @@ class ConsensusInstance:
 
     # --------------------------------------------------------------- protocol
     def on_message(self, sender: int, message: Any) -> None:
-        raise NotImplementedError
+        if self.stopped:
+            return
+        cls = message.__class__
+        name = self.HANDLERS.get(cls)
+        if name is not None:
+            # Every protocol message costs one signature verification on
+            # receipt; it is accounted here (the single dispatch site) so the
+            # handlers — and the replica-level fast path that calls them
+            # directly — stay free of the per-message accounting frame.
+            if cls not in self.SELF_ACCOUNTING:
+                self.context.record_crypto("verify")
+            getattr(self, name)(sender, message)
+
+    def on_view_installed(self, view: int) -> None:
+        """Hook: a new view was installed; the host hears of it via the context."""
+        self.context.on_view_installed(view)
 
     def propose(self, txs: Tuple, now: float) -> Optional[Any]:
         """Leader-only: propose a batch.  Returns the proposal or None."""

@@ -10,8 +10,9 @@ Multi-BFT deployment): the leader proposes node ``r`` justified by a QC of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import AbstractSet, Dict, Mapping, Optional, Tuple
 
 from repro.core.block import Block
 from repro.consensus.base import ConsensusInstance, InstanceConfig, InstanceContext
@@ -41,8 +42,18 @@ class ChainNode:
 class HotStuffInstance(ConsensusInstance):
     """One chained-HotStuff instance."""
 
-    #: see PBFTInstance.SELF_ACCOUNTING
-    SELF_ACCOUNTING: frozenset = frozenset()
+    HANDLERS: Mapping[type, str] = MappingProxyType({
+        HotStuffProposal: "_on_proposal",
+        HotStuffVote: "_on_vote",
+        HotStuffNewView: "_on_new_view",
+    })
+
+    # Shared immutable defaults; an instance gets its own object on first
+    # use (see the memory notes in :mod:`repro.consensus.pbft`).
+    view_change_votes: Optional[QuorumTracker] = None
+    #: rounds committed / QC'd ahead of their contiguous watermark
+    _committed_above: AbstractSet[int] = frozenset()
+    _qc_above: AbstractSet[int] = frozenset()
 
     def __init__(
         self,
@@ -57,7 +68,6 @@ class HotStuffInstance(ConsensusInstance):
         self.high_qc_round = 0  # highest round with a formed QC (leader side)
         self.last_committed_round = 0
         self.propose_timeout = propose_timeout
-        self.view_change_votes = QuorumTracker(config.quorum)
         self.view_change_in_progress = False
         #: full Block history of this instance's commits; only appended when
         #: ``retain_blocks`` (the bounded-memory system mode clears it off
@@ -69,14 +79,7 @@ class HotStuffInstance(ConsensusInstance):
         # behind the watermark are pruned (their batches are released) and
         # vote state for QC'd rounds is dropped, keeping memory O(window).
         self._stable_round = 0
-        self._committed_above: set = set()
         self._qc_stable = 0
-        self._qc_above: set = set()
-        self._handlers = {
-            HotStuffProposal: self._on_proposal,
-            HotStuffVote: self._on_vote,
-            HotStuffNewView: self._on_new_view,
-        }
 
     # ----------------------------------------------------------------- hooks
     def start(self) -> None:
@@ -118,19 +121,6 @@ class HotStuffInstance(ConsensusInstance):
             proposed_at=now,
             batch_submitted_at=batch.mean_submitted_at(),
         )
-
-    # -------------------------------------------------------------- messages
-    def on_message(self, sender: int, message: Any) -> None:
-        if self.stopped:
-            return
-        cls = message.__class__
-        handler = self._handlers.get(cls)
-        if handler is not None:
-            # Entry signature verification, accounted at the dispatch site
-            # (see PBFTInstance.on_message).
-            if cls not in self.SELF_ACCOUNTING:
-                self.context.record_crypto("verify")
-            handler(sender, message)
 
     # --------------------------------------------------------------- proposal
     def _validate_proposal(self, sender: int, message: HotStuffProposal) -> bool:
@@ -238,14 +228,19 @@ class HotStuffInstance(ConsensusInstance):
         are unreachable.  The node at the watermark itself is kept as the
         duplicate-delivery sentinel for in-flight retransmissions.
         """
-        above = self._committed_above
-        above.add(round)
         stable = self._stable_round
+        above = self._committed_above
         nodes = self.nodes
-        while stable + 1 in above:
-            stable += 1
-            above.discard(stable)
+        if round == stable + 1 and not above:
+            stable = round  # commits arrive in round order: nothing to park
             nodes.pop(stable - 1, None)
+        else:
+            above = self._committed_above = above or set()
+            above.add(round)
+            while stable + 1 in above:
+                stable += 1
+                above.discard(stable)
+                nodes.pop(stable - 1, None)
         self._stable_round = stable
         # A committed round certifies its whole 3-chain, so QC bookkeeping
         # below the committed watermark is settled: fold it forward.  This
@@ -283,12 +278,16 @@ class HotStuffInstance(ConsensusInstance):
         # The QC is formed; trailing votes for this round are dead weight.
         self.vote_tracker.clear(key)
         above = self._qc_above
-        above.add(round)
         stable = self._qc_stable
-        while stable + 1 in above:
-            stable += 1
-            above.discard(stable)
-        self._qc_stable = stable
+        if round == stable + 1 and not above:
+            self._qc_stable = round  # QCs form in round order: nothing to park
+        else:
+            above = self._qc_above = above or set()
+            above.add(round)
+            while stable + 1 in above:
+                stable += 1
+                above.discard(stable)
+            self._qc_stable = stable
         self._on_qc_formed(round)
 
     def _on_qc_formed(self, round: int) -> None:
@@ -340,8 +339,11 @@ class HotStuffInstance(ConsensusInstance):
             # relayed by the new leader through its next proposal; the simple
             # stable-leader deployment only needs the leader-side transition.
             return
+        votes = self.view_change_votes
+        if votes is None:
+            votes = self.view_change_votes = QuorumTracker(self.config.quorum)
         key = ("hs-view-change", message.view)
-        if not self.view_change_votes.add_vote(key, sender):
+        if not votes.add_vote(key, sender):
             return
         self.view = message.view
         self.view_change_in_progress = False
@@ -350,9 +352,6 @@ class HotStuffInstance(ConsensusInstance):
         # in the new view, so the QC watermark restarts from the committed
         # prefix; committed rounds stay final in every view.
         self._qc_stable = self.last_committed_round
-        self._qc_above.clear()
-        self.view_change_votes.clear(key)
+        self._qc_above = frozenset()
+        votes.clear(key)
         self.on_view_installed(self.view)
-
-    def on_view_installed(self, view: int) -> None:
-        """Hook for the hosting replica."""

@@ -17,7 +17,8 @@ Differences from vanilla PBFT:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.consensus.base import InstanceConfig, InstanceContext
 from repro.consensus.messages import PrePrepare, RankMessage
@@ -30,6 +31,10 @@ from repro.workload.transactions import Batch
 
 class LadonPBFTInstance(PBFTInstance):
     """Algorithm 2 of the paper."""
+
+    HANDLERS: Mapping[type, str] = MappingProxyType(
+        {**PBFTInstance.HANDLERS, RankMessage: "_on_rank_message"}
+    )
 
     def __init__(
         self,
@@ -45,7 +50,6 @@ class LadonPBFTInstance(PBFTInstance):
         # Pruned as the proposal cursor advances: reports for rounds the
         # leader has already proposed past can never gate anything again.
         self.rank_reports: Dict[int, Dict[int, RankReport]] = {}
-        self._handlers[RankMessage] = self._on_rank_message
         # Set once the epoch's maxRank has been proposed; cleared on new epoch.
         self.stopped_for_epoch = False
         self._epoch_of_stop = -1

@@ -9,8 +9,11 @@ the next leader, which installs the new view after collecting 2f+1 of them.
 
 Hot-path / memory notes:
 
-* messages dispatch through a per-instance ``type -> handler`` table (one
-  dict lookup instead of an isinstance chain);
+* messages dispatch through a class-level ``type -> handler name`` table
+  (one dict lookup instead of an isinstance chain, nothing per instance);
+* state only a view change, an out-of-order commit or a deferred commit
+  send needs is created when that first happens — each replica hosts every
+  instance, so an empty set per instance is paid n² times;
 * prepare/commit votes are keyed ``(view, round, digest_id)`` where
   ``digest_id`` is a small interned int — the hot vote keys never hash a
   digest string — and the :class:`QuorumTracker` counts voters in bitmasks;
@@ -28,7 +31,8 @@ Hot-path / memory notes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import AbstractSet, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.block import Block
 from repro.consensus.base import ConsensusInstance, InstanceConfig, InstanceContext
@@ -66,12 +70,26 @@ class PBFTInstance(ConsensusInstance):
     #: timer used to detect a stalled in-flight round
     ROUND_TIMER = "pbft-round"
 
-    #: message classes whose handlers account their own entry verification
-    #: (instead of the dispatch site doing it) — subclasses that must record
-    #: extra crypto *before* the entry verify (e.g. Mir's per-batch request
-    #: re-verification) list those classes here to keep the accounting order
-    #: bit-exact with the historical per-handler recording
-    SELF_ACCOUNTING: frozenset = frozenset()
+    HANDLERS: Mapping[type, str] = MappingProxyType({
+        PrePrepare: "_on_pre_prepare",
+        Prepare: "_on_prepare",
+        Commit: "_on_commit",
+        ViewChange: "_on_view_change",
+        NewView: "_on_new_view",
+    })
+
+    # Shared immutable defaults; an instance gets its own object on first use.
+    #: view-change votes, and the highest last-committed round reported by
+    #: any collected vote per ("view-change", view) key — the new-view
+    #: resume point.  Both exist from the first view-change message on.
+    view_change_votes: Optional[QuorumTracker] = None
+    _view_change_high: Optional[Dict[Tuple, int]] = None
+    #: rounds committed ahead of the contiguous prefix ``_stable_round``
+    _committed_above: AbstractSet[int] = frozenset()
+    #: rounds committed via the others' commit quorum whose own commit
+    #: send is still pending on a late prepare quorum (lossy links);
+    #: exempt from the stale-round drop so the late quorum can fire
+    _deferred_sends: AbstractSet[int] = frozenset()
 
     def __init__(
         self,
@@ -85,7 +103,6 @@ class PBFTInstance(ConsensusInstance):
         self.log: Dict[int, RoundEntry] = {}
         self.prepare_votes = QuorumTracker(config.quorum)
         self.commit_votes = QuorumTracker(config.quorum)
-        self.view_change_votes = QuorumTracker(config.quorum)
         self.propose_timeout = propose_timeout
         self.view_change_in_progress = False
         #: full Block history of this instance's partial commits; only
@@ -96,9 +113,6 @@ class PBFTInstance(ConsensusInstance):
         self.retain_blocks = True
         #: first round of the current view after a view change (0 = no view change yet)
         self.view_resume_round = 0
-        #: highest last-committed round reported by any collected view-change
-        #: vote, per (view-change, view) key — the new-view resume point
-        self._view_change_high: Dict[Tuple, int] = {}
         # ----- hot-path vote keys: digest -> small interned int -----
         self._digest_ids: Dict[str, int] = {}
         self._digest_seq = 0
@@ -109,18 +123,6 @@ class PBFTInstance(ConsensusInstance):
         self._round_digests: Dict[int, List[str]] = {}
         # ----- bounded log: rounds <= _stable_round are committed & pruned -----
         self._stable_round = 0
-        self._committed_above: set = set()
-        #: rounds committed via the others' commit quorum whose own commit
-        #: send is still pending on a late prepare quorum (lossy links);
-        #: exempt from the stale-round drop so the late quorum can fire
-        self._deferred_sends: set = set()
-        self._handlers = {
-            PrePrepare: self._on_pre_prepare,
-            Prepare: self._on_prepare,
-            Commit: self._on_commit,
-            ViewChange: self._on_view_change,
-            NewView: self._on_new_view,
-        }
 
     # ----------------------------------------------------------------- hooks
     def start(self) -> None:
@@ -172,21 +174,6 @@ class PBFTInstance(ConsensusInstance):
             proposed_at=now,
             batch_submitted_at=batch.mean_submitted_at(),
         )
-
-    # -------------------------------------------------------------- messages
-    def on_message(self, sender: int, message: Any) -> None:
-        if self.stopped:
-            return
-        cls = message.__class__
-        handler = self._handlers.get(cls)
-        if handler is not None:
-            # Every protocol message costs one signature verification on
-            # receipt; it is accounted here (the single dispatch site) so the
-            # handlers — and the replica-level fast path that calls them
-            # directly — stay free of the per-message accounting frame.
-            if cls not in self.SELF_ACCOUNTING:
-                self.context.record_crypto("verify")
-            handler(sender, message)
 
     # -------------------------------------------------------------- vote keys
     def _vote_key(self, view: int, round: int, digest: str) -> Tuple[int, int, int]:
@@ -373,21 +360,29 @@ class PBFTInstance(ConsensusInstance):
         key = self._vote_key(entry.view, entry.round, entry.digest)
         self.commit_votes.clear(key)
         if not entry.sent_commit:
+            self._deferred_sends = self._deferred_sends or set()
             self._deferred_sends.add(entry.round)
         else:
             self.prepare_votes.clear(key)
-        above = self._committed_above
-        above.add(entry.round)
         stable = self._stable_round
+        above = self._committed_above
+        if entry.round != stable + 1:
+            # Ahead of the prefix: park it.  ``stable + 1`` is never parked
+            # (the loop below consumes it), so the watermark cannot move.
+            above = self._committed_above = above or set()
+            above.add(entry.round)
+            return
         deferred = self._deferred_sends
         log = self.log
-        while stable + 1 in above:
+        stable += 1
+        while True:
+            if stable not in deferred:  # else: entry + prepare votes stay until the send fires
+                gone = log.pop(stable, None)
+                self._release_round_votes(stable, gone.view if gone else entry.view)
+            if stable + 1 not in above:
+                break
             stable += 1
             above.discard(stable)
-            if stable in deferred:
-                continue  # entry + prepare votes stay until the send fires
-            gone = log.pop(stable, None)
-            self._release_round_votes(stable, gone.view if gone else entry.view)
         self._stable_round = stable
 
     def _release_round_votes(self, round: int, view: int) -> None:
@@ -403,8 +398,13 @@ class PBFTInstance(ConsensusInstance):
                 commit_votes.clear(key)
 
     def _finalize_deferred_send(self, entry: RoundEntry) -> None:
-        """Complete the GC of a round whose commit send was deferred."""
-        self._deferred_sends.discard(entry.round)
+        """Complete the GC of a round whose commit send was deferred.
+
+        (Also reached, as a no-op, when the commit send itself completed the
+        commit quorum through the loopback vote.)
+        """
+        if self._deferred_sends:  # non-empty: the instance's own set
+            self._deferred_sends.discard(entry.round)
         if entry.round <= self._stable_round:
             # The watermark already passed it: prune now.
             self.log.pop(entry.round, None)
@@ -481,13 +481,17 @@ class PBFTInstance(ConsensusInstance):
             return
         if self.config.leader_for_view(message.view) != self.replica_id:
             return
+        votes = self.view_change_votes
+        if votes is None:
+            votes = self.view_change_votes = QuorumTracker(self.config.quorum)
+            self._view_change_high = {}
         key = ("view-change", message.view)
         high = max(
             self._view_change_high.get(key, self.last_committed_round),
             message.last_committed_round,
         )
         self._view_change_high[key] = high
-        if not self.view_change_votes.add_vote(key, sender):
+        if not votes.add_vote(key, sender):
             return
         resume_round = max(high, self.last_committed_round) + 1
         new_view_msg = NewView(
@@ -495,7 +499,7 @@ class PBFTInstance(ConsensusInstance):
             instance=self.instance_id,
             view=message.view,
             round=resume_round,
-            view_change_count=self.view_change_votes.count(key),
+            view_change_count=votes.count(key),
             resume_round=resume_round,
         )
         self.context.record_crypto("sign")
@@ -536,7 +540,8 @@ class PBFTInstance(ConsensusInstance):
                 del self.log[round]
                 self.context.cancel_timer(self._round_timer_name(round))
         # View-change bookkeeping for installed (and older) views is dead.
-        for vc_key in [k for k in self._view_change_high if k[1] <= message.view]:
+        # (Only the new leader of some view ever collected any.)
+        for vc_key in [k for k in self._view_change_high or () if k[1] <= message.view]:
             del self._view_change_high[vc_key]
             self.view_change_votes.clear(vc_key)
         # Deferred commit sends can never complete now (their missing
@@ -575,9 +580,6 @@ class PBFTInstance(ConsensusInstance):
         )
         self.context.record_crypto("sign")
         self.context.multicast(message, message.size_bytes)
-
-    def on_view_installed(self, view: int) -> None:
-        """Hook for the hosting replica (e.g. to log view-change completion)."""
 
     # -------------------------------------------------------------- internals
     def _entry(self, round: int) -> RoundEntry:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, Tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class QuorumTracker:
     """Counts distinct voters per key and fires exactly once per quorum.
 

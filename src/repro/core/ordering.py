@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
 from repro.core.block import Block, ordering_key
 
@@ -184,9 +184,11 @@ class DynamicOrderer(GlobalOrderer):
         # ----- duplicate detection (bounded) -----
         # Per instance: every round <= watermark is confirmed; confirmed
         # rounds above the watermark live in a small overflow set until the
-        # prefix catches up.  Equivalent to the old O(history) id set.
+        # prefix catches up.  Equivalent to the old O(history) id set.  An
+        # instance gets its own set when it first confirms out of round
+        # order; until then all share one empty frozenset.
         self._confirmed_watermark: List[int] = [0] * num_instances
-        self._confirmed_above: List[set] = [set() for _ in range(num_instances)]
+        self._confirmed_above: List[AbstractSet[int]] = [frozenset()] * num_instances
 
     # ------------------------------------------------------------ interface
     @property
@@ -270,8 +272,12 @@ class DynamicOrderer(GlobalOrderer):
     def _mark_confirmed(self, instance: int, round_: int) -> None:
         """Record (instance, round) as confirmed, folding into the watermark."""
         above = self._confirmed_above[instance]
-        above.add(round_)
         watermark = self._confirmed_watermark[instance]
+        if round_ == watermark + 1 and not above:
+            self._confirmed_watermark[instance] = round_  # in round order: nothing to park
+            return
+        above = self._confirmed_above[instance] = above or set()
+        above.add(round_)
         while watermark + 1 in above:
             watermark += 1
             above.discard(watermark)

@@ -16,6 +16,7 @@ all clock, timer, and transport access goes through the runtime seam.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, TYPE_CHECKING
 
 from repro.consensus.base import InstanceConfig, InstanceContext
@@ -183,41 +184,25 @@ class ReplicaInstanceContext(InstanceContext):
     """Routes one instance's callbacks through its hosting replica.
 
     The per-message callbacks (clock, send, multicast, deliver, crypto
-    accounting) are bound straight to the replica's methods in ``__init__``
-    so each call costs one Python frame, not two — these run once or more
-    per protocol message and dominate the instance-side overhead.
+    accounting) are instance attributes holding the replica's own bound
+    methods, so each call costs one Python frame, not two — these run once
+    or more per protocol message and dominate the instance-side overhead.
+    They come from ``replica.context_bindings``, built once per replica:
+    its m contexts share five method objects instead of creating 5·m.
     """
 
     def __init__(self, replica: "MultiBFTReplica", instance_id: int) -> None:
         self.replica = replica
         self.instance_id = instance_id
-        # Hot-path bindings (shadow the methods below per instance).
-        self.now = replica.now
-        self.send = replica.send_protocol_message
-        self.multicast = replica.multicast_protocol_message
-        self.deliver = replica.on_partial_commit
-        self.record_crypto = replica.record_crypto_op
-
-    def now(self) -> float:  # shadowed per-instance in __init__
-        return self.replica.now()
-
-    def send(self, dest: int, message: Any, size_bytes: int) -> None:
-        self.replica.send_protocol_message(dest, message, size_bytes)
-
-    def multicast(self, message: Any, size_bytes: int) -> None:
-        self.replica.multicast_protocol_message(message, size_bytes)
-
-    def deliver(self, block: Block) -> None:
-        self.replica.on_partial_commit(block)
+        self.now, self.send, self.multicast, self.deliver, self.record_crypto = (
+            replica.context_bindings
+        )
 
     def set_timer(self, name: str, delay: float, callback: Callable[[], None]) -> None:
         self.replica.set_timer(f"inst{self.instance_id}:{name}", delay, callback)
 
     def cancel_timer(self, name: str) -> None:
         self.replica.cancel_timer(f"inst{self.instance_id}:{name}")
-
-    def record_crypto(self, operation: str, count: int = 1) -> None:
-        self.replica.record_crypto_op(operation, count)
 
     def current_rank(self) -> int:
         return self.replica.rank_state.rank
@@ -233,6 +218,9 @@ class ReplicaInstanceContext(InstanceContext):
 
     def current_epoch(self) -> int:
         return self.replica.current_epoch()
+
+    def on_view_installed(self, view: int) -> None:
+        self.replica._on_view_installed(self.instance_id, view)
 
 
 class MultiBFTReplica(Node):
@@ -299,6 +287,12 @@ class MultiBFTReplica(Node):
             )
         self._checkpoint_sent_for: set = set()
         self._last_checkpoint: Optional[CheckpointMessage] = None
+        #: what every :class:`ReplicaInstanceContext` of this replica binds as
+        #: (now, send, multicast, deliver, record_crypto)
+        self.context_bindings = (
+            self.now, self.send_protocol_message, self.multicast_protocol_message,
+            self.on_partial_commit, self.record_crypto_op,
+        )
         self._build_instances()
 
     # ------------------------------------------------------------- factories
@@ -308,63 +302,76 @@ class MultiBFTReplica(Node):
     def instance_class(self) -> Type:
         raise NotImplementedError
 
-    def build_instance(self, instance_id: int) -> Any:
-        """Construct the state machine for ``instance_id`` at this replica."""
-        inst_config = InstanceConfig(
+    def instance_config(
+        self, instance_id: int, tx_payload_bytes: Optional[int] = None
+    ) -> InstanceConfig:
+        """The configuration of ``instance_id`` at this replica."""
+        config = self.config
+        return InstanceConfig(
             instance_id=instance_id,
             replica_id=self.node_id,
-            n=self.config.n,
-            batch_size=self.config.batch_size,
-            epoch_length=self.config.epoch_length,
-            view_change_timeout=self.config.view_change_timeout,
-            tx_payload_bytes=self.config.payload_bytes,
-            compat_flags=self.config.compat_flags,
+            n=config.n,
+            batch_size=config.batch_size,
+            epoch_length=config.epoch_length,
+            view_change_timeout=config.view_change_timeout,
+            tx_payload_bytes=(
+                config.payload_bytes if tx_payload_bytes is None else tx_payload_bytes
+            ),
+            compat_flags=config.compat_flags,
         )
-        context = ReplicaInstanceContext(self, instance_id)
+
+    def build_instance(self, instance_id: int) -> Any:
+        """Construct the state machine for ``instance_id`` at this replica."""
         return self.instance_class()(
-            inst_config, context, propose_timeout=self.config.propose_timeout
+            self.instance_config(instance_id),
+            ReplicaInstanceContext(self, instance_id),
+            propose_timeout=self.config.propose_timeout,
         )
 
     def _build_instances(self) -> None:
         for instance_id in range(self.config.m):
             instance = self.build_instance(instance_id)
-            instance.on_view_installed = (
-                lambda view, iid=instance_id: self._on_view_installed(iid, view)
-            )
             instance.retain_blocks = self.retain_history
             self.instances[instance_id] = instance
         self._build_route()
 
     def _build_route(self) -> None:
-        """Build the (instance, message type) -> handler fast-dispatch table.
+        """Build the message type -> per-instance handler fast-dispatch table.
 
-        One dict hit replaces instance lookup + ``instance.on_message`` +
-        the instance's own type dispatch on the per-delivery hot path.
-        Messages that miss the table (checkpoints, subclass extras, unknown
-        instances) fall back to the slow path, which preserves the exact
-        legacy semantics.  Instances inside a system are never ``stop()``-ed
-        (the flag exists for direct unit-test use), so bypassing the
-        instance-level ``stopped`` gate is sound here.
+        One pointer-hash dict hit plus two list indexes replace instance
+        lookup + ``instance.on_message`` + the instance's own type dispatch
+        on the per-delivery hot path.  Messages that miss the table
+        (checkpoints, subclass extras, unknown instances) fall back to the
+        slow path, which preserves the exact legacy semantics.  Instances
+        inside a system are never ``stop()``-ed (the flag exists for direct
+        unit-test use), so bypassing the instance-level ``stopped`` gate is
+        sound here.
+
+        Each replica hosts every instance, so whatever a row stores per
+        instance is paid n² times.  A row is ``(verify, functions, hosted)``:
+        whether the dispatch site accounts the entry verification (a
+        property of the message class, stored once), per instance id the
+        *plain function* named by the instance class's ``HANDLERS`` — 8
+        bytes in a list, not a bound-method object — and the list of hosted
+        instances (one list, shared by all rows) it is called on.
         """
-        route: Dict[Tuple[int, type], Tuple[Callable[[int, Any], None], bool]] = {}
         slots = max(self.instances.keys(), default=-1) + 1
-        by_cls: Dict[type, List[Optional[Tuple[Callable[[int, Any], None], bool]]]] = {}
+        hosted: List[Any] = [None] * slots
+        route: Dict[type, Tuple[bool, List[Optional[Callable[..., None]]], List[Any]]] = {}
         for instance_id, instance in self.instances.items():
-            handlers = getattr(instance, "_handlers", None)
-            if not handlers:
-                continue
-            self_accounting = getattr(instance, "SELF_ACCOUNTING", frozenset())
-            for message_cls, handler in handlers.items():
-                entry = (handler, message_cls not in self_accounting)
-                route[(instance_id, message_cls)] = entry
-                per_instance = by_cls.get(message_cls)
-                if per_instance is None:
-                    per_instance = by_cls[message_cls] = [None] * slots
-                per_instance[instance_id] = entry
-        self._route = route
-        #: class -> per-instance entry list: the delivery fast path pays one
-        #: pointer-hash dict get plus a list index (no tuple allocation)
-        self._route_cls = by_cls
+            hosted[instance_id] = instance
+            for message_cls, name in instance.HANDLERS.items():
+                verify = message_cls not in instance.SELF_ACCOUNTING
+                row = route.get(message_cls)
+                if row is None:
+                    row = route[message_cls] = (verify, [None] * slots, hosted)
+                elif row[0] != verify:
+                    raise ValueError(
+                        f"instances of one replica disagree on who accounts the "
+                        f"entry verification of {message_cls.__name__}"
+                    )
+                row[1][instance_id] = getattr(type(instance), name)
+        self._route_cls = route
 
     # ------------------------------------------------------------------ epoch
     def current_epoch(self) -> int:
@@ -398,11 +405,12 @@ class MultiBFTReplica(Node):
             # Stagger instances across the proposal interval so the aggregate
             # block rate is smooth rather than bursty.
             offset = (instance_id / max(1, self.config.m)) * interval
-            self.set_timer(
-                f"pace:{instance_id}",
-                offset + 1e-6,
-                lambda iid=instance_id: self._proposal_tick(iid),
-            )
+            self._arm_pacing(instance_id, offset + 1e-6)
+
+    def _arm_pacing(self, instance_id: int, delay: float) -> None:
+        self.set_timer(
+            f"pace:{instance_id}", delay, partial(self._proposal_tick, instance_id)
+        )
 
     # --------------------------------------------------------------- proposing
     def _straggler_factor(self) -> float:
@@ -421,20 +429,12 @@ class MultiBFTReplica(Node):
         if instance.ready_to_propose():
             batch = self.make_batch(instance_id)
             instance.propose(batch, self.now())
-            self.set_timer(
-                f"pace:{instance_id}",
-                interval,
-                lambda iid=instance_id: self._proposal_tick(iid),
-            )
+            self._arm_pacing(instance_id, interval)
         else:
             # Not ready (previous round still in flight, epoch boundary, ...):
             # retry shortly without consuming a full proposal slot.
             retry = max(0.02, 0.05 * self.config.proposal_interval)
-            self.set_timer(
-                f"pace:{instance_id}",
-                retry,
-                lambda iid=instance_id: self._proposal_tick(iid),
-            )
+            self._arm_pacing(instance_id, retry)
 
     def make_batch(self, instance_id: int) -> Batch:
         """Cut the batch the leader proposes for ``instance_id``.
@@ -485,11 +485,7 @@ class MultiBFTReplica(Node):
             if instance.leader != self.node_id:
                 continue
             if not self.has_timer(f"pace:{instance_id}"):
-                self.set_timer(
-                    f"pace:{instance_id}",
-                    0.01,
-                    lambda iid=instance_id: self._proposal_tick(iid),
-                )
+                self._arm_pacing(instance_id, 0.01)
 
     # --------------------------------------------------------------- messaging
     def record_crypto_op(self, operation: str, count: int = 1) -> None:
@@ -550,9 +546,12 @@ class MultiBFTReplica(Node):
         """Transport delivery entry point: accounting + dispatch, one frame.
 
         Overrides :meth:`Node._receive` to fold the crashed check, the
-        per-message resource accounting, and the route-table dispatch into a
-        single function — this runs once per delivered message and is the
-        hottest replica-side path.
+        per-message resource accounting (:meth:`on_message`), and the
+        route-table dispatch (:meth:`_dispatch`) into a single function.
+        It is the one inlined copy of those two: this runs once per
+        delivered message (5 M times in the 10 s n=128 cell), where two more
+        Python frames per call are a visible share of the run; every other
+        caller goes through the methods.
         """
         if self.crashed:
             return
@@ -569,25 +568,27 @@ class MultiBFTReplica(Node):
         usage.cpu_seconds += (
             self._message_handling_cost + self._per_byte_cost * size
         )
-        per_instance = self._route_cls.get(message.__class__)
-        if per_instance is not None and 0 <= instance_id < len(per_instance):
-            entry = per_instance[instance_id]
-            if entry is not None:
-                handler, entry_verify = entry
-                if entry_verify:
-                    # Entry "verify" for the routed protocol message,
-                    # inlined (the instances account it at their dispatch
-                    # site; this IS that site on the fast path).  Same
-                    # accumulation order as before: message-handling cost,
-                    # then verification cost.
-                    ops = usage.crypto_ops
-                    ops["verify"] = ops.get("verify", 0) + 1
-                    usage.cpu_seconds += self._verify_cost
-                handler(sender, message)
-                return
+        row = self._route_cls.get(message.__class__)
+        if row is not None:
+            entry_verify, functions, hosted = row
+            if 0 <= instance_id < len(functions):
+                function = functions[instance_id]
+                if function is not None:
+                    if entry_verify:
+                        # Entry "verify" for the routed protocol message,
+                        # inlined (the instances account it at their
+                        # dispatch site; this IS that site on the fast
+                        # path).  Same accumulation order as before:
+                        # message-handling cost, then verification cost.
+                        ops = usage.crypto_ops
+                        ops["verify"] = ops.get("verify", 0) + 1
+                        usage.cpu_seconds += self._verify_cost
+                    function(hosted[instance_id], sender, message)
+                    return
         self._dispatch_slow(sender, message)
 
     def on_message(self, sender: int, message: Any) -> None:
+        """Account one handled message, then :meth:`_dispatch` it."""
         usage = self._usage
         if usage is None:
             usage = self._usage = self.resources.usage(self.node_id)
@@ -599,13 +600,21 @@ class MultiBFTReplica(Node):
         self._dispatch(sender, message)
 
     def _dispatch(self, sender: int, message: Any) -> None:
-        entry = self._route.get((getattr(message, "instance", None), message.__class__))
-        if entry is not None:
-            handler, entry_verify = entry
-            if entry_verify:
-                self.record_crypto_op("verify")
-            handler(sender, message)
-            return
+        """Route ``message`` to its instance's handler (loopback, ``on_message``).
+
+        Routed classes are protocol messages, which always carry an int
+        ``instance``.
+        """
+        row = self._route_cls.get(message.__class__)
+        if row is not None:
+            entry_verify, functions, hosted = row
+            instance_id = message.instance
+            function = functions[instance_id] if 0 <= instance_id < len(functions) else None
+            if function is not None:
+                if entry_verify:
+                    self.record_crypto_op("verify")
+                function(hosted[instance_id], sender, message)
+                return
         self._dispatch_slow(sender, message)
 
     def _dispatch_slow(self, sender: int, message: Any) -> None:
@@ -709,11 +718,7 @@ class MultiBFTReplica(Node):
             )
         instance = self.instances[instance_id]
         if instance.leader == self.node_id and not self.has_timer(f"pace:{instance_id}"):
-            self.set_timer(
-                f"pace:{instance_id}",
-                0.01,
-                lambda iid=instance_id: self._proposal_tick(iid),
-            )
+            self._arm_pacing(instance_id, 0.01)
 
 
 class MultiBFTSystem:

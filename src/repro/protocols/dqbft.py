@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Any, List
 
-from repro.consensus.base import InstanceConfig
 from repro.consensus.pbft import PBFTInstance
 from repro.core.block import Block, BlockId
 from repro.core.dqbft_ordering import DQBFTOrderer
@@ -48,18 +47,12 @@ class DQBFTReplica(MultiBFTReplica):
         return PBFTInstance
 
     def _build_ordering_instance(self) -> PBFTInstance:
-        inst_config = InstanceConfig(
-            instance_id=self.ordering_instance_id,
-            replica_id=self.node_id,
-            n=self.config.n,
-            batch_size=self.config.batch_size,
-            epoch_length=self.config.epoch_length,
-            view_change_timeout=self.config.view_change_timeout,
-            tx_payload_bytes=64,  # ordering batches carry block references
-            compat_flags=self.config.compat_flags,
+        return PBFTInstance(
+            # ordering batches carry block references
+            self.instance_config(self.ordering_instance_id, tx_payload_bytes=64),
+            ReplicaInstanceContext(self, self.ordering_instance_id),
+            propose_timeout=self.config.propose_timeout,
         )
-        context = ReplicaInstanceContext(self, self.ordering_instance_id)
-        return PBFTInstance(inst_config, context, propose_timeout=self.config.propose_timeout)
 
     @property
     def sequencer_id(self) -> int:
@@ -95,6 +88,12 @@ class DQBFTReplica(MultiBFTReplica):
             self._pending_decisions = []
             instance.propose(batch, self.now())
         self.set_timer("dqbft-ordering", self.ordering_interval(), self._ordering_tick)
+
+    def _on_view_installed(self, instance_id: int, view: int) -> None:
+        # The ordering instance is paced by ``_ordering_tick``, not by the
+        # proposal loop a logged view change re-arms.
+        if instance_id != self.ordering_instance_id:
+            super()._on_view_installed(instance_id, view)
 
     # ------------------------------------------------------------ commit path
     def on_partial_commit(self, block: Block) -> None:

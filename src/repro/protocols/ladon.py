@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Any, Type
 
-from repro.consensus.base import InstanceConfig
 from repro.consensus.ladon_hotstuff import LadonHotStuffInstance
 from repro.consensus.ladon_opt import LadonOptInstance
 from repro.consensus.ladon_pbft import LadonPBFTInstance
@@ -33,17 +32,7 @@ class LadonReplica(MultiBFTReplica):
         return self.instance_cls
 
     def build_instance(self, instance_id: int) -> Any:
-        inst_config = InstanceConfig(
-            instance_id=instance_id,
-            replica_id=self.node_id,
-            n=self.config.n,
-            batch_size=self.config.batch_size,
-            epoch_length=self.config.epoch_length,
-            view_change_timeout=self.config.view_change_timeout,
-            tx_payload_bytes=self.config.payload_bytes,
-            compat_flags=self.config.compat_flags,
-        )
-        context = ReplicaInstanceContext(self, instance_id)
+        inst_config = self.instance_config(instance_id)
         # Only the instance this replica leads can be driven Byzantine; the
         # manipulation is a leader-side strategy.
         byzantine = (
@@ -52,7 +41,7 @@ class LadonReplica(MultiBFTReplica):
         )
         return self.instance_class()(
             inst_config,
-            context,
+            ReplicaInstanceContext(self, instance_id),
             propose_timeout=self.config.propose_timeout,
             byzantine_rank_manipulation=byzantine,
         )

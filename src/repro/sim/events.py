@@ -58,6 +58,12 @@ class Event:
     queue's live total; it is cleared exactly once, whichever happens first:
     queue-level cancel, delivery, or lazy discard of a directly-cancelled
     event.
+
+    Cancelling drops ``callback``: the entry stays in its bucket until the
+    queue reaches it (a cancelled round timer sits there for the whole
+    view-change timeout), but it no longer keeps the timer closure and
+    everything that closure captured alive.  Nothing calls a cancelled
+    event, so nothing reads the field again.
     """
 
     __slots__ = ("time", "seq", "callback", "label", "cancelled", "popped", "live")
@@ -65,15 +71,16 @@ class Event:
     def __init__(self, time: float, seq: int, callback: Callable[[], None], label: str = "") -> None:
         self.time = time
         self.seq = seq
-        self.callback = callback
+        self.callback: Optional[Callable[[], None]] = callback
         self.label = label
         self.cancelled = False
         self.popped = False
         self.live = True
 
     def cancel(self) -> None:
-        """Mark the event so the queue skips it when popped."""
+        """Mark the event so the queue skips it when popped; release the callback."""
         self.cancelled = True
+        self.callback = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "live"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 
-@dataclass
+@dataclass(slots=True)
 class Timer:
     """A cancellable timer owned by a node."""
 

@@ -5,7 +5,7 @@ import pytest
 from repro.consensus.base import CollectingContext, InstanceConfig
 from repro.consensus.hotstuff import HotStuffInstance
 from repro.consensus.ladon_hotstuff import LadonHotStuffInstance
-from repro.consensus.messages import HotStuffProposal, HotStuffVote
+from repro.consensus.messages import HotStuffNewView, HotStuffProposal, HotStuffVote
 from repro.workload.transactions import Batch
 
 
@@ -139,3 +139,48 @@ class TestLadonHotStuff:
         ranks = [b.rank for b in leader_ctx.delivered]
         assert len(ranks) >= 2
         assert all(later > earlier for earlier, later in zip(ranks, ranks[1:]))
+
+
+class TestLazyPerInstanceState:
+    LAZY = ("view_change_votes", "_committed_above", "_qc_above")
+
+    def _own(self, instance):
+        return sorted(name for name in self.LAZY if name in vars(instance))
+
+    def test_in_order_chain_allocates_none_of_it(self):
+        leader, leader_ctx = make_instance(replica_id=0)
+        backups = [make_instance(replica_id=r) for r in range(1, N)]
+        drive_chain(leader, leader_ctx, backups, rounds=6)
+        for instance in [leader] + [backup for backup, _ in backups]:
+            assert instance.last_committed_round == 3 == instance._stable_round
+            assert self._own(instance) == []
+        assert leader._qc_stable == 6
+
+    def test_new_leader_installs_a_view_from_untouched_state(self):
+        new_leader, _ = make_instance(replica_id=1)
+        installed = []
+        new_leader.on_view_installed = installed.append
+        for sender in (0, 2):
+            new_leader.on_message(
+                sender, HotStuffNewView(sender=sender, instance=0, view=1, round=0)
+            )
+            assert new_leader.view == 0  # below quorum
+        assert self._own(new_leader) == ["view_change_votes"]
+        new_leader.on_message(3, HotStuffNewView(sender=3, instance=0, view=1, round=0))
+        assert installed == [1]
+        assert (new_leader.view, new_leader.is_leader) == (1, True)
+        assert new_leader.view_change_votes.tracked_keys() == 0
+        assert new_leader._qc_above == set()
+
+    def test_out_of_order_qc_parks_then_folds(self):
+        leader, _ = make_instance(replica_id=0)
+        for round in (2, 1):
+            for sender in range(QUORUM):
+                leader.on_message(
+                    sender,
+                    HotStuffVote(sender=sender, instance=0, view=0, round=round, digest=f"d{round}"),
+                )
+            if round == 2:
+                assert leader._qc_stable == 0 and leader._qc_above == {2}
+        assert leader._qc_stable == 2 and leader._qc_above == set()
+        assert leader.high_qc_round == 2

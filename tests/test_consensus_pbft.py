@@ -453,3 +453,81 @@ class TestBoundedMemoryGC:
         assert instance._round_digests == {}
         assert instance.prepare_votes.tracked_keys() == 0
         assert instance.commit_votes.tracked_keys() == 0
+
+
+class TestLazyPerInstanceState:
+    """Each replica hosts every instance, so state that only a view change,
+    an out-of-order commit or a deferred commit send needs is created when
+    that first happens; an honest contiguous run never allocates it."""
+
+    LAZY = ("view_change_votes", "_view_change_high", "_committed_above", "_deferred_sends")
+
+    def _own(self, instance):
+        return sorted(name for name in self.LAZY if name in vars(instance))
+
+    def test_contiguous_commits_allocate_none_of_it(self):
+        instance, _ = make_instance(replica_id=1)
+        assert self._own(instance) == []
+        assert "_handlers" not in vars(instance)  # the table is per class
+        for round in (1, 2, 3):
+            TestBoundedMemoryGC()._commit_round_fully(instance, round, f"d{round}")
+        assert instance._stable_round == 3 and instance.log == {}
+        assert self._own(instance) == []
+        assert instance._committed_above == set() == instance._deferred_sends
+
+    def test_view_installs_on_an_instance_that_never_touched_view_change_state(self):
+        """The backup's side of a view change reads the (absent) vote state
+        only to clean it up; the install is the same as it ever was."""
+        instance, context = make_instance(replica_id=2)
+        instance.on_message(
+            0, PrePrepare(sender=0, instance=0, view=0, round=1, digest="d", tx_count=1, rank=1)
+        )
+        installed = []
+        instance.on_view_installed = installed.append
+        instance.on_message(
+            1, NewView(sender=1, instance=0, view=1, round=1, view_change_count=QUORUM, resume_round=1)
+        )
+        assert installed == [1]
+        assert (instance.view, instance.leader, instance.view_change_in_progress) == (1, 1, False)
+        assert (instance.next_round, instance.view_resume_round) == (1, 1)
+        assert instance.log == {}  # the uncommitted in-flight round is dropped
+        assert instance._round_timer_name(1) not in context.timers
+        assert self._own(instance) == []
+
+    def test_view_installation_reaches_the_host_through_the_context(self):
+        class Host(CollectingContext):
+            def on_view_installed(self, view):
+                self.installed = view
+
+        instance = PBFTInstance(InstanceConfig(instance_id=0, replica_id=2, n=N), Host())
+        instance.on_message(1, NewView(sender=1, instance=0, view=1, round=1, resume_round=1))
+        assert instance.context.installed == 1
+
+    def test_new_leader_creates_then_clears_its_vote_state(self):
+        new_leader, context = make_instance(replica_id=1)
+        new_leader.on_message(
+            0, ViewChange(sender=0, instance=0, view=1, round=0, last_committed_round=4)
+        )
+        assert self._own(new_leader) == ["_view_change_high", "view_change_votes"]
+        assert new_leader._view_change_high == {("view-change", 1): 4}
+        for sender in (2, 3):
+            new_leader.on_message(
+                sender, ViewChange(sender=sender, instance=0, view=1, round=0, last_committed_round=0)
+            )
+        (new_view,) = [m for m, _ in context.multicasts if isinstance(m, NewView)]
+        assert (new_view.view_change_count, new_view.resume_round) == (QUORUM, 5)
+        new_leader.on_message(1, new_view)
+        assert new_leader.view == 1
+        assert new_leader._view_change_high == {}
+        assert new_leader.view_change_votes.tracked_keys() == 0
+
+    def test_out_of_order_commit_parks_then_folds(self):
+        instance, _ = make_instance(replica_id=1)
+        gc_tests = TestBoundedMemoryGC()
+        gc_tests._commit_round_fully(instance, 2, "d2")
+        assert instance._stable_round == 0 and instance._committed_above == {2}
+        assert 2 in instance.log  # not behind the watermark yet
+        gc_tests._commit_round_fully(instance, 1, "d1")
+        assert instance._stable_round == 2 and instance._committed_above == set()
+        assert instance.log == {}
+        assert instance.prepare_votes.tracked_keys() == 0

@@ -5,13 +5,22 @@ import heapq
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.clock import VirtualClock
 from repro.sim.events import BUCKET_SECONDS, EventQueue
+from repro.sim.network import Network
+from repro.sim.node import Node
 from repro.sim.simulator import Simulator
+from repro.sim.trace import TraceRecorder
+
+
+class _TimerNode(Node):
+    def on_message(self, sender, message):  # pragma: no cover - never sent to
+        pass
 
 
 class TestVirtualClock:
@@ -521,3 +530,96 @@ class TestRunLoopGarbageCollector:
         with pytest.raises(RuntimeError, match="callback failed"):
             sim.run()
         assert gc.isenabled() is enabled and gc.get_threshold() == (701, 11, 12)
+
+
+class TestCancelReleasesCallback:
+    """A cancelled event stays in its bucket until the queue reaches it (for
+    a round timer: the whole view-change timeout), so cancelling must let go
+    of the callback — the closure and everything it captured — right away."""
+
+    @pytest.fixture(autouse=True)
+    def _no_cyclic_gc(self):
+        # As inside Simulator.run: only reference counting may free things.
+        enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if enabled:
+            gc.enable()
+
+    @staticmethod
+    def _callback():
+        class Captured:
+            pass
+
+        captured = Captured()
+        return (lambda: captured), weakref.ref(captured)
+
+    @pytest.mark.parametrize("time", [0.0, 10.0], ids=["near", "far"])
+    @pytest.mark.parametrize("how", ["queue", "event"])
+    def test_cancelled_callback_is_collectable_at_once(self, time, how):
+        queue = EventQueue()
+        queue.push(0.0, lambda: None)
+        queue.pop()  # bucket 0 is current: time 0.0 is near, 10.0 is far
+        callback, captured = self._callback()
+        event = queue.push(time, callback)
+        del callback
+        assert captured() is not None
+        queue.cancel(event) if how == "queue" else event.cancel()
+        assert captured() is None
+        assert event.callback is None and event.cancelled
+
+    def test_node_timer_releases_its_closure_on_cancel_and_rearm(self):
+        sim = Simulator()
+        node = _TimerNode(0, sim, Network(sim))
+        callback, first = self._callback()
+        node.set_timer("t", 10.0, callback)
+        callback, second = self._callback()
+        node.set_timer("t", 10.0, callback)  # re-arming cancels the first
+        del callback
+        assert first() is None and second() is not None
+        node.cancel_timer("t")
+        assert second() is None
+        assert len(sim.queue) == 0
+        assert sim.run(until=20.0) == 20.0  # drains the two dead entries
+
+    @pytest.mark.parametrize("time", [0.0005, 0.25], ids=["near", "far"])
+    def test_no_entry_point_trips_over_a_released_entry(self, time):
+        """run/step/pop/peek_time skip a cancelled, callback-less entry in
+        either tier, however it was cancelled."""
+        for drive in ("run", "step", "pop", "peek_time"):
+            sim = Simulator()
+            fired = []
+            sim.schedule_at(0.0001, lambda: fired.append("first"))
+            assert sim.step()  # current bucket is now 0
+            dead = [sim.schedule_at(time, lambda: fired.append("dead")) for _ in range(3)]
+            sim.schedule_at(time, lambda: fired.append("live"))
+            dead[0].cancel()
+            sim.cancel(dead[1])
+            sim.queue.cancel(dead[2])
+            assert all(event.callback is None for event in dead)
+            if drive == "run":
+                sim.run()
+            elif drive == "step":
+                assert sim.step() and not sim.step()
+            elif drive == "pop":
+                event = sim.queue.pop()
+                event.callback()
+                assert sim.queue.pop() is None
+            else:
+                assert sim.queue.peek_time() == time
+                sim.run()
+            assert fired == ["first", "live"], drive
+            assert len(sim.queue) == 0
+
+    def test_simulator_cancel_traces_label_and_time_before_the_release(self):
+        trace = TraceRecorder(enabled=True)
+        sim = Simulator(trace=trace)
+        event = sim.schedule_at(4.0, lambda: None, label="inst3:pbft-round:3:7")
+        sim.schedule_at(1.0, lambda: sim.cancel(event))
+        sim.run()
+        (record,) = trace.by_category("cancel")
+        assert record.time == 1.0
+        assert record.details == {"label": "inst3:pbft-round:3:7", "at": 4.0}
+        assert event.callback is None and event.label == "inst3:pbft-round:3:7"
+        sim.cancel(event)  # a no-op cancel stays invisible
+        assert len(trace.by_category("cancel")) == 1
