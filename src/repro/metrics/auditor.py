@@ -1,8 +1,9 @@
 """Safety and liveness auditing of a finished run.
 
 Every simulated run self-verifies the claims the paper's fault model makes
-(`f < n/3` ⇒ safety): after the simulator stops, :func:`audit_system`
-inspects the *honest* replicas and checks
+(`f < n/3` ⇒ safety): after the run stops, :func:`audit_snapshot` — the
+audit half of :func:`repro.protocols.result.assemble`, on every backend —
+inspects the *honest* replicas' logs and checks
 
 * **partial-commit agreement** — no two honest replicas committed
   different digests at the same (instance, round): the classic safety
@@ -27,7 +28,11 @@ so sweeps and cached cells retain the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.protocols.base import SystemConfig
+    from repro.protocols.result import RunSnapshot
 
 
 @dataclass(frozen=True)
@@ -86,8 +91,8 @@ def audit_logs(
     confirmed_by_replica: Dict[int, Sequence[ConfirmedFingerprint]],
     duration: float,
     stall_window: float,
-    live_replicas: Optional[Sequence[int]] = None,
-    liveness_instances: Optional[Sequence[int]] = None,
+    live_replicas: Sequence[int],
+    liveness_instances: Sequence[int],
 ) -> SafetyAuditReport:
     """Audit plain per-replica logs (every replica passed in is honest).
 
@@ -149,14 +154,13 @@ def audit_logs(
                 break
 
     # ------------------------------------------------------- liveness
-    live = tuple(sorted(live_replicas)) if live_replicas is not None else honest
+    live = sorted(live_replicas)
     threshold = duration - stall_window
     stalled: List[int] = []
     instances: set = set()
     for by_instance in partial_by_replica.values():
         instances.update(by_instance.keys())
-    if liveness_instances is not None:
-        instances &= set(liveness_instances)
+    instances &= set(liveness_instances)
     for instance in sorted(instances):
         for replica in live:
             commits = partial_by_replica.get(replica, {}).get(instance, ())
@@ -176,55 +180,39 @@ def audit_logs(
     )
 
 
-def audit_system(system, stall_window: Optional[float] = None) -> SafetyAuditReport:
-    """Audit a finished :class:`~repro.protocols.base.MultiBFTSystem` run."""
-    config = system.config
-    faults = system.effective_faults
-    adversarial = faults.adversarial_replicas()
-    honest = [r for r in sorted(system.replicas) if r not in adversarial]
-    crashed = {spec.replica for spec in faults.crashes}
-    live = [r for r in honest if r not in crashed]
+def audit_snapshot(snapshot: "RunSnapshot", config: "SystemConfig") -> SafetyAuditReport:
+    """Audit the honest replicas of a finished run's snapshot.
 
-    if stall_window is None:
-        # Slow enough for the slowest honest straggler's proposal cadence
-        # and for a full view-change round trip; liveness below that pace
-        # is a stall, not slowness.
-        max_slowdown = max(
-            [spec.slowdown for spec in faults.straggler_map().values()], default=1.0
-        )
-        stall_window = max(
+    ``config.faults`` is the effective fault view (see
+    :func:`repro.protocols.result.assemble`, whose audit half this is).
+    """
+    faults = config.faults
+    adversarial = faults.adversarial_replicas()
+    crashed = {spec.replica for spec in faults.crashes}
+    honest = [r for r in sorted(snapshot.commit_logs) if r not in adversarial]
+    # Slow enough for the slowest honest straggler's proposal cadence and
+    # for a full view-change round trip; liveness below that pace is a
+    # stall, not slowness.
+    max_slowdown = max(
+        [spec.slowdown for spec in faults.straggler_map().values()], default=1.0
+    )
+    report = audit_logs(
+        {replica: snapshot.commit_logs[replica] for replica in honest},
+        {replica: snapshot.confirmed_fps[replica] for replica in honest},
+        duration=config.duration,
+        stall_window=max(
             2.0 * config.view_change_timeout,
             3.0 * config.proposal_interval * max_slowdown,
-        )
-
-    partial_by_replica: Dict[int, Dict[int, List[PartialCommit]]] = {}
-    confirmed_by_replica: Dict[int, List[ConfirmedFingerprint]] = {}
-    for replica_id in honest:
-        replica = system.replicas[replica_id]
-        by_instance: Dict[int, List[PartialCommit]] = {}
-        for instance_id, instance in replica.instances.items():
-            # Instances keep a compact (round, digest, committed_at) log for
-            # exactly this purpose — full Block histories exist only on the
-            # observer in bounded-memory mode.
-            log = getattr(instance, "commit_log", None)
-            if log is None:
-                log = [
-                    (block.round, block.payload_digest, block.committed_at or 0.0)
-                    for block in getattr(instance, "delivered_blocks", ())
-                ]
-            by_instance[instance_id] = list(log)
-        partial_by_replica[replica_id] = by_instance
-        confirmed_by_replica[replica_id] = replica.orderer.confirmed_fingerprints()
-
-    report = audit_logs(
-        partial_by_replica,
-        confirmed_by_replica,
-        duration=config.duration,
-        stall_window=stall_window,
-        live_replicas=live,
+        ),
+        live_replicas=[r for r in honest if r not in crashed],
         # Only the paced worker instances are expected to keep committing;
         # extra instances (DQBFT's ordering instance) are demand-driven.
         liveness_instances=range(config.m),
     )
     report.adversarial_replicas = tuple(sorted(adversarial))
     return report
+
+
+def audit_system(system) -> SafetyAuditReport:
+    """Audit a finished :class:`~repro.protocols.base.MultiBFTSystem` run."""
+    return audit_snapshot(system.snapshot(), system.config)

@@ -25,13 +25,12 @@ from repro.consensus.messages import CheckpointMessage
 from repro.core.block import Block
 from repro.core.buckets import RotatingBuckets
 from repro.core.epoch import EpochConfig, EpochPacemaker
-from repro.core.ordering import ConfirmedBlock, DynamicOrderer, GlobalOrderer
-from repro.core.predetermined import PredeterminedOrderer
+from repro.core.ordering import ConfirmedBlock, GlobalOrderer
 from repro.core.rank import RankState
 from repro.crypto.aggregate import quorum_threshold
-from repro.metrics.auditor import SafetyAuditReport, audit_system
-from repro.metrics.collector import MetricsCollector, RunMetrics
+from repro.metrics.collector import MetricsCollector
 from repro.metrics.resources import ResourceModel
+from repro.protocols.result import RunSnapshot, SystemResult, assemble
 from repro.runtime import NetworkConfig, Runtime, RUNTIME_KINDS, build_runtime
 from repro.sim.faults import FaultConfig, FaultInjector
 from repro.sim.latency import LanLatency, LatencyModel, WanLatency
@@ -62,7 +61,6 @@ class SystemConfig:
     warmup: float = 0.0
     seed: int = 0
     faults: FaultConfig = field(default_factory=FaultConfig)
-    synthetic_workload: bool = True
     payload_bytes: int = 500
     view_change_timeout: float = 10.0
     propose_timeout: Optional[float] = None
@@ -83,12 +81,6 @@ class SystemConfig:
     #: regions whole so the lookahead is the WAN floor; "hash" ignores
     #: topology; see :mod:`repro.shard.partition`)
     shard_strategy: str = "affine"
-    #: bounded-memory mode (default): every replica except the observing one
-    #: keeps only compact commit/confirmation fingerprints (enough for the
-    #: safety auditor) instead of full Block histories, so long runs are
-    #: O(active window) in memory.  Set False to retain everything on every
-    #: replica (debugging, cross-replica history inspection).
-    bounded_memory: bool = True
     #: schedule-space fuzzing: a :class:`repro.fuzz.perturb.PerturbationSpec`
     #: applied to every message delivery (None = unperturbed schedule)
     perturbation: Optional[Any] = None
@@ -162,24 +154,6 @@ class SystemConfig:
         return None
 
 
-@dataclass
-class SystemResult:
-    """Everything a benchmark needs from one finished run."""
-
-    metrics: RunMetrics
-    confirmed: Tuple[ConfirmedBlock, ...]
-    network_stats: Any
-    resources: ResourceModel
-    throughput_series: List[Tuple[float, float]]
-    view_change_times: List[Tuple[float, int, int]]
-    epoch_advancements: List[Tuple[float, int]]
-    crash_log: List[Tuple[float, int, str]]
-    #: unified fault/dynamics/attack timeline: (time, kind, detail)
-    dynamics_log: List[Tuple[float, str, str]] = field(default_factory=list)
-    #: safety/liveness audit of the honest replicas (always computed)
-    audit: Optional[SafetyAuditReport] = None
-
-
 class ReplicaInstanceContext(InstanceContext):
     """Routes one instance's callbacks through its hosting replica.
 
@@ -226,9 +200,9 @@ class ReplicaInstanceContext(InstanceContext):
 class MultiBFTReplica(Node):
     """One replica of a Multi-BFT system.
 
-    Subclasses select the consensus-instance class and the global orderer and
-    may add protocol-specific behaviour (epochs for Ladon, the ordering
-    instance for DQBFT).
+    Subclasses select the global orderer and may add protocol-specific
+    behaviour (epochs for Ladon, the ordering instance for DQBFT); the
+    consensus-instance class comes from the protocol's registry row.
     """
 
     #: set by subclasses
@@ -244,14 +218,18 @@ class MultiBFTReplica(Node):
         runtime: Runtime,
         config: SystemConfig,
         resources: ResourceModel,
+        instance_cls: Type,
         retain_history: bool = True,
     ) -> None:
         super().__init__(node_id, runtime)
         self.config = config
         self.resources = resources
-        #: False on non-observer replicas in bounded-memory mode: orderer,
-        #: instances, and metrics keep compact fingerprints only
+        #: False on every replica but the observer: orderer, instances, and
+        #: metrics keep compact fingerprints only (bounded memory)
         self.retain_history = retain_history
+        #: the consensus-instance state machine this stack runs (the other
+        #: half of the protocol's registry row)
+        self.instance_cls = instance_cls
         #: hot-path binding: per-message accounting avoids a dict lookup.
         #: Bound lazily on first use so the per-replica usage records are
         #: created in first-activity order (the aggregation in Table 1 sums
@@ -299,9 +277,6 @@ class MultiBFTReplica(Node):
     def build_orderer(self) -> GlobalOrderer:
         raise NotImplementedError
 
-    def instance_class(self) -> Type:
-        raise NotImplementedError
-
     def instance_config(
         self, instance_id: int, tx_payload_bytes: Optional[int] = None
     ) -> InstanceConfig:
@@ -322,7 +297,7 @@ class MultiBFTReplica(Node):
 
     def build_instance(self, instance_id: int) -> Any:
         """Construct the state machine for ``instance_id`` at this replica."""
-        return self.instance_class()(
+        return self.instance_cls(
             self.instance_config(instance_id),
             ReplicaInstanceContext(self, instance_id),
             propose_timeout=self.config.propose_timeout,
@@ -454,21 +429,15 @@ class MultiBFTReplica(Node):
             return Batch.synthetic(
                 count, submitted_at=mean_at, payload_bytes=self.config.payload_bytes
             )
-        if self.config.synthetic_workload:
-            # Under the saturated open-loop workload, the transactions in a
-            # batch arrived uniformly during the interval since the previous
-            # cut, so their mean submission time is half an interval ago.
-            queueing = self.config.proposal_interval / 2.0
-            return Batch.synthetic(
-                self.config.batch_size,
-                submitted_at=max(0.0, self.now() - queueing),
-                payload_bytes=self.config.payload_bytes,
-            )
-        return self.cut_real_batch(instance_id)
-
-    def cut_real_batch(self, instance_id: int) -> Batch:
-        """Hook for systems wired to a real transaction workload."""
-        return Batch.empty()
+        # Under the saturated open-loop workload, the transactions in a
+        # batch arrived uniformly during the interval since the previous
+        # cut, so their mean submission time is half an interval ago.
+        queueing = self.config.proposal_interval / 2.0
+        return Batch.synthetic(
+            self.config.batch_size,
+            submitted_at=max(0.0, self.now() - queueing),
+            payload_bytes=self.config.payload_bytes,
+        )
 
     # ----------------------------------------------------------------- faults
     def on_recover(self) -> None:
@@ -724,31 +693,30 @@ class MultiBFTReplica(Node):
 class MultiBFTSystem:
     """Builds and runs one Multi-BFT deployment on an execution runtime."""
 
-    replica_class: Type[MultiBFTReplica] = MultiBFTReplica
-
     def __init__(
         self,
         config: SystemConfig,
+        replica_class: Callable[..., MultiBFTReplica],
         *,
         runtime: Optional[Runtime] = None,
         local_replicas: Optional[Sequence[int]] = None,
     ) -> None:
-        """Build the deployment.
+        """Build the deployment out of ``replica_class`` replicas.
 
-        The keyword-only parameters exist for the sharded backend's worker
-        processes: ``runtime`` injects a pre-built
-        :class:`~repro.runtime.sharded.ShardWorkerRuntime` and
+        ``replica_class`` is the protocol's row in
+        :mod:`repro.protocols.registry`.  The keyword-only parameters exist
+        for the sharded backend's worker processes: ``runtime`` injects a
+        pre-built :class:`~repro.runtime.sharded.ShardWorkerRuntime` and
         ``local_replicas`` restricts construction to the shard's slice of
         the replica set (fault/adversary arming then skips non-local
-        replicas instead of failing).  Default single-process behaviour is
-        unchanged.
+        replicas instead of failing).
         """
         effective_faults = config.effective_faults()
         if effective_faults is not config.faults:
-            # Replicas read straggler/byzantine behaviour straight from
-            # ``config.faults``; fold the scenario's merged fault view back
-            # in so an adversary declared by the scenario acts exactly like
-            # one declared on the config.
+            # Replicas, the fault injector and the result assembly read
+            # faults straight from ``config.faults``; fold the scenario's
+            # merged fault view back in so an adversary declared by the
+            # scenario acts exactly like one declared on the config.
             config = replace(config, faults=effective_faults)
         self.config = config
         if runtime is None:
@@ -771,11 +739,10 @@ class MultiBFTSystem:
             self.runtime = runtime
             self.trace = runtime.trace
         self.resources = ResourceModel()
-        self.effective_faults = effective_faults
         self.traffic_stream = config.build_traffic_stream()
         # The observer is fixed by the fault config, so it is known before
-        # the replicas exist; in bounded-memory mode every *other* replica
-        # keeps compact histories only (see SystemConfig.bounded_memory).
+        # the replicas exist; every *other* replica keeps compact histories
+        # only, so long runs are O(active window) in memory.
         self._observer_id = self.observer_id()
         self._local_only = local_replicas is not None
         replica_ids = (
@@ -783,14 +750,20 @@ class MultiBFTSystem:
         )
         self.replicas: Dict[int, MultiBFTReplica] = {}
         for replica_id in replica_ids:
-            replica = self.build_replica(replica_id)
+            replica = replica_class(
+                replica_id,
+                self.runtime,
+                config,
+                self.resources,
+                retain_history=replica_id == self._observer_id,
+            )
             if self.traffic_stream is not None:
                 replica.traffic_stream = self.traffic_stream
             self.replicas[replica_id] = replica
         self.fault_injector = FaultInjector(
             self.runtime,
             self.replicas,
-            self.effective_faults,
+            config.faults,
             network=self.runtime,
             local_only=self._local_only,
             total_nodes=config.n,
@@ -814,19 +787,6 @@ class MultiBFTSystem:
             self.perturbation = SchedulePerturbation(config.perturbation)
             set_perturbation(self.perturbation)
 
-    # ------------------------------------------------------------- factories
-    def build_replica(self, replica_id: int) -> MultiBFTReplica:
-        retain = (not self.config.bounded_memory) or replica_id == self._observer_id
-        return self.replica_class(
-            replica_id, self.runtime, self.config, self.resources, retain_history=retain
-        )
-
-    # ---------------------------------------------------------- introspection
-    @property
-    def simulator(self):
-        """The DES backend's simulator (diagnostics; None on other backends)."""
-        return getattr(self.runtime, "simulator", None)
-
     # ------------------------------------------------------------------- run
     def observer_id(self) -> int:
         """The replica whose log and metrics the experiment reports.
@@ -835,9 +795,10 @@ class MultiBFTSystem:
         any adversarial behaviour, so the reported numbers reflect an honest,
         live participant (as a client would observe).
         """
-        excluded = set(self.effective_faults.straggler_map())
-        excluded.update(spec.replica for spec in self.effective_faults.crashes)
-        excluded.update(self.effective_faults.adversarial_replicas())
+        faults = self.config.faults
+        excluded = set(faults.straggler_map())
+        excluded.update(spec.replica for spec in faults.crashes)
+        excluded.update(faults.adversarial_replicas())
         for replica_id in range(self.config.n):
             if replica_id not in excluded:
                 return replica_id
@@ -860,41 +821,44 @@ class MultiBFTSystem:
         return self.collect_result()
 
     def collect_result(self) -> SystemResult:
-        observer = self.replicas[self._observer_id]
-        # Attribute network byte counts to per-replica resource usage so that
-        # the bandwidth numbers reflect what was actually pushed to the NIC.
-        for replica_id, byte_count in self.runtime.stats.bytes_per_node.items():
-            usage = self.resources.usage(replica_id)
-            usage.bytes_sent = max(usage.bytes_sent, byte_count)
-        metrics = observer.metrics.summarise(
-            protocol=self.config.protocol,
-            n=self.config.n,
-            stragglers=self.config.faults.straggler_count(),
-            duration=self.config.duration,
-            resources=self.resources,
-            warmup=self.config.warmup,
-        )
-        audit = audit_system(self)
-        metrics.extra["safety_violations"] = float(len(audit.violations))
-        metrics.extra["stalled_instances"] = float(len(audit.stalled_instances))
-        if self.fault_injector.interceptors:
-            for key, value in self.fault_injector.adversary_stats().items():
-                metrics.extra[f"adversary_{key}"] = float(value)
+        return assemble(self.snapshot(), self.config)
+
+    def snapshot(self) -> RunSnapshot:
+        """Read the finished (local) replicas into plain data.
+
+        The only walk over replica-side result state; everything derived
+        from it is :func:`~repro.protocols.result.assemble`'s business.
+        """
+        commit_logs: Dict[int, Dict[int, list]] = {}
+        confirmed_fps: Dict[int, list] = {}
         view_changes: List[Tuple[float, int, int]] = []
-        for replica in self.replicas.values():
+        for replica_id, replica in self.replicas.items():
+            # Instances keep a compact (round, digest, committed_at) log for
+            # exactly this purpose — full Block histories exist only on the
+            # observer.
+            commit_logs[replica_id] = {
+                instance_id: instance.commit_log
+                for instance_id, instance in replica.instances.items()
+            }
+            confirmed_fps[replica_id] = replica.orderer.confirmed_fingerprints()
             view_changes.extend(replica.view_change_log)
-        epoch_log: List[Tuple[float, int]] = []
-        if observer.pacemaker is not None:
-            epoch_log = list(observer.pacemaker.advancement_log)
-        return SystemResult(
-            metrics=metrics,
-            confirmed=observer.orderer.confirmed,
-            network_stats=self.runtime.stats,
-            resources=self.resources,
-            throughput_series=observer.metrics.throughput.series(until=self.config.duration),
-            view_change_times=sorted(view_changes),
-            epoch_advancements=epoch_log,
-            crash_log=list(self.fault_injector.crash_log),
-            dynamics_log=list(self.fault_injector.event_log),
-            audit=audit,
+        injector = self.fault_injector
+        snapshot = RunSnapshot(
+            commit_logs=commit_logs,
+            confirmed_fps=confirmed_fps,
+            view_change_log=view_changes,
+            crash_log=list(injector.crash_log),
+            event_log=list(injector.event_log),
+            adversary_stats=(
+                injector.adversary_stats() if injector.interceptors else None
+            ),
+            resources=dict(self.resources.per_replica()),
+            net_stats=self.runtime.stats,
         )
+        observer = self.replicas.get(self._observer_id)
+        if observer is not None:  # a shard worker may not host the observer
+            snapshot.collector = observer.metrics
+            snapshot.confirmed = observer.orderer.confirmed
+            if observer.pacemaker is not None:
+                snapshot.epoch_log = list(observer.pacemaker.advancement_log)
+        return snapshot

@@ -18,7 +18,7 @@ from repro.consensus.pbft import PBFTInstance
 from repro.core.block import Block, BlockId
 from repro.core.dqbft_ordering import DQBFTOrderer
 from repro.core.ordering import ConfirmedBlock, GlobalOrderer
-from repro.protocols.base import MultiBFTReplica, MultiBFTSystem, ReplicaInstanceContext
+from repro.protocols.base import MultiBFTReplica, ReplicaInstanceContext
 from repro.workload.transactions import Batch
 
 
@@ -42,9 +42,6 @@ class DQBFTReplica(MultiBFTReplica):
         return DQBFTOrderer(
             num_instances=self.config.m, retain_blocks=self.retain_history
         )
-
-    def instance_class(self):
-        return PBFTInstance
 
     def _build_ordering_instance(self) -> PBFTInstance:
         return PBFTInstance(
@@ -117,7 +114,3 @@ class DQBFTReplica(MultiBFTReplica):
         if newly:
             self.metrics.record_confirmations(newly)
             self.on_confirmations(newly)
-
-
-class DQBFTSystem(MultiBFTSystem):
-    replica_class = DQBFTReplica

@@ -8,41 +8,22 @@ later indices (the behaviour Sec. 2.1 analyses).
 
 from __future__ import annotations
 
-from typing import Type
-
-from repro.consensus.hotstuff import HotStuffInstance
-from repro.consensus.pbft import PBFTInstance
 from repro.core.ordering import GlobalOrderer
 from repro.core.predetermined import PredeterminedOrderer
-from repro.protocols.base import MultiBFTReplica, MultiBFTSystem
+from repro.protocols.base import MultiBFTReplica
 
 
 class ISSReplica(MultiBFTReplica):
-    """A replica running ISS (pre-determined ordering, PBFT instances)."""
+    """A replica running ISS: pre-determined ordering over the registry
+    row's instance class (PBFT or HotStuff).
+
+    Mir interleaves its instance logs the same way and is this class over
+    :class:`~repro.protocols.mir.MirPBFTInstance`; RCC derives from it.
+    """
 
     uses_epochs = False
-    instance_cls: Type = PBFTInstance
 
     def build_orderer(self) -> GlobalOrderer:
         return PredeterminedOrderer(
             num_instances=self.config.m, retain_blocks=self.retain_history
         )
-
-    def instance_class(self) -> Type:
-        return self.instance_cls
-
-
-class ISSPBFTReplica(ISSReplica):
-    instance_cls = PBFTInstance
-
-
-class ISSHotStuffReplica(ISSReplica):
-    instance_cls = HotStuffInstance
-
-
-class ISSPBFTSystem(MultiBFTSystem):
-    replica_class = ISSPBFTReplica
-
-
-class ISSHotStuffSystem(MultiBFTSystem):
-    replica_class = ISSHotStuffReplica

@@ -8,28 +8,21 @@ lowest-2f+1 rank manipulation in the instance it leads (Sec. 4.4).
 
 from __future__ import annotations
 
-from typing import Any, Type
+from typing import Any
 
-from repro.consensus.ladon_hotstuff import LadonHotStuffInstance
-from repro.consensus.ladon_opt import LadonOptInstance
-from repro.consensus.ladon_pbft import LadonPBFTInstance
 from repro.core.ordering import DynamicOrderer, GlobalOrderer
-from repro.protocols.base import MultiBFTReplica, MultiBFTSystem, ReplicaInstanceContext
+from repro.protocols.base import MultiBFTReplica, ReplicaInstanceContext
 
 
 class LadonReplica(MultiBFTReplica):
     """A replica running Ladon (dynamic ordering + epochs)."""
 
     uses_epochs = True
-    instance_cls: Type = LadonPBFTInstance
 
     def build_orderer(self) -> GlobalOrderer:
         return DynamicOrderer(
             num_instances=self.config.m, retain_blocks=self.retain_history
         )
-
-    def instance_class(self) -> Type:
-        return self.instance_cls
 
     def build_instance(self, instance_id: int) -> Any:
         inst_config = self.instance_config(instance_id)
@@ -39,33 +32,9 @@ class LadonReplica(MultiBFTReplica):
             self.config.faults.is_byzantine(self.node_id)
             and inst_config.leader_for_view(0) == self.node_id
         )
-        return self.instance_class()(
+        return self.instance_cls(
             inst_config,
             ReplicaInstanceContext(self, instance_id),
             propose_timeout=self.config.propose_timeout,
             byzantine_rank_manipulation=byzantine,
         )
-
-
-class LadonPBFTReplica(LadonReplica):
-    instance_cls = LadonPBFTInstance
-
-
-class LadonOptReplica(LadonReplica):
-    instance_cls = LadonOptInstance
-
-
-class LadonHotStuffReplica(LadonReplica):
-    instance_cls = LadonHotStuffInstance
-
-
-class LadonPBFTSystem(MultiBFTSystem):
-    replica_class = LadonPBFTReplica
-
-
-class LadonOptSystem(MultiBFTSystem):
-    replica_class = LadonOptReplica
-
-
-class LadonHotStuffSystem(MultiBFTSystem):
-    replica_class = LadonHotStuffReplica

@@ -14,14 +14,8 @@ and a small per-proposal processing delay at every replica.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
-
 from repro.consensus.messages import PrePrepare
 from repro.consensus.pbft import PBFTInstance
-from repro.core.ordering import GlobalOrderer
-from repro.core.predetermined import PredeterminedOrderer
-from repro.protocols.base import MultiBFTReplica, MultiBFTSystem
-from repro.workload.transactions import Batch
 
 
 #: extra CPU charged per transaction for client-signature re-verification,
@@ -43,21 +37,3 @@ class MirPBFTInstance(PBFTInstance):
             self.context.record_crypto("verify", count=extra_verifies)
         self.context.record_crypto("verify")  # the entry verification
         super()._on_pre_prepare(sender, message)
-
-
-class MirReplica(MultiBFTReplica):
-    """A replica running Mir-BFT."""
-
-    uses_epochs = False
-
-    def build_orderer(self) -> GlobalOrderer:
-        return PredeterminedOrderer(
-            num_instances=self.config.m, retain_blocks=self.retain_history
-        )
-
-    def instance_class(self):
-        return MirPBFTInstance
-
-
-class MirSystem(MultiBFTSystem):
-    replica_class = MirReplica

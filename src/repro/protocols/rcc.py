@@ -15,17 +15,12 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.consensus.pbft import PBFTInstance
 from repro.core.block import Block
-from repro.core.ordering import ConfirmedBlock, GlobalOrderer
-from repro.core.predetermined import PredeterminedOrderer
-from repro.protocols.base import MultiBFTReplica, MultiBFTSystem
+from repro.protocols.iss import ISSReplica
 
 
-class RCCReplica(MultiBFTReplica):
-    """A replica running RCC."""
-
-    uses_epochs = False
+class RCCReplica(ISSReplica):
+    """A replica running RCC (ISS's interleaving, plus lag tracking)."""
 
     #: number of blocks an instance may lag behind the front-runner before its
     #: leader is considered for replacement
@@ -35,14 +30,6 @@ class RCCReplica(MultiBFTReplica):
         super().__init__(*args, **kwargs)
         self._rounds_committed: Dict[int, int] = {i: 0 for i in range(self.config.m)}
         self.replacement_requests: List[int] = []
-
-    def build_orderer(self) -> GlobalOrderer:
-        return PredeterminedOrderer(
-            num_instances=self.config.m, retain_blocks=self.retain_history
-        )
-
-    def instance_class(self):
-        return PBFTInstance
 
     # ---------------------------------------------------------- lag tracking
     def on_partial_commit(self, block: Block) -> None:
@@ -64,7 +51,3 @@ class RCCReplica(MultiBFTReplica):
     def lagging_instances(self) -> List[int]:
         """Instances currently flagged for leader replacement."""
         return list(self.replacement_requests)
-
-
-class RCCSystem(MultiBFTSystem):
-    replica_class = RCCReplica

@@ -1,29 +1,37 @@
-"""Protocol registry: maps protocol names to system factories."""
+"""Protocol registry: one row per stack, name -> replica class over instance class."""
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from types import MappingProxyType
-from typing import List, Mapping, Type
+from typing import Callable, List, Mapping
 
-from repro.protocols.base import MultiBFTSystem, SystemConfig
-from repro.protocols.dqbft import DQBFTSystem
-from repro.protocols.iss import ISSHotStuffSystem, ISSPBFTSystem
-from repro.protocols.ladon import LadonHotStuffSystem, LadonOptSystem, LadonPBFTSystem
-from repro.protocols.mir import MirSystem
-from repro.protocols.rcc import RCCSystem
+from repro.consensus.hotstuff import HotStuffInstance
+from repro.consensus.ladon_hotstuff import LadonHotStuffInstance
+from repro.consensus.ladon_opt import LadonOptInstance
+from repro.consensus.ladon_pbft import LadonPBFTInstance
+from repro.consensus.pbft import PBFTInstance
+from repro.protocols.base import MultiBFTReplica, MultiBFTSystem, SystemConfig
+from repro.protocols.dqbft import DQBFTReplica
+from repro.protocols.iss import ISSReplica
+from repro.protocols.ladon import LadonReplica
+from repro.protocols.mir import MirPBFTInstance
+from repro.protocols.rcc import RCCReplica
 
+# A stack is a replica class (orderer, epochs, protocol extras) over a
+# consensus-instance class.
 # Read-only mappings (ISO-001): worker processes import this module, so the
 # registry must be immutable shared state, not a mutable module global.
-_REGISTRY: Mapping[str, Type[MultiBFTSystem]] = MappingProxyType({
-    "ladon-pbft": LadonPBFTSystem,
-    "ladon-opt": LadonOptSystem,
-    "ladon-hotstuff": LadonHotStuffSystem,
-    "iss-pbft": ISSPBFTSystem,
-    "iss-hotstuff": ISSHotStuffSystem,
-    "mir": MirSystem,
-    "rcc": RCCSystem,
-    "dqbft": DQBFTSystem,
+_REGISTRY: Mapping[str, Callable[..., MultiBFTReplica]] = MappingProxyType({
+    "ladon-pbft": partial(LadonReplica, instance_cls=LadonPBFTInstance),
+    "ladon-opt": partial(LadonReplica, instance_cls=LadonOptInstance),
+    "ladon-hotstuff": partial(LadonReplica, instance_cls=LadonHotStuffInstance),
+    "iss-pbft": partial(ISSReplica, instance_cls=PBFTInstance),
+    "iss-hotstuff": partial(ISSReplica, instance_cls=HotStuffInstance),
+    "mir": partial(ISSReplica, instance_cls=MirPBFTInstance),
+    "rcc": partial(RCCReplica, instance_cls=PBFTInstance),
+    "dqbft": partial(DQBFTReplica, instance_cls=PBFTInstance),
 })
 
 _ALIASES: Mapping[str, str] = MappingProxyType({
@@ -50,14 +58,13 @@ def resolve_protocol(name: str) -> str:
     return canonical
 
 
-def system_class(name: str) -> Type[MultiBFTSystem]:
-    """The system class for a canonical protocol name (no aliases).
+def replica_class(name: str) -> Callable[..., MultiBFTReplica]:
+    """The registry row of protocol ``name`` (aliases resolved).
 
-    Shard workers use this to construct their partial systems directly —
-    going through :func:`build_system` would recurse into the sharded
-    dispatch below.
+    Shard workers build their partial :class:`MultiBFTSystem` from it
+    directly — :func:`build_system` would recurse into the sharded dispatch.
     """
-    return _REGISTRY[name]
+    return _REGISTRY[resolve_protocol(name)]
 
 
 def build_system(config: SystemConfig):
@@ -74,4 +81,4 @@ def build_system(config: SystemConfig):
         from repro.runtime.sharded import ShardedSystem
 
         return ShardedSystem(replace(config, protocol=canonical))
-    return _REGISTRY[canonical](config)
+    return MultiBFTSystem(config, _REGISTRY[canonical])

@@ -32,9 +32,10 @@ batches (:mod:`repro.shard.ipc`) and the hub routes them as opaque bytes —
 no double (un)pickling, no worker-to-worker mesh.  Workers are
 ``daemon=True`` children (fork where available) and all protocol state
 lives inside them; the hub holds only the plan, the lookahead, and merged
-statistics.  There is **no cross-process shared mutable state** (enforced
-by the SHARD-001 staticcheck rule): the pipes carry finished, immutable
-delivery entries.
+statistics, and at the end unions the workers' snapshots for the same
+:func:`~repro.protocols.result.assemble` a single-process run uses.  There
+is **no cross-process shared mutable state** (enforced by the SHARD-001
+staticcheck rule): the pipes carry finished, immutable delivery entries.
 
 Determinism: the partition plan is a pure function of the config, each
 worker's simulator is seeded by :func:`~repro.shard.ipc.derive_shard_seed`,
@@ -51,7 +52,7 @@ from __future__ import annotations
 import multiprocessing
 import resource
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.runtime.base import Runtime
@@ -67,6 +68,7 @@ from repro.sim.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.protocols.base import SystemConfig, SystemResult
+    from repro.protocols.result import RunSnapshot
     from repro.shard.worker import ShardResult
 
 _INFINITY = float("inf")
@@ -320,7 +322,7 @@ class ShardedDESRuntime(Runtime):
                 self.close()
             self._results = results
             for result in results:
-                _merge_network_stats(self.stats, result.net_stats)
+                _merge_network_stats(self.stats, result.snapshot.net_stats)
                 if result.min_margin < self.sync.min_margin:
                     self.sync.min_margin = result.min_margin
                 self._events_by_shard[result.shard_id] = result.events_processed
@@ -382,23 +384,23 @@ def _merge_network_stats(total: NetworkStats, part: NetworkStats) -> None:
 class ShardedSystem:
     """Hub-side facade with the ``MultiBFTSystem`` result surface.
 
-    ``run()`` drives the barrier protocol and merges the workers'
-    :class:`~repro.shard.worker.ShardResult` payloads into the same
-    :class:`~repro.protocols.base.SystemResult` a single-process run
-    produces, including the safety/liveness audit over the union of every
-    shard's honest commit logs.
+    ``run()`` drives the barrier protocol; ``collect_result()`` unions the
+    workers' snapshots into one and hands it to the same
+    :func:`~repro.protocols.result.assemble` a single-process run uses, so
+    the :class:`~repro.protocols.base.SystemResult` (safety/liveness audit
+    over every shard's honest commit logs included) has one definition.
     """
 
     def __init__(self, config: "SystemConfig") -> None:
-        from repro.metrics.resources import ResourceModel
         from repro.runtime import build_runtime
 
-        self.config = config
-        self.effective_faults = config.effective_faults()
         self.runtime: ShardedDESRuntime = build_runtime(
             "sharded", system_config=config
         )
-        self.resources = ResourceModel()
+        # Same fold as MultiBFTSystem: the assembly reads the effective
+        # fault view off the config.  (Workers get the caller's config from
+        # the runtime and fold it themselves.)
+        self.config = replace(config, faults=self.runtime.effective_faults)
 
     @property
     def plan(self) -> ShardPlan:
@@ -408,123 +410,79 @@ class ShardedSystem:
     def lookahead(self) -> Lookahead:
         return self.runtime.lookahead
 
-    @property
-    def simulator(self):
-        """No global simulator exists; per-shard ones live in the workers."""
-        return None
-
     def run(self) -> "SystemResult":
         self.runtime.run(until=self.config.duration)
-        results = self.runtime.collect_results()
-        return self._merge(results)
+        return self.collect_result()
 
-    # ---------------------------------------------------------------- merge
-    def _merge(self, results: Sequence["ShardResult"]) -> "SystemResult":
-        from repro.metrics.auditor import audit_logs
-        from repro.protocols.base import SystemResult
+    def collect_result(self) -> "SystemResult":
+        from repro.protocols.result import assemble
 
-        config = self.config
-        faults = self.effective_faults
-
-        # -------- resources: ascending replica id fixes the float-sum order
-        usage_rows: Dict[int, Any] = {}
-        for result in results:
-            usage_rows.update(result.resources)
-        self.resources.absorb(
-            {replica: usage_rows[replica] for replica in sorted(usage_rows)}
+        parts = [result.snapshot for result in self.runtime.collect_results()]
+        merged = _merge_snapshots(
+            parts, self.runtime.stats, self.config.faults.crashes
         )
-        stats = self.runtime.stats
-        for replica, byte_count in stats.bytes_per_node.items():
-            usage = self.resources.usage(replica)
-            usage.bytes_sent = max(usage.bytes_sent, byte_count)
-
-        # -------- observer: exactly one shard hosts it
-        observers = [r.observer for r in results if r.observer is not None]
-        if len(observers) != 1:  # pragma: no cover - structural invariant
-            raise RuntimeError(
-                f"expected exactly one shard to host the observer, got "
-                f"{len(observers)}"
-            )
-        observer = observers[0]
-        metrics = observer.collector.summarise(
-            protocol=config.protocol,
-            n=config.n,
-            stragglers=faults.straggler_count(),
-            duration=config.duration,
-            resources=self.resources,
-            warmup=config.warmup,
-        )
-
-        # -------- audit over the union of per-shard honest logs
-        adversarial = faults.adversarial_replicas()
-        crashed = {spec.replica for spec in faults.crashes}
-        partial_by_replica: Dict[int, Dict[int, list]] = {}
-        confirmed_by_replica: Dict[int, list] = {}
-        for result in results:
-            for replica in sorted(result.commit_logs):
-                if replica in adversarial:
-                    continue
-                partial_by_replica[replica] = result.commit_logs[replica]
-                confirmed_by_replica[replica] = result.confirmed_fps[replica]
-        # Same stall-window formula as audit_system (which needs live
-        # replica objects and therefore cannot run on the hub).
-        max_slowdown = max(
-            [spec.slowdown for spec in faults.straggler_map().values()], default=1.0
-        )
-        stall_window = max(
-            2.0 * config.view_change_timeout,
-            3.0 * config.proposal_interval * max_slowdown,
-        )
-        audit = audit_logs(
-            partial_by_replica,
-            confirmed_by_replica,
-            duration=config.duration,
-            stall_window=stall_window,
-            live_replicas=[r for r in sorted(partial_by_replica) if r not in crashed],
-            liveness_instances=range(config.m),
-        )
-        audit.adversarial_replicas = tuple(sorted(adversarial))
-        metrics.extra["safety_violations"] = float(len(audit.violations))
-        metrics.extra["stalled_instances"] = float(len(audit.stalled_instances))
-
-        # -------- adversary counters: plain sums across shards
-        adversary_totals: Dict[str, int] = {}
-        for result in results:
-            if result.adversary_stats:
-                for key, value in result.adversary_stats.items():
-                    adversary_totals[key] = adversary_totals.get(key, 0) + value
-        for key, value in sorted(adversary_totals.items()):
-            metrics.extra[f"adversary_{key}"] = float(value)
-
-        # -------- sharded-runtime diagnostics ride the metrics row
-        metrics.extra["shards"] = float(self.plan.shards)
-        metrics.extra["sync_rounds"] = float(self.runtime.sync.rounds)
-        metrics.extra["lookahead_ms"] = self.lookahead.seconds * 1e3
+        result = assemble(merged, self.config)
+        # Sharded-runtime diagnostics ride the metrics row.
+        extra = result.metrics.extra
+        extra["shards"] = float(self.plan.shards)
+        extra["sync_rounds"] = float(self.runtime.sync.rounds)
+        extra["lookahead_ms"] = self.lookahead.seconds * 1e3
         if self.runtime.sync.min_margin != _INFINITY:
-            metrics.extra["sync_min_margin_ms"] = (
-                self.runtime.sync.min_margin * 1e3
-            )
+            extra["sync_min_margin_ms"] = self.runtime.sync.min_margin * 1e3
+        return result
 
-        view_changes: List[Tuple[float, int, int]] = []
-        crash_log: List[Tuple[float, int, str]] = []
-        for result in results:
-            view_changes.extend(result.view_change_log)
-            crash_log.extend(result.crash_log)
 
-        return SystemResult(
-            metrics=metrics,
-            confirmed=observer.confirmed,
-            network_stats=stats,
-            resources=self.resources,
-            throughput_series=observer.collector.throughput.series(
-                until=config.duration
-            ),
-            view_change_times=sorted(view_changes),
-            epoch_advancements=observer.epoch_log,
-            crash_log=sorted(crash_log),
-            dynamics_log=_merge_dynamics_logs([r.event_log for r in results]),
-            audit=audit,
+def _merge_snapshots(
+    parts: Sequence["RunSnapshot"], stats: NetworkStats, crashes: Sequence[Any]
+) -> "RunSnapshot":
+    """One deployment-wide snapshot from the per-shard ones.
+
+    Per-replica rows are disjoint across shards and union in ascending
+    replica id — the order a single process builds them in, and the one
+    that fixes Table 1's float sums and the auditor's reference log.
+    ``stats`` is the already-summed transport view; ``crashes`` the
+    configured :class:`~repro.sim.faults.CrashSpec` tuple.
+    """
+    from repro.protocols.result import RunSnapshot
+
+    observers = [part for part in parts if part.collector is not None]
+    if len(observers) != 1:  # pragma: no cover - structural invariant
+        raise RuntimeError(
+            f"expected exactly one shard to host the observer, got "
+            f"{len(observers)}"
         )
+    observer = observers[0]
+    host = {replica: part for part in parts for replica in part.commit_logs}
+    usage = {r: row for part in parts for r, row in part.resources.items()}
+    # One injector appends crash/recover entries as they fire: by time, and
+    # at equal times in arming order, which is the order of the crash specs.
+    armed: Dict[int, int] = {}
+    for spec in crashes:
+        armed.setdefault(spec.replica, len(armed))
+    # Adversary counters: plain sums, in the injector's own key order.
+    adversary: Optional[Dict[str, int]] = None
+    for part in parts:
+        if part.adversary_stats is not None:
+            if adversary is None:
+                adversary = dict.fromkeys(part.adversary_stats, 0)
+            for key, value in part.adversary_stats.items():
+                adversary[key] += value
+    return RunSnapshot(
+        commit_logs={r: host[r].commit_logs[r] for r in sorted(host)},
+        confirmed_fps={r: host[r].confirmed_fps[r] for r in sorted(host)},
+        view_change_log=[entry for part in parts for entry in part.view_change_log],
+        crash_log=sorted(
+            (entry for part in parts for entry in part.crash_log),
+            key=lambda entry: (entry[0], armed[entry[1]]),
+        ),
+        event_log=_merge_dynamics_logs([part.event_log for part in parts]),
+        adversary_stats=adversary,
+        resources={r: usage[r] for r in sorted(usage)},
+        net_stats=stats,
+        collector=observer.collector,
+        confirmed=observer.confirmed,
+        epoch_log=observer.epoch_log,
+    )
 
 
 def _merge_dynamics_logs(

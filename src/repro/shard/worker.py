@@ -37,22 +37,16 @@ import resource
 import sys
 import traceback
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Tuple, TYPE_CHECKING
 
 from repro.shard.ipc import decode_batch, decode_frame, derive_shard_seed, encode_frame
 from repro.shard.partition import ShardPlan
 from repro.shard.transport import ShardNetwork
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.protocols.result import RunSnapshot
+
 _INFINITY = float("inf")
-
-
-@dataclass
-class ObserverBundle:
-    """The observer replica's full metrics state (one shard carries it)."""
-
-    collector: Any  # MetricsCollector
-    confirmed: Tuple[Any, ...]  # Tuple[ConfirmedBlock, ...]
-    epoch_log: List[Tuple[float, int]]
 
 
 @dataclass
@@ -62,15 +56,8 @@ class ShardResult:
     shard_id: int
     events_processed: int
     peak_rss_bytes: int
-    net_stats: Any  # NetworkStats
-    resources: Dict[int, Any]  # replica -> ResourceUsage
-    commit_logs: Dict[int, Dict[int, List[Tuple[int, str, float]]]]
-    confirmed_fps: Dict[int, List[Tuple[int, int, int, int, str]]]
-    view_change_log: List[Tuple[float, int, int]]
-    crash_log: List[Tuple[float, int, str]]
-    event_log: List[Tuple[float, str, str]]
-    adversary_stats: Optional[Dict[str, int]]
-    observer: Optional[ObserverBundle]
+    #: the shard's replicas, as :meth:`MultiBFTSystem.snapshot` reads them
+    snapshot: "RunSnapshot"
     #: observed lookahead-safety margin: min(arrival - horizon) over every
     #: remote delivery this shard accepted (inf if none arrived)
     min_margin: float = _INFINITY
@@ -87,7 +74,8 @@ def _worker_peak_rss_bytes() -> int:
 
 def _build_system(config, plan: ShardPlan, shard_id: int):
     """Construct this shard's partial system on a ShardWorkerRuntime."""
-    from repro.protocols.registry import resolve_protocol, system_class
+    from repro.protocols.base import MultiBFTSystem
+    from repro.protocols.registry import replica_class
     from repro.runtime.sharded import ShardWorkerRuntime
 
     runtime = ShardWorkerRuntime(
@@ -97,66 +85,13 @@ def _build_system(config, plan: ShardPlan, shard_id: int):
         plan=plan,
         shard_id=shard_id,
     )
-    cls = system_class(resolve_protocol(config.protocol))
-    system = cls(config, runtime=runtime, local_replicas=plan.members(shard_id))
-    return system, runtime
-
-
-def collect_shard_result(
-    system, network: ShardNetwork, shard_id: int, windows: int
-) -> ShardResult:
-    """Gather the worker-side state the hub merges into a SystemResult."""
-    commit_logs: Dict[int, Dict[int, List[Tuple[int, str, float]]]] = {}
-    confirmed_fps: Dict[int, List[Tuple[int, int, int, int, str]]] = {}
-    view_changes: List[Tuple[float, int, int]] = []
-    for replica_id in sorted(system.replicas):
-        replica = system.replicas[replica_id]
-        by_instance: Dict[int, List[Tuple[int, str, float]]] = {}
-        for instance_id, instance in replica.instances.items():
-            log = getattr(instance, "commit_log", None)
-            if log is None:
-                log = [
-                    (block.round, block.payload_digest, block.committed_at or 0.0)
-                    for block in getattr(instance, "delivered_blocks", ())
-                ]
-            by_instance[instance_id] = list(log)
-        commit_logs[replica_id] = by_instance
-        confirmed_fps[replica_id] = replica.orderer.confirmed_fingerprints()
-        view_changes.extend(replica.view_change_log)
-
-    observer: Optional[ObserverBundle] = None
-    observer_id = system._observer_id
-    if observer_id in system.replicas:
-        obs = system.replicas[observer_id]
-        observer = ObserverBundle(
-            collector=obs.metrics,
-            confirmed=obs.orderer.confirmed,
-            epoch_log=(
-                list(obs.pacemaker.advancement_log)
-                if obs.pacemaker is not None
-                else []
-            ),
-        )
-
-    injector = system.fault_injector
-    return ShardResult(
-        shard_id=shard_id,
-        events_processed=system.runtime.events_processed,
-        peak_rss_bytes=_worker_peak_rss_bytes(),
-        net_stats=network.stats,
-        resources=dict(system.resources.per_replica()),
-        commit_logs=commit_logs,
-        confirmed_fps=confirmed_fps,
-        view_change_log=view_changes,
-        crash_log=list(injector.crash_log),
-        event_log=list(injector.event_log),
-        adversary_stats=(
-            injector.adversary_stats() if injector.interceptors else None
-        ),
-        observer=observer,
-        min_margin=network.min_margin,
-        windows=windows,
+    system = MultiBFTSystem(
+        config,
+        replica_class(config.protocol),
+        runtime=runtime,
+        local_replicas=plan.members(shard_id),
     )
+    return system, runtime
 
 
 def worker_entry(conn, config, plan: ShardPlan, shard_id: int) -> None:
@@ -203,7 +138,14 @@ def worker_entry(conn, config, plan: ShardPlan, shard_id: int) -> None:
                     )
                 )
             elif kind == "collect":
-                result = collect_shard_result(system, network, shard_id, windows)
+                result = ShardResult(
+                    shard_id=shard_id,
+                    events_processed=simulator.events_processed,
+                    peak_rss_bytes=_worker_peak_rss_bytes(),
+                    snapshot=system.snapshot(),
+                    min_margin=network.min_margin,
+                    windows=windows,
+                )
                 conn.send_bytes(encode_frame(("result", result)))
             elif kind == "stop":
                 return

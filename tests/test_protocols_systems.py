@@ -5,8 +5,13 @@ whole module runs in a few seconds while still exercising the full message
 path: pacing -> consensus instances -> global ordering -> metrics.
 """
 
+import dataclasses
+import hashlib
+
 import pytest
 
+from repro.adversary import get_adversary
+from repro.metrics.auditor import audit_system
 from repro.protocols.base import SystemConfig
 from repro.protocols.registry import available_protocols, build_system, resolve_protocol
 from repro.sim.faults import CrashSpec, FaultConfig, StragglerSpec
@@ -234,3 +239,80 @@ class TestResourceAccounting:
         ladon = build_system(small_config("ladon-pbft")).run()
         iss = build_system(small_config("iss-pbft")).run()
         assert ladon.network_stats.bytes_sent >= 0.95 * iss.network_stats.bytes_sent
+
+
+def result_digest(result):
+    """sha256 over every field of a SystemResult, in its own iteration order."""
+    digest = hashlib.sha256()
+
+    def feed(label, value):
+        digest.update(f"{label}={value!r}\n".encode())
+
+    feed("metrics", list(result.metrics.as_dict().items()))
+    feed("confirmed", [dataclasses.astuple(c) for c in result.confirmed])
+    feed("throughput_series", result.throughput_series)
+    feed("view_change_times", result.view_change_times)
+    feed("epoch_advancements", result.epoch_advancements)
+    feed("crash_log", result.crash_log)
+    feed("dynamics_log", result.dynamics_log)
+    feed("audit", dataclasses.astuple(result.audit))
+    feed(
+        "resources",
+        [
+            (replica, dataclasses.astuple(usage))
+            for replica, usage in result.resources.per_replica().items()
+        ],
+    )
+    feed("network_stats", dataclasses.astuple(result.network_stats))
+    return digest.hexdigest()
+
+
+#: cell -> (config, result_digest computed at the parent of PR 23, where
+#: collect_result/audit_system still read live replicas)
+PINNED_RESULTS = {
+    "honest-ladon-pbft-n8": (
+        small_config("ladon-pbft", n=8, epoch_length=16),
+        "7d2de0cf1765a12ca23336f197aa7bfe3865a097bfb6da7f485908c5d9c1fd78",
+    ),
+    "iss-pbft-n8-straggler-crash": (
+        small_config(
+            "iss-pbft",
+            n=8,
+            epoch_length=16,
+            faults=FaultConfig(
+                stragglers=(StragglerSpec(replica=2, slowdown=5.0),),
+                crashes=(CrashSpec(replica=5, at=1.5, recover_at=5.0),),
+            ),
+            propose_timeout=1.0,
+            view_change_timeout=1.0,
+        ),
+        "4149e5742c244536aa4aac87acdd0b6e26e708cec0bb6914e527252a70854805",
+    ),
+    "dqbft-n4": (
+        small_config("dqbft", epoch_length=16),
+        "56bb817c9ff3672af1ed678023ff9e55cb99be0ba402bc45b07afb2c02632be6",
+    ),
+    "ladon-pbft-n4-equivocation": (
+        small_config(
+            "ladon-pbft",
+            epoch_length=16,
+            faults=FaultConfig(adversary=get_adversary("equivocation")),
+        ),
+        "40b7ebe30e9aecd6a9eb228ae8ba0c01cfa77a75b1434c8e162c0cd0ac79ef37",
+    ),
+}
+
+
+class TestResultPath:
+    @pytest.mark.parametrize("cell", sorted(PINNED_RESULTS))
+    def test_full_result_digest_is_pinned(self, cell):
+        config, expected = PINNED_RESULTS[cell]
+        assert result_digest(build_system(config).run()) == expected
+
+    def test_audit_system_after_collect_equals_the_result_audit(self):
+        # perfbench/child.py times exactly this second audit.
+        config, _ = PINNED_RESULTS["ladon-pbft-n4-equivocation"]
+        system = build_system(config)
+        result = system.run()
+        assert result.audit.stalled_instances  # a non-trivial report
+        assert audit_system(system) == result.audit

@@ -31,6 +31,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.adversary import get_adversary
 from repro.bench.config import ExperimentCell
 from repro.bench.sweep import cell_key
 from repro.protocols.base import SystemConfig
@@ -437,6 +438,10 @@ ORACLE_CELLS = [
 ]
 
 
+#: metrics.extra keys only the sharded runtime adds
+SHARD_EXTRAS = ("shards", "sync_rounds", "lookahead_ms", "sync_min_margin_ms")
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("config,shards", ORACLE_CELLS)
     def test_sharded_matches_single_process_oracle(self, config, shards):
@@ -491,6 +496,45 @@ class TestEquivalence:
         margin = result.metrics.extra.get("sync_min_margin_ms")
         assert margin is not None and margin >= 0.0
 
+    def test_adversary_cell_has_the_single_process_result_shape(self):
+        # Both facades end in the one assembly: same metrics.extra key
+        # sequence and the same injection-ordered crash log — two crashes at
+        # one instant, on different shards, declared in descending id order.
+        config = SystemConfig(
+            protocol="ladon-pbft",
+            n=8,
+            duration=5.0,
+            batch_size=64,
+            seed=4,
+            faults=FaultConfig(
+                crashes=(
+                    CrashSpec(replica=6, at=2.0, recover_at=4.0),
+                    CrashSpec(replica=1, at=2.0, recover_at=4.0),
+                ),
+                adversary=get_adversary("equivocation"),
+            ),
+        )
+        single = build_system(config).run()
+        system = build_system(replace(config, runtime="sharded", shards=2))
+        assert system.plan.shard_of(6) != system.plan.shard_of(1)
+        sharded = system.run()
+        assert single.crash_log == [
+            (2.0, 6, "crash"), (2.0, 1, "crash"), (4.0, 6, "recover"), (4.0, 1, "recover")
+        ]
+        assert sharded.crash_log == single.crash_log
+        assert [k for k in sharded.metrics.extra if k not in SHARD_EXTRAS] == list(
+            single.metrics.extra
+        )
+        assert "adversary_forged" in single.metrics.extra
+
+    def test_both_facades_split_run_into_runtime_run_and_collect_result(self):
+        config = SystemConfig(
+            protocol="iss-pbft", n=8, duration=2.0, batch_size=64, runtime="sharded", shards=2
+        )
+        system = build_system(config)
+        system.runtime.run(until=config.duration)
+        assert len(system.collect_result().confirmed) == len(build_system(config).run().confirmed)
+
     def test_worker_rss_accounting(self):
         config = SystemConfig(
             protocol="ladon-pbft",
@@ -507,3 +551,29 @@ class TestEquivalence:
         assert len(workers) == 2
         assert all(rss > 0 for rss in workers)
         assert system.runtime.total_peak_rss_bytes() >= sum(workers)
+
+
+# ---------------------------------------------------------- one result path
+class TestOneResultPath:
+    """Structural guards: the result is read once and assembled once."""
+
+    def test_the_hub_has_no_assembly_of_its_own(self):
+        assert "_merge" not in vars(ShardedSystem)
+        assert "collect_result" in vars(ShardedSystem)
+
+    @pytest.mark.parametrize(
+        "needle",
+        [".summarise(", ".confirmed_fingerprints()", "* config.view_change_timeout"],
+    )
+    def test_result_building_call_sites_occur_once(self, needle):
+        root = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
+        hits = []
+        for directory, _dirs, files in os.walk(root):
+            for name in files:
+                path = os.path.join(directory, name)
+                # the analytical engine summarises its own block-level model
+                if not name.endswith(".py") or path.endswith("bench/analytical.py"):
+                    continue
+                with open(path) as handle:
+                    hits += [path for line in handle if needle in line]
+        assert len(hits) == 1, hits
