@@ -10,7 +10,8 @@ Run with:  python examples/protocol_comparison.py
 
 import os
 
-from repro.bench.analytical import AnalyticalConfig, run_analytical
+from repro.bench.analytical import run_analytical
+from repro.bench.config import ExperimentCell
 from repro.bench.report import format_table
 
 
@@ -20,7 +21,7 @@ def main() -> None:
         for n in (8, 32, 128):
             for protocol in ("ladon-pbft", "iss-pbft", "rcc", "mir", "dqbft"):
                 metrics = run_analytical(
-                    AnalyticalConfig(
+                    ExperimentCell(
                         protocol=protocol,
                         n=n,
                         stragglers=stragglers,

@@ -19,9 +19,9 @@ per-node :class:`~repro.adversary.interceptor.AdversaryInterceptor`:
   the adversary participates in without ever triggering a view change.
 * :class:`RankManipulation` — the paper's Byzantine straggler (Sec. 4.4,
   Appendix B case 3): propose at ``1/k`` rate with empty blocks and use
-  only the lowest 2f+1 rank reports.  This generalises the legacy
-  ``StragglerSpec.byzantine`` flag, which is now a deprecation shim onto
-  this attack.
+  only the lowest 2f+1 rank reports.  This is the one way to declare a
+  Byzantine straggler (``FaultConfig.with_stragglers(byzantine=True)``
+  builds it).
 
 Equivocation forking is modelled for the PBFT-family instances
 (pre-prepare / prepare / commit).  Chained-HotStuff proposals embed the

@@ -63,9 +63,7 @@ class AdversarySpec:
         for attack in self.attacks:
             if isinstance(attack, RankManipulation):
                 for replica in attack.replicas:
-                    specs[replica] = StragglerSpec(
-                        replica=replica, slowdown=attack.slowdown, byzantine=True
-                    )
+                    specs[replica] = StragglerSpec(replica=replica, slowdown=attack.slowdown)
         return tuple(specs[replica] for replica in sorted(specs))
 
     def message_attacks(self) -> Tuple[Attack, ...]:

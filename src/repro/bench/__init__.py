@@ -17,7 +17,7 @@ every table/figure on the command line.
 
 from repro.bench.config import ExperimentCell, EngineKind
 from repro.bench.runner import run_cell, run_cells
-from repro.bench.analytical import AnalyticalConfig, run_analytical
+from repro.bench.analytical import run_analytical
 from repro.bench import experiments
 from repro.bench.report import format_table, format_series
 from repro.bench.sweep import SweepCache, SweepProgress, SweepRunner, cell_key, derive_seed, expand_grid
@@ -27,7 +27,6 @@ __all__ = [
     "EngineKind",
     "run_cell",
     "run_cells",
-    "AnalyticalConfig",
     "run_analytical",
     "experiments",
     "format_table",

@@ -28,15 +28,15 @@ factor, where DQBFT bends over) are what the figures check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
+from repro.bench.config import ExperimentCell
 from repro.core.block import Block
 from repro.core.dqbft_ordering import DQBFTOrderer
 from repro.core.ordering import ConfirmedBlock, DynamicOrderer, GlobalOrderer
 from repro.core.predetermined import PredeterminedOrderer
 from repro.metrics.collector import MetricsCollector, RunMetrics
-from repro.sim.faults import FaultConfig
 
 
 GIGABIT_BYTES_PER_S = 125_000_000.0
@@ -46,50 +46,12 @@ _QUORUM_DELAY = {"wan": 0.095, "lan": 0.0008}
 #: jitter applied per phase
 _QUORUM_JITTER = {"wan": 0.02, "lan": 0.0004}
 
+#: bytes per transaction payload (the paper's 500-byte transactions)
+_PAYLOAD_BYTES = 500
+
 #: DQBFT sequencer service time per sequenced block, per replica in the
 #: system (signature verification + ordering-instance fan-out at the leader)
 _DQBFT_SEQUENCER_SERVICE_PER_REPLICA = 0.001
-
-
-@dataclass(frozen=True)
-class AnalyticalConfig:
-    """Inputs of the block-level model (mirrors the DES SystemConfig)."""
-
-    protocol: str = "ladon-pbft"
-    n: int = 128
-    stragglers: int = 0
-    byzantine: bool = False
-    environment: str = "wan"
-    duration: float = 300.0
-    straggler_slowdown: float = 10.0
-    batch_size: int = 4096
-    payload_bytes: int = 500
-    total_block_rate: Optional[float] = None
-    seed: int = 0
-
-    @property
-    def m(self) -> int:
-        return self.n
-
-    def block_rate(self) -> float:
-        if self.total_block_rate is not None:
-            return self.total_block_rate
-        return 32.0 if self.environment == "lan" else 16.0
-
-    @property
-    def proposal_interval(self) -> float:
-        return self.m / self.block_rate()
-
-    def fault_config(self) -> FaultConfig:
-        if not self.stragglers:
-            return FaultConfig()
-        return FaultConfig.with_stragglers(
-            self.stragglers,
-            self.n,
-            slowdown=self.straggler_slowdown,
-            byzantine=self.byzantine,
-            seed=self.seed + 1,
-        )
 
 
 @dataclass
@@ -114,39 +76,40 @@ def _orderer_for(protocol: str, m: int) -> GlobalOrderer:
     return PredeterminedOrderer(num_instances=m)
 
 
-def _dissemination_time(config: AnalyticalConfig, empty: bool) -> float:
+def _dissemination_time(cell: ExperimentCell, empty: bool) -> float:
     """Time the leader's uplink is busy pushing one proposal to n-1 backups."""
     if empty:
         batch_bytes = 0
     else:
-        batch_bytes = config.batch_size * config.payload_bytes
-    return (config.n - 1) * batch_bytes / GIGABIT_BYTES_PER_S
+        batch_bytes = cell.batch_size * _PAYLOAD_BYTES
+    return (cell.n - 1) * batch_bytes / GIGABIT_BYTES_PER_S
 
 
-def _consensus_latency(config: AnalyticalConfig, rng: random.Random, phases: int = 3) -> float:
+def _consensus_latency(cell: ExperimentCell, rng: random.Random, phases: int = 3) -> float:
     """Quorum phase latency: ``phases`` one-way quorum delays plus jitter."""
-    base = _QUORUM_DELAY[config.environment]
-    jitter = _QUORUM_JITTER[config.environment]
+    base = _QUORUM_DELAY[cell.environment]
+    jitter = _QUORUM_JITTER[cell.environment]
     return sum(base + rng.random() * jitter for _ in range(phases))
 
 
-def _plan_blocks(config: AnalyticalConfig) -> List[_PlannedBlock]:
+def _plan_blocks(cell: ExperimentCell) -> List[_PlannedBlock]:
     """Plan every block's proposal and partial-commit time."""
-    rng = random.Random(config.seed)
-    faults = config.fault_config()
-    interval = config.proposal_interval
-    family = _family(config.protocol)
-    is_ladon = config.protocol.startswith("ladon")
+    rng = random.Random(cell.seed)
+    faults = cell.fault_config()
+    m = cell.n  # one instance per replica
+    interval = m / cell.block_rate()
+    family = _family(cell.protocol)
+    is_ladon = cell.protocol.startswith("ladon")
 
     planned: List[_PlannedBlock] = []
     proposals: List[Tuple[float, int, int]] = []  # (time, instance, round)
-    for instance in range(config.m):
+    for instance in range(m):
         slowdown = faults.slowdown_of(instance)
         inst_interval = interval * slowdown
-        offset = (instance / config.m) * interval
+        offset = (instance / m) * interval
         t = offset + 1e-6
         round = 1
-        while t <= config.duration:
+        while t <= cell.duration:
             proposals.append((t, instance, round))
             t += inst_interval
             round += 1
@@ -173,14 +136,14 @@ def _plan_blocks(config: AnalyticalConfig) -> List[_PlannedBlock]:
         straggler = faults.is_straggler(instance)
         byzantine = faults.is_byzantine(instance)
         empty = straggler
-        dissemination = _dissemination_time(config, empty)
+        dissemination = _dissemination_time(cell, empty)
         if family == "hotstuff":
             # A chained-HotStuff block needs its 3 successors' proposals; the
             # successor cadence follows the instance's own proposal interval.
             chain_wait = 3 * interval * faults.slowdown_of(instance)
-            latency = dissemination + _consensus_latency(config, rng, phases=2) + chain_wait
+            latency = dissemination + _consensus_latency(cell, rng, phases=2) + chain_wait
         else:
-            latency = dissemination + _consensus_latency(config, rng, phases=3)
+            latency = dissemination + _consensus_latency(cell, rng, phases=3)
         commit_time = proposed_at + latency
 
         if is_ladon:
@@ -203,7 +166,7 @@ def _plan_blocks(config: AnalyticalConfig) -> List[_PlannedBlock]:
             proposer=instance,
             proposed_at=proposed_at,
             committed_at=commit_time,
-            tx_count_hint=0 if empty else config.batch_size,
+            tx_count_hint=0 if empty else cell.batch_size,
             batch_submitted_at=max(0.0, proposed_at - interval / 2.0),
         )
         planned.append(_PlannedBlock(block=block, commit_time=commit_time))
@@ -213,7 +176,7 @@ def _plan_blocks(config: AnalyticalConfig) -> List[_PlannedBlock]:
 
 
 def _dqbft_sequencing_times(
-    config: AnalyticalConfig, planned: List[_PlannedBlock], rng: random.Random
+    cell: ExperimentCell, planned: List[_PlannedBlock], rng: random.Random
 ) -> Dict[Tuple[int, int], float]:
     """Decide when the DQBFT ordering instance sequences each block.
 
@@ -221,36 +184,36 @@ def _dqbft_sequencing_times(
     proportional to n (verification + fan-out at the central leader) plus the
     ordering instance's own consensus latency.
     """
-    service = _DQBFT_SEQUENCER_SERVICE_PER_REPLICA * config.n
+    service = _DQBFT_SEQUENCER_SERVICE_PER_REPLICA * cell.n
     sequencer_free_at = 0.0
     decisions: Dict[Tuple[int, int], float] = {}
     for item in sorted(planned, key=lambda p: p.commit_time):
         start = max(sequencer_free_at, item.commit_time)
         sequencer_free_at = start + service
-        decided_at = sequencer_free_at + _consensus_latency(config, rng, phases=3)
+        decided_at = sequencer_free_at + _consensus_latency(cell, rng, phases=3)
         decisions[(item.block.instance, item.block.round)] = decided_at
     return decisions
 
 
-def run_analytical(config: AnalyticalConfig) -> RunMetrics:
+def run_analytical(cell: ExperimentCell) -> RunMetrics:
     """Run the block-level model and summarise it like a DES run."""
-    planned = _plan_blocks(config)
-    orderer = _orderer_for(config.protocol, config.m)
+    planned = _plan_blocks(cell)
+    orderer = _orderer_for(cell.protocol, cell.n)
     collector = MetricsCollector(bin_width=1.0)
-    rng = random.Random(config.seed + 17)
+    rng = random.Random(cell.seed + 17)
 
     events: List[Tuple[float, str, _PlannedBlock]] = [
         (item.commit_time, "commit", item) for item in planned
     ]
-    if config.protocol.startswith("dqbft"):
-        decisions = _dqbft_sequencing_times(config, planned, rng)
+    if cell.protocol.startswith("dqbft"):
+        decisions = _dqbft_sequencing_times(cell, planned, rng)
         for item in planned:
             decided_at = decisions[(item.block.instance, item.block.round)]
             events.append((decided_at, "decide", item))
     events.sort(key=lambda e: (e[0], e[1]))
 
     for time, kind, item in events:
-        if time > config.duration:
+        if time > cell.duration:
             continue
         if kind == "commit":
             collector.record_partial_commit()
@@ -262,8 +225,8 @@ def run_analytical(config: AnalyticalConfig) -> RunMetrics:
             collector.record_confirmations(newly)
 
     return collector.summarise(
-        protocol=config.protocol,
-        n=config.n,
-        stragglers=config.stragglers,
-        duration=config.duration,
+        protocol=cell.protocol,
+        n=cell.n,
+        stragglers=cell.stragglers,
+        duration=cell.duration,
     )

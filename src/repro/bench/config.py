@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.fuzz.perturb import PerturbationSpec
 from repro.protocols.base import SystemConfig
+from repro.scenario import ScenarioSpec, get_scenario
 from repro.sim.faults import FaultConfig
 
 
@@ -31,8 +32,8 @@ class ExperimentCell:
     seed: int = 0
     epoch_length: int = 64
     propose_timeout: Optional[float] = None
-    #: named scenario (see :mod:`repro.scenario.registry`); overrides
-    #: ``environment`` with the scenario's topology when set
+    #: named scenario (see :mod:`repro.scenario.registry`); when set it
+    #: replaces the ``environment`` preset
     scenario: Optional[str] = None
     #: named adversary (see :mod:`repro.adversary.registry`), applied on top
     #: of whatever the scenario configures; cache-keyed like ``scenario``
@@ -55,12 +56,10 @@ class ExperimentCell:
     #: per-instance view-change timeout override; None = SystemConfig default
     view_change_timeout: Optional[float] = None
 
-    def scenario_spec(self):
-        """Resolve the named scenario, or None for the legacy presets."""
+    def scenario_spec(self) -> ScenarioSpec:
+        """The scenario this cell runs: the named one, else the ``environment`` preset."""
         if self.scenario is None:
-            return None
-        from repro.scenario.registry import get_scenario
-
+            return ScenarioSpec.preset(self.environment)
         return get_scenario(self.scenario)
 
     def adversary_spec(self):
@@ -72,30 +71,31 @@ class ExperimentCell:
         return get_adversary(self.adversary)
 
     def effective_environment(self) -> str:
-        spec = self.scenario_spec()
-        return spec.environment if spec is not None else self.environment
+        return self.scenario_spec().environment
 
     def block_rate(self) -> float:
+        """Total blocks/s: 16 in the WAN, 32 in the LAN (Sec. 6.1) unless set."""
         if self.total_block_rate is not None:
             return self.total_block_rate
         return 32.0 if self.effective_environment() == "lan" else 16.0
 
-    def to_system_config(self) -> SystemConfig:
-        """Build the simulator configuration for the DES engine."""
-        faults = (
-            FaultConfig.with_stragglers(
-                self.stragglers,
-                self.n,
-                slowdown=self.straggler_slowdown,
-                byzantine=self.byzantine,
-                seed=self.seed + 1,
-            )
-            if self.stragglers
-            else FaultConfig()
+    def fault_config(self) -> FaultConfig:
+        """The cell's stragglers and named adversary — one rule for both engines."""
+        faults = FaultConfig.with_stragglers(
+            self.stragglers,
+            self.n,
+            slowdown=self.straggler_slowdown,
+            byzantine=self.byzantine,
+            seed=self.seed + 1,
         )
         adversary = self.adversary_spec()
         if adversary is not None:
-            faults = replace(faults, adversary=adversary)
+            faults = faults.with_adversary(adversary)
+        return faults
+
+    def to_system_config(self) -> SystemConfig:
+        """Build the simulator configuration for the DES engine."""
+        scenario = self.scenario_spec()
         extra = {}
         if self.view_change_timeout is not None:
             extra["view_change_timeout"] = self.view_change_timeout
@@ -105,12 +105,12 @@ class ExperimentCell:
             batch_size=self.batch_size,
             total_block_rate=self.block_rate(),
             epoch_length=self.epoch_length,
-            environment=self.effective_environment(),
+            environment=scenario.environment,
             duration=self.duration,
             seed=self.seed,
-            faults=faults,
+            faults=self.fault_config(),
             propose_timeout=self.propose_timeout,
-            scenario=self.scenario_spec(),
+            scenario=scenario,
             runtime=self.runtime,
             realtime_timescale=self.realtime_timescale,
             shards=self.shards,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.bench.analytical import AnalyticalConfig, run_analytical
+from repro.bench.analytical import run_analytical
 from repro.bench.config import ExperimentCell
 from repro.metrics.collector import RunMetrics
 from repro.protocols.base import SystemResult
@@ -34,19 +34,7 @@ def run_cell(cell: ExperimentCell) -> RunMetrics:
                 "schedule perturbation and compat flags run only on the DES "
                 f"engine; cell {cell.label()!r} sets engine='analytical'"
             )
-        config = AnalyticalConfig(
-            protocol=cell.protocol,
-            n=cell.n,
-            stragglers=cell.stragglers,
-            byzantine=cell.byzantine,
-            environment=cell.environment,
-            duration=cell.duration,
-            straggler_slowdown=cell.straggler_slowdown,
-            batch_size=cell.batch_size,
-            total_block_rate=cell.total_block_rate,
-            seed=cell.seed,
-        )
-        return run_analytical(config)
+        return run_analytical(cell)
     result = run_des_cell(cell)
     return result.metrics
 

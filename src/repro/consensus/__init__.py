@@ -32,7 +32,6 @@ from repro.consensus.messages import (
     HotStuffNewView,
 )
 from repro.consensus.quorum import QuorumTracker
-from repro.consensus.sb import SequencedBroadcast, InMemorySequencedBroadcast
 from repro.consensus.pbft import PBFTInstance
 from repro.consensus.ladon_pbft import LadonPBFTInstance
 from repro.consensus.ladon_opt import LadonOptInstance
@@ -54,8 +53,6 @@ __all__ = [
     "HotStuffVote",
     "HotStuffNewView",
     "QuorumTracker",
-    "SequencedBroadcast",
-    "InMemorySequencedBroadcast",
     "PBFTInstance",
     "LadonPBFTInstance",
     "LadonOptInstance",

@@ -2,8 +2,8 @@
 
 This package is deliberately free of networking: it contains the pure data
 structures and algorithms of the paper's Sections 3–5 (blocks, monotonic
-ranks, the global ordering algorithm, epochs, rotating buckets and the causal
-strength metric).  The protocol systems in :mod:`repro.protocols` drive these
+ranks, the global ordering algorithm, epochs and the causal strength
+metric).  The protocol systems in :mod:`repro.protocols` drive these
 against the simulated network.
 """
 
@@ -18,7 +18,6 @@ from repro.core.ordering import (
 from repro.core.predetermined import PredeterminedOrderer
 from repro.core.dqbft_ordering import DQBFTOrderer
 from repro.core.epoch import EpochConfig, EpochPacemaker, EpochState
-from repro.core.buckets import Bucket, RotatingBuckets
 from repro.core.causality import causal_strength, count_causality_violations
 
 __all__ = [
@@ -39,8 +38,6 @@ __all__ = [
     "EpochConfig",
     "EpochPacemaker",
     "EpochState",
-    "Bucket",
-    "RotatingBuckets",
     "causal_strength",
     "count_causality_violations",
 ]

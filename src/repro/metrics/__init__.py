@@ -6,7 +6,6 @@ from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.metrics.throughput import ThroughputSeries, peak_throughput
 from repro.metrics.latency import LatencyAccumulator
 from repro.metrics.resources import ResourceModel, ResourceUsage, CryptoCostModel
-from repro.metrics.causality import causal_strength_of_run
 
 __all__ = [
     "AuditViolation",
@@ -20,5 +19,4 @@ __all__ = [
     "ResourceModel",
     "ResourceUsage",
     "CryptoCostModel",
-    "causal_strength_of_run",
 ]

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.consensus.base import InstanceConfig, InstanceContext
 from repro.consensus.checkpoint import CheckpointManager
 from repro.consensus.messages import CheckpointMessage
 from repro.core.block import Block
-from repro.core.buckets import RotatingBuckets
 from repro.core.epoch import EpochConfig, EpochPacemaker
 from repro.core.ordering import ConfirmedBlock, GlobalOrderer
 from repro.core.rank import RankState
@@ -32,15 +31,13 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.resources import ResourceModel
 from repro.protocols.result import RunSnapshot, SystemResult, assemble
 from repro.runtime import NetworkConfig, Runtime, RUNTIME_KINDS, build_runtime
+from repro.scenario.spec import ScenarioSpec
 from repro.sim.faults import FaultConfig, FaultInjector
-from repro.sim.latency import LanLatency, LatencyModel, WanLatency
+from repro.sim.latency import LatencyModel
 from repro.sim.node import Node
 from repro.sim.trace import TraceRecorder
 from repro.workload.generator import TrafficStream
 from repro.workload.transactions import Batch
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.scenario.spec import ScenarioSpec
 
 
 NO_EPOCH_MAX_RANK = 2**62
@@ -56,7 +53,9 @@ class SystemConfig:
     batch_size: int = 4096
     total_block_rate: float = 16.0  # blocks per second across all instances
     epoch_length: int = 64
-    environment: str = "wan"  # "wan" or "lan" (thin presets; see ``scenario``)
+    #: "wan" or "lan": the paper environment; names the scenario preset a
+    #: run without ``scenario`` executes
+    environment: str = "wan"
     duration: float = 30.0
     warmup: float = 0.0
     seed: int = 0
@@ -67,8 +66,8 @@ class SystemConfig:
     bin_width: float = 1.0
     trace: bool = False
     #: declarative scenario (topology + dynamics + traffic); None = the
-    #: legacy ``environment`` preset path, which stays byte-identical
-    scenario: Optional["ScenarioSpec"] = None
+    #: ``environment`` preset (see :meth:`resolved_scenario`)
+    scenario: Optional[ScenarioSpec] = None
     #: execution backend: "des" (virtual time), "realtime" (wall clock), or
     #: "sharded" (conservative-parallel DES across worker processes)
     runtime: str = "des"
@@ -130,28 +129,28 @@ class SystemConfig:
         """Seconds between proposals of one (non-straggling) leader."""
         return self.m / self.total_block_rate
 
+    def resolved_scenario(self) -> ScenarioSpec:
+        """The scenario this run executes.
+
+        Resolved on every read, never cached: ``replace(config,
+        environment=...)`` must not be able to carry a stale preset along.
+        """
+        if self.scenario is None:
+            return ScenarioSpec.preset(self.environment)
+        return self.scenario
+
     def latency_model(self) -> LatencyModel:
-        if self.scenario is not None:
-            return self.scenario.build_latency(self.n)
-        if self.environment == "lan":
-            return LanLatency()
-        return WanLatency(self.n)
+        return self.resolved_scenario().build_latency(self.n)
 
     def network_config(self) -> NetworkConfig:
-        if self.scenario is not None:
-            return self.scenario.network_config(self.n)
-        return NetworkConfig()
+        return self.resolved_scenario().network_config(self.n)
 
     def effective_faults(self) -> FaultConfig:
         """``faults`` with the scenario's dynamics timeline merged in."""
-        if self.scenario is not None:
-            return self.scenario.fault_config(self.faults, self.n)
-        return self.faults
+        return self.resolved_scenario().fault_config(self.faults, self.n)
 
     def build_traffic_stream(self) -> Optional[TrafficStream]:
-        if self.scenario is not None:
-            return self.scenario.build_traffic_stream(self.m, self.n)
-        return None
+        return self.resolved_scenario().build_traffic_stream(self.m, self.n)
 
 
 class ReplicaInstanceContext(InstanceContext):
@@ -607,25 +606,29 @@ class MultiBFTReplica(Node):
             self.pacemaker.observe_commit(block.instance, block.rank, self.now())
         newly = self.feed_orderer(block)
         if newly:
-            self.metrics.record_confirmations(newly)
-            if self._trace.enabled:
-                for confirmed in newly:
-                    confirmed_block = confirmed.block
-                    self._trace.record(
-                        confirmed.confirmed_at,
-                        "confirm",
-                        self.node_id,
-                        instance=confirmed_block.instance,
-                        round=confirmed_block.round,
-                        rank=confirmed_block.rank,
-                        digest=confirmed_block.payload_digest,
-                    )
-            self.on_confirmations(newly)
+            self._confirm(newly)
         if self.pacemaker is not None:
             self._maybe_checkpoint()
 
     def feed_orderer(self, block: Block) -> List[ConfirmedBlock]:
         return self.orderer.add_partially_committed(block, self.now())
+
+    def _confirm(self, newly: List[ConfirmedBlock]) -> None:
+        """The tail of every confirmation site: metrics, trace, hook."""
+        self.metrics.record_confirmations(newly)
+        if self._trace.enabled:
+            for confirmed in newly:
+                confirmed_block = confirmed.block
+                self._trace.record(
+                    confirmed.confirmed_at,
+                    "confirm",
+                    self.node_id,
+                    instance=confirmed_block.instance,
+                    round=confirmed_block.round,
+                    rank=confirmed_block.rank,
+                    digest=confirmed_block.payload_digest,
+                )
+        self.on_confirmations(newly)
 
     def on_confirmations(self, confirmed: List[ConfirmedBlock]) -> None:
         """Hook: subclasses may react to newly confirmed blocks."""

@@ -102,8 +102,7 @@ class DQBFTReplica(MultiBFTReplica):
             self._pending_decisions.append(block.block_id)
         newly = self.orderer.add_partially_committed(block, self.now())
         if newly:
-            self.metrics.record_confirmations(newly)
-            self.on_confirmations(newly)
+            self._confirm(newly)
 
     def _on_ordering_block(self, block: Block) -> None:
         """An ordering-instance block commits: apply its sequencing decisions."""
@@ -112,5 +111,4 @@ class DQBFTReplica(MultiBFTReplica):
         for block_id in block.txs:
             newly.extend(self.orderer.add_sequencing_decision(block_id, self.now()))
         if newly:
-            self.metrics.record_confirmations(newly)
-            self.on_confirmations(newly)
+            self._confirm(newly)

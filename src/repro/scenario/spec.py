@@ -10,10 +10,10 @@ A :class:`ScenarioSpec` composes the three scenario layers:
 * **traffic** — how client load arrives and where the clients sit
   (:class:`TrafficSpec`, built on :mod:`repro.workload.generator` profiles).
 
-``ScenarioSpec.preset("wan")`` / ``("lan")`` reproduce the paper's two fixed
-environments byte-for-byte; everything else is open for composition.  Specs
-are frozen dataclasses of hashable fields, so they serialise deterministically
-into sweep cache keys.
+``ScenarioSpec.preset("wan")`` / ``("lan")`` are the paper's two fixed
+environments — what ``SystemConfig(environment=...)`` names when no scenario
+is given; everything else is open for composition.  Specs are frozen
+dataclasses of hashable fields.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class TrafficSpec:
     def build_stream(
         self, num_instances: int, n: int, topology: TopologySpec
     ) -> Optional[TrafficStream]:
-        """Build the per-run traffic stream; None = legacy saturated path."""
+        """Build the per-run traffic stream; None = the saturated workload."""
         if self.is_default:
             return None
         weights = (
@@ -122,7 +122,7 @@ class ScenarioSpec:
     # -------------------------------------------------------------- presets
     @classmethod
     def preset(cls, environment: str) -> "ScenarioSpec":
-        """The paper's fixed environments as thin scenario presets."""
+        """The paper's fixed environments: what ``environment=`` names."""
         if environment == "wan":
             return cls(name="wan", description="paper 4-region WAN, saturated load")
         if environment == "lan":
@@ -136,7 +136,7 @@ class ScenarioSpec:
     # ------------------------------------------------------------- builders
     @property
     def environment(self) -> str:
-        """The legacy environment string this scenario maps onto."""
+        """The paper environment whose block-rate default this scenario takes."""
         return "lan" if self.topology.kind == "lan" else "wan"
 
     def build_latency(self, n: int) -> LatencyModel:
@@ -156,12 +156,7 @@ class ScenarioSpec:
             config = resolve_dynamics(self.dynamics, config, self.topology, n)
         if self.adversary is not None:
             self.adversary.validate_for(n)
-            merged = (
-                config.adversary.merge(self.adversary)
-                if config.adversary is not None
-                else self.adversary
-            )
-            config = replace(config, adversary=merged)
+            config = config.with_adversary(self.adversary)
         return config
 
     def build_traffic_stream(self, num_instances: int, n: int) -> Optional[TrafficStream]:

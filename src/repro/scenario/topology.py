@@ -1,32 +1,50 @@
 """Declarative deployment topologies.
 
-A :class:`TopologySpec` replaces the hardcoded ``environment="wan"|"lan"``
-string: it names the region set, the (possibly asymmetric) per-link one-way
-delay matrix, the replica-to-region placement, and optional per-region uplink
-bandwidth.  ``kind="wan"`` and ``kind="lan"`` reproduce the paper's two
-environments exactly (they build the original :class:`~repro.sim.latency.
-WanLatency` / :class:`~repro.sim.latency.LanLatency` models); ``kind=
-"custom"`` builds a :class:`~repro.sim.latency.TopologyLatency` from the
-spec's own matrix.
+A :class:`TopologySpec` describes where replicas sit and how long a link
+takes: the region set, the (possibly asymmetric) per-link one-way delay
+matrix, the replica-to-region placement, the jitter, and optional per-region
+uplink bandwidth.  Every spec builds the same model, a
+:class:`~repro.sim.latency.TopologyLatency`; ``kind`` is only the preset
+*label* — ``"wan"`` and ``"lan"`` fill in the paper's regions, links and
+jitter where the spec leaves them empty (and name the block-rate default),
+``"custom"`` brings its own.
 
 Specs are frozen, tuple-field dataclasses so they hash, compare, and repr
-deterministically — sweep cache keys include them verbatim.
+deterministically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.sim.latency import (
     DEFAULT_WAN_REGIONS,
-    INTRA_REGION_DELAY,
-    LanLatency,
+    SINGLE_REGION,
     LatencyModel,
     TopologyLatency,
-    WanLatency,
     _WAN_ONE_WAY_DELAY,
+    link_delay,
 )
+
+class _Preset(NamedTuple):
+    regions: Tuple[str, ...]
+    links: Tuple[Tuple[str, str, float], ...]
+    jitter: float
+
+
+#: what a ``kind`` fills in where the spec leaves the field empty: the paper's
+#: WAN is four regions with 5 ms jitter, its LAN one region with 0.3 ms; a
+#: custom topology names its own regions and links
+_PRESETS: Dict[str, _Preset] = {
+    "wan": _Preset(
+        DEFAULT_WAN_REGIONS,
+        tuple((a, b, delay) for (a, b), delay in _WAN_ONE_WAY_DELAY.items()),
+        0.005,
+    ),
+    "lan": _Preset((SINGLE_REGION,), (), 0.0003),
+    "custom": _Preset((), (), 0.005),
+}
 
 
 @dataclass(frozen=True)
@@ -38,13 +56,13 @@ class TopologySpec:
     direction unless overridden by an explicit reverse triple.  ``placement``
     assigns replicas to regions explicitly (cycled when shorter than ``n``);
     when empty, replicas are placed round-robin across ``regions`` exactly as
-    the paper distributes them.
+    the paper distributes them.  ``jitter=None`` takes the preset's.
     """
 
     kind: str = "wan"  # "wan" | "lan" | "custom"
     regions: Tuple[str, ...] = ()
     links: Tuple[Tuple[str, str, float], ...] = ()
-    jitter: float = 0.005
+    jitter: Optional[float] = None
     symmetric: bool = True
     placement: Tuple[str, ...] = ()
     default_delay: Optional[float] = None
@@ -52,18 +70,21 @@ class TopologySpec:
     bandwidth_by_region: Tuple[Tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("wan", "lan", "custom"):
+        if self.kind not in _PRESETS:
             raise ValueError("topology kind must be 'wan', 'lan' or 'custom'")
         if self.kind == "custom" and not self.regions:
             raise ValueError("custom topologies must name their regions")
         if self.kind != "custom" and self.regions:
             # The presets keep their canonical region sets; a different set
             # would silently desynchronise placement from the preset delay
-            # matrix and latency model.
+            # matrix.
             raise ValueError(
                 f"kind={self.kind!r} uses its fixed region set; "
                 "use kind='custom' for custom regions"
             )
+        if self.jitter is None:
+            # resolved here so equal topologies compare and hash equal
+            object.__setattr__(self, "jitter", _PRESETS[self.kind].jitter)
         known = set(self.region_names())
         for src, dst, delay in self.links:
             if src not in known or dst not in known:
@@ -81,7 +102,7 @@ class TopologySpec:
 
     # -------------------------------------------------------------- presets
     @classmethod
-    def wan(cls, jitter: float = 0.005) -> "TopologySpec":
+    def wan(cls, jitter: Optional[float] = None) -> "TopologySpec":
         """The paper's four-region WAN."""
         return cls(kind="wan", jitter=jitter)
 
@@ -92,11 +113,7 @@ class TopologySpec:
 
     # ------------------------------------------------------------- geometry
     def region_names(self) -> Tuple[str, ...]:
-        if self.regions:
-            return self.regions
-        if self.kind == "lan":
-            return ("lan",)
-        return tuple(region.name for region in DEFAULT_WAN_REGIONS)
+        return self.regions or _PRESETS[self.kind].regions
 
     def assignment(self, n: int) -> Tuple[str, ...]:
         """Region of each replica ``0..n-1``."""
@@ -106,44 +123,27 @@ class TopologySpec:
         return tuple(pool[i % len(pool)] for i in range(n))
 
     def delay_matrix(self) -> Dict[Tuple[str, str], float]:
-        """The one-way delay matrix this spec describes (regions as keys)."""
-        if self.kind == "lan":
-            return {("lan", "lan"): INTRA_REGION_DELAY}
-        if self.kind == "wan" and not self.links:
-            return dict(_WAN_ONE_WAY_DELAY)
+        """The directed one-way delays this spec's links register."""
         matrix: Dict[Tuple[str, str], float] = {}
-        for src, dst, delay in self.links:
+        for src, dst, delay in self.links or _PRESETS[self.kind].links:
             matrix[(src, dst)] = delay
             if self.symmetric:
                 matrix.setdefault((dst, src), delay)
-        for region in self.region_names():
-            matrix.setdefault((region, region), INTRA_REGION_DELAY)
         return matrix
 
     def delay_between(self, region_a: str, region_b: str) -> float:
         """Base one-way delay ``region_a -> region_b`` (no jitter)."""
-        matrix = self.delay_matrix()
-        if (region_a, region_b) in matrix:
-            return matrix[(region_a, region_b)]
-        if self.symmetric and (region_b, region_a) in matrix:
-            return matrix[(region_b, region_a)]
-        if self.default_delay is not None:
-            return self.default_delay
-        raise KeyError(f"no delay registered for {region_a!r} -> {region_b!r}")
+        return link_delay(self.delay_matrix(), region_a, region_b, self.default_delay)
 
     # ------------------------------------------------------------- builders
     def build_latency(self, n: int) -> LatencyModel:
-        if self.kind == "lan":
-            return LanLatency()
-        if self.kind == "wan" and not self.links and not self.placement:
-            # Exactly the paper's model (preset equivalence relies on this).
-            return WanLatency(n, jitter=self.jitter)
+        """The latency model of ``n`` replicas placed on this topology.
+
+        Raises ``KeyError`` naming the link if two regions that host
+        replicas have no registered delay (and there is no ``default_delay``).
+        """
         return TopologyLatency(
-            assignment=self.assignment(n),
-            delays=self.delay_matrix(),
-            jitter=self.jitter,
-            symmetric=self.symmetric,
-            default_delay=self.default_delay,
+            self.assignment(n), self.delay_matrix(), self.jitter, self.default_delay
         )
 
     def node_bandwidth(self, n: int) -> Optional[Dict[int, float]]:

@@ -21,9 +21,10 @@ the lookahead too).  Any message sent during a synchronized window
 barrier are never needed inside the window that produced them, which is the
 safety proof :class:`repro.runtime.sharded.ShardedDESRuntime` relies on.
 
-Derivation is exact, not sampled: it enumerates region pairs when the model
-exposes ``region_of`` (O(regions²) instead of O(n²)) and falls back to the
-full replica-pair scan otherwise.
+Derivation is exact, not sampled: ``min_delay`` depends only on the region
+pair (the :class:`~repro.sim.latency.LatencyModel` contract), so it
+enumerates one representative per (shard, region) — O(regions²) pairs,
+whatever n is.
 """
 
 from __future__ import annotations
@@ -66,30 +67,18 @@ def _min_cross_pair(
     plan: ShardPlan, latency: LatencyModel
 ) -> Tuple[float, Tuple[int, int]]:
     """The smallest ``min_delay`` over ordered cross-shard replica pairs."""
-    region_of = getattr(latency, "region_of", None)
+    # One representative replica per (shard, region): min_delay depends
+    # only on the region pair, so O(regions²) pairs suffice.
+    reps: Dict[Tuple[int, str], int] = {}
+    for replica, shard in enumerate(plan.assignment):
+        reps.setdefault((shard, latency.region_of(replica)), replica)
+    entries: List[Tuple[int, int]] = [
+        (shard, replica) for (shard, _region), replica in sorted(reps.items())
+    ]
     best = float("inf")
     best_pair = (-1, -1)
-    if region_of is not None:
-        # One representative replica per (shard, region): min_delay depends
-        # only on the region pair, so O(regions²) pairs suffice.
-        reps: Dict[Tuple[int, str], int] = {}
-        for replica, shard in enumerate(plan.assignment):
-            reps.setdefault((shard, region_of(replica)), replica)
-        entries: List[Tuple[int, int]] = [
-            (shard, replica) for (shard, _region), replica in sorted(reps.items())
-        ]
-        for shard_a, sender in entries:
-            for shard_b, receiver in entries:
-                if shard_a == shard_b:
-                    continue
-                bound = latency.min_delay(sender, receiver)
-                if bound < best:
-                    best = bound
-                    best_pair = (sender, receiver)
-        return best, best_pair
-    assignment = plan.assignment
-    for sender, shard_a in enumerate(assignment):
-        for receiver, shard_b in enumerate(assignment):
+    for shard_a, sender in entries:
+        for shard_b, receiver in entries:
             if shard_a == shard_b:
                 continue
             bound = latency.min_delay(sender, receiver)

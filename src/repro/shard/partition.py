@@ -11,11 +11,16 @@ gets.  Two strategies:
   the intra-region floor (sub-millisecond).  Each consensus instance's
   leader traffic is symmetric across regions, so this is also the
   instance-affine choice: the instances a shard's replicas lead stay paced
-  by shard-local timers.  When the model has no regions (LAN/uniform) this
+  by shard-local timers.  A single-region model (the LAN, ``UniformLatency``)
   degrades to balanced contiguous blocks.
 * ``"hash"`` — ``replica % shards``: the fallback that ignores topology.
   Correct under any model, but in a WAN it splits every region across
   shards and shrinks the lookahead to the intra-region floor.
+
+Regions come from :meth:`~repro.sim.latency.LatencyModel.region_of`; a model
+that leaves it unimplemented (the base class raises a named
+``NotImplementedError``) has no topology to place by and is refused,
+exactly like a model without a ``min_delay`` bound.
 
 Placement is a pure function of ``(n, shards, latency model, strategy)`` —
 no RNG — so the same cell always produces the same plan (sweep-cache and
@@ -78,17 +83,10 @@ class ShardPlan:
 
 
 def _region_groups(n: int, latency: LatencyModel) -> List[List[int]]:
-    """Replicas grouped by region, in first-appearance region order.
-
-    Returns one group per distinct region; a model without ``region_of``
-    yields a single group (no topology information to exploit).
-    """
-    region_of = getattr(latency, "region_of", None)
-    if region_of is None:
-        return [list(range(n))]
+    """Replicas grouped by region, in first-appearance region order."""
     groups: Dict[str, List[int]] = {}
     for replica in range(n):
-        groups.setdefault(region_of(replica), []).append(replica)
+        groups.setdefault(latency.region_of(replica), []).append(replica)
     return list(groups.values())
 
 

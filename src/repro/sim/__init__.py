@@ -6,7 +6,8 @@ This package stands in for the paper's AWS deployment.  It provides:
   :mod:`repro.sim.clock`);
 * a simulator that schedules timers and message deliveries
   (:mod:`repro.sim.simulator`);
-* LAN / 4-region WAN latency models plus a bandwidth model
+* the region-matrix latency model (the paper's LAN and 4-region WAN are
+  two instances of it) plus a bandwidth model
   (:mod:`repro.sim.latency`, :mod:`repro.sim.network`);
 * a node (replica process) abstraction with message handlers and timers
   (:mod:`repro.sim.node`);
@@ -23,9 +24,7 @@ from repro.sim.simulator import Simulator
 from repro.sim.latency import (
     LatencyModel,
     UniformLatency,
-    LanLatency,
-    WanLatency,
-    Region,
+    TopologyLatency,
     DEFAULT_WAN_REGIONS,
 )
 from repro.sim.network import Network, NetworkConfig, NetworkStats
@@ -45,9 +44,7 @@ __all__ = [
     "Simulator",
     "LatencyModel",
     "UniformLatency",
-    "LanLatency",
-    "WanLatency",
-    "Region",
+    "TopologyLatency",
     "DEFAULT_WAN_REGIONS",
     "Network",
     "NetworkConfig",

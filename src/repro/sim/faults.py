@@ -7,7 +7,8 @@ The evaluation distinguishes (Sec. 6.1 "Straggler settings"):
   transactions in their blocks;
 * **Byzantine stragglers** — honest-straggler behaviour plus rank
   manipulation: they collect more than 2f+1 rank reports, discard the highest
-  and use only the lowest 2f+1 (Sec. 4.4, Appendix B case 3);
+  and use only the lowest 2f+1 (Sec. 4.4, Appendix B case 3); declared as
+  the adversary catalog's :class:`~repro.adversary.attacks.RankManipulation`;
 * **crash faults** — a replica stops at a configured time; the instance it
   leads recovers through a view change (Fig. 8).
 
@@ -21,8 +22,7 @@ simply a set of declarative specs rather than ad-hoc wiring.
 from __future__ import annotations
 
 import random
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -37,15 +37,11 @@ class StragglerSpec:
     """One straggling leader.
 
     ``slowdown`` is the ``k`` of the paper: the straggler proposes blocks at
-    ``1/k`` of the normal leaders' rate.  ``byzantine`` is a **deprecated
-    shim**: the rank-manipulation strategy now lives in the adversary
-    catalog (:class:`repro.adversary.attacks.RankManipulation`); setting
-    the flag still works and is lowered onto the catalog behaviour.
+    ``1/k`` of the normal leaders' rate.
     """
 
     replica: int
     slowdown: float = 10.0
-    byzantine: bool = False
 
     def __post_init__(self) -> None:
         if self.slowdown < 1.0:
@@ -152,23 +148,14 @@ class FaultConfig:
         self._straggler_by_replica: Dict[int, StragglerSpec] = {
             spec.replica: spec for spec in self.stragglers
         }
+        self._rank_manipulators: FrozenSet[int] = frozenset()
         if self.adversary is not None:
             # Rank manipulation lowers onto the straggler machinery; a
             # catalog attack wins over a plain straggler spec for the same
             # replica (the attack is the stronger statement).
             for spec in self.adversary.straggler_specs():
                 self._straggler_by_replica[spec.replica] = spec
-        legacy = {spec.replica for spec in self.stragglers if spec.byzantine}
-        if legacy - (
-            self.adversary.rank_manipulators() if self.adversary is not None else frozenset()
-        ):
-            warnings.warn(
-                "StragglerSpec.byzantine is deprecated; declare the attack as "
-                "FaultConfig(adversary=AdversarySpec((RankManipulation("
-                "replicas=..., slowdown=...),))) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+            self._rank_manipulators = self.adversary.rank_manipulators()
         # Degradation and loss-burst windows restore the pre-window state on
         # expiry, so overlapping windows of one kind would quietly cancel each
         # other — reject them up front.
@@ -192,12 +179,27 @@ class FaultConfig:
         if count < 0 or count > n:
             raise ValueError("straggler count must be within [0, n]")
         rng = random.Random(seed)
-        chosen = rng.sample(range(n), count) if count else []
-        specs = tuple(
-            StragglerSpec(replica=r, slowdown=slowdown, byzantine=byzantine)
-            for r in sorted(chosen)
+        replicas = tuple(sorted(rng.sample(range(n), count)))
+        if byzantine and replicas:
+            # Lazy: the adversary package imports StragglerSpec from here.
+            from repro.adversary.attacks import RankManipulation
+            from repro.adversary.spec import AdversarySpec
+
+            return cls(
+                adversary=AdversarySpec(
+                    (RankManipulation(replicas=replicas, slowdown=slowdown),)
+                )
+            )
+        return cls(
+            stragglers=tuple(StragglerSpec(replica=r, slowdown=slowdown) for r in replicas)
         )
-        return cls(stragglers=specs)
+
+    def with_adversary(self, adversary: "AdversarySpec") -> "FaultConfig":
+        """A copy with ``adversary``'s attacks added to those already configured."""
+        merged = (
+            self.adversary.merge(adversary) if self.adversary is not None else adversary
+        )
+        return replace(self, adversary=merged)
 
     def straggler_map(self) -> Dict[int, StragglerSpec]:
         return dict(self._straggler_by_replica)
@@ -206,9 +208,8 @@ class FaultConfig:
         return replica in self._straggler_by_replica
 
     def is_byzantine(self, replica: int) -> bool:
-        """Whether ``replica`` manipulates ranks (catalog attack or legacy flag)."""
-        spec = self._straggler_by_replica.get(replica)
-        return spec is not None and spec.byzantine
+        """Whether ``replica`` manipulates ranks (a ``RankManipulation`` attack)."""
+        return replica in self._rank_manipulators
 
     def slowdown_of(self, replica: int) -> float:
         spec = self._straggler_by_replica.get(replica)
@@ -220,14 +221,7 @@ class FaultConfig:
 
     def adversarial_replicas(self) -> FrozenSet[int]:
         """Replicas running any Byzantine behaviour (never fit observers)."""
-        members = {
-            replica
-            for replica, spec in self._straggler_by_replica.items()
-            if spec.byzantine
-        }
-        if self.adversary is not None:
-            members.update(self.adversary.replicas())
-        return frozenset(members)
+        return self.adversary.replicas() if self.adversary is not None else frozenset()
 
     def has_network_dynamics(self) -> bool:
         return bool(self.partitions or self.degradations or self.loss_bursts)

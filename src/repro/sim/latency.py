@@ -2,43 +2,42 @@
 
 The paper deploys replicas in a LAN (one AWS region, 1 Gbps) and a WAN
 spanning four regions: France (eu-west-3), N. America, Australia and Tokyo.
-We model point-to-point propagation delay with a symmetric region matrix whose
-entries approximate public inter-region RTT/2 figures, plus a small jitter
-term drawn from a seeded RNG so repeated sends do not synchronise artificially.
+Both are instances of one model, :class:`TopologyLatency`: a per-replica
+region assignment, a directed region-pair matrix of one-way base delays, and
+a uniform jitter term drawn from a seeded RNG so repeated sends do not
+synchronise artificially.  The paper's WAN is round-robin placement over
+:data:`DEFAULT_WAN_REGIONS` with :data:`_WAN_ONE_WAY_DELAY` (entries
+approximate public inter-region RTT/2 figures) and 5 ms jitter; its LAN is
+one region at :data:`INTRA_REGION_DELAY` with 0.3 ms jitter.  The presets
+live in :class:`repro.scenario.topology.TopologySpec`.  :class:`UniformLatency`
+is the n-free single-region model (the transport's default, unit tests).
+
+One RNG rule for every model: :meth:`LatencyModel.delay` draws exactly once
+per non-self pair iff ``jitter > 0``, and never for a self pair.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-
-@dataclass(frozen=True)
-class Region:
-    """A deployment region with a human-readable name."""
-
-    name: str
 
 
 #: one-way delay between two nodes in the same region/datacenter (seconds)
 INTRA_REGION_DELAY = 0.0005
 
-DEFAULT_WAN_REGIONS: Tuple[Region, ...] = (
-    Region("eu-west-3"),      # Paris, France
-    Region("us-east-1"),      # N. Virginia, America
-    Region("ap-southeast-2"), # Sydney, Australia
-    Region("ap-northeast-1"), # Tokyo
+#: the region every replica of a single-region model sits in
+SINGLE_REGION = "lan"
+
+DEFAULT_WAN_REGIONS: Tuple[str, ...] = (
+    "eu-west-3",       # Paris, France
+    "us-east-1",       # N. Virginia, America
+    "ap-southeast-2",  # Sydney, Australia
+    "ap-northeast-1",  # Tokyo
 )
 
 # One-way delays (seconds) between the default WAN regions, approximating
-# public inter-region RTT measurements divided by two.
+# public inter-region RTT measurements divided by two (links are symmetric).
 _WAN_ONE_WAY_DELAY: Dict[Tuple[str, str], float] = {
-    ("eu-west-3", "eu-west-3"): 0.0005,
-    ("us-east-1", "us-east-1"): 0.0005,
-    ("ap-southeast-2", "ap-southeast-2"): 0.0005,
-    ("ap-northeast-1", "ap-northeast-1"): 0.0005,
     ("eu-west-3", "us-east-1"): 0.040,
     ("eu-west-3", "ap-southeast-2"): 0.140,
     ("eu-west-3", "ap-northeast-1"): 0.110,
@@ -46,6 +45,28 @@ _WAN_ONE_WAY_DELAY: Dict[Tuple[str, str], float] = {
     ("us-east-1", "ap-northeast-1"): 0.075,
     ("ap-southeast-2", "ap-northeast-1"): 0.055,
 }
+
+
+def link_delay(
+    delays: Mapping[Tuple[str, str], float],
+    src: str,
+    dst: str,
+    default: Optional[float] = None,
+) -> float:
+    """Base one-way delay of the directed link ``src -> dst`` (no jitter).
+
+    The matrix entry if there is one; :data:`INTRA_REGION_DELAY` inside a
+    region; otherwise ``default``, and without one a ``KeyError`` naming
+    the link — a custom topology never silently gets a made-up number.
+    """
+    try:
+        return delays[(src, dst)]
+    except KeyError:
+        if src == dst:
+            return INTRA_REGION_DELAY
+        if default is not None:
+            return default
+        raise KeyError(f"no delay registered for link {src!r} -> {dst!r}") from None
 
 
 class LatencyModel:
@@ -69,188 +90,77 @@ class LatencyModel:
             "bound (required for the sharded runtime's lookahead)"
         )
 
+    def region_of(self, replica: int) -> str:
+        """The region hosting ``replica``; ``min_delay`` depends only on
+        the (sender region, receiver region) pair.
+
+        The sharded runtime places replicas and enumerates cross-shard
+        links by region; a model without topology leaves this
+        unimplemented and is refused there, like one without a bound.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} assigns replicas to no regions "
+            "(required for the sharded runtime's placement and lookahead)"
+        )
+
     def multicast_profile(self, sender: int, receivers) -> Optional[tuple]:
         """Optional fan-out fast path: ``(base_row, jitter)`` or None.
 
         ``base_row[r]`` is the deterministic base delay ``sender -> r``
-        (guaranteed filled for every id in ``receivers``) and ``jitter``
-        the uniform jitter magnitude; the transport then computes
-        ``base_row[r] + rng.random() * jitter`` inline — **exactly** one RNG
-        draw per receiver, matching :meth:`delay` draw-for-draw so RNG
-        streams stay byte-identical.  Implementations must resolve base
-        delays lazily per pair (only for the ``receivers`` asked about) so
-        unknown-pair warn/raise semantics stay tied to first *use*, exactly
-        like :meth:`delay`.  Models whose draw count depends on parameters
-        (e.g. zero-jitter skips the draw) must return None unless they
-        encode that case in the row/jitter pair.  The base implementation
-        returns None (per-receiver ``delay`` calls).
+        (defined for every id in ``receivers``; the sender's own slot is
+        never read) and ``jitter`` the uniform jitter magnitude; the
+        transport then computes ``base_row[r] + rng.random() * jitter``
+        inline — **exactly** one RNG draw per non-self receiver, matching
+        :meth:`delay` draw-for-draw so RNG streams stay byte-identical.
+        That path draws unconditionally, so a model that would not draw
+        (``jitter == 0``) returns None and takes the per-receiver
+        :meth:`delay` path, as does the base implementation.
         """
         return None
 
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 class UniformLatency(LatencyModel):
-    """Constant delay plus uniform jitter — useful for tests."""
+    """One region of any size: constant delay plus uniform jitter."""
 
     def __init__(self, base: float = 0.001, jitter: float = 0.0) -> None:
         if base < 0 or jitter < 0:
             raise ValueError("latency parameters must be non-negative")
         self.base = base
         self.jitter = jitter
+        self._row: List[float] = []
 
     def delay(self, sender: int, receiver: int, rng: random.Random) -> float:
         if sender == receiver:
             return 0.0
-        return self.base + (rng.random() * self.jitter if self.jitter else 0.0)
+        return self.base + rng.random() * self.jitter if self.jitter else self.base
 
     def min_delay(self, sender: int, receiver: int) -> float:
         return 0.0 if sender == receiver else self.base
-
-
-class LanLatency(LatencyModel):
-    """Single-datacenter latency: sub-millisecond with small jitter."""
-
-    def __init__(self, base: float = 0.0005, jitter: float = 0.0003) -> None:
-        self.base = base
-        self.jitter = jitter
-
-    def delay(self, sender: int, receiver: int, rng: random.Random) -> float:
-        if sender == receiver:
-            return 0.0
-        return self.base + rng.random() * self.jitter
-
-    def min_delay(self, sender: int, receiver: int) -> float:
-        return 0.0 if sender == receiver else self.base
-
-    def multicast_profile(self, sender: int, receivers):
-        """Constant row (self pairs are handled by the transport's no-draw
-        branch).  The row grows to cover the highest receiver id asked
-        about (``receivers`` arrive ascending, so the last one bounds it)."""
-        row = getattr(self, "_profile_row", None)
-        highest = max(receivers) if receivers else 0
-        if row is None or highest >= len(row):
-            row = self._profile_row = [self.base] * (max(highest, sender, 255) + 1)
-        return row, self.jitter
-
-
-class WanLatency(LatencyModel):
-    """Four-region WAN latency as in the paper's deployment.
-
-    Replicas are assigned to regions round-robin (the paper distributes them
-    evenly across the four regions).
-    """
-
-    def __init__(
-        self,
-        n: int,
-        regions: Sequence[Region] = DEFAULT_WAN_REGIONS,
-        jitter: float = 0.005,
-        default_delay: Optional[float] = 0.100,
-    ) -> None:
-        if n <= 0:
-            raise ValueError("n must be positive")
-        self.regions: Tuple[Region, ...] = tuple(regions)
-        self.jitter = jitter
-        self.default_delay = default_delay
-        self._warned_pairs: set = set()
-        self._assignment: List[str] = [
-            self.regions[i % len(self.regions)].name for i in range(n)
-        ]
-        # Hot path: base delays are deterministic per (sender, receiver), so
-        # they are cached in a flat n*n table, filled lazily through
-        # ``_base_delay`` (laziness keeps the unknown-pair warning/raise
-        # semantics tied to first *use*, exactly as before).
-        self._n = n
-        self._pair_base: List[Optional[float]] = [None] * (n * n)
-        self._profile_rows: Dict[int, List[Optional[float]]] = {}
 
     def region_of(self, replica: int) -> str:
-        return self._assignment[replica]
-
-    def _base_delay(self, region_a: str, region_b: str) -> float:
-        key = (region_a, region_b)
-        if key in _WAN_ONE_WAY_DELAY:
-            return _WAN_ONE_WAY_DELAY[key]
-        key = (region_b, region_a)
-        if key in _WAN_ONE_WAY_DELAY:
-            return _WAN_ONE_WAY_DELAY[key]
-        # Unregistered region pair: custom topologies should use
-        # TopologyLatency (or pass default_delay explicitly) — fail loudly
-        # instead of silently handing out a made-up number.
-        if self.default_delay is None:
-            raise KeyError(
-                f"no WAN delay registered for region pair {region_a!r} <-> {region_b!r}"
-            )
-        pair = (min(region_a, region_b), max(region_a, region_b))
-        if pair not in self._warned_pairs:
-            self._warned_pairs.add(pair)
-            warnings.warn(
-                f"WanLatency: unregistered region pair {region_a!r} <-> {region_b!r}; "
-                f"falling back to default_delay={self.default_delay}s "
-                "(use TopologyLatency for custom topologies)",
-                stacklevel=3,
-            )
-        return self.default_delay
-
-    def delay(self, sender: int, receiver: int, rng: random.Random) -> float:
-        if sender == receiver:
-            return 0.0
-        index = sender * self._n + receiver
-        base = self._pair_base[index]
-        if base is None:
-            base = self._base_delay(self.region_of(sender), self.region_of(receiver))
-            self._pair_base[index] = base
-        return base + rng.random() * self.jitter
-
-    def min_delay(self, sender: int, receiver: int) -> float:
-        if sender == receiver:
-            return 0.0
-        return self._base_delay(self.region_of(sender), self.region_of(receiver))
+        return SINGLE_REGION
 
     def multicast_profile(self, sender: int, receivers):
-        """(base_row, jitter) for the transport's fused fan-out.
-
-        ``delay`` always draws exactly one jitter sample per pair (even at
-        jitter 0), so the inline ``base + rng.random() * jitter`` matches it
-        draw-for-draw.  The row is filled **lazily, per requested pair**, so
-        the unknown-pair warn/raise semantics of ``_base_delay`` fire on
-        first use of that pair — never for pairs a filtered fan-out avoids.
-        """
-        row = self._profile_rows.get(sender)
-        if row is None:
-            row = self._profile_rows[sender] = [None] * self._n
-        n = self._n
-        pair_base = self._pair_base
-        for receiver in receivers:
-            if row[receiver] is None:
-                if receiver == sender:
-                    # The transport's no-draw self branch never reads this,
-                    # but keep the slot well-defined.
-                    row[receiver] = 0.0
-                    continue
-                index = sender * n + receiver
-                base = pair_base[index]
-                if base is None:
-                    base = pair_base[index] = self._base_delay(
-                        self.region_of(sender), self.region_of(receiver)
-                    )
-                row[receiver] = base
+        """A constant row, grown to cover the highest receiver id asked about."""
+        if not self.jitter:
+            return None
+        row = self._row
+        highest = max(receivers, default=0)
+        if highest >= len(row):
+            row = self._row = [self.base] * (max(highest, 255) + 1)
         return row, self.jitter
-
-    def describe(self) -> str:
-        return f"WAN({len(self.regions)} regions)"
 
 
 class TopologyLatency(LatencyModel):
-    """Arbitrary region topology: explicit placement and a per-link delay matrix.
+    """Region topology: explicit placement and a directed per-link delay matrix.
 
-    Generalises :class:`WanLatency` to any region set: the delay matrix may be
-    asymmetric (``(a, b)`` and ``(b, a)`` can differ — satellite uplinks,
-    policy-routed paths), placement is an explicit per-replica region list,
-    and unknown pairs raise unless ``default_delay`` is given, so custom
-    topologies fail loudly rather than silently getting a canned number.
+    ``assignment[replica]`` names each replica's region; ``delays[(a, b)]``
+    is the one-way base delay of the directed link ``a -> b`` (``(a, b)``
+    and ``(b, a)`` may differ — satellite uplinks, policy-routed paths).
+    Links are resolved by :func:`link_delay` once, at construction, for
+    every ordered pair of regions that host replicas: a missing link is a
+    ``KeyError`` naming it at build time, never on first use, while links
+    of regions no replica sits in are not required.
     """
 
     def __init__(
@@ -258,61 +168,41 @@ class TopologyLatency(LatencyModel):
         assignment: Sequence[str],
         delays: Mapping[Tuple[str, str], float],
         jitter: float = 0.005,
-        symmetric: bool = True,
         default_delay: Optional[float] = None,
     ) -> None:
         if not assignment:
             raise ValueError("assignment must name a region per replica")
         if jitter < 0:
             raise ValueError("jitter must be non-negative")
-        self._assignment: Tuple[str, ...] = tuple(assignment)
-        self.jitter = jitter
-        self.symmetric = symmetric
-        self.default_delay = default_delay
-        self._delays: Dict[Tuple[str, str], float] = {}
-        for (a, b), value in dict(delays).items():
+        for (a, b), value in delays.items():
             if value < 0:
                 raise ValueError(f"negative delay for link {a!r}->{b!r}")
-            self._delays[(a, b)] = value
-            if symmetric:
-                self._delays.setdefault((b, a), value)
+        self._assignment: Tuple[str, ...] = tuple(assignment)
+        self.jitter = jitter
         # dict.fromkeys, not set(): first-appearance order is deterministic
         # run-to-run (DET-005)
-        for region in dict.fromkeys(self._assignment):
-            self._delays.setdefault((region, region), INTRA_REGION_DELAY)
-
-    @property
-    def regions(self) -> Tuple[str, ...]:
-        seen: List[str] = []
-        for name in self._assignment:
-            if name not in seen:
-                seen.append(name)
-        return tuple(seen)
+        self.regions: Tuple[str, ...] = tuple(dict.fromkeys(self._assignment))
+        # One base-delay row per *sender region* (``row[receiver]``), shared
+        # by every replica of that region: a per-pair lookup is two list
+        # indexes and a fan-out profile is one, whatever n is.  A sender's
+        # own slot holds the intra-region delay; self pairs never read it.
+        by_region = {
+            src: [link_delay(delays, src, dst, default_delay) for dst in self._assignment]
+            for src in self.regions
+        }
+        self._rows: List[List[float]] = [by_region[region] for region in self._assignment]
 
     def region_of(self, replica: int) -> str:
         return self._assignment[replica]
 
-    def _base_delay(self, region_a: str, region_b: str) -> float:
-        try:
-            return self._delays[(region_a, region_b)]
-        except KeyError:
-            if self.default_delay is not None:
-                return self.default_delay
-            raise KeyError(
-                f"no delay registered for link {region_a!r} -> {region_b!r}"
-            ) from None
-
     def delay(self, sender: int, receiver: int, rng: random.Random) -> float:
         if sender == receiver:
             return 0.0
-        base = self._base_delay(self.region_of(sender), self.region_of(receiver))
-        return base + (rng.random() * self.jitter if self.jitter else 0.0)
+        base = self._rows[sender][receiver]
+        return base + rng.random() * self.jitter if self.jitter else base
 
     def min_delay(self, sender: int, receiver: int) -> float:
-        if sender == receiver:
-            return 0.0
-        return self._base_delay(self.region_of(sender), self.region_of(receiver))
+        return 0.0 if sender == receiver else self._rows[sender][receiver]
 
-    def describe(self) -> str:
-        kind = "sym" if self.symmetric else "asym"
-        return f"Topology({len(self.regions)} regions, {kind})"
+    def multicast_profile(self, sender: int, receivers):
+        return (self._rows[sender], self.jitter) if self.jitter else None

@@ -1,20 +1,9 @@
-"""Workload substrate: transactions, clients, and arrival processes."""
+"""Workload substrate: transactions and arrival processes."""
 
 from repro.workload.transactions import Transaction, TransactionFactory, Batch
-from repro.workload.clients import ClientPool, ClientStats
-from repro.workload.generator import (
-    WorkloadConfig,
-    OpenLoopGenerator,
-    generate_transactions,
-)
 
 __all__ = [
     "Transaction",
     "TransactionFactory",
     "Batch",
-    "ClientPool",
-    "ClientStats",
-    "WorkloadConfig",
-    "OpenLoopGenerator",
-    "generate_transactions",
 ]

@@ -1,26 +1,21 @@
-"""Workload generation: arrival-rate profiles and streaming generators.
+"""Workload generation: arrival-rate profiles and the per-run traffic stream.
 
 The paper's evaluation drives the system with a saturated open-loop workload
 (peak-throughput measurement).  The scenario engine generalises this to
 time-varying **traffic profiles** — uniform, bursty, ramp, diurnal — plus
-Zipf-skewed distribution of load across clients and consensus instances.
+Zipf-skewed distribution of load across consensus instances.
 
 Profiles are deterministic closed forms: ``cumulative(t)`` returns the
 expected number of arrivals in ``[0, t]`` without iterating per transaction,
 so the simulation hot path (a leader cutting a batch) costs O(1) per cut
-regardless of rate.  Transactions are only materialised by the explicit
-generators used in correctness tests and the causality experiments.
+regardless of rate.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
-
-from repro.workload.transactions import Transaction, TransactionFactory, DEFAULT_PAYLOAD_BYTES
 
 
 # -------------------------------------------------------------- profiles
@@ -258,111 +253,3 @@ class TrafficStream:
         self.total_taken += count
         mean_at = (last + now) / 2.0 - self.submit_delay[instance_id]
         return count, max(0.0, mean_at)
-
-
-# ----------------------------------------------------- explicit generators
-@dataclass(frozen=True)
-class WorkloadConfig:
-    """Open-loop workload parameters."""
-
-    num_clients: int = 64
-    payload_bytes: int = DEFAULT_PAYLOAD_BYTES
-    arrival_rate_tps: float = 100_000.0
-    seed: int = 0
-    zipf_s: float = 0.0  # client-selection skew (0 = round-robin)
-
-    def __post_init__(self) -> None:
-        if self.num_clients <= 0:
-            raise ValueError("need at least one client")
-        if self.arrival_rate_tps <= 0:
-            raise ValueError("arrival rate must be positive")
-        if self.zipf_s < 0:
-            raise ValueError("zipf exponent must be non-negative")
-
-
-def generate_transactions(
-    config: WorkloadConfig, duration: float, factory: TransactionFactory = None
-) -> List[Transaction]:
-    """Generate the full open-loop arrival sequence for ``duration`` seconds.
-
-    Arrivals are spread uniformly over the duration at ``arrival_rate_tps``
-    and assigned to clients round-robin; determinism comes from the seed only
-    through client jitter, keeping runs reproducible.
-    """
-    factory = factory or TransactionFactory(payload_bytes=config.payload_bytes)
-    rng = random.Random(config.seed)
-    total = int(config.arrival_rate_tps * duration)
-    txs: List[Transaction] = []
-    for i in range(total):
-        submitted_at = (i / config.arrival_rate_tps) + rng.random() * 1e-6
-        client = i % config.num_clients
-        txs.append(factory.create(client, submitted_at))
-    return txs
-
-
-class OpenLoopGenerator:
-    """Streams transactions in submission order without materialising them all.
-
-    Used by the discrete-event systems to pull the transactions that have
-    arrived by a given virtual time.  With the default uniform profile and
-    ``zipf_s == 0`` this reproduces the historical behaviour exactly; a
-    time-varying :class:`TrafficProfile` and/or a Zipf client skew can be
-    supplied for scenario workloads.
-    """
-
-    def __init__(
-        self,
-        config: WorkloadConfig,
-        factory: TransactionFactory = None,
-        profile: Optional[TrafficProfile] = None,
-    ) -> None:
-        self.config = config
-        self.factory = factory or TransactionFactory(payload_bytes=config.payload_bytes)
-        self.profile = profile
-        self._rng = random.Random(config.seed)
-        self._next_index = 0
-        self._cursor_time = 0.0
-        self._client_cdf: Optional[List[float]] = None
-        if config.zipf_s > 0:
-            weights = zipf_weights(config.num_clients, config.zipf_s)
-            cdf: List[float] = []
-            acc = 0.0
-            for w in weights:
-                acc += w
-                cdf.append(acc)
-            self._client_cdf = cdf
-
-    def _pick_client(self, index: int) -> int:
-        if self._client_cdf is None:
-            return index % self.config.num_clients
-        return bisect.bisect_left(self._client_cdf, self._rng.random())
-
-    def transactions_until(self, time: float) -> List[Transaction]:
-        """Return all transactions that arrive up to virtual ``time``."""
-        txs: List[Transaction] = []
-        if self.profile is None:
-            rate = self.config.arrival_rate_tps
-            while (self._next_index / rate) <= time:
-                submitted_at = self._next_index / rate
-                client = self._pick_client(self._next_index)
-                txs.append(self.factory.create(client, submitted_at))
-                self._next_index += 1
-        else:
-            target = int(self.profile.cumulative(time))
-            pending = target - self._next_index
-            if pending > 0:
-                # Spread the new arrivals uniformly over the advanced window —
-                # exact counts, approximate intra-window placement.
-                start = self._cursor_time
-                step = (time - start) / pending if pending else 0.0
-                for k in range(pending):
-                    submitted_at = start + step * (k + 0.5)
-                    client = self._pick_client(self._next_index)
-                    txs.append(self.factory.create(client, submitted_at))
-                    self._next_index += 1
-        self._cursor_time = max(self._cursor_time, time)
-        return txs
-
-    @property
-    def generated_count(self) -> int:
-        return self._next_index

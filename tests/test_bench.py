@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.analytical import AnalyticalConfig, run_analytical
+from repro.bench.analytical import run_analytical
 from repro.bench.config import ExperimentCell
 from repro.bench.report import format_series, format_table
 from repro.bench.runner import metrics_by_label, run_cell
@@ -19,7 +19,8 @@ class TestExperimentCell:
         cell = ExperimentCell(protocol="ladon-pbft", n=8, stragglers=2, byzantine=True)
         config = cell.to_system_config()
         assert config.faults.straggler_count() == 2
-        assert all(s.byzantine for s in config.faults.stragglers)
+        assert all(config.faults.is_byzantine(r) for r in config.faults.straggler_map())
+        assert config.faults == cell.fault_config()  # the rule the analytical engine reads too
 
     def test_label(self):
         cell = ExperimentCell(protocol="ladon-pbft", n=16, stragglers=1, byzantine=True)
@@ -28,41 +29,41 @@ class TestExperimentCell:
 
 class TestAnalyticalEngine:
     def test_deterministic(self):
-        config = AnalyticalConfig(protocol="ladon-pbft", n=16, stragglers=1, duration=60.0, seed=3)
+        config = ExperimentCell(protocol="ladon-pbft", n=16, stragglers=1, duration=60.0, seed=3)
         a = run_analytical(config)
         b = run_analytical(config)
         assert a.throughput_tps == b.throughput_tps
         assert a.average_latency_s == b.average_latency_s
 
     def test_no_straggler_protocols_comparable(self):
-        ladon = run_analytical(AnalyticalConfig(protocol="ladon-pbft", n=32, duration=60.0))
-        iss = run_analytical(AnalyticalConfig(protocol="iss-pbft", n=32, duration=60.0))
+        ladon = run_analytical(ExperimentCell(protocol="ladon-pbft", n=32, duration=60.0))
+        iss = run_analytical(ExperimentCell(protocol="iss-pbft", n=32, duration=60.0))
         assert ladon.throughput_tps == pytest.approx(iss.throughput_tps, rel=0.1)
 
     def test_straggler_separates_ladon_from_iss(self):
         ladon = run_analytical(
-            AnalyticalConfig(protocol="ladon-pbft", n=32, stragglers=1, duration=120.0)
+            ExperimentCell(protocol="ladon-pbft", n=32, stragglers=1, duration=120.0)
         )
         iss = run_analytical(
-            AnalyticalConfig(protocol="iss-pbft", n=32, stragglers=1, duration=120.0)
+            ExperimentCell(protocol="iss-pbft", n=32, stragglers=1, duration=120.0)
         )
         assert ladon.throughput_tps > 3 * iss.throughput_tps
         assert iss.average_latency_s > ladon.average_latency_s
 
     def test_dqbft_declines_at_scale(self):
-        small = run_analytical(AnalyticalConfig(protocol="dqbft", n=16, duration=60.0))
-        large = run_analytical(AnalyticalConfig(protocol="dqbft", n=128, duration=60.0))
+        small = run_analytical(ExperimentCell(protocol="dqbft", n=16, duration=60.0))
+        large = run_analytical(ExperimentCell(protocol="dqbft", n=128, duration=60.0))
         assert large.throughput_tps < 0.8 * small.throughput_tps
 
     def test_ladon_causal_strength_one(self):
         metrics = run_analytical(
-            AnalyticalConfig(protocol="ladon-pbft", n=16, stragglers=2, duration=120.0)
+            ExperimentCell(protocol="ladon-pbft", n=16, stragglers=2, duration=120.0)
         )
         assert metrics.causal_strength == pytest.approx(1.0, abs=0.02)
 
     def test_lan_faster_than_wan(self):
-        wan = run_analytical(AnalyticalConfig(protocol="iss-pbft", n=16, environment="wan", duration=60.0))
-        lan = run_analytical(AnalyticalConfig(protocol="iss-pbft", n=16, environment="lan", duration=60.0))
+        wan = run_analytical(ExperimentCell(protocol="iss-pbft", n=16, environment="wan", duration=60.0))
+        lan = run_analytical(ExperimentCell(protocol="iss-pbft", n=16, environment="lan", duration=60.0))
         assert lan.average_latency_s < wan.average_latency_s
         assert lan.throughput_tps > wan.throughput_tps
 

@@ -1,9 +1,8 @@
-"""Tests for the Sequenced Broadcast abstraction and quorum tracking."""
+"""Tests for quorum tracking."""
 
 import pytest
 
 from repro.consensus.quorum import QuorumTracker
-from repro.consensus.sb import NIL, InMemorySequencedBroadcast
 
 
 class TestQuorumTracker:
@@ -44,47 +43,6 @@ class TestQuorumTracker:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             QuorumTracker(threshold=0)
-
-
-class TestSequencedBroadcast:
-    def test_integrity_only_designated_sender(self):
-        sb = InMemorySequencedBroadcast(sender=1, rounds=(1, 2))
-        with pytest.raises(PermissionError):
-            sb.broadcast("m", 1, by=2)
-
-    def test_integrity_round_set_enforced(self):
-        sb = InMemorySequencedBroadcast(sender=0, rounds=(1, 2))
-        with pytest.raises(ValueError):
-            sb.broadcast("m", 9)
-
-    def test_integrity_message_set_enforced(self):
-        sb = InMemorySequencedBroadcast(sender=0, rounds=(1,), allowed_messages=["a"])
-        with pytest.raises(ValueError):
-            sb.broadcast("b", 1)
-
-    def test_agreement_single_delivery_per_round(self):
-        sb = InMemorySequencedBroadcast(sender=0, rounds=(1,))
-        sb.broadcast("m", 1)
-        sb.broadcast("m", 1)  # same message is fine
-        with pytest.raises(AssertionError):
-            sb._deliver("other", 1)
-
-    def test_termination_via_suspicion(self):
-        sb = InMemorySequencedBroadcast(sender=0, rounds=(1, 2, 3))
-        sb.broadcast("m", 2)
-        sb.suspect()
-        delivered = sb.delivered()
-        assert delivered[2] == "m"
-        assert delivered[1] is NIL and delivered[3] is NIL
-        assert sb.is_complete()
-
-    def test_deliver_callback_invoked(self):
-        seen = []
-        sb = InMemorySequencedBroadcast(
-            sender=0, rounds=(1,), on_deliver=lambda msg, r: seen.append((msg, r))
-        )
-        sb.broadcast("m", 1)
-        assert seen == [("m", 1)]
 
 
 class ReferenceSetTracker:

@@ -1,78 +1,9 @@
-"""Tests for rotating buckets, the epoch pacemaker and checkpoints."""
+"""Tests for the epoch pacemaker and checkpoints."""
 
 import pytest
 
 from repro.consensus.checkpoint import CheckpointManager
-from repro.core.buckets import RotatingBuckets
 from repro.core.epoch import EpochConfig, EpochPacemaker
-from repro.workload.transactions import TransactionFactory
-
-
-class TestRotatingBuckets:
-    def test_requires_enough_buckets(self):
-        with pytest.raises(ValueError):
-            RotatingBuckets(num_buckets=2, num_instances=4)
-
-    def test_transaction_maps_to_stable_bucket(self):
-        buckets = RotatingBuckets(num_buckets=8, num_instances=4)
-        assert buckets.bucket_of(1234) == buckets.bucket_of(1234)
-
-    def test_every_bucket_assigned_each_epoch(self):
-        buckets = RotatingBuckets(num_buckets=8, num_instances=4)
-        assignment = buckets.assignment_for_epoch(0)
-        assigned = [b for ids in assignment.values() for b in ids]
-        assert sorted(assigned) == list(range(8))
-
-    def test_assignment_rotates_between_epochs(self):
-        buckets = RotatingBuckets(num_buckets=8, num_instances=4)
-        epoch0 = buckets.assignment_for_epoch(0)
-        epoch1 = buckets.assignment_for_epoch(1)
-        assert epoch0 != epoch1
-
-    def test_rotation_covers_all_instances(self):
-        # Censorship resistance: every bucket visits every instance over m epochs.
-        buckets = RotatingBuckets(num_buckets=4, num_instances=4)
-        visited = {bucket: set() for bucket in range(4)}
-        for epoch in range(4):
-            for instance, ids in buckets.assignment_for_epoch(epoch).items():
-                for bucket in ids:
-                    visited[bucket].add(instance)
-        assert all(len(instances) == 4 for instances in visited.values())
-
-    def test_add_and_cut(self):
-        buckets = RotatingBuckets(num_buckets=4, num_instances=2)
-        factory = TransactionFactory()
-        txs = [factory.create(client_id=0, submitted_at=0.0) for _ in range(20)]
-        for tx in txs:
-            buckets.add_transaction(tx, tx_id=tx.tx_id)
-        total_cut = 0
-        for instance in range(2):
-            batch = buckets.cut_batch(instance, epoch=0, max_txs=50)
-            total_cut += len(batch)
-        assert total_cut == 20
-        assert buckets.pending_count() == 0
-
-    def test_cut_respects_max(self):
-        buckets = RotatingBuckets(num_buckets=2, num_instances=1)
-        factory = TransactionFactory()
-        for _ in range(10):
-            tx = factory.create(client_id=0, submitted_at=0.0)
-            buckets.add_transaction(tx, tx_id=tx.tx_id)
-        batch = buckets.cut_batch(0, epoch=0, max_txs=3)
-        assert len(batch) == 3
-        assert buckets.pending_count() == 7
-
-    def test_no_transaction_in_two_instances(self):
-        buckets = RotatingBuckets(num_buckets=6, num_instances=3)
-        factory = TransactionFactory()
-        for _ in range(60):
-            tx = factory.create(client_id=1, submitted_at=0.0)
-            buckets.add_transaction(tx, tx_id=tx.tx_id)
-        seen = set()
-        for instance in range(3):
-            for tx in buckets.cut_batch(instance, epoch=0, max_txs=100):
-                assert tx.tx_id not in seen
-                seen.add(tx.tx_id)
 
 
 class TestEpochConfig:

@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from repro.adversary import get_adversary
+from repro.adversary import AdversarySpec, RankManipulation, get_adversary
 from repro.metrics.auditor import audit_system
 from repro.protocols.base import SystemConfig
 from repro.protocols.registry import available_protocols, build_system, resolve_protocol
@@ -159,7 +159,7 @@ class TestStragglerImpact:
         duration = 15.0
         honest_faults = FaultConfig(stragglers=(StragglerSpec(replica=2, slowdown=5.0),))
         byz_faults = FaultConfig(
-            stragglers=(StragglerSpec(replica=2, slowdown=5.0, byzantine=True),)
+            adversary=AdversarySpec((RankManipulation(replicas=(2,), slowdown=5.0),))
         )
         honest = build_system(small_config("ladon-pbft", duration=duration, faults=honest_faults)).run()
         byz = build_system(small_config("ladon-pbft", duration=duration, faults=byz_faults)).run()
@@ -301,6 +301,20 @@ PINNED_RESULTS = {
         "40b7ebe30e9aecd6a9eb228ae8ba0c01cfa77a75b1434c8e162c0cd0ac79ef37",
     ),
 }
+
+
+@pytest.mark.parametrize("protocol", available_protocols())
+def test_confirm_trace_events_witness_the_confirmed_log(protocol):
+    # Every confirmation site ends in the one tail that records the trace
+    # event (DQBFT's two used to skip it), so a trace digest covers the output.
+    system = build_system(small_config(protocol, duration=8.0, trace=True))
+    result = system.run()
+    observer = system.observer_id()
+    events = [e for e in system.trace.by_category("confirm") if e.node == observer]
+    assert result.confirmed
+    assert [(e.details["instance"], e.details["round"]) for e in events] == [
+        (c.block.instance, c.block.round) for c in result.confirmed
+    ]
 
 
 class TestResultPath:

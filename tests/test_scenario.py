@@ -1,6 +1,8 @@
 """Scenario engine: specs, topologies, dynamics, traffic, and end-to-end runs."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +26,9 @@ from repro.scenario import (
     resolve_dynamics,
 )
 from repro.sim.faults import FaultConfig
-from repro.sim.latency import LanLatency, TopologyLatency, WanLatency
+from repro.sim.latency import TopologyLatency
+from test_protocols_systems import result_digest
+
 from repro.workload.generator import (
     BurstyTraffic,
     DiurnalTraffic,
@@ -49,10 +53,19 @@ class TestTopologySpec:
 
     def test_wan_preset_builds_paper_model(self):
         model = TopologySpec.wan().build_latency(8)
-        assert isinstance(model, WanLatency)
+        assert isinstance(model, TopologyLatency)
+        assert len(model.regions) == 4 and model.jitter == 0.005
+        assert model.min_delay(0, 1) == 0.040  # eu-west-3 -> us-east-1
 
     def test_lan_preset_builds_paper_model(self):
-        assert isinstance(TopologySpec.lan().build_latency(4), LanLatency)
+        model = TopologySpec.lan().build_latency(4)
+        assert isinstance(model, TopologyLatency)
+        assert model.regions == ("lan",) and model.jitter == 0.0003
+        assert model.min_delay(0, 3) == 0.0005
+
+    def test_lan_jitter_is_honoured(self):
+        assert TopologySpec(kind="lan", jitter=0.001).build_latency(4).jitter == 0.001
+        assert TopologySpec(kind="lan") == TopologySpec.lan()
 
     def test_custom_topology_builds_matrix_model(self):
         spec = TopologySpec(
@@ -303,40 +316,54 @@ class TestRegistry:
             assert name in repr(spec) or spec.name == name
 
 
-# ------------------------------------------------------- preset equivalence
-def _run_signature(result):
-    return (
-        [(c.sn, c.block.block_id, c.confirmed_at) for c in result.confirmed],
-        result.metrics.as_dict(),
-        result.network_stats.messages_sent,
-        result.network_stats.bytes_sent,
+# ------------------------------------------------------------ one topology path
+def _digest_config(n=4, **kwargs):
+    return SystemConfig(
+        protocol="ladon-pbft", n=n, batch_size=64, total_block_rate=8.0,
+        duration=6.0, environment="lan", seed=1, epoch_length=16, **kwargs,
     )
 
 
-class TestPresetEquivalence:
-    @pytest.mark.parametrize("environment", ["wan", "lan"])
-    def test_preset_scenario_is_byte_identical_to_environment_string(self, environment):
-        base = dict(
-            protocol="ladon-pbft", n=4, batch_size=64, total_block_rate=8.0,
-            duration=6.0, seed=1,
-        )
-        legacy = build_system(SystemConfig(environment=environment, **base)).run()
-        preset = build_system(
-            SystemConfig(environment=environment,
-                         scenario=ScenarioSpec.preset(environment), **base)
-        ).run()
-        assert _run_signature(legacy) == _run_signature(preset)
+#: cell -> (config, full-result digest computed at the parent of PR 24, where
+#: the presets built ``WanLatency``/``LanLatency`` and a custom topology took
+#: the per-receiver ``delay()`` path instead of the batched fan-out)
+PINNED_TOPOLOGY_RESULTS = {
+    "environment-lan-n4": (
+        _digest_config(),
+        "45beeafbad0a7534b46385e8d3d83f68256d17abb96fd6c142ac6362c68af7b5",
+    ),
+    "asymmetric-wan-n6": (
+        _digest_config(n=6, scenario=get_scenario("asymmetric-wan")),
+        "888017b7158f33837732db7d0682694dc087eb10c91c4ac9ebed71e1ce26f98f",
+    ),
+    "lossy-lan-n4": (
+        _digest_config(scenario=get_scenario("lossy-lan")),
+        "d7daade774e2aa9683147b3b791d404ef581d21caaadff0a3190e38a7ac981a5",
+    ),
+}
 
-    def test_registry_preset_matches_too(self):
-        base = dict(
-            protocol="iss-pbft", n=4, batch_size=64, total_block_rate=8.0,
-            duration=6.0, seed=3,
-        )
-        legacy = build_system(SystemConfig(environment="lan", **base)).run()
-        named = build_system(
-            SystemConfig(environment="lan", scenario=get_scenario("lan"), **base)
-        ).run()
-        assert _run_signature(legacy) == _run_signature(named)
+
+class TestOneTopologyPath:
+    @pytest.mark.parametrize("cell", sorted(PINNED_TOPOLOGY_RESULTS))
+    def test_full_result_digest_is_pinned(self, cell):
+        config, expected = PINNED_TOPOLOGY_RESULTS[cell]
+        assert result_digest(build_system(config).run()) == expected
+
+    def test_environment_names_the_preset_and_is_never_stale(self):
+        wan = SystemConfig(environment="wan")
+        assert wan.resolved_scenario() == ScenarioSpec.preset("wan")
+        lan = replace(wan, environment="lan").latency_model()
+        assert lan.regions == ("lan",) and lan.jitter == 0.0003
+        assert lan.min_delay(0, 5) == 0.0005
+
+    def test_no_second_path_survives(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        assert "scenario is not None" not in (src / "protocols" / "base.py").read_text()
+        for path in src.rglob("*.py"):
+            text = path.read_text()
+            assert "WanLatency" not in text and "LanLatency" not in text, path
+        for path in (src / "shard").glob("*.py"):
+            assert 'getattr(latency, "region_of"' not in path.read_text(), path
 
 
 # --------------------------------------------------------------- end-to-end

@@ -26,8 +26,9 @@ Within one backend, determinism is still bit-exact: same (seed, shards)
 implies identical full tuples including ranks and timestamps.
 """
 
+import hashlib
 import os
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -49,15 +50,31 @@ from repro.shard.ipc import (
 from repro.shard.partition import ShardPlan
 from repro.shard.transport import ShardNetwork
 from repro.sim.faults import CrashSpec, DegradationSpec, FaultConfig
-from repro.sim.latency import LanLatency, UniformLatency, WanLatency
+from repro.scenario import TopologySpec
+from repro.sim.latency import LatencyModel, UniformLatency
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
+
+
+def wan_latency(n):
+    return TopologySpec.wan().build_latency(n)
+
+
+def lan_latency(n):
+    return TopologySpec.lan().build_latency(n)
+
+
+class _BoundOnlyLatency(LatencyModel):
+    """A model with a delay bound but no topology (``region_of`` inherited)."""
+
+    def min_delay(self, sender, receiver):
+        return 0.0 if sender == receiver else 0.01
 
 
 # ------------------------------------------------------------- partitioner
 class TestPartitioner:
     def test_affine_keeps_regions_whole(self):
-        latency = WanLatency(16)  # 4 regions, round-robin assignment
+        latency = wan_latency(16)  # 4 regions, round-robin assignment
         plan = plan_shards(16, 4, latency)
         for shard_members in plan.members_by_shard():
             regions = {latency.region_of(r) for r in shard_members}
@@ -71,7 +88,7 @@ class TestPartitioner:
         assert sum(sizes) == 10
 
     def test_affine_splits_when_fewer_regions_than_shards(self):
-        latency = WanLatency(8)  # 4 regions
+        latency = wan_latency(8)  # 4 regions
         plan = plan_shards(8, 6, latency)
         assert plan.shards == 6
         assert all(plan.members(s) for s in range(6))
@@ -81,9 +98,17 @@ class TestPartitioner:
         assert plan.assignment == (0, 1, 2, 0, 1, 2, 0, 1)
 
     def test_plan_is_deterministic(self):
-        a = plan_shards(32, 4, WanLatency(32))
-        b = plan_shards(32, 4, WanLatency(32))
+        a = plan_shards(32, 4, wan_latency(32))
+        b = plan_shards(32, 4, wan_latency(32))
         assert a == b
+
+    def test_model_without_regions_is_refused(self):
+        with pytest.raises(NotImplementedError, match="_BoundOnlyLatency assigns replicas to no regions"):
+            plan_shards(8, 2, _BoundOnlyLatency())
+        # "hash" placement never asks; the lookahead then does.
+        plan = plan_shards(8, 2, _BoundOnlyLatency(), strategy="hash")
+        with pytest.raises(NotImplementedError, match="no regions"):
+            derive_lookahead(plan, _BoundOnlyLatency())
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="shards must be >= 1"):
@@ -99,7 +124,7 @@ class TestPartitioner:
 # --------------------------------------------------------------- lookahead
 class TestLookahead:
     def test_wan_affine_lookahead_is_the_wan_floor(self):
-        latency = WanLatency(8)
+        latency = wan_latency(8)
         plan = plan_shards(8, 2, latency)
         lookahead = derive_lookahead(plan, latency)
         # Every cross-shard link is inter-region, so the window is the
@@ -109,7 +134,7 @@ class TestLookahead:
         assert latency.region_of(sender) != latency.region_of(receiver)
 
     def test_hash_placement_shrinks_the_window(self):
-        latency = WanLatency(8)
+        latency = wan_latency(8)
         affine = derive_lookahead(plan_shards(8, 2, latency), latency)
         hashed = derive_lookahead(
             plan_shards(8, 2, latency, strategy="hash"), latency
@@ -117,7 +142,7 @@ class TestLookahead:
         assert hashed.seconds <= affine.seconds
 
     def test_degradation_below_one_shrinks_the_window(self):
-        latency = WanLatency(8)
+        latency = wan_latency(8)
         plan = plan_shards(8, 2, latency)
         base = derive_lookahead(plan, latency)
         faults = FaultConfig(
@@ -128,7 +153,7 @@ class TestLookahead:
         assert shrunk.seconds == pytest.approx(base.seconds * 0.5)
 
     def test_slowdown_degradation_does_not_grow_the_window(self):
-        latency = WanLatency(8)
+        latency = wan_latency(8)
         plan = plan_shards(8, 2, latency)
         faults = FaultConfig(
             degradations=(DegradationSpec(at=1.0, until=2.0, factor=4.0),)
@@ -140,8 +165,45 @@ class TestLookahead:
         with pytest.raises(ValueError, match="non-positive lookahead"):
             derive_lookahead(plan, UniformLatency(base=0.0))
 
+    def test_plans_and_lookaheads_equal_the_replaced_models(self):
+        # Digests computed at the parent of PR 24 with ``WanLatency(n)`` and
+        # the O(n²) replica-pair scan ``UniformLatency`` used to fall into.
+        def digest(rows):
+            return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+        wan_rows = []
+        for n in (8, 16, 32):
+            for shards in (2, 3, 4):
+                for strategy in ("affine", "hash"):
+                    latency = wan_latency(n)
+                    plan = plan_shards(n, shards, latency, strategy=strategy)
+                    lookahead = derive_lookahead(plan, latency)
+                    wan_rows.append(
+                        (n, shards, strategy, plan.assignment, astuple(lookahead))
+                    )
+        assert digest(wan_rows) == (
+            "198d78f48376ae1c48581018e545b302edd02b8337981583c590f7c6b9e941c4"
+        )
+        uniform_rows = []
+        for n, shards in ((8, 2), (10, 3), (8, 3)):
+            for strategy in ("affine", "hash"):
+                latency = UniformLatency()
+                plan = plan_shards(n, shards, latency, strategy=strategy)
+                lookahead = derive_lookahead(plan, latency)
+                # every cross pair ties in one region, so which pair is
+                # reported is not part of the contract — that it crosses is
+                sender, receiver = lookahead.min_pair
+                assert plan.shard_of(sender) != plan.shard_of(receiver)
+                uniform_rows.append(
+                    (n, shards, strategy, plan.assignment,
+                     lookahead.seconds, lookahead.min_propagation)
+                )
+        assert digest(uniform_rows) == (
+            "54c628c273af608dd82b630059e0b9fd0055fdcc4bdfce330a720acf0cc01762"
+        )
+
     def test_requires_two_shards(self):
-        latency = LanLatency()
+        latency = lan_latency(8)
         with pytest.raises(ValueError, match=">= 2 shards"):
             derive_lookahead(plan_shards(8, 1, latency), latency)
 
@@ -196,11 +258,11 @@ def _drive_transport(plan, general):
         duplicate_probability=0.3 if general else 0.0,
     )
     if plan is None:
-        network = Network(simulator, latency=WanLatency(TRANSPORT_N), config=config)
+        network = Network(simulator, latency=wan_latency(TRANSPORT_N), config=config)
         hosted = range(TRANSPORT_N)
     else:
         network = ShardNetwork(
-            simulator, latency=WanLatency(TRANSPORT_N), config=config, plan=plan, shard_id=0
+            simulator, latency=wan_latency(TRANSPORT_N), config=config, plan=plan, shard_id=0
         )
         hosted = plan.members(0)
     log = []

@@ -25,7 +25,6 @@ class TestStragglerSpec:
     def test_defaults(self):
         spec = StragglerSpec(replica=3)
         assert spec.slowdown == 10.0
-        assert not spec.byzantine
 
 
 class TestFaultConfig:
@@ -48,16 +47,22 @@ class TestFaultConfig:
             FaultConfig.with_stragglers(9, 8)
 
     def test_straggler_queries(self):
-        config = FaultConfig(stragglers=(StragglerSpec(replica=2, slowdown=5.0, byzantine=True),))
+        config = FaultConfig(stragglers=(StragglerSpec(replica=2, slowdown=5.0),))
         assert config.is_straggler(2)
-        assert config.is_byzantine(2)
+        assert not config.is_byzantine(2)
         assert not config.is_straggler(3)
         assert config.slowdown_of(2) == 5.0
         assert config.slowdown_of(1) == 1.0
 
     def test_byzantine_flag_propagates(self):
-        config = FaultConfig.with_stragglers(2, 8, byzantine=True, seed=0)
-        assert all(s.byzantine for s in config.stragglers)
+        honest = FaultConfig.with_stragglers(2, 8, slowdown=4.0, seed=0)
+        config = FaultConfig.with_stragglers(2, 8, slowdown=4.0, byzantine=True, seed=0)
+        # the same replicas, declared as the catalog's rank manipulation
+        assert config.straggler_map() == honest.straggler_map()
+        assert all(config.is_byzantine(r) for r in config.straggler_map())
+        assert config.adversarial_replicas() == frozenset(honest.straggler_map())
+        assert not any(honest.is_byzantine(r) for r in range(8))
+        assert not FaultConfig.with_stragglers(0, 8, byzantine=True).adversarial_replicas()
 
     def test_straggler_map_precomputed(self):
         specs = tuple(StragglerSpec(replica=r, slowdown=4.0) for r in range(50))

@@ -1,22 +1,54 @@
 """Tests for latency models, the network transport and nodes."""
 
-import contextlib
+import hashlib
+import inspect
 import random
-import warnings
 
 import pytest
 
-
-@contextlib.contextmanager
-def warnings_none():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        yield
-
-from repro.sim.latency import DEFAULT_WAN_REGIONS, LanLatency, UniformLatency, WanLatency
+from repro.scenario import TopologySpec
+from repro.sim import latency as latency_module
+from repro.sim.latency import (
+    DEFAULT_WAN_REGIONS,
+    LatencyModel,
+    TopologyLatency,
+    UniformLatency,
+)
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator
+
+
+def wan_latency(n, jitter=None):
+    return TopologySpec.wan(jitter=jitter).build_latency(n)
+
+
+def lan_latency(n):
+    return TopologySpec.lan().build_latency(n)
+
+
+def latency_digest(model, n):
+    """sha256 over every ordered pair's delay draw, bound and profile row."""
+    rng = random.Random(7)
+    delays = [model.delay(s, r, rng) for s in range(n) for r in range(n)]
+    mins = [model.min_delay(s, r) for s in range(n) for r in range(n)]
+    receivers = list(range(n))
+    rows = []
+    for s in range(n):
+        row, jitter = model.multicast_profile(s, receivers)
+        # the sender's own slot is never read by the transport
+        rows.append(([row[r] for r in receivers if r != s], jitter))
+    return hashlib.sha256(repr((delays, mins, rows)).encode()).hexdigest()
+
+
+#: computed at the parent of PR 24 from ``WanLatency(8)``, ``WanLatency(13)``
+#: (n not a multiple of the 4 regions) and ``LanLatency()``, the classes the
+#: presets replaced
+PINNED_LATENCY = {
+    "wan-8": (wan_latency, 8, "85ac61648e1a35d005b2b0e58b716a095124da7f9e7b859355f4de78b0c9ba23"),
+    "wan-13": (wan_latency, 13, "256657683695bff0d9b2acc3f6a66a791375e5c117c5b690d45d4d9c3ea6a771"),
+    "lan-8": (lan_latency, 8, "4334b206feadb0cebe41432f7c932acfb070ff7213fae17066152cfb73d8fc95"),
+}
 
 
 class TestLatencyModels:
@@ -33,66 +65,98 @@ class TestLatencyModels:
             UniformLatency(base=-1)
 
     def test_lan_latency_sub_millisecond(self):
-        model = LanLatency()
+        model = lan_latency(4)
         delay = model.delay(0, 1, random.Random(0))
         assert 0.0 < delay < 0.002
 
     def test_wan_latency_regions_assigned_round_robin(self):
-        model = WanLatency(8)
-        assert model.region_of(0) == DEFAULT_WAN_REGIONS[0].name
-        assert model.region_of(4) == DEFAULT_WAN_REGIONS[0].name
-        assert model.region_of(1) == DEFAULT_WAN_REGIONS[1].name
+        model = wan_latency(8)
+        assert model.region_of(0) == DEFAULT_WAN_REGIONS[0]
+        assert model.region_of(4) == DEFAULT_WAN_REGIONS[0]
+        assert model.region_of(1) == DEFAULT_WAN_REGIONS[1]
 
     def test_wan_intercontinental_slower_than_intra_region(self):
-        model = WanLatency(8, jitter=0.0)
+        model = wan_latency(8, jitter=0.0)
         rng = random.Random(0)
         intra = model.delay(0, 4, rng)   # same region
         inter = model.delay(0, 2, rng)   # Paris <-> Sydney
         assert inter > intra * 10
 
     def test_wan_symmetric_base(self):
-        model = WanLatency(8, jitter=0.0)
+        model = wan_latency(8, jitter=0.0)
         rng = random.Random(0)
         assert model.delay(0, 1, rng) == pytest.approx(model.delay(1, 0, rng))
 
     def test_wan_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            WanLatency(0)
-
-    def test_wan_unknown_pair_warns_once_with_default(self):
-        from repro.sim.latency import Region
-
-        model = WanLatency(2, regions=(Region("atlantis"), Region("eu-west-3")), jitter=0.0)
-        rng = random.Random(0)
-        with pytest.warns(UserWarning, match="atlantis"):
-            assert model.delay(0, 1, rng) == pytest.approx(0.100)
-        with warnings_none():
-            model.delay(0, 1, rng)  # second lookup of the same pair is silent
+            wan_latency(0)
 
     def test_wan_unknown_pair_raises_when_strict(self):
-        from repro.sim.latency import Region
-
-        model = WanLatency(
-            2, regions=(Region("atlantis"), Region("eu-west-3")), default_delay=None
+        # A link between two *hosted* regions must be registered: the model
+        # refuses at construction and names the link ...
+        spec = TopologySpec(
+            kind="custom",
+            regions=("atlantis", "eu-west-3", "unused"),
+            links=(("atlantis", "unused", 0.05),),
+            placement=("atlantis", "eu-west-3"),
         )
-        with pytest.raises(KeyError):
-            model.delay(0, 1, random.Random(0))
+        with pytest.raises(KeyError, match="'atlantis' -> 'eu-west-3'"):
+            spec.build_latency(2)
+        # ... while a region no replica sits in may lack links.
+        linked = TopologySpec(
+            kind="custom",
+            regions=("atlantis", "eu-west-3", "unused"),
+            links=(("atlantis", "eu-west-3", 0.05),),
+            placement=("atlantis", "eu-west-3"),
+        )
+        assert linked.build_latency(2).min_delay(0, 1) == 0.05
 
     def test_topology_latency_asymmetric_and_strict(self):
-        from repro.sim.latency import TopologyLatency
-
         model = TopologyLatency(
             assignment=("a", "b"),
             delays={("a", "b"): 0.02, ("b", "a"): 0.08},
             jitter=0.0,
-            symmetric=False,
         )
         rng = random.Random(0)
         assert model.delay(0, 1, rng) == pytest.approx(0.02)
         assert model.delay(1, 0, rng) == pytest.approx(0.08)
-        strict = TopologyLatency(assignment=("a", "b"), delays={}, jitter=0.0)
         with pytest.raises(KeyError):
-            strict.delay(0, 1, rng)
+            TopologyLatency(assignment=("a", "b"), delays={}, jitter=0.0)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_LATENCY))
+    def test_preset_models_reproduce_the_replaced_classes(self, name):
+        build, n, expected = PINNED_LATENCY[name]
+        assert latency_digest(build(n), n) == expected
+
+    def test_every_model_implements_the_whole_interface(self):
+        models = [
+            cls
+            for _, cls in inspect.getmembers(latency_module, inspect.isclass)
+            if issubclass(cls, LatencyModel) and cls is not LatencyModel
+        ]
+        assert models == [TopologyLatency, UniformLatency]
+        for cls in models:
+            for method in ("delay", "min_delay", "region_of", "multicast_profile"):
+                assert method in vars(cls), f"{cls.__name__} inherits {method}"
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.002])
+    def test_multicast_profile_is_none_iff_the_model_draws_nothing(self, jitter):
+        # The transport's fused fan-out draws once per receiver
+        # unconditionally, so a no-draw model must never enter it.
+        for model in (
+            UniformLatency(base=0.01, jitter=jitter),
+            wan_latency(8, jitter=jitter),
+        ):
+            profile = model.multicast_profile(0, [0, 1, 2, 3])
+            assert (profile is None) == (model.jitter == 0)
+            rng = random.Random(3)
+            before = rng.getstate()
+            model.delay(0, 1, rng)
+            assert (rng.getstate() == before) == (model.jitter == 0)
+        rng = random.Random(3)
+        before = rng.getstate()
+        assert wan_latency(4).delay(2, 2, rng) == 0.0  # self pair: never a draw
+        assert rng.getstate() == before
 
 
 class _Recorder(Node):

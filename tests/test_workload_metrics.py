@@ -8,8 +8,6 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.latency import LatencyAccumulator
 from repro.metrics.resources import CryptoCostModel, ResourceModel
 from repro.metrics.throughput import ThroughputSeries, peak_throughput
-from repro.workload.clients import ClientPool
-from repro.workload.generator import OpenLoopGenerator, WorkloadConfig, generate_transactions
 from repro.workload.transactions import Batch, Transaction, TransactionFactory
 
 
@@ -52,100 +50,6 @@ class TestBatch:
     def test_cannot_mix_representations(self):
         with pytest.raises(ValueError):
             Batch(txs=(1,), synthetic_count=5)
-
-
-class TestWorkloadGenerator:
-    def test_generate_transactions_count(self):
-        config = WorkloadConfig(num_clients=4, arrival_rate_tps=100.0, seed=1)
-        txs = generate_transactions(config, duration=2.0)
-        assert len(txs) == 200
-        assert txs[0].submitted_at <= txs[-1].submitted_at
-
-    def test_open_loop_generator_streams_in_order(self):
-        generator = OpenLoopGenerator(WorkloadConfig(num_clients=2, arrival_rate_tps=10.0))
-        first = generator.transactions_until(1.0)
-        second = generator.transactions_until(2.0)
-        assert len(first) == 11  # arrivals at 0.0 .. 1.0 inclusive
-        assert len(second) == 10
-        assert generator.generated_count == 21
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            WorkloadConfig(num_clients=0)
-        with pytest.raises(ValueError):
-            WorkloadConfig(arrival_rate_tps=0)
-
-    def test_open_loop_generator_with_profile_tracks_cumulative(self):
-        from repro.workload.generator import RampTraffic
-
-        profile = RampTraffic(start_tps=0.0, end_tps=100.0, ramp_duration=10.0)
-        generator = OpenLoopGenerator(
-            WorkloadConfig(num_clients=4, arrival_rate_tps=1.0), profile=profile
-        )
-        first = generator.transactions_until(5.0)   # integral: 125
-        second = generator.transactions_until(10.0)  # integral: 500
-        assert len(first) == 125
-        assert len(first) + len(second) == 500
-        times = [tx.submitted_at for tx in first + second]
-        assert times == sorted(times)
-        assert all(0.0 <= t <= 10.0 for t in times)
-
-    def test_open_loop_generator_zipf_skews_clients(self):
-        generator = OpenLoopGenerator(
-            WorkloadConfig(num_clients=8, arrival_rate_tps=1000.0, seed=2, zipf_s=1.2)
-        )
-        txs = generator.transactions_until(2.0)
-        counts = {}
-        for tx in txs:
-            counts[tx.client_id] = counts.get(tx.client_id, 0) + 1
-        assert counts[0] > counts.get(7, 0) * 2
-
-    def test_zipf_client_selection_deterministic(self):
-        def run():
-            generator = OpenLoopGenerator(
-                WorkloadConfig(num_clients=8, arrival_rate_tps=100.0, seed=5, zipf_s=0.9)
-            )
-            return [tx.client_id for tx in generator.transactions_until(1.0)]
-
-        assert run() == run()
-
-
-class TestClientPool:
-    def test_latency_measured_from_submission(self):
-        pool = ClientPool()
-        tx = Transaction(tx_id=1, client_id=0, submitted_at=2.0)
-        pool.submit(tx)
-        latency = pool.confirm(tx, confirmed_at=5.0)
-        assert latency == pytest.approx(3.0)
-        assert pool.stats.average_latency == pytest.approx(3.0)
-
-    def test_duplicate_confirmation_ignored(self):
-        pool = ClientPool()
-        tx = Transaction(tx_id=1, client_id=0, submitted_at=0.0)
-        pool.submit(tx)
-        pool.confirm(tx, 1.0)
-        assert pool.confirm(tx, 2.0) is None
-        assert pool.stats.confirmed == 1
-
-    def test_unknown_tx_ignored(self):
-        pool = ClientPool()
-        tx = Transaction(tx_id=9, client_id=0, submitted_at=0.0)
-        assert pool.confirm(tx, 1.0) is None
-
-    def test_outstanding(self):
-        pool = ClientPool()
-        txs = [Transaction(tx_id=i, client_id=0, submitted_at=0.0) for i in range(3)]
-        pool.submit_many(txs)
-        pool.confirm(txs[0], 1.0)
-        assert pool.outstanding == 2
-
-    def test_percentile(self):
-        pool = ClientPool()
-        for i in range(10):
-            tx = Transaction(tx_id=i, client_id=0, submitted_at=0.0)
-            pool.submit(tx)
-            pool.confirm(tx, confirmed_at=float(i + 1))
-        assert pool.stats.percentile_latency(50) == pytest.approx(5.0, abs=1.0)
 
 
 class TestThroughput:
