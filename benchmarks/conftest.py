@@ -10,9 +10,12 @@ import os
 import sys
 import time
 
-_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+_ROOT = os.path.dirname(os.path.dirname(__file__))
+# ``src`` for the package, ``tests`` for test-side helpers shared with the
+# benchmarks (e.g. the reference orderer in ``tests/reference_orderer.py``)
+for _path in (os.path.join(_ROOT, "src"), os.path.join(_ROOT, "tests")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 
 def run_once(benchmark, fn, *args, **kwargs):

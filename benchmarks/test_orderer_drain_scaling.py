@@ -1,4 +1,4 @@
-"""Micro-benchmark: heap-based DynamicOrderer drain vs the seed O(k²) scan.
+"""Micro-benchmark: heap-based DynamicOrderer drain vs the reference O(k²) scan.
 
 The hot path of the global ordering layer is the drain that runs when a
 straggler's fresh block lifts the confirmation bar over a large backlog.  The
@@ -14,7 +14,9 @@ The 10k-block comparison (paper-scale backlog, ≥10x requirement) is marked
 import pytest
 
 from repro.core.block import Block
-from repro.core.ordering import DynamicOrderer, ScanDrainDynamicOrderer
+from repro.core.ordering import DynamicOrderer
+
+from reference_orderer import ScanDrainDynamicOrderer
 
 from conftest import time_once
 

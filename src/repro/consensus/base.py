@@ -9,9 +9,10 @@ simulator.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.block import Block
 from repro.crypto.aggregate import fault_threshold, quorum_threshold
@@ -54,6 +55,61 @@ class InstanceConfig:
         instance), and subsequent views rotate.
         """
         return (self.instance_id + view) % self.n
+
+
+class CommitLog:
+    """Compact partial-commit history of one instance at one replica.
+
+    What the safety auditor reads (:func:`repro.metrics.auditor.audit_logs`):
+    iterating yields ``(round, digest)`` per commit, in commit order, and
+    ``last_at`` is the time of the latest commit (None before the first).
+    The columns are an ``array('q')`` of rounds and a list of references to
+    the consensus entries' own digest strings — 16 B per commit instead of a
+    3-tuple and a float.  They are allocated by the first :meth:`record`:
+    every replica hosts every instance, so an empty log is paid n² times.
+    Sharded workers ship it in their run snapshot, so it pickles as the
+    rounds' raw bytes, the digest list and ``last_at``: the default slots
+    reduction builds a state dict and an array reduction per log, and the
+    pickler's memo keeps every one of them alive until the dump ends.
+    """
+
+    __slots__ = ("rounds", "digests", "last_at")
+
+    def __init__(self) -> None:
+        self.rounds: Optional[array] = None
+        self.digests: Optional[List[str]] = None
+        self.last_at: Optional[float] = None
+
+    def record(self, round_: int, digest: str, at: float) -> None:
+        """Append one commit; ``at`` never decreases (simulated time)."""
+        if self.rounds is None:
+            self.rounds = array("q")
+            self.digests = []
+        self.rounds.append(round_)
+        self.digests.append(digest)
+        self.last_at = at
+
+    def __len__(self) -> int:
+        return 0 if self.rounds is None else len(self.rounds)
+
+    def __iter__(self) -> Iterator[Tuple[int, str]]:
+        if self.rounds is None:
+            return iter(())
+        return zip(self.rounds, self.digests)
+
+    def __reduce__(self):
+        if self.rounds is None:
+            return (CommitLog, ())
+        return (_load_commit_log, (self.rounds.tobytes(), self.digests, self.last_at))
+
+
+def _load_commit_log(rounds: bytes, digests: List[str], last_at: float) -> CommitLog:
+    """Unpickle a non-empty :class:`CommitLog` (see its ``__reduce__``)."""
+    log = CommitLog()
+    log.rounds = array("q", rounds)
+    log.digests = digests
+    log.last_at = last_at
+    return log
 
 
 class InstanceContext:

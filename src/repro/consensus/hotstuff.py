@@ -15,7 +15,12 @@ from types import MappingProxyType
 from typing import AbstractSet, Dict, Mapping, Optional, Tuple
 
 from repro.core.block import Block
-from repro.consensus.base import ConsensusInstance, InstanceConfig, InstanceContext
+from repro.consensus.base import (
+    CommitLog,
+    ConsensusInstance,
+    InstanceConfig,
+    InstanceContext,
+)
 from repro.consensus.messages import HotStuffNewView, HotStuffProposal, HotStuffVote
 from repro.consensus.quorum import QuorumTracker
 from repro.crypto.hashing import digest_hex
@@ -73,7 +78,7 @@ class HotStuffInstance(ConsensusInstance):
         #: ``retain_blocks`` (the bounded-memory system mode clears it off
         #: the observer replica) — the compact ``commit_log`` always grows
         self.delivered_blocks: list = []
-        self.commit_log: list = []
+        self.commit_log = CommitLog()
         self.retain_blocks = True
         # Committed rounds fold into a contiguous watermark; chain nodes
         # behind the watermark are pruned (their batches are released) and
@@ -212,7 +217,7 @@ class HotStuffInstance(ConsensusInstance):
             tx_count_hint=target.tx_count,
             batch_submitted_at=target.batch_submitted_at,
         )
-        self.commit_log.append((target.round, target.digest, now))
+        self.commit_log.record(target.round, target.digest, now)
         if self.retain_blocks:
             self.delivered_blocks.append(block)
         self.context.deliver(block)

@@ -21,8 +21,9 @@ Hot-path / memory notes:
   prefix advances, the entries (with their batch references) are pruned and
   their quorum vote state is released (``_stable_round`` is the watermark;
   stale messages for pruned rounds are dropped at handler entry).  The
-  compact ``commit_log`` keeps (round, digest, committed_at) fingerprints
-  for the safety auditor; full :class:`Block` objects are retained in
+  compact columnar ``commit_log`` (:class:`CommitLog`) keeps (round,
+  digest) per commit and the last commit time for the safety auditor;
+  full :class:`Block` objects are retained in
   ``delivered_blocks`` only when ``retain_blocks`` is set (the default —
   the bounded-memory system mode disables it off the observer replica).
 """
@@ -35,7 +36,12 @@ from types import MappingProxyType
 from typing import AbstractSet, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.block import Block
-from repro.consensus.base import ConsensusInstance, InstanceConfig, InstanceContext
+from repro.consensus.base import (
+    CommitLog,
+    ConsensusInstance,
+    InstanceConfig,
+    InstanceContext,
+)
 from repro.consensus.messages import Commit, NewView, PrePrepare, Prepare, ViewChange
 from repro.consensus.quorum import QuorumTracker
 from repro.crypto.hashing import digest_hex
@@ -108,8 +114,8 @@ class PBFTInstance(ConsensusInstance):
         #: full Block history of this instance's partial commits; only
         #: appended when ``retain_blocks`` (see module docstring)
         self.delivered_blocks: list = []
-        #: compact (round, digest, committed_at) history for the auditor
-        self.commit_log: List[Tuple[int, str, float]] = []
+        #: compact (round, digest) history + last commit time for the auditor
+        self.commit_log = CommitLog()
         self.retain_blocks = True
         #: first round of the current view after a view change (0 = no view change yet)
         self.view_resume_round = 0
@@ -323,7 +329,7 @@ class PBFTInstance(ConsensusInstance):
             tx_count_hint=entry.tx_count,
             batch_submitted_at=entry.batch_submitted_at,
         )
-        self.commit_log.append((entry.round, entry.digest, now))
+        self.commit_log.record(entry.round, entry.digest, now)
         if self.retain_blocks:
             self.delivered_blocks.append(block)
         self.context.deliver(block)

@@ -5,21 +5,26 @@ Two implementations of the :class:`GlobalOrderer` interface live elsewhere
 module defines the interface, the confirmed-block record, and Ladon's
 :class:`DynamicOrderer`, a faithful implementation of Algorithm 1.
 
-Two hot-path properties of :class:`DynamicOrderer` (both pinned against the
-reference :class:`ScanDrainDynamicOrderer` by equivalence property tests):
+Two hot-path properties of :class:`DynamicOrderer` (both pinned against a
+verbatim O(k²)-drain, O(m)-bar reference orderer kept with the tests, by
+equivalence property tests):
 
 * the **confirmation bar** — the minimum ordering key over the per-instance
   last-partially-confirmed blocks — is maintained *incrementally* in a lazy
   min-heap, so each partial commit pays O(log m) instead of rebuilding a
-  list of m blocks and scanning it (the old ``_compute_bar``, kept as the
-  reference implementation and for cold-path inspection);
-* memory is **O(active window)**: per-instance round buffers are pruned as
-  the partially-confirmed prefix advances, duplicate detection uses a
-  contiguous watermark plus a small overflow set instead of an ever-growing
-  id set, and a non-retaining mode (``retain_blocks=False``) keeps only
-  compact confirmed-block fingerprints for the safety auditor instead of
-  the full :class:`ConfirmedBlock` history (the observing replica retains
-  everything, so experiment outputs are unchanged).
+  list of m blocks and scanning it;
+* memory is **O(active window)**: the unconfirmed set is one heap entry per
+  pending block and nothing else; per-instance round buffers hold only
+  out-of-order arrivals above the partially-confirmed prefix; duplicate
+  detection reads those buffers and the prefix cursor; and the lazy bar
+  heap is rebuilt from the live ranks once it passes ``2m + 16`` entries,
+  so a straggler holding the bar for any length of time costs at most that
+  many bar entries, not one per rank change.  Held-bar state is therefore
+  ``pending blocks + O(m)``.  A non-retaining mode
+  (``retain_blocks=False``) keeps only compact confirmed-block fingerprints
+  for the safety auditor instead of the full :class:`ConfirmedBlock`
+  history (the observing replica retains everything, so experiment
+  outputs are unchanged).
 """
 
 # staticcheck: hot-path
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.block import Block, ordering_key
 
@@ -60,6 +65,9 @@ class ConfirmationBar:
         """True when ``block ≺ bar`` and so the block can be confirmed."""
         return ordering_key(block) < (self.rank, self.instance)
 
+
+#: entries the lazy bar heap may hold beyond ``2m`` before it is rebuilt
+_BAR_HEAP_SLACK = 16
 
 #: compact audit fingerprint of one confirmed block
 ConfirmedFingerprint = Tuple[int, int, int, int, str]
@@ -140,20 +148,21 @@ class GlobalOrderer:
 class DynamicOrderer(GlobalOrderer):
     """Ladon's dynamic global ordering (Algorithm 1).
 
-    The orderer keeps, per instance, the last *partially confirmed* block —
-    a block is partially confirmed only when every earlier round of its
-    instance is partially committed — plus the set ``S`` of unconfirmed
-    blocks.  When fed a new block it advances the bar (the lowest
-    last-partially-confirmed ordering key across instances, maintained
-    incrementally), then drains every unconfirmed block below the bar in
-    ``≺`` order.
+    The orderer keeps, per instance, the rank of the last *partially
+    confirmed* block — a block is partially confirmed only when every
+    earlier round of its instance is partially committed — plus the set
+    ``S`` of unconfirmed blocks.  When fed a new block it advances the bar
+    (the lowest last-partially-confirmed ordering key across instances,
+    maintained incrementally), then drains every unconfirmed block below the
+    bar in ``≺`` order.
 
-    Unconfirmed blocks are kept both in a dict (duplicate detection,
-    inspection) and in a min-heap keyed by ``ordering_key``, so each
-    confirmation is O(log k); the bar itself costs O(log m) amortised per
-    partial commit (a lazy heap over the per-instance last-partially-
-    confirmed keys, stale entries skipped on peek) instead of the O(m)
-    list-build-and-min of the original ``_compute_bar``.
+    ``S`` is one min-heap of ``(rank, instance, round, block)`` entries, so
+    each confirmation is O(log k).  ``(rank, instance, round)`` is unique
+    (duplicates never enter), so the block itself is never compared.  The
+    bar costs O(log m) amortised per partial commit: a lazy heap over the
+    per-instance last-partially-confirmed keys, stale entries skipped on
+    peek and the whole heap rebuilt from the live ranks whenever it grows
+    past ``2m + _BAR_HEAP_SLACK`` entries.
     """
 
     def __init__(self, num_instances: int, retain_blocks: bool = True) -> None:
@@ -161,39 +170,27 @@ class DynamicOrderer(GlobalOrderer):
             raise ValueError("need at least one instance")
         super().__init__(retain_blocks=retain_blocks)
         self.num_instances = num_instances
-        # Per instance: blocks received keyed by round (pruned as the
-        # partially-confirmed prefix advances), and the next round needed to
-        # extend that contiguous prefix.
-        self._by_instance: Dict[int, Dict[int, Block]] = {i: {} for i in range(num_instances)}
-        self._next_round: Dict[int, int] = {i: 1 for i in range(num_instances)}
-        self._last_partially_confirmed: Dict[int, Optional[Block]] = {
-            i: None for i in range(num_instances)
-        }
-        self._unconfirmed: Dict[Tuple[int, int], Block] = {}
-        # Min-heap of (rank, instance, round) over the unconfirmed set.
-        # (rank, instance) is the ordering key; the round makes entries
-        # unique and resolvable back into ``_unconfirmed``.
-        self._heap: List[Tuple[int, int, int]] = []
+        # Per instance: blocks received above the contiguous prefix, keyed
+        # by round (out-of-order arrivals wait here), and the next round
+        # needed to extend that prefix.  Every round below ``_next_round``
+        # has been received, so these two also answer "seen before?".
+        self._by_instance: List[Dict[int, Block]] = [{} for _ in range(num_instances)]
+        self._next_round: List[int] = [1] * num_instances
+        # The unconfirmed set S: a min-heap of (rank, instance, round, block).
+        self._heap: List[Tuple[int, int, int, Block]] = []
         # ----- incremental bar state -----
         # Current last-partially-confirmed rank per instance (None = none yet),
         # a lazy min-heap of (rank, instance) with stale entries skipped at
         # peek time, and the count of instances contributing to the bar.
         self._bar_rank: List[Optional[int]] = [None] * num_instances
         self._bar_heap: List[Tuple[int, int]] = []
+        self._bar_heap_limit = 2 * num_instances + _BAR_HEAP_SLACK
         self._bar_ready = 0
-        # ----- duplicate detection (bounded) -----
-        # Per instance: every round <= watermark is confirmed; confirmed
-        # rounds above the watermark live in a small overflow set until the
-        # prefix catches up.  Equivalent to the old O(history) id set.  An
-        # instance gets its own set when it first confirms out of round
-        # order; until then all share one empty frozenset.
-        self._confirmed_watermark: List[int] = [0] * num_instances
-        self._confirmed_above: List[AbstractSet[int]] = [frozenset()] * num_instances
 
     # ------------------------------------------------------------ interface
     @property
     def pending_count(self) -> int:
-        return len(self._unconfirmed)
+        return len(self._heap)
 
     def add_partially_committed(self, block: Block, now: float) -> List[ConfirmedBlock]:
         instance = block.instance
@@ -202,16 +199,11 @@ class DynamicOrderer(GlobalOrderer):
                 f"block instance {instance} out of range (m={self.num_instances})"
             )
         round_ = block.round
-        key = (instance, round_)
-        if (
-            key in self._unconfirmed
-            or round_ <= self._confirmed_watermark[instance]
-            or round_ in self._confirmed_above[instance]
-        ):
+        rounds = self._by_instance[instance]
+        if round_ < self._next_round[instance] or round_ in rounds:
             return []  # duplicate delivery
-        self._by_instance[instance][round_] = block
-        self._unconfirmed[key] = block
-        heapq.heappush(self._heap, (block.rank, instance, round_))
+        rounds[round_] = block
+        heapq.heappush(self._heap, (block.rank, instance, round_, block))
         self._advance_partially_confirmed(instance)
         return self._drain(now)
 
@@ -220,8 +212,8 @@ class DynamicOrderer(GlobalOrderer):
         """Extend the contiguous prefix of partially confirmed blocks.
 
         Rounds behind the prefix are popped from the per-instance buffer
-        (the blocks stay referenced by ``_unconfirmed`` until confirmed),
-        and the bar heap learns the new last-partially-confirmed rank.
+        (the blocks stay referenced by the heap until confirmed), and the
+        bar heap learns the new last-partially-confirmed rank.
         """
         rounds = self._by_instance[instance]
         nxt = self._next_round[instance]
@@ -232,12 +224,18 @@ class DynamicOrderer(GlobalOrderer):
         if last is None:
             return
         self._next_round[instance] = nxt
-        self._last_partially_confirmed[instance] = last
-        if self._bar_rank[instance] is None:
+        ranks = self._bar_rank
+        if ranks[instance] is None:
             self._bar_ready += 1
-        if self._bar_rank[instance] != last.rank:
-            self._bar_rank[instance] = last.rank
-            heapq.heappush(self._bar_heap, (last.rank, instance))
+        if ranks[instance] != last.rank:
+            ranks[instance] = last.rank
+            heap = self._bar_heap
+            heapq.heappush(heap, (last.rank, instance))
+            if len(heap) > self._bar_heap_limit:
+                # A held bar pins its stale entries below the top: rebuild
+                # from the live ranks (O(m), after >= m + slack pushes).
+                heap[:] = [(rank, i) for i, rank in enumerate(ranks) if rank is not None]
+                heapq.heapify(heap)
 
     def _bar_key(self) -> Optional[Tuple[int, int]]:
         """The bar's (rank, instance) exclusive upper bound, maintained lazily.
@@ -256,81 +254,22 @@ class DynamicOrderer(GlobalOrderer):
                 return (rank + 1, instance)
             heapq.heappop(heap)  # stale: the instance has advanced past it
 
-    def _compute_bar(self) -> Optional[ConfirmationBar]:
-        """Reference bar computation: O(m) scan (Algorithm 1 verbatim).
-
-        Kept as the pinned baseline (:class:`ScanDrainDynamicOrderer` and
-        the equivalence tests) and for cold-path inspection; the production
-        drain uses the incremental :meth:`_bar_key`.
-        """
-        last_blocks = [b for b in self._last_partially_confirmed.values() if b is not None]
-        if len(last_blocks) < self.num_instances:
-            return None
-        lowest = min(last_blocks, key=ordering_key)
-        return ConfirmationBar(rank=lowest.rank + 1, instance=lowest.instance)
-
-    def _mark_confirmed(self, instance: int, round_: int) -> None:
-        """Record (instance, round) as confirmed, folding into the watermark."""
-        above = self._confirmed_above[instance]
-        watermark = self._confirmed_watermark[instance]
-        if round_ == watermark + 1 and not above:
-            self._confirmed_watermark[instance] = round_  # in round order: nothing to park
-            return
-        above = self._confirmed_above[instance] = above or set()
-        above.add(round_)
-        while watermark + 1 in above:
-            watermark += 1
-            above.discard(watermark)
-        self._confirmed_watermark[instance] = watermark
-
     def _drain(self, now: float) -> List[ConfirmedBlock]:
         bar_key = self._bar_key()
         if bar_key is None:
             return []
         newly: List[ConfirmedBlock] = []
         heap = self._heap
-        unconfirmed = self._unconfirmed
         while heap and (heap[0][0], heap[0][1]) < bar_key:
-            rank, instance, round_ = heapq.heappop(heap)
-            candidate = unconfirmed.pop((instance, round_), None)
-            if candidate is None:
-                continue  # stale heap entry
-            newly.append(self._append_confirmed(candidate, now))
-            self._mark_confirmed(instance, round_)
+            newly.append(self._append_confirmed(heapq.heappop(heap)[3], now))
         return newly
 
     # ------------------------------------------------------------- inspection
     def current_bar(self) -> Optional[ConfirmationBar]:
         """Expose the bar for tests and diagnostics."""
-        return self._compute_bar()
+        key = self._bar_key()
+        return None if key is None else ConfirmationBar(rank=key[0], instance=key[1])
 
     def unconfirmed_blocks(self) -> List[Block]:
-        return sorted(self._unconfirmed.values(), key=ordering_key)
-
-
-class ScanDrainDynamicOrderer(DynamicOrderer):
-    """Reference drain: re-``min()`` over the unconfirmed set per confirmation.
-
-    This is the original (pre-heap, pre-incremental-bar) implementation,
-    O(k²) for a k-block drain with an O(m) bar recomputation per partial
-    commit.  It is kept as the single pinned baseline for the equivalence
-    property tests and the drain micro-benchmark; production code should
-    always use :class:`DynamicOrderer`.
-    """
-
-    def _drain(self, now: float) -> List[ConfirmedBlock]:
-        bar = self._compute_bar()
-        if bar is None:
-            return []
-        newly: List[ConfirmedBlock] = []
-        while self._unconfirmed:
-            candidate_key = min(
-                self._unconfirmed, key=lambda k: ordering_key(self._unconfirmed[k])
-            )
-            candidate = self._unconfirmed[candidate_key]
-            if not bar.admits(candidate):
-                break
-            del self._unconfirmed[candidate_key]
-            newly.append(self._append_confirmed(candidate, now))
-            self._mark_confirmed(candidate_key[0], candidate_key[1])
-        return newly
+        """The unconfirmed set S in ``(rank, instance, round)`` order."""
+        return [entry[3] for entry in sorted(self._heap)]

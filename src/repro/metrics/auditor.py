@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.consensus.base import CommitLog
     from repro.protocols.base import SystemConfig
     from repro.protocols.result import RunSnapshot
 
@@ -80,14 +81,12 @@ class SafetyAuditReport:
         )
 
 
-#: one partially committed block: (round, digest, committed_at)
-PartialCommit = Tuple[int, str, float]
 #: one confirmed block fingerprint: (sn, instance, round, rank, digest)
 ConfirmedFingerprint = Tuple[int, int, int, int, str]
 
 
 def audit_logs(
-    partial_by_replica: Dict[int, Dict[int, Sequence[PartialCommit]]],
+    partial_by_replica: Dict[int, Dict[int, "CommitLog"]],
     confirmed_by_replica: Dict[int, Sequence[ConfirmedFingerprint]],
     duration: float,
     stall_window: float,
@@ -96,7 +95,9 @@ def audit_logs(
 ) -> SafetyAuditReport:
     """Audit plain per-replica logs (every replica passed in is honest).
 
-    ``partial_by_replica`` maps replica -> instance -> partial commits;
+    ``partial_by_replica`` maps replica -> instance -> partial-commit log
+    (:class:`~repro.consensus.base.CommitLog`: ``(round, digest)`` pairs
+    plus the time of the latest commit);
     ``confirmed_by_replica`` maps replica -> confirmed fingerprints in log
     order.  ``live_replicas`` restricts the liveness scan (crash-faulted
     replicas legitimately fall silent); ``liveness_instances`` restricts
@@ -111,7 +112,7 @@ def audit_logs(
     commits_by_slot: Dict[Tuple[int, int], Dict[str, List[int]]] = {}
     for replica, by_instance in partial_by_replica.items():
         for instance, commits in by_instance.items():
-            for round, digest, _committed_at in commits:
+            for round, digest in commits:
                 checked_partial += 1
                 commits_by_slot.setdefault((instance, round), {}).setdefault(
                     digest, []
@@ -163,8 +164,8 @@ def audit_logs(
     instances &= set(liveness_instances)
     for instance in sorted(instances):
         for replica in live:
-            commits = partial_by_replica.get(replica, {}).get(instance, ())
-            last = max((committed_at for _, _, committed_at in commits), default=None)
+            commits = partial_by_replica.get(replica, {}).get(instance)
+            last = None if commits is None else commits.last_at
             if last is None or last < threshold:
                 stalled.append(instance)
                 break

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.consensus.base import InstanceConfig, InstanceContext
+from repro.consensus.base import CommitLog, InstanceConfig, InstanceContext
 from repro.consensus.checkpoint import CheckpointManager
 from repro.consensus.messages import CheckpointMessage
 from repro.core.block import Block
@@ -832,12 +832,12 @@ class MultiBFTSystem:
         The only walk over replica-side result state; everything derived
         from it is :func:`~repro.protocols.result.assemble`'s business.
         """
-        commit_logs: Dict[int, Dict[int, list]] = {}
+        commit_logs: Dict[int, Dict[int, CommitLog]] = {}
         confirmed_fps: Dict[int, list] = {}
         view_changes: List[Tuple[float, int, int]] = []
         for replica_id, replica in self.replicas.items():
-            # Instances keep a compact (round, digest, committed_at) log for
-            # exactly this purpose — full Block histories exist only on the
+            # Instances keep a compact columnar commit log for exactly this
+            # purpose — full Block histories exist only on the
             # observer.
             commit_logs[replica_id] = {
                 instance_id: instance.commit_log

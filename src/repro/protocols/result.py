@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from repro.consensus.base import CommitLog
 from repro.core.ordering import ConfirmedBlock
 from repro.metrics.auditor import (
     ConfirmedFingerprint,
-    PartialCommit,
     SafetyAuditReport,
     audit_snapshot,
 )
@@ -38,8 +38,8 @@ class RunSnapshot:
     over, so nothing appends any more, and at n=128 a copy is n² lists.
     """
 
-    #: replica -> instance -> partial commits, ascending replica id
-    commit_logs: Dict[int, Dict[int, List[PartialCommit]]]
+    #: replica -> instance -> partial-commit log, ascending replica id
+    commit_logs: Dict[int, Dict[int, CommitLog]]
     #: replica -> confirmed fingerprints in log order, ascending replica id
     confirmed_fps: Dict[int, List[ConfirmedFingerprint]]
     view_change_log: List[Tuple[float, int, int]]

@@ -1,5 +1,6 @@
 """Adversary subsystem: catalog, interceptor, migration, and end-to-end audit."""
 
+import pickle
 import warnings
 
 import pytest
@@ -21,6 +22,7 @@ from repro.adversary.attacks import MESSAGE_KINDS
 from repro.bench.config import ExperimentCell
 from repro.bench.runner import run_cell, run_des_cell
 from repro.bench.sweep import cell_key
+from repro.consensus.base import CommitLog
 from repro.consensus.messages import (
     CheckpointMessage,
     Commit,
@@ -28,6 +30,7 @@ from repro.consensus.messages import (
     PrePrepare,
     Prepare,
 )
+from repro.metrics.auditor import audit_snapshot
 from repro.protocols.base import SystemConfig
 from repro.protocols.registry import build_system
 from repro.scenario.registry import available_scenarios, get_scenario
@@ -449,6 +452,32 @@ class TestAttacksShiftMetricsAndAudit:
         # only honest replicas are audited; both conspirators are excluded
         assert result.audit.honest_replicas == (0, 1)
         assert result.audit.adversarial_replicas == (2, 3)
+
+    def test_colluding_equivocation_is_caught_on_the_shipped_commit_logs(self):
+        """The negative control through the columnar commit logs, as a shard
+        worker ships them: pickled, then audited."""
+        cell = ExperimentCell(
+            protocol="ladon-pbft", n=4, duration=12.0, batch_size=256,
+            scenario="wan", adversary="equivocation-colluding",
+        )
+        system = build_system(cell.to_system_config())
+        result = system.run()
+        snapshot = system.snapshot()
+        assert all(
+            isinstance(log, CommitLog)
+            for logs in snapshot.commit_logs.values()
+            for log in logs.values()
+        )
+        shipped = pickle.loads(pickle.dumps(snapshot.commit_logs))
+        assert {r: {i: list(log) for i, log in logs.items()}
+                for r, logs in shipped.items()} == {
+            r: {i: list(log) for i, log in logs.items()}
+            for r, logs in snapshot.commit_logs.items()
+        }
+        snapshot.commit_logs = shipped
+        report = audit_snapshot(snapshot, system.config)
+        assert report == result.audit
+        assert "conflicting-commit" in {v.kind for v in report.violations}
 
     def test_attack_windows_show_in_dynamics_log(self):
         result = _run_scenario_cell("byz-silence")

@@ -7,12 +7,10 @@ import pytest
 
 from repro.core.block import Block, BlockId, ordering_key
 from repro.core.dqbft_ordering import DQBFTOrderer
-from repro.core.ordering import (
-    ConfirmationBar,
-    DynamicOrderer,
-    ScanDrainDynamicOrderer,
-)
+from repro.core.ordering import _BAR_HEAP_SLACK, ConfirmationBar, DynamicOrderer
 from repro.core.predetermined import PredeterminedOrderer
+
+from reference_orderer import ScanDrainDynamicOrderer
 
 
 def block(instance, round, rank, proposed_at=0.0, committed_at=None):
@@ -181,7 +179,7 @@ def random_workload(seed, num_instances, rounds):
 
 
 class TestHeapDrainEquivalence:
-    """Property tests: heap-based drain ≡ the seed implementation."""
+    """Property tests: heap-based drain ≡ the reference implementation."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_workloads_confirm_identically(self, seed):
@@ -233,14 +231,17 @@ class TestIncrementalBarEquivalence:
         num_instances = rng.randint(1, 7)
         blocks = random_workload(seed, num_instances, rounds=rng.randint(3, 30))
         orderer = DynamicOrderer(num_instances)
+        scan = ScanDrainDynamicOrderer(num_instances)
         for step, blk in enumerate(blocks):
             orderer.add_partially_committed(blk, now=float(step))
-            scan_bar = orderer._compute_bar()
+            scan.add_partially_committed(blk, now=float(step))
+            scan_bar = scan._compute_bar()
             incremental = orderer._bar_key()
             if scan_bar is None:
                 assert incremental is None
             else:
                 assert incremental == (scan_bar.rank, scan_bar.instance)
+            assert orderer.current_bar() == scan_bar
 
     @pytest.mark.parametrize("seed", range(6))
     def test_non_monotone_ranks_still_agree(self, seed):
@@ -290,26 +291,91 @@ class TestDynamicOrdererBoundedMemory:
                     block(instance, round_, round_), now=float(step)
                 )
                 step += 1
-        # Everything up to the bar is confirmed; buffers hold only the
-        # last-partially-confirmed tail, not 200 rounds of history.
+        # Everything up to the bar is confirmed; buffers hold only
+        # out-of-order arrivals (none here), not 200 rounds of history.
         for instance in (0, 1):
             assert len(orderer._by_instance[instance]) == 0
-            assert len(orderer._confirmed_above[instance]) <= 1
         assert orderer.confirmed_count > 300
-        assert len(orderer._heap) <= 4
+        assert orderer.pending_count == len(orderer._heap) <= 4
         # Stale bar entries surface at the top (ranks grow) and get popped:
         # the lazy heap stays at ~one live entry per instance.
         assert len(orderer._bar_heap) <= 4
+
+    def test_held_bar_keeps_the_bar_heap_bounded(self):
+        """A straggler holding the bar must not make the bar heap grow with
+        every rank change of the other instances."""
+        m, rounds = 8, 2000
+        orderer = DynamicOrderer(m, retain_blocks=True)
+        reference = ScanDrainDynamicOrderer(m)
+        schedule = [block(0, 1, 0)]  # instance 0 then stays at round 1
+        rank = 1
+        for round_ in range(1, rounds + 1):
+            for instance in range(1, m):
+                schedule.append(block(instance, round_, rank))
+                rank += 1
+        release = block(0, 2, rank)
+        for step, blk in enumerate(schedule):
+            newly = orderer.add_partially_committed(blk, now=float(step))
+            if step == m:
+                # The bar is held from here on: nothing confirms, so the
+                # reference's O(k) scan per delivery is skipped until release.
+                real_drain, reference._drain = reference._drain, lambda now: []
+            if step >= m:
+                assert newly == []
+            reference.add_partially_committed(blk, now=float(step))
+            assert len(orderer._bar_heap) <= 2 * m + _BAR_HEAP_SLACK
+        reference._drain = real_drain
+        assert orderer.pending_count == len(orderer._heap) > (m - 1) * (rounds - 1)
+        assert orderer.pending_count == reference.pending_count
+        orderer.add_partially_committed(release, now=float(len(schedule)))
+        reference.add_partially_committed(release, now=float(len(schedule)))
+        assert [(c.sn, c.block.block_id, c.confirmed_at) for c in orderer.confirmed] == [
+            (c.sn, c.block.block_id, c.confirmed_at) for c in reference.confirmed
+        ]
+        assert orderer.pending_count == reference.pending_count
+        assert [b.block_id for b in orderer.unconfirmed_blocks()] == [
+            b.block_id for b in reference.unconfirmed_blocks()
+        ]
 
     def test_duplicates_detected_via_watermark_after_pruning(self):
         orderer = DynamicOrderer(2)
         orderer.add_partially_committed(block(0, 1, 1), now=0.0)
         orderer.add_partially_committed(block(1, 1, 2), now=1.0)
         confirmed_before = orderer.confirmed_count
-        # Round 1 of instance 0 confirmed and its id folded into the
-        # watermark; a late duplicate must still be recognised.
+        # Round 1 of instance 0 is confirmed and gone from every buffer; the
+        # prefix cursor (the next round instance 0 needs) still recognises a
+        # late duplicate.
         assert orderer.add_partially_committed(block(0, 1, 1), now=2.0) == []
         assert orderer.confirmed_count == confirmed_before
+
+    def _two_instances(self):
+        """Instance 0 round 1 confirmed, instance 1 round 1 pending inside
+        its prefix, instance 0 round 3 buffered out of order (round 2 missing)."""
+        orderer = DynamicOrderer(2)
+        orderer.add_partially_committed(block(0, 1, 1), now=0.0)
+        orderer.add_partially_committed(block(1, 1, 2), now=1.0)
+        orderer.add_partially_committed(block(0, 3, 5), now=2.0)
+        assert [c.block.block_id for c in orderer.confirmed] == [BlockId(0, 1)]
+        assert [b.block_id for b in orderer.unconfirmed_blocks()] == [
+            BlockId(1, 1), BlockId(0, 3)
+        ]
+        return orderer
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [block(0, 1, 1), block(1, 1, 2), block(0, 3, 5)],
+        ids=["confirmed", "pending-in-prefix", "buffered-out-of-order"],
+    )
+    def test_duplicate_delivery_of_every_kind_of_round_is_ignored(self, duplicate):
+        orderer = self._two_instances()
+        counts = (orderer.confirmed_count, orderer.pending_count)
+        assert orderer.add_partially_committed(duplicate, now=3.0) == []
+        assert (orderer.confirmed_count, orderer.pending_count) == counts
+        # the duplicate left no trace: filling the gap confirms each once
+        orderer.add_partially_committed(block(0, 2, 3), now=4.0)
+        orderer.add_partially_committed(block(1, 2, 9), now=5.0)
+        ids = [c.block.block_id for c in orderer.confirmed]
+        assert ids == [BlockId(0, 1), BlockId(1, 1), BlockId(0, 2), BlockId(0, 3)]
 
 
 class TestPredeterminedOrderer:

@@ -1,9 +1,13 @@
 """Tests for the workload substrate and the metrics package."""
 
+import pickle
+
 import pytest
 
+from repro.consensus.base import CommitLog
 from repro.core.block import Block
 from repro.core.ordering import ConfirmedBlock
+from repro.metrics.auditor import audit_logs
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.latency import LatencyAccumulator
 from repro.metrics.resources import CryptoCostModel, ResourceModel
@@ -190,3 +194,75 @@ class TestMetricsCollector:
         data = metrics.as_dict()
         assert data["protocol"] == "mir"
         assert data["stragglers"] == 1
+
+
+def commit_log(*commits):
+    log = CommitLog()
+    for round_, digest, at in commits:
+        log.record(round_, digest, at)
+    return log
+
+
+class TestCommitLog:
+    def test_columns_are_allocated_by_the_first_commit(self):
+        log = CommitLog()
+        assert log.rounds is None and log.digests is None and log.last_at is None
+        assert len(log) == 0 and list(log) == []
+        log.record(1, "d1", 0.5)
+        log.record(2, "d2", 0.75)
+        assert list(log) == [(1, "d1"), (2, "d2")]
+        assert len(log) == 2 and log.last_at == 0.75
+
+    @pytest.mark.parametrize("commits", [(), ((1, "a", 1.0), (3, "b", 2.5))])
+    def test_pickles(self, commits):
+        log = commit_log(*commits)
+        copy = pickle.loads(pickle.dumps(log))
+        assert list(copy) == list(log)
+        assert copy.last_at == log.last_at
+        assert copy.rounds == log.rounds
+
+
+class TestAuditLogs:
+    """``audit_logs`` over columnar commit logs (every replica honest)."""
+
+    def audit(self, partial, duration=10.0, stall_window=4.0, live=None):
+        return audit_logs(
+            partial,
+            {replica: [] for replica in partial},
+            duration=duration,
+            stall_window=stall_window,
+            live_replicas=sorted(partial) if live is None else live,
+            liveness_instances=range(2),
+        )
+
+    def test_two_digests_at_one_slot_conflict(self):
+        report = self.audit({
+            0: {0: commit_log((1, "aa", 9.0), (2, "bb", 9.5))},
+            1: {0: commit_log((1, "aa", 9.0), (2, "XX", 9.5))},
+        })
+        assert [v.kind for v in report.violations] == ["conflicting-commit"]
+        assert "instance 0 round 2" in report.violations[0].detail
+        assert report.checked_partial_commits == 4
+
+    def test_agreeing_logs_are_safe_and_live(self):
+        log = commit_log((1, "aa", 8.0))
+        report = self.audit({0: {0: log, 1: log}, 1: {0: log, 1: log}})
+        assert report.safety_ok and report.live
+
+    def test_last_commit_before_the_window_is_stalled(self):
+        fresh = commit_log((1, "aa", 2.0), (2, "bb", 7.0))
+        stale = commit_log((1, "aa", 2.0), (2, "bb", 5.9))  # 10 - 4 = 6
+        report = self.audit({0: {0: fresh, 1: fresh}, 1: {0: fresh, 1: stale}})
+        assert report.stalled_instances == (1,)
+        # a crashed (non-live) replica's silence is not a stall
+        assert self.audit(
+            {0: {0: fresh, 1: fresh}, 1: {0: fresh, 1: stale}}, live=[0]
+        ).live
+
+    def test_instance_without_commits_is_stalled(self):
+        fresh = commit_log((1, "aa", 9.0))
+        report = self.audit({0: {0: fresh, 1: CommitLog()}, 1: {0: fresh, 1: fresh}})
+        assert report.stalled_instances == (1,)
+        # an instance a live replica has no log for at all stalls too
+        report = self.audit({0: {0: fresh, 1: fresh}, 1: {0: fresh}})
+        assert report.stalled_instances == (1,)
