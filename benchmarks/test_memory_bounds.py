@@ -26,6 +26,17 @@ is rebuilt once it passes ``2m + 16`` entries, and instance commit logs are
 columnar (``CommitLog``); ``test_orderer_buffers_pruned`` checks those
 invariants after a run, ``tests/test_core_ordering.py`` under a 2 000-round
 straggler.
+
+Memory also has to come back *during* the run.  :class:`TestRunPhaseFootprint`
+checks, for every registry protocol after a short saturated run, that no
+per-(replica, instance) dict that emptied still holds its hash table
+(``pop`` never shrinks one; ``clear`` frees it), and that no timer cancelled
+through the queue still waits in a far calendar bucket.
+``test_run_path_imports_no_unused_stdlib`` keeps ``asyncio``/``ssl`` and
+``concurrent.futures`` (~4 MiB per process, paid again by every forked shard
+worker) off the import path of a DES run.  The CI ``perfbench-smoke`` job
+runs these two next to the n=128 slice, so every memory guard runs in one
+place.
 """
 
 import gc
@@ -39,8 +50,10 @@ import types
 import pytest
 
 from repro.bench.config import ExperimentCell
+from repro.consensus.quorum import QuorumTracker
 from repro.core.ordering import _BAR_HEAP_SLACK
 from repro.protocols.registry import available_protocols, build_system
+from repro.sim.events import Event
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -94,10 +107,10 @@ def test_peak_rss_sublinear_in_horizon():
 def test_n128_cell_within_budget():
     """The n=128 WAN saturated cell is routinely runnable: a
     2-simulated-second slice — 16 384 instances built, the first 800 k
-    events — peaks at ~67 MB RSS on the reference machine (CPython 3.10 to
-    3.12; ~26 MB of it is the interpreter with the package imported) and
-    the budget is ~25 % above that.  The parent of PR 22 peaked at 122 MB
-    here.  The slice keeps the guard fast (~10 s, so CI runs it); the full
+    events — peaks at ~56 MB RSS on the reference machine (CPython 3.11;
+    ~22 MB of it is the interpreter with the package imported) and the
+    budget is ~25 % above that.  The slice keeps the guard fast (~10 s, so
+    CI runs it); the full
     10 s measurement is ``peak_rss_mb`` of ``pbft-wan-n128`` in
     ``python -m perfbench`` (EXPERIMENTS.md "Performance" > "Memory")."""
     code = _CHILD.format(src=SRC, duration=2.0).replace("n=32", "n=128")
@@ -109,9 +122,9 @@ def test_n128_cell_within_budget():
     # spreads over a full 8 s proposal interval at m=128 — the 2 s slice
     # exercises the message hot path, not the confirmation tail)
     assert row["events"] > 500_000
-    assert row["peak_rss_mb"] < 84.0, (
+    assert row["peak_rss_mb"] < 70.0, (
         f"n=128 slice peaked at {row['peak_rss_mb']:.1f} MB "
-        "(reference machine: ~67 MB for this slice)"
+        "(reference machine: ~56 MB for this slice)"
     )
 
 
@@ -275,3 +288,91 @@ class TestBoundedStateStructure:
             assert sum(len(buffered) for buffered in orderer._by_instance) <= m
             assert len(orderer._bar_heap) <= 2 * m + _BAR_HEAP_SLACK
             assert orderer.confirmed_count > 0
+
+
+_IMPORTS = """
+import json, sys
+sys.path.insert(0, {src!r})
+import repro.protocols.registry, repro.bench.config, repro.metrics.auditor
+loaded = [name for name in ("asyncio", "ssl", "concurrent.futures") if name in sys.modules]
+from repro.bench import SweepRunner
+from repro.runtime import RealtimeRuntime, build_runtime
+runtime = build_runtime("realtime", time_scale=0.01)
+fired = []
+runtime.schedule_after(0.5, lambda: fired.append(runtime.now()))
+runtime.run(until=1.0)
+print(json.dumps({{
+    "loaded": loaded,
+    "realtime": type(runtime) is RealtimeRuntime,
+    "fired": len(fired),
+    "sweep": SweepRunner(workers=2).run([]),
+}}))
+"""
+
+
+def test_run_path_imports_no_unused_stdlib():
+    """Building and auditing a DES run imports neither the realtime backend's
+    asyncio (and ssl) nor the sweep pool's concurrent.futures; both still
+    load on first use."""
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORTS.format(src=SRC)],
+        capture_output=True, text=True, check=True,
+    )
+    row = json.loads(out.stdout.strip().splitlines()[-1])
+    assert row == {"loaded": [], "realtime": True, "fired": 1, "sweep": []}
+
+
+def _tables(owner):
+    """``(name, dict)`` for every dict ``owner`` holds directly, in a quorum
+    tracker, or in a list (the orderer's per-instance round buffers)."""
+    for name, value in vars(owner).items():
+        if isinstance(value, QuorumTracker):
+            yield f"{name}._votes", value._votes
+        elif isinstance(value, dict):
+            yield name, value
+        elif isinstance(value, list):
+            for index, item in enumerate(value):
+                if isinstance(item, dict):
+                    yield f"{name}[{index}]", item
+
+
+class TestRunPhaseFootprint:
+    """After a short saturated run, nothing emptied still holds memory."""
+
+    @pytest.fixture(scope="class", params=available_protocols())
+    def system(self, request):
+        cell = ExperimentCell(
+            protocol=request.param, n=8, environment="wan", duration=3.0,
+            batch_size=256,
+        )
+        system = build_system(cell.to_system_config())
+        system.run()
+        return system
+
+    def test_emptied_dicts_give_their_tables_back(self, system):
+        empty = sys.getsizeof({})
+        held = []
+        for replica_id, replica in system.replicas.items():
+            owners = [("orderer", replica.orderer)] + [
+                (f"instance {instance_id}", instance)
+                for instance_id, instance in replica.instances.items()
+            ]
+            for label, owner in owners:
+                held.extend(
+                    f"replica {replica_id} {label}: {name} ({sys.getsizeof(table)} B)"
+                    for name, table in _tables(owner)
+                    if not table and sys.getsizeof(table) > empty
+                )
+        assert not held, "empty dicts still holding a hash table:\n" + "\n".join(held[:20])
+        assert all(replica.orderer.confirmed_count > 0 for replica in system.replicas.values())
+
+    def test_no_queue_cancelled_timer_waits_in_a_far_bucket(self, system):
+        queue = system.runtime.simulator.queue
+        dead = [
+            entry
+            for entries in queue._far.values()
+            for entry in entries
+            if entry[2].__class__ is Event and entry[2].cancelled and not entry[2].live
+        ]
+        assert not dead, f"{len(dead)} cancelled timers still queued in far buckets"
+        assert system.runtime.simulator.now() == 3.0

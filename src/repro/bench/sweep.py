@@ -27,7 +27,6 @@ import hashlib
 import json
 import os
 import tempfile
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass, fields
 from itertools import product
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
@@ -212,6 +211,11 @@ class SweepRunner:
         max_workers = min(self.workers, len(keys))
         finished_keys: set = set()
         if max_workers > 1:
+            # Imported here, not at module level: every process that imports
+            # ``repro.bench`` only to run one cell (and every shard worker
+            # forked from it) would otherwise carry concurrent.futures unused.
+            from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
+
             try:
                 with ProcessPoolExecutor(max_workers=max_workers) as pool:
                     futures = {

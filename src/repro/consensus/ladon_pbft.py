@@ -77,10 +77,13 @@ class LadonPBFTInstance(PBFTInstance):
 
     def propose(self, batch: Batch, now: float):
         message = super().propose(batch, now)
-        if message is not None and self.rank_reports:
+        reports = self.rank_reports
+        if message is not None and reports:
             # Reports that gated this (or any earlier) round are dead.
-            for round in [r for r in self.rank_reports if r < message.round]:
-                del self.rank_reports[round]
+            for round in [r for r in reports if r < message.round]:
+                del reports[round]
+            if not reports:
+                reports.clear()  # release the emptied table
         return message
 
     def _build_pre_prepare(self, round: int, batch: Batch, now: float) -> PrePrepare:

@@ -392,16 +392,29 @@ class PBFTInstance(ConsensusInstance):
         self._stable_round = stable
 
     def _release_round_votes(self, round: int, view: int) -> None:
-        """Drop interned digests and vote state for every digest of ``round``."""
+        """Drop interned digests and vote state for every digest of ``round``.
+
+        Every caller has just pruned the round's log entry as well.  A dict
+        this leaves empty gives its hash table back (``pop`` never shrinks
+        one): between two rounds an instance holds nothing, and its empty
+        tables would be paid n² times.
+        """
         digest_ids = self._digest_ids
+        round_digests = self._round_digests
         prepare_votes = self.prepare_votes
         commit_votes = self.commit_votes
-        for digest in self._round_digests.pop(round, ()):
+        for digest in round_digests.pop(round, ()):
             digest_id = digest_ids.pop(digest, None)
             if digest_id is not None:
                 key = (view, round, digest_id)
                 prepare_votes.clear(key)
                 commit_votes.clear(key)
+        if not digest_ids:
+            digest_ids.clear()
+        if not round_digests:
+            round_digests.clear()
+        if not self.log:
+            self.log.clear()
 
     def _finalize_deferred_send(self, entry: RoundEntry) -> None:
         """Complete the GC of a round whose commit send was deferred.
@@ -545,11 +558,17 @@ class PBFTInstance(ConsensusInstance):
                     stashed[round] = entry
                 del self.log[round]
                 self.context.cancel_timer(self._round_timer_name(round))
+        if not self.log:
+            self.log.clear()  # release the emptied table
         # View-change bookkeeping for installed (and older) views is dead.
         # (Only the new leader of some view ever collected any.)
-        for vc_key in [k for k in self._view_change_high or () if k[1] <= message.view]:
-            del self._view_change_high[vc_key]
-            self.view_change_votes.clear(vc_key)
+        high = self._view_change_high
+        if high:
+            for vc_key in [k for k in high if k[1] <= message.view]:
+                del high[vc_key]
+                self.view_change_votes.clear(vc_key)
+            if not high:
+                high.clear()
         # Deferred commit sends can never complete now (their missing
         # prepares belong to an older view and the view gate makes them
         # undeliverable): finalize their GC so they don't pin log entries

@@ -12,7 +12,8 @@ so the constant factor matters at n=128.
 Two memory guarantees back the bounded-memory mode of the protocol layer:
 
 * :meth:`clear` releases a key's state (the instances call it when a round
-  commits, so vote state is O(active rounds), not O(history));
+  commits, so vote state is O(active rounds), not O(history)), and the
+  dict's table with the last key;
 * votes arriving *after* a key reached quorum are dropped by default — the
   old behaviour of accumulating them (for a key nobody reads again) let an
   adversarial vote flood grow memory without bound.  Pass
@@ -85,8 +86,16 @@ class QuorumTracker:
         return self._votes.get(key, 0) < 0
 
     def clear(self, key: Hashable) -> None:
-        """Release all state held for ``key`` (committed/garbage rounds)."""
-        self._votes.pop(key, None)
+        """Release all state held for ``key`` (committed/garbage rounds).
+
+        Clearing the last key also releases the dict's hash table: ``pop``
+        never shrinks one, and every replica hosts every instance, so an
+        idle instance's empty tables (~160 B per tracker) are paid n² times.
+        """
+        votes = self._votes
+        votes.pop(key, None)
+        if not votes:
+            votes.clear()
 
     # ------------------------------------------------------------- inspection
     def tracked_keys(self) -> int:

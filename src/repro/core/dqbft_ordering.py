@@ -56,7 +56,10 @@ class DQBFTOrderer(GlobalOrderer):
             return []
         self._decided.add(block_id)
         self._decisions.append(block_id)
-        self._undecided.pop(block_id, None)
+        undecided = self._undecided
+        undecided.pop(block_id, None)
+        if not undecided:
+            undecided.clear()  # release the emptied table (pop never shrinks it)
         return self._drain(now)
 
     def add_partially_committed(self, block: Block, now: float) -> List[ConfirmedBlock]:
@@ -83,6 +86,8 @@ class DQBFTOrderer(GlobalOrderer):
             # Confirmed blocks leave the buffer; the id set covers duplicates.
             del self._blocks[head]
             self._decided.discard(head)
+        if not self._blocks:
+            self._blocks.clear()
         return newly
 
     # ------------------------------------------------------------- inspection

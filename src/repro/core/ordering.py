@@ -15,7 +15,9 @@ equivalence property tests):
   list of m blocks and scanning it;
 * memory is **O(active window)**: the unconfirmed set is one heap entry per
   pending block and nothing else; per-instance round buffers hold only
-  out-of-order arrivals above the partially-confirmed prefix; duplicate
+  out-of-order arrivals above the partially-confirmed prefix (an in-order
+  block never enters one, and a buffer that drains gives its hash table
+  back, so an in-order instance costs an empty dict); duplicate
   detection reads those buffers and the prefix cursor; and the lazy bar
   heap is rebuilt from the live ranks once it passes ``2m + 16`` entries,
   so a straggler holding the bar for any length of time costs at most that
@@ -202,27 +204,32 @@ class DynamicOrderer(GlobalOrderer):
         rounds = self._by_instance[instance]
         if round_ < self._next_round[instance] or round_ in rounds:
             return []  # duplicate delivery
-        rounds[round_] = block
         heapq.heappush(self._heap, (block.rank, instance, round_, block))
-        self._advance_partially_confirmed(instance)
+        if round_ == self._next_round[instance]:
+            self._advance_partially_confirmed(instance, block)
+        else:
+            rounds[round_] = block  # out of order: wait for the gap to fill
         return self._drain(now)
 
     # -------------------------------------------------------------- internals
-    def _advance_partially_confirmed(self, instance: int) -> None:
+    def _advance_partially_confirmed(self, instance: int, last: Block) -> None:
         """Extend the contiguous prefix of partially confirmed blocks.
 
-        Rounds behind the prefix are popped from the per-instance buffer
-        (the blocks stay referenced by the heap until confirmed), and the
-        bar heap learns the new last-partially-confirmed rank.
+        ``last`` is the block at the prefix's next round; it never enters
+        the per-instance buffer.  Buffered successors are popped from it
+        (the blocks stay referenced by the heap until confirmed); a buffer
+        this empties gives its hash table back, since ``pop`` never shrinks
+        one and every replica holds m buffers.  The bar heap learns the new
+        last-partially-confirmed rank.
         """
         rounds = self._by_instance[instance]
-        nxt = self._next_round[instance]
-        last = None
-        while nxt in rounds:
-            last = rounds.pop(nxt)
-            nxt += 1
-        if last is None:
-            return
+        nxt = last.round + 1
+        if rounds:
+            while nxt in rounds:
+                last = rounds.pop(nxt)
+                nxt += 1
+            if not rounds:
+                rounds.clear()
         self._next_round[instance] = nxt
         ranks = self._bar_rank
         if ranks[instance] is None:

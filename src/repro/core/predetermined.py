@@ -53,10 +53,13 @@ class PredeterminedOrderer(GlobalOrderer):
         if index > self._highest_seen:
             self._highest_seen = index
         newly: List[ConfirmedBlock] = []
-        while self._next_sn in self._pending:
-            blk = self._pending.pop(self._next_sn)
+        pending = self._pending
+        while self._next_sn in pending:
+            blk = pending.pop(self._next_sn)
             newly.append(self._append_confirmed(blk, now))
             self._next_sn += 1
+        if not pending:
+            pending.clear()  # release the emptied table (pop never shrinks it)
         return newly
 
     # ------------------------------------------------------------- inspection

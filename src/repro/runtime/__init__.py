@@ -13,6 +13,11 @@ backend    class                                        time
 ========== ============================================ ====================
 
 Use :func:`build_runtime` to construct a backend by name.
+
+Only the DES backend is imported with the package.  The realtime backend
+pulls in ``asyncio`` (and with it ``ssl``), ~4 MiB per process that a DES
+run never uses, so it is imported on first use: by ``build_runtime
+("realtime")`` or by reading ``repro.runtime.RealtimeRuntime``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from typing import Any, Optional
 
 from repro.runtime.base import Runtime, RUNTIME_KINDS
 from repro.runtime.des import DESRuntime
-from repro.runtime.realtime import RealtimeRuntime
 from repro.sim.latency import LatencyModel
 from repro.sim.network import NetworkConfig, NetworkStats
 from repro.sim.trace import TraceRecorder
@@ -35,6 +39,14 @@ __all__ = [
     "NetworkStats",
     "build_runtime",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    if name == "RealtimeRuntime":
+        from repro.runtime.realtime import RealtimeRuntime
+
+        return RealtimeRuntime
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_runtime(
@@ -57,6 +69,8 @@ def build_runtime(
     if kind == "des":
         return DESRuntime(seed=seed, latency=latency, config=network_config, trace=trace)
     if kind == "realtime":
+        from repro.runtime.realtime import RealtimeRuntime
+
         return RealtimeRuntime(
             seed=seed,
             latency=latency,

@@ -28,7 +28,9 @@ bucket.  A far push is an O(1) ``list.append``; when the near tier runs dry
 the earliest far bucket is ``heapify``-ed into it, so every pop is a
 ``heappop`` on the few hundred entries of one bucket.  Buckets are disjoint
 time ranges and ``(time, seq)`` decides the order inside one, so the pop
-order is exactly that of a single heap.
+order is exactly that of a single heap.  A queue-level cancel takes a far
+entry out of its list at once (a cancelled 10 s view-change timer would
+otherwise sit there for 10 s); near entries are discarded when popped.
 
 The bucket width is a constant, not an option: it only has to be well under
 one network delay (so in-flight traffic lands in the far tier) and wide
@@ -59,11 +61,12 @@ class Event:
     queue-level cancel, delivery, or lazy discard of a directly-cancelled
     event.
 
-    Cancelling drops ``callback``: the entry stays in its bucket until the
-    queue reaches it (a cancelled round timer sits there for the whole
-    view-change timeout), but it no longer keeps the timer closure and
-    everything that closure captured alive.  Nothing calls a cancelled
-    event, so nothing reads the field again.
+    Cancelling drops ``callback``, so a cancelled event no longer keeps the
+    timer closure and everything that closure captured alive.  Nothing calls
+    a cancelled event, so nothing reads the field again.  A queue-level
+    cancel (:meth:`EventQueue.cancel`) of a far-tier entry also takes the
+    entry out of its bucket; a direct ``cancel()``, or a cancel in the near
+    tier, leaves the entry where it is until the queue reaches it.
     """
 
     __slots__ = ("time", "seq", "callback", "label", "cancelled", "popped", "live")
@@ -111,7 +114,8 @@ class EventQueue:
         self._current = -1
         #: far tier: later bucket -> its entries, in push order
         self._far: Dict[int, List[tuple]] = {}
-        #: heap of the keys of ``_far``
+        #: heap of the keys of ``_far``, plus the indices of buckets that
+        #: :meth:`cancel` emptied (skipped by :meth:`_refill`)
         self._far_buckets: List[int] = []
         self._counter = itertools.count()
         self._live = 0
@@ -170,17 +174,29 @@ class EventQueue:
         self._live += 1
 
     def _refill(self) -> bool:
-        """Move the earliest far bucket into the (empty) near tier.
+        """Move the earliest populated far bucket into the (empty) near tier.
 
-        Returns ``False`` when the far tier is empty too.
+        :meth:`cancel` drops a far list once its last entry is cancelled
+        but leaves the bucket index in ``_far_buckets`` (taking it out of
+        the middle of a heap costs O(k)), and a later push into that bucket
+        indexes it a second time.  Indices without a list are skipped, so
+        ``_current`` only ever lands on a bucket that still has entries:
+        landing on an emptied one would send every later push at or below
+        it into the near heap.  Returns ``False`` when no populated bucket
+        is left.
         """
-        if not self._far_buckets:
-            return False
-        self._current = heapq.heappop(self._far_buckets)
-        near = self._near
-        near.extend(self._far.pop(self._current))
-        heapq.heapify(near)
-        return True
+        far = self._far
+        buckets = self._far_buckets
+        while buckets:
+            bucket = heapq.heappop(buckets)
+            entries = far.pop(bucket, None)
+            if entries is not None:
+                self._current = bucket
+                near = self._near
+                near.extend(entries)
+                heapq.heapify(near)
+                return True
+        return False
 
     def _forget(self, event: Event) -> None:
         """Remove ``event`` from the live count exactly once.
@@ -235,10 +251,24 @@ class EventQueue:
         return None
 
     def cancel(self, event: Event) -> None:
+        """Cancel ``event``; a far-tier entry leaves its bucket right away.
+
+        A cancelled round timer would otherwise wait out the whole
+        view-change timeout in its far list.  Near-tier entries stay in the
+        heap and are discarded lazily when popped.  Either way the live
+        count drops now, and the pop order of every other entry is
+        unchanged.
+        """
         if event.popped or event.cancelled:
             return  # already delivered (or already cancelled): nothing is live
         event.cancel()
         self._forget(event)
+        bucket = int(event.time * _BUCKETS_PER_SECOND)
+        if bucket > self._current:
+            entries = self._far[bucket]
+            entries.remove((event.time, event.seq, event))
+            if not entries:
+                del self._far[bucket]
 
     def __len__(self) -> int:
         return self._live

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.clock import VirtualClock
-from repro.sim.events import BUCKET_SECONDS, EventQueue
+from repro.sim.events import _BUCKETS_PER_SECOND, BUCKET_SECONDS, Event, EventQueue
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator
@@ -248,9 +248,39 @@ _QUEUE_OPS = st.one_of(
     st.tuples(st.just("push_call"), _TIMES),
     st.tuples(st.just("push_calls"), st.lists(_TIMES, max_size=5)),
     st.tuples(st.sampled_from(["cancel", "cancel_direct"]), st.integers(min_value=0)),
+    # a push at the exact time of an earlier handle: often a bucket that a
+    # queue-level cancel has just emptied
+    st.tuples(st.just("repush"), st.integers(min_value=0)),
+    st.tuples(st.just("cancel_all"), st.none()),
     st.tuples(st.just("pop"), st.none()),
     st.tuples(st.just("peek"), st.none()),
 )
+
+
+class _CheckedQueue(EventQueue):
+    """An :class:`EventQueue` that checks its tier invariants on every refill."""
+
+    def _refill(self):
+        before = self._current
+        loaded = super()._refill()
+        if loaded:
+            # _current only ever lands on a bucket that still has entries
+            assert self._near and self._current > before
+        else:
+            assert self._current == before and not self._far and not self._far_buckets
+        return loaded
+
+
+def _assert_tiers(queue):
+    """Far lists are non-empty, lie above ``_current``, are indexed, and hold
+    no entry cancelled through :meth:`EventQueue.cancel`; near entries lie at
+    or below ``_current``."""
+    for bucket, entries in queue._far.items():
+        assert entries and bucket > queue._current and bucket in queue._far_buckets
+        for entry in entries:
+            payload = entry[2]
+            assert not (isinstance(payload, Event) and payload.cancelled and not payload.live)
+    assert all(int(entry[0] * _BUCKETS_PER_SECOND) <= queue._current for entry in queue._near)
 
 
 class TestCalendarQueueOrder:
@@ -259,7 +289,7 @@ class TestCalendarQueueOrder:
     @given(st.lists(_QUEUE_OPS, max_size=120))
     @settings(max_examples=300, deadline=None)
     def test_interleaved_ops_match_reference_heap(self, ops):
-        queue = EventQueue()
+        queue = _CheckedQueue()
         reference = []  # heapq of (time, id): ids rise with push order, like seq
         ids = itertools.count()
         handles = {}  # id -> Event, for pushes that can be cancelled
@@ -288,11 +318,21 @@ class TestCalendarQueueOrder:
             assert fired[-1] == expected[1]
             return True
 
+        def push(time):
+            ident = next(ids)
+            handles[ident] = queue.push(time, lambda ident=ident: fired.append(ident))
+            heapq.heappush(reference, (time, ident))
+
         for kind, arg in ops:
             if kind == "push":
-                ident = next(ids)
-                handles[ident] = queue.push(arg, lambda ident=ident: fired.append(ident))
-                heapq.heappush(reference, (arg, ident))
+                push(arg)
+            elif kind == "repush":
+                if handles:
+                    push(handles[sorted(handles)[arg % len(handles)]].time)
+            elif kind == "cancel_all":
+                for ident, handle in handles.items():
+                    queue.cancel(handle)
+                    gone.add(ident)
             elif kind == "push_call":
                 ident = next(ids)
                 queue.push_call(arg, record, None, ident, None)
@@ -320,8 +360,9 @@ class TestCalendarQueueOrder:
             live = sum(1 for _time, ident in reference if ident not in gone)
             assert live <= len(queue) <= live + lazily_counted
             assert bool(queue) == (len(queue) > 0)
+            _assert_tiers(queue)
         while check_pop():
-            pass
+            _assert_tiers(queue)
         assert len(queue) == 0 and not queue and queue.peek_time() is None
 
     def test_push_into_the_bucket_being_drained(self):
@@ -349,6 +390,62 @@ class TestCalendarQueueOrder:
         assert queue.peek_time() == 7.0
         assert len(queue) == 1
         assert queue.pop().time == 7.0
+
+    def test_queue_cancel_takes_a_far_entry_out_and_its_bucket_can_refill(self):
+        queue = _CheckedQueue()
+        order = []
+        handles = {
+            time: queue.push(time, lambda time=time: order.append(time))
+            for time in (0.0101, 0.5001, 0.5002, 0.7001)
+        }
+        queue.pop().callback()  # bucket 10 is current; 500 and 700 are far
+        queue.cancel(handles[0.5001])
+        queue.cancel(handles[0.7001])  # the only entry of bucket 700
+        assert [entry[0] for entry in queue._far[500]] == [0.5002]
+        assert 700 not in queue._far and 700 in queue._far_buckets  # index left behind
+        assert len(queue) == 1 and queue.peek_time() == 0.5002
+        queue.push(0.7003, lambda: order.append(0.7003))  # re-push into the emptied bucket
+        queue.push(0.7002, lambda: order.append(0.7002))
+        _assert_tiers(queue)
+        while queue:
+            queue.pop().callback()
+            _assert_tiers(queue)
+        assert order == [0.0101, 0.5002, 0.7002, 0.7003]
+        assert queue.pop() is None and not queue._far_buckets
+
+    def test_cancelling_every_far_entry_then_pushing_near_future_events(self):
+        queue = _CheckedQueue()
+        queue.push(0.0101, lambda: None)
+        assert queue.pop().time == 0.0101  # bucket 10 is current
+        far = [queue.push(time, lambda: None) for time in (0.02, 0.02, 0.35, 10.0, 10.0005)]
+        for event in far:
+            queue.cancel(event)
+        assert not queue._far and len(queue) == 0 and queue.peek_time() is None
+        assert queue._current == 10  # nothing to land on: the queue stayed put
+        order = []
+        for time in (0.0115, 0.0105, 0.0200):  # next bucket, current bucket, emptied bucket
+            queue.push(time, lambda time=time: order.append(time))
+        assert queue.peek_time() == 0.0105
+        while queue:
+            queue.pop().callback()
+            _assert_tiers(queue)
+        assert order == [0.0105, 0.0115, 0.0200]
+
+    def test_run_with_growing_horizons_past_emptied_buckets(self):
+        sim = Simulator()
+        sim.queue = _CheckedQueue()
+        fired = []
+        timers = [sim.schedule_at(time, lambda: fired.append("dead")) for time in (0.004, 0.0045, 2.0)]
+        sim.schedule_at(0.001, lambda: [sim.cancel(timer) for timer in timers])
+        # re-push into bucket 4 while it is still far, after the cancels emptied it
+        sim.schedule_at(0.002, lambda: sim.schedule_at(0.0041, lambda: fired.append(sim.now())))
+        sim.schedule_at(0.0052, lambda: fired.append(sim.now()))
+        assert sim.run(until=0.0015) == 0.0015
+        assert 4 not in sim.queue._far and 2000 not in sim.queue._far and len(sim.queue) == 2
+        assert sim.run(until=0.0045) == 0.0045 and fired == [0.0041]
+        assert sim.run(until=1.0) == 1.0 and fired == [0.0041, 0.0052]
+        assert sim.run(until=3.0) == 3.0 and not sim.queue and not sim.queue._far_buckets
+        assert sim.events_processed == 4
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_times_are_a_named_error(self, bad):
@@ -431,6 +528,10 @@ def _drive(sim, seed, steps):
         log.append((ident, sim.now()))
         if pending and rng.random() < 0.3:
             sim.cancel(pending.pop(rng.randrange(len(pending))))
+        if rng.random() < 0.05:  # cancel everything pending, far tier included
+            for handle in pending:
+                sim.cancel(handle)
+            pending.clear()
         if rng.random() < 0.02:
             sim.stop()
         for child in range(rng.randrange(4)):
@@ -472,7 +573,10 @@ class TestRunLoopEquivalence:
     )
     @settings(max_examples=200, deadline=None)
     def test_run_matches_single_heap_reference(self, seed, steps):
-        assert _drive(Simulator(), seed, steps) == _drive(_HeapSimulator(), seed, steps)
+        sim = Simulator()
+        sim.queue = _CheckedQueue()
+        assert _drive(sim, seed, steps) == _drive(_HeapSimulator(), seed, steps)
+        _assert_tiers(sim.queue)
 
     def test_run_is_reentrant_with_a_growing_horizon(self):
         sim = Simulator()
@@ -533,9 +637,10 @@ class TestRunLoopGarbageCollector:
 
 
 class TestCancelReleasesCallback:
-    """A cancelled event stays in its bucket until the queue reaches it (for
-    a round timer: the whole view-change timeout), so cancelling must let go
-    of the callback — the closure and everything it captured — right away."""
+    """A directly cancelled event, or one in the near tier, stays queued until
+    the queue reaches it, so cancelling must let go of the callback — the
+    closure and everything it captured — right away, however it was
+    cancelled."""
 
     @pytest.fixture(autouse=True)
     def _no_cyclic_gc(self):
@@ -580,7 +685,8 @@ class TestCancelReleasesCallback:
         node.cancel_timer("t")
         assert second() is None
         assert len(sim.queue) == 0
-        assert sim.run(until=20.0) == 20.0  # drains the two dead entries
+        assert not sim.queue._far  # node timers cancel through the queue
+        assert sim.run(until=20.0) == 20.0
 
     @pytest.mark.parametrize("time", [0.0005, 0.25], ids=["near", "far"])
     def test_no_entry_point_trips_over_a_released_entry(self, time):
