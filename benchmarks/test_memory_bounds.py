@@ -20,23 +20,28 @@ every instance, so a byte there is paid n² times — and
 :class:`TestBuildFootprint` holds it there without involving RSS or the
 machine: ``tracemalloc`` bytes and object-kind counts of ``build_system``.
 
-A held confirmation bar costs the backlog and no more: the
-dynamic orderer keeps one heap entry per pending block, its lazy bar heap
-is rebuilt once it passes ``2m + 16`` entries, and instance commit logs are
-columnar (``CommitLog``); ``test_orderer_buffers_pruned`` checks those
+A held confirmation bar costs the backlog and no more, and pays it in
+blocks once: the dynamic orderer keeps one heap entry per pending block,
+its lazy bar heap is rebuilt once it passes ``2m + 16`` entries, instance
+commit logs are columnar (``CommitLog``), and only the observer holds
+pending blocks as ``Block`` objects — every other replica holds their
+fingerprint fields.  ``test_orderer_buffers_pruned`` checks those
 invariants after a run, ``tests/test_core_ordering.py`` under a 2 000-round
-straggler.
+straggler, and ``test_straggler_backlog_within_budget`` holds the peak RSS
+of a slice of the straggler cell, where the backlog builds up.
 
 Memory also has to come back *during* the run.  :class:`TestRunPhaseFootprint`
 checks, for every registry protocol after a short saturated run, that no
 per-(replica, instance) dict that emptied still holds its hash table
-(``pop`` never shrinks one; ``clear`` frees it), and that no timer cancelled
-through the queue still waits in a far calendar bucket.
+(``pop`` never shrinks one; ``clear`` frees it), that no timer cancelled
+through the queue still waits in a far calendar bucket, and, after a run
+with one straggler, that no non-observer orderer or collector references a
+``Block``/``ConfirmedBlock``.
 ``test_run_path_imports_no_unused_stdlib`` keeps ``asyncio``/``ssl`` and
 ``concurrent.futures`` (~4 MiB per process, paid again by every forked shard
 worker) off the import path of a DES run.  The CI ``perfbench-smoke`` job
-runs these two next to the n=128 slice, so every memory guard runs in one
-place.
+runs these next to the n=128 and straggler slices, so every memory guard
+runs in one place.
 """
 
 import gc
@@ -55,31 +60,46 @@ from repro.core.ordering import _BAR_HEAP_SLACK
 from repro.protocols.registry import available_protocols, build_system
 from repro.sim.events import Event
 
+from reference_orderer import held_blocks
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
+# The child reads its peak from VmHWM, not ``ru_maxrss``: Linux carries the
+# forking process's high-water mark across exec into ``ru_maxrss``, so a
+# child of a pytest process that has grown past the budget would report the
+# parent's RSS.
 _CHILD = """
 import json, resource, sys
 sys.path.insert(0, {src!r})
 from repro.bench.config import ExperimentCell
 from repro.protocols.registry import build_system
-cell = ExperimentCell(protocol="ladon-pbft", n=32, environment="wan",
-                      duration={duration}, batch_size=1024)
-system = build_system(cell.to_system_config())
+system = build_system(ExperimentCell(**{cell!r}).to_system_config())
 result = system.run()
+try:
+    with open("/proc/self/status") as status:
+        peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except OSError:
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({{
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    "peak_rss_mb": peak_kb / 1024.0,
     "events": system.runtime.events_processed,
     "confirmed": len(result.confirmed),
+    "pending": system.replicas[system.observer_id()].orderer.pending_count,
 }}))
 """
 
 
-def _run_horizon(duration: float) -> dict:
-    code = _CHILD.format(src=SRC, duration=duration)
+def _run_child(**cell) -> dict:
+    """Run one WAN cell in a fresh interpreter; its peak RSS is its own."""
+    code = _CHILD.format(src=SRC, cell=dict(cell, environment="wan"))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _run_horizon(duration: float) -> dict:
+    return _run_child(protocol="ladon-pbft", n=32, duration=duration, batch_size=1024)
 
 
 @pytest.mark.slow
@@ -113,11 +133,7 @@ def test_n128_cell_within_budget():
     CI runs it); the full
     10 s measurement is ``peak_rss_mb`` of ``pbft-wan-n128`` in
     ``python -m perfbench`` (EXPERIMENTS.md "Performance" > "Memory")."""
-    code = _CHILD.format(src=SRC, duration=2.0).replace("n=32", "n=128")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    row = json.loads(out.stdout.strip().splitlines()[-1])
+    row = _run_child(protocol="ladon-pbft", n=128, duration=2.0, batch_size=1024)
     # (confirmations need every instance's first proposal, which the stagger
     # spreads over a full 8 s proposal interval at m=128 — the 2 s slice
     # exercises the message hot path, not the confirmation tail)
@@ -125,6 +141,26 @@ def test_n128_cell_within_budget():
     assert row["peak_rss_mb"] < 70.0, (
         f"n=128 slice peaked at {row['peak_rss_mb']:.1f} MB "
         "(reference machine: ~56 MB for this slice)"
+    )
+
+
+@pytest.mark.slow
+def test_straggler_backlog_within_budget():
+    """A straggler's backlog is paid once, at the observer: the first
+    120 sim-s of ``hotstuff-straggler-wan-n64`` (ladon-hotstuff, n=64, one
+    10x straggler; ~4 s wall, ~1.7 k blocks pending behind the bar) peak at
+    ~44.9 MB RSS on the reference machine (CPython 3.11), against ~60.7 MB
+    when every replica held the backlog as ``Block`` objects; the budget is
+    ~25 % above the measurement.  The full 200 sim-s cell is ``peak_rss_mb``
+    of ``hotstuff-straggler-wan-n64`` in ``python -m perfbench``."""
+    row = _run_child(
+        protocol="ladon-hotstuff", n=64, stragglers=1, straggler_slowdown=10.0,
+        duration=120.0, batch_size=1024,
+    )
+    assert row["pending"] > 1000  # the backlog really built up
+    assert row["peak_rss_mb"] < 56.0, (
+        f"straggler slice peaked at {row['peak_rss_mb']:.1f} MB "
+        "(reference machine: ~44.9 MB for this slice)"
     )
 
 
@@ -247,8 +283,13 @@ class TestBoundedStateStructure:
             if replica_id == observer:
                 assert replica.metrics.confirmed  # the observer retains all
                 continue
-            assert replica.metrics.confirmed == []
-            assert replica.metrics.confirmed_count > 0  # streaming counters live
+            # only the observer's collector is fed confirmations; the others
+            # count partial commits and confirm through their orderer
+            metrics = replica.metrics
+            assert metrics.confirmed == []
+            assert metrics.latency.count == 0 and metrics.throughput.total_txs == 0
+            assert metrics.partially_committed > 0
+            assert replica.orderer.confirmed_count > 0
             for instance in replica.instances.values():
                 assert instance.delivered_blocks == []
                 assert len(instance.commit_log) > 0  # compact audit log
@@ -337,7 +378,8 @@ def _tables(owner):
 
 
 class TestRunPhaseFootprint:
-    """After a short saturated run, nothing emptied still holds memory."""
+    """After a short saturated run, nothing emptied still holds memory, and
+    only the observer holds a straggler's backlog as blocks."""
 
     @pytest.fixture(scope="class", params=available_protocols())
     def system(self, request):
@@ -376,3 +418,30 @@ class TestRunPhaseFootprint:
         ]
         assert not dead, f"{len(dead)} cancelled timers still queued in far buckets"
         assert system.runtime.simulator.now() == 3.0
+
+    @pytest.fixture(scope="class", params=available_protocols())
+    def straggler_system(self, request):
+        # a 4x straggler: slow enough to hold a backlog, fast enough that
+        # HotStuff's 3-chain commits its first block within the run
+        cell = ExperimentCell(
+            protocol=request.param, n=8, stragglers=1, straggler_slowdown=4.0,
+            environment="wan", duration=8.0, batch_size=256,
+        )
+        system = build_system(cell.to_system_config())
+        system.run()
+        return system
+
+    def test_non_observers_hold_no_blocks(self, straggler_system):
+        system = straggler_system
+        observer_id = system._observer_id
+        # the straggler holds the bar (or leaves a hole), so a backlog exists
+        assert system.replicas[observer_id].orderer.pending_count > 0
+        assert all(replica.orderer.confirmed_count > 0 for replica in system.replicas.values())
+        held = [
+            f"replica {replica_id} {label}: {type(obj).__name__}"
+            for replica_id, replica in system.replicas.items()
+            if replica_id != observer_id
+            for label, owner in (("orderer", replica.orderer), ("metrics", replica.metrics))
+            for obj in held_blocks(owner)
+        ]
+        assert not held, "non-observers still hold blocks:\n" + "\n".join(held[:20])

@@ -21,17 +21,16 @@ from collections import deque
 from typing import Deque, Dict, List
 
 from repro.core.block import Block, BlockId
-from repro.core.ordering import ConfirmedBlock, GlobalOrderer
+from repro.core.ordering import Confirmation, GlobalOrderer, PendingEntry
 
 
 class DQBFTOrderer(GlobalOrderer):
     """Appends blocks in the order decided by the central ordering instance.
 
     Draining is O(1) amortised per confirmation already (a deque of
-    decisions); the undecided set is additionally maintained incrementally so
-    inspection never rescans the full block history, and confirmed blocks are
-    released from the block buffer (only their ids are remembered for
-    duplicate detection).
+    decisions), and confirmed blocks are released from the pending buffer
+    (only their ids are remembered for duplicate detection), so
+    :meth:`undecided_blocks` is O(pending).
     """
 
     def __init__(self, num_instances: int, retain_blocks: bool = True) -> None:
@@ -39,49 +38,42 @@ class DQBFTOrderer(GlobalOrderer):
             raise ValueError("need at least one instance")
         super().__init__(retain_blocks=retain_blocks)
         self.num_instances = num_instances
-        self._blocks: Dict[BlockId, Block] = {}
+        self._blocks: Dict[BlockId, PendingEntry] = {}
         self._decisions: Deque[BlockId] = deque()
         self._decided: set = set()
         self._confirmed_ids: set = set()
-        self._undecided: Dict[BlockId, Block] = {}
 
     @property
     def pending_count(self) -> int:
         return len(self._blocks)
 
     # ----------------------------------------------------- ordering decisions
-    def add_sequencing_decision(self, block_id: BlockId, now: float) -> List[ConfirmedBlock]:
+    def add_sequencing_decision(self, block_id: BlockId, now: float) -> List[Confirmation]:
         """Record that the ordering instance decided ``block_id`` comes next."""
         if block_id in self._decided or block_id in self._confirmed_ids:
             return []
         self._decided.add(block_id)
         self._decisions.append(block_id)
-        undecided = self._undecided
-        undecided.pop(block_id, None)
-        if not undecided:
-            undecided.clear()  # release the emptied table (pop never shrinks it)
         return self._drain(now)
 
-    def add_partially_committed(self, block: Block, now: float) -> List[ConfirmedBlock]:
+    def add_partially_committed(self, block: Block, now: float) -> List[Confirmation]:
         block_id = block.block_id
         if block_id in self._blocks or block_id in self._confirmed_ids:
             return []
-        self._blocks[block_id] = block
-        if block_id not in self._decided:
-            self._undecided[block_id] = block
+        self._blocks[block_id] = self._pending_entry(block)
         return self._drain(now)
 
-    def _drain(self, now: float) -> List[ConfirmedBlock]:
-        newly: List[ConfirmedBlock] = []
+    def _drain(self, now: float) -> List[Confirmation]:
+        newly: List[Confirmation] = []
         while self._decisions:
             head = self._decisions[0]
-            block = self._blocks.get(head)
-            if block is None:
+            entry = self._blocks.get(head)
+            if entry is None:
                 break  # decision arrived before the block itself
             self._decisions.popleft()
             if head in self._confirmed_ids:
                 continue
-            newly.append(self._append_confirmed(block, now))
+            newly.append(self._append_confirmed(entry, now))
             self._confirmed_ids.add(head)
             # Confirmed blocks leave the buffer; the id set covers duplicates.
             del self._blocks[head]
@@ -93,4 +85,8 @@ class DQBFTOrderer(GlobalOrderer):
     # ------------------------------------------------------------- inspection
     def undecided_blocks(self) -> List[Block]:
         """Blocks partially committed but not yet sequenced by the orderer."""
-        return list(self._undecided.values())
+        self._require_blocks("undecided_blocks()")
+        decided = self._decided
+        return [
+            entry[3] for block_id, entry in self._blocks.items() if block_id not in decided
+        ]

@@ -12,15 +12,16 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.block import Block
-from repro.core.ordering import ConfirmedBlock, GlobalOrderer
+from repro.core.ordering import Confirmation, GlobalOrderer, PendingEntry
 
 
 class PredeterminedOrderer(GlobalOrderer):
     """Global ordering by pre-assigned index, as in ISS / Mir / RCC.
 
     Memory is O(active window): confirmation drains a contiguous prefix, so
-    duplicate detection is an index comparison, and the confirmed history is
-    kept compact unless ``retain_blocks`` (see :class:`GlobalOrderer`).
+    duplicate detection is an index comparison, and pending blocks and the
+    confirmed history are held as fingerprint fields unless
+    ``retain_blocks`` (see :class:`GlobalOrderer`).
     """
 
     def __init__(self, num_instances: int, retain_blocks: bool = True) -> None:
@@ -28,7 +29,7 @@ class PredeterminedOrderer(GlobalOrderer):
             raise ValueError("need at least one instance")
         super().__init__(retain_blocks=retain_blocks)
         self.num_instances = num_instances
-        self._pending: Dict[int, Block] = {}
+        self._pending: Dict[int, PendingEntry] = {}
         self._next_sn = 0
         # Highest global index ever received; because confirmation drains a
         # contiguous prefix, whenever ``_pending`` is non-empty this is also
@@ -45,18 +46,17 @@ class PredeterminedOrderer(GlobalOrderer):
     def pending_count(self) -> int:
         return len(self._pending)
 
-    def add_partially_committed(self, block: Block, now: float) -> List[ConfirmedBlock]:
+    def add_partially_committed(self, block: Block, now: float) -> List[Confirmation]:
         index = self.global_index(block)
         if index < self._next_sn or index in self._pending:
             return []  # duplicate delivery
-        self._pending[index] = block
+        self._pending[index] = self._pending_entry(block)
         if index > self._highest_seen:
             self._highest_seen = index
-        newly: List[ConfirmedBlock] = []
+        newly: List[Confirmation] = []
         pending = self._pending
         while self._next_sn in pending:
-            blk = pending.pop(self._next_sn)
-            newly.append(self._append_confirmed(blk, now))
+            newly.append(self._append_confirmed(pending.pop(self._next_sn), now))
             self._next_sn += 1
         if not pending:
             pending.clear()  # release the emptied table (pop never shrinks it)

@@ -56,11 +56,11 @@ class RunMetrics:
 class MetricsCollector:
     """Collects confirmations at one observing replica and summarises the run.
 
-    ``retain_confirmations=False`` (bounded-memory mode, used on the
-    non-observer replicas) keeps the streaming accumulators but not the
-    per-block history; :meth:`summarise` then raises, because the summary
-    metrics (causal strength, warmup filtering) need the full list — only
-    the observing replica is ever summarised.
+    ``retain_confirmations=False`` marks the collector of a non-observer
+    replica (bounded-memory mode).  Only the observing replica is ever
+    summarised, so no other replica feeds its confirmations in: such a
+    collector counts partial commits and holds no block, latency sample or
+    throughput bin, and :meth:`summarise` raises on it.
     """
 
     def __init__(self, bin_width: float = 1.0, retain_confirmations: bool = True) -> None:
@@ -68,7 +68,6 @@ class MetricsCollector:
         self.latency = LatencyAccumulator()
         self.retain_confirmations = retain_confirmations
         self.confirmed: List[ConfirmedBlock] = []
-        self.confirmed_count = 0
         self.partially_committed = 0
 
     # ------------------------------------------------------------- recording
@@ -77,9 +76,7 @@ class MetricsCollector:
 
     def record_confirmation(self, confirmed: ConfirmedBlock) -> None:
         block = confirmed.block
-        self.confirmed_count += 1
-        if self.retain_confirmations:
-            self.confirmed.append(confirmed)
+        self.confirmed.append(confirmed)
         self.throughput.record(confirmed.confirmed_at, block.tx_count)
         submitted = block.batch_submitted_at if block.batch_submitted_at else block.proposed_at
         self.latency.record_block(submitted, confirmed.confirmed_at, block.tx_count)

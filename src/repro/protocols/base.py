@@ -24,7 +24,7 @@ from repro.consensus.checkpoint import CheckpointManager
 from repro.consensus.messages import CheckpointMessage
 from repro.core.block import Block
 from repro.core.epoch import EpochConfig, EpochPacemaker
-from repro.core.ordering import ConfirmedBlock, GlobalOrderer
+from repro.core.ordering import Confirmation, GlobalOrderer
 from repro.core.rank import RankState
 from repro.crypto.aggregate import quorum_threshold
 from repro.metrics.collector import MetricsCollector
@@ -223,8 +223,9 @@ class MultiBFTReplica(Node):
         super().__init__(node_id, runtime)
         self.config = config
         self.resources = resources
-        #: False on every replica but the observer: orderer, instances, and
-        #: metrics keep compact fingerprints only (bounded memory)
+        #: False on every replica but the observer: orderer and instances
+        #: keep compact fingerprints only, and metrics count partial commits
+        #: only (bounded memory)
         self.retain_history = retain_history
         #: the consensus-instance state machine this stack runs (the other
         #: half of the protocol's registry row)
@@ -610,28 +611,28 @@ class MultiBFTReplica(Node):
         if self.pacemaker is not None:
             self._maybe_checkpoint()
 
-    def feed_orderer(self, block: Block) -> List[ConfirmedBlock]:
+    def feed_orderer(self, block: Block) -> List[Confirmation]:
         return self.orderer.add_partially_committed(block, self.now())
 
-    def _confirm(self, newly: List[ConfirmedBlock]) -> None:
-        """The tail of every confirmation site: metrics, trace, hook."""
-        self.metrics.record_confirmations(newly)
-        if self._trace.enabled:
-            for confirmed in newly:
-                confirmed_block = confirmed.block
-                self._trace.record(
-                    confirmed.confirmed_at,
-                    "confirm",
-                    self.node_id,
-                    instance=confirmed_block.instance,
-                    round=confirmed_block.round,
-                    rank=confirmed_block.rank,
-                    digest=confirmed_block.payload_digest,
-                )
-        self.on_confirmations(newly)
+    def _confirm(self, newly: List[Confirmation]) -> None:
+        """The tail of every confirmation site: the observer's metrics, the trace.
 
-    def on_confirmations(self, confirmed: List[ConfirmedBlock]) -> None:
-        """Hook: subclasses may react to newly confirmed blocks."""
+        Only the observer's collector is ever summarised, so only it is fed.
+        Every other replica's orderer hands back audit fingerprints, not
+        :class:`~repro.core.ordering.ConfirmedBlock` records; the trace reads
+        the same fields from either, stamped ``now`` (every site confirms at
+        ``now``).
+        """
+        if self.retain_history:
+            self.metrics.record_confirmations(newly)
+        trace = self._trace
+        if trace.enabled:
+            now = self.now()
+            for _sn, instance, round_, rank, digest in self.orderer.fingerprints_of(newly):
+                trace.record(
+                    now, "confirm", self.node_id,
+                    instance=instance, round=round_, rank=rank, digest=digest,
+                )
 
     # ------------------------------------------------------------- checkpoints
     def _maybe_checkpoint(self) -> None:

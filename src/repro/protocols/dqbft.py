@@ -17,7 +17,7 @@ from typing import Any, List
 from repro.consensus.pbft import PBFTInstance
 from repro.core.block import Block, BlockId
 from repro.core.dqbft_ordering import DQBFTOrderer
-from repro.core.ordering import ConfirmedBlock, GlobalOrderer
+from repro.core.ordering import Confirmation, GlobalOrderer
 from repro.protocols.base import MultiBFTReplica, ReplicaInstanceContext
 from repro.workload.transactions import Batch
 
@@ -107,7 +107,7 @@ class DQBFTReplica(MultiBFTReplica):
     def _on_ordering_block(self, block: Block) -> None:
         """An ordering-instance block commits: apply its sequencing decisions."""
         assert isinstance(self.orderer, DQBFTOrderer)
-        newly: List[ConfirmedBlock] = []
+        newly: List[Confirmation] = []
         for block_id in block.txs:
             newly.extend(self.orderer.add_sequencing_decision(block_id, self.now()))
         if newly:

@@ -10,12 +10,42 @@ nothing with :class:`repro.core.ordering.DynamicOrderer` but the
 the equivalence property tests (``tests/test_core_ordering.py``) and the
 drain micro-benchmark (``benchmarks/test_orderer_drain_scaling.py``) pin the
 production orderer against an independent baseline.
+
+:func:`held_blocks` is the object-graph walk with which those tests and
+``benchmarks/test_memory_bounds.py`` show that a non-retaining orderer (or
+a non-observer's collector) keeps no block alive.
 """
 
+import gc
+import types
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.block import Block, ordering_key
-from repro.core.ordering import ConfirmationBar, ConfirmedBlock, GlobalOrderer
+from repro.core.ordering import Confirmation, ConfirmationBar, ConfirmedBlock, GlobalOrderer
+
+#: referents the walk does not enter: code and namespaces, not data
+_OPAQUE = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+
+
+def held_blocks(root: object) -> List[object]:
+    """Every :class:`Block` / :class:`ConfirmedBlock` reachable from ``root``.
+
+    Follows ``gc.get_referents`` through containers and instances; classes,
+    modules and functions are not entered, so the walk stays inside the
+    data ``root`` owns.
+    """
+    seen = {id(root)}
+    stack = [root]
+    found = []
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (Block, ConfirmedBlock)):
+            found.append(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, _OPAQUE):
+                seen.add(id(ref))
+                stack.append(ref)
+    return found
 
 
 class ScanDrainDynamicOrderer(GlobalOrderer):
@@ -35,7 +65,7 @@ class ScanDrainDynamicOrderer(GlobalOrderer):
     def pending_count(self) -> int:
         return len(self._unconfirmed)
 
-    def add_partially_committed(self, block: Block, now: float) -> List[ConfirmedBlock]:
+    def add_partially_committed(self, block: Block, now: float) -> List[Confirmation]:
         instance = block.instance
         if instance >= self.num_instances:
             raise ValueError(f"block instance {instance} out of range")
@@ -59,11 +89,11 @@ class ScanDrainDynamicOrderer(GlobalOrderer):
         lowest = min(self._last_partially_confirmed, key=ordering_key)
         return ConfirmationBar(rank=lowest.rank + 1, instance=lowest.instance)
 
-    def _drain(self, now: float) -> List[ConfirmedBlock]:
+    def _drain(self, now: float) -> List[Confirmation]:
         bar = self._compute_bar()
         if bar is None:
             return []
-        newly: List[ConfirmedBlock] = []
+        newly: List[Confirmation] = []
         unconfirmed = self._unconfirmed
         while unconfirmed:
             key = min(unconfirmed)
@@ -71,7 +101,7 @@ class ScanDrainDynamicOrderer(GlobalOrderer):
             if not bar.admits(candidate):
                 break
             del unconfirmed[key]
-            newly.append(self._append_confirmed(candidate, now))
+            newly.append(self._append_confirmed(self._pending_entry(candidate), now))
         return newly
 
     def unconfirmed_blocks(self) -> List[Block]:

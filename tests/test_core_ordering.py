@@ -2,15 +2,17 @@
 (ISS/Mir/RCC) and DQBFT orderers."""
 
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.block import Block, BlockId, ordering_key
 from repro.core.dqbft_ordering import DQBFTOrderer
 from repro.core.ordering import _BAR_HEAP_SLACK, ConfirmationBar, DynamicOrderer
 from repro.core.predetermined import PredeterminedOrderer
 
-from reference_orderer import ScanDrainDynamicOrderer
+from reference_orderer import ScanDrainDynamicOrderer, held_blocks
 
 
 def block(instance, round, rank, proposed_at=0.0, committed_at=None):
@@ -481,3 +483,107 @@ class TestDQBFTOrderer:
         orderer = DQBFTOrderer(num_instances=2)
         orderer.add_partially_committed(block(0, 1, 0), now=1.0)
         assert [b.block_id for b in orderer.undecided_blocks()] == [BlockId(0, 1)]
+
+
+# ----------------------------------------------- retaining vs non-retaining
+@st.composite
+def deliveries(draw, max_instances=4, max_rounds=6):
+    """Blocks with non-monotone ranks, delivered in random order (so rounds
+    arrive out of order), some of them twice (as a fresh copy)."""
+    m = draw(st.integers(min_value=1, max_value=max_instances))
+    blocks = []
+    for instance in range(m):
+        for round_ in range(1, draw(st.integers(min_value=0, max_value=max_rounds)) + 1):
+            rank = draw(st.integers(min_value=0, max_value=12))
+            blocks.append(Block(instance=instance, round=round_, rank=rank, tx_count_hint=1))
+    duplicates = draw(st.lists(st.sampled_from(blocks), max_size=len(blocks))) if blocks else []
+    return m, draw(st.permutations(blocks + [replace(b) for b in duplicates]))
+
+
+@st.composite
+def sequencing_schedules(draw):
+    """DQBFT input: deliveries interleaved with sequencing decisions, some
+    duplicated, some for blocks that are never delivered."""
+    m, blocks = draw(deliveries())
+    ids = sorted({b.block_id for b in blocks}, key=lambda i: (i.instance, i.round))
+    decided = draw(st.lists(st.sampled_from(ids + [BlockId(m - 1, 99)]), max_size=2 * len(ids) + 1))
+    return m, draw(st.permutations(blocks + decided))
+
+
+def _feed(orderer, step, now):
+    if isinstance(step, BlockId):
+        return orderer.add_sequencing_decision(step, now)
+    return orderer.add_partially_committed(step, now)
+
+
+def _run_both_modes(make, steps, each_step=None):
+    """Feed ``steps`` to a retaining and a non-retaining orderer in lockstep;
+    both must confirm the same fingerprints at every step."""
+    retaining, compact = make(True), make(False)
+    for index, step in enumerate(steps):
+        now = float(index)
+        want = retaining.fingerprints_of(_feed(retaining, step, now))
+        got = compact.fingerprints_of(_feed(compact, step, now))
+        assert list(got) == want
+        if each_step is not None:
+            each_step(retaining, compact, step, now, want)
+    assert compact.confirmed_fingerprints() == retaining.confirmed_fingerprints()
+    assert compact.pending_count == retaining.pending_count
+    assert compact.confirmed_count == retaining.confirmed_count
+    assert held_blocks(compact) == []
+    with pytest.raises(RuntimeError, match="confirmed"):
+        compact.confirmed
+    return retaining, compact
+
+
+class TestRetainingModesAgree:
+    """``retain_blocks=False`` changes what an orderer holds, never what it
+    confirms: every orderer, fed the same input in both modes, confirms the
+    same fingerprints step by step, and the non-retaining one holds no
+    ``Block`` or ``ConfirmedBlock`` — pending or confirmed."""
+
+    @given(deliveries())
+    @settings(max_examples=100, deadline=None)
+    def test_dynamic(self, schedule):
+        m, blocks = schedule
+        reference = ScanDrainDynamicOrderer(m)
+
+        def against_reference(retaining, compact, blk, now, confirmed):
+            newly = reference.add_partially_committed(blk, now)
+            assert reference.fingerprints_of(newly) == confirmed
+            assert compact.current_bar() == retaining.current_bar() == reference._compute_bar()
+
+        retaining, compact = _run_both_modes(
+            lambda retain: DynamicOrderer(m, retain_blocks=retain), blocks, against_reference
+        )
+        assert retaining.confirmed_fingerprints() == reference.confirmed_fingerprints()
+        assert compact.pending_count == reference.pending_count
+        with pytest.raises(RuntimeError, match="unconfirmed_blocks"):
+            compact.unconfirmed_blocks()
+
+    @given(deliveries())
+    @settings(max_examples=100, deadline=None)
+    def test_predetermined(self, schedule):
+        m, blocks = schedule
+        _run_both_modes(lambda retain: PredeterminedOrderer(m, retain_blocks=retain), blocks)
+
+    @given(sequencing_schedules())
+    @settings(max_examples=100, deadline=None)
+    def test_dqbft(self, schedule):
+        m, steps = schedule
+        delivered, decided = {}, set()
+
+        def undecided_in_delivery_order(retaining, compact, step, now, confirmed):
+            if isinstance(step, BlockId):
+                decided.add(step)
+            else:
+                delivered.setdefault(step.block_id, None)
+            want = [block_id for block_id in delivered if block_id not in decided]
+            assert [b.block_id for b in retaining.undecided_blocks()] == want
+
+        _, compact = _run_both_modes(
+            lambda retain: DQBFTOrderer(m, retain_blocks=retain), steps,
+            undecided_in_delivery_order,
+        )
+        with pytest.raises(RuntimeError, match="undecided_blocks"):
+            compact.undecided_blocks()
