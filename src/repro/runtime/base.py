@@ -23,7 +23,10 @@ backend may drive it from a virtual-time loop, an event loop, or a thread.
 Scheduling handles returned by :meth:`Runtime.schedule_at` /
 :meth:`Runtime.schedule_after` expose ``cancel()`` and a ``cancelled``
 attribute (the :class:`~repro.sim.events.Event` contract); backends supply
-their own handle type.
+their own handle type.  Message deliveries do not pass through this
+interface: the transport (:class:`~repro.sim.network.Network`) hands each
+fan-out's arrival times to its scheduler's ``push_calls`` sink itself, so
+protocol code has nothing to schedule per delivery.
 """
 
 from __future__ import annotations
@@ -62,10 +65,6 @@ class Runtime:
 
     def schedule_after(self, delay: float, callback: Callable[[], None], label: str = "") -> Any:
         """Schedule ``callback`` ``delay`` seconds from now; returns a handle."""
-        raise NotImplementedError
-
-    def schedule_call(self, time: float, fn: Callable[..., None], a: Any, b: Any, c: Any) -> None:
-        """Hot path: schedule ``fn(a, b, c)`` with no cancellation handle."""
         raise NotImplementedError
 
     def spawn(self, callback: Callable[[], None], label: str = "") -> Any:

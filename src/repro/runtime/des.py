@@ -49,7 +49,6 @@ class DESRuntime(Runtime):
         self.now = self.simulator.now
         self.schedule_at = self.simulator.schedule_at
         self.schedule_after = self.simulator.schedule_after
-        self.schedule_call = self.simulator.schedule_call
         self.cancel = self.simulator.cancel
         self.stop = self.simulator.stop
         self.send = self.network.send

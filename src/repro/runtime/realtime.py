@@ -9,8 +9,9 @@ queues with *optional artificial latency* drawn from the same
 Design notes:
 
 * The transport reuses :class:`~repro.sim.network.Network` verbatim — the
-  network only needs ``now()``, ``schedule_call()`` and a seeded ``rng``
-  from its scheduler, which this runtime provides.  Drop/duplicate/partition
+  network only needs ``now()``, ``push_calls()`` (its one delivery sink: a
+  fan-out's arrival times, pushed in order) and a seeded ``rng`` from its
+  scheduler, which this runtime provides.  Drop/duplicate/partition
   semantics, uplink serialisation, and byte accounting are therefore
   *identical* on both backends by construction.
 * Ordering: rather than handing every callback to ``loop.call_at`` (whose
@@ -30,7 +31,7 @@ import asyncio
 import heapq
 import itertools
 import random
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.runtime.base import Runtime
 from repro.sim.latency import LatencyModel
@@ -114,8 +115,11 @@ class RealtimeRuntime(Runtime):
             raise ValueError("delay must be non-negative")
         return self._push(self.now() + delay, callback, ())
 
-    def schedule_call(self, time: float, fn: Callable[..., None], a: Any, b: Any, c: Any) -> None:
-        self._push(time, fn, (a, b, c))
+    def push_calls(
+        self, times: Sequence[float], fn: Callable[..., None], a: Any, bs: Sequence[Any], c: Any
+    ) -> None:
+        for time, b in zip(times, bs):
+            self._push(time, fn, (a, b, c))
 
     def _push(self, time: float, fn: Callable[..., None], args: Tuple) -> ScheduledCall:
         item = ScheduledCall(time, next(self._seq), fn, args)

@@ -15,6 +15,7 @@ deterministically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -85,6 +86,10 @@ class TopologySpec:
         if self.jitter is None:
             # resolved here so equal topologies compare and hash equal
             object.__setattr__(self, "jitter", _PRESETS[self.kind].jitter)
+        if self.default_delay is not None and not 0.0 <= self.default_delay < math.inf:
+            raise ValueError(
+                f"default_delay must be finite and non-negative, got {self.default_delay!r}"
+            )
         known = set(self.region_names())
         for src, dst, delay in self.links:
             if src not in known or dst not in known:

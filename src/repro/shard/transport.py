@@ -2,18 +2,16 @@
 
 :class:`ShardNetwork` subclasses the single-process
 :class:`~repro.sim.network.Network` and overrides **no sending method**:
-``send`` and both ``multicast`` paths run the base class's code, so
-shard-local traffic is bit-for-bit the single-process transport by
+``multicast`` (and ``send``, a one-receiver fan-out) run the base class's
+code, so shard-local traffic is bit-for-bit the single-process transport by
 construction (same stats order, same uplink serialisation, same RNG draw per
 receiver).  The only shard-specific step is where a finished delivery goes,
-and that is the seam :meth:`Network._install_sinks` exposes: the subclass
-installs a router in front of the two delivery sinks, which pushes receivers
+and that is the seam :meth:`Network._install_sink` exposes: the subclass
+installs a router in front of the one delivery sink, which pushes receivers
 hosted here onto the local event queue and appends the fully-computed entry
 ``(arrival, sender, receiver, message)`` of every other receiver to its
-shard's **outbox**.  The seam is two callables because the transport has two
-hand-over shapes — one delivery, and one whole fan-out batch — and routing
-the batch in one call keeps the sharded fast path at one extra frame per
-multicast instead of one per receiver.
+shard's **outbox**.  The sink takes a whole fan-out, so routing costs one
+extra frame per fan-out instead of one per receiver.
 
 Outboxes are flushed at every barrier (:meth:`drain_outboxes`) and delivered
 into the destination shard's queue before its next window
@@ -83,25 +81,17 @@ class ShardNetwork(Network):
 
     # ---------------------------------------------------------------- routing
     def _install_router(self) -> None:
-        """Wrap the base sinks so remote receivers go to an outbox.
+        """Wrap the base sink so remote receivers go to an outbox.
 
-        Closures over dense per-receiver rows, not methods: the router runs
-        once per delivery (single sink) or once per fan-out (batched sink)
-        and should not pay attribute lookups for state that never changes.
-        ``outboxes`` is the outer list — :meth:`drain_outboxes` swaps the
-        inner lists.
+        A closure over dense per-receiver rows, not a method: the router
+        runs once per fan-out and should not pay attribute lookups for state
+        that never changes.  ``outboxes`` is the outer list —
+        :meth:`drain_outboxes` swaps the inner lists.
         """
         shard_of = self.plan.assignment
         local = [owner == self.shard_id for owner in shard_of]
         outboxes = self._outboxes
-        schedule_local = self._schedule_call
         push_local = self._push_calls
-
-        def route_call(arrival: float, fn, sender: int, receiver: int, message: Any) -> None:
-            if local[receiver]:
-                schedule_local(arrival, fn, sender, receiver, message)
-            else:
-                outboxes[shard_of[receiver]].append((arrival, sender, receiver, message))
 
         def route_calls(
             arrivals: List[float], fn, sender: int, receivers: Sequence[int], message: Any
@@ -120,7 +110,7 @@ class ShardNetwork(Network):
                     )
             push_local(local_arrivals, fn, sender, local_receivers, message)
 
-        self._install_sinks(route_call, route_calls)
+        self._install_sink(route_calls)
 
     # ----------------------------------------------------------- barrier IPC
     def drain_outboxes(self) -> Tuple[List[Tuple[int, bytes]], float]:

@@ -18,6 +18,7 @@ per non-self pair iff ``jitter > 0``, and never for a self pair.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -103,20 +104,21 @@ class LatencyModel:
             "(required for the sharded runtime's placement and lookahead)"
         )
 
-    def multicast_profile(self, sender: int, receivers) -> Optional[tuple]:
-        """Optional fan-out fast path: ``(base_row, jitter)`` or None.
+    def multicast_profile(self, sender: int, receivers) -> Tuple[Sequence[float], float]:
+        """The fan-out view of :meth:`delay`: ``(base_row, jitter)``.
 
         ``base_row[r]`` is the deterministic base delay ``sender -> r``
         (defined for every id in ``receivers``; the sender's own slot is
-        never read) and ``jitter`` the uniform jitter magnitude; the
-        transport then computes ``base_row[r] + rng.random() * jitter``
-        inline — **exactly** one RNG draw per non-self receiver, matching
-        :meth:`delay` draw-for-draw so RNG streams stay byte-identical.
-        That path draws unconditionally, so a model that would not draw
-        (``jitter == 0``) returns None and takes the per-receiver
-        :meth:`delay` path, as does the base implementation.
+        never read) and ``jitter`` the uniform jitter magnitude.  The
+        transport computes ``base_row[r] + rng.random() * jitter`` inline,
+        drawing iff ``jitter > 0`` and never for a self pair — the
+        :meth:`delay` rule, so both give the same delays from the same RNG
+        stream.
         """
-        return None
+        raise NotImplementedError(
+            f"{type(self).__name__} provides no fan-out profile "
+            "(required by the transport)"
+        )
 
 
 class UniformLatency(LatencyModel):
@@ -142,8 +144,6 @@ class UniformLatency(LatencyModel):
 
     def multicast_profile(self, sender: int, receivers):
         """A constant row, grown to cover the highest receiver id asked about."""
-        if not self.jitter:
-            return None
         row = self._row
         highest = max(receivers, default=0)
         if highest >= len(row):
@@ -174,6 +174,10 @@ class TopologyLatency(LatencyModel):
             raise ValueError("assignment must name a region per replica")
         if jitter < 0:
             raise ValueError("jitter must be non-negative")
+        if default_delay is not None and not 0.0 <= default_delay < math.inf:
+            raise ValueError(
+                f"default_delay must be finite and non-negative, got {default_delay!r}"
+            )
         for (a, b), value in delays.items():
             if value < 0:
                 raise ValueError(f"negative delay for link {a!r}->{b!r}")
@@ -205,4 +209,4 @@ class TopologyLatency(LatencyModel):
         return 0.0 if sender == receiver else self._rows[sender][receiver]
 
     def multicast_profile(self, sender: int, receivers):
-        return (self._rows[sender], self.jitter) if self.jitter else None
+        return self._rows[sender], self.jitter

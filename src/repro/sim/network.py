@@ -6,26 +6,26 @@ serialised per sender (a sender's messages queue behind each other on its
 uplink) plus the propagation delay from the latency model.  Byte counts feed
 the Table 1 bandwidth accounting.
 
-This module sits on the simulation hot path (one :meth:`Network.send` per
-protocol message), so delivery is scheduled through the scheduler's
-closure-free ``schedule_call`` fast path and :meth:`Network.multicast` runs
-one fused fan-out loop with the per-receiver arithmetic hoisted, instead of
-re-entering :meth:`send` per receiver.  The per-receiver *order* of
-operations (stats, drop checks, uplink serialisation, latency draw) is
-identical to a sequence of unicasts, so fused fan-out leaves event ordering
-and RNG streams byte-for-byte unchanged.
+This module sits on the simulation hot path (one fan-out per protocol
+message), and :meth:`Network.multicast` is its only sending code —
+:meth:`Network.send` is a one-receiver fan-out.  The fan-out is one loop
+with the per-send work hoisted around it: the sender's bandwidth, the uplink
+clamp and the latency profile before it, the statistics and the uplink store
+after it.  The per-receiver *order* of operations (drop checks, uplink
+serialisation, latency draw, duplication draw) is that of a sequence of
+unicasts, so a fan-out leaves event ordering and RNG streams byte-for-byte
+those of per-receiver sends.
 
 The ``simulator`` collaborator is duck-typed: anything exposing ``now()``,
-``schedule_call(time, fn, a, b, c)`` and a seeded ``rng`` works, which is how
+``push_calls(times, fn, a, bs, c)`` and a seeded ``rng`` works, which is how
 the realtime runtime reuses this exact transport model on a wall-clock
 scheduler.
 
-All three sending paths (:meth:`Network.send`, the :meth:`Network.multicast`
-fast path and its general path) hand a finished delivery to one of two
-*sinks* bound at construction (:meth:`Network._install_sinks`).  That pair is
-the only thing a backend that delivers elsewhere replaces — the sharded
-transport routes remote receivers to outboxes there and overrides no sending
-method, so the arithmetic above exists in this module only.
+Every delivery leaves through one *sink* bound at construction
+(:meth:`Network._install_sink`).  It is the only thing a backend that
+delivers elsewhere replaces — the sharded transport routes remote receivers
+to outboxes there and overrides no sending method, so the arithmetic above
+exists in this module only.
 """
 
 # staticcheck: hot-path
@@ -35,7 +35,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.sim.events import EventQueue
 from repro.sim.latency import LatencyModel, UniformLatency
 from repro.sim.trace import TraceRecorder
 
@@ -76,12 +75,6 @@ class NetworkStats:
     bytes_per_node: Dict[int, int] = field(default_factory=dict)
     messages_per_node: Dict[int, int] = field(default_factory=dict)
 
-    def record_send(self, sender: int, size: int) -> None:
-        self.messages_sent += 1
-        self.bytes_sent += size
-        self.bytes_per_node[sender] = self.bytes_per_node.get(sender, 0) + size
-        self.messages_per_node[sender] = self.messages_per_node.get(sender, 0) + 1
-
     def record_drop(self, cause: str) -> None:
         self.messages_dropped += 1
         self.drops_by_cause[cause] = self.drops_by_cause.get(cause, 0) + 1
@@ -112,19 +105,11 @@ class Network:
         self._partition_group: Optional[Dict[int, int]] = None
         self._latency_scale: float = 1.0
         self._rng = random.Random(simulator.rng.randint(0, 2**31 - 1))
-        # The two delivery sinks (see _install_sinks), resolved once here —
-        # send() and multicast() are the hot path.  Arrival times are
-        # provably >= now (departure >= now, delays >= 0), so the DES
-        # backend's unchecked scheduling path is safe; other backends
-        # (realtime) keep their guarded schedule_call and have no batched
-        # sink (their scheduler is not the DES EventQueue).
-        queue = getattr(simulator, "queue", None)
-        self._install_sinks(
-            getattr(simulator, "schedule_call_unchecked", None)
-            or simulator.schedule_call,
-            queue.push_calls if isinstance(queue, EventQueue) else None,
-        )
-        self._perturbation = None
+        # Resolved once here: multicast() is the hot path.  Arrival times
+        # are >= now by construction (departure >= now, and the latency
+        # model refuses negative delays when it is built), so the scheduler
+        # needs no past-time guard per delivery.
+        self._install_sink(simulator.push_calls)
         # Scheduler-owned trace recorder: deliveries are recorded here when
         # tracing is on, making the trace a full schedule witness for replay.
         trace = getattr(simulator, "trace", None)
@@ -133,35 +118,24 @@ class Network:
             trace if trace is not None else TraceRecorder(enabled=False)
         )
 
-    # -------------------------------------------------------- delivery sinks
-    def _install_sinks(
-        self,
-        schedule_call: Callable[[float, Callable, int, int, Any], Any],
-        push_calls: Optional[Callable[[List[float], Callable, int, Sequence[int], Any], Any]],
+    # --------------------------------------------------------- delivery sink
+    def _install_sink(
+        self, push_calls: Callable[[List[float], Callable, int, Sequence[int], Any], Any]
     ) -> None:
         """Set where finished deliveries go (construction time only).
 
-        Every sending path ends in one of two callables, and they are the
-        whole seam between the transport arithmetic and the scheduler:
-
-        * ``schedule_call(arrival, fn, sender, receiver, message)`` — one
-          delivery; used by :meth:`send` and the general :meth:`multicast`
-          path;
-        * ``push_calls(arrivals, fn, sender, receivers, message)`` — one
-          whole fan-out (``arrivals[i]`` belongs to ``receivers[i]``); used
-          by the :meth:`multicast` fast path.  ``None`` disables that path.
-
-        It is two callables rather than one because the batched hand-over is
-        what keeps the n=128 fan-out free of a Python frame per receiver; a
-        single per-delivery sink would put that frame back.  Both are bound
-        to instance attributes once, so the sending methods never branch on
-        who is listening.  A subclass that delivers somewhere else (the
-        sharded backend's :class:`~repro.shard.transport.ShardNetwork`)
-        calls this from its constructor with wrappers around the pair the
-        base class resolved; the installed pair is also the *base* that
+        Every delivery leaves through ``push_calls(arrivals, fn, sender,
+        receivers, message)`` — one call per fan-out, ``arrivals[i]``
+        belonging to ``receivers[i]`` — and that callable is the whole seam
+        between the transport arithmetic and the scheduler.  It takes a
+        batch rather than one delivery because the batched hand-over is
+        what keeps the n=128 fan-out free of a Python frame per receiver.  A
+        subclass that delivers somewhere else (the sharded backend's
+        :class:`~repro.shard.transport.ShardNetwork`) calls this from its
+        constructor with a wrapper around the sink the base class resolved;
+        the installed sink is also the *base* that
         :meth:`set_delivery_perturbation` wraps and later restores.
         """
-        self._schedule_call = self._base_schedule_call = schedule_call
         self._push_calls = self._base_push_calls = push_calls
 
     # --------------------------------------------------------- registration
@@ -186,26 +160,25 @@ class Network:
 
         ``perturbation`` exposes ``perturb(arrival, sender, receiver) ->
         float`` returning the adjusted arrival (must be ``>= arrival``, so
-        perturbed runs stay valid executions); it is applied to every
-        delivery this transport schedules, in scheduling order.  Installing
-        one disables the multicast batched fast path — the general path
-        is draw-for-draw byte-identical (see :meth:`multicast`), so the
-        *zero* perturbation reproduces the unperturbed schedule exactly.
+        perturbed runs stay valid executions); it wraps the delivery sink
+        and is applied to every delivery, in batch order — which is the
+        scheduling order — so the *zero* perturbation reproduces the
+        unperturbed schedule exactly.
         """
+        base = self._base_push_calls
         if perturbation is None:
-            self._perturbation = None
-            self._schedule_call = self._base_schedule_call
-            self._push_calls = self._base_push_calls
+            self._push_calls = base
             return
-        self._perturbation = perturbation
-        self._push_calls = None
-        base_schedule = self._base_schedule_call
         perturb = perturbation.perturb
 
-        def _schedule_perturbed(time: float, fn, sender, receiver, message) -> None:
-            base_schedule(perturb(time, sender, receiver), fn, sender, receiver, message)
+        def push_perturbed(arrivals, fn, sender, receivers, message) -> None:
+            perturbed = [
+                perturb(arrival, sender, receiver)
+                for arrival, receiver in zip(arrivals, receivers)
+            ]
+            base(perturbed, fn, sender, receivers, message)
 
-        self._schedule_call = _schedule_perturbed
+        self._push_calls = push_perturbed
 
     # ------------------------------------------------------ network dynamics
     def set_partition(self, groups: Sequence[Sequence[int]]) -> None:
@@ -249,8 +222,6 @@ class Network:
         return self.config.drop_probability
 
     def _partition_blocks(self, sender: int, receiver: int) -> bool:
-        if self._partition_group is None:
-            return False
         groups = self._partition_group
         sender_group = groups.get(sender)
         receiver_group = groups.get(receiver)
@@ -258,68 +229,8 @@ class Network:
 
     # --------------------------------------------------------------- sending
     def send(self, sender: int, receiver: int, message: Any, size_bytes: int = 0) -> None:
-        """Send one message; loopback messages are delivered with zero latency."""
-        stats = self.stats
-        stats.messages_sent += 1
-        stats.bytes_sent += size_bytes
-        per_node = stats.bytes_per_node
-        per_node[sender] = per_node.get(sender, 0) + size_bytes
-        per_node = stats.messages_per_node
-        per_node[sender] = per_node.get(sender, 0) + 1
-        if self._link_filter is not None and not self._link_filter(sender, receiver):
-            stats.record_drop("link-filter")
-            return
-        if self._partition_group is not None and self._partition_blocks(sender, receiver):
-            stats.record_drop("partition")
-            return
-        config = self.config
-        if config.drop_probability and self._rng.random() < config.drop_probability:
-            stats.record_drop("loss")
-            return
-
-        now = self.simulator.now()
-        if size_bytes:
-            bandwidth = config.node_bandwidth
-            if bandwidth:
-                bandwidth = bandwidth.get(sender, config.bandwidth_bytes_per_s)
-            else:
-                bandwidth = config.bandwidth_bytes_per_s
-            transmission = size_bytes / bandwidth
-        else:
-            transmission = 0.0
-        # Serialise on the sender's uplink.
-        uplink_free = self._uplink_free_at.get(sender, 0.0)
-        if uplink_free < now:
-            uplink_free = now
-        departure = uplink_free + transmission
-        self._uplink_free_at[sender] = departure
-        propagation = self.latency.delay(sender, receiver, self._rng) * self._latency_scale
-        if propagation < 0.0:
-            # Catch latency-model bugs at the source so every backend fails
-            # identically (the DES scheduler would also reject the past-time
-            # delivery, but the realtime scheduler has no virtual "past").
-            raise ValueError(
-                f"latency model produced a negative delay for {sender}->{receiver}"
-            )
-        arrival = departure + propagation + config.processing_delay
-        schedule_call = self._schedule_call
-        schedule_call(arrival, self._deliver, sender, receiver, message)
-
-        if (
-            config.duplicate_probability
-            and self._rng.random() < config.duplicate_probability
-        ):
-            # Duplicate delivery: same payload arrives a second time after an
-            # independent propagation delay (retransmission/route flap model).
-            stats.messages_duplicated += 1
-            extra = self.latency.delay(sender, receiver, self._rng) * self._latency_scale
-            schedule_call(
-                departure + extra + config.processing_delay,
-                self._deliver,
-                sender,
-                receiver,
-                message,
-            )
+        """Send one message: a one-receiver :meth:`multicast`."""
+        self.multicast(sender, (receiver,), message, size_bytes)
 
     def _deliver(self, sender: int, receiver: int, message: Any) -> None:
         handler = self._handlers.get(receiver)
@@ -342,132 +253,90 @@ class Network:
             )
         handler(sender, message)
 
-    def multicast(self, sender: int, receivers: "list[int] | tuple[int, ...]", message: Any, size_bytes: int = 0) -> None:
-        """Send the same message to every receiver (including possibly sender).
+    def multicast(
+        self, sender: int, receivers: Sequence[int], message: Any, size_bytes: int = 0
+    ) -> None:
+        """Send the same message to every receiver (possibly the sender too).
 
-        One fused fan-out: the shared per-send quantities (transmission time,
-        config lookups, bound methods) are hoisted out of the receiver loop.
-        On the DES backend with a latency model exposing
-        :meth:`~repro.sim.latency.LatencyModel.multicast_profile`, the happy
-        path (no filter/partition/loss/duplication) computes the propagation
-        inline and hands all arrival times to the event queue in one
-        :meth:`~repro.sim.events.EventQueue.push_calls` batch — no
-        per-receiver Python frame at all.  The per-receiver operation order
-        (and every RNG draw) matches a loop of :meth:`send` calls exactly,
-        so statistics, uplink serialisation, and event ordering are
-        indistinguishable from per-receiver unicasts.
+        Every copy counts as sent, dropped or not, and the copies that go
+        out queue behind each other on the sender's uplink.  Propagation
+        comes from the latency model's
+        :meth:`~repro.sim.latency.LatencyModel.multicast_profile` inline —
+        ``base_row[r] + rng.random() * jitter``, one draw iff ``jitter > 0``
+        and none for a self pair, the rule of
+        :meth:`~repro.sim.latency.LatencyModel.delay`.  Link filter, partition, loss and
+        duplication are per-receiver checks behind one ``armed`` local: an
+        unarmed fan-out pays for none of them and hands the caller's
+        receiver list to the sink as is.  A duplicate is one more
+        ``(arrival, receiver)`` pair right after its original, so the batch
+        is in the scheduling order of a loop of unicasts.
         """
         stats = self.stats
         config = self.config
-        link_filter = self._link_filter
-        drop_probability = config.drop_probability
-        duplicate_probability = config.duplicate_probability
-        partitioned = self._partition_group is not None
-        processing_delay = config.processing_delay
-        latency_scale = self._latency_scale
-        rng_random = self._rng.random
-        deliver = self._deliver
-        bytes_per_node = stats.bytes_per_node
-        messages_per_node = stats.messages_per_node
-        if size_bytes:
-            bandwidth = config.node_bandwidth
-            if bandwidth:
-                bandwidth = bandwidth.get(sender, config.bandwidth_bytes_per_s)
-            else:
-                bandwidth = config.bandwidth_bytes_per_s
-            transmission = size_bytes / bandwidth
-        else:
-            transmission = 0.0
+        transmission = size_bytes / config.bandwidth_of(sender) if size_bytes else 0.0
         now = self.simulator.now()
         uplink_free = self._uplink_free_at.get(sender, 0.0)
-
-        # ------------------- DES fast path: inline latency, one batched push
-        push_calls = self._push_calls
-        profile = (
-            self.latency.multicast_profile(sender, receivers)
-            if push_calls is not None
-            and link_filter is None
-            and not partitioned
-            and not drop_probability
-            and not duplicate_probability
-            else None
-        )
-        if profile is not None:
-            base_row, jitter = profile
-            arrivals: List[float] = []
-            add_arrival = arrivals.append
-            if uplink_free < now:
-                uplink_free = now
-            for receiver in receivers:
-                departure = uplink_free = uplink_free + transmission
-                if receiver == sender:
-                    # delay() contract: self pairs are 0.0 with NO rng draw
-                    # (departure + 0.0 + processing == departure + processing).
-                    arrival = departure + processing_delay
-                else:
-                    # Same left-to-right float order as the general path:
-                    # departure + propagation + processing_delay.
-                    arrival = (
-                        departure
-                        + (base_row[receiver] + rng_random() * jitter) * latency_scale
-                        + processing_delay
-                    )
-                add_arrival(arrival)
-            sent = len(arrivals)
-            if sent:
-                push_calls(arrivals, deliver, sender, receivers, message)
-                total_bytes = size_bytes * sent
-                stats.messages_sent += sent
-                stats.bytes_sent += total_bytes
-                bytes_per_node[sender] = bytes_per_node.get(sender, 0) + total_bytes
-                messages_per_node[sender] = messages_per_node.get(sender, 0) + sent
-                self._uplink_free_at[sender] = uplink_free
-            return
-
-        # ------------------------------- general path: per-receiver delay()
-        delay = self.latency.delay
-        schedule_call = self._schedule_call
-        sent = 0
-        total_bytes = 0
+        if uplink_free < now:
+            uplink_free = now
+        base_row, jitter = self.latency.multicast_profile(sender, receivers)
+        latency_scale = self._latency_scale
+        processing_delay = config.processing_delay
+        rng_random = self._rng.random
+        link_filter = self._link_filter
+        partitioned = self._partition_group is not None
+        drop_probability = config.drop_probability
+        duplicate_probability = config.duplicate_probability
+        draws = jitter > 0
+        armed = link_filter is not None or partitioned or drop_probability or duplicate_probability
+        targets = [] if armed else receivers
+        arrivals: List[float] = []
+        add_arrival = arrivals.append
         for receiver in receivers:
-            sent += 1
-            total_bytes += size_bytes
-            if link_filter is not None and not link_filter(sender, receiver):
-                stats.record_drop("link-filter")
-                continue
-            if partitioned and self._partition_blocks(sender, receiver):
-                stats.record_drop("partition")
-                continue
-            if drop_probability and rng_random() < drop_probability:
-                stats.record_drop("loss")
-                continue
-            if uplink_free < now:
-                uplink_free = now
-            departure = uplink_free + transmission
-            uplink_free = departure
-            propagation = delay(sender, receiver, self._rng) * latency_scale
-            if propagation < 0.0:
-                raise ValueError(
-                    f"latency model produced a negative delay for {sender}->{receiver}"
+            if armed:
+                if link_filter is not None and not link_filter(sender, receiver):
+                    stats.record_drop("link-filter")
+                    continue
+                if partitioned and self._partition_blocks(sender, receiver):
+                    stats.record_drop("partition")
+                    continue
+                if drop_probability and rng_random() < drop_probability:
+                    stats.record_drop("loss")
+                    continue
+            departure = uplink_free = uplink_free + transmission
+            # Left-to-right float order: departure + propagation + processing
+            # (a self pair's zero propagation is left out: x + 0.0 == x).
+            if receiver == sender:
+                add_arrival(departure + processing_delay)
+            elif draws:
+                add_arrival(
+                    departure
+                    + (base_row[receiver] + rng_random() * jitter) * latency_scale
+                    + processing_delay
                 )
-            arrival = departure + propagation + processing_delay
-            schedule_call(arrival, deliver, sender, receiver, message)
-            if duplicate_probability and rng_random() < duplicate_probability:
-                stats.messages_duplicated += 1
-                extra = delay(sender, receiver, self._rng) * latency_scale
-                schedule_call(
-                    departure + extra + processing_delay, deliver, sender, receiver, message
-                )
+            else:
+                add_arrival(departure + base_row[receiver] * latency_scale + processing_delay)
+            if armed:
+                targets.append(receiver)
+                if duplicate_probability and rng_random() < duplicate_probability:
+                    # Duplicate delivery: same payload arrives a second time
+                    # after an independent propagation delay
+                    # (retransmission/route flap model).
+                    stats.messages_duplicated += 1
+                    extra = self.latency.delay(sender, receiver, self._rng) * latency_scale
+                    add_arrival(departure + extra + processing_delay)
+                    targets.append(receiver)
+        sent = len(receivers)
         if sent:
+            total_bytes = size_bytes * sent
             stats.messages_sent += sent
             stats.bytes_sent += total_bytes
-            bytes_per_node[sender] = bytes_per_node.get(sender, 0) + total_bytes
-            messages_per_node[sender] = messages_per_node.get(sender, 0) + sent
+            per_node = stats.bytes_per_node
+            per_node[sender] = per_node.get(sender, 0) + total_bytes
+            per_node = stats.messages_per_node
+            per_node[sender] = per_node.get(sender, 0) + sent
             self._uplink_free_at[sender] = uplink_free
-
-    def broadcast(self, sender: int, message: Any, size_bytes: int = 0) -> None:
-        """Send to every registered node, including the sender itself."""
-        self.multicast(sender, self.registered_nodes(), message, size_bytes)
+        if arrivals:
+            self._push_calls(arrivals, self._deliver, sender, targets, message)
 
     # ------------------------------------------------------------- inspection
     def registered_nodes(self) -> "list[int]":

@@ -1,4 +1,10 @@
-"""Discrete-event simulator core."""
+"""Discrete-event simulator core.
+
+Timers go through :meth:`Simulator.schedule_at` and
+:meth:`Simulator.schedule_after` (cancellable, past-time guarded); message
+deliveries go through ``Simulator.push_calls``, the event queue's batched,
+handle-free entry point that the transport uses as its one delivery sink.
+"""
 
 # staticcheck: hot-path
 from __future__ import annotations
@@ -7,7 +13,7 @@ import gc
 import heapq
 import random
 from math import isfinite
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.sim.clock import VirtualClock
 from repro.sim.events import Event, EventQueue
@@ -30,9 +36,10 @@ class Simulator:
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self._events_processed = 0
         self._stopped = False
-        #: hot-path alias for the network: schedule ``fn(a, b, c)`` with no
-        #: past-time guard (delivery times are already validated upstream)
-        self.schedule_call_unchecked = self.queue.push_call
+        #: the network's delivery sink: schedule ``fn(a, b, c)`` at
+        #: ``times[i]`` for each ``b = bs[i]``, with no past-time guard (the
+        #: transport never computes an arrival before now)
+        self.push_calls = self.queue.push_calls
 
     # ------------------------------------------------------------------ time
     def now(self) -> float:
@@ -54,18 +61,6 @@ class Simulator:
         if delay < 0:
             raise ValueError("delay must be non-negative")
         return self.queue.push(self.clock._now + delay, callback, label)
-
-    def schedule_call(self, time: float, fn: Callable[..., None], a: Any, b: Any, c: Any) -> None:
-        """Hot path: schedule ``fn(a, b, c)`` with no cancellation handle.
-
-        Used by the network for message deliveries — no closure or
-        :class:`Event` is allocated.  The past-time guard is intentionally
-        kept (a delivery scheduled in the past is always a latency-model
-        bug).
-        """
-        if time < self.clock._now:
-            raise ValueError(f"cannot schedule in the past ({time} < {self.now()})")
-        self.queue.push_call(time, fn, a, b, c)
 
     def cancel(self, event: Event) -> None:
         if event.popped or event.cancelled:

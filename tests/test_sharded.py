@@ -246,7 +246,7 @@ ALL_LOCAL_PLAN = ShardPlan(shards=1, assignment=(0,) * TRANSPORT_N, strategy="ha
 def _drive_transport(plan, general):
     """One traffic script through a plain Network or (``plan``) a shard-0
     ShardNetwork, same seed.  ``general`` turns on loss, duplication, a
-    partition and a link filter, which forces multicast's per-receiver path.
+    partition and a link filter, which arms multicast's per-receiver checks.
     Returns the transport and its ``(time, sender, receiver, message)``
     delivery log.
     """
@@ -331,7 +331,7 @@ class TestTransportEquivalence:
     def test_broadcast_reaches_remote_replicas(self):
         shard, _ = _drive_transport(TWO_SHARD_PLAN, general=False)
         shard.drain_outboxes()
-        shard.broadcast(0, "ping", 64)
+        shard.multicast(0, shard.registered_nodes(), "ping", 64)
         (_, frame), = shard.drain_outboxes()[0]
         assert sorted(e[2] for e in decode_batch(frame)) == [1, 3, 5, 7]
 

@@ -8,7 +8,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim.clock import VirtualClock
 from repro.sim.events import _BUCKETS_PER_SECOND, BUCKET_SECONDS, Event, EventQueue
@@ -481,8 +481,9 @@ class _HeapSimulator:
         heapq.heappush(self.heap, entry)
         return entry
 
-    def schedule_call(self, time, fn, a, b, c):
-        heapq.heappush(self.heap, [time, next(self.seq), lambda: fn(a, b, c), False])
+    def push_calls(self, times, fn, a, bs, c):
+        for time, b in zip(times, bs):
+            heapq.heappush(self.heap, [time, next(self.seq), lambda b=b: fn(a, b, c), False])
 
     def cancel(self, entry):
         entry[3] = True
@@ -505,7 +506,9 @@ class _HeapSimulator:
             processed += 1
             if max_events is not None and processed >= max_events:
                 break
-        if until is not None and self.time < until and not self.stopped and not self.heap:
+        # drained = nothing live is left; cancelled entries do not count
+        drained = all(entry[3] for entry in self.heap)
+        if until is not None and self.time < until and not self.stopped and drained:
             self.time = until
         return self.time
 
@@ -540,7 +543,7 @@ def _drive(sim, seed, steps):
             budget[0] -= 1
             delay = rng.choice(_DELAYS)
             if rng.random() < 0.5:
-                sim.schedule_call(sim.now() + delay, deliver, ident, child, None)
+                sim.push_calls([sim.now() + delay], deliver, ident, [child], None)
             else:
                 name = (ident, child)
                 pending.append(sim.schedule_after(delay, lambda name=name: fire(name)))
@@ -571,10 +574,14 @@ class TestRunLoopEquivalence:
             max_size=12,
         ),
     )
+    # a max_events stop that leaves only cancelled entries behind: the queue
+    # has drained, so both loops fast-forward to the horizon
+    @example(seed=24, steps=[(0.00390625, None), (0.04, None), (0.04, 1)])
     @settings(max_examples=200, deadline=None)
     def test_run_matches_single_heap_reference(self, seed, steps):
         sim = Simulator()
         sim.queue = _CheckedQueue()
+        sim.push_calls = sim.queue.push_calls
         assert _drive(sim, seed, steps) == _drive(_HeapSimulator(), seed, steps)
         _assert_tiers(sim.queue)
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.fuzz.perturb import PerturbationSpec, SchedulePerturbation
 from repro.scenario import TopologySpec
 from repro.sim import latency as latency_module
 from repro.sim.latency import (
@@ -140,23 +141,50 @@ class TestLatencyModels:
                 assert method in vars(cls), f"{cls.__name__} inherits {method}"
 
     @pytest.mark.parametrize("jitter", [0.0, 0.002])
-    def test_multicast_profile_is_none_iff_the_model_draws_nothing(self, jitter):
-        # The transport's fused fan-out draws once per receiver
-        # unconditionally, so a no-draw model must never enter it.
+    def test_profile_draws_iff_jitter(self, jitter):
+        # Every model returns a profile; the transport's fan-out draws once
+        # per non-self receiver iff jitter > 0, exactly as delay() does.
         for model in (
             UniformLatency(base=0.01, jitter=jitter),
             wan_latency(8, jitter=jitter),
         ):
-            profile = model.multicast_profile(0, [0, 1, 2, 3])
-            assert (profile is None) == (model.jitter == 0)
+            row, profile_jitter = model.multicast_profile(0, [0, 1, 2, 3])
+            assert profile_jitter == model.jitter
+            assert [row[r] for r in (1, 2, 3)] == [model.min_delay(0, r) for r in (1, 2, 3)]
             rng = random.Random(3)
             before = rng.getstate()
             model.delay(0, 1, rng)
             assert (rng.getstate() == before) == (model.jitter == 0)
+            net = Network(Simulator(seed=3), latency=model)
+            expected = random.Random()
+            expected.setstate(net._rng.getstate())
+            net.multicast(0, [0, 1, 2, 3], "x")
+            net.send(2, 2, "self")
+            for _ in range(3 if jitter else 0):
+                expected.random()
+            assert net._rng.getstate() == expected.getstate()
         rng = random.Random(3)
         before = rng.getstate()
         assert wan_latency(4).delay(2, 2, rng) == 0.0  # self pair: never a draw
         assert rng.getstate() == before
+
+    def test_base_model_names_the_missing_profile(self):
+        class _DelayOnly(LatencyModel):
+            def delay(self, sender, receiver, rng):
+                return 0.01
+
+        with pytest.raises(NotImplementedError, match="_DelayOnly provides no fan-out profile"):
+            Network(Simulator(), latency=_DelayOnly()).send(0, 1, "x")
+
+    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
+    def test_bad_default_delay_is_refused(self, bad):
+        # A negative default once put a multicast's arrival before its send
+        # time (simulated time ran backwards) while send() on the same link
+        # raised; both models refuse it when built.
+        with pytest.raises(ValueError, match="default_delay"):
+            TopologyLatency(("a", "b"), {}, jitter=0.001, default_delay=bad)
+        with pytest.raises(ValueError, match="default_delay"):
+            TopologySpec(kind="custom", regions=("a", "b"), default_delay=bad)
 
 
 class _Recorder(Node):
@@ -202,7 +230,7 @@ class TestNetwork:
     def test_broadcast_reaches_everyone(self, sim_net):
         sim, net = sim_net
         nodes = [_Recorder(i, sim, net) for i in range(4)]
-        net.broadcast(0, "ping")
+        net.multicast(0, net.registered_nodes(), "ping")
         sim.run()
         for node in nodes:
             assert len(node.received) == 1
@@ -471,3 +499,106 @@ class TestDynamicControls:
         assert net.config.drop_probability == 0.5
         with pytest.raises(ValueError):
             net.set_drop_probability(1.5)
+
+
+SEND_PATH_N = 8
+
+#: the latency models of the pinned traffic script: a jittered WAN, the same
+#: WAN with no jitter (the transport draws nothing), and the n-free default
+SEND_PATH_MODELS = {
+    "wan": lambda: wan_latency(SEND_PATH_N),
+    "wan-nojitter": lambda: wan_latency(SEND_PATH_N, jitter=0.0),
+    "uniform": lambda: UniformLatency(jitter=0.0),
+}
+
+#: unarmed; every per-receiver dynamic armed at once; degraded links; and a
+#: perturbation that moves nothing
+SEND_PATH_MODES = ("unarmed", "armed", "scaled", "perturbed")
+
+
+def send_path_digest(model, mode):
+    """sha256 over one traffic script's delivery log (pop order, with
+    times), the transport's :class:`NetworkStats` and its RNG state.
+
+    The script covers unicasts (a self-send and a zero-byte one included),
+    multicasts whose receiver list holds the sender, an empty receiver list,
+    a sender with a bandwidth override, and two phases separated by idle
+    uplinks.
+    """
+    armed = mode == "armed"
+    sim = Simulator(seed=5)
+    config = NetworkConfig(
+        drop_probability=0.2 if armed else 0.0,
+        duplicate_probability=0.3 if armed else 0.0,
+        node_bandwidth={2: 12_500_000},
+    )
+    net = Network(sim, latency=SEND_PATH_MODELS[model](), config=config)
+    log = []
+    everyone = list(range(SEND_PATH_N))
+    for node in everyone:
+        net.register(
+            node,
+            lambda sender, message, node=node: log.append((sim.now(), sender, node, message)),
+        )
+    if armed:
+        net.set_partition([[0, 1, 2, 3, 4, 5, 6], [7]])
+        net.set_link_filter(lambda sender, receiver: receiver != 5)
+    elif mode == "scaled":
+        net.set_latency_scale(1.7)
+    elif mode == "perturbed":
+        net.set_delivery_perturbation(SchedulePerturbation(PerturbationSpec(max_delay=0.0)))
+    for phase in range(2):  # the second phase starts with idle uplinks
+        net.multicast(0, everyone, ("all", phase), 4096)
+        net.multicast(1, [], ("none", phase), 512)
+        net.multicast(2, [3, 2, 6, 1], ("some", phase), 256)
+        net.send(3, 3, ("self", phase), 64)
+        for receiver in everyone:
+            net.send(4, receiver, ("one", phase, receiver), 1024)
+        net.send(6, 7, ("empty", phase))
+        sim.run(until=0.5 * (phase + 1))
+    sim.run()
+    assert log
+    witness = (log, net.stats, net._rng.getstate())
+    return hashlib.sha256(repr(witness).encode()).hexdigest()
+
+
+#: computed at the parent of the change that made ``multicast`` the only
+#: sending code (three sending paths, two delivery sinks)
+PINNED_SEND_PATH = {
+    "uniform-unarmed": "63c9475e74fd493b56ad2b5c6e715527d773e206ed5688c5ad5dcc5cbd7a5338",
+    "uniform-armed": "034cab571ebf807667705cbac2454373333b5be8cfb1a466426b3844f830c7c0",
+    "uniform-scaled": "1ffbe6fa4b46acbae88695018792a081cbce71e57a1303faae64a57d7648fd6d",
+    "uniform-perturbed": "63c9475e74fd493b56ad2b5c6e715527d773e206ed5688c5ad5dcc5cbd7a5338",
+    "wan-unarmed": "529a12a7dbad253c8ab94c8ccb3383c43b41f9b7af1b10767cd7611600c33405",
+    "wan-armed": "f75b265cbdccae1a61175c917184cdda587a7bb04bb30f35e419d13d2140de58",
+    "wan-scaled": "be3b8280a511d0f0f9e3ee37ac48a4fd48d8ac4cbf6d360354a5f130191a58c5",
+    "wan-perturbed": "529a12a7dbad253c8ab94c8ccb3383c43b41f9b7af1b10767cd7611600c33405",
+    "wan-nojitter-unarmed": "216ef599b317a18639571eacc1acea9f1d85d66e67d8d25896c5fb6cd4a015e0",
+    "wan-nojitter-armed": "ef5e052fd61c1291e682d949d7e3d82eaa0fb69cb1a8b24b39cffd3348aa4508",
+    "wan-nojitter-scaled": "7a7e74ee4aeaa1ab73104ba1708889f2dab71fd91f60e11438a1b804835d7537",
+    "wan-nojitter-perturbed": "216ef599b317a18639571eacc1acea9f1d85d66e67d8d25896c5fb6cd4a015e0",
+}
+
+
+class TestOneSendPath:
+    @pytest.mark.parametrize("mode", SEND_PATH_MODES)
+    @pytest.mark.parametrize("model", sorted(SEND_PATH_MODELS))
+    def test_schedule_digest_is_pinned(self, model, mode):
+        assert send_path_digest(model, mode) == PINNED_SEND_PATH[f"{model}-{mode}"]
+
+    def test_every_delivery_leaves_through_one_sink(self):
+        from repro.runtime.base import Runtime
+        from repro.runtime.des import DESRuntime
+        from repro.shard.partition import ShardPlan
+        from repro.shard.transport import ShardNetwork
+
+        simulator = Simulator()
+        for owner in (simulator, Runtime, DESRuntime()):
+            assert not hasattr(owner, "schedule_call")
+        assert not hasattr(simulator, "schedule_call_unchecked")
+        assert not hasattr(Network(simulator), "_schedule_call")
+        plan = ShardPlan(shards=2, assignment=(0, 1), strategy="hash")
+        shard = ShardNetwork(Simulator(), plan=plan, shard_id=0)
+        # one router, installed as the base sink a perturbation would wrap
+        assert shard._push_calls.__name__ == "route_calls"
+        assert shard._base_push_calls is shard._push_calls
