@@ -43,12 +43,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from math import isfinite
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 #: width of one calendar bucket, in simulated seconds
 BUCKET_SECONDS = 0.001
 _BUCKETS_PER_SECOND = 1.0 / BUCKET_SECONDS
+_INFINITY = float("inf")
 
 
 class Event:
@@ -134,28 +134,37 @@ class EventQueue:
     ) -> None:
         """Schedule ``fn(a, b, c)`` at ``time`` for each pair of ``zip(times, bs)``.
 
-        The fan-out entry point: equal to one :meth:`push_call` per pair, in
-        order, with the per-call work hoisted out of the loop (``_insert`` is
-        repeated inline for that).  Nothing is scheduled if any time is
-        non-finite.
+        The transport's one delivery sink, for a single unicast as for a
+        whole fan-out: equal to one :meth:`push_call` per pair, in order,
+        with the per-call work hoisted out of the loop (``_insert`` is
+        repeated inline for that).  ``bs`` is as long as ``times``.  Nothing
+        is scheduled if any time is non-finite.
+
+        A one-pair batch is the common call (every unicast), so the per-call
+        cost stays in bytecode: the finiteness test compares the sum rather
+        than calling ``math.isfinite``, and the loop indexes ``bs`` rather
+        than allocating a ``zip``.
         """
-        if not isfinite(sum(times)):  # one NaN or infinity poisons the sum
+        total = sum(times)  # one NaN or infinity poisons the sum
+        if not -_INFINITY < total < _INFINITY:
             raise ValueError(f"event times must be finite, got {list(times)!r}")
         current = self._current
         far = self._far
         seq = self._counter
-        for time, b in zip(times, bs):
+        index = 0
+        for time in times:
             bucket = int(time * _BUCKETS_PER_SECOND)
             if bucket <= current:
-                heapq.heappush(self._near, (time, next(seq), fn, a, b, c))
+                heapq.heappush(self._near, (time, next(seq), fn, a, bs[index], c))
             else:
                 entries = far.get(bucket)
                 if entries is None:
-                    far[bucket] = [(time, next(seq), fn, a, b, c)]
+                    far[bucket] = [(time, next(seq), fn, a, bs[index], c)]
                     heapq.heappush(self._far_buckets, bucket)
                 else:
-                    entries.append((time, next(seq), fn, a, b, c))
-        self._live += len(times)
+                    entries.append((time, next(seq), fn, a, bs[index], c))
+            index += 1
+        self._live += index
 
     def _insert(self, entry: tuple) -> None:
         try:

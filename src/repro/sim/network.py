@@ -281,7 +281,7 @@ class Network:
         base_row, jitter = self.latency.multicast_profile(sender, receivers)
         latency_scale = self._latency_scale
         processing_delay = config.processing_delay
-        rng_random = self._rng.random
+        rng = self._rng
         link_filter = self._link_filter
         partitioned = self._partition_group is not None
         drop_probability = config.drop_probability
@@ -289,8 +289,10 @@ class Network:
         draws = jitter > 0
         armed = link_filter is not None or partitioned or drop_probability or duplicate_probability
         targets = [] if armed else receivers
+        # ``arrivals.append`` and ``rng.random`` are called as methods, not
+        # held as bound-method locals: binding one is an allocation per
+        # fan-out, and most fan-outs are one-receiver unicasts.
         arrivals: List[float] = []
-        add_arrival = arrivals.append
         for receiver in receivers:
             if armed:
                 if link_filter is not None and not link_filter(sender, receiver):
@@ -299,31 +301,31 @@ class Network:
                 if partitioned and self._partition_blocks(sender, receiver):
                     stats.record_drop("partition")
                     continue
-                if drop_probability and rng_random() < drop_probability:
+                if drop_probability and rng.random() < drop_probability:
                     stats.record_drop("loss")
                     continue
             departure = uplink_free = uplink_free + transmission
             # Left-to-right float order: departure + propagation + processing
             # (a self pair's zero propagation is left out: x + 0.0 == x).
             if receiver == sender:
-                add_arrival(departure + processing_delay)
+                arrivals.append(departure + processing_delay)
             elif draws:
-                add_arrival(
+                arrivals.append(
                     departure
-                    + (base_row[receiver] + rng_random() * jitter) * latency_scale
+                    + (base_row[receiver] + rng.random() * jitter) * latency_scale
                     + processing_delay
                 )
             else:
-                add_arrival(departure + base_row[receiver] * latency_scale + processing_delay)
+                arrivals.append(departure + base_row[receiver] * latency_scale + processing_delay)
             if armed:
                 targets.append(receiver)
-                if duplicate_probability and rng_random() < duplicate_probability:
+                if duplicate_probability and rng.random() < duplicate_probability:
                     # Duplicate delivery: same payload arrives a second time
                     # after an independent propagation delay
                     # (retransmission/route flap model).
                     stats.messages_duplicated += 1
-                    extra = self.latency.delay(sender, receiver, self._rng) * latency_scale
-                    add_arrival(departure + extra + processing_delay)
+                    extra = self.latency.delay(sender, receiver, rng) * latency_scale
+                    arrivals.append(departure + extra + processing_delay)
                     targets.append(receiver)
         sent = len(receivers)
         if sent:
