@@ -15,24 +15,40 @@ Usage::
     python -m repro.bench fuzz run --seeds 16 --workers 4
     python -m repro.bench fuzz replay tests/corpus/*.json
 
-Each experiment name maps to the corresponding function in
-:mod:`repro.bench.experiments`; grid-shaped experiments (and scenario
-sweeps) run through a :class:`~repro.bench.sweep.SweepRunner` wired to the
-chosen worker count and cache directory, with per-cell progress streamed to
-stderr.
+The whole CLI is one argparse tree (:func:`build_parser`): each subcommand
+is a subparser whose ``handler`` default runs it.  Experiment names map to
+functions in :mod:`repro.bench.experiments`; the grid-shaped ones (those
+taking a ``sweep=`` runner) and scenario sweeps run through a
+:class:`~repro.bench.sweep.SweepRunner` wired to the chosen worker count and
+cache directory, with per-cell progress streamed to stderr.  ``run``,
+``scenario run`` and ``adversary run`` share one argument block and one
+report path, and exit non-zero when the safety auditor reports violations.
+
+The fuzz campaign engine (:mod:`repro.fuzz.campaign`) is wall-clock-free by
+the determinism rules (DET-001); the wall-clock budget for ``fuzz run`` lives
+here, injected as a ``should_stop`` callable — the bench package is the one
+place wall clocks are allowed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
+import os
 import sys
+import time
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.adversary.attacks import MESSAGE_KINDS
+from repro.adversary.registry import available_adversaries, get_adversary
 from repro.bench import experiments
 from repro.bench.config import ExperimentCell
 from repro.bench.report import format_series, format_table
-from repro.bench.sweep import SweepProgress, SweepRunner
+from repro.bench.runner import run_des_cell
+from repro.bench.sweep import SweepProgress, SweepRunner, expand_grid
+from repro.scenario.registry import available_scenarios, get_scenario
 
 #: columns shared by every metrics row, printed in this order when present
 DEFAULT_COLUMNS = (
@@ -47,7 +63,7 @@ DEFAULT_COLUMNS = (
     "confirmed_blocks",
 )
 
-#: experiment name -> (function, takes_sweep_runner)
+#: experiment name -> function; grid-shaped ones take a ``sweep=`` runner
 EXPERIMENTS: Dict[str, Callable] = {
     "fig2a": experiments.fig2a_analytical,
     "fig2b": experiments.fig2b_iss_stragglers,
@@ -61,8 +77,13 @@ EXPERIMENTS: Dict[str, Callable] = {
     "appendix-a": experiments.appendix_a_complexity,
 }
 
-#: experiments that accept a ``sweep=`` runner (grid-shaped)
-SWEEPABLE = {"fig2b", "fig5", "fig6", "fig7", "table1", "table2", "fig10"}
+
+def _sweepable(fn: Callable) -> bool:
+    return "sweep" in inspect.signature(fn).parameters
+
+
+def _summary(fn: Callable) -> str:
+    return (fn.__doc__ or "").strip().splitlines()[0]
 
 
 def _progress_printer(stream) -> Callable[[SweepProgress], None]:
@@ -112,222 +133,133 @@ def _print_result(name: str, result: object) -> None:
         print(json.dumps(result, indent=2, default=repr))
 
 
-# ------------------------------------------------------------- run CLI
-def run_main(argv: Sequence[str]) -> int:
-    """``python -m repro.bench run``: one cell on a chosen execution backend."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench run",
-        description="Run one experiment cell end-to-end on a chosen runtime "
-        "backend (DES virtual time, or asyncio wall clock) and audit it.",
-    )
-    parser.add_argument("--runtime", choices=["des", "realtime"], default="des",
-                        help="execution backend (default: des)")
+def _dump(path: str, payload: object) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, default=repr)
+
+
+# ---------------------------------------------------------- argument blocks
+def _add_json_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--json", dest="json_path", help="also dump the result as JSON")
+
+
+def _add_cell_arguments(parser: argparse.ArgumentParser, n: int, duration: float,
+                        batch_size: int, runtime: bool = True) -> None:
+    """The one-cell block; ``runtime=False`` leaves out the backend choice."""
     parser.add_argument("--protocol", default="ladon-pbft")
-    parser.add_argument("--n", type=int, default=4)
-    parser.add_argument("--duration", type=float, default=5.0,
-                        help="simulated seconds (realtime: wall-clock seconds "
-                             "scaled by --timescale)")
-    parser.add_argument("--timescale", type=float, default=1.0,
-                        help="realtime only: wall seconds per simulated second "
-                             "(0.5 runs a 10 s scenario in ~5 s)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--batch-size", type=int, default=1024)
-    parser.add_argument("--scenario", default=None,
-                        help="named scenario (default: paper WAN preset)")
-    parser.add_argument("--adversary", default=None,
-                        help="named adversary (default: all honest)")
-    parser.add_argument("--json", dest="json_path")
-    args = parser.parse_args(argv)
+    parser.add_argument("--n", type=int, default=n)
+    parser.add_argument("--duration", type=float, default=duration,
+                        help="simulated seconds (default: %(default)s)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="base cell seed (workload/latency RNG)")
+    parser.add_argument("--batch-size", type=int, default=batch_size)
+    if runtime:
+        parser.add_argument("--runtime", choices=["des", "realtime"], default="des",
+                            help="execution backend (default: des)")
+        parser.add_argument("--timescale", type=float, default=1.0,
+                            help="realtime only: wall seconds per simulated second "
+                                 "(0.5 runs a 10 s scenario in ~5 s)")
+    _add_json_argument(parser)
 
-    from repro.bench.runner import run_des_cell
 
-    cell = ExperimentCell(
+def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker processes for grid cells (1 = sequential in-process)")
+    parser.add_argument("--cache-dir", default=".sweep-cache",
+                        help="directory for the on-disk result cache (default: .sweep-cache)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="run every cell even if cached")
+    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
+    _add_json_argument(parser)
+
+
+def _sweep_runner(args: argparse.Namespace) -> SweepRunner:
+    return SweepRunner(
+        workers=args.workers,
+        cache_dir=None if args.no_cache else args.cache_dir,
+        progress=None if args.quiet else _progress_printer(sys.stderr),
+    )
+
+
+def _cell(args: argparse.Namespace, **fields) -> ExperimentCell:
+    """The cell of the one-cell block, plus the subcommand's own ``fields``."""
+    return ExperimentCell(
         protocol=args.protocol,
         n=args.n,
         duration=args.duration,
         seed=args.seed,
         batch_size=args.batch_size,
-        scenario=args.scenario,
-        adversary=args.adversary,
         runtime=args.runtime,
         realtime_timescale=args.timescale,
+        **fields,
     )
-    result = run_des_cell(cell)
-    row = result.metrics.as_dict()
-    row["runtime"] = args.runtime
-    print(format_table([row], columns=["runtime"] + list(DEFAULT_COLUMNS),
-                       title=f"run {cell.label()}"))
-    for line in _audit_lines(result):
-        print(line)
+
+
+def _row(result, cell: ExperimentCell, **fields) -> dict:
+    """A metrics row, with the environment the cell's scenario actually ran in."""
+    return {**result.metrics.as_dict(),
+            "environment": cell.effective_environment(), **fields}
+
+
+def _report(result, table: List[dict], columns: Sequence[str], title: str,
+            json_path: Optional[str], **payload) -> bool:
+    """Print ``table``, the audit and the dynamics timeline; dump ``payload``
+    plus both to ``json_path``.  Returns the auditor's safety verdict."""
+    audit = result.audit
+    print(format_table(table, columns=list(columns), title=title))
+    print(f"audit: {audit.summary()}")
+    for violation in audit.violations[:5]:
+        print(f"  VIOLATION {violation}")
+    if len(audit.violations) > 5:
+        print(f"  ... and {len(audit.violations) - 5} more")
     if result.dynamics_log:
         print("timeline:")
-        for time, kind, detail in result.dynamics_log:
-            print(f"  t={time:7.3f}s  {kind:28s} {detail}")
-    if args.json_path:
-        payload = {
-            "cell": cell.label(),
-            "runtime": args.runtime,
-            "metrics": row,
-            "audit": {
-                "safety_ok": result.audit.safety_ok,
-                "violations": [str(v) for v in result.audit.violations],
-                "stalled_instances": list(result.audit.stalled_instances),
-            },
-            "dynamics_log": result.dynamics_log,
+        for at, kind, detail in result.dynamics_log:
+            print(f"  t={at:7.3f}s  {kind:28s} {detail}")
+    if json_path:
+        payload["audit"] = {
+            "safety_ok": audit.safety_ok,
+            "violations": [str(v) for v in audit.violations],
+            "stalled_instances": list(audit.stalled_instances),
+            "honest_replicas": list(audit.honest_replicas),
         }
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, default=repr)
-    return 0 if result.audit.safety_ok else 1
+        payload["dynamics_log"] = result.dynamics_log
+        _dump(json_path, payload)
+    return audit.safety_ok
 
 
-# ------------------------------------------------------------ adversary CLI
-def _adversary_list() -> int:
-    from repro.adversary.attacks import MESSAGE_KINDS
-    from repro.adversary.registry import available_adversaries, get_adversary
-
-    print("attack catalog (compose with AdversarySpec; see repro.adversary):")
-    print("  equivocation       conflicting proposals/votes to disjoint replica sets")
-    print("  silence            selective suppression per target/kind/instance")
-    print("  delayed-votes      hold messages just under the view-change timeout")
-    print("  rank-manipulation  the paper's Byzantine straggler (Sec. 4.4)")
-    print(f"  message kinds: {', '.join(MESSAGE_KINDS)}")
-    print()
-    print("named adversaries (python -m repro.bench adversary run <name>):")
-    for name in available_adversaries():
-        spec = get_adversary(name)
-        print(f"  {name:24s} {spec.description or spec.describe()}")
-    print()
-    print("adversarial scenarios (python -m repro.bench scenario run byz-*):")
-    from repro.scenario.registry import available_scenarios, get_scenario
-
-    for name in available_scenarios():
-        if name.startswith("byz-"):
-            print(f"  {name:24s} {get_scenario(name).description}")
+# ---------------------------------------------------------------- handlers
+def _list(args: argparse.Namespace) -> int:
+    for name in sorted(EXPERIMENTS):
+        suffix = " (sweepable)" if _sweepable(EXPERIMENTS[name]) else ""
+        print(f"{name:12s} {_summary(EXPERIMENTS[name])}{suffix}")
+    print("run          one cell on a chosen backend: 'run --runtime des|realtime'")
+    print("scenario     named-scenario engine: 'scenario list|run|sweep' (sweepable)")
+    print("adversary    Byzantine attack catalog: 'adversary list|run'")
+    print("fuzz         schedule-space fuzzer: 'fuzz run|replay|shrink'")
     return 0
 
 
-def _audit_lines(result) -> List[str]:
-    lines = [f"audit: {result.audit.summary()}"]
-    for violation in result.audit.violations[:5]:
-        lines.append(f"  VIOLATION {violation}")
-    if len(result.audit.violations) > 5:
-        lines.append(f"  ... and {len(result.audit.violations) - 5} more")
-    return lines
-
-
-def _adversary_run(args: argparse.Namespace) -> int:
-    from repro.adversary.registry import get_adversary
-    from repro.bench.runner import run_des_cell
-
-    spec = get_adversary(args.name)  # fail fast on unknown names
-    common = dict(
-        protocol=args.protocol,
-        n=args.n,
-        duration=args.duration,
-        seed=args.seed,
-        batch_size=args.batch_size,
-        scenario=args.scenario,
-        runtime=args.runtime,
-        realtime_timescale=args.timescale,
-    )
-    baseline_label = "honest"
-    if args.scenario is not None:
-        from repro.scenario.registry import get_scenario
-
-        if get_scenario(args.scenario).adversary is not None:
-            # The base scenario is itself adversarial: the comparison run is
-            # a baseline for the *extra* attack, not an honest deployment.
-            baseline_label = f"baseline ({args.scenario})"
-            print(
-                f"note: scenario {args.scenario!r} declares its own adversary; "
-                f"the comparison row is that scenario, not an honest run",
-                file=sys.stderr,
-            )
-    adversarial_cell = ExperimentCell(adversary=args.name, **common)
-    result = run_des_cell(adversarial_cell)
-    rows = []
-    if not args.no_baseline:
-        baseline = run_des_cell(ExperimentCell(**common))
-        row = baseline.metrics.as_dict()
-        row["run"] = baseline_label
-        rows.append(row)
-    row = result.metrics.as_dict()
-    row["run"] = args.name
-    rows.append(row)
-    columns = ["run"] + [c for c in DEFAULT_COLUMNS if c != "stragglers"]
-    columns += ["safety_violations", "stalled_instances"]
-    print(format_table(
-        rows,
-        columns=columns,
-        title=f"adversary {args.name}: {spec.description or spec.describe()}",
-    ))
-    for line in _audit_lines(result):
-        print(line)
-    if result.dynamics_log:
-        print("timeline:")
-        for time, kind, detail in result.dynamics_log:
-            print(f"  t={time:7.3f}s  {kind:28s} {detail}")
+def _experiment(args: argparse.Namespace) -> int:
+    fn = EXPERIMENTS[args.experiment]
+    result = fn(sweep=_sweep_runner(args)) if _sweepable(fn) else fn()
     if args.json_path:
-        payload = {
-            "adversary": args.name,
-            "rows": rows,
-            "audit": {
-                "safety_ok": result.audit.safety_ok,
-                "violations": [str(v) for v in result.audit.violations],
-                "stalled_instances": list(result.audit.stalled_instances),
-                "honest_replicas": list(result.audit.honest_replicas),
-            },
-            "dynamics_log": result.dynamics_log,
-        }
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, default=repr)
-    # exit 0 exactly when the auditor's verdict matches the expectation: a
-    # negative control (--expect-unsafe) that fails to break safety is a
-    # failure too.
-    return 0 if result.audit.safety_ok != args.expect_unsafe else 1
+        _dump(args.json_path, result)
+    _print_result(args.experiment, result)
+    return 0
 
 
-def adversary_main(argv: Sequence[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench adversary",
-        description="Run catalog adversaries against an honest baseline, with audit.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list the attack catalog and named adversaries")
-
-    run_parser = sub.add_parser(
-        "run", help="run one named adversary and compare against the honest baseline"
-    )
-    run_parser.add_argument("name", help="adversary name (see 'adversary list')")
-    run_parser.add_argument("--protocol", default="ladon-pbft")
-    run_parser.add_argument("--n", type=int, default=4)
-    run_parser.add_argument("--duration", type=float, default=30.0)
-    run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument("--batch-size", type=int, default=1024)
-    run_parser.add_argument("--scenario", default=None,
-                            help="base scenario to attack (default: paper WAN preset)")
-    run_parser.add_argument("--runtime", choices=["des", "realtime"], default="des",
-                            help="execution backend (default: des)")
-    run_parser.add_argument("--timescale", type=float, default=1.0,
-                            help="realtime only: wall seconds per simulated second")
-    run_parser.add_argument("--no-baseline", action="store_true",
-                            help="skip the honest comparison run")
-    run_parser.add_argument("--expect-unsafe", action="store_true",
-                            help="exit 0 even when the auditor reports violations "
-                                 "(negative controls like equivocation-colluding)")
-    run_parser.add_argument("--json", dest="json_path")
-
-    args = parser.parse_args(argv)
-    if args.command == "list":
-        return _adversary_list()
-    return _adversary_run(args)
+def _run(args: argparse.Namespace) -> int:
+    cell = _cell(args, scenario=args.scenario, adversary=args.adversary)
+    result = run_des_cell(cell)
+    row = _row(result, cell, runtime=args.runtime)
+    safe = _report(result, [row], ["runtime"] + list(DEFAULT_COLUMNS),
+                   f"run {cell.label()}", args.json_path,
+                   cell=cell.label(), runtime=args.runtime, metrics=row)
+    return 0 if safe else 1
 
 
-# ------------------------------------------------------------- scenario CLI
-def _scenario_list() -> int:
-    from repro.scenario.registry import available_scenarios, get_scenario
-
+def _scenario_list(args: argparse.Namespace) -> int:
     for name in available_scenarios():
         spec = get_scenario(name)
         print(f"{name:16s} [{spec.environment}] {spec.description or spec.describe()}")
@@ -335,50 +267,19 @@ def _scenario_list() -> int:
 
 
 def _scenario_run(args: argparse.Namespace) -> int:
-    from repro.bench.runner import run_des_cell
-    from repro.scenario.registry import get_scenario
-
     spec = get_scenario(args.name)  # fail fast on unknown names
-    cell = ExperimentCell(
-        protocol=args.protocol,
-        n=args.n,
-        environment=spec.environment,
-        duration=args.duration,
-        seed=args.seed,
-        batch_size=args.batch_size,
-        scenario=args.name,
-        runtime=args.runtime,
-        realtime_timescale=args.timescale,
-    )
+    cell = _cell(args, scenario=args.name)
     result = run_des_cell(cell)
-    row = result.metrics.as_dict()
-    row["scenario"] = args.name
-    row["environment"] = spec.environment
-    print(format_table([row], columns=list(DEFAULT_COLUMNS) + ["scenario"],
-                       title=f"scenario {args.name}: {spec.description or spec.describe()}"))
-    if result.dynamics_log:
-        print("timeline:")
-        for time, kind, detail in result.dynamics_log:
-            print(f"  t={time:7.3f}s  {kind:12s} {detail}")
-    for line in _audit_lines(result):
-        print(line)
-    if args.json_path:
-        payload = {
-            "scenario": args.name,
-            "metrics": row,
-            "dynamics_log": result.dynamics_log,
-            "throughput_series": result.throughput_series,
-            "crash_log": result.crash_log,
-        }
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, default=repr)
-    return 0
+    row = _row(result, cell, scenario=args.name)
+    safe = _report(result, [row], list(DEFAULT_COLUMNS) + ["scenario"],
+                   f"scenario {args.name}: {spec.description or spec.describe()}",
+                   args.json_path, scenario=args.name, metrics=row,
+                   throughput_series=result.throughput_series,
+                   crash_log=result.crash_log)
+    return 0 if safe else 1
 
 
 def _scenario_sweep(args: argparse.Namespace) -> int:
-    from repro.bench.sweep import expand_grid
-    from repro.scenario.registry import available_scenarios, get_scenario
-
     names = (
         available_scenarios()
         if args.scenarios == "all"
@@ -392,12 +293,7 @@ def _scenario_sweep(args: argparse.Namespace) -> int:
         defaults=dict(n=args.n, duration=args.duration, seed=args.seed,
                       batch_size=args.batch_size),
     )
-    runner = SweepRunner(
-        workers=args.workers,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        progress=None if args.quiet else _progress_printer(sys.stderr),
-    )
-    rows = runner.run(cells)
+    rows = _sweep_runner(args).run(cells)
     for cell, row in zip(cells, rows):
         row["scenario"] = cell.scenario
         row["environment"] = cell.effective_environment()
@@ -407,116 +303,295 @@ def _scenario_sweep(args: argparse.Namespace) -> int:
         title=f"scenario sweep ({len(names)} scenarios x {len(protocols)} protocols)",
     ))
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2, default=repr)
+        _dump(args.json_path, rows)
     return 0
 
 
-def scenario_main(argv: Sequence[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench scenario",
-        description="Run named scenarios through the DES engine and sweep harness.",
+def _adversary_list(args: argparse.Namespace) -> int:
+    print("attack catalog (compose with AdversarySpec; see repro.adversary):")
+    print("  equivocation       conflicting proposals/votes to disjoint replica sets")
+    print("  silence            selective suppression per target/kind/instance")
+    print("  delayed-votes      hold messages just under the view-change timeout")
+    print("  rank-manipulation  the paper's Byzantine straggler (Sec. 4.4)")
+    print(f"  message kinds: {', '.join(MESSAGE_KINDS)}")
+    print()
+    print("named adversaries (python -m repro.bench adversary run <name>):")
+    for name in available_adversaries():
+        spec = get_adversary(name)
+        print(f"  {name:24s} {spec.description or spec.describe()}")
+    print()
+    print("adversarial scenarios (python -m repro.bench scenario run byz-*):")
+    for name in available_scenarios():
+        if name.startswith("byz-"):
+            print(f"  {name:24s} {get_scenario(name).description}")
+    return 0
+
+
+def _adversary_run(args: argparse.Namespace) -> int:
+    spec = get_adversary(args.name)  # fail fast on unknown names
+    baseline_label = "honest"
+    if args.scenario is not None and get_scenario(args.scenario).adversary is not None:
+        # The base scenario is itself adversarial: the comparison run is
+        # a baseline for the *extra* attack, not an honest deployment.
+        baseline_label = f"baseline ({args.scenario})"
+        print(
+            f"note: scenario {args.scenario!r} declares its own adversary; "
+            f"the comparison row is that scenario, not an honest run",
+            file=sys.stderr,
+        )
+    cell = _cell(args, scenario=args.scenario, adversary=args.name)
+    result = run_des_cell(cell)
+    rows = []
+    if not args.no_baseline:
+        baseline_cell = _cell(args, scenario=args.scenario)
+        rows.append(_row(run_des_cell(baseline_cell), baseline_cell, run=baseline_label))
+    rows.append(_row(result, cell, run=args.name))
+    columns = ["run"] + [c for c in DEFAULT_COLUMNS if c != "stragglers"]
+    columns += ["safety_violations", "stalled_instances"]
+    safe = _report(result, rows, columns,
+                   f"adversary {args.name}: {spec.description or spec.describe()}",
+                   args.json_path, adversary=args.name, rows=rows)
+    # exit 0 exactly when the auditor's verdict matches the expectation: a
+    # negative control (--expect-unsafe) that fails to break safety is a
+    # failure too.
+    return 0 if safe != args.expect_unsafe else 1
+
+
+def _budget_stopper(budget_s: Optional[float]) -> Optional[Callable[[], bool]]:
+    if budget_s is None:
+        return None
+    deadline = time.monotonic() + budget_s
+    return lambda: time.monotonic() >= deadline
+
+
+def _artifact_name(finding) -> str:
+    cell = finding.cell
+    flags = "-".join(cell.compat_flags) if cell.compat_flags else "faithful"
+    return f"fuzz-{flags}-seed{finding.seed_index}.json"
+
+
+def _fuzz_run(args: argparse.Namespace) -> int:
+    from repro.fuzz.artifact import write_artifact
+    from repro.fuzz.campaign import FuzzConfig, run_campaign
+
+    # Every campaign option is named after its FuzzConfig field.
+    known = {field.name for field in dataclasses.fields(FuzzConfig)}
+    config = FuzzConfig(
+        **{name: value for name, value in vars(args).items() if name in known},
+        compat_flags=tuple(args.compat or ()),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    report = run_campaign(
+        config,
+        runner=SweepRunner(workers=args.workers),
+        should_stop=_budget_stopper(args.budget),
+        stop_on_violation=not args.keep_going,
+        do_shrink=not args.no_shrink,
+        shrink_max_tests=args.shrink_tests,
+        log=lambda message: print(f"fuzz: {message}", file=sys.stderr),
+    )
+    print(
+        f"fuzz run: {report.seeds_run}/{config.seeds} seeds, "
+        f"{len(report.findings)} violation(s)"
+        + (" [budget hit]" if report.stopped_early else "")
+    )
+    for finding in report.findings:
+        kinds = ",".join(finding.artifact["expected"]["violation_kinds"])
+        line = f"  seed {finding.seed_index}: {kinds}"
+        if finding.shrink_result is not None:
+            line += (
+                f" (shrunk to {finding.shrink_result.nonzero_decisions} "
+                f"decisions in {finding.shrink_result.tests} tests)"
+            )
+        print(line)
+        if args.artifact_dir:
+            os.makedirs(args.artifact_dir, exist_ok=True)
+            path = os.path.join(args.artifact_dir, _artifact_name(finding))
+            write_artifact(path, finding.artifact)
+            print(f"  artifact: {path}")
+    if args.json_path:
+        _dump(args.json_path, {
+            "seeds_run": report.seeds_run,
+            "stopped_early": report.stopped_early,
+            "findings": [
+                {"seed_index": f.seed_index, "artifact": f.artifact}
+                for f in report.findings
+            ],
+            "rows": report.rows,
+        })
+    return 1 if report.findings else 0
 
-    sub.add_parser("list", help="list the registered scenarios")
 
-    run_parser = sub.add_parser("run", help="run one scenario end-to-end")
-    run_parser.add_argument("name", help="scenario name (see 'scenario list')")
-    run_parser.add_argument("--protocol", default="ladon-pbft")
-    run_parser.add_argument("--n", type=int, default=8)
-    run_parser.add_argument("--duration", type=float, default=30.0)
-    run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument("--batch-size", type=int, default=1024)
-    run_parser.add_argument("--runtime", choices=["des", "realtime"], default="des",
-                            help="execution backend (default: des)")
-    run_parser.add_argument("--timescale", type=float, default=1.0,
-                            help="realtime only: wall seconds per simulated second")
-    run_parser.add_argument("--json", dest="json_path")
+def _fuzz_replay(args: argparse.Namespace) -> int:
+    from repro.fuzz.artifact import read_artifact
+    from repro.fuzz.replay import replay_artifact
 
-    sweep_parser = sub.add_parser("sweep", help="grid of scenarios x protocols")
-    sweep_parser.add_argument("--scenarios", default="all",
-                              help="comma-separated names, or 'all' (default)")
-    sweep_parser.add_argument("--protocols", default="ladon-pbft,iss-pbft")
-    sweep_parser.add_argument("--n", type=int, default=8)
-    sweep_parser.add_argument("--duration", type=float, default=30.0)
-    sweep_parser.add_argument("--seed", type=int, default=0)
-    sweep_parser.add_argument("--batch-size", type=int, default=1024)
-    sweep_parser.add_argument("--workers", type=int, default=1)
-    sweep_parser.add_argument("--cache-dir", default=".sweep-cache")
-    sweep_parser.add_argument("--no-cache", action="store_true")
-    sweep_parser.add_argument("--quiet", action="store_true")
-    sweep_parser.add_argument("--json", dest="json_path")
+    status = 0
+    for path in args.artifact:
+        artifact = read_artifact(path)
+        report = replay_artifact(artifact)
+        note = artifact.get("note", "")
+        print(f"{path}: {report.summary()}" + (f"  [{note}]" if note else ""))
+        if not report.ok:
+            status = 1
+    return status
 
-    args = parser.parse_args(argv)
-    if args.command == "list":
-        return _scenario_list()
-    if args.command == "run":
-        return _scenario_run(args)
-    return _scenario_sweep(args)
+
+def _fuzz_shrink(args: argparse.Namespace) -> int:
+    from repro.fuzz.artifact import (
+        artifact_cell,
+        make_artifact,
+        outcome_of,
+        read_artifact,
+        write_artifact,
+    )
+    from repro.fuzz.campaign import predicate_for
+    from repro.fuzz.replay import run_cell_traced
+    from repro.fuzz.shrink import shrink
+
+    artifact = read_artifact(args.artifact)
+    cell = artifact_cell(artifact)
+    # Preserve the finding's class while minimizing: a safety artifact must
+    # not shrink into a liveness-only repro.
+    predicate = predicate_for(artifact["expected"])
+    if not predicate(cell):
+        print(f"{args.artifact}: cell no longer violates; nothing to shrink")
+        return 1
+    result = shrink(cell, predicate, max_tests=args.shrink_tests)
+    print(
+        f"{args.artifact}: {result.nonzero_decisions} nonzero decisions "
+        f"after {result.tests} tests ({result.accepted} reductions)"
+    )
+    system, run_result = run_cell_traced(result.cell)
+    outcome = outcome_of(run_result, system.trace.events)
+    minimized = make_artifact(
+        result.cell, outcome, system.trace.events, note=artifact.get("note", "")
+    )
+    out_path = args.output or args.artifact
+    write_artifact(out_path, minimized)
+    print(f"wrote {out_path}")
+    return 0
+
+
+# -------------------------------------------------------------- the parser
+def _command(commands, name: str, handler: Callable, about: str, **defaults):
+    """Add subcommand ``name``: ``about`` is its help line and description."""
+    parser = commands.add_parser(name, help=about, description=about)
+    parser.set_defaults(handler=handler, **defaults)
+    return parser
+
+
+def _group(commands, name: str, about: str):
+    parser = commands.add_parser(name, help=about, description=about)
+    return parser.add_subparsers(dest="action", required=True)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole CLI: one subparser per subcommand, each with a ``handler``."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench",
+        description="Regenerate the paper's tables and figures via the sweep "
+        "harness; run scenarios, adversaries and fuzz campaigns.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    # ``list`` has always taken the experiments' sweep flags; it ignores them.
+    _add_sweep_arguments(_command(commands, "list", _list, "list the experiments"))
+    for name in sorted(EXPERIMENTS):
+        fn = EXPERIMENTS[name]
+        experiment = _command(commands, name, _experiment, _summary(fn), experiment=name)
+        if _sweepable(fn):
+            _add_sweep_arguments(experiment)
+        else:
+            _add_json_argument(experiment)
+
+    run = _command(commands, "run", _run,
+                   "Run one experiment cell end-to-end on a chosen runtime backend "
+                   "(DES virtual time, or asyncio wall clock) and audit it.")
+    _add_cell_arguments(run, n=4, duration=5.0, batch_size=1024)
+    run.add_argument("--scenario", help="named scenario (default: paper WAN preset)")
+    run.add_argument("--adversary", help="named adversary (default: all honest)")
+
+    scenario = _group(commands, "scenario",
+                      "Run named scenarios through the DES engine and sweep harness.")
+    _command(scenario, "list", _scenario_list, "list the registered scenarios")
+    scenario_run = _command(scenario, "run", _scenario_run, "run one scenario end-to-end")
+    scenario_run.add_argument("name", help="scenario name (see 'scenario list')")
+    _add_cell_arguments(scenario_run, n=8, duration=30.0, batch_size=1024)
+    sweep = _command(scenario, "sweep", _scenario_sweep, "grid of scenarios x protocols")
+    sweep.add_argument("--scenarios", default="all", help="comma-separated names, or 'all' (default)")
+    sweep.add_argument("--protocols", default="ladon-pbft,iss-pbft")
+    sweep.add_argument("--n", type=int, default=8)
+    sweep.add_argument("--duration", type=float, default=30.0)
+    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--batch-size", type=int, default=1024)
+    _add_sweep_arguments(sweep)
+
+    adversary = _group(commands, "adversary",
+                       "Run catalog adversaries against an honest baseline, with audit.")
+    _command(adversary, "list", _adversary_list,
+             "list the attack catalog and named adversaries")
+    adversary_run = _command(adversary, "run", _adversary_run,
+                             "run one named adversary against the honest baseline")
+    adversary_run.add_argument("name", help="adversary name (see 'adversary list')")
+    _add_cell_arguments(adversary_run, n=4, duration=30.0, batch_size=1024)
+    adversary_run.add_argument("--scenario",
+                               help="base scenario to attack (default: paper WAN preset)")
+    adversary_run.add_argument("--no-baseline", action="store_true",
+                               help="skip the honest comparison run")
+    adversary_run.add_argument("--expect-unsafe", action="store_true",
+                               help="exit 0 only when the auditor reports violations "
+                                    "(negative controls like equivocation-colluding)")
+
+    fuzz = _group(commands, "fuzz",
+                  "Schedule-space fuzzing: perturb delivery schedules, audit every "
+                  "run, shrink violations to minimal replayable artifacts.")
+    fuzz_run = _command(fuzz, "run", _fuzz_run,
+                        "sweep perturbation seeds, audit every run, shrink and "
+                        "serialize violations (exit 1 iff a violation was found)")
+    _add_cell_arguments(fuzz_run, n=4, duration=8.0, batch_size=64, runtime=False)
+    fuzz_run.add_argument("--seeds", type=int, default=16, help="perturbation seeds to sweep (default: 16)")
+    fuzz_run.add_argument("--base-seed", type=int, default=0,
+                          help="campaign seed the perturbation seeds derive from")
+    fuzz_run.add_argument("--max-delay", type=float, default=1.2,
+                          help="per-delivery delay bound in seconds")
+    fuzz_run.add_argument("--probability", type=float, default=0.08,
+                          help="fraction of deliveries perturbed")
+    fuzz_run.add_argument("--view-change-timeout", type=float, default=1.0)
+    fuzz_run.add_argument("--propose-timeout", type=float, default=2.0)
+    fuzz_run.add_argument("--scenario")
+    fuzz_run.add_argument("--adversary")
+    fuzz_run.add_argument("--compat", action="append", metavar="FLAG",
+                          help="enable a compat bug reproduction "
+                               "(e.g. wedged-view-cursor); repeatable")
+    fuzz_run.add_argument("--workers", type=int, default=1, help="sweep worker processes (default: 1)")
+    fuzz_run.add_argument("--budget", type=float,
+                          help="wall-clock budget in seconds (checked "
+                               "between seed batches)")
+    fuzz_run.add_argument("--keep-going", action="store_true",
+                          help="continue after the first violation")
+    fuzz_run.add_argument("--no-shrink", action="store_true",
+                          help="serialize violations without minimizing")
+    fuzz_run.add_argument("--shrink-tests", type=int, default=48,
+                          help="max shrink predicate evaluations per finding")
+    fuzz_run.add_argument("--artifact-dir",
+                          help="write violation artifacts into this directory")
+    replay = _command(fuzz, "replay", _fuzz_replay,
+                      "re-execute artifacts and check bit-exactness (exit 0 iff "
+                      "each replay reproduces its pinned trace digest and audit "
+                      "verdict)")
+    replay.add_argument("artifact", nargs="+",
+                        help="artifact JSON path(s), e.g. tests/corpus/*.json")
+    shrink = _command(fuzz, "shrink", _fuzz_shrink,
+                      "re-minimize an existing artifact with a fresh test budget")
+    shrink.add_argument("artifact", help="artifact JSON path")
+    shrink.add_argument("--shrink-tests", type=int, default=96)
+    shrink.add_argument("--output", help="write here instead of overwriting")
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "scenario":
-        return scenario_main(argv[1:])
-    if argv and argv[0] == "adversary":
-        return adversary_main(argv[1:])
-    if argv and argv[0] == "run":
-        return run_main(argv[1:])
-    if argv and argv[0] == "fuzz":
-        from repro.bench.fuzz_cli import fuzz_main
-
-        return fuzz_main(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="Regenerate the paper's tables and figures via the sweep harness.",
-    )
-    parser.add_argument("experiment", choices=sorted(EXPERIMENTS) + ["list"])
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for grid experiments (1 = sequential in-process)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=".sweep-cache",
-        help="directory for the on-disk result cache (default: .sweep-cache)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="run every cell even if cached"
-    )
-    parser.add_argument("--json", dest="json_path", help="also dump the raw result as JSON")
-    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
-    args = parser.parse_args(argv)
-
-    if args.experiment == "list":
-        for name in sorted(EXPERIMENTS):
-            doc = (EXPERIMENTS[name].__doc__ or "").strip().splitlines()[0]
-            suffix = " (sweepable)" if name in SWEEPABLE else ""
-            print(f"{name:12s} {doc}{suffix}")
-        print("run          one cell on a chosen backend: 'run --runtime des|realtime'")
-        print("scenario     named-scenario engine: 'scenario list|run|sweep' (sweepable)")
-        print("adversary    Byzantine attack catalog: 'adversary list|run'")
-        print("fuzz         schedule-space fuzzer: 'fuzz run|replay|shrink'")
-        return 0
-
-    fn = EXPERIMENTS[args.experiment]
-    kwargs = {}
-    if args.experiment in SWEEPABLE:
-        kwargs["sweep"] = SweepRunner(
-            workers=args.workers,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            progress=None if args.quiet else _progress_printer(sys.stderr),
-        )
-    result = fn(**kwargs)
-
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2, default=repr)
-    _print_result(args.experiment, result)
-    return 0
+    args = build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

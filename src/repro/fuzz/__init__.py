@@ -12,8 +12,8 @@ replayable artifacts and delta-debugged down to minimal repros that live in
 Import surface: this package root stays dependency-light (no bench/harness
 imports) so the sans-I/O protocol layer can lazily pull
 :mod:`repro.fuzz.perturb` without dragging in multiprocessing.  The campaign
-driver lives in :mod:`repro.fuzz.campaign`; the CLI in
-:mod:`repro.bench.fuzz_cli` (``python -m repro.bench fuzz ...``).
+driver lives in :mod:`repro.fuzz.campaign`; the CLI is the ``fuzz`` subtree
+of :mod:`repro.bench.__main__` (``python -m repro.bench fuzz ...``).
 """
 
 from repro.fuzz.perturb import PerturbationSpec, SchedulePerturbation

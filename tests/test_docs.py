@@ -6,13 +6,13 @@ Two guarantees:
   (``REPRO_FAST=1``, which the heavier examples honor with shorter
   simulated durations);
 * every ``python -m repro.bench ...`` command fenced in README.md /
-  EXPERIMENTS.md names a real subcommand (checked via ``--help``) and,
-  where it references an experiment / scenario / adversary by name, that
-  name resolves in the corresponding registry; every fenced
-  ``python -m perfbench ...`` command parses with the benchmark's own
-  argument parser.
+  EXPERIMENTS.md parses in full with the CLI's own parser, and every
+  scenario / adversary / protocol it names resolves in the corresponding
+  registry; every fenced ``python -m perfbench ...`` command parses with
+  the benchmark's own argument parser.
 """
 
+import argparse
 import contextlib
 import io
 import os
@@ -79,62 +79,110 @@ def _fenced_commands(pattern):
 FENCED = _fenced_commands(r"python -m repro\.bench\s+(.*)")
 
 
-def _run_help(argv):
-    """Invoke the bench CLI in-process expecting a clean ``--help`` exit."""
-    from repro.bench.__main__ import main
-
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = main(argv)
-        except SystemExit as exit_:  # argparse exits on --help
-            code = exit_.code or 0
-    assert code == 0, f"{argv} exited {code}: {stderr.getvalue()[-500:]}"
-    assert stdout.getvalue().strip(), f"{argv} printed nothing"
-
-
 def test_docs_contain_bench_commands():
     assert len(FENCED) >= 8, f"expected fenced CLI commands in the docs, got {FENCED}"
+
+
+def _parse_bench(doc, command):
+    """Parse ``command`` with the CLI's own parser, failing on any argparse exit."""
+    from repro.bench.__main__ import build_parser
+
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        try:
+            return build_parser().parse_args(command.split())
+        except SystemExit as exit_:
+            pytest.fail(f"{doc}: '{command}' exited {exit_.code}: {stderr.getvalue()[-500:]}")
 
 
 @pytest.mark.parametrize(
     "doc,command", FENCED, ids=[f"{d}:{c[:40]}" for d, c in FENCED]
 )
 def test_fenced_bench_command_parses(doc, command):
-    tokens = command.split()
-    head = tokens[0]
-    if head in ("scenario", "adversary"):
-        assert len(tokens) >= 2, f"{doc}: bare '{command}'"
-        sub = tokens[1]
-        _run_help([head, sub, "--help"])
-        if sub == "run":
-            name = tokens[2]
-            if head == "scenario":
-                from repro.scenario.registry import get_scenario
+    """The full argv parses: a typo'd subcommand or flag, or a bad value,
+    fails here.  Every scenario, adversary and protocol the command names,
+    positional or by flag, resolves in its registry (each raises on an
+    unknown name), and every corpus artifact it names is checked in."""
+    from repro.adversary.registry import get_adversary
+    from repro.protocols.registry import resolve_protocol
+    from repro.scenario.registry import get_scenario
 
-                get_scenario(name)  # raises on unknown names
-            else:
-                from repro.adversary.registry import get_adversary
+    command = command.split("#")[0].strip()  # drop trailing fence annotations
+    args = _parse_bench(doc, command)
+    if getattr(args, "name", None) is not None:
+        (get_scenario if args.command == "scenario" else get_adversary)(args.name)
+    if getattr(args, "scenario", None) is not None:
+        get_scenario(args.scenario)
+    if getattr(args, "adversary", None) is not None:
+        get_adversary(args.adversary)
+    if getattr(args, "scenarios", "all") != "all":
+        for name in args.scenarios.split(","):
+            get_scenario(name)
+    for protocol in getattr(args, "protocols", getattr(args, "protocol", "")).split(","):
+        if protocol:
+            resolve_protocol(protocol)
+    artifacts = getattr(args, "artifact", [])
+    for path in [artifacts] if isinstance(artifacts, str) else artifacts:
+        if "*" not in path:
+            assert os.path.exists(os.path.join(REPO_ROOT, path)), (
+                f"{doc} references missing corpus artifact {path}"
+            )
 
-                get_adversary(name)
-    elif head == "fuzz":
-        assert len(tokens) >= 2, f"{doc}: bare '{command}'"
-        _run_help(["fuzz", tokens[1], "--help"])
-        # Documented corpus artifacts must actually be checked in.
-        for token in tokens[2:]:
-            if token.startswith("tests/corpus/") and "*" not in token:
-                assert os.path.exists(os.path.join(REPO_ROOT, token)), (
-                    f"{doc} references missing corpus artifact {token}"
-                )
-    elif head == "run":
-        _run_help(["run", "--help"])
-    elif head == "list":
-        _run_help(["list"])
-    else:
-        from repro.bench.__main__ import EXPERIMENTS
 
-        assert head in EXPERIMENTS, f"{doc} references unknown experiment {head!r}"
-        _run_help([head, "--help"])
+#: the one-cell subcommands' runtime flags
+_BACKEND = {"--runtime": "des", "--timescale": 1.0}
+#: the sweep flags of grid experiments, scenario sweep and ``list``
+_SWEEP = {"--workers": 1, "--cache-dir": ".sweep-cache", "--no-cache": False,
+          "--quiet": False, "--json": None}
+
+#: every subcommand's option strings and defaults; a flag or default that
+#: changes must change here too
+CLI_OPTIONS = {
+    "list": _SWEEP,
+    **{name: _SWEEP for name in ("fig10", "fig2b", "fig5", "fig6", "fig7", "table1", "table2")},
+    **{name: {"--json": None} for name in ("appendix-a", "fig2a", "fig8")},
+    "run": {"--protocol": "ladon-pbft", "--n": 4, "--duration": 5.0, "--seed": 0,
+            "--batch-size": 1024, **_BACKEND, "--json": None,
+            "--scenario": None, "--adversary": None},
+    "scenario list": {},
+    "scenario run": {"--protocol": "ladon-pbft", "--n": 8, "--duration": 30.0, "--seed": 0,
+                     "--batch-size": 1024, **_BACKEND, "--json": None},
+    "scenario sweep": {"--scenarios": "all", "--protocols": "ladon-pbft,iss-pbft",
+                       "--n": 8, "--duration": 30.0, "--seed": 0, "--batch-size": 1024,
+                       **_SWEEP},
+    "adversary list": {},
+    "adversary run": {"--protocol": "ladon-pbft", "--n": 4, "--duration": 30.0, "--seed": 0,
+                      "--batch-size": 1024, **_BACKEND, "--json": None, "--scenario": None,
+                      "--no-baseline": False, "--expect-unsafe": False},
+    "fuzz run": {"--protocol": "ladon-pbft", "--n": 4, "--duration": 8.0, "--seed": 0,
+                 "--batch-size": 64, "--json": None, "--seeds": 16, "--base-seed": 0,
+                 "--max-delay": 1.2, "--probability": 0.08, "--view-change-timeout": 1.0,
+                 "--propose-timeout": 2.0, "--scenario": None, "--adversary": None,
+                 "--compat": None, "--workers": 1, "--budget": None, "--keep-going": False,
+                 "--no-shrink": False, "--shrink-tests": 48, "--artifact-dir": None},
+    "fuzz replay": {},
+    "fuzz shrink": {"--shrink-tests": 96, "--output": None},
+}
+
+
+def _leaf_options(parser, path=()):
+    """``(subcommand, {option: default})`` for every leaf of the parser tree."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _leaf_options(child, path + (name,))
+            return
+    yield " ".join(path), {
+        action.option_strings[-1]: action.default
+        for action in parser._actions
+        if action.option_strings and action.dest != "help"
+    }
+
+
+def test_every_subcommand_keeps_its_options_and_defaults():
+    from repro.bench.__main__ import build_parser
+
+    assert dict(_leaf_options(build_parser())) == CLI_OPTIONS
 
 
 FENCED_PERFBENCH = [

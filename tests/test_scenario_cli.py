@@ -1,6 +1,10 @@
-"""CLI self-checks for ``python -m repro.bench scenario``."""
+"""CLI self-checks for ``python -m repro.bench``: scenario, the one-cell
+handlers (``run``, ``scenario run``, ``adversary run``) and fuzz."""
 
+import dataclasses
+import glob
 import json
+import os
 
 import pytest
 
@@ -60,3 +64,89 @@ class TestScenarioCLI:
         assert code == 0
         out = capsys.readouterr().out
         assert "lossy-lan" in out and "lan" in out
+
+
+#: the smallest cell the one-cell handlers are driven at
+SMALL = ["--n", "4", "--duration", "5", "--batch-size", "64"]
+CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.json")))
+
+
+@pytest.fixture
+def colluding_scenario(monkeypatch):
+    """A copy of ``byz-equivocation`` whose adversary breaks safety at n=4."""
+    from repro.adversary.registry import get_adversary
+    from repro.scenario import registry
+
+    spec = dataclasses.replace(
+        registry.get_scenario("byz-equivocation"),
+        name="byz-equivocation-colluding",
+        adversary=get_adversary("equivocation-colluding"),
+    )
+    monkeypatch.setitem(registry._REGISTRY, spec.name, spec)
+    return spec.name
+
+
+class TestOneCellHandlers:
+    """``run``, ``scenario run`` and ``adversary run`` share one report path:
+    the same audit, the same JSON keys, the same exit rule."""
+
+    def test_run_exits_zero_on_a_safe_audit(self, capsys):
+        assert main(["run", *SMALL]) == 0
+        assert "audit: SAFE" in capsys.readouterr().out
+
+    def test_run_fills_environment_from_the_scenario(self, tmp_path):
+        json_path = tmp_path / "out.json"
+        code = main(["run", "--scenario", "lossy-lan", *SMALL, "--json", str(json_path)])
+        assert code == 0
+        payload = json.loads(json_path.read_text())
+        assert payload["metrics"]["environment"] == "lan"
+        assert payload["audit"]["safety_ok"] is True
+
+    def test_scenario_run_exits_nonzero_on_an_unsafe_audit(
+        self, colluding_scenario, capsys, tmp_path
+    ):
+        json_path = tmp_path / "out.json"
+        code = main(["scenario", "run", colluding_scenario, *SMALL,
+                     "--json", str(json_path)])
+        assert code == 1
+        assert "VIOLATION" in capsys.readouterr().out
+        audit = json.loads(json_path.read_text())["audit"]
+        assert audit["safety_ok"] is False and audit["violations"]
+
+    def test_adversary_run_unsafe_without_expectation_exits_nonzero(self, capsys):
+        assert main(["adversary", "run", "equivocation-colluding", *SMALL]) == 1
+        out = capsys.readouterr().out
+        assert "honest" in out and "VIOLATION" in out
+
+    def test_adversary_run_expected_unsafe_exits_zero(self):
+        assert main(["adversary", "run", "equivocation-colluding", *SMALL,
+                     "--no-baseline", "--expect-unsafe"]) == 0
+
+    def test_adversary_run_negative_control_that_stays_safe_exits_nonzero(self):
+        assert main(["adversary", "run", "equivocation", *SMALL,
+                     "--no-baseline", "--expect-unsafe"]) == 1
+
+
+class TestFuzzCLI:
+    def test_replay_corpus_exits_zero(self, capsys):
+        assert CORPUS
+        assert main(["fuzz", "replay", *CORPUS]) == 0
+        assert capsys.readouterr().out.count("replay OK") == len(CORPUS)
+
+    def test_replay_of_an_altered_digest_exits_nonzero(self, tmp_path):
+        artifact = json.loads(open(CORPUS[0], encoding="utf-8").read())
+        digest = artifact["expected"]["trace_digest"]
+        artifact["expected"]["trace_digest"] = ("0" if digest[0] != "0" else "1") + digest[1:]
+        path = tmp_path / "altered.json"
+        path.write_text(json.dumps(artifact))
+        assert main(["fuzz", "replay", str(path)]) == 1
+
+    def test_run_one_seed_completes(self, capsys, tmp_path):
+        json_path = tmp_path / "fuzz.json"
+        code = main(["fuzz", "run", "--seeds", "1", "--no-shrink", *SMALL,
+                     "--json", str(json_path)])
+        assert code in (0, 1)
+        assert "fuzz run: 1/1 seeds" in capsys.readouterr().out
+        payload = json.loads(json_path.read_text())
+        assert payload["seeds_run"] == 1
+        assert code == (1 if payload["findings"] else 0)
