@@ -39,7 +39,8 @@ with one straggler, that no non-observer orderer or collector references a
 ``Block``/``ConfirmedBlock``.
 ``test_run_path_imports_no_unused_stdlib`` keeps ``asyncio``/``ssl`` and
 ``concurrent.futures`` (~4 MiB per process, paid again by every forked shard
-worker) off the import path of a DES run.  The CI ``perfbench-smoke`` job
+worker) off the import path of a DES run, and ``hmac`` too: no run computes a
+signature, so nothing on that path needs it.  The CI ``perfbench-smoke`` job
 runs these next to the n=128 and straggler slices, so every memory guard
 runs in one place.
 """
@@ -335,7 +336,7 @@ _IMPORTS = """
 import json, sys
 sys.path.insert(0, {src!r})
 import repro.protocols.registry, repro.bench.config, repro.metrics.auditor
-loaded = [name for name in ("asyncio", "ssl", "concurrent.futures") if name in sys.modules]
+loaded = [name for name in ("asyncio", "ssl", "concurrent.futures", "hmac") if name in sys.modules]
 from repro.bench import SweepRunner
 from repro.runtime import RealtimeRuntime, build_runtime
 runtime = build_runtime("realtime", time_scale=0.01)
@@ -353,8 +354,8 @@ print(json.dumps({{
 
 def test_run_path_imports_no_unused_stdlib():
     """Building and auditing a DES run imports neither the realtime backend's
-    asyncio (and ssl) nor the sweep pool's concurrent.futures; both still
-    load on first use."""
+    asyncio (and ssl) nor the sweep pool's concurrent.futures, both of which
+    still load on first use, nor hmac, which no run needs."""
     out = subprocess.run(
         [sys.executable, "-c", _IMPORTS.format(src=SRC)],
         capture_output=True, text=True, check=True,

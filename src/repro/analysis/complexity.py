@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.crypto.aggregate import quorum_threshold
+from repro.consensus.quorum import quorum_threshold
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.block import Block
-from repro.crypto.aggregate import fault_threshold, quorum_threshold
+from repro.consensus.quorum import fault_threshold, quorum_threshold
 
 
 @dataclass(slots=True)

@@ -124,7 +124,7 @@ class HotStuffInstance(ConsensusInstance):
             parent_digest=parent.digest if parent else "",
             justify_votes=self.config.quorum if round > 1 else 0,
             proposed_at=now,
-            batch_submitted_at=batch.mean_submitted_at(),
+            batch_submitted_at=batch.submitted_at,
         )
 
     # --------------------------------------------------------------- proposal

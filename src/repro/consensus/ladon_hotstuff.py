@@ -90,7 +90,7 @@ class LadonHotStuffInstance(HotStuffInstance):
             rank_m=current,
             rank_certificate=RankCertificate(rank=current, signer_count=self.config.quorum),
             proposed_at=now,
-            batch_submitted_at=batch.mean_submitted_at(),
+            batch_submitted_at=batch.submitted_at,
         )
 
     # ----------------------------------------------------------- rank updates

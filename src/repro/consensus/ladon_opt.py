@@ -5,8 +5,9 @@ Ladon-PBFT; what changes is *how the rank information travels*:
 
 * a backup encodes the difference between its highest known rank and the
   current round's rank in the index of the private key it signs the rank
-  message with (:mod:`repro.crypto.multikey`), so every backup signs the
-  *same* message and the leader can aggregate the 2f+1 signatures into one;
+  message with (one of :data:`KEY_COUNT` keys per replica; a larger
+  difference is clamped to the last key), so every backup signs the *same*
+  message and the leader can aggregate the 2f+1 signatures into one;
 * the pre-prepare then carries a single aggregate (O(1)) instead of 2f+1
   individual rank reports (O(n)), reducing the pre-prepare phase's message
   complexity from O(n^2) to O(n) and the backups' verification from O(n)
@@ -22,7 +23,11 @@ from repro.consensus.ladon_pbft import LadonPBFTInstance
 from repro.consensus.messages import PrePrepare, RankMessage
 from repro.consensus.pbft import RoundEntry
 from repro.core.rank import RankCertificate
-from repro.crypto.multikey import DEFAULT_KEY_COUNT
+
+
+#: private keys per replica for the rank-difference encoding: key ``k`` says
+#: "my rank is ``k`` above the round's"
+KEY_COUNT = 16
 
 
 #: modelled wire size of the aggregated rank proof: one 96-byte aggregate
@@ -40,7 +45,6 @@ class LadonOptInstance(LadonPBFTInstance):
         context: InstanceContext,
         propose_timeout: Optional[float] = None,
         byzantine_rank_manipulation: bool = False,
-        key_count: int = DEFAULT_KEY_COUNT,
     ) -> None:
         super().__init__(
             config,
@@ -48,7 +52,6 @@ class LadonOptInstance(LadonPBFTInstance):
             propose_timeout=propose_timeout,
             byzantine_rank_manipulation=byzantine_rank_manipulation,
         )
-        self.key_count = key_count
 
     # -------------------------------------------------------------- proposing
     def _build_pre_prepare(self, round: int, batch, now: float) -> PrePrepare:
@@ -96,7 +99,7 @@ class LadonOptInstance(LadonPBFTInstance):
         self.context.record_crypto("aggregate")
         current = self.context.current_rank()
         difference = max(0, current - entry.rank)
-        key_index = min(difference, self.key_count - 1)
+        key_index = min(difference, KEY_COUNT - 1)
         rank_msg = RankMessage(
             sender=self.replica_id,
             instance=self.instance_id,

@@ -155,7 +155,7 @@ class LadonPBFTInstance(PBFTInstance):
             rank_certificate=winning.certificate,
             rank_reports=reports,
             proposed_at=now,
-            batch_submitted_at=batch.mean_submitted_at(),
+            batch_submitted_at=batch.submitted_at,
         )
 
     # --------------------------------------------------------- rank validation

@@ -178,7 +178,7 @@ class PBFTInstance(ConsensusInstance):
             rank=round,  # vanilla PBFT: no meaningful rank, round stands in
             epoch=self.context.current_epoch(),
             proposed_at=now,
-            batch_submitted_at=batch.mean_submitted_at(),
+            batch_submitted_at=batch.submitted_at,
         )
 
     # -------------------------------------------------------------- vote keys

@@ -1,4 +1,7 @@
-"""Quorum vote tracking.
+"""Quorum thresholds and quorum vote tracking.
+
+:func:`quorum_threshold` and :func:`fault_threshold` give the 2f+1 and f of
+an ``n = 3f+1`` system; every quorum size in the package derives from them.
 
 The tracker stores, per key, a **voter bitmask** (one bit per replica id)
 instead of a ``set`` of ids: recording a vote is a bit-or, the quorum check
@@ -14,10 +17,9 @@ Two memory guarantees back the bounded-memory mode of the protocol layer:
 * :meth:`clear` releases a key's state (the instances call it when a round
   commits, so vote state is O(active rounds), not O(history)), and the
   dict's table with the last key;
-* votes arriving *after* a key reached quorum are dropped by default — the
-  old behaviour of accumulating them (for a key nobody reads again) let an
-  adversarial vote flood grow memory without bound.  Pass
-  ``track_post_quorum=True`` to opt back in (diagnostics).
+* votes arriving *after* a key reached quorum are dropped — accumulating
+  them (for a key nobody reads again) would let an adversarial vote flood
+  grow memory without bound.
 """
 
 # staticcheck: hot-path
@@ -25,6 +27,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Tuple
+
+
+def quorum_threshold(n: int) -> int:
+    """Return 2f+1 for an ``n = 3f+1`` system (rounded up for other n)."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    f = (n - 1) // 3
+    return 2 * f + 1
+
+
+def fault_threshold(n: int) -> int:
+    """Return f, the maximum number of Byzantine replicas tolerated."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    return (n - 1) // 3
 
 
 @dataclass(slots=True)
@@ -38,9 +55,6 @@ class QuorumTracker:
     """
 
     threshold: int
-    #: keep counting voters after quorum (off by default: a post-quorum vote
-    #: flood would otherwise grow memory for state nobody reads)
-    track_post_quorum: bool = False
     #: voter bitmask per key; stored as ``~mask`` (negative) once the key
     #: reached quorum, so one dict entry carries both facts
     _votes: Dict[Hashable, int] = field(default_factory=dict)
@@ -53,9 +67,7 @@ class QuorumTracker:
         """Record a vote.  Returns True exactly when the key first reaches quorum."""
         votes = self._votes
         mask = votes.get(key, 0)
-        if mask < 0:  # quorum already reached
-            if self.track_post_quorum:
-                votes[key] = ~(~mask | (1 << voter))
+        if mask < 0:  # quorum already reached; the late vote is dropped
             return False
         mask |= 1 << voter
         if mask.bit_count() >= self.threshold:

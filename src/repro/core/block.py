@@ -30,11 +30,11 @@ class BlockId:
 class Block:
     """A partially committed (or proposed) block.
 
-    ``txs`` is a tuple of opaque transaction objects (see
-    :mod:`repro.workload.transactions`); ``proposed_at`` records the virtual
-    time the leader created the block (used by the causal-strength metric and
-    to order "generation" events), and ``committed_at`` is filled when the
-    block becomes partially committed.
+    ``txs`` is the tuple of opaque items of a materialised batch (see
+    :class:`repro.workload.transactions.Batch`); ``proposed_at`` records
+    the virtual time the leader created the block (used by the causal-strength
+    metric and to order "generation" events), and ``committed_at`` is filled
+    when the block becomes partially committed.
     """
 
     instance: int

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Tuple
 
-from repro.crypto.aggregate import QuorumCertificate
-
 
 @dataclass(frozen=True, slots=True)
 class RankCertificate:
@@ -22,23 +20,20 @@ class RankCertificate:
     ``rank == 0`` (the epoch's minimum) needs no certificate: the prepare
     validity rule in the paper only requires a QC when ``rank_m != minRank``.
 
-    ``quorum_certificate`` holds a real aggregate signature when the caller
-    runs with full crypto (unit tests, small examples).  The simulator's hot
-    path instead records only ``signer_count`` so that wire sizes stay
-    faithful without recomputing MACs for every message.
+    No signature is computed: the certificate records only ``signer_count``,
+    which is all its modelled wire size depends on — one 96-byte BLS
+    aggregate point plus a signer bitmap, matching the paper's claim that a
+    rank certificate adds <1% to a 2 MB block.
     """
 
     rank: int
-    quorum_certificate: Optional[QuorumCertificate] = None
     signer_count: int = 0
 
     def is_genesis(self) -> bool:
-        return self.quorum_certificate is None and self.signer_count == 0
+        return self.signer_count == 0
 
     @property
     def size_bytes(self) -> int:
-        if self.quorum_certificate is not None:
-            return 8 + self.quorum_certificate.size_bytes
         if self.signer_count:
             # modelled aggregate: one 96-byte point + signer bitmap
             return 8 + 96 + 4 * ((self.signer_count + 31) // 32)

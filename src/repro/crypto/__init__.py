@@ -1,41 +1,9 @@
-"""Simulated cryptography substrate for the Ladon reproduction.
+"""Hashing for the Ladon reproduction (:mod:`repro.crypto.hashing`).
 
-The Ladon paper uses Ed25519-style signatures for messages and BLS aggregate
-signatures for rank certificates.  This package provides drop-in simulated
-equivalents built on HMAC-SHA256: they offer the same *interfaces* and the
-same security-relevant checks (only the owner of a private key can produce a
-signature that verifies under the matching public key; aggregate signatures
-bind a set of (signer, message) pairs), without bilinear pairings.  The cost
-of each operation is modelled separately by :mod:`repro.metrics.resources`.
+The paper signs messages with Ed25519-style signatures and aggregates rank
+certificates with BLS (Sec. 3.2 and 5.3).  No run computes a signature:
+signature *cost* is modelled by the ``record_crypto`` counters
+(:mod:`repro.metrics.resources`), and the wire size of a certificate by its
+signer count (:attr:`repro.core.rank.RankCertificate.size_bytes`).  Only the
+block and message digests are real hashes.
 """
-
-from repro.crypto.hashing import digest, digest_hex
-from repro.crypto.keys import KeyPair, KeyStore, PublicKey, PrivateKey
-from repro.crypto.signatures import Signature, sign, verify, SignedMessage
-from repro.crypto.aggregate import (
-    AggregateSignature,
-    aggregate,
-    verify_aggregate,
-    QuorumCertificate,
-)
-from repro.crypto.multikey import MultiKeyPair, MultiKeyStore, RankEncodedSignature
-
-__all__ = [
-    "digest",
-    "digest_hex",
-    "KeyPair",
-    "KeyStore",
-    "PublicKey",
-    "PrivateKey",
-    "Signature",
-    "sign",
-    "verify",
-    "SignedMessage",
-    "AggregateSignature",
-    "aggregate",
-    "verify_aggregate",
-    "QuorumCertificate",
-    "MultiKeyPair",
-    "MultiKeyStore",
-    "RankEncodedSignature",
-]

@@ -1,9 +1,9 @@
-"""Hashing helpers shared by the crypto and consensus layers."""
+"""Block and message digests: SHA-256 over a canonical encoding."""
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Iterable
+from typing import Any
 
 
 def _to_bytes(value: Any) -> bytes:
@@ -44,22 +44,3 @@ def digest_hex(*values: Any) -> str:
     """Return the hex form of :func:`digest` (handy for logs and block ids)."""
     return digest(*values).hex()
 
-
-def merkle_root(leaves: Iterable[bytes]) -> bytes:
-    """Compute a Merkle root over ``leaves``.
-
-    Used to summarise a batch of transactions into a single digest, mirroring
-    how real BFT implementations commit to a batch.  An empty batch hashes to
-    the digest of the empty tuple.
-    """
-    level = [digest(leaf) for leaf in leaves]
-    if not level:
-        return digest(())
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level), 2):
-            left = level[i]
-            right = level[i + 1] if i + 1 < len(level) else left
-            nxt.append(digest(left, right))
-        level = nxt
-    return level[0]

@@ -22,11 +22,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 from repro.consensus.base import CommitLog, InstanceConfig, InstanceContext
 from repro.consensus.checkpoint import CheckpointManager
 from repro.consensus.messages import CheckpointMessage
+from repro.consensus.quorum import quorum_threshold
 from repro.core.block import Block
 from repro.core.epoch import EpochConfig, EpochPacemaker
 from repro.core.ordering import Confirmation, GlobalOrderer
 from repro.core.rank import RankState
-from repro.crypto.aggregate import quorum_threshold
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.resources import ResourceModel
 from repro.protocols.result import RunSnapshot, SystemResult, assemble

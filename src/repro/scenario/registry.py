@@ -79,7 +79,9 @@ register_scenario(
         description=(
             "4-region WAN; every replica in Tokyo crashes at t=6s and "
             "recovers at t=14s, followed by a 2x congestion window while "
-            "the region catches up"
+            "the region catches up.  propose_timeout is unarmed, so a "
+            "crashed leader's instance waits for it to come back: this "
+            "measures the wait, not a view change"
         ),
         dynamics=(
             RegionOutage(region="ap-northeast-1", at=6.0, recover_at=14.0),
@@ -149,7 +151,9 @@ register_scenario(
         name="churn",
         description=(
             "4-region WAN with rolling node churn: one replica down at a "
-            "time, a new crash every 5s from t=4s"
+            "time, a new crash every 5s from t=4s.  propose_timeout is "
+            "unarmed, so a crashed leader's instance waits for it to come "
+            "back: this measures the wait, not a view change"
         ),
         dynamics=(Churn(start=4.0, period=5.0, downtime=2.5, cycles=4),),
     )

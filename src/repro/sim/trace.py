@@ -46,12 +46,6 @@ class TraceRecorder:
     def by_category(self, category: str) -> List[TraceEvent]:
         return [event for event in self.events if event.category == category]
 
-    def by_node(self, node: int) -> List[TraceEvent]:
-        return [event for event in self.events if event.node == node]
-
-    def clear(self) -> None:
-        self.events.clear()
-
     def digest(self) -> str:
         """Canonical sha256 of everything recorded so far."""
         return trace_digest(self.events)

@@ -1,9 +1,7 @@
-"""Workload substrate: transactions and arrival processes."""
+"""Workload substrate: transaction batches and arrival processes."""
 
-from repro.workload.transactions import Transaction, TransactionFactory, Batch
+from repro.workload.transactions import Batch
 
 __all__ = [
-    "Transaction",
-    "TransactionFactory",
     "Batch",
 ]

@@ -232,9 +232,10 @@ class TrafficStream:
     def take(self, instance_id: int, now: float, cap: int) -> Tuple[int, float]:
         """Draw up to ``cap`` transactions for ``instance_id`` at time ``now``.
 
-        Returns ``(count, mean_submitted_at)``.  The submission time
-        approximates the batch's arrivals as uniform over the interval since
-        the instance's previous cut, minus the client-to-leader delay.
+        Returns ``(count, submitted_at)``.  ``submitted_at`` is the mean
+        submission time: it approximates the batch's arrivals as uniform over
+        the interval since the instance's previous cut, minus the
+        client-to-leader delay.
         """
         last = self._last_cut[instance_id]
         if self.saturated:

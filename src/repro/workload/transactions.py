@@ -1,57 +1,36 @@
-"""Transaction model.
+"""Transaction batches.
 
 Transactions carry a 500-byte payload, the average Bitcoin transaction size
 used throughout the paper's evaluation (Sec. 6.1).  Payload contents are not
-interpreted by the protocols; only the size and identity matter.
+interpreted by the protocols; only the size and count matter, so no run
+materialises a client transaction.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
 
 
 DEFAULT_PAYLOAD_BYTES = 500
 
 
 @dataclass(frozen=True, slots=True)
-class Transaction:
-    """A client transaction submitted to the Multi-BFT system."""
-
-    tx_id: int
-    client_id: int
-    submitted_at: float
-    payload_bytes: int = DEFAULT_PAYLOAD_BYTES
-
-    def __post_init__(self) -> None:
-        if self.payload_bytes <= 0:
-            raise ValueError("payload must be positive")
-
-    @property
-    def size_bytes(self) -> int:
-        return self.payload_bytes
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"tx#{self.tx_id}(client={self.client_id})"
-
-
-@dataclass(frozen=True, slots=True)
 class Batch:
-    """A batch of transactions cut by a leader.
+    """A batch cut by a leader.
 
     Two representations are supported:
 
-    * **materialised** — ``txs`` holds the actual :class:`Transaction`
-      objects (used by correctness tests, the causality experiments and the
-      examples);
     * **synthetic** — ``synthetic_count`` says how many transactions the
-      batch stands for without materialising them (used by the saturated
-      peak-throughput runs, where per-transaction identity is irrelevant and
-      allocating millions of objects would dominate the simulation).
+      batch stands for without materialising them (every client batch: per-
+      transaction identity is irrelevant, and allocating millions of objects
+      would dominate the simulation);
+    * **materialised** — ``txs`` holds opaque items, each with a fixed 64 B
+      wire size.  The only materialised batch a run builds is DQBFT's
+      ordering batch, whose items are the :class:`~repro.core.block.BlockId`
+      references of the blocks it orders.
 
     ``submitted_at`` is the representative submission time used for latency
-    accounting when the batch is synthetic.
+    accounting.
     """
 
     txs: tuple = ()
@@ -72,23 +51,8 @@ class Batch:
     @property
     def size_bytes(self) -> int:
         if self.txs:
-            # Opaque payloads (e.g. DQBFT's block references) default to a
-            # small fixed wire size.
-            return sum(getattr(tx, "size_bytes", 64) for tx in self.txs)
+            return 64 * len(self.txs)
         return self.synthetic_count * self.payload_bytes
-
-    def mean_submitted_at(self) -> float:
-        """Average submission time of the batch's transactions."""
-        if self.txs:
-            times = [getattr(tx, "submitted_at", None) for tx in self.txs]
-            known = [t for t in times if t is not None]
-            if known:
-                return sum(known) / len(known)
-        return self.submitted_at
-
-    @classmethod
-    def from_txs(cls, txs) -> "Batch":
-        return cls(txs=tuple(txs))
 
     @classmethod
     def synthetic(cls, count: int, submitted_at: float, payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> "Batch":
@@ -97,22 +61,3 @@ class Batch:
     @classmethod
     def empty(cls) -> "Batch":
         return cls()
-
-
-class TransactionFactory:
-    """Mints transactions with globally unique, monotonically increasing ids."""
-
-    def __init__(self, payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> None:
-        self.payload_bytes = payload_bytes
-        self._counter = itertools.count()
-
-    def create(self, client_id: int, submitted_at: float) -> Transaction:
-        return Transaction(
-            tx_id=next(self._counter),
-            client_id=client_id,
-            submitted_at=submitted_at,
-            payload_bytes=self.payload_bytes,
-        )
-
-    def create_batch(self, client_id: int, submitted_at: float, count: int) -> tuple:
-        return tuple(self.create(client_id, submitted_at) for _ in range(count))

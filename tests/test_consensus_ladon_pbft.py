@@ -3,7 +3,7 @@
 import pytest
 
 from repro.consensus.base import CollectingContext, InstanceConfig
-from repro.consensus.ladon_opt import LadonOptInstance
+from repro.consensus.ladon_opt import KEY_COUNT, LadonOptInstance
 from repro.consensus.ladon_pbft import LadonPBFTInstance
 from repro.consensus.messages import Commit, PrePrepare, Prepare, RankMessage
 from repro.core.rank import RankCertificate
@@ -230,9 +230,12 @@ class TestLadonOpt:
         opt_msg = opt.propose(Batch.synthetic(1, 0.0), now=1.0)
         assert opt_msg.size_bytes < plain_msg.size_bytes
 
-    def test_rank_difference_encoded_in_key_index(self):
+    @pytest.mark.parametrize(
+        "current_rank,key_index", [(9, 9 - 4), (4 + KEY_COUNT + 3, KEY_COUNT - 1)]
+    )
+    def test_rank_difference_encoded_in_key_index(self, current_rank, key_index):
         backup, context = make_instance(cls=LadonOptInstance, replica_id=1)
-        context.rank = 9
+        context.rank = current_rank
         pre_prepare = PrePrepare(
             sender=0, instance=0, view=0, round=1, digest="d", tx_count=1, rank=4,
             aggregated_rank_proof_bytes=99,
@@ -243,7 +246,7 @@ class TestLadonOpt:
         rank_msgs = [m for _, m, _ in context.sent if isinstance(m, RankMessage)]
         assert len(rank_msgs) == 1
         assert rank_msgs[0].rank == 4
-        assert rank_msgs[0].key_index == 9 - 4
+        assert rank_msgs[0].key_index == key_index
 
     def test_leader_decodes_rank_from_key_index(self):
         leader, _ = make_instance(cls=LadonOptInstance, replica_id=0)

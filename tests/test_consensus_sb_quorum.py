@@ -1,8 +1,23 @@
-"""Tests for quorum tracking."""
+"""Tests for quorum thresholds and quorum tracking."""
 
 import pytest
 
-from repro.consensus.quorum import QuorumTracker
+from repro.consensus.quorum import QuorumTracker, fault_threshold, quorum_threshold
+
+
+class TestThresholds:
+    @pytest.mark.parametrize(
+        "n,f,quorum", [(4, 1, 3), (7, 2, 5), (10, 3, 7), (16, 5, 11), (128, 42, 85)]
+    )
+    def test_thresholds(self, n, f, quorum):
+        assert fault_threshold(n) == f
+        assert quorum_threshold(n) == quorum
+
+    def test_thresholds_reject_nonpositive(self):
+        with pytest.raises(ValueError):
+            quorum_threshold(0)
+        with pytest.raises(ValueError):
+            fault_threshold(-1)
 
 
 class TestQuorumTracker:
@@ -46,18 +61,16 @@ class TestQuorumTracker:
 
 
 class ReferenceSetTracker:
-    """The seed dict-of-sets tracker, kept inline as the equivalence oracle."""
+    """The seed dict-of-sets tracker, kept inline as the equivalence oracle
+    (post-quorum votes are dropped, as in :class:`QuorumTracker`)."""
 
-    def __init__(self, threshold, track_post_quorum=True):
+    def __init__(self, threshold):
         self.threshold = threshold
-        self.track_post_quorum = track_post_quorum
         self._votes = {}
         self._reached = set()
 
     def add_vote(self, key, voter):
         if key in self._reached:
-            if self.track_post_quorum:
-                self._votes.setdefault(key, set()).add(voter)
             return False
         voters = self._votes.setdefault(key, set())
         voters.add(voter)
@@ -92,9 +105,8 @@ class TestBitmaskEquivalence:
         rng = random.Random(4000 + seed)
         n = rng.randint(4, 40)
         threshold = (2 * ((n - 1) // 3)) + 1
-        track = bool(seed % 2)
-        bitmask = QuorumTracker(threshold=threshold, track_post_quorum=track)
-        reference = ReferenceSetTracker(threshold=threshold, track_post_quorum=track)
+        bitmask = QuorumTracker(threshold=threshold)
+        reference = ReferenceSetTracker(threshold=threshold)
         keys = [(0, r, d) for r in range(1, 5) for d in range(2)]
         for step in range(600):
             key = rng.choice(keys)
@@ -122,15 +134,6 @@ class TestBitmaskEquivalence:
             assert not tracker.add_vote("k", voter)
         assert tracker.count("k") == before == 2
         assert tracker.voters("k") == (0, 1)
-
-    def test_post_quorum_tracking_opt_in(self):
-        tracker = QuorumTracker(threshold=2, track_post_quorum=True)
-        tracker.add_vote("k", 0)
-        tracker.add_vote("k", 1)
-        assert not tracker.add_vote("k", 5)
-        assert tracker.count("k") == 3
-        assert tracker.voters("k") == (0, 1, 5)
-        assert tracker.has_quorum("k")
 
     def test_clear_releases_all_state(self):
         tracker = QuorumTracker(threshold=1)

@@ -8,11 +8,11 @@ from typing import List, Tuple
 
 from hypothesis import given, settings, strategies as st
 
+from repro.consensus.quorum import quorum_threshold
 from repro.core.block import Block, ordering_key
 from repro.core.ordering import DynamicOrderer
 from repro.core.predetermined import PredeterminedOrderer
 from repro.core.rank import RankReport, choose_rank
-from repro.crypto.aggregate import quorum_threshold
 
 
 # ----------------------------------------------------------------- strategies

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.hashing import digest, digest_hex, merkle_root
+from repro.crypto.hashing import digest, digest_hex
 
 
 class TestDigest:
@@ -37,24 +37,3 @@ class TestDigest:
     def test_digest_hex_matches_digest(self):
         assert digest_hex("x") == digest("x").hex()
 
-
-class TestMerkleRoot:
-    def test_empty_root_is_stable(self):
-        assert merkle_root([]) == merkle_root([])
-
-    def test_single_leaf(self):
-        assert len(merkle_root([b"tx1"])) == 32
-
-    def test_root_changes_with_leaf_content(self):
-        assert merkle_root([b"a", b"b"]) != merkle_root([b"a", b"c"])
-
-    def test_root_changes_with_leaf_order(self):
-        assert merkle_root([b"a", b"b"]) != merkle_root([b"b", b"a"])
-
-    def test_odd_number_of_leaves(self):
-        root = merkle_root([b"a", b"b", b"c"])
-        assert len(root) == 32
-
-    def test_large_batch(self):
-        leaves = [f"tx{i}".encode() for i in range(257)]
-        assert len(merkle_root(leaves)) == 32

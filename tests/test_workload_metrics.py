@@ -5,46 +5,30 @@ import pickle
 import pytest
 
 from repro.consensus.base import CommitLog
-from repro.core.block import Block
+from repro.core.block import Block, BlockId
 from repro.core.ordering import ConfirmedBlock
 from repro.metrics.auditor import audit_logs
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.latency import LatencyAccumulator
 from repro.metrics.resources import CryptoCostModel, ResourceModel
 from repro.metrics.throughput import ThroughputSeries, peak_throughput
-from repro.workload.transactions import Batch, Transaction, TransactionFactory
-
-
-class TestTransactions:
-    def test_factory_ids_unique_and_increasing(self):
-        factory = TransactionFactory()
-        txs = [factory.create(0, 0.0) for _ in range(10)]
-        ids = [tx.tx_id for tx in txs]
-        assert ids == sorted(set(ids))
-
-    def test_payload_size_default_500(self):
-        tx = TransactionFactory().create(0, 0.0)
-        assert tx.size_bytes == 500
-
-    def test_bad_payload_rejected(self):
-        with pytest.raises(ValueError):
-            Transaction(tx_id=0, client_id=0, submitted_at=0.0, payload_bytes=0)
+from repro.workload.transactions import Batch
 
 
 class TestBatch:
     def test_materialised_batch(self):
-        factory = TransactionFactory()
-        txs = [factory.create(0, float(i)) for i in range(4)]
-        batch = Batch.from_txs(txs)
+        # DQBFT's ordering batch: opaque block references at 64 B each.
+        refs = tuple(BlockId(instance=i, round=1) for i in range(4))
+        batch = Batch(txs=refs, submitted_at=1.5)
         assert batch.tx_count == 4
-        assert batch.size_bytes == 2000
-        assert batch.mean_submitted_at() == pytest.approx(1.5)
+        assert batch.size_bytes == 4 * 64
+        assert batch.submitted_at == 1.5
 
     def test_synthetic_batch(self):
         batch = Batch.synthetic(4096, submitted_at=3.0)
         assert batch.tx_count == 4096
         assert batch.size_bytes == 4096 * 500
-        assert batch.mean_submitted_at() == 3.0
+        assert batch.submitted_at == 3.0
 
     def test_empty_batch(self):
         batch = Batch.empty()
