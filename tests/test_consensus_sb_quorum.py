@@ -19,6 +19,17 @@ class TestThresholds:
         with pytest.raises(ValueError):
             fault_threshold(-1)
 
+    def test_two_quorums_share_an_honest_replica(self):
+        # holds for n = 3f+1; other n get the 2f+1 of the largest 3f+1 below
+        for f in range(0, 86):
+            n = 3 * f + 1
+            assert fault_threshold(n) == f
+            assert 2 * quorum_threshold(n) - n >= f + 1, n
+
+    def test_honest_replicas_alone_form_a_quorum(self):
+        for n in range(1, 257):
+            assert quorum_threshold(n) <= n - fault_threshold(n), n
+
 
 class TestQuorumTracker:
     def test_fires_exactly_once_at_threshold(self):
@@ -58,6 +69,36 @@ class TestQuorumTracker:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             QuorumTracker(threshold=0)
+
+    def test_threshold_one_fires_on_first_vote(self):
+        tracker = QuorumTracker(threshold=1)
+        assert tracker.add_vote("k", 5)
+        assert tracker.has_quorum("k")
+
+    def test_voters_and_count_readable_after_quorum(self):
+        tracker = QuorumTracker(threshold=2)
+        tracker.add_vote("k", 4)
+        tracker.add_vote("k", 1)
+        assert tracker.has_quorum("k")
+        assert tracker.voters("k") == (1, 4)
+        assert tracker.count("k") == 2
+
+    def test_clearing_unknown_key_is_a_no_op(self):
+        tracker = QuorumTracker(threshold=2)
+        tracker.add_vote("k", 0)
+        tracker.clear("other")
+        assert tracker.count("k") == 1
+        assert tracker.tracked_keys() == 1
+
+    def test_clearing_one_key_keeps_the_others(self):
+        tracker = QuorumTracker(threshold=2)
+        for key in ("a", "b", "c"):
+            tracker.add_vote(key, 0)
+        tracker.add_vote("b", 1)
+        tracker.clear("a")
+        assert tracker.tracked_keys() == 2
+        assert tracker.has_quorum("b")
+        assert tracker.add_vote("c", 1)
 
 
 class ReferenceSetTracker:

@@ -40,6 +40,20 @@ class TestBatch:
             Batch(txs=(1,), synthetic_count=5)
 
 
+    def test_synthetic_size_scales_with_payload(self):
+        assert Batch.synthetic(3, 0.0).size_bytes == 1500
+        assert Batch.synthetic(3, 0.0, payload_bytes=250).size_bytes == 750
+
+    def test_negative_synthetic_count_rejected(self):
+        with pytest.raises(ValueError):
+            Batch(synthetic_count=-1)
+
+    def test_batch_is_immutable(self):
+        batch = Batch.synthetic(2, 0.5)
+        with pytest.raises(AttributeError):
+            batch.submitted_at = 1.0
+
+
 class TestThroughput:
     def test_series_bins(self):
         series = ThroughputSeries(bin_width=1.0)
