@@ -37,7 +37,6 @@ from typing import Optional, Tuple
 from repro.consensus.messages import (
     CheckpointMessage,
     Commit,
-    HotStuffNewView,
     HotStuffProposal,
     HotStuffVote,
     NewView,
@@ -63,7 +62,6 @@ _KIND_OF = {
     HotStuffVote: VOTE,
     ViewChange: VIEW_CHANGE,
     NewView: VIEW_CHANGE,
-    HotStuffNewView: VIEW_CHANGE,
     CheckpointMessage: CHECKPOINT,
     RankMessage: RANK,
 }

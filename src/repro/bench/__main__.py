@@ -557,7 +557,10 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_run.add_argument("--probability", type=float, default=0.08,
                           help="fraction of deliveries perturbed")
     fuzz_run.add_argument("--view-change-timeout", type=float, default=1.0)
-    fuzz_run.add_argument("--propose-timeout", type=float, default=2.0)
+    fuzz_run.add_argument("--propose-timeout", type=float, default=2.0,
+                          help="follower-side view-change trigger (default: 2.0); "
+                               "ignored for ladon-hotstuff and iss-hotstuff, "
+                               "which have no view change")
     fuzz_run.add_argument("--scenario")
     fuzz_run.add_argument("--adversary")
     fuzz_run.add_argument("--compat", action="append", metavar="FLAG",

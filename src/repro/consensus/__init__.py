@@ -29,7 +29,6 @@ from repro.consensus.messages import (
     CheckpointMessage,
     HotStuffProposal,
     HotStuffVote,
-    HotStuffNewView,
 )
 from repro.consensus.quorum import QuorumTracker
 from repro.consensus.pbft import PBFTInstance
@@ -51,7 +50,6 @@ __all__ = [
     "CheckpointMessage",
     "HotStuffProposal",
     "HotStuffVote",
-    "HotStuffNewView",
     "QuorumTracker",
     "PBFTInstance",
     "LadonPBFTInstance",

@@ -28,6 +28,10 @@ class InstanceConfig:
     batch_size: int = 4096
     epoch_length: int = 64
     view_change_timeout: float = 10.0
+    #: follower-side leader-failure detector: expect a proposal within this
+    #: many seconds or start a view change; None = unarmed.  Only PBFT
+    #: instances read it: HotStuff has no view change
+    propose_timeout: Optional[float] = None
     tx_payload_bytes: int = 500
     #: opt-in reproductions of historical bugs, kept alive for the fuzzing
     #: regression corpus (e.g. ``"wedged-view-cursor"``); empty = faithful.

@@ -6,6 +6,11 @@ Multi-BFT deployment): the leader proposes node ``r`` justified by a QC of
 2f+1 votes on node ``r-1``; a node commits when it is the tail of a direct
 3-chain, i.e. node ``r-3`` commits while processing the proposal of node
 ``r`` (Appendix D commit rule).
+
+There is no view change: the leader never rotates, and a crashed leader's
+instance waits for the leader to recover, then resumes.  The paper's crash
+experiment (Fig. 8) is Ladon-PBFT only, so the HotStuff stacks refuse a
+``propose_timeout`` (see :data:`repro.protocols.base.HOTSTUFF_STACKS`).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from repro.consensus.base import (
     InstanceConfig,
     InstanceContext,
 )
-from repro.consensus.messages import HotStuffNewView, HotStuffProposal, HotStuffVote
+from repro.consensus.messages import HotStuffProposal, HotStuffVote
 from repro.consensus.quorum import QuorumTracker
 from repro.crypto.hashing import digest_hex
 from repro.workload.transactions import Batch
@@ -50,30 +55,24 @@ class HotStuffInstance(ConsensusInstance):
     HANDLERS: Mapping[type, str] = MappingProxyType({
         HotStuffProposal: "_on_proposal",
         HotStuffVote: "_on_vote",
-        HotStuffNewView: "_on_new_view",
     })
 
-    # Shared immutable defaults; an instance gets its own object on first
-    # use (see the memory notes in :mod:`repro.consensus.pbft`).
-    view_change_votes: Optional[QuorumTracker] = None
-    #: rounds committed / QC'd ahead of their contiguous watermark
+    # Shared immutable default; an instance gets its own set on first use
+    # (see the memory notes in :mod:`repro.consensus.pbft`).
+    #: rounds committed ahead of the contiguous committed watermark
     _committed_above: AbstractSet[int] = frozenset()
-    _qc_above: AbstractSet[int] = frozenset()
 
-    def __init__(
-        self,
-        config: InstanceConfig,
-        context: InstanceContext,
-        propose_timeout: Optional[float] = None,
-    ) -> None:
+    def __init__(self, config: InstanceConfig, context: InstanceContext) -> None:
         super().__init__(config, context)
         self.next_round = 1
         self.nodes: Dict[int, ChainNode] = {}
         self.vote_tracker = QuorumTracker(config.quorum)
-        self.high_qc_round = 0  # highest round with a formed QC (leader side)
+        #: highest round with a formed QC (leader side), and the one QC
+        #: watermark: the stable leader proposes round r only once it holds
+        #: the QC on r-1 (``ready_to_propose``), so QCs form in round order
+        #: and every round at or below it is QC'd
+        self.high_qc_round = 0
         self.last_committed_round = 0
-        self.propose_timeout = propose_timeout
-        self.view_change_in_progress = False
         #: full Block history of this instance's commits; only appended when
         #: ``retain_blocks`` (the bounded-memory system mode clears it off
         #: the observer replica) — the compact ``commit_log`` always grows
@@ -84,16 +83,11 @@ class HotStuffInstance(ConsensusInstance):
         # behind the watermark are pruned (their batches are released) and
         # vote state for QC'd rounds is dropped, keeping memory O(window).
         self._stable_round = 0
-        self._qc_stable = 0
-
-    # ----------------------------------------------------------------- hooks
-    def start(self) -> None:
-        self._arm_propose_timer()
 
     # -------------------------------------------------------------- proposing
     def ready_to_propose(self) -> bool:
         """The leader proposes round r once it holds a QC on round r-1."""
-        if not self.is_leader or self.stopped or self.view_change_in_progress:
+        if not self.is_leader or self.stopped:
             return False
         return self.next_round == 1 or self.high_qc_round >= self.next_round - 1
 
@@ -160,7 +154,6 @@ class HotStuffInstance(ConsensusInstance):
         self.nodes[message.round] = node
         self._observe_proposal_rank(message)
         self._try_commit_three_chain(message.round)
-        self._arm_propose_timer()
 
         vote = self._build_vote(message)
         self.context.record_crypto("sign")
@@ -247,17 +240,6 @@ class HotStuffInstance(ConsensusInstance):
                 above.discard(stable)
                 nodes.pop(stable - 1, None)
         self._stable_round = stable
-        # A committed round certifies its whole 3-chain, so QC bookkeeping
-        # below the committed watermark is settled: fold it forward.  This
-        # bounds _qc_above even when a view change leaves a gap of rounds
-        # that will never form a QC (their re-proposals are absorbed by the
-        # existing chain nodes) — commits advance through such gaps via the
-        # surviving parent links and drag the QC watermark along.
-        if stable > self._qc_stable:
-            self._qc_stable = stable
-            qc_above = self._qc_above
-            if qc_above:
-                self._qc_above = {r for r in qc_above if r > stable}
 
     def _on_committed(self, node: ChainNode, block: Block) -> None:
         """Hook for Ladon-HotStuff rank bookkeeping."""
@@ -268,31 +250,17 @@ class HotStuffInstance(ConsensusInstance):
             return
         self._observe_vote_rank(message)
         round = message.round
-        if round <= self._qc_stable or round in self._qc_above:
+        if round <= self.high_qc_round:
             # QC already formed and its vote state released: stale vote.
-            # (The explicit _qc_above check keeps the gate alive even when a
-            # view change leaves a never-QC'd gap below later QC'd rounds —
-            # a cleared key must never re-fire its quorum action.)
+            # A cleared key must never re-fire its quorum action.
             return
         key = (message.view, round, message.digest)
         if not self.vote_tracker.add_vote(key, sender):
             return
         self.context.record_crypto("aggregate")
-        if round > self.high_qc_round:
-            self.high_qc_round = round
+        self.high_qc_round = round
         # The QC is formed; trailing votes for this round are dead weight.
         self.vote_tracker.clear(key)
-        above = self._qc_above
-        stable = self._qc_stable
-        if round == stable + 1 and not above:
-            self._qc_stable = round  # QCs form in round order: nothing to park
-        else:
-            above = self._qc_above = above or set()
-            above.add(round)
-            while stable + 1 in above:
-                stable += 1
-                above.discard(stable)
-            self._qc_stable = stable
         self._on_qc_formed(round)
 
     def _on_qc_formed(self, round: int) -> None:
@@ -300,63 +268,3 @@ class HotStuffInstance(ConsensusInstance):
 
     def _observe_vote_rank(self, message: HotStuffVote) -> None:
         """Hook: Ladon-HotStuff updates curRank from vote rank reports."""
-
-    # ------------------------------------------------------------ view change
-    def _arm_propose_timer(self) -> None:
-        if self.propose_timeout is None:
-            return
-        self.context.set_timer(
-            f"hotstuff-propose:{self.instance_id}",
-            self.propose_timeout,
-            self._on_propose_timeout,
-        )
-
-    def _on_propose_timeout(self) -> None:
-        if self.stopped or self.is_leader:
-            return
-        self._start_view_change()
-
-    def _start_view_change(self) -> None:
-        if self.view_change_in_progress:
-            return
-        self.view_change_in_progress = True
-        new_view = self.view + 1
-        message = HotStuffNewView(
-            sender=self.replica_id,
-            instance=self.instance_id,
-            view=new_view,
-            round=self.last_committed_round,
-            highest_qc_round=self.high_qc_round,
-        )
-        self.context.record_crypto("sign")
-        new_leader = self.config.leader_for_view(new_view)
-        if new_leader == self.replica_id:
-            self.context.record_crypto("verify")
-            self._on_new_view(self.replica_id, message)
-        else:
-            self.context.send(new_leader, message, message.size_bytes)
-
-    def _on_new_view(self, sender: int, message: HotStuffNewView) -> None:
-        if message.view <= self.view:
-            return
-        if self.config.leader_for_view(message.view) != self.replica_id:
-            # Backups adopt the new view on the first new-view quorum signal
-            # relayed by the new leader through its next proposal; the simple
-            # stable-leader deployment only needs the leader-side transition.
-            return
-        votes = self.view_change_votes
-        if votes is None:
-            votes = self.view_change_votes = QuorumTracker(self.config.quorum)
-        key = ("hs-view-change", message.view)
-        if not votes.add_vote(key, sender):
-            return
-        self.view = message.view
-        self.view_change_in_progress = False
-        self.next_round = max(self.next_round, self.last_committed_round + 1)
-        # Rounds above the committed prefix may be re-proposed (and re-voted)
-        # in the new view, so the QC watermark restarts from the committed
-        # prefix; committed rounds stay final in every view.
-        self._qc_stable = self.last_committed_round
-        self._qc_above = frozenset()
-        votes.clear(key)
-        self.on_view_installed(self.view)

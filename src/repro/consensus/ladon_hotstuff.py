@@ -10,8 +10,6 @@ each new proposal advertises the leader's ``curRank`` so backups can catch up
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 from repro.consensus.base import InstanceConfig, InstanceContext
 from repro.consensus.hotstuff import ChainNode, HotStuffInstance
 from repro.consensus.messages import HotStuffProposal, HotStuffVote
@@ -27,10 +25,9 @@ class LadonHotStuffInstance(HotStuffInstance):
         self,
         config: InstanceConfig,
         context: InstanceContext,
-        propose_timeout: Optional[float] = None,
         byzantine_rank_manipulation: bool = False,
     ) -> None:
-        super().__init__(config, context, propose_timeout=propose_timeout)
+        super().__init__(config, context)
         self.byzantine_rank_manipulation = byzantine_rank_manipulation
         self.stopped_for_epoch = False
         self._epoch_of_stop = -1

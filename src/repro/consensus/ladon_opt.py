@@ -16,9 +16,6 @@ Ladon-PBFT; what changes is *how the rank information travels*:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
-from repro.consensus.base import InstanceConfig, InstanceContext
 from repro.consensus.ladon_pbft import LadonPBFTInstance
 from repro.consensus.messages import PrePrepare, RankMessage
 from repro.consensus.pbft import RoundEntry
@@ -38,20 +35,6 @@ def _aggregate_proof_bytes(quorum: int) -> int:
 
 class LadonOptInstance(LadonPBFTInstance):
     """Ladon-PBFT with the aggregate-signature rank message optimisation."""
-
-    def __init__(
-        self,
-        config: InstanceConfig,
-        context: InstanceContext,
-        propose_timeout: Optional[float] = None,
-        byzantine_rank_manipulation: bool = False,
-    ) -> None:
-        super().__init__(
-            config,
-            context,
-            propose_timeout=propose_timeout,
-            byzantine_rank_manipulation=byzantine_rank_manipulation,
-        )
 
     # -------------------------------------------------------------- proposing
     def _build_pre_prepare(self, round: int, batch, now: float) -> PrePrepare:

@@ -18,7 +18,7 @@ Differences from vanilla PBFT:
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 from repro.consensus.base import InstanceConfig, InstanceContext
 from repro.consensus.messages import PrePrepare, RankMessage
@@ -40,10 +40,9 @@ class LadonPBFTInstance(PBFTInstance):
         self,
         config: InstanceConfig,
         context: InstanceContext,
-        propose_timeout: Optional[float] = None,
         byzantine_rank_manipulation: bool = False,
     ) -> None:
-        super().__init__(config, context, propose_timeout=propose_timeout)
+        super().__init__(config, context)
         self.byzantine_rank_manipulation = byzantine_rank_manipulation
         # Rank reports received as the leader, keyed by the round in which the
         # sender produced them (reports from round n-1 gate the proposal of n).

@@ -207,13 +207,3 @@ class HotStuffVote(InstanceMessage):
     def _wire_size(self) -> int:
         cert = self.rank_certificate.size_bytes if self.rank_certificate else 0
         return HEADER_BYTES + SIGNATURE_BYTES + DIGEST_BYTES + cert
-
-
-@dataclass(frozen=True, slots=True)
-class HotStuffNewView(InstanceMessage):
-    """Carries the sender's highest generic QC to the next leader."""
-
-    highest_qc_round: int = 0
-
-    def _wire_size(self) -> int:
-        return HEADER_BYTES + SIGNATURE_BYTES + 96

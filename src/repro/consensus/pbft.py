@@ -97,19 +97,13 @@ class PBFTInstance(ConsensusInstance):
     #: exempt from the stale-round drop so the late quorum can fire
     _deferred_sends: AbstractSet[int] = frozenset()
 
-    def __init__(
-        self,
-        config: InstanceConfig,
-        context: InstanceContext,
-        propose_timeout: Optional[float] = None,
-    ) -> None:
+    def __init__(self, config: InstanceConfig, context: InstanceContext) -> None:
         super().__init__(config, context)
         self.next_round = 1
         self.last_committed_round = 0
         self.log: Dict[int, RoundEntry] = {}
         self.prepare_votes = QuorumTracker(config.quorum)
         self.commit_votes = QuorumTracker(config.quorum)
-        self.propose_timeout = propose_timeout
         self.view_change_in_progress = False
         #: full Block history of this instance's partial commits; only
         #: appended when ``retain_blocks`` (see module docstring)
@@ -445,17 +439,18 @@ class PBFTInstance(ConsensusInstance):
         )
 
     def _arm_propose_timer(self) -> None:
-        """Optionally expect the next proposal within ``propose_timeout``.
+        """Optionally expect the next proposal within ``config.propose_timeout``.
 
         Disabled by default (honest stragglers must not trigger view changes,
         Sec. 6.1); the crash-fault experiment (Fig. 8) enables it.
         """
-        if self.propose_timeout is None:
+        timeout = self.config.propose_timeout
+        if timeout is None:
             return
         self.context.set_timer(
             # staticcheck: ignore[HOT-002] -- fires once per proposal window, only in the Fig. 8 crash experiment
             f"pbft-propose:{self.instance_id}",
-            self.propose_timeout,
+            timeout,
             self._on_propose_timeout,
         )
 

@@ -25,6 +25,7 @@ from repro.fuzz.artifact import is_violation, make_artifact, outcome_of
 from repro.fuzz.perturb import PerturbationSpec
 from repro.fuzz.replay import run_cell_traced
 from repro.fuzz.shrink import ShrinkResult, shrink
+from repro.protocols.base import HOTSTUFF_STACKS
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,8 @@ class FuzzConfig:
     #: start a view change (the crash-experiment mechanism).  Without it a
     #: lone view-change voter can deadlock an instance — every liveness
     #: finding would be that one wedge instead of the interesting ones.
+    #: Left unarmed for the stacks in ``HOTSTUFF_STACKS``, which have no
+    #: view change and refuse the timer.
     propose_timeout: Optional[float] = 2.0
     scenario: Optional[str] = None
     adversary: Optional[str] = None
@@ -66,7 +69,9 @@ class FuzzConfig:
             adversary=self.adversary,
             compat_flags=self.compat_flags,
             view_change_timeout=self.view_change_timeout,
-            propose_timeout=self.propose_timeout,
+            propose_timeout=(
+                None if self.protocol in HOTSTUFF_STACKS else self.propose_timeout
+            ),
         )
 
     def spec_for(self, index: int) -> PerturbationSpec:

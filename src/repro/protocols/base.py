@@ -15,6 +15,7 @@ all clock, timer, and transport access goes through the runtime seam.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
@@ -41,6 +42,10 @@ from repro.workload.transactions import Batch
 
 
 NO_EPOCH_MAX_RANK = 2**62
+
+#: stacks built on chained HotStuff: a stable leader and no view change (see
+#: :mod:`repro.consensus.hotstuff`), so they refuse a ``propose_timeout``
+HOTSTUFF_STACKS = frozenset({"ladon-hotstuff", "iss-hotstuff"})
 
 
 @dataclass
@@ -98,6 +103,15 @@ class SystemConfig:
             raise ValueError(f"runtime must be one of {RUNTIME_KINDS}")
         if self.realtime_timescale <= 0:
             raise ValueError("realtime_timescale must be positive")
+        for name in ("view_change_timeout", "propose_timeout"):
+            timeout = getattr(self, name)
+            if timeout is not None and not 0 < timeout < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {timeout!r}")
+        if self.propose_timeout is not None and self.protocol in HOTSTUFF_STACKS:
+            raise ValueError(
+                f"propose_timeout must be None for {self.protocol}: HotStuff "
+                "stacks run a stable leader with no view change"
+            )
         if self.shard_strategy not in ("affine", "hash"):
             raise ValueError("shard_strategy must be 'affine' or 'hash'")
         if self.runtime == "sharded":
@@ -289,6 +303,7 @@ class MultiBFTReplica(Node):
             batch_size=config.batch_size,
             epoch_length=config.epoch_length,
             view_change_timeout=config.view_change_timeout,
+            propose_timeout=config.propose_timeout,
             tx_payload_bytes=(
                 config.payload_bytes if tx_payload_bytes is None else tx_payload_bytes
             ),
@@ -300,7 +315,6 @@ class MultiBFTReplica(Node):
         return self.instance_cls(
             self.instance_config(instance_id),
             ReplicaInstanceContext(self, instance_id),
-            propose_timeout=self.config.propose_timeout,
         )
 
     def _build_instances(self) -> None:

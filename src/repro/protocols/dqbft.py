@@ -48,7 +48,6 @@ class DQBFTReplica(MultiBFTReplica):
             # ordering batches carry block references
             self.instance_config(self.ordering_instance_id, tx_payload_bytes=64),
             ReplicaInstanceContext(self, self.ordering_instance_id),
-            propose_timeout=self.config.propose_timeout,
         )
 
     @property

@@ -35,6 +35,5 @@ class LadonReplica(MultiBFTReplica):
         return self.instance_cls(
             inst_config,
             ReplicaInstanceContext(self, instance_id),
-            propose_timeout=self.config.propose_timeout,
             byzantine_rank_manipulation=byzantine,
         )

@@ -5,7 +5,7 @@ import pytest
 from repro.consensus.base import CollectingContext, InstanceConfig
 from repro.consensus.hotstuff import HotStuffInstance
 from repro.consensus.ladon_hotstuff import LadonHotStuffInstance
-from repro.consensus.messages import HotStuffNewView, HotStuffProposal, HotStuffVote
+from repro.consensus.messages import HotStuffProposal, HotStuffVote
 from repro.workload.transactions import Batch
 
 
@@ -89,6 +89,26 @@ class TestChainedHotStuff:
         assert leader.high_qc_round == 1
         assert leader.ready_to_propose()
 
+    def test_late_vote_for_a_qcd_round_forms_no_second_qc(self):
+        leader, ctx = make_instance()
+        formed = []
+        leader._on_qc_formed = formed.append
+        proposal = leader.propose(Batch.synthetic(1, 0.0), now=0.0)
+        for sender in range(N):  # the quorum, then the trailing fourth vote
+            leader.on_message(
+                sender,
+                HotStuffVote(sender=sender, instance=0, view=0, round=1, digest=proposal.digest),
+            )
+        # A quorum on a conflicting digest for the QC'd round is stale too.
+        for sender in range(QUORUM):
+            leader.on_message(
+                sender, HotStuffVote(sender=sender, instance=0, view=0, round=1, digest="other")
+            )
+        assert formed == [1]
+        assert ctx.crypto_ops["aggregate"] == 1
+        assert leader.high_qc_round == 1
+        assert leader.vote_tracker.tracked_keys() == 0
+
 
 class TestLadonHotStuff:
     def test_proposal_rank_is_cur_rank_plus_one(self):
@@ -142,7 +162,7 @@ class TestLadonHotStuff:
 
 
 class TestLazyPerInstanceState:
-    LAZY = ("view_change_votes", "_committed_above", "_qc_above")
+    LAZY = ("_committed_above",)
 
     def _own(self, instance):
         return sorted(name for name in self.LAZY if name in vars(instance))
@@ -154,33 +174,4 @@ class TestLazyPerInstanceState:
         for instance in [leader] + [backup for backup, _ in backups]:
             assert instance.last_committed_round == 3 == instance._stable_round
             assert self._own(instance) == []
-        assert leader._qc_stable == 6
-
-    def test_new_leader_installs_a_view_from_untouched_state(self):
-        new_leader, _ = make_instance(replica_id=1)
-        installed = []
-        new_leader.on_view_installed = installed.append
-        for sender in (0, 2):
-            new_leader.on_message(
-                sender, HotStuffNewView(sender=sender, instance=0, view=1, round=0)
-            )
-            assert new_leader.view == 0  # below quorum
-        assert self._own(new_leader) == ["view_change_votes"]
-        new_leader.on_message(3, HotStuffNewView(sender=3, instance=0, view=1, round=0))
-        assert installed == [1]
-        assert (new_leader.view, new_leader.is_leader) == (1, True)
-        assert new_leader.view_change_votes.tracked_keys() == 0
-        assert new_leader._qc_above == set()
-
-    def test_out_of_order_qc_parks_then_folds(self):
-        leader, _ = make_instance(replica_id=0)
-        for round in (2, 1):
-            for sender in range(QUORUM):
-                leader.on_message(
-                    sender,
-                    HotStuffVote(sender=sender, instance=0, view=0, round=round, digest=f"d{round}"),
-                )
-            if round == 2:
-                assert leader._qc_stable == 0 and leader._qc_above == {2}
-        assert leader._qc_stable == 2 and leader._qc_above == set()
-        assert leader.high_qc_round == 2
+        assert leader.high_qc_round == 6

@@ -13,9 +13,11 @@ QUORUM = 3
 
 
 def make_instance(replica_id=0, instance_id=0, propose_timeout=None):
-    config = InstanceConfig(instance_id=instance_id, replica_id=replica_id, n=N)
+    config = InstanceConfig(
+        instance_id=instance_id, replica_id=replica_id, n=N, propose_timeout=propose_timeout
+    )
     context = CollectingContext()
-    return PBFTInstance(config, context, propose_timeout=propose_timeout), context
+    return PBFTInstance(config, context), context
 
 
 def drive_round(leader, leader_ctx, backups, round=1, tx_count=5):

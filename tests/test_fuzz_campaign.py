@@ -75,3 +75,14 @@ def test_should_stop_bounds_the_campaign():
     )
     assert report.stopped_early
     assert report.seeds_run < 8
+
+
+@pytest.mark.parametrize("protocol", ["ladon-hotstuff", "iss-hotstuff"])
+def test_hotstuff_campaign_stays_clean(protocol):
+    """HotStuff stacks have no view change, so the campaign leaves the
+    propose timer unarmed for them; armed, it wedged every seed here."""
+    config = FuzzConfig(protocol=protocol, seeds=2, max_delay=3.0, probability=0.2)
+    assert config.base_cell().propose_timeout is None
+    report = run_campaign(config, do_shrink=False, batch=2)
+    assert report.ok, [f.row for f in report.findings]
+    assert report.seeds_run == 2

@@ -7,13 +7,23 @@ path: pacing -> consensus instances -> global ordering -> metrics.
 
 import dataclasses
 import hashlib
+import math
 
 import pytest
 
 from repro.adversary import AdversarySpec, RankManipulation, get_adversary
+from repro.consensus.hotstuff import HotStuffInstance
 from repro.metrics.auditor import audit_system
-from repro.protocols.base import SystemConfig
-from repro.protocols.registry import available_protocols, build_system, resolve_protocol
+from repro.protocols.base import HOTSTUFF_STACKS, SystemConfig
+from repro.protocols.registry import (
+    _ALIASES,
+    available_protocols,
+    build_system,
+    replica_class,
+    resolve_protocol,
+)
+from repro.scenario.dynamics import Churn
+from repro.scenario.spec import ScenarioSpec
 from repro.sim.faults import CrashSpec, FaultConfig, StragglerSpec
 
 
@@ -35,6 +45,19 @@ def small_config(protocol, n=4, duration=6.0, stragglers=0, byzantine=False, **k
         seed=1,
         faults=faults,
         **kwargs,
+    )
+
+
+#: replica 1, which leads instance 1, is down from t=4 to t=30
+LEADER_DOWN = ScenarioSpec(
+    name="leader-down",
+    dynamics=(Churn(start=4.0, period=100.0, downtime=26.0, cycles=1, replicas=(1,)),),
+)
+
+
+def leader_down_config(protocol):
+    return SystemConfig(
+        protocol=protocol, n=8, batch_size=64, duration=40.0, seed=1, scenario=LEADER_DOWN
     )
 
 
@@ -61,6 +84,26 @@ class TestRegistry:
         with pytest.raises(ValueError):
             SystemConfig(protocol="ladon-pbft", n=4, total_block_rate=0)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["propose_timeout", "view_change_timeout"])
+    def test_bad_timeout_is_refused_by_name(self, field, value):
+        # propose_timeout=0.0 used to run to completion with 0 tps and an
+        # all-live audit; the others failed deep in the event queue.
+        with pytest.raises(ValueError, match=field):
+            SystemConfig(protocol="ladon-pbft", n=4, **{field: value})
+
+    def test_hotstuff_stacks_are_exactly_the_hotstuff_rows(self):
+        # A new HotStuff row must join the refusal set, or it would arm a
+        # propose timer nothing can act on.
+        rows = {
+            name
+            for name in available_protocols()
+            if issubclass(replica_class(name).keywords["instance_cls"], HotStuffInstance)
+        }
+        assert HOTSTUFF_STACKS == rows
+        # The refusal reads the protocol name unresolved: no alias may name one.
+        assert not [alias for alias in _ALIASES if resolve_protocol(alias) in rows]
+
 
 @pytest.mark.parametrize("protocol", ["ladon-pbft", "ladon-opt", "iss-pbft", "mir", "rcc", "dqbft"])
 class TestEveryPBFTSystemMakesProgress:
@@ -79,6 +122,23 @@ class TestHotStuffSystemsMakeProgress:
         result = build_system(small_config(protocol, duration=10.0)).run()
         assert result.metrics.confirmed_blocks > 5
         assert result.metrics.confirmed_txs > 300
+
+
+@pytest.mark.parametrize("protocol", ["ladon-hotstuff", "iss-hotstuff"])
+class TestHotStuffLeaderFailure:
+    """HotStuff stacks have a stable leader and no view change."""
+
+    def test_propose_timeout_is_refused_by_name(self, protocol):
+        with pytest.raises(ValueError, match="propose_timeout"):
+            SystemConfig(protocol=protocol, propose_timeout=2.0)
+
+    def test_instance_waits_for_its_crashed_leader_then_resumes(self, protocol):
+        result = build_system(leader_down_config(protocol)).run()
+        assert result.audit.safety_ok
+        assert result.audit.stalled_instances == ()
+        assert any(
+            c.block.instance == 1 and c.block.proposed_at > 30.0 for c in result.confirmed
+        ), "instance 1 never committed a block proposed after its leader recovered"
 
 
 class TestLadonBehaviour:
@@ -299,6 +359,16 @@ PINNED_RESULTS = {
             faults=FaultConfig(adversary=get_adversary("equivocation")),
         ),
         "40b7ebe30e9aecd6a9eb228ae8ba0c01cfa77a75b1434c8e162c0cd0ac79ef37",
+    ),
+    # The two HotStuff cells were computed on the tree that still carried
+    # HotStuff's view change and QC parking, before any of it was deleted.
+    "ladon-hotstuff-n8-straggler": (
+        small_config("ladon-hotstuff", n=8, duration=40.0, stragglers=1),
+        "81ed1575dc7df9208b94523c778ec9b0ddf5dca2fb48ca8c6d4502da2870547d",
+    ),
+    "iss-hotstuff-n8-leader-down": (
+        leader_down_config("iss-hotstuff"),
+        "b8ed5bfa5d6a5cd6084cca4fc126f028abed8d824dea31e9289645d4b525230b",
     ),
 }
 
