@@ -228,7 +228,7 @@ class TestBuildFootprint:
             if not was_tracing:
                 tracemalloc.stop()
         assert len(system.replicas) == n
-        per_instance = built / (n * config.m)
+        per_instance = built / (n * config.n)
         budget = self.BUDGET_BYTES[protocol] * self.VERSION_FACTOR
         assert per_instance <= budget, (
             f"{protocol}: build_system leaves {per_instance:.0f} B per (replica, "

@@ -26,7 +26,7 @@ def main() -> None:
 
     metrics = result.metrics
     print("=== Ladon-PBFT quickstart ===")
-    print(f"replicas / instances : {config.n} / {config.m}")
+    print(f"replicas / instances : {config.n} / {config.n}")
     print(f"confirmed blocks     : {metrics.confirmed_blocks}")
     print(f"confirmed txs        : {metrics.confirmed_txs}")
     print(f"throughput           : {metrics.throughput_tps:,.0f} tx/s")

@@ -72,10 +72,6 @@ class AdversaryInterceptor:
         if attack in self._active:
             self._active.remove(attack)
 
-    @property
-    def active_attacks(self) -> List[Attack]:
-        return list(self._active)
-
     def stats(self) -> Dict[str, int]:
         return {
             "suppressed": self.suppressed,

@@ -16,7 +16,7 @@ every table/figure on the command line.
 """
 
 from repro.bench.config import ExperimentCell, EngineKind
-from repro.bench.runner import run_cell, run_cells
+from repro.bench.runner import run_cell
 from repro.bench.analytical import run_analytical
 from repro.bench import experiments
 from repro.bench.report import format_table, format_series
@@ -26,7 +26,6 @@ __all__ = [
     "ExperimentCell",
     "EngineKind",
     "run_cell",
-    "run_cells",
     "run_analytical",
     "experiments",
     "format_table",

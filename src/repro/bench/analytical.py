@@ -34,7 +34,7 @@ from typing import Dict, List, Tuple
 from repro.bench.config import ExperimentCell
 from repro.core.block import Block
 from repro.core.dqbft_ordering import DQBFTOrderer
-from repro.core.ordering import ConfirmedBlock, DynamicOrderer, GlobalOrderer
+from repro.core.ordering import DynamicOrderer, GlobalOrderer
 from repro.core.predetermined import PredeterminedOrderer
 from repro.metrics.collector import MetricsCollector, RunMetrics
 
@@ -199,7 +199,7 @@ def run_analytical(cell: ExperimentCell) -> RunMetrics:
     """Run the block-level model and summarise it like a DES run."""
     planned = _plan_blocks(cell)
     orderer = _orderer_for(cell.protocol, cell.n)
-    collector = MetricsCollector(bin_width=1.0)
+    collector = MetricsCollector()
     rng = random.Random(cell.seed + 17)
 
     events: List[Tuple[float, str, _PlannedBlock]] = [

@@ -220,7 +220,7 @@ def fig8_crash_recovery(
     # the instance(s) it led so we report when leadership actually rotated
     # away from the crashed node (instance id == replica id only holds for
     # view 0 with one instance per replica).
-    crashed_instances = set(instances_led_by(crashed_replica, config.m, config.n))
+    crashed_instances = set(instances_led_by(crashed_replica, config.n, config.n))
     view_change_completed = [
         t for (t, instance, view) in result.view_change_times if instance in crashed_instances
     ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable
 
 from repro.bench.analytical import run_analytical
 from repro.bench.config import ExperimentCell
@@ -43,11 +43,6 @@ def run_des_cell(cell: ExperimentCell) -> SystemResult:
     """Run one cell on the message-level simulator, returning the full result."""
     system = build_system(cell.to_system_config())
     return system.run()
-
-
-def run_cells(cells: Iterable[ExperimentCell]) -> List[RunMetrics]:
-    """Run a batch of cells sequentially (deterministic order)."""
-    return [run_cell(cell) for cell in cells]
 
 
 def metrics_by_label(cells: Iterable[ExperimentCell]) -> Dict[str, RunMetrics]:

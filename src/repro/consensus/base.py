@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.block import Block
-from repro.consensus.quorum import fault_threshold, quorum_threshold
+from repro.consensus.quorum import quorum_threshold
 
 
 @dataclass(slots=True)
@@ -42,10 +42,6 @@ class InstanceConfig:
             raise ValueError("a BFT system needs at least n = 4 replicas")
         if self.instance_id < 0 or self.replica_id < 0:
             raise ValueError("ids must be non-negative")
-
-    @property
-    def f(self) -> int:
-        return fault_threshold(self.n)
 
     @property
     def quorum(self) -> int:
@@ -242,7 +238,6 @@ class ConsensusInstance:
         self.config = config
         self.context = context
         self.view = 0
-        self.stopped = False
 
     # ------------------------------------------------------------ properties
     @property
@@ -263,15 +258,16 @@ class ConsensusInstance:
 
     # --------------------------------------------------------------- protocol
     def on_message(self, sender: int, message: Any) -> None:
-        if self.stopped:
-            return
+        """The dispatch rule; ``MultiBFTReplica._receive`` inlines its one hot copy.
+
+        A class missing from :attr:`HANDLERS` is dropped.
+        """
         cls = message.__class__
         name = self.HANDLERS.get(cls)
         if name is not None:
             # Every protocol message costs one signature verification on
-            # receipt; it is accounted here (the single dispatch site) so the
-            # handlers — and the replica-level fast path that calls them
-            # directly — stay free of the per-message accounting frame.
+            # receipt; it is accounted here so the handlers stay free of the
+            # per-message accounting frame.
             if cls not in self.SELF_ACCOUNTING:
                 self.context.record_crypto("verify")
             getattr(self, name)(sender, message)
@@ -287,6 +283,3 @@ class ConsensusInstance:
     def ready_to_propose(self) -> bool:
         """Whether the leader may propose its next block right now."""
         raise NotImplementedError
-
-    def stop(self) -> None:
-        self.stopped = True

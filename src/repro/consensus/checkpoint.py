@@ -10,7 +10,7 @@ integrity (state transfer is modelled as a single bulk message).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from repro.consensus.messages import CheckpointMessage
 from repro.crypto.hashing import digest_hex
@@ -87,7 +87,3 @@ class CheckpointManager:
         self._pruned_floor = floor
         for epoch in [e for e in self._states if e < floor]:
             del self._states[epoch]
-
-    def tracked_epochs(self) -> int:
-        """Number of epochs currently holding vote state (diagnostics)."""
-        return len(self._states)

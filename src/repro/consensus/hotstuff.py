@@ -87,7 +87,7 @@ class HotStuffInstance(ConsensusInstance):
     # -------------------------------------------------------------- proposing
     def ready_to_propose(self) -> bool:
         """The leader proposes round r once it holds a QC on round r-1."""
-        if not self.is_leader or self.stopped:
+        if not self.is_leader:
             return False
         return self.next_round == 1 or self.high_qc_round >= self.next_round - 1
 

@@ -18,7 +18,7 @@ Differences from vanilla PBFT:
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Dict, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.consensus.base import InstanceConfig, InstanceContext
 from repro.consensus.messages import PrePrepare, RankMessage
@@ -213,16 +213,6 @@ class LadonPBFTInstance(PBFTInstance):
             self._store_rank_report(self.replica_id, rank_msg)
         else:
             self.context.send(leader, rank_msg, rank_msg.size_bytes)
-
-    def on_message(self, sender: int, message: Any) -> None:
-        # Rank messages bypass the ``stopped`` gate (curRank keeps advancing
-        # from certified ranks even on a stopped instance), so they are
-        # routed before the base table dispatch.
-        if message.__class__ is RankMessage:
-            self.context.record_crypto("verify")
-            self._on_rank_message(sender, message)
-            return
-        super().on_message(sender, message)
 
     def _on_rank_message(self, sender: int, message: RankMessage) -> None:
         # (entry verification accounted at the dispatch site)

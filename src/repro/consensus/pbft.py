@@ -145,7 +145,7 @@ class PBFTInstance(ConsensusInstance):
 
     def ready_to_propose(self) -> bool:
         """The leader proposes one round at a time: round r needs r-1 committed."""
-        if not self.is_leader or self.stopped or self.view_change_in_progress:
+        if not self.is_leader or self.view_change_in_progress:
             return False
         self._skip_reproposed_rounds()
         return self.next_round == 1 or self.last_committed_round >= self.next_round - 1
@@ -455,9 +455,8 @@ class PBFTInstance(ConsensusInstance):
         )
 
     def _on_propose_timeout(self) -> None:
-        if self.stopped or self.is_leader:
-            return
-        self._start_view_change()
+        if not self.is_leader:
+            self._start_view_change()
 
     def _on_timeout(self, round: int) -> None:
         if round <= self._stable_round:

@@ -110,9 +110,6 @@ class EpochPacemaker:
             return True
         return False
 
-    def has_stable_checkpoint(self, epoch: int) -> bool:
-        return self._state(epoch).stable_checkpoint
-
     # ------------------------------------------------------------ advancement
     def try_advance(self, now: float) -> bool:
         """Advance to the next epoch if the current one is complete and checkpointed."""

@@ -27,7 +27,7 @@ so sweeps and cached cells retain the verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -208,7 +208,7 @@ def audit_snapshot(snapshot: "RunSnapshot", config: "SystemConfig") -> SafetyAud
         live_replicas=[r for r in honest if r not in crashed],
         # Only the paced worker instances are expected to keep committing;
         # extra instances (DQBFT's ordering instance) are demand-driven.
-        liveness_instances=range(config.m),
+        liveness_instances=range(config.n),
     )
     report.adversarial_replicas = tuple(sorted(adversarial))
     return report

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.ordering import ConfirmedBlock
 from repro.metrics.latency import LatencyAccumulator
@@ -63,8 +63,8 @@ class MetricsCollector:
     throughput bin, and :meth:`summarise` raises on it.
     """
 
-    def __init__(self, bin_width: float = 1.0, retain_confirmations: bool = True) -> None:
-        self.throughput = ThroughputSeries(bin_width=bin_width)
+    def __init__(self, retain_confirmations: bool = True) -> None:
+        self.throughput = ThroughputSeries()
         self.latency = LatencyAccumulator()
         self.retain_confirmations = retain_confirmations
         self.confirmed: List[ConfirmedBlock] = []

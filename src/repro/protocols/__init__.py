@@ -6,7 +6,9 @@ Available protocols (see :mod:`repro.protocols.registry`):
 
 * ``ladon-pbft``, ``ladon-opt``, ``ladon-hotstuff`` — the paper's systems;
 * ``iss-pbft``, ``iss-hotstuff`` — ISS with pre-determined ordering;
-* ``mir``, ``rcc`` — Mir and RCC (pre-determined ordering variants);
+* ``mir``, ``rcc`` — Mir and RCC (pre-determined ordering variants; RCC's
+  leader replacement is not modelled: the paper's honest stragglers never
+  trigger it, so ``rcc`` is ISS's replica over PBFT);
 * ``dqbft`` — DQBFT with a centralised ordering instance.
 """
 

@@ -38,7 +38,7 @@ from repro.sim.latency import LatencyModel
 from repro.sim.node import Node
 from repro.sim.trace import TraceRecorder
 from repro.workload.generator import TrafficStream
-from repro.workload.transactions import Batch
+from repro.workload.transactions import DEFAULT_PAYLOAD_BYTES, Batch
 
 
 NO_EPOCH_MAX_RANK = 2**62
@@ -54,7 +54,6 @@ class SystemConfig:
 
     protocol: str = "ladon-pbft"
     n: int = 16
-    num_instances: Optional[int] = None  # defaults to n (one instance per replica)
     batch_size: int = 4096
     total_block_rate: float = 16.0  # blocks per second across all instances
     epoch_length: int = 64
@@ -62,13 +61,10 @@ class SystemConfig:
     #: run without ``scenario`` executes
     environment: str = "wan"
     duration: float = 30.0
-    warmup: float = 0.0
     seed: int = 0
     faults: FaultConfig = field(default_factory=FaultConfig)
-    payload_bytes: int = 500
     view_change_timeout: float = 10.0
     propose_timeout: Optional[float] = None
-    bin_width: float = 1.0
     trace: bool = False
     #: declarative scenario (topology + dynamics + traffic); None = the
     #: ``environment`` preset (see :meth:`resolved_scenario`)
@@ -97,16 +93,18 @@ class SystemConfig:
             raise ValueError("need at least 4 replicas")
         if self.environment not in ("wan", "lan"):
             raise ValueError("environment must be 'wan' or 'lan'")
-        if self.total_block_rate <= 0:
-            raise ValueError("total block rate must be positive")
         if self.runtime not in RUNTIME_KINDS:
             raise ValueError(f"runtime must be one of {RUNTIME_KINDS}")
         if self.realtime_timescale <= 0:
             raise ValueError("realtime_timescale must be positive")
-        for name in ("view_change_timeout", "propose_timeout"):
-            timeout = getattr(self, name)
-            if timeout is not None and not 0 < timeout < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {timeout!r}")
+        for name in ("duration", "total_block_rate", "view_change_timeout", "propose_timeout"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("batch_size", "epoch_length"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
         if self.propose_timeout is not None and self.protocol in HOTSTUFF_STACKS:
             raise ValueError(
                 f"propose_timeout must be None for {self.protocol}: HotStuff "
@@ -135,13 +133,9 @@ class SystemConfig:
             raise ValueError("shards > 1 requires runtime='sharded'")
 
     @property
-    def m(self) -> int:
-        return self.num_instances if self.num_instances is not None else self.n
-
-    @property
     def proposal_interval(self) -> float:
         """Seconds between proposals of one (non-straggling) leader."""
-        return self.m / self.total_block_rate
+        return self.n / self.total_block_rate
 
     def resolved_scenario(self) -> ScenarioSpec:
         """The scenario this run executes.
@@ -164,7 +158,7 @@ class SystemConfig:
         return self.resolved_scenario().fault_config(self.faults, self.n)
 
     def build_traffic_stream(self) -> Optional[TrafficStream]:
-        return self.resolved_scenario().build_traffic_stream(self.m, self.n)
+        return self.resolved_scenario().build_traffic_stream(self.n, self.n)
 
 
 class ReplicaInstanceContext(InstanceContext):
@@ -264,9 +258,7 @@ class MultiBFTReplica(Node):
         self._mc_above: List[int] = []
         self.rank_state = RankState()
         self.quorum = quorum_threshold(config.n)
-        self.metrics = MetricsCollector(
-            bin_width=config.bin_width, retain_confirmations=retain_history
-        )
+        self.metrics = MetricsCollector(retain_confirmations=retain_history)
         self.orderer: GlobalOrderer = self.build_orderer()
         self.instances: Dict[int, Any] = {}
         self.view_change_log: List[Tuple[float, int, int]] = []
@@ -274,7 +266,7 @@ class MultiBFTReplica(Node):
         self.pacemaker: Optional[EpochPacemaker] = None
         if self.uses_epochs:
             self.pacemaker = EpochPacemaker(
-                EpochConfig(length=config.epoch_length, num_instances=config.m),
+                EpochConfig(length=config.epoch_length, num_instances=config.n),
                 quorum=self.quorum,
             )
         self._checkpoint_sent_for: set = set()
@@ -292,7 +284,7 @@ class MultiBFTReplica(Node):
         raise NotImplementedError
 
     def instance_config(
-        self, instance_id: int, tx_payload_bytes: Optional[int] = None
+        self, instance_id: int, tx_payload_bytes: int = DEFAULT_PAYLOAD_BYTES
     ) -> InstanceConfig:
         """The configuration of ``instance_id`` at this replica."""
         config = self.config
@@ -304,9 +296,7 @@ class MultiBFTReplica(Node):
             epoch_length=config.epoch_length,
             view_change_timeout=config.view_change_timeout,
             propose_timeout=config.propose_timeout,
-            tx_payload_bytes=(
-                config.payload_bytes if tx_payload_bytes is None else tx_payload_bytes
-            ),
+            tx_payload_bytes=tx_payload_bytes,
             compat_flags=config.compat_flags,
         )
 
@@ -318,23 +308,20 @@ class MultiBFTReplica(Node):
         )
 
     def _build_instances(self) -> None:
-        for instance_id in range(self.config.m):
+        for instance_id in range(self.config.n):
             instance = self.build_instance(instance_id)
             instance.retain_blocks = self.retain_history
             self.instances[instance_id] = instance
         self._build_route()
 
     def _build_route(self) -> None:
-        """Build the message type -> per-instance handler fast-dispatch table.
+        """Build the message type -> per-instance handler route table.
 
         One pointer-hash dict hit plus two list indexes replace instance
         lookup + ``instance.on_message`` + the instance's own type dispatch
-        on the per-delivery hot path.  Messages that miss the table
-        (checkpoints, subclass extras, unknown instances) fall back to the
-        slow path, which preserves the exact legacy semantics.  Instances
-        inside a system are never ``stop()``-ed (the flag exists for direct
-        unit-test use), so bypassing the instance-level ``stopped`` gate is
-        sound here.
+        on the per-delivery hot path (:meth:`_receive`).  Messages that miss
+        the table (checkpoints, unknown classes and instances) go to
+        :meth:`_dispatch`.
 
         Each replica hosts every instance, so whatever a row stores per
         instance is paid n² times.  A row is ``(verify, functions, hosted)``:
@@ -393,7 +380,7 @@ class MultiBFTReplica(Node):
                 continue
             # Stagger instances across the proposal interval so the aggregate
             # block rate is smooth rather than bursty.
-            offset = (instance_id / max(1, self.config.m)) * interval
+            offset = (instance_id / self.config.n) * interval
             self._arm_pacing(instance_id, offset + 1e-6)
 
     def _arm_pacing(self, instance_id: int, delay: float) -> None:
@@ -440,9 +427,7 @@ class MultiBFTReplica(Node):
             )
             if count == 0:
                 return Batch.empty()
-            return Batch.synthetic(
-                count, submitted_at=mean_at, payload_bytes=self.config.payload_bytes
-            )
+            return Batch.synthetic(count, submitted_at=mean_at)
         # Under the saturated open-loop workload, the transactions in a
         # batch arrived uniformly during the interval since the previous
         # cut, so their mean submission time is half an interval ago.
@@ -450,7 +435,6 @@ class MultiBFTReplica(Node):
         return Batch.synthetic(
             self.config.batch_size,
             submitted_at=max(0.0, self.now() - queueing),
-            payload_bytes=self.config.payload_bytes,
         )
 
     # ----------------------------------------------------------------- faults
@@ -529,12 +513,12 @@ class MultiBFTReplica(Node):
         """Transport delivery entry point: accounting + dispatch, one frame.
 
         Overrides :meth:`Node._receive` to fold the crashed check, the
-        per-message resource accounting (:meth:`on_message`), and the
-        route-table dispatch (:meth:`_dispatch`) into a single function.
-        It is the one inlined copy of those two: this runs once per
-        delivered message (5 M times in the 10 s n=128 cell), where two more
-        Python frames per call are a visible share of the run; every other
-        caller goes through the methods.
+        per-message resource accounting and the route row into a single
+        function.  The route row is the one inlined copy of
+        ``ConsensusInstance.on_message`` (entry verify, then the handler):
+        this runs once per delivered message (5 M times in the 10 s n=128
+        cell), where two more Python frames per call are a visible share of
+        the run.  A route miss goes to :meth:`_dispatch`.
         """
         if self.crashed:
             return
@@ -545,7 +529,7 @@ class MultiBFTReplica(Node):
         try:
             size = message.size_bytes
             instance_id = message.instance
-        except AttributeError:  # foreign payloads (tests, custom hooks)
+        except AttributeError:  # a foreign payload: _dispatch drops it
             size = getattr(message, "size_bytes", 0)
             instance_id = -1
         usage.cpu_seconds += (
@@ -568,65 +552,33 @@ class MultiBFTReplica(Node):
                         usage.cpu_seconds += self._verify_cost
                     function(hosted[instance_id], sender, message)
                     return
-        self._dispatch_slow(sender, message)
-
-    def on_message(self, sender: int, message: Any) -> None:
-        """Account one handled message, then :meth:`_dispatch` it."""
-        usage = self._usage
-        if usage is None:
-            usage = self._usage = self.resources.usage(self.node_id)
-        usage.messages_handled += 1
-        usage.cpu_seconds += (
-            self._message_handling_cost
-            + self._per_byte_cost * getattr(message, "size_bytes", 0)
-        )
         self._dispatch(sender, message)
 
     def _dispatch(self, sender: int, message: Any) -> None:
-        """Route ``message`` to its instance's handler (loopback, ``on_message``).
+        """Deliver ``message`` off the hot route.
 
-        Routed classes are protocol messages, which always carry an int
-        ``instance``.
+        Loopback sends, multicast self-delivery and :meth:`_receive`'s route
+        misses come here: a checkpoint goes to :meth:`_on_checkpoint`, a
+        message for a hosted instance to its ``on_message`` (the dispatch
+        rule), and anything else is dropped.
         """
-        row = self._route_cls.get(message.__class__)
-        if row is not None:
-            entry_verify, functions, hosted = row
-            instance_id = message.instance
-            function = functions[instance_id] if 0 <= instance_id < len(functions) else None
-            if function is not None:
-                if entry_verify:
-                    self.record_crypto_op("verify")
-                function(hosted[instance_id], sender, message)
-                return
-        self._dispatch_slow(sender, message)
-
-    def _dispatch_slow(self, sender: int, message: Any) -> None:
-        """Fallback dispatch: checkpoints, extra messages, unknown instances."""
         if isinstance(message, CheckpointMessage):
             self._on_checkpoint(sender, message)
             return
         instance = self.instances.get(getattr(message, "instance", None))
-        if instance is None:
-            self.handle_extra_message(sender, message)
-            return
-        instance.on_message(sender, message)
-
-    def handle_extra_message(self, sender: int, message: Any) -> None:
-        """Hook for subclass-specific messages (e.g. DQBFT sequencing)."""
+        if instance is not None:
+            instance.on_message(sender, message)
 
     # ------------------------------------------------------------ commit path
     def on_partial_commit(self, block: Block) -> None:
         self.metrics.record_partial_commit()
         if self.pacemaker is not None:
             self.pacemaker.observe_commit(block.instance, block.rank, self.now())
-        newly = self.feed_orderer(block)
+        newly = self.orderer.add_partially_committed(block, self.now())
         if newly:
             self._confirm(newly)
         if self.pacemaker is not None:
             self._maybe_checkpoint()
-
-    def feed_orderer(self, block: Block) -> List[Confirmation]:
-        return self.orderer.add_partially_committed(block, self.now())
 
     def _confirm(self, newly: List[Confirmation]) -> None:
         """The tail of every confirmation site: the observer's metrics, the trace.

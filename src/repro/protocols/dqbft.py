@@ -12,7 +12,7 @@ decided order to block generation time (no causality guarantee).
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import List
 
 from repro.consensus.pbft import PBFTInstance
 from repro.core.block import Block, BlockId
@@ -29,7 +29,7 @@ class DQBFTReplica(MultiBFTReplica):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.ordering_instance_id = self.config.m
+        self.ordering_instance_id = self.config.n
         ordering_instance = self._build_ordering_instance()
         ordering_instance.retain_blocks = self.retain_history
         self.instances[self.ordering_instance_id] = ordering_instance
@@ -40,7 +40,7 @@ class DQBFTReplica(MultiBFTReplica):
     # ------------------------------------------------------------- factories
     def build_orderer(self) -> GlobalOrderer:
         return DQBFTOrderer(
-            num_instances=self.config.m, retain_blocks=self.retain_history
+            num_instances=self.config.n, retain_blocks=self.retain_history
         )
 
     def _build_ordering_instance(self) -> PBFTInstance:

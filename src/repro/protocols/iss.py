@@ -18,12 +18,13 @@ class ISSReplica(MultiBFTReplica):
     row's instance class (PBFT or HotStuff).
 
     Mir interleaves its instance logs the same way and is this class over
-    :class:`~repro.protocols.mir.MirPBFTInstance`; RCC derives from it.
+    :class:`~repro.protocols.mir.MirPBFTInstance`; RCC is this class over
+    :class:`~repro.consensus.pbft.PBFTInstance` (see the registry).
     """
 
     uses_epochs = False
 
     def build_orderer(self) -> GlobalOrderer:
         return PredeterminedOrderer(
-            num_instances=self.config.m, retain_blocks=self.retain_history
+            num_instances=self.config.n, retain_blocks=self.retain_history
         )

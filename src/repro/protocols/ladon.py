@@ -21,7 +21,7 @@ class LadonReplica(MultiBFTReplica):
 
     def build_orderer(self) -> GlobalOrderer:
         return DynamicOrderer(
-            num_instances=self.config.m, retain_blocks=self.retain_history
+            num_instances=self.config.n, retain_blocks=self.retain_history
         )
 
     def build_instance(self, instance_id: int) -> Any:

@@ -1,4 +1,8 @@
-"""Protocol registry: one row per stack, name -> replica class over instance class."""
+"""Protocol registry: one row per stack, name -> replica class over instance class.
+
+``rcc`` is ISS's replica over PBFT: RCC's wait-free leader replacement is not
+modelled, because the paper's honest stragglers never trigger it.
+"""
 
 from __future__ import annotations
 
@@ -17,7 +21,6 @@ from repro.protocols.dqbft import DQBFTReplica
 from repro.protocols.iss import ISSReplica
 from repro.protocols.ladon import LadonReplica
 from repro.protocols.mir import MirPBFTInstance
-from repro.protocols.rcc import RCCReplica
 
 # A stack is a replica class (orderer, epochs, protocol extras) over a
 # consensus-instance class.
@@ -30,7 +33,7 @@ _REGISTRY: Mapping[str, Callable[..., MultiBFTReplica]] = MappingProxyType({
     "iss-pbft": partial(ISSReplica, instance_cls=PBFTInstance),
     "iss-hotstuff": partial(ISSReplica, instance_cls=HotStuffInstance),
     "mir": partial(ISSReplica, instance_cls=MirPBFTInstance),
-    "rcc": partial(RCCReplica, instance_cls=PBFTInstance),
+    "rcc": partial(ISSReplica, instance_cls=PBFTInstance),
     "dqbft": partial(DQBFTReplica, instance_cls=PBFTInstance),
 })
 

@@ -95,7 +95,6 @@ def assemble(snapshot: RunSnapshot, config: "SystemConfig") -> SystemResult:
         stragglers=config.faults.straggler_count(),
         duration=config.duration,
         resources=resources,
-        warmup=config.warmup,
     )
     audit = audit_snapshot(snapshot, config)
     metrics.extra["safety_violations"] = float(len(audit.violations))

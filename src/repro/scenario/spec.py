@@ -18,7 +18,7 @@ dataclasses of hashable fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple, TYPE_CHECKING
 
 from repro.adversary.spec import AdversarySpec
@@ -180,7 +180,3 @@ class ScenarioSpec:
         if self.adversary is not None:
             parts.append(f"adversary: {self.adversary.describe()}")
         return "; ".join(parts)
-
-    def with_traffic(self, profile: TrafficProfile) -> "ScenarioSpec":
-        """A copy of this scenario under a different arrival profile."""
-        return replace(self, traffic=replace(self.traffic, profile=profile))

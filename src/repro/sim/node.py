@@ -2,10 +2,10 @@
 
 A :class:`Node` owns a node id and a reference to its execution
 :class:`~repro.runtime.base.Runtime`, and provides timers plus
-send/multicast helpers.  Protocol replicas subclass it and implement
-:meth:`on_message`.  Nodes are *sans-I/O*: they never touch a simulator or
-a network directly, so the same node runs on the discrete-event backend and
-on the wall-clock backend.
+send/multicast helpers.  Subclasses implement :meth:`on_message`, or
+override :meth:`_receive` as protocol replicas do.  Nodes are *sans-I/O*:
+they never touch a simulator or a network directly, so the same node runs
+on the discrete-event backend and on the wall-clock backend.
 
 For the sim-layer tests and legacy wiring, ``Node(node_id, simulator,
 network)`` still works: the pair is adapted into a

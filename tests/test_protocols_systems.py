@@ -7,12 +7,14 @@ path: pacing -> consensus instances -> global ordering -> metrics.
 
 import dataclasses
 import hashlib
+import importlib.util
 import math
 
 import pytest
 
 from repro.adversary import AdversarySpec, RankManipulation, get_adversary
 from repro.consensus.hotstuff import HotStuffInstance
+from repro.consensus.messages import CheckpointMessage
 from repro.metrics.auditor import audit_system
 from repro.protocols.base import HOTSTUFF_STACKS, SystemConfig
 from repro.protocols.registry import (
@@ -89,6 +91,18 @@ class TestRegistry:
     def test_bad_timeout_is_refused_by_name(self, field, value):
         # propose_timeout=0.0 used to run to completion with 0 tps and an
         # all-live audit; the others failed deep in the event queue.
+        with pytest.raises(ValueError, match=field):
+            SystemConfig(protocol="ladon-pbft", n=4, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(f, v) for f in ("duration", "total_block_rate") for v in (0.0, -1.0, math.inf, math.nan)]
+        + [(f, v) for f in ("batch_size", "epoch_length") for v in (0, -1)],
+    )
+    def test_bad_run_size_is_refused_by_name(self, field, value):
+        # total_block_rate=inf used to run and report 54,340 tx/s at n=4;
+        # duration=0 and batch_size=0 reported 0 tx/s; duration=-1 failed
+        # with "clock cannot move backwards"; NaN failed in the event queue.
         with pytest.raises(ValueError, match=field):
             SystemConfig(protocol="ladon-pbft", n=4, **{field: value})
 
@@ -400,3 +414,111 @@ class TestResultPath:
         result = system.run()
         assert result.audit.stalled_instances  # a non-trivial report
         assert audit_system(system) == result.audit
+
+
+@dataclasses.dataclass(frozen=True)
+class StrayMessage:
+    """A payload no instance class routes, addressed to a hosted instance."""
+
+    sender: int
+    instance: int
+    size_bytes: int = 100
+
+
+def definers(cls, name):
+    """Names of the classes in ``cls``'s MRO that define ``name`` themselves."""
+    return [owner.__name__ for owner in cls.__mro__ if name in vars(owner)]
+
+
+class TestOneDispatchPath:
+    """A protocol message reaches a handler only through ``_receive``'s route
+    row or ``ConsensusInstance.on_message``, and the two agree."""
+
+    @staticmethod
+    def record_handlers(monkeypatch, protocol):
+        """Wrap ``protocol``'s handlers to log their calls into the returned
+        list; systems built afterwards hold the wrappers in their route rows."""
+        instance_cls = replica_class(protocol).keywords["instance_cls"]
+        calls = []
+        for name in sorted(set(instance_cls.HANDLERS.values())):
+            handler = getattr(instance_cls, name)
+
+            def recorded(self, sender, message, _name=name, _handler=handler):
+                calls.append((self.instance_id, _name, sender, message))
+                _handler(self, sender, message)
+
+            monkeypatch.setattr(instance_cls, name, recorded)
+        return calls
+
+    @staticmethod
+    def replica(protocol):
+        """Replica 1 of a built, unstarted n=4 system."""
+        return build_system(small_config(protocol)).replicas[1]
+
+    @staticmethod
+    def verifies(replica):
+        return replica.resources.usage(replica.node_id).crypto_ops.get("verify", 0)
+
+    @pytest.mark.parametrize("protocol", available_protocols())
+    def test_receive_and_dispatch_reach_the_same_handler(self, monkeypatch, protocol):
+        instance_cls = replica_class(protocol).keywords["instance_cls"]
+        calls = self.record_handlers(monkeypatch, protocol)
+        for message_cls, name in instance_cls.HANDLERS.items():
+            fields = {"tx_count": 64} if "tx_count" in message_cls.__dataclass_fields__ else {}
+            message = message_cls(sender=0, instance=0, view=0, round=1, **fields)
+            seen = []
+            for path in ("_receive", "_dispatch"):
+                replica = self.replica(protocol)
+                calls.clear()
+                getattr(replica, path)(0, message)
+                seen.append((list(calls), self.verifies(replica)))
+            assert seen[0] == seen[1], (protocol, message_cls.__name__)
+            assert seen[0][0][0] == (0, name, 0, message)
+            if message_cls in instance_cls.SELF_ACCOUNTING:
+                # Mir's request re-verification (64 txs -> 1) plus the entry
+                # verify, both recorded by the handler, not the dispatch site.
+                assert seen[0][1] >= 2
+
+    @pytest.mark.parametrize("protocol", available_protocols())
+    def test_receive_drops_unrouted_and_unhosted_messages(self, monkeypatch, protocol):
+        calls = self.record_handlers(monkeypatch, protocol)
+        replica = self.replica(protocol)
+        routed = next(iter(replica.instance_cls.HANDLERS))
+        for message in (
+            StrayMessage(sender=0, instance=0),
+            routed(sender=0, instance=99, view=0, round=1),
+            routed(sender=0, instance=-1, view=0, round=1),
+        ):
+            replica._receive(0, message)
+        assert calls == []
+        assert self.verifies(replica) == 0
+
+    @pytest.mark.parametrize("protocol", available_protocols())
+    def test_checkpoint_reaches_on_checkpoint(self, monkeypatch, protocol):
+        calls = self.record_handlers(monkeypatch, protocol)
+        replica = self.replica(protocol)
+        checkpoints = []
+        monkeypatch.setattr(
+            replica, "_on_checkpoint", lambda sender, message: checkpoints.append((sender, message))
+        )
+        # instance=0 names a hosted instance; the checkpoint must not reach it
+        checkpoint = CheckpointMessage(sender=2, instance=0, view=0, round=0, epoch=0)
+        replica._receive(2, checkpoint)
+        replica._dispatch(2, checkpoint)
+        assert checkpoints == [(2, checkpoint), (2, checkpoint)]
+        assert calls == []
+
+    def test_the_other_dispatch_paths_are_gone(self):
+        assert importlib.util.find_spec("repro.protocols.rcc") is None
+        for protocol in available_protocols():
+            replica_cls = replica_class(protocol).func
+            assert definers(replica_cls, "_receive") == ["MultiBFTReplica", "Node"]
+            assert definers(replica_cls, "_dispatch") == ["MultiBFTReplica"]
+            assert definers(replica_cls, "on_message") == ["Node"]
+            for name in ("_dispatch_slow", "handle_extra_message", "feed_orderer"):
+                assert not definers(replica_cls, name), (protocol, name)
+            instance_cls = replica_class(protocol).keywords["instance_cls"]
+            assert definers(instance_cls, "on_message") == ["ConsensusInstance"]
+            assert not definers(instance_cls, "stop")
+            replica = build_system(small_config(protocol)).replicas[0]
+            assert not [i for i in replica.instances.values() if hasattr(i, "stopped")]
