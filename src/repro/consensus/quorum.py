@@ -30,7 +30,11 @@ from typing import Dict, Hashable, Tuple
 
 
 def quorum_threshold(n: int) -> int:
-    """Return 2f+1 for an ``n = 3f+1`` system (rounded up for other n)."""
+    """Return 2f+1 with ``f = (n - 1) // 3``, for every n.
+
+    Two such quorums share an honest replica only when ``n = 3f+1``; for
+    other n they may overlap in f replicas or fewer (n = 8: 2, and f = 2).
+    """
     if n <= 0:
         raise ValueError("n must be positive")
     f = (n - 1) // 3

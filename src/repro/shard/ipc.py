@@ -4,12 +4,12 @@ Every payload crossing a process boundary goes through this module — the
 single place where pickling is allowed (enforced by the SHARD-002
 staticcheck rule).  Two payload kinds exist:
 
-* **message batches** — lists of ``(arrival, sender, receiver, message)``
-  delivery entries flushed from a shard's outbox at a barrier.  Messages are
-  the PR 5 frozen-slots flyweights, so one batch pickles into a compact
-  frame and pickle's memo table dedupes payload objects (a multicast's
-  shared :class:`~repro.workload.transactions.Batch` is serialized once per
-  frame, not once per receiver).  The hub routes these frames as **opaque
+* **message batches** — lists of ``(arrivals, sender, receivers, message)``
+  records, one per fan-out and destination shard, flushed from a shard's
+  outbox at a barrier.  Messages are frozen-slots flyweights, so one batch
+  pickles into a compact frame and pickle's memo table dedupes payload
+  objects (a proposal's :class:`~repro.workload.transactions.Batch` is
+  serialized once per frame).  The hub routes these frames as **opaque
   bytes** — only the destination shard unpickles them.
 * **control frames** — the tuples of the hub <-> worker barrier protocol
   (:mod:`repro.shard.worker`).
@@ -20,12 +20,11 @@ Framing itself (length prefix) is ``multiprocessing.Connection``'s
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 from typing import Any, List, Tuple
 
-#: one cross-shard delivery: (arrival time, sender, receiver, message)
-RemoteEntry = Tuple[float, int, int, Any]
+#: one fan-out's deliveries to one shard: (arrivals, sender, receivers, message)
+RemoteRecord = Tuple[List[float], int, List[int], Any]
 
 #: the highest protocol both 3.10 and 3.12 share, and the fastest
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -52,12 +51,12 @@ def derive_shard_seed(seed: int, shard_id: int) -> int:
     return seed + 1_000_003 * (shard_id + 1)
 
 
-def encode_batch(entries: List[RemoteEntry]) -> bytes:
+def encode_batch(records: List[RemoteRecord]) -> bytes:
     """Frame one outbox batch for the wire."""
-    return pickle.dumps(entries, _PROTOCOL)
+    return pickle.dumps(records, _PROTOCOL)
 
 
-def decode_batch(data: bytes) -> List[RemoteEntry]:
+def decode_batch(data: bytes) -> List[RemoteRecord]:
     """Decode a frame produced by :func:`encode_batch`."""
     return pickle.loads(data)
 
@@ -88,14 +87,12 @@ def check_flyweight(message: Any) -> bool:
     return not hasattr(message, "__dict__")
 
 
-def validate_entries(entries: List[RemoteEntry]) -> None:
-    """Assert every entry's message is a frozen-slots flyweight (test aid)."""
-    for arrival, sender, receiver, message in entries:
+def validate_entries(records: List[RemoteRecord]) -> None:
+    """Assert every record's message is a frozen-slots flyweight (test aid)."""
+    for arrivals, sender, receivers, message in records:
         if not check_flyweight(message):
             raise TypeError(
                 f"non-flyweight payload {type(message).__name__!r} on the "
-                f"IPC boundary ({sender}->{receiver} @ {arrival}): messages "
+                f"IPC boundary ({sender}->{receivers} @ {arrivals}): messages "
                 "crossing shards must be frozen dataclasses with __slots__"
             )
-        if not dataclasses.is_dataclass(message):  # pragma: no cover - guard
-            raise TypeError(f"{type(message).__name__} is not a dataclass")

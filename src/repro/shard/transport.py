@@ -8,20 +8,21 @@ construction (same stats order, same uplink serialisation, same RNG draw per
 receiver).  The only shard-specific step is where a finished delivery goes,
 and that is the seam :meth:`Network._install_sink` exposes: the subclass
 installs a router in front of the one delivery sink, which pushes receivers
-hosted here onto the local event queue and appends the fully-computed entry
-``(arrival, sender, receiver, message)`` of every other receiver to its
-shard's **outbox**.  The sink takes a whole fan-out, so routing costs one
-extra frame per fan-out instead of one per receiver.
+hosted here onto the local event queue and appends, per destination shard,
+one **record** ``(arrivals, sender, receivers, message)`` of the fan-out's
+other receivers (in fan-out order, duplicates included) to that shard's
+**outbox**.  Routing and the wire both cost one record per fan-out.
 
 Outboxes are flushed at every barrier (:meth:`drain_outboxes`) and delivered
 into the destination shard's queue before its next window
-(:meth:`enqueue_remote`), which checks the conservative-synchronization
-invariant: no arrival may predate the receiving shard's executed horizon.
+(:meth:`enqueue_remote`, one :meth:`~repro.sim.events.EventQueue.push_calls`
+per record), which checks the conservative-synchronization invariant: no
+arrival may predate the receiving shard's executed horizon.
 
 Sender-side effects (stats, link filter, partition, loss, uplink busy time,
 latency draws) all happen on the *sending* shard exactly as they would in
-one process, so the cross-shard channel carries finished delivery entries —
-the receiving shard never re-rolls RNG for them.
+one process, so the cross-shard channel carries finished arrivals — the
+receiving shard never re-rolls RNG for them.
 """
 
 # staticcheck: hot-path
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.shard.ipc import RemoteEntry, ShardSyncError, encode_batch
+from repro.shard.ipc import RemoteRecord, ShardSyncError, encode_batch
 from repro.shard.partition import ShardPlan
 from repro.sim.latency import LatencyModel
 from repro.sim.network import Network, NetworkConfig
@@ -55,13 +56,13 @@ class ShardNetwork(Network):
         super().__init__(simulator, latency=latency, config=config)
         self.plan = plan
         self.shard_id = shard_id
-        #: per-destination-shard outboxes of finished delivery entries
-        self._outboxes: List[List[RemoteEntry]] = [[] for _ in range(plan.shards)]
+        #: per-destination-shard outboxes of fan-out records
+        self._outboxes: List[List[RemoteRecord]] = [[] for _ in range(plan.shards)]
         #: executed horizon: every local event strictly before this time has
         #: run; incoming remote arrivals must be >= it (lookahead safety)
         self._horizon = 0.0
         #: smallest (arrival - horizon) seen across all enqueued remote
-        #: entries — the run's observed lookahead-safety margin
+        #: arrivals — the run's observed lookahead-safety margin
         self.min_margin = _INFINITY
         #: all replica ids, ascending — the *global* membership.  Protocol
         #: fan-out reads this (and caches per list identity), so it must be
@@ -100,15 +101,21 @@ class ShardNetwork(Network):
             add_arrival = local_arrivals.append
             local_receivers: List[int] = []
             add_local = local_receivers.append
+            records = {}  # destination shard -> this fan-out's record
             for arrival, receiver in zip(arrivals, receivers):
                 if local[receiver]:
                     add_arrival(arrival)
                     add_local(receiver)
                 else:
-                    outboxes[shard_of[receiver]].append(
-                        (arrival, sender, receiver, message)
-                    )
+                    record = records.get(shard_of[receiver])
+                    if record is None:
+                        records[shard_of[receiver]] = ([arrival], sender, [receiver], message)
+                    else:
+                        record[0].append(arrival)
+                        record[2].append(receiver)
             push_local(local_arrivals, fn, sender, local_receivers, message)
+            for shard, record in records.items():
+                outboxes[shard].append(record)
 
         self._install_sink(route_calls)
 
@@ -117,7 +124,7 @@ class ShardNetwork(Network):
         """Flush every non-empty outbox as ``(dest_shard, frame)`` pairs.
 
         Returns the frames plus the minimum arrival time across all flushed
-        entries (``inf`` when nothing was pending) — the hub folds that into
+        records (``inf`` when nothing was pending) — the hub folds that into
         its idle-skip target so a barrier never outruns in-flight traffic.
         """
         frames: List[Tuple[int, bytes]] = []
@@ -127,43 +134,42 @@ class ShardNetwork(Network):
             box = outboxes[dest_shard]
             if not box:
                 continue
-            for entry in box:
-                if entry[0] < min_arrival:
-                    min_arrival = entry[0]
+            for record in box:
+                earliest = min(record[0])
+                if earliest < min_arrival:
+                    min_arrival = earliest
             frames.append((dest_shard, encode_batch(box)))
             outboxes[dest_shard] = []
         return frames, min_arrival
 
-    def enqueue_remote(self, entries: List[RemoteEntry]) -> None:
-        """Deliver incoming cross-shard entries into the local event queue.
+    def enqueue_remote(self, records: List[RemoteRecord]) -> None:
+        """Deliver incoming cross-shard records into the local event queue.
 
-        Callers pass the round's entries already merged in deterministic
-        order (source-shard order, stably sorted by arrival); each gets the
-        next local sequence number, so tie-breaks at equal timestamps are
-        reproducible.  Every arrival is checked against the executed
-        horizon — a violation means the lookahead contract broke.
+        Callers pass frames in source-shard order, so each record's one
+        ``push_calls`` hands out sequence numbers (tie-breaks at equal
+        timestamps) reproducibly.  Every arrival is checked against the
+        executed horizon, through its record's earliest one — a violation
+        means the lookahead contract broke.
         """
         horizon = self._horizon
-        push_call = self.simulator.queue.push_call
+        push_calls = self.simulator.queue.push_calls
         deliver = self._deliver
         margin = self.min_margin
-        for arrival, sender, receiver, message in entries:
-            gap = arrival - horizon
+        for arrivals, sender, receivers, message in records:
+            earliest = min(arrivals)
+            gap = earliest - horizon
             if gap < 0.0:
+                receiver = receivers[arrivals.index(earliest)]
                 raise ShardSyncError(
                     f"shard {self.shard_id}: remote message {sender}->{receiver} "
-                    f"arrives at {arrival} but the shard already executed "
+                    f"arrives at {earliest} but the shard already executed "
                     f"through {horizon} (lookahead violated by {-gap})"
                 )
             if gap < margin:
                 margin = gap
-            push_call(arrival, deliver, sender, receiver, message)
+            push_calls(arrivals, deliver, sender, receivers, message)
         self.min_margin = margin
 
     def set_horizon(self, time: float) -> None:
         """Record that every local event strictly before ``time`` has run."""
         self._horizon = time
-
-    @property
-    def horizon(self) -> float:
-        return self._horizon

@@ -11,9 +11,9 @@ protocol over a duplex pipe.  All frames are binary
 frame      payload                                                  direction
 ========== ======================================================== =========
 ``run``    ``(target, inclusive, in_frames)`` — deliver the routed  hub->wkr
-           cross-shard frames, then run the window up to ``target``
-           (exclusive unless ``inclusive``, which only the final
-           window and its drain rounds use)
+           cross-shard record frames, then run the window up to
+           ``target`` (exclusive unless ``inclusive``, which only the
+           final window and its drain rounds use)
 ``flush``  ``(out_frames, min_outgoing, next_event, events)`` —     wkr->hub
            the window's outbox frames per destination shard, the
            earliest outgoing arrival, the next live local event, and the
@@ -27,17 +27,19 @@ frame      payload                                                  direction
 The worker never reads the wall clock and draws randomness only from its
 seeded simulator (seed derived per shard by
 :func:`repro.shard.ipc.derive_shard_seed`), so a (seed, shard count) pair
-reproduces bit-identically.
+reproduces bit-identically.  The cyclic collector stays off across the whole
+barrier loop: between windows the worker decodes among millions of objects.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import resource
 import sys
 import traceback
 from dataclasses import dataclass
-from typing import Any, List, Tuple, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.shard.ipc import decode_batch, decode_frame, derive_shard_seed, encode_frame
 from repro.shard.partition import ShardPlan
@@ -61,7 +63,6 @@ class ShardResult:
     #: observed lookahead-safety margin: min(arrival - horizon) over every
     #: remote delivery this shard accepted (inf if none arrived)
     min_margin: float = _INFINITY
-    windows: int = 0
 
 
 def _worker_peak_rss_bytes() -> int:
@@ -96,26 +97,20 @@ def _build_system(config, plan: ShardPlan, shard_id: int):
 
 def worker_entry(conn, config, plan: ShardPlan, shard_id: int) -> None:
     """Process entry point: build the shard, then serve the barrier loop."""
+    gc_was_enabled = gc.isenabled()
     try:
         system, runtime = _build_system(config, plan, shard_id)
         network: ShardNetwork = runtime.network
         simulator = runtime.simulator
         system.start()
-        windows = 0
+        gc.disable()
         while True:
             frame = decode_frame(conn.recv_bytes())
             kind = frame[0]
             if kind == "run":
                 _, target, inclusive, in_frames = frame
-                if in_frames:
-                    entries: List[Any] = []
-                    for data in in_frames:
-                        entries.extend(decode_batch(data))
-                    # Stable sort on arrival over the deterministic
-                    # source-shard concatenation order -> reproducible
-                    # sequence numbers for equal timestamps.
-                    entries.sort(key=_arrival)
-                    network.enqueue_remote(entries)
+                for data in in_frames:
+                    network.enqueue_remote(decode_batch(data))
                 until = target if inclusive else math.nextafter(target, 0.0)
                 simulator.run(until=until)
                 network.set_horizon(target)
@@ -125,7 +120,6 @@ def worker_entry(conn, config, plan: ShardPlan, shard_id: int) -> None:
                 next_event = simulator.queue.peek_time()
                 if next_event is None:
                     next_event = _INFINITY
-                windows += 1
                 conn.send_bytes(
                     encode_frame(
                         (
@@ -144,7 +138,6 @@ def worker_entry(conn, config, plan: ShardPlan, shard_id: int) -> None:
                     peak_rss_bytes=_worker_peak_rss_bytes(),
                     snapshot=system.snapshot(),
                     min_margin=network.min_margin,
-                    windows=windows,
                 )
                 conn.send_bytes(encode_frame(("result", result)))
             elif kind == "stop":
@@ -157,7 +150,6 @@ def worker_entry(conn, config, plan: ShardPlan, shard_id: int) -> None:
         except (BrokenPipeError, OSError):
             pass
         raise
-
-
-def _arrival(entry: Tuple[float, int, int, Any]) -> float:
-    return entry[0]
+    finally:
+        if gc_was_enabled:
+            gc.enable()

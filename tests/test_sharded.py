@@ -41,6 +41,7 @@ from repro.runtime import build_runtime
 from repro.runtime.sharded import ShardedSystem, _merge_dynamics_logs
 from repro.shard import derive_lookahead, plan_shards
 from repro.shard.ipc import (
+    ShardSyncError,
     check_flyweight,
     decode_batch,
     derive_shard_seed,
@@ -51,9 +52,11 @@ from repro.shard.partition import ShardPlan
 from repro.shard.transport import ShardNetwork
 from repro.sim.faults import CrashSpec, DegradationSpec, FaultConfig
 from repro.scenario import TopologySpec
+from repro.scenario.spec import ScenarioSpec
 from repro.sim.latency import LatencyModel, UniformLatency
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
+from test_protocols_systems import result_digest
 
 
 def wan_latency(n):
@@ -62,6 +65,16 @@ def wan_latency(n):
 
 def lan_latency(n):
     return TopologySpec.lan().build_latency(n)
+
+
+def flatten(records):
+    """The per-receiver ``(arrival, sender, receiver, message)`` deliveries of
+    wire records ``(arrivals, sender, receivers, message)``, in order."""
+    return [
+        (arrival, sender, receiver, message)
+        for arrivals, sender, receivers, message in records
+        for arrival, receiver in zip(arrivals, receivers)
+    ]
 
 
 class _BoundOnlyLatency(LatencyModel):
@@ -221,7 +234,7 @@ class TestIpc:
 
         message = Prepare(instance=1, view=0, round=3, digest="d" * 8, sender=2)
         entries = [(1.25, 2, 5, message)]
-        assert decode_batch(encode_batch(entries)) == entries
+        assert flatten(decode_batch(encode_batch([([1.25], 2, [5], message)]))) == entries
 
     def test_flyweight_contract(self):
         from repro.consensus.messages import Prepare
@@ -229,9 +242,9 @@ class TestIpc:
         message = Prepare(instance=1, view=0, round=3, digest="d" * 8, sender=2)
         assert check_flyweight(message)
         assert not check_flyweight({"not": "a dataclass"})
-        validate_entries([(0.5, 0, 1, message)])
+        validate_entries([([0.5], 0, [1], message)])
         with pytest.raises(TypeError, match="non-flyweight"):
-            validate_entries([(0.5, 0, 1, object())])
+            validate_entries([([0.5], 0, [1], object())])
 
 
 # --------------------------------------------------------------- transport
@@ -320,7 +333,7 @@ class TestTransportEquivalence:
         # outbox with the arrival the plain Network scheduled.
         frames, min_arrival = shard.drain_outboxes()
         assert [dest for dest, _ in frames] == [1]
-        remote = sorted(decode_batch(frames[0][1]), key=lambda e: e[:3])
+        remote = sorted(flatten(decode_batch(frames[0][1])), key=lambda e: e[:3])
         expected = sorted(
             (e for e in plain_log if TWO_SHARD_PLAN.assignment[e[2]] == 1),
             key=lambda e: e[:3],
@@ -333,11 +346,48 @@ class TestTransportEquivalence:
         shard.drain_outboxes()
         shard.multicast(0, shard.registered_nodes(), "ping", 64)
         (_, frame), = shard.drain_outboxes()[0]
-        assert sorted(e[2] for e in decode_batch(frame)) == [1, 3, 5, 7]
+        assert sorted(e[2] for e in flatten(decode_batch(frame))) == [1, 3, 5, 7]
 
     def test_shard_network_overrides_no_sending_method(self):
         assert "send" not in vars(ShardNetwork)
         assert "multicast" not in vars(ShardNetwork)
+
+
+class TestRemoteRecords:
+    """``enqueue_remote`` checks every arrival of a record against the
+    executed horizon before it schedules any of them."""
+
+    @staticmethod
+    def shard_zero():
+        from repro.consensus.messages import Prepare
+
+        simulator = Simulator(seed=3)
+        network = ShardNetwork(
+            simulator, latency=wan_latency(TRANSPORT_N), plan=TWO_SHARD_PLAN, shard_id=0
+        )
+        log = []
+        for node in TWO_SHARD_PLAN.members(0):
+            network.register(
+                node,
+                lambda sender, message, node=node: log.append((simulator.now(), sender, node)),
+            )
+        network.set_horizon(1.0)
+        message = Prepare(instance=0, view=0, round=0, digest="d" * 8, sender=1)
+        return simulator, network, message, log
+
+    def test_a_late_second_arrival_raises_naming_the_shard_and_the_sender(self):
+        simulator, network, message, _ = self.shard_zero()
+        with pytest.raises(ShardSyncError, match=r"shard 0: remote message 1->2 arrives at 0\.875"):
+            network.enqueue_remote([([1.5, 0.875], 1, [0, 2], message)])
+        assert len(simulator.queue) == 0
+        assert network.min_margin == float("inf")
+
+    def test_an_in_bounds_record_leaves_its_smallest_gap_as_the_margin(self):
+        simulator, network, message, log = self.shard_zero()
+        network.enqueue_remote([([1.5, 1.25, 1.75], 1, [0, 2, 4], message)])
+        assert network.min_margin == 0.25
+        simulator.run()
+        assert log == [(1.25, 1, 2), (1.5, 1, 0), (1.75, 1, 4)]
 
 
 # ------------------------------------------------------------ config seams
@@ -613,6 +663,44 @@ class TestEquivalence:
         assert len(workers) == 2
         assert all(rss > 0 for rss in workers)
         assert system.runtime.total_peak_rss_bytes() >= sum(workers)
+
+
+#: a WAN with loss and duplication armed: the router sees dropped receivers
+#: and duplicate ``(arrival, receiver)`` pairs inside one fan-out
+LOSSY_WAN = ScenarioSpec(name="lossy-wan", drop_probability=0.02, duplicate_probability=0.05)
+
+#: cell -> (config, result_digest computed before cross-shard traffic moved
+#: from one ``(arrival, sender, receiver, message)`` entry per receiver to one
+#: ``(arrivals, sender, receivers, message)`` record per fan-out and shard,
+#: and before the worker kept the collector off between windows)
+PINNED_SHARDED_RESULTS = {
+    "ladon-pbft-wan-affine-2sh": (
+        SystemConfig(
+            protocol="ladon-pbft", n=8, duration=5.0, batch_size=64, seed=7,
+            epoch_length=16, runtime="sharded", shards=2,
+        ),
+        "e8a03d3658407c1980afc0924662d3de24a1a430509c46ed4abdbff22a54d54c",
+    ),
+    "lossy-wan-hash-2sh": (
+        SystemConfig(
+            protocol="ladon-pbft", n=8, duration=6.0, batch_size=64, seed=5,
+            epoch_length=16, scenario=LOSSY_WAN, runtime="sharded", shards=2,
+            shard_strategy="hash",
+        ),
+        "bff9f425e70e6e31bc58c10593f516e23f6de7d7c5da7a2561e282d00ef37796",
+    ),
+}
+
+
+class TestPinnedShardedResults:
+    @pytest.mark.parametrize("cell", sorted(PINNED_SHARDED_RESULTS))
+    def test_full_result_digest_is_pinned(self, cell):
+        config, expected = PINNED_SHARDED_RESULTS[cell]
+        result = build_system(config).run()
+        if config.scenario is LOSSY_WAN:
+            stats = result.network_stats
+            assert stats.messages_duplicated and stats.drops_by_cause["loss"]
+        assert result_digest(result) == expected
 
 
 # ---------------------------------------------------------- one result path
