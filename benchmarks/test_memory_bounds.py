@@ -74,7 +74,7 @@ import json, resource, sys
 sys.path.insert(0, {src!r})
 from repro.bench.config import ExperimentCell
 from repro.protocols.registry import build_system
-system = build_system(ExperimentCell(**{cell!r}).to_system_config())
+system = build_system(ExperimentCell(**{cell!r}))
 result = system.run()
 try:
     with open("/proc/self/status") as status:
@@ -166,10 +166,9 @@ def test_straggler_backlog_within_budget():
 
 
 def _config(protocol: str, n: int):
-    cell = ExperimentCell(
+    return ExperimentCell(
         protocol=protocol, n=n, environment="wan", duration=1.0, batch_size=256
     )
-    return cell.to_system_config()
 
 
 class TestBuildFootprint:
@@ -274,7 +273,7 @@ class TestBoundedStateStructure:
             protocol="ladon-pbft", n=8, environment="wan", duration=8.0,
             batch_size=256,
         )
-        system = build_system(cell.to_system_config())
+        system = build_system(cell)
         system.run()
         return system
 
@@ -388,7 +387,7 @@ class TestRunPhaseFootprint:
             protocol=request.param, n=8, environment="wan", duration=3.0,
             batch_size=256,
         )
-        system = build_system(cell.to_system_config())
+        system = build_system(cell)
         system.run()
         return system
 
@@ -428,7 +427,7 @@ class TestRunPhaseFootprint:
             protocol=request.param, n=8, stragglers=1, straggler_slowdown=4.0,
             environment="wan", duration=8.0, batch_size=256,
         )
-        system = build_system(cell.to_system_config())
+        system = build_system(cell)
         system.run()
         return system
 

@@ -24,7 +24,7 @@ def events_per_second(duration, n=32):
     cell = ExperimentCell(
         protocol="ladon-pbft", n=n, environment="wan", duration=duration, batch_size=1024
     )
-    system = build_system(cell.to_system_config())
+    system = build_system(cell)
     start = time.perf_counter()
     system.run()
     elapsed = time.perf_counter() - start

@@ -45,7 +45,7 @@ def run_wall_seconds(n: int, duration: float, shards: int = 1, seed: int = 0):
         runtime="sharded" if shards > 1 else "des",
         shards=shards,
     )
-    system = build_system(cell.to_system_config())
+    system = build_system(cell)
     start = time.perf_counter()
     result = system.run()
     return time.perf_counter() - start, result

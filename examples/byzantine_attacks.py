@@ -18,9 +18,9 @@ import os
 from repro import (
     AdversarySpec,
     Equivocation,
+    ExperimentCell,
     FaultConfig,
     Silence,
-    SystemConfig,
     build_system,
 )
 
@@ -29,16 +29,16 @@ DURATION = 6.0 if os.environ.get("REPRO_FAST") else 20.0
 
 def run(name, adversary=None):
     faults = FaultConfig(adversary=adversary) if adversary else FaultConfig()
-    config = SystemConfig(
+    cell = ExperimentCell(
         protocol="ladon-pbft",
         n=4,
         batch_size=256,
+        total_block_rate=16.0,
         environment="lan",
         duration=DURATION,
         seed=7,
-        faults=faults,
     )
-    result = build_system(config).run()
+    result = build_system(cell, faults=faults).run()
     metrics = result.metrics
     print(f"--- {name} ---")
     if adversary is not None:

@@ -14,14 +14,14 @@ Run with:  python examples/causality_frontrunning.py
 
 import os
 
-from repro import FaultConfig, StragglerSpec, SystemConfig, build_system
+from repro import ExperimentCell, FaultConfig, StragglerSpec, build_system
 from repro.core.causality import count_causality_violations
 
 DURATION = 10.0 if os.environ.get("REPRO_FAST") else 30.0
 
 
 def run(protocol: str):
-    config = SystemConfig(
+    cell = ExperimentCell(
         protocol=protocol,
         n=8,
         batch_size=128,
@@ -29,9 +29,9 @@ def run(protocol: str):
         environment="wan",
         duration=DURATION,
         seed=11,
-        faults=FaultConfig(stragglers=(StragglerSpec(replica=3, slowdown=10.0),)),
     )
-    result = build_system(config).run()
+    faults = FaultConfig(stragglers=(StragglerSpec(replica=3, slowdown=10.0),))
+    result = build_system(cell, faults=faults).run()
     violations = count_causality_violations(result.confirmed)
     return result.metrics, violations, len(result.confirmed)
 

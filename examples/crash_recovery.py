@@ -10,7 +10,7 @@ Run with:  python examples/crash_recovery.py
 
 import os
 
-from repro import CrashSpec, FaultConfig, SystemConfig, build_system
+from repro import CrashSpec, ExperimentCell, FaultConfig, build_system
 
 DURATION = 20.0 if os.environ.get("REPRO_FAST") else 40.0
 from repro.bench.report import format_series
@@ -19,7 +19,7 @@ from repro.bench.report import format_series
 def main() -> None:
     n = 8
     crash_at = 6.0
-    config = SystemConfig(
+    cell = ExperimentCell(
         protocol="ladon-pbft",
         n=n,
         batch_size=128,
@@ -27,11 +27,11 @@ def main() -> None:
         environment="wan",
         duration=DURATION,
         seed=5,
-        faults=FaultConfig(crashes=(CrashSpec(replica=n - 1, at=crash_at),)),
         propose_timeout=5.0,
         view_change_timeout=5.0,
     )
-    result = build_system(config).run()
+    faults = FaultConfig(crashes=(CrashSpec(replica=n - 1, at=crash_at),))
+    result = build_system(cell, faults=faults).run()
 
     print(f"crash injected at t={crash_at:.0f}s (replica {n - 1}, leader of instance {n - 1})")
     completions = [t for t, instance, _ in result.view_change_times if instance == n - 1]

@@ -8,11 +8,11 @@ the head of the globally confirmed log (rank / instance / global index).
 Run with:  python examples/quickstart.py
 """
 
-from repro import SystemConfig, build_system
+from repro import ExperimentCell, build_system
 
 
 def main() -> None:
-    config = SystemConfig(
+    cell = ExperimentCell(
         protocol="ladon-pbft",
         n=4,                  # replicas (one consensus instance per replica)
         batch_size=128,       # transactions per block
@@ -21,12 +21,12 @@ def main() -> None:
         duration=10.0,        # virtual seconds
         seed=7,
     )
-    system = build_system(config)
+    system = build_system(cell)
     result = system.run()
 
     metrics = result.metrics
     print("=== Ladon-PBFT quickstart ===")
-    print(f"replicas / instances : {config.n} / {config.n}")
+    print(f"replicas / instances : {cell.n} / {cell.n}")
     print(f"confirmed blocks     : {metrics.confirmed_blocks}")
     print(f"confirmed txs        : {metrics.confirmed_txs}")
     print(f"throughput           : {metrics.throughput_tps:,.0f} tx/s")

@@ -12,7 +12,7 @@ and shows that they confirm the same block sequence.
 
 import os
 
-from repro.protocols.base import SystemConfig
+from repro.bench.config import ExperimentCell
 from repro.protocols.registry import build_system
 
 FAST = os.environ.get("REPRO_FAST") == "1"
@@ -22,16 +22,17 @@ TIME_SCALE = 0.4 if FAST else 1.0
 
 
 def run(runtime_kind: str):
-    config = SystemConfig(
+    cell = ExperimentCell(
         protocol="ladon-pbft",
         n=4,
         duration=DURATION,
         environment="lan",
+        total_block_rate=16.0,
         batch_size=256,
         runtime=runtime_kind,
         realtime_timescale=TIME_SCALE,
     )
-    result = build_system(config).run()
+    result = build_system(cell).run()
     sequence = [(c.block.instance, c.block.rank) for c in result.confirmed]
     return result, sequence
 

@@ -71,10 +71,10 @@ def run_custom_scenario():
         traffic=TrafficSpec(profile=RampTraffic(start_tps=500.0, end_tps=40_000.0,
                                                 ramp_duration=10.0)),
     )
-    config = scenario.system_config(
+    cell = ExperimentCell(
         protocol="ladon-pbft", n=6, duration=DURATION, batch_size=512, seed=7
     )
-    result = build_system(config).run()
+    result = build_system(cell, scenario=scenario).run()
     print(f"  confirmed {result.metrics.confirmed_blocks} blocks, "
           f"{result.metrics.throughput_tps:.0f} tx/s, "
           f"avg latency {result.metrics.average_latency_s*1000:.0f} ms")

@@ -11,7 +11,7 @@ Run with:  python examples/straggler_resilience.py
 
 import os
 
-from repro import FaultConfig, StragglerSpec, SystemConfig, build_system
+from repro import ExperimentCell, FaultConfig, StragglerSpec, build_system
 
 DURATION = 10.0 if os.environ.get("REPRO_FAST") else 30.0
 
@@ -22,7 +22,7 @@ def run(protocol: str, stragglers: int) -> "tuple":
         if stragglers
         else FaultConfig()
     )
-    config = SystemConfig(
+    cell = ExperimentCell(
         protocol=protocol,
         n=8,
         batch_size=256,
@@ -30,9 +30,8 @@ def run(protocol: str, stragglers: int) -> "tuple":
         environment="wan",
         duration=DURATION,
         seed=3,
-        faults=faults,
     )
-    metrics = build_system(config).run().metrics
+    metrics = build_system(cell, faults=faults).run().metrics
     return metrics.throughput_tps, metrics.average_latency_s, metrics.causal_strength
 
 

@@ -3,7 +3,7 @@ Global Ordering* (EuroSys 2025).
 
 Top-level convenience exports cover the most common entry points:
 
-* :class:`repro.protocols.SystemConfig` / :func:`repro.protocols.build_system`
+* :class:`repro.bench.ExperimentCell` / :func:`repro.protocols.build_system`
   — configure and run a Multi-BFT deployment on the simulator;
 * :class:`repro.core.DynamicOrderer` and friends — the dynamic global
   ordering algorithm itself;
@@ -18,6 +18,7 @@ from repro.adversary import (
     RankManipulation,
     Silence,
 )
+from repro.bench.config import ExperimentCell
 from repro.core import (
     Block,
     DynamicOrderer,
@@ -26,7 +27,7 @@ from repro.core import (
     causal_strength,
 )
 from repro.metrics import SafetyAuditReport, audit_system
-from repro.protocols import SystemConfig, build_system, available_protocols
+from repro.protocols import build_system, available_protocols
 from repro.sim.faults import FaultConfig, StragglerSpec, CrashSpec
 
 __version__ = "1.0.0"
@@ -44,7 +45,7 @@ __all__ = [
     "PredeterminedOrderer",
     "DQBFTOrderer",
     "causal_strength",
-    "SystemConfig",
+    "ExperimentCell",
     "build_system",
     "available_protocols",
     "FaultConfig",

@@ -15,7 +15,7 @@ sweep runner with an on-disk result cache; ``python -m repro.bench`` exposes
 every table/figure on the command line.
 """
 
-from repro.bench.config import ExperimentCell, EngineKind
+from repro.bench.config import ENGINES, ExperimentCell
 from repro.bench.runner import run_cell
 from repro.bench.analytical import run_analytical
 from repro.bench import experiments
@@ -23,8 +23,8 @@ from repro.bench.report import format_table, format_series
 from repro.bench.sweep import SweepCache, SweepProgress, SweepRunner, cell_key, derive_seed, expand_grid
 
 __all__ = [
+    "ENGINES",
     "ExperimentCell",
-    "EngineKind",
     "run_cell",
     "run_analytical",
     "experiments",

@@ -182,17 +182,23 @@ def _sweep_runner(args: argparse.Namespace) -> SweepRunner:
 
 
 def _cell(args: argparse.Namespace, **fields) -> ExperimentCell:
-    """The cell of the one-cell block, plus the subcommand's own ``fields``."""
-    return ExperimentCell(
-        protocol=args.protocol,
-        n=args.n,
-        duration=args.duration,
-        seed=args.seed,
-        batch_size=args.batch_size,
-        runtime=args.runtime,
-        realtime_timescale=args.timescale,
-        **fields,
-    )
+    """The cell of the one-cell block, plus the subcommand's own ``fields``.
+
+    A value the cell refuses is a usage error (exit status 2), not a traceback.
+    """
+    try:
+        return ExperimentCell(
+            protocol=args.protocol,
+            n=args.n,
+            duration=args.duration,
+            seed=args.seed,
+            batch_size=args.batch_size,
+            runtime=args.runtime,
+            realtime_timescale=args.timescale,
+            **fields,
+        )
+    except ValueError as error:
+        args.parser.error(str(error))
 
 
 def _row(result, cell: ExperimentCell, **fields) -> dict:
@@ -267,8 +273,8 @@ def _scenario_list(args: argparse.Namespace) -> int:
 
 
 def _scenario_run(args: argparse.Namespace) -> int:
-    spec = get_scenario(args.name)  # fail fast on unknown names
     cell = _cell(args, scenario=args.name)
+    spec = cell.scenario_spec()
     result = run_des_cell(cell)
     row = _row(result, cell, scenario=args.name)
     safe = _report(result, [row], list(DEFAULT_COLUMNS) + ["scenario"],
@@ -285,8 +291,6 @@ def _scenario_sweep(args: argparse.Namespace) -> int:
         if args.scenarios == "all"
         else [name.strip() for name in args.scenarios.split(",") if name.strip()]
     )
-    for name in names:
-        get_scenario(name)  # fail fast on unknown names
     protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
     cells = expand_grid(
         {"scenario": names, "protocol": protocols},
@@ -328,9 +332,10 @@ def _adversary_list(args: argparse.Namespace) -> int:
 
 
 def _adversary_run(args: argparse.Namespace) -> int:
-    spec = get_adversary(args.name)  # fail fast on unknown names
+    cell = _cell(args, scenario=args.scenario, adversary=args.name)
+    spec = cell.adversary_spec()
     baseline_label = "honest"
-    if args.scenario is not None and get_scenario(args.scenario).adversary is not None:
+    if args.scenario is not None and cell.scenario_spec().adversary is not None:
         # The base scenario is itself adversarial: the comparison run is
         # a baseline for the *extra* attack, not an honest deployment.
         baseline_label = f"baseline ({args.scenario})"
@@ -339,7 +344,6 @@ def _adversary_run(args: argparse.Namespace) -> int:
             f"the comparison row is that scenario, not an honest run",
             file=sys.stderr,
         )
-    cell = _cell(args, scenario=args.scenario, adversary=args.name)
     result = run_des_cell(cell)
     rows = []
     if not args.no_baseline:
@@ -476,7 +480,7 @@ def _fuzz_shrink(args: argparse.Namespace) -> int:
 def _command(commands, name: str, handler: Callable, about: str, **defaults):
     """Add subcommand ``name``: ``about`` is its help line and description."""
     parser = commands.add_parser(name, help=about, description=about)
-    parser.set_defaults(handler=handler, **defaults)
+    parser.set_defaults(handler=handler, parser=parser, **defaults)
     return parser
 
 

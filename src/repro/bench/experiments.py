@@ -210,17 +210,17 @@ def fig8_crash_recovery(
         seed=seed,
         propose_timeout=view_change_timeout,
     )
-    config = cell.to_system_config()
-    config.faults = FaultConfig(crashes=(CrashSpec(replica=crashed_replica, at=crash_at),))
     from repro.protocols.registry import build_system
 
-    system = build_system(config)
+    system = build_system(
+        cell, faults=FaultConfig(crashes=(CrashSpec(replica=crashed_replica, at=crash_at),))
+    )
     result = system.run()
     # The view-change log records *instance* ids; map the crashed replica to
     # the instance(s) it led so we report when leadership actually rotated
     # away from the crashed node (instance id == replica id only holds for
     # view 0 with one instance per replica).
-    crashed_instances = set(instances_led_by(crashed_replica, config.n, config.n))
+    crashed_instances = set(instances_led_by(crashed_replica, n, n))
     view_change_completed = [
         t for (t, instance, view) in result.view_change_times if instance in crashed_instances
     ]

@@ -36,7 +36,7 @@ from repro.bench.runner import run_cell
 
 #: bump when the cell semantics or the row layout change incompatibly, so
 #: stale cache entries are ignored rather than misread
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 Row = Dict[str, object]
 ProgressFn = Callable[["SweepProgress"], None]

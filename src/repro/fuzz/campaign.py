@@ -45,7 +45,7 @@ class FuzzConfig:
     #: time (None = duration / 2), leaving the tail unperturbed so honest
     #: runs re-stabilise before the auditor's end-of-run stall window
     perturb_until: Optional[float] = None
-    view_change_timeout: Optional[float] = 1.0
+    view_change_timeout: float = 1.0
     #: follower-side escalation: expect a proposal within this window or
     #: start a view change (the crash-experiment mechanism).  Without it a
     #: lone view-change voter can deadlock an instance — every liveness

@@ -35,8 +35,7 @@ def run_cell_traced(cell: ExperimentCell) -> Tuple[Any, Any]:
 
     if cell.engine != "des":
         raise ValueError(f"traced runs need the DES engine; got {cell.engine!r}")
-    config = replace(cell.to_system_config(), trace=True)
-    system = build_system(config)
+    system = build_system(replace(cell, trace=True))
     result = system.run()
     return system, result
 

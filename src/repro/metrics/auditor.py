@@ -32,7 +32,7 @@ from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.consensus.base import CommitLog
-    from repro.protocols.base import SystemConfig
+    from repro.protocols.base import MultiBFTSystem
     from repro.protocols.result import RunSnapshot
 
 
@@ -181,13 +181,15 @@ def audit_logs(
     )
 
 
-def audit_snapshot(snapshot: "RunSnapshot", config: "SystemConfig") -> SafetyAuditReport:
+def audit_snapshot(snapshot: "RunSnapshot", system: "MultiBFTSystem") -> SafetyAuditReport:
     """Audit the honest replicas of a finished run's snapshot.
 
-    ``config.faults`` is the effective fault view (see
-    :func:`repro.protocols.result.assemble`, whose audit half this is).
+    ``system`` is the facade that ran it; its ``faults`` is the effective
+    fault view (see :func:`repro.protocols.result.assemble`, whose audit
+    half this is).
     """
-    faults = config.faults
+    config = system.config
+    faults = system.faults
     adversarial = faults.adversarial_replicas()
     crashed = {spec.replica for spec in faults.crashes}
     honest = [r for r in sorted(snapshot.commit_logs) if r not in adversarial]
@@ -203,7 +205,7 @@ def audit_snapshot(snapshot: "RunSnapshot", config: "SystemConfig") -> SafetyAud
         duration=config.duration,
         stall_window=max(
             2.0 * config.view_change_timeout,
-            3.0 * config.proposal_interval * max_slowdown,
+            3.0 * system.proposal_interval * max_slowdown,
         ),
         live_replicas=[r for r in honest if r not in crashed],
         # Only the paced worker instances are expected to keep committing;
@@ -216,4 +218,4 @@ def audit_snapshot(snapshot: "RunSnapshot", config: "SystemConfig") -> SafetyAud
 
 def audit_system(system) -> SafetyAuditReport:
     """Audit a finished :class:`~repro.protocols.base.MultiBFTSystem` run."""
-    return audit_snapshot(system.snapshot(), system.config)
+    return audit_snapshot(system.snapshot(), system)

@@ -12,11 +12,10 @@ Available protocols (see :mod:`repro.protocols.registry`):
 * ``dqbft`` — DQBFT with a centralised ordering instance.
 """
 
-from repro.protocols.base import SystemConfig, MultiBFTSystem, MultiBFTReplica, SystemResult
+from repro.protocols.base import MultiBFTSystem, MultiBFTReplica, SystemResult
 from repro.protocols.registry import build_system, available_protocols
 
 __all__ = [
-    "SystemConfig",
     "MultiBFTSystem",
     "MultiBFTReplica",
     "SystemResult",

@@ -2,7 +2,7 @@
 
 A :class:`MultiBFTSystem` builds one :class:`MultiBFTReplica` per replica on
 a shared execution :class:`~repro.runtime.base.Runtime` (selected by
-``SystemConfig.runtime``: the discrete-event backend or the asyncio
+``ExperimentCell.runtime``: the discrete-event backend or the asyncio
 wall-clock backend).  Each replica hosts ``m`` consensus-instance state
 machines and one global orderer; the replica that leads an instance paces
 its proposals to respect the total block rate (16 blocks/s in WAN, 32 in
@@ -15,10 +15,8 @@ all clock, timer, and transport access goes through the runtime seam.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, TYPE_CHECKING
 
 from repro.consensus.base import CommitLog, InstanceConfig, InstanceContext
 from repro.consensus.checkpoint import CheckpointManager
@@ -31,14 +29,15 @@ from repro.core.rank import RankState
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.resources import ResourceModel
 from repro.protocols.result import RunSnapshot, SystemResult, assemble
-from repro.runtime import NetworkConfig, Runtime, RUNTIME_KINDS, build_runtime
-from repro.scenario.spec import ScenarioSpec
-from repro.sim.faults import FaultConfig, FaultInjector
-from repro.sim.latency import LatencyModel
+from repro.runtime import Runtime, build_runtime
+from repro.sim.faults import FaultInjector
 from repro.sim.node import Node
 from repro.sim.trace import TraceRecorder
 from repro.workload.generator import TrafficStream
 from repro.workload.transactions import DEFAULT_PAYLOAD_BYTES, Batch
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.bench.config import ExperimentCell, ResolvedCell
 
 
 NO_EPOCH_MAX_RANK = 2**62
@@ -46,119 +45,6 @@ NO_EPOCH_MAX_RANK = 2**62
 #: stacks built on chained HotStuff: a stable leader and no view change (see
 #: :mod:`repro.consensus.hotstuff`), so they refuse a ``propose_timeout``
 HOTSTUFF_STACKS = frozenset({"ladon-hotstuff", "iss-hotstuff"})
-
-
-@dataclass
-class SystemConfig:
-    """Configuration of one experiment run."""
-
-    protocol: str = "ladon-pbft"
-    n: int = 16
-    batch_size: int = 4096
-    total_block_rate: float = 16.0  # blocks per second across all instances
-    epoch_length: int = 64
-    #: "wan" or "lan": the paper environment; names the scenario preset a
-    #: run without ``scenario`` executes
-    environment: str = "wan"
-    duration: float = 30.0
-    seed: int = 0
-    faults: FaultConfig = field(default_factory=FaultConfig)
-    view_change_timeout: float = 10.0
-    propose_timeout: Optional[float] = None
-    trace: bool = False
-    #: declarative scenario (topology + dynamics + traffic); None = the
-    #: ``environment`` preset (see :meth:`resolved_scenario`)
-    scenario: Optional[ScenarioSpec] = None
-    #: execution backend: "des" (virtual time), "realtime" (wall clock), or
-    #: "sharded" (conservative-parallel DES across worker processes)
-    runtime: str = "des"
-    #: realtime backend only: wall seconds per simulated second (0.1 runs a
-    #: 10 s scenario in ~1 s of wall time); ignored by the DES backend
-    realtime_timescale: float = 1.0
-    #: sharded backend only: number of conservative-parallel DES workers
-    shards: int = 1
-    #: sharded backend only: replica -> shard placement ("affine" keeps
-    #: regions whole so the lookahead is the WAN floor; "hash" ignores
-    #: topology; see :mod:`repro.shard.partition`)
-    shard_strategy: str = "affine"
-    #: schedule-space fuzzing: a :class:`repro.fuzz.perturb.PerturbationSpec`
-    #: applied to every message delivery (None = unperturbed schedule)
-    perturbation: Optional[Any] = None
-    #: opt-in historical-bug reproductions threaded into every instance's
-    #: :class:`~repro.consensus.base.InstanceConfig` (regression corpus)
-    compat_flags: Tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.n < 4:
-            raise ValueError("need at least 4 replicas")
-        if self.environment not in ("wan", "lan"):
-            raise ValueError("environment must be 'wan' or 'lan'")
-        if self.runtime not in RUNTIME_KINDS:
-            raise ValueError(f"runtime must be one of {RUNTIME_KINDS}")
-        if self.realtime_timescale <= 0:
-            raise ValueError("realtime_timescale must be positive")
-        for name in ("duration", "total_block_rate", "view_change_timeout", "propose_timeout"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        for name in ("batch_size", "epoch_length"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value!r}")
-        if self.propose_timeout is not None and self.protocol in HOTSTUFF_STACKS:
-            raise ValueError(
-                f"propose_timeout must be None for {self.protocol}: HotStuff "
-                "stacks run a stable leader with no view change"
-            )
-        if self.shard_strategy not in ("affine", "hash"):
-            raise ValueError("shard_strategy must be 'affine' or 'hash'")
-        if self.runtime == "sharded":
-            if self.shards < 2:
-                raise ValueError("the sharded runtime needs shards >= 2")
-            if self.shards > self.n:
-                raise ValueError(
-                    f"cannot spread n={self.n} replicas across {self.shards} shards"
-                )
-            if self.trace:
-                raise ValueError(
-                    "trace capture is single-process only; the sharded runtime "
-                    "has no global event order to record"
-                )
-            if self.perturbation is not None:
-                raise ValueError(
-                    "schedule perturbation is single-process only; run perturbed "
-                    "schedules on runtime='des'"
-                )
-        elif self.shards != 1:
-            raise ValueError("shards > 1 requires runtime='sharded'")
-
-    @property
-    def proposal_interval(self) -> float:
-        """Seconds between proposals of one (non-straggling) leader."""
-        return self.n / self.total_block_rate
-
-    def resolved_scenario(self) -> ScenarioSpec:
-        """The scenario this run executes.
-
-        Resolved on every read, never cached: ``replace(config,
-        environment=...)`` must not be able to carry a stale preset along.
-        """
-        if self.scenario is None:
-            return ScenarioSpec.preset(self.environment)
-        return self.scenario
-
-    def latency_model(self) -> LatencyModel:
-        return self.resolved_scenario().build_latency(self.n)
-
-    def network_config(self) -> NetworkConfig:
-        return self.resolved_scenario().network_config(self.n)
-
-    def effective_faults(self) -> FaultConfig:
-        """``faults`` with the scenario's dynamics timeline merged in."""
-        return self.resolved_scenario().fault_config(self.faults, self.n)
-
-    def build_traffic_stream(self) -> Optional[TrafficStream]:
-        return self.resolved_scenario().build_traffic_stream(self.n, self.n)
 
 
 class ReplicaInstanceContext(InstanceContext):
@@ -222,15 +108,17 @@ class MultiBFTReplica(Node):
     def __init__(
         self,
         node_id: int,
-        runtime: Runtime,
-        config: SystemConfig,
-        resources: ResourceModel,
+        system: "MultiBFTSystem",
         instance_cls: Type,
         retain_history: bool = True,
     ) -> None:
-        super().__init__(node_id, runtime)
-        self.config = config
-        self.resources = resources
+        super().__init__(node_id, system.runtime)
+        config = self.config = system.config
+        resources = self.resources = system.resources
+        #: the build's effective fault view and pacing (see
+        #: :meth:`~repro.bench.config.ExperimentCell.resolve`)
+        self.faults = system.faults
+        self.proposal_interval = system.proposal_interval
         #: False on every replica but the observer: orderer and instances
         #: keep compact fingerprints only, and metrics count partial commits
         #: only (bounded memory)
@@ -246,7 +134,7 @@ class MultiBFTReplica(Node):
         #: trace recorder from the runtime seam (disabled by default); the
         #: confirmation path records into it so runs have a replayable,
         #: digestable event log (see tests/test_determinism.py)
-        self._trace = runtime.trace
+        self._trace = system.runtime.trace
         self._message_handling_cost = resources.cost_model.message_handling
         self._per_byte_cost = resources.cost_model.per_byte
         self._crypto_costs = resources.cost_table()
@@ -373,7 +261,7 @@ class MultiBFTReplica(Node):
         for instance in self.instances.values():
             if hasattr(instance, "start"):
                 instance.start()
-        interval = self.config.proposal_interval
+        interval = self.proposal_interval
         for instance_id in self.paced_instance_ids():
             instance = self.instances[instance_id]
             if instance.leader != self.node_id:
@@ -390,16 +278,16 @@ class MultiBFTReplica(Node):
 
     # --------------------------------------------------------------- proposing
     def _straggler_factor(self) -> float:
-        return self.config.faults.slowdown_of(self.node_id)
+        return self.faults.slowdown_of(self.node_id)
 
     def _is_straggler(self) -> bool:
-        return self.config.faults.is_straggler(self.node_id)
+        return self.faults.is_straggler(self.node_id)
 
     def _proposal_tick(self, instance_id: int) -> None:
         if self.crashed:
             return
         instance = self.instances[instance_id]
-        interval = self.config.proposal_interval * self._straggler_factor()
+        interval = self.proposal_interval * self._straggler_factor()
         if instance.leader != self.node_id:
             return  # lost leadership through a view change
         if instance.ready_to_propose():
@@ -409,7 +297,7 @@ class MultiBFTReplica(Node):
         else:
             # Not ready (previous round still in flight, epoch boundary, ...):
             # retry shortly without consuming a full proposal slot.
-            retry = max(0.02, 0.05 * self.config.proposal_interval)
+            retry = max(0.02, 0.05 * self.proposal_interval)
             self._arm_pacing(instance_id, retry)
 
     def make_batch(self, instance_id: int) -> Batch:
@@ -431,7 +319,7 @@ class MultiBFTReplica(Node):
         # Under the saturated open-loop workload, the transactions in a
         # batch arrived uniformly during the interval since the previous
         # cut, so their mean submission time is half an interval ago.
-        queueing = self.config.proposal_interval / 2.0
+        queueing = self.proposal_interval / 2.0
         return Batch.synthetic(
             self.config.batch_size,
             submitted_at=max(0.0, self.now() - queueing),
@@ -665,8 +553,9 @@ class MultiBFTSystem:
 
     def __init__(
         self,
-        config: SystemConfig,
+        config: "ExperimentCell",
         replica_class: Callable[..., MultiBFTReplica],
+        resolved: "ResolvedCell",
         *,
         runtime: Optional[Runtime] = None,
         local_replicas: Optional[Sequence[int]] = None,
@@ -674,34 +563,34 @@ class MultiBFTSystem:
         """Build the deployment out of ``replica_class`` replicas.
 
         ``replica_class`` is the protocol's row in
-        :mod:`repro.protocols.registry`.  The keyword-only parameters exist
-        for the sharded backend's worker processes: ``runtime`` injects a
-        pre-built :class:`~repro.runtime.sharded.ShardWorkerRuntime` and
+        :mod:`repro.protocols.registry` and ``resolved`` the cell's runtime
+        pieces.  The keyword-only parameters exist for the sharded
+        backend's worker processes: ``runtime`` injects a pre-built
+        :class:`~repro.runtime.sharded.ShardWorkerRuntime` and
         ``local_replicas`` restricts construction to the shard's slice of
         the replica set (fault/adversary arming then skips non-local
         replicas instead of failing).
         """
-        effective_faults = config.effective_faults()
-        if effective_faults is not config.faults:
-            # Replicas, the fault injector and the result assembly read
-            # faults straight from ``config.faults``; fold the scenario's
-            # merged fault view back in so an adversary declared by the
-            # scenario acts exactly like one declared on the config.
-            config = replace(config, faults=effective_faults)
         self.config = config
+        self.scenario = resolved.scenario
+        #: the effective fault view: what replicas, the fault injector and
+        #: the result assembly read
+        self.faults = resolved.faults
+        self.block_rate = resolved.block_rate
+        self.proposal_interval = resolved.proposal_interval
         if runtime is None:
             if config.runtime == "sharded":
                 raise ValueError(
                     "a sharded system cannot be built directly on one "
                     "process; build it via "
-                    "repro.protocols.registry.build_system(config)"
+                    "repro.protocols.registry.build_system(cell)"
                 )
             self.trace = TraceRecorder(enabled=config.trace)
             self.runtime: Runtime = build_runtime(
                 config.runtime,
                 seed=config.seed,
-                latency=config.latency_model(),
-                network_config=config.network_config(),
+                latency=self.scenario.build_latency(config.n),
+                network_config=self.scenario.network_config(config.n),
                 trace=self.trace,
                 time_scale=config.realtime_timescale,
             )
@@ -709,7 +598,7 @@ class MultiBFTSystem:
             self.runtime = runtime
             self.trace = runtime.trace
         self.resources = ResourceModel()
-        self.traffic_stream = config.build_traffic_stream()
+        self.traffic_stream = self.scenario.build_traffic_stream(config.n, config.n)
         # The observer is fixed by the fault config, so it is known before
         # the replicas exist; every *other* replica keeps compact histories
         # only, so long runs are O(active window) in memory.
@@ -721,11 +610,7 @@ class MultiBFTSystem:
         self.replicas: Dict[int, MultiBFTReplica] = {}
         for replica_id in replica_ids:
             replica = replica_class(
-                replica_id,
-                self.runtime,
-                config,
-                self.resources,
-                retain_history=replica_id == self._observer_id,
+                replica_id, self, retain_history=replica_id == self._observer_id
             )
             if self.traffic_stream is not None:
                 replica.traffic_stream = self.traffic_stream
@@ -733,7 +618,7 @@ class MultiBFTSystem:
         self.fault_injector = FaultInjector(
             self.runtime,
             self.replicas,
-            config.faults,
+            self.faults,
             network=self.runtime,
             local_only=self._local_only,
             total_nodes=config.n,
@@ -765,7 +650,7 @@ class MultiBFTSystem:
         any adversarial behaviour, so the reported numbers reflect an honest,
         live participant (as a client would observe).
         """
-        faults = self.config.faults
+        faults = self.faults
         excluded = set(faults.straggler_map())
         excluded.update(spec.replica for spec in faults.crashes)
         excluded.update(faults.adversarial_replicas())
@@ -791,7 +676,7 @@ class MultiBFTSystem:
         return self.collect_result()
 
     def collect_result(self) -> SystemResult:
-        return assemble(self.snapshot(), self.config)
+        return assemble(self.snapshot(), self)
 
     def snapshot(self) -> RunSnapshot:
         """Read the finished (local) replicas into plain data.

@@ -27,8 +27,9 @@ class DQBFTReplica(MultiBFTReplica):
 
     uses_epochs = False
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, node_id: int, system, *args, **kwargs) -> None:
+        super().__init__(node_id, system, *args, **kwargs)
+        self.block_rate = system.block_rate
         self.ordering_instance_id = self.config.n
         ordering_instance = self._build_ordering_instance()
         ordering_instance.retain_blocks = self.retain_history
@@ -66,7 +67,7 @@ class DQBFTReplica(MultiBFTReplica):
         configured total block rate, keeping the added ordering latency small
         relative to consensus latency.
         """
-        return max(0.05, 4.0 / self.config.total_block_rate)
+        return max(0.05, 4.0 / self.block_rate)
 
     def start(self) -> None:
         super().start()

@@ -29,7 +29,7 @@ class LadonReplica(MultiBFTReplica):
         # Only the instance this replica leads can be driven Byzantine; the
         # manipulation is a leader-side strategy.
         byzantine = (
-            self.config.faults.is_byzantine(self.node_id)
+            self.faults.is_byzantine(self.node_id)
             and inst_config.leader_for_view(0) == self.node_id
         )
         return self.instance_cls(

@@ -6,21 +6,25 @@ modelled, because the paper's honest stragglers never trigger it.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import partial
 from types import MappingProxyType
-from typing import Callable, List, Mapping
+from typing import Callable, List, Mapping, Optional, TYPE_CHECKING
 
 from repro.consensus.hotstuff import HotStuffInstance
 from repro.consensus.ladon_hotstuff import LadonHotStuffInstance
 from repro.consensus.ladon_opt import LadonOptInstance
 from repro.consensus.ladon_pbft import LadonPBFTInstance
 from repro.consensus.pbft import PBFTInstance
-from repro.protocols.base import MultiBFTReplica, MultiBFTSystem, SystemConfig
+from repro.protocols.base import MultiBFTReplica, MultiBFTSystem
 from repro.protocols.dqbft import DQBFTReplica
 from repro.protocols.iss import ISSReplica
 from repro.protocols.ladon import LadonReplica
 from repro.protocols.mir import MirPBFTInstance
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.bench.config import ExperimentCell
+    from repro.scenario.spec import ScenarioSpec
+    from repro.sim.faults import FaultConfig
 
 # A stack is a replica class (orderer, epochs, protocol extras) over a
 # consensus-instance class.
@@ -70,18 +74,25 @@ def replica_class(name: str) -> Callable[..., MultiBFTReplica]:
     return _REGISTRY[resolve_protocol(name)]
 
 
-def build_system(config: SystemConfig):
-    """Build the Multi-BFT system named by ``config.protocol``.
+def build_system(
+    cell: "ExperimentCell",
+    *,
+    faults: Optional["FaultConfig"] = None,
+    scenario: Optional["ScenarioSpec"] = None,
+):
+    """Build the Multi-BFT system named by ``cell.protocol``.
 
-    ``runtime='sharded'`` returns a
-    :class:`~repro.runtime.sharded.ShardedSystem` — the hub-side facade with
-    the same ``run() -> SystemResult`` surface — instead of a single-process
-    :class:`MultiBFTSystem`.
+    ``faults`` and ``scenario`` replace what the cell names, for callers
+    that need a custom one (see :meth:`~repro.bench.config.ExperimentCell.
+    resolve`, the one resolution step of a build).  ``runtime='sharded'``
+    returns a :class:`~repro.runtime.sharded.ShardedSystem` — the hub-side
+    facade with the same ``run() -> SystemResult`` surface — instead of a
+    single-process :class:`MultiBFTSystem`.
     """
-    canonical = resolve_protocol(config.protocol)
-    if config.runtime == "sharded":
+    resolved = cell.resolve(faults=faults, scenario=scenario)
+    if cell.runtime == "sharded":
         # Lazy import: single-process runs never touch multiprocessing.
         from repro.runtime.sharded import ShardedSystem
 
-        return ShardedSystem(replace(config, protocol=canonical))
-    return MultiBFTSystem(config, _REGISTRY[canonical])
+        return ShardedSystem(cell, resolved)
+    return MultiBFTSystem(cell, replica_class(cell.protocol), resolved)

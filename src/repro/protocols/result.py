@@ -27,7 +27,7 @@ from repro.metrics.resources import ResourceModel, ResourceUsage
 from repro.runtime import NetworkStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.protocols.base import SystemConfig
+    from repro.protocols.base import MultiBFTSystem
 
 
 @dataclass
@@ -75,12 +75,14 @@ class SystemResult:
     audit: Optional[SafetyAuditReport] = None
 
 
-def assemble(snapshot: RunSnapshot, config: "SystemConfig") -> SystemResult:
+def assemble(snapshot: RunSnapshot, system: "MultiBFTSystem") -> SystemResult:
     """Build the run's :class:`SystemResult` from its snapshot.
 
-    ``config.faults`` must be the effective fault view (scenario dynamics
-    and adversary folded in), as both system facades keep it.
+    ``system`` is either facade (single-process or sharded hub): it holds
+    the cell and the effective fault view (scenario dynamics and adversary
+    folded in) the run was built with.
     """
+    config = system.config
     collector = snapshot.collector
     resources = ResourceModel()
     resources.absorb(snapshot.resources)
@@ -92,11 +94,11 @@ def assemble(snapshot: RunSnapshot, config: "SystemConfig") -> SystemResult:
     metrics = collector.summarise(
         protocol=config.protocol,
         n=config.n,
-        stragglers=config.faults.straggler_count(),
+        stragglers=system.faults.straggler_count(),
         duration=config.duration,
         resources=resources,
     )
-    audit = audit_snapshot(snapshot, config)
+    audit = audit_snapshot(snapshot, system)
     metrics.extra["safety_violations"] = float(len(audit.violations))
     metrics.extra["stalled_instances"] = float(len(audit.stalled_instances))
     for key, value in (snapshot.adversary_stats or {}).items():

@@ -56,15 +56,14 @@ def build_runtime(
     network_config: Optional[NetworkConfig] = None,
     trace: Optional[TraceRecorder] = None,
     time_scale: float = 1.0,
-    system_config: Optional[Any] = None,
 ) -> Runtime:
-    """Construct the execution backend named ``kind``.
+    """Construct the single-process execution backend named ``kind``.
 
     ``time_scale`` only applies to the realtime backend (wall seconds per
     virtual second; e.g. ``0.1`` runs a 10 s scenario in ~1 s of wall time).
-    ``system_config`` is required by (and only by) the sharded backend: the
-    hub partitions replicas and derives its lookahead from the full
-    :class:`~repro.protocols.base.SystemConfig`, not just a latency model.
+    The sharded backend is system-scoped — the hub partitions replicas and
+    derives its lookahead from the whole cell — so it is built with the
+    system, by :func:`repro.protocols.registry.build_system`.
     """
     if kind == "des":
         return DESRuntime(seed=seed, latency=latency, config=network_config, trace=trace)
@@ -79,13 +78,8 @@ def build_runtime(
             time_scale=time_scale,
         )
     if kind == "sharded":
-        if system_config is None:
-            raise ValueError(
-                "the sharded runtime is system-scoped: pass "
-                "system_config=<SystemConfig> (or build the whole system via "
-                "repro.protocols.registry.build_system)"
-            )
-        from repro.runtime.sharded import ShardedDESRuntime
-
-        return ShardedDESRuntime(system_config)
+        raise ValueError(
+            "the sharded runtime is system-scoped: build the whole system "
+            "via repro.protocols.registry.build_system(cell)"
+        )
     raise ValueError(f"unknown runtime {kind!r}; expected one of {RUNTIME_KINDS}")

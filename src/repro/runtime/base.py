@@ -36,7 +36,7 @@ from typing import Any, Callable, List, Optional, Sequence
 
 from repro.sim.trace import TraceRecorder
 
-#: the selectable execution backends (``SystemConfig.runtime`` values)
+#: the selectable execution backends (``ExperimentCell.runtime`` values)
 RUNTIME_KINDS = ("des", "realtime", "sharded")
 
 

@@ -52,7 +52,7 @@ from __future__ import annotations
 import multiprocessing
 import resource
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.runtime.base import Runtime
@@ -67,7 +67,8 @@ from repro.sim.simulator import Simulator
 from repro.sim.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.protocols.base import SystemConfig, SystemResult
+    from repro.bench.config import ExperimentCell, ResolvedCell
+    from repro.protocols.base import SystemResult
     from repro.protocols.result import RunSnapshot
     from repro.shard.worker import ShardResult
 
@@ -148,22 +149,23 @@ class ShardedDESRuntime(Runtime):
 
     kind = "sharded"
 
-    def __init__(self, config: "SystemConfig") -> None:
+    def __init__(self, config: "ExperimentCell", resolved: "ResolvedCell") -> None:
         if config.runtime != "sharded":
             raise ValueError(
                 f"ShardedDESRuntime needs runtime='sharded', got {config.runtime!r}"
             )
         self.config = config
-        self.latency = config.latency_model()
+        #: the build's runtime pieces, shipped as-is to every worker
+        self.resolved = resolved
+        self.latency = resolved.scenario.build_latency(config.n)
         self.plan = plan_shards(
             config.n, config.shards, self.latency, config.shard_strategy
         )
-        self.effective_faults = config.effective_faults()
         self.lookahead: Lookahead = derive_lookahead(
             self.plan,
             self.latency,
-            network_config=config.network_config(),
-            faults=self.effective_faults,
+            network_config=resolved.scenario.network_config(config.n),
+            faults=resolved.faults,
         )
         self.trace = TraceRecorder(enabled=False)
         #: merged transport statistics (populated by :meth:`collect_results`)
@@ -189,7 +191,7 @@ class ShardedDESRuntime(Runtime):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             process = ctx.Process(
                 target=worker_entry,
-                args=(child_conn, self.config, self.plan, shard_id),
+                args=(child_conn, self.config, self.resolved, self.plan, shard_id),
                 name=f"repro-shard-{shard_id}",
                 daemon=True,
             )
@@ -391,16 +393,12 @@ class ShardedSystem:
     over every shard's honest commit logs included) has one definition.
     """
 
-    def __init__(self, config: "SystemConfig") -> None:
-        from repro.runtime import build_runtime
-
-        self.runtime: ShardedDESRuntime = build_runtime(
-            "sharded", system_config=config
-        )
-        # Same fold as MultiBFTSystem: the assembly reads the effective
-        # fault view off the config.  (Workers get the caller's config from
-        # the runtime and fold it themselves.)
-        self.config = replace(config, faults=self.runtime.effective_faults)
+    def __init__(self, config: "ExperimentCell", resolved: "ResolvedCell") -> None:
+        self.runtime = ShardedDESRuntime(config, resolved)
+        self.config = config
+        # What the assembly reads, as on MultiBFTSystem.
+        self.faults = resolved.faults
+        self.proposal_interval = resolved.proposal_interval
 
     @property
     def plan(self) -> ShardPlan:
@@ -419,9 +417,9 @@ class ShardedSystem:
 
         parts = [result.snapshot for result in self.runtime.collect_results()]
         merged = _merge_snapshots(
-            parts, self.runtime.stats, self.config.faults.crashes
+            parts, self.runtime.stats, self.faults.crashes
         )
-        result = assemble(merged, self.config)
+        result = assemble(merged, self)
         # Sharded-runtime diagnostics ride the metrics row.
         extra = result.metrics.extra
         extra["shards"] = float(self.plan.shards)

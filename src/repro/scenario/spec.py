@@ -11,15 +11,16 @@ A :class:`ScenarioSpec` composes the three scenario layers:
   (:class:`TrafficSpec`, built on :mod:`repro.workload.generator` profiles).
 
 ``ScenarioSpec.preset("wan")`` / ``("lan")`` are the paper's two fixed
-environments — what ``SystemConfig(environment=...)`` names when no scenario
-is given; everything else is open for composition.  Specs are frozen
+environments — what ``ExperimentCell(environment=...)`` names when no scenario
+is given; everything else is open for composition (a custom spec runs via
+``build_system(cell, scenario=spec)``).  Specs are frozen
 dataclasses of hashable fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, TYPE_CHECKING
+from typing import Optional, Tuple
 
 from repro.adversary.spec import AdversarySpec
 from repro.scenario.dynamics import DynamicsEvent, resolve_dynamics
@@ -33,9 +34,6 @@ from repro.workload.generator import (
     TrafficStream,
     zipf_weights,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.protocols.base import SystemConfig
 
 
 @dataclass(frozen=True)
@@ -161,13 +159,6 @@ class ScenarioSpec:
 
     def build_traffic_stream(self, num_instances: int, n: int) -> Optional[TrafficStream]:
         return self.traffic.build_stream(num_instances, n, self.topology)
-
-    def system_config(self, **overrides) -> "SystemConfig":
-        """Convenience: a :class:`SystemConfig` running this scenario."""
-        from repro.protocols.base import SystemConfig
-
-        overrides.setdefault("environment", self.environment)
-        return SystemConfig(scenario=self, **overrides)
 
     def describe(self) -> str:
         parts = [self.topology.describe(), self.traffic.profile.describe()]

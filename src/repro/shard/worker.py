@@ -1,7 +1,8 @@
 """The shard worker: one process, one DES engine, one slice of the replicas.
 
-Each worker builds the *same* :class:`~repro.protocols.base.SystemConfig`
-the hub holds, but constructs only its shard's replicas on a
+Each worker receives the *same* cell and resolved runtime pieces
+(:class:`~repro.bench.config.ResolvedCell`) the hub holds, but constructs
+only its shard's replicas on a
 :class:`~repro.shard.transport.ShardNetwork`, then obeys the hub's barrier
 protocol over a duplex pipe.  All frames are binary
 (``send_bytes``/``recv_bytes`` with payloads encoded by
@@ -73,7 +74,7 @@ def _worker_peak_rss_bytes() -> int:
     return rss * 1024
 
 
-def _build_system(config, plan: ShardPlan, shard_id: int):
+def _build_system(config, resolved, plan: ShardPlan, shard_id: int):
     """Construct this shard's partial system on a ShardWorkerRuntime."""
     from repro.protocols.base import MultiBFTSystem
     from repro.protocols.registry import replica_class
@@ -81,25 +82,26 @@ def _build_system(config, plan: ShardPlan, shard_id: int):
 
     runtime = ShardWorkerRuntime(
         seed=derive_shard_seed(config.seed, shard_id),
-        latency=config.latency_model(),
-        config=config.network_config(),
+        latency=resolved.scenario.build_latency(config.n),
+        config=resolved.scenario.network_config(config.n),
         plan=plan,
         shard_id=shard_id,
     )
     system = MultiBFTSystem(
         config,
         replica_class(config.protocol),
+        resolved,
         runtime=runtime,
         local_replicas=plan.members(shard_id),
     )
     return system, runtime
 
 
-def worker_entry(conn, config, plan: ShardPlan, shard_id: int) -> None:
+def worker_entry(conn, config, resolved, plan: ShardPlan, shard_id: int) -> None:
     """Process entry point: build the shard, then serve the barrier loop."""
     gc_was_enabled = gc.isenabled()
     try:
-        system, runtime = _build_system(config, plan, shard_id)
+        system, runtime = _build_system(config, resolved, plan, shard_id)
         network: ShardNetwork = runtime.network
         simulator = runtime.simulator
         system.start()

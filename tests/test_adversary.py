@@ -20,7 +20,7 @@ from repro.adversary import (
 )
 from repro.adversary.attacks import MESSAGE_KINDS
 from repro.bench.config import ExperimentCell
-from repro.bench.runner import run_cell, run_des_cell
+from repro.bench.runner import run_des_cell
 from repro.bench.sweep import cell_key
 from repro.consensus.base import CommitLog
 from repro.consensus.messages import (
@@ -31,7 +31,6 @@ from repro.consensus.messages import (
     Prepare,
 )
 from repro.metrics.auditor import audit_snapshot
-from repro.protocols.base import SystemConfig
 from repro.protocols.registry import build_system
 from repro.scenario.registry import available_scenarios, get_scenario
 from repro.sim.faults import FaultConfig, FaultInjector, StragglerSpec
@@ -317,16 +316,16 @@ class TestByzantineMigration:
 
     def test_rank_manipulation_run_matches_legacy_byte_for_byte(self):
         def run(faults):
-            config = SystemConfig(
+            cell = ExperimentCell(
                 protocol="ladon-pbft",
                 n=4,
                 batch_size=128,
+                total_block_rate=16.0,
                 environment="lan",
                 duration=6.0,
                 seed=5,
-                faults=faults,
             )
-            return result_digest(build_system(config).run())
+            return result_digest(build_system(cell, faults=faults).run())
 
         # Full-result digest of this catalog run at the parent of PR 24 (its
         # throughput, latency and confirmed log there equalled the
@@ -353,17 +352,16 @@ class TestExperimentCellAdversary:
 
     def test_adversary_spec_resolution(self):
         cell = ExperimentCell(protocol="ladon-pbft", n=4, adversary="delayed-votes")
-        config = cell.to_system_config()
-        assert config.faults.adversary is not None
-        assert config.faults.adversary.name == "delayed-votes"
+        faults = cell.resolve().faults
+        assert faults.adversary is not None
+        assert faults.adversary.name == "delayed-votes"
         assert ExperimentCell(protocol="ladon-pbft", n=4).adversary_spec() is None
 
     def test_analytical_engine_rejects_adversaries(self):
-        cell = ExperimentCell(
-            protocol="ladon-pbft", n=16, adversary="equivocation", engine="analytical"
-        )
-        with pytest.raises(ValueError):
-            run_cell(cell)
+        with pytest.raises(ValueError, match="adversary"):
+            ExperimentCell(
+                protocol="ladon-pbft", n=16, adversary="equivocation", engine="analytical"
+            )
 
     def test_scenario_merges_adversary_into_faults(self):
         spec = get_scenario("byz-equivocation")
@@ -460,7 +458,7 @@ class TestAttacksShiftMetricsAndAudit:
             protocol="ladon-pbft", n=4, duration=12.0, batch_size=256,
             scenario="wan", adversary="equivocation-colluding",
         )
-        system = build_system(cell.to_system_config())
+        system = build_system(cell)
         result = system.run()
         snapshot = system.snapshot()
         assert all(
@@ -475,7 +473,7 @@ class TestAttacksShiftMetricsAndAudit:
             for r, logs in snapshot.commit_logs.items()
         }
         snapshot.commit_logs = shipped
-        report = audit_snapshot(snapshot, system.config)
+        report = audit_snapshot(snapshot, system)
         assert report == result.audit
         assert "conflicting-commit" in {v.kind for v in report.violations}
 

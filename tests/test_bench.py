@@ -5,8 +5,10 @@ import pytest
 from repro.bench.analytical import run_analytical
 from repro.bench.config import ExperimentCell
 from repro.bench.report import format_series, format_table
-from repro.bench.runner import metrics_by_label, run_cell
+from repro.bench.runner import run_cell
 from repro.bench import experiments
+from repro.scenario import ScenarioSpec
+from repro.sim.faults import FaultConfig
 
 
 class TestExperimentCell:
@@ -15,12 +17,20 @@ class TestExperimentCell:
         assert ExperimentCell(protocol="iss-pbft", n=8, environment="lan").block_rate() == 32.0
         assert ExperimentCell(protocol="iss-pbft", n=8, total_block_rate=4.0).block_rate() == 4.0
 
-    def test_to_system_config_carries_faults(self):
+    def test_resolve_carries_faults(self):
         cell = ExperimentCell(protocol="ladon-pbft", n=8, stragglers=2, byzantine=True)
-        config = cell.to_system_config()
-        assert config.faults.straggler_count() == 2
-        assert all(config.faults.is_byzantine(r) for r in config.faults.straggler_map())
-        assert config.faults == cell.fault_config()  # the rule the analytical engine reads too
+        faults = cell.resolve().faults
+        assert faults.straggler_count() == 2
+        assert all(faults.is_byzantine(r) for r in faults.straggler_map())
+        assert faults == cell.fault_config()  # the rule the analytical engine reads too
+
+    def test_resolve_refuses_a_custom_piece_the_cell_also_names(self):
+        with pytest.raises(ValueError, match="faults"):
+            ExperimentCell(protocol="ladon-pbft", n=8, stragglers=1).resolve(faults=FaultConfig())
+        with pytest.raises(ValueError, match="scenario"):
+            ExperimentCell(protocol="ladon-pbft", n=8, scenario="lan").resolve(
+                scenario=ScenarioSpec.preset("wan")
+            )
 
     def test_label(self):
         cell = ExperimentCell(protocol="ladon-pbft", n=16, stragglers=1, byzantine=True)
@@ -82,14 +92,6 @@ class TestRunner:
         )
         metrics = run_cell(cell)
         assert metrics.confirmed_blocks > 0
-
-    def test_metrics_by_label(self):
-        cells = [
-            ExperimentCell(protocol="iss-pbft", n=8, duration=20.0, engine="analytical"),
-            ExperimentCell(protocol="ladon-pbft", n=8, duration=20.0, engine="analytical"),
-        ]
-        results = metrics_by_label(cells)
-        assert set(results) == {"iss-pbft-n8-s0-wan", "ladon-pbft-n8-s0-wan"}
 
 
 class TestExperimentFunctions:

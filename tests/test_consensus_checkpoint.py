@@ -12,7 +12,7 @@ import pytest
 
 from repro.adversary import AdversarySpec, Silence
 from repro.consensus.checkpoint import CheckpointManager
-from repro.protocols.base import SystemConfig
+from repro.bench.config import ExperimentCell
 from repro.protocols.registry import build_system
 from repro.sim.faults import FaultConfig
 
@@ -87,19 +87,19 @@ class TestCheckpointQuorumUnderSilence:
                 ),
             )
         )
-        config = SystemConfig(
+        cell = ExperimentCell(
             protocol="ladon-pbft",
             n=4,
             batch_size=128,
+            total_block_rate=16.0,
             environment="lan",
             duration=30.0,
             seed=2,
             epoch_length=8,
             propose_timeout=2.0,
             view_change_timeout=4.0,
-            faults=FaultConfig(adversary=adversary),
         )
-        system = build_system(config)
+        system = build_system(cell, faults=FaultConfig(adversary=adversary))
         return system, system.run()
 
     def test_epoch_stalls_until_the_silence_lifts(self, run):

@@ -22,14 +22,14 @@ artifact replay check with a diagnostic naming the first divergent event.
 
 import hashlib
 
-from repro.protocols.base import SystemConfig
+from repro.bench.config import ExperimentCell
 from repro.protocols.registry import build_system
 from repro.sim.faults import CrashSpec, FaultConfig
 from repro.sim.trace import trace_digest, trace_from_jsonable, trace_to_jsonable
 
 
 def _run_cell(seed: int):
-    config = SystemConfig(
+    cell = ExperimentCell(
         protocol="ladon-pbft",
         n=4,
         duration=3.0,
@@ -38,7 +38,7 @@ def _run_cell(seed: int):
         seed=seed,
         trace=True,
     )
-    system = build_system(config)
+    system = build_system(cell)
     result = system.run()
     assert result.audit is not None and result.audit.safety_ok
     confirmed_sequence = tuple(
@@ -84,10 +84,11 @@ def test_trace_digest_actually_sees_the_run():
 
 
 def test_trace_records_confirmations_when_enabled():
-    config = SystemConfig(
-        protocol="ladon-pbft", n=4, duration=2.0, environment="lan", trace=True
+    cell = ExperimentCell(
+        protocol="ladon-pbft", n=4, duration=2.0, environment="lan",
+        total_block_rate=16.0, trace=True,
     )
-    system = build_system(config)
+    system = build_system(cell)
     result = system.run()
     confirms = system.trace.by_category("confirm")
     assert confirms, "trace=True run recorded no confirm events"
@@ -97,8 +98,10 @@ def test_trace_records_confirmations_when_enabled():
 
 
 def test_trace_disabled_by_default_records_nothing():
-    config = SystemConfig(protocol="ladon-pbft", n=4, duration=1.0, environment="lan")
-    system = build_system(config)
+    cell = ExperimentCell(
+        protocol="ladon-pbft", n=4, duration=1.0, environment="lan", total_block_rate=16.0
+    )
+    system = build_system(cell)
     system.run()
     assert len(system.trace) == 0
 
@@ -154,12 +157,11 @@ def test_crash_recover_run_traces_faults_and_replays():
     faults = FaultConfig(crashes=(CrashSpec(replica=2, at=1.0, recover_at=2.0),))
     digests = []
     for _ in range(2):
-        config = SystemConfig(
+        cell = ExperimentCell(
             protocol="ladon-pbft", n=4, duration=3.0, environment="wan",
-            batch_size=64, seed=3, faults=faults, trace=True,
-            view_change_timeout=1.0,
+            batch_size=64, seed=3, trace=True, view_change_timeout=1.0,
         )
-        system = build_system(config)
+        system = build_system(cell, faults=faults)
         system.run()
         fault_kinds = {e.details["kind"] for e in system.trace.by_category("fault")}
         assert "crash" in fault_kinds and "recover" in fault_kinds

@@ -9,14 +9,16 @@ import dataclasses
 import hashlib
 import importlib.util
 import math
+from functools import partial
 
 import pytest
 
 from repro.adversary import AdversarySpec, RankManipulation, get_adversary
+from repro.bench.config import ExperimentCell
 from repro.consensus.hotstuff import HotStuffInstance
 from repro.consensus.messages import CheckpointMessage
 from repro.metrics.auditor import audit_system
-from repro.protocols.base import HOTSTUFF_STACKS, SystemConfig
+from repro.protocols.base import HOTSTUFF_STACKS
 from repro.protocols.registry import (
     _ALIASES,
     available_protocols,
@@ -29,15 +31,16 @@ from repro.scenario.spec import ScenarioSpec
 from repro.sim.faults import CrashSpec, FaultConfig, StragglerSpec
 
 
-def small_config(protocol, n=4, duration=6.0, stragglers=0, byzantine=False, **kwargs):
-    faults = kwargs.pop("faults", None)
+def small_system(protocol, n=4, duration=6.0, stragglers=0, byzantine=False,
+                 faults=None, **kwargs):
+    """A built n=4 LAN system at 8 blocks/s; ``stragglers`` sampled with seed 3."""
     if faults is None:
         faults = (
             FaultConfig.with_stragglers(stragglers, n, slowdown=5.0, byzantine=byzantine, seed=3)
             if stragglers
             else FaultConfig()
         )
-    return SystemConfig(
+    cell = ExperimentCell(
         protocol=protocol,
         n=n,
         batch_size=64,
@@ -45,9 +48,9 @@ def small_config(protocol, n=4, duration=6.0, stragglers=0, byzantine=False, **k
         duration=duration,
         environment="lan",
         seed=1,
-        faults=faults,
         **kwargs,
     )
+    return build_system(cell, faults=faults)
 
 
 #: replica 1, which leads instance 1, is down from t=4 to t=30
@@ -57,10 +60,9 @@ LEADER_DOWN = ScenarioSpec(
 )
 
 
-def leader_down_config(protocol):
-    return SystemConfig(
-        protocol=protocol, n=8, batch_size=64, duration=40.0, seed=1, scenario=LEADER_DOWN
-    )
+def leader_down_system(protocol):
+    cell = ExperimentCell(protocol=protocol, n=8, batch_size=64, duration=40.0, seed=1)
+    return build_system(cell, scenario=LEADER_DOWN)
 
 
 class TestRegistry:
@@ -80,19 +82,22 @@ class TestRegistry:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SystemConfig(protocol="ladon-pbft", n=3)
+            ExperimentCell(protocol="ladon-pbft", n=3)
         with pytest.raises(ValueError):
-            SystemConfig(protocol="ladon-pbft", n=4, environment="moon")
+            ExperimentCell(protocol="ladon-pbft", n=4, environment="moon")
         with pytest.raises(ValueError):
-            SystemConfig(protocol="ladon-pbft", n=4, total_block_rate=0)
+            ExperimentCell(protocol="ladon-pbft", n=4, total_block_rate=0)
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
-    @pytest.mark.parametrize("field", ["propose_timeout", "view_change_timeout"])
+    @pytest.mark.parametrize(
+        "field", ["propose_timeout", "view_change_timeout", "realtime_timescale"]
+    )
     def test_bad_timeout_is_refused_by_name(self, field, value):
         # propose_timeout=0.0 used to run to completion with 0 tps and an
-        # all-live audit; the others failed deep in the event queue.
+        # all-live audit, as did realtime_timescale=nan; the others failed
+        # deep in the event queue.
         with pytest.raises(ValueError, match=field):
-            SystemConfig(protocol="ladon-pbft", n=4, **{field: value})
+            ExperimentCell(protocol="ladon-pbft", n=4, **{field: value})
 
     @pytest.mark.parametrize(
         "field, value",
@@ -104,7 +109,7 @@ class TestRegistry:
         # duration=0 and batch_size=0 reported 0 tx/s; duration=-1 failed
         # with "clock cannot move backwards"; NaN failed in the event queue.
         with pytest.raises(ValueError, match=field):
-            SystemConfig(protocol="ladon-pbft", n=4, **{field: value})
+            ExperimentCell(protocol="ladon-pbft", n=4, **{field: value})
 
     def test_hotstuff_stacks_are_exactly_the_hotstuff_rows(self):
         # A new HotStuff row must join the refusal set, or it would arm a
@@ -122,7 +127,7 @@ class TestRegistry:
 @pytest.mark.parametrize("protocol", ["ladon-pbft", "ladon-opt", "iss-pbft", "mir", "rcc", "dqbft"])
 class TestEveryPBFTSystemMakesProgress:
     def test_confirms_blocks_and_txs(self, protocol):
-        result = build_system(small_config(protocol)).run()
+        result = small_system(protocol).run()
         metrics = result.metrics
         assert metrics.confirmed_blocks > 10
         assert metrics.confirmed_txs > 500
@@ -133,7 +138,7 @@ class TestEveryPBFTSystemMakesProgress:
 @pytest.mark.parametrize("protocol", ["ladon-hotstuff", "iss-hotstuff"])
 class TestHotStuffSystemsMakeProgress:
     def test_confirms_blocks(self, protocol):
-        result = build_system(small_config(protocol, duration=10.0)).run()
+        result = small_system(protocol, duration=10.0).run()
         assert result.metrics.confirmed_blocks > 5
         assert result.metrics.confirmed_txs > 300
 
@@ -144,10 +149,10 @@ class TestHotStuffLeaderFailure:
 
     def test_propose_timeout_is_refused_by_name(self, protocol):
         with pytest.raises(ValueError, match="propose_timeout"):
-            SystemConfig(protocol=protocol, propose_timeout=2.0)
+            ExperimentCell(protocol=protocol, n=16, propose_timeout=2.0)
 
     def test_instance_waits_for_its_crashed_leader_then_resumes(self, protocol):
-        result = build_system(leader_down_config(protocol)).run()
+        result = leader_down_system(protocol).run()
         assert result.audit.safety_ok
         assert result.audit.stalled_instances == ()
         assert any(
@@ -157,29 +162,27 @@ class TestHotStuffLeaderFailure:
 
 class TestLadonBehaviour:
     def test_ladon_global_order_respects_rank_then_instance(self):
-        result = build_system(small_config("ladon-pbft")).run()
+        result = small_system("ladon-pbft").run()
         keys = [(c.block.rank, c.block.instance) for c in result.confirmed]
         assert keys == sorted(keys)
 
     def test_ladon_sn_consecutive(self):
-        result = build_system(small_config("ladon-pbft")).run()
+        result = small_system("ladon-pbft").run()
         assert [c.sn for c in result.confirmed] == list(range(len(result.confirmed)))
 
     def test_ladon_epochs_advance(self):
-        config = small_config("ladon-pbft", duration=12.0)
-        config.epoch_length = 16
-        result = build_system(config).run()
+        result = small_system("ladon-pbft", duration=12.0, epoch_length=16).run()
         assert len(result.epoch_advancements) >= 1
         # Ranks must keep increasing across the epoch boundary.
         ranks = [c.block.rank for c in result.confirmed]
         assert max(ranks) > 16
 
     def test_ladon_causal_strength_near_one(self):
-        result = build_system(small_config("ladon-pbft", duration=8.0)).run()
+        result = small_system("ladon-pbft", duration=8.0).run()
         assert result.metrics.causal_strength > 0.9
 
     def test_replicas_agree_on_confirmed_prefix(self):
-        system = build_system(small_config("ladon-pbft"))
+        system = small_system("ladon-pbft")
         system.run()
         # Non-observer replicas keep compact fingerprints only (bounded
         # memory), which carry exactly the identity the prefix check needs.
@@ -195,8 +198,8 @@ class TestLadonBehaviour:
             assert log[:shortest] == reference
 
     def test_ladon_opt_uses_less_bandwidth_than_plain(self):
-        plain = build_system(small_config("ladon-pbft")).run()
-        opt = build_system(small_config("ladon-opt")).run()
+        plain = small_system("ladon-pbft").run()
+        opt = small_system("ladon-opt").run()
         assert opt.network_stats.bytes_sent < plain.network_stats.bytes_sent
 
 
@@ -204,28 +207,28 @@ class TestStragglerImpact:
     def test_iss_throughput_collapses_with_straggler_but_ladon_does_not(self):
         duration = 20.0
         faults = FaultConfig(stragglers=(StragglerSpec(replica=2, slowdown=10.0),))
-        ladon = build_system(small_config("ladon-pbft", duration=duration, faults=faults)).run()
-        iss = build_system(small_config("iss-pbft", duration=duration, faults=faults)).run()
+        ladon = small_system("ladon-pbft", duration=duration, faults=faults).run()
+        iss = small_system("iss-pbft", duration=duration, faults=faults).run()
         assert ladon.metrics.throughput_tps > 2.5 * iss.metrics.throughput_tps
 
     def test_iss_latency_much_higher_with_straggler(self):
         duration = 20.0
         faults = FaultConfig(stragglers=(StragglerSpec(replica=2, slowdown=10.0),))
-        ladon = build_system(small_config("ladon-pbft", duration=duration, faults=faults)).run()
-        iss = build_system(small_config("iss-pbft", duration=duration, faults=faults)).run()
+        ladon = small_system("ladon-pbft", duration=duration, faults=faults).run()
+        iss = small_system("iss-pbft", duration=duration, faults=faults).run()
         assert iss.metrics.average_latency_s > ladon.metrics.average_latency_s
 
     def test_straggler_blocks_are_empty(self):
         faults = FaultConfig(stragglers=(StragglerSpec(replica=2, slowdown=5.0),))
-        result = build_system(small_config("ladon-pbft", duration=10.0, faults=faults)).run()
+        result = small_system("ladon-pbft", duration=10.0, faults=faults).run()
         straggler_blocks = [c.block for c in result.confirmed if c.block.instance == 2]
         assert all(block.tx_count == 0 for block in straggler_blocks)
 
     def test_causality_violated_by_predetermined_ordering_under_straggler(self):
         duration = 20.0
         faults = FaultConfig(stragglers=(StragglerSpec(replica=2, slowdown=10.0),))
-        iss = build_system(small_config("iss-pbft", duration=duration, faults=faults)).run()
-        ladon = build_system(small_config("ladon-pbft", duration=duration, faults=faults)).run()
+        iss = small_system("iss-pbft", duration=duration, faults=faults).run()
+        ladon = small_system("ladon-pbft", duration=duration, faults=faults).run()
         assert iss.metrics.causal_strength < 0.9
         assert ladon.metrics.causal_strength > iss.metrics.causal_strength
 
@@ -235,26 +238,26 @@ class TestStragglerImpact:
         byz_faults = FaultConfig(
             adversary=AdversarySpec((RankManipulation(replicas=(2,), slowdown=5.0),))
         )
-        honest = build_system(small_config("ladon-pbft", duration=duration, faults=honest_faults)).run()
-        byz = build_system(small_config("ladon-pbft", duration=duration, faults=byz_faults)).run()
+        honest = small_system("ladon-pbft", duration=duration, faults=honest_faults).run()
+        byz = small_system("ladon-pbft", duration=duration, faults=byz_faults).run()
         # The manipulation costs some throughput but does not collapse it.
         assert byz.metrics.throughput_tps > 0.3 * honest.metrics.throughput_tps
 
 
 class TestDQBFT:
     def test_sequencer_orders_all_confirmed_blocks(self):
-        result = build_system(small_config("dqbft")).run()
+        result = small_system("dqbft").run()
         assert [c.sn for c in result.confirmed] == list(range(len(result.confirmed)))
 
     def test_ordering_instance_blocks_not_in_global_log(self):
-        system = build_system(small_config("dqbft"))
+        system = small_system("dqbft")
         result = system.run()
         ordering_id = system.replicas[0].ordering_instance_id
         assert all(c.block.instance != ordering_id for c in result.confirmed)
 
     def test_dqbft_latency_above_iss(self):
-        dqbft = build_system(small_config("dqbft", duration=10.0)).run()
-        iss = build_system(small_config("iss-pbft", duration=10.0)).run()
+        dqbft = small_system("dqbft", duration=10.0).run()
+        iss = small_system("iss-pbft", duration=10.0).run()
         assert dqbft.metrics.average_latency_s > iss.metrics.average_latency_s
 
 
@@ -262,7 +265,7 @@ class TestCrashRecovery:
     def test_view_change_recovers_crashed_leader_instance(self):
         n = 4
         crash_at = 3.0
-        config = small_config(
+        system = small_system(
             "ladon-pbft",
             n=n,
             duration=25.0,
@@ -270,7 +273,7 @@ class TestCrashRecovery:
             propose_timeout=5.0,
             view_change_timeout=5.0,
         )
-        result = build_system(config).run()
+        result = system.run()
         # Some replica installed a new view for the crashed leader's instance.
         instances_changed = {instance for _, instance, _ in result.view_change_times}
         assert 3 in instances_changed
@@ -282,12 +285,12 @@ class TestCrashRecovery:
         assert post_recovery, "instance led by the crashed replica never recovered"
 
     def test_crash_log_recorded(self):
-        config = small_config(
+        system = small_system(
             "ladon-pbft",
             duration=8.0,
             faults=FaultConfig(crashes=(CrashSpec(replica=3, at=2.0),)),
         )
-        result = build_system(config).run()
+        result = system.run()
         assert result.crash_log == [(2.0, 3, "crash")]
 
 
@@ -297,21 +300,21 @@ class TestObserverSelection:
             stragglers=(StragglerSpec(replica=0, slowdown=5.0),),
             crashes=(CrashSpec(replica=1, at=1.0),),
         )
-        system = build_system(small_config("ladon-pbft", faults=faults))
+        system = small_system("ladon-pbft", faults=faults)
         assert system.observer_id() == 2
 
 
 class TestResourceAccounting:
     def test_bandwidth_and_cpu_positive(self):
-        result = build_system(small_config("ladon-pbft")).run()
+        result = small_system("ladon-pbft").run()
         assert result.metrics.bandwidth_mbps > 0
         assert result.metrics.cpu_percent > 0
 
     def test_ladon_bandwidth_at_least_iss(self):
         # Ladon adds rank reports/certificates to the wire; with the same
         # workload it should not use less bandwidth than ISS.
-        ladon = build_system(small_config("ladon-pbft")).run()
-        iss = build_system(small_config("iss-pbft")).run()
+        ladon = small_system("ladon-pbft").run()
+        iss = small_system("iss-pbft").run()
         assert ladon.network_stats.bytes_sent >= 0.95 * iss.network_stats.bytes_sent
 
 
@@ -341,15 +344,16 @@ def result_digest(result):
     return digest.hexdigest()
 
 
-#: cell -> (config, result_digest computed at the parent of PR 23, where
+#: cell -> (system builder, result_digest computed at the parent of PR 23, where
 #: collect_result/audit_system still read live replicas)
 PINNED_RESULTS = {
     "honest-ladon-pbft-n8": (
-        small_config("ladon-pbft", n=8, epoch_length=16),
+        partial(small_system, "ladon-pbft", n=8, epoch_length=16),
         "7d2de0cf1765a12ca23336f197aa7bfe3865a097bfb6da7f485908c5d9c1fd78",
     ),
     "iss-pbft-n8-straggler-crash": (
-        small_config(
+        partial(
+            small_system,
             "iss-pbft",
             n=8,
             epoch_length=16,
@@ -363,11 +367,12 @@ PINNED_RESULTS = {
         "4149e5742c244536aa4aac87acdd0b6e26e708cec0bb6914e527252a70854805",
     ),
     "dqbft-n4": (
-        small_config("dqbft", epoch_length=16),
+        partial(small_system, "dqbft", epoch_length=16),
         "56bb817c9ff3672af1ed678023ff9e55cb99be0ba402bc45b07afb2c02632be6",
     ),
     "ladon-pbft-n4-equivocation": (
-        small_config(
+        partial(
+            small_system,
             "ladon-pbft",
             epoch_length=16,
             faults=FaultConfig(adversary=get_adversary("equivocation")),
@@ -377,11 +382,11 @@ PINNED_RESULTS = {
     # The two HotStuff cells were computed on the tree that still carried
     # HotStuff's view change and QC parking, before any of it was deleted.
     "ladon-hotstuff-n8-straggler": (
-        small_config("ladon-hotstuff", n=8, duration=40.0, stragglers=1),
+        partial(small_system, "ladon-hotstuff", n=8, duration=40.0, stragglers=1),
         "81ed1575dc7df9208b94523c778ec9b0ddf5dca2fb48ca8c6d4502da2870547d",
     ),
     "iss-hotstuff-n8-leader-down": (
-        leader_down_config("iss-hotstuff"),
+        partial(leader_down_system, "iss-hotstuff"),
         "b8ed5bfa5d6a5cd6084cca4fc126f028abed8d824dea31e9289645d4b525230b",
     ),
 }
@@ -391,7 +396,7 @@ PINNED_RESULTS = {
 def test_confirm_trace_events_witness_the_confirmed_log(protocol):
     # Every confirmation site ends in the one tail that records the trace
     # event (DQBFT's two used to skip it), so a trace digest covers the output.
-    system = build_system(small_config(protocol, duration=8.0, trace=True))
+    system = small_system(protocol, duration=8.0, trace=True)
     result = system.run()
     observer = system.observer_id()
     events = [e for e in system.trace.by_category("confirm") if e.node == observer]
@@ -404,13 +409,13 @@ def test_confirm_trace_events_witness_the_confirmed_log(protocol):
 class TestResultPath:
     @pytest.mark.parametrize("cell", sorted(PINNED_RESULTS))
     def test_full_result_digest_is_pinned(self, cell):
-        config, expected = PINNED_RESULTS[cell]
-        assert result_digest(build_system(config).run()) == expected
+        build, expected = PINNED_RESULTS[cell]
+        assert result_digest(build().run()) == expected
 
     def test_audit_system_after_collect_equals_the_result_audit(self):
         # perfbench/child.py times exactly this second audit.
-        config, _ = PINNED_RESULTS["ladon-pbft-n4-equivocation"]
-        system = build_system(config)
+        build, _ = PINNED_RESULTS["ladon-pbft-n4-equivocation"]
+        system = build()
         result = system.run()
         assert result.audit.stalled_instances  # a non-trivial report
         assert audit_system(system) == result.audit
@@ -453,7 +458,7 @@ class TestOneDispatchPath:
     @staticmethod
     def replica(protocol):
         """Replica 1 of a built, unstarted n=4 system."""
-        return build_system(small_config(protocol)).replicas[1]
+        return small_system(protocol).replicas[1]
 
     @staticmethod
     def verifies(replica):
@@ -520,5 +525,5 @@ class TestOneDispatchPath:
             instance_cls = replica_class(protocol).keywords["instance_cls"]
             assert definers(instance_cls, "on_message") == ["ConsensusInstance"]
             assert not definers(instance_cls, "stop")
-            replica = build_system(small_config(protocol)).replicas[0]
+            replica = small_system(protocol).replicas[0]
             assert not [i for i in replica.instances.values() if hasattr(i, "stopped")]

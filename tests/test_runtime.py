@@ -83,16 +83,17 @@ def test_only_the_queue_and_the_run_loop_touch_the_queue_tiers():
 
 def test_shard_worker_never_advertises_a_cancelled_timer(monkeypatch):
     """The idle-skip report is the next time something *fires* on the shard."""
-    from repro.protocols import SystemConfig
+    from repro.bench.config import ExperimentCell
     from repro.shard import worker
     from repro.shard.ipc import decode_frame, encode_frame
     from repro.shard.partition import plan_shards
 
-    config = SystemConfig(
+    cell = ExperimentCell(
         protocol="ladon-pbft", n=4, duration=1.0, batch_size=16, seed=1,
         runtime="sharded", shards=2,
     )
-    plan = plan_shards(config.n, 2, config.latency_model())
+    resolved = cell.resolve()
+    plan = plan_shards(cell.n, 2, resolved.scenario.build_latency(cell.n))
     built = []
     build = worker._build_system
 
@@ -102,7 +103,9 @@ def test_shard_worker_never_advertises_a_cancelled_timer(monkeypatch):
 
     monkeypatch.setattr(worker, "_build_system", capture)
     hub, conn = Pipe()
-    thread = threading.Thread(target=worker.worker_entry, args=(conn, config, plan, 0))
+    thread = threading.Thread(
+        target=worker.worker_entry, args=(conn, cell, resolved, plan, 0)
+    )
     thread.start()
     try:
         hub.send_bytes(encode_frame(("run", 0.0, False, [])))
@@ -134,13 +137,15 @@ class TestBuildRuntime:
         with pytest.raises(ValueError):
             build_runtime("sockets")
 
-    def test_system_config_validates_runtime(self):
-        from repro.protocols.base import SystemConfig
+    def test_cell_validates_runtime(self):
+        from repro.bench.config import ExperimentCell
 
         with pytest.raises(ValueError):
-            SystemConfig(runtime="threads")
+            ExperimentCell(protocol="ladon-pbft", n=16, runtime="threads")
         with pytest.raises(ValueError):
-            SystemConfig(runtime="realtime", realtime_timescale=0.0)
+            ExperimentCell(
+                protocol="ladon-pbft", n=16, runtime="realtime", realtime_timescale=0.0
+            )
 
     def test_cell_key_includes_runtime(self):
         from repro.bench.config import ExperimentCell
@@ -380,19 +385,21 @@ class TestCrashRecoverTimers:
     def test_recovered_leader_resumes_proposing(self):
         """A crashed-and-recovered leader must re-arm proposal pacing: its
         instance keeps confirming new blocks after the recovery."""
+        from repro.bench.config import ExperimentCell
         from repro.protocols.registry import build_system
-        from repro.protocols.base import SystemConfig
         from repro.sim.faults import CrashSpec, FaultConfig
 
-        config = SystemConfig(
+        cell = ExperimentCell(
             protocol="ladon-pbft",
             n=4,
             duration=12.0,
             environment="lan",
+            total_block_rate=16.0,
             batch_size=64,
-            faults=FaultConfig(crashes=(CrashSpec(replica=1, at=2.0, recover_at=4.0),)),
         )
-        system = build_system(config)
+        system = build_system(
+            cell, faults=FaultConfig(crashes=(CrashSpec(replica=1, at=2.0, recover_at=4.0),))
+        )
         result = system.run()
         replica = system.replicas[1]
         assert not replica.crashed
@@ -408,20 +415,21 @@ class TestCrashRecoverTimers:
 
 # ----------------------------------------------- DES vs realtime equivalence
 def _confirmed_sequence(runtime_kind, time_scale=1.0):
-    from repro.protocols.base import SystemConfig
+    from repro.bench.config import ExperimentCell
     from repro.protocols.registry import build_system
 
-    config = SystemConfig(
+    cell = ExperimentCell(
         protocol="ladon-pbft",
         n=4,
         duration=2.0,
         environment="lan",
+        total_block_rate=16.0,
         batch_size=256,
         seed=3,
         runtime=runtime_kind,
         realtime_timescale=time_scale,
     )
-    result = build_system(config).run()
+    result = build_system(cell).run()
     assert result.audit.safety_ok
     return [(c.block.instance, c.block.rank, c.block.tx_count) for c in result.confirmed]
 
@@ -443,18 +451,15 @@ def test_realtime_confirms_the_same_block_sequence_as_des():
 
 def test_runtime_flag_flows_through_experiment_cell():
     from repro.bench.config import ExperimentCell
+    from repro.protocols.registry import build_system
 
     cell = ExperimentCell(
         protocol="ladon-pbft", n=4, runtime="realtime", realtime_timescale=0.25
     )
-    config = cell.to_system_config()
-    assert config.runtime == "realtime"
-    assert config.realtime_timescale == 0.25
+    system = build_system(cell)
+    assert system.runtime.kind == "realtime"
+    assert system.runtime.time_scale == 0.25
     assert "rt:realtime" in cell.label()
 
-    with pytest.raises(ValueError):
-        from repro.bench.runner import run_cell
-
-        run_cell(
-            ExperimentCell(protocol="ladon-pbft", n=4, engine="analytical", runtime="realtime")
-        )
+    with pytest.raises(ValueError, match="runtime"):
+        ExperimentCell(protocol="ladon-pbft", n=4, engine="analytical", runtime="realtime")

@@ -9,7 +9,6 @@ import pytest
 from repro.bench.config import ExperimentCell
 from repro.bench.runner import run_des_cell
 from repro.bench.sweep import SweepRunner, expand_grid
-from repro.protocols.base import SystemConfig
 from repro.protocols.registry import build_system
 from repro.scenario import (
     Churn,
@@ -317,27 +316,28 @@ class TestRegistry:
 
 
 # ------------------------------------------------------------ one topology path
-def _digest_config(n=4, **kwargs):
-    return SystemConfig(
+def _digest_system(n=4, scenario=None):
+    cell = ExperimentCell(
         protocol="ladon-pbft", n=n, batch_size=64, total_block_rate=8.0,
-        duration=6.0, environment="lan", seed=1, epoch_length=16, **kwargs,
+        duration=6.0, environment="lan", seed=1, epoch_length=16,
     )
+    return build_system(cell, scenario=scenario)
 
 
-#: cell -> (config, full-result digest computed at the parent of PR 24, where
+#: cell -> (build kwargs, full-result digest computed at the parent of PR 24, where
 #: the presets built ``WanLatency``/``LanLatency`` and a custom topology took
 #: the per-receiver ``delay()`` path instead of the batched fan-out)
 PINNED_TOPOLOGY_RESULTS = {
     "environment-lan-n4": (
-        _digest_config(),
+        {},
         "45beeafbad0a7534b46385e8d3d83f68256d17abb96fd6c142ac6362c68af7b5",
     ),
     "asymmetric-wan-n6": (
-        _digest_config(n=6, scenario=get_scenario("asymmetric-wan")),
+        dict(n=6, scenario=get_scenario("asymmetric-wan")),
         "888017b7158f33837732db7d0682694dc087eb10c91c4ac9ebed71e1ce26f98f",
     ),
     "lossy-lan-n4": (
-        _digest_config(scenario=get_scenario("lossy-lan")),
+        dict(scenario=get_scenario("lossy-lan")),
         "d7daade774e2aa9683147b3b791d404ef581d21caaadff0a3190e38a7ac981a5",
     ),
 }
@@ -346,13 +346,13 @@ PINNED_TOPOLOGY_RESULTS = {
 class TestOneTopologyPath:
     @pytest.mark.parametrize("cell", sorted(PINNED_TOPOLOGY_RESULTS))
     def test_full_result_digest_is_pinned(self, cell):
-        config, expected = PINNED_TOPOLOGY_RESULTS[cell]
-        assert result_digest(build_system(config).run()) == expected
+        kwargs, expected = PINNED_TOPOLOGY_RESULTS[cell]
+        assert result_digest(_digest_system(**kwargs).run()) == expected
 
     def test_environment_names_the_preset_and_is_never_stale(self):
-        wan = SystemConfig(environment="wan")
-        assert wan.resolved_scenario() == ScenarioSpec.preset("wan")
-        lan = replace(wan, environment="lan").latency_model()
+        wan = ExperimentCell(protocol="ladon-pbft", n=16, environment="wan")
+        assert wan.resolve().scenario == ScenarioSpec.preset("wan")
+        lan = replace(wan, environment="lan").resolve().scenario.build_latency(16)
         assert lan.regions == ("lan",) and lan.jitter == 0.0003
         assert lan.min_delay(0, 5) == 0.0005
 
@@ -376,11 +376,11 @@ class TestScenarioRuns:
         )
         # In-flight rounds whose messages the partition swallowed only
         # recover through a view change, so give the run explicit timeouts.
-        base = dict(protocol="ladon-pbft", n=4, batch_size=64,
-                    total_block_rate=8.0, duration=14.0, seed=1, environment="lan",
-                    propose_timeout=3.0, view_change_timeout=3.0)
-        static = build_system(SystemConfig(**base)).run()
-        split = build_system(SystemConfig(scenario=scenario, **base)).run()
+        cell = ExperimentCell(protocol="ladon-pbft", n=4, batch_size=64,
+                              total_block_rate=8.0, duration=14.0, seed=1, environment="lan",
+                              propose_timeout=3.0, view_change_timeout=3.0)
+        static = build_system(cell).run()
+        split = build_system(cell, scenario=scenario).run()
         # No group holds a quorum (3 of 4) during the partition, so the run
         # confirms measurably fewer blocks than the static baseline.
         assert split.metrics.confirmed_blocks < static.metrics.confirmed_blocks
@@ -398,11 +398,11 @@ class TestScenarioRuns:
             topology=TopologySpec.lan(),
             dynamics=(Partition(at=2.0, groups=((0, 1), (2, 3)), heal_at=5.0),),
         )
-        config = SystemConfig(
+        cell = ExperimentCell(
             protocol="ladon-pbft", n=4, batch_size=64, total_block_rate=8.0,
-            duration=8.0, seed=1, environment="lan", scenario=scenario,
+            duration=8.0, seed=1, environment="lan",
         )
-        result = build_system(config).run()
+        result = build_system(cell, scenario=scenario).run()
         in_window = [c for c in result.confirmed if 2.3 < c.confirmed_at < 5.0]
         assert not in_window
 
@@ -427,10 +427,10 @@ class TestScenarioRuns:
             topology=TopologySpec.lan(),
             traffic=TrafficSpec(profile=UniformTraffic(rate_tps=100.0)),
         )
-        base = dict(protocol="ladon-pbft", n=4, batch_size=256,
-                    total_block_rate=8.0, duration=8.0, seed=1, environment="lan")
-        light = build_system(SystemConfig(scenario=scenario, **base)).run()
-        saturated = build_system(SystemConfig(**base)).run()
+        cell = ExperimentCell(protocol="ladon-pbft", n=4, batch_size=256,
+                              total_block_rate=8.0, duration=8.0, seed=1, environment="lan")
+        light = build_system(cell, scenario=scenario).run()
+        saturated = build_system(cell).run()
         assert 0 < light.metrics.confirmed_txs < 0.3 * saturated.metrics.confirmed_txs
         # Confirmed transactions roughly track the offered load.
         assert light.metrics.confirmed_txs <= 100.0 * 8.0 * 1.1
@@ -456,13 +456,10 @@ class TestScenarioSweep:
         assert all(row["confirmed_blocks"] > 0 for row in rows)
 
     def test_scenario_on_analytical_engine_rejected(self):
-        from repro.bench.runner import run_cell
-
-        cell = ExperimentCell(
-            protocol="ladon-pbft", n=4, engine="analytical", scenario="lossy-lan"
-        )
         with pytest.raises(ValueError, match="DES engine"):
-            run_cell(cell)
+            ExperimentCell(
+                protocol="ladon-pbft", n=4, engine="analytical", scenario="lossy-lan"
+            )
 
     def test_scenario_cells_have_distinct_cache_keys(self):
         from repro.bench.sweep import cell_key

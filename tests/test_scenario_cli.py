@@ -39,9 +39,11 @@ class TestScenarioCLI:
         assert payload["scenario"] == "lossy-lan"
         assert payload["metrics"]["confirmed_blocks"] > 0
 
-    def test_scenario_run_unknown_name_raises(self):
-        with pytest.raises(KeyError):
+    def test_scenario_run_unknown_name_raises(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["scenario", "run", "no-such-scenario"])
+        assert exit_info.value.code == 2
+        assert "unknown scenario 'no-such-scenario'" in capsys.readouterr().err
 
     @pytest.mark.slow
     def test_every_named_scenario_runs_via_cli(self, capsys):
@@ -125,6 +127,18 @@ class TestOneCellHandlers:
     def test_adversary_run_negative_control_that_stays_safe_exits_nonzero(self):
         assert main(["adversary", "run", "equivocation", *SMALL,
                      "--no-baseline", "--expect-unsafe"]) == 1
+
+    def test_a_refused_cell_is_a_usage_error(self, capsys):
+        # It used to end in a 22-line ValueError traceback and exit 1.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--duration", "-1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            "python -m repro.bench run: error: "
+            "duration must be positive and finite, got -1.0"
+        )
 
 
 class TestFuzzCLI:

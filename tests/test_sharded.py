@@ -35,7 +35,6 @@ import pytest
 from repro.adversary import get_adversary
 from repro.bench.config import ExperimentCell
 from repro.bench.sweep import cell_key
-from repro.protocols.base import SystemConfig
 from repro.protocols.registry import build_system
 from repro.runtime import build_runtime
 from repro.runtime.sharded import ShardedSystem, _merge_dynamics_logs
@@ -394,25 +393,25 @@ class TestRemoteRecords:
 class TestConfigValidation:
     def test_shards_require_the_sharded_runtime(self):
         with pytest.raises(ValueError):
-            SystemConfig(protocol="ladon-pbft", n=8, shards=2)
+            ExperimentCell(protocol="ladon-pbft", n=8, shards=2)
 
     def test_sharded_runtime_requires_shards(self):
         with pytest.raises(ValueError):
-            SystemConfig(protocol="ladon-pbft", n=8, runtime="sharded")
+            ExperimentCell(protocol="ladon-pbft", n=8, runtime="sharded")
 
     def test_more_shards_than_replicas_rejected(self):
         with pytest.raises(ValueError):
-            SystemConfig(protocol="ladon-pbft", n=4, runtime="sharded", shards=8)
+            ExperimentCell(protocol="ladon-pbft", n=4, runtime="sharded", shards=8)
 
     def test_trace_is_single_process_only(self):
         with pytest.raises(ValueError, match="single-process"):
-            SystemConfig(
+            ExperimentCell(
                 protocol="ladon-pbft", n=8, runtime="sharded", shards=2, trace=True
             )
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
-            SystemConfig(
+            ExperimentCell(
                 protocol="ladon-pbft",
                 n=8,
                 runtime="sharded",
@@ -420,15 +419,15 @@ class TestConfigValidation:
                 shard_strategy="roulette",
             )
 
-    def test_build_runtime_needs_the_system_config(self):
-        with pytest.raises(ValueError, match="system_config"):
+    def test_build_runtime_refers_to_build_system(self):
+        with pytest.raises(ValueError, match="build_system"):
             build_runtime("sharded")
 
     def test_build_system_dispatches_to_sharded(self):
-        config = SystemConfig(
+        cell = ExperimentCell(
             protocol="ladon-pbft", n=8, duration=1.0, runtime="sharded", shards=2
         )
-        system = build_system(config)
+        system = build_system(cell)
         assert isinstance(system, ShardedSystem)
         assert system.plan.shards == 2
         assert system.lookahead.seconds > 0
@@ -496,54 +495,56 @@ def full_tuples(result):
     ]
 
 
-#: the oracle cells: four protocol families, plus crash/recovery and
-#: straggler cells, across 2/3/4-shard plans
+#: the oracle cells (cell, custom faults, shards): four protocol families,
+#: plus crash/recovery and straggler cells, across 2/3/4-shard plans
 ORACLE_CELLS = [
     pytest.param(
-        SystemConfig(
+        ExperimentCell(
             protocol="ladon-pbft", n=8, duration=5.0, batch_size=64, seed=7
         ),
+        None,
         2,
         id="ladon-pbft-2sh",
     ),
     pytest.param(
-        SystemConfig(protocol="iss-pbft", n=8, duration=5.0, batch_size=64, seed=3),
+        ExperimentCell(protocol="iss-pbft", n=8, duration=5.0, batch_size=64, seed=3),
+        None,
         2,
         id="iss-pbft-2sh",
     ),
     pytest.param(
-        SystemConfig(protocol="mir", n=8, duration=5.0, batch_size=64, seed=5),
+        ExperimentCell(protocol="mir", n=8, duration=5.0, batch_size=64, seed=5),
+        None,
         4,
         id="mir-4sh",
     ),
     pytest.param(
-        SystemConfig(protocol="dqbft", n=8, duration=5.0, batch_size=64, seed=1),
+        ExperimentCell(protocol="dqbft", n=8, duration=5.0, batch_size=64, seed=1),
+        None,
         2,
         id="dqbft-2sh",
     ),
     pytest.param(
-        SystemConfig(
+        ExperimentCell(
             protocol="ladon-pbft",
             n=12,
             duration=6.0,
             batch_size=64,
             seed=11,
-            faults=FaultConfig(
-                crashes=(CrashSpec(replica=3, at=2.0, recover_at=4.0),)
-            ),
         ),
+        FaultConfig(crashes=(CrashSpec(replica=3, at=2.0, recover_at=4.0),)),
         3,
         id="crash-recover-3sh",
     ),
     pytest.param(
-        SystemConfig(
+        ExperimentCell(
             protocol="ladon-pbft",
             n=8,
             duration=5.0,
             batch_size=64,
             seed=2,
-            faults=FaultConfig.with_stragglers(2, 8, slowdown=10.0, seed=2),
         ),
+        FaultConfig.with_stragglers(2, 8, slowdown=10.0, seed=2),
         2,
         id="stragglers-2sh",
     ),
@@ -555,11 +556,11 @@ SHARD_EXTRAS = ("shards", "sync_rounds", "lookahead_ms", "sync_min_margin_ms")
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("config,shards", ORACLE_CELLS)
-    def test_sharded_matches_single_process_oracle(self, config, shards):
-        single = build_system(config).run()
+    @pytest.mark.parametrize("cell,faults,shards", ORACLE_CELLS)
+    def test_sharded_matches_single_process_oracle(self, cell, faults, shards):
+        single = build_system(cell, faults=faults).run()
         sharded = build_system(
-            replace(config, runtime="sharded", shards=shards)
+            replace(cell, runtime="sharded", shards=shards), faults=faults
         ).run()
 
         assert len(sharded.confirmed) == len(single.confirmed)
@@ -571,7 +572,7 @@ class TestEquivalence:
         assert sorted(sharded.crash_log) == sorted(single.crash_log)
 
     def test_sharded_run_is_bit_deterministic(self):
-        config = SystemConfig(
+        cell = ExperimentCell(
             protocol="ladon-pbft",
             n=8,
             duration=5.0,
@@ -580,8 +581,8 @@ class TestEquivalence:
             runtime="sharded",
             shards=2,
         )
-        first = build_system(config).run()
-        second = build_system(config).run()
+        first = build_system(cell).run()
+        second = build_system(cell).run()
         assert full_tuples(first) == full_tuples(second)
         assert first.metrics.extra["sync_rounds"] == second.metrics.extra["sync_rounds"]
         assert first.metrics.extra.get("sync_min_margin_ms") == second.metrics.extra.get(
@@ -592,7 +593,7 @@ class TestEquivalence:
         # ShardSyncError would have aborted the run; the recorded minimum
         # margin double-checks that no remote arrival ever landed at or
         # before a shard's executed horizon.
-        config = SystemConfig(
+        cell = ExperimentCell(
             protocol="ladon-pbft",
             n=8,
             duration=5.0,
@@ -601,7 +602,7 @@ class TestEquivalence:
             runtime="sharded",
             shards=4,
         )
-        result = build_system(config).run()
+        result = build_system(cell).run()
         assert result.metrics.extra["shards"] == 4.0
         assert result.metrics.extra["sync_rounds"] > 0
         assert result.metrics.extra["lookahead_ms"] > 0
@@ -612,22 +613,18 @@ class TestEquivalence:
         # Both facades end in the one assembly: same metrics.extra key
         # sequence and the same injection-ordered crash log — two crashes at
         # one instant, on different shards, declared in descending id order.
-        config = SystemConfig(
-            protocol="ladon-pbft",
-            n=8,
-            duration=5.0,
-            batch_size=64,
-            seed=4,
-            faults=FaultConfig(
-                crashes=(
-                    CrashSpec(replica=6, at=2.0, recover_at=4.0),
-                    CrashSpec(replica=1, at=2.0, recover_at=4.0),
-                ),
-                adversary=get_adversary("equivocation"),
-            ),
+        cell = ExperimentCell(
+            protocol="ladon-pbft", n=8, duration=5.0, batch_size=64, seed=4
         )
-        single = build_system(config).run()
-        system = build_system(replace(config, runtime="sharded", shards=2))
+        faults = FaultConfig(
+            crashes=(
+                CrashSpec(replica=6, at=2.0, recover_at=4.0),
+                CrashSpec(replica=1, at=2.0, recover_at=4.0),
+            ),
+            adversary=get_adversary("equivocation"),
+        )
+        single = build_system(cell, faults=faults).run()
+        system = build_system(replace(cell, runtime="sharded", shards=2), faults=faults)
         assert system.plan.shard_of(6) != system.plan.shard_of(1)
         sharded = system.run()
         assert single.crash_log == [
@@ -640,15 +637,15 @@ class TestEquivalence:
         assert "adversary_forged" in single.metrics.extra
 
     def test_both_facades_split_run_into_runtime_run_and_collect_result(self):
-        config = SystemConfig(
+        cell = ExperimentCell(
             protocol="iss-pbft", n=8, duration=2.0, batch_size=64, runtime="sharded", shards=2
         )
-        system = build_system(config)
-        system.runtime.run(until=config.duration)
-        assert len(system.collect_result().confirmed) == len(build_system(config).run().confirmed)
+        system = build_system(cell)
+        system.runtime.run(until=cell.duration)
+        assert len(system.collect_result().confirmed) == len(build_system(cell).run().confirmed)
 
     def test_worker_rss_accounting(self):
-        config = SystemConfig(
+        cell = ExperimentCell(
             protocol="ladon-pbft",
             n=8,
             duration=2.0,
@@ -657,7 +654,7 @@ class TestEquivalence:
             runtime="sharded",
             shards=2,
         )
-        system = build_system(config)
+        system = build_system(cell)
         system.run()
         workers = system.runtime.worker_peak_rss_bytes
         assert len(workers) == 2
@@ -669,24 +666,25 @@ class TestEquivalence:
 #: and duplicate ``(arrival, receiver)`` pairs inside one fan-out
 LOSSY_WAN = ScenarioSpec(name="lossy-wan", drop_probability=0.02, duplicate_probability=0.05)
 
-#: cell -> (config, result_digest computed before cross-shard traffic moved
+#: cell -> (cell, custom scenario, result_digest computed before cross-shard traffic moved
 #: from one ``(arrival, sender, receiver, message)`` entry per receiver to one
 #: ``(arrivals, sender, receivers, message)`` record per fan-out and shard,
 #: and before the worker kept the collector off between windows)
 PINNED_SHARDED_RESULTS = {
     "ladon-pbft-wan-affine-2sh": (
-        SystemConfig(
+        ExperimentCell(
             protocol="ladon-pbft", n=8, duration=5.0, batch_size=64, seed=7,
             epoch_length=16, runtime="sharded", shards=2,
         ),
+        None,
         "e8a03d3658407c1980afc0924662d3de24a1a430509c46ed4abdbff22a54d54c",
     ),
     "lossy-wan-hash-2sh": (
-        SystemConfig(
+        ExperimentCell(
             protocol="ladon-pbft", n=8, duration=6.0, batch_size=64, seed=5,
-            epoch_length=16, scenario=LOSSY_WAN, runtime="sharded", shards=2,
-            shard_strategy="hash",
+            epoch_length=16, runtime="sharded", shards=2, shard_strategy="hash",
         ),
+        LOSSY_WAN,
         "bff9f425e70e6e31bc58c10593f516e23f6de7d7c5da7a2561e282d00ef37796",
     ),
 }
@@ -695,9 +693,9 @@ PINNED_SHARDED_RESULTS = {
 class TestPinnedShardedResults:
     @pytest.mark.parametrize("cell", sorted(PINNED_SHARDED_RESULTS))
     def test_full_result_digest_is_pinned(self, cell):
-        config, expected = PINNED_SHARDED_RESULTS[cell]
-        result = build_system(config).run()
-        if config.scenario is LOSSY_WAN:
+        config, scenario, expected = PINNED_SHARDED_RESULTS[cell]
+        result = build_system(config, scenario=scenario).run()
+        if scenario is LOSSY_WAN:
             stats = result.network_stats
             assert stats.messages_duplicated and stats.drops_by_cause["loss"]
         assert result_digest(result) == expected
