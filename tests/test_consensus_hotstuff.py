@@ -110,6 +110,90 @@ class TestChainedHotStuff:
         assert leader.vote_tracker.tracked_keys() == 0
 
 
+def justified(round, **fields):
+    """A proposal from instance 0's leader (replica 0) for ``round``."""
+    fields = dict(dict(parent_round=round - 1, digest=f"d{round}", tx_count=1), **fields)
+    return HotStuffProposal(
+        sender=0, instance=0, view=0, round=round,
+        justify_votes=QUORUM if round > 1 else 0, **fields,
+    )
+
+
+def votes_sent(ctx):
+    return [m for _, m, _ in ctx.sent if isinstance(m, HotStuffVote)]
+
+
+class TestCommitRule:
+    """What the 3-chain commit path guarantees, pinned on the message level."""
+
+    def test_chain_with_a_parent_gap_does_not_commit(self):
+        backup, ctx = make_instance(replica_id=1)
+        # Round 3 extends round 1, not round 2: the chain 1-2-3-4 is not direct.
+        for proposal in (justified(1), justified(2), justified(3, parent_round=1), justified(4)):
+            backup.on_message(0, proposal)
+        assert ctx.delivered == []
+        assert len(votes_sent(ctx)) == 4  # every proposal was accepted and voted
+
+    def test_chain_with_a_missing_round_does_not_commit(self):
+        backup, ctx = make_instance(replica_id=1)
+        for round in (1, 2, 4, 5, 6):
+            backup.on_message(0, justified(round))
+        assert ctx.delivered == []  # rounds 1-3 lack round 3, rounds 2-5 too
+
+    def test_each_block_commits_exactly_once_at_every_replica(self):
+        leader, leader_ctx = make_instance(replica_id=0)
+        backups = [make_instance(replica_id=r) for r in range(1, N)]
+        drive_chain(leader, leader_ctx, backups, rounds=8)
+        proposals = [m for m, _ in leader_ctx.multicasts]
+        # Re-deliver the whole chain, newest first, then oldest first.
+        for proposal in proposals[::-1] + proposals:
+            for node, _ in [(leader, leader_ctx)] + backups:
+                node.on_message(proposal.sender, proposal)
+        for _, ctx in [(leader, leader_ctx)] + backups:
+            assert [b.round for b in ctx.delivered] == [1, 2, 3, 4, 5]
+
+    def test_redelivered_proposal_at_or_below_the_watermark_is_dropped(self):
+        backup, ctx = make_instance(replica_id=1)
+        for round in range(1, 8):
+            backup.on_message(0, justified(round))
+        assert backup._stable_round == 4
+        votes, nodes = len(votes_sent(ctx)), dict(backup.nodes)
+        crypto = dict(ctx.crypto_ops)
+        for round in range(1, backup._stable_round + 1):
+            backup.on_message(0, justified(round))
+        assert len(votes_sent(ctx)) == votes
+        assert backup.nodes == nodes
+        assert [b.round for b in ctx.delivered] == [1, 2, 3, 4]
+        # Only the entry verification of each dropped copy is accounted.
+        assert ctx.crypto_ops["verify"] == crypto["verify"] + 4
+        assert ctx.crypto_ops["sign"] == crypto["sign"]
+
+    def test_committed_block_carries_the_proposal_fields(self):
+        backup, ctx = make_instance(cls=LadonHotStuffInstance, replica_id=1)
+        proposals = [
+            justified(
+                round, rank=10 * round, epoch=round % 2, tx_count=100 + round,
+                proposed_at=round + 0.25, batch_submitted_at=round + 0.5,
+                rank_m=3, digest=f"digest-{round}",
+            )
+            for round in range(1, 5)
+        ]
+        ctx.time = 42.0
+        for proposal in proposals:
+            backup.on_message(0, proposal)
+        [block] = ctx.delivered
+        first = proposals[0]
+        assert (block.instance, block.round, block.rank, block.epoch) == (0, 1, 10, 1)
+        assert block.proposer == 0
+        assert block.payload_digest == first.digest == "digest-1"
+        assert block.tx_count_hint == 101 and block.tx_count == 101
+        assert block.txs == first.txs
+        assert block.proposed_at == 1.25
+        assert block.batch_submitted_at == 1.5
+        assert block.committed_at == 42.0
+        assert list(backup.commit_log) == [(1, "digest-1")]
+
+
 class TestLadonHotStuff:
     def test_proposal_rank_is_cur_rank_plus_one(self):
         leader, ctx = make_instance(cls=LadonHotStuffInstance, rank=11)
