@@ -15,6 +15,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.block import Block
+from repro.core.rank import RankCertificate
 from repro.consensus.quorum import quorum_threshold
 
 
@@ -36,16 +37,16 @@ class InstanceConfig:
     #: opt-in reproductions of historical bugs, kept alive for the fuzzing
     #: regression corpus (e.g. ``"wedged-view-cursor"``); empty = faithful.
     compat_flags: Tuple[str, ...] = ()
+    #: :func:`quorum_threshold` of ``n``, computed once here: the vote and
+    #: proposal handlers read it on every message
+    quorum: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.n < 4:
             raise ValueError("a BFT system needs at least n = 4 replicas")
         if self.instance_id < 0 or self.replica_id < 0:
             raise ValueError("ids must be non-negative")
-
-    @property
-    def quorum(self) -> int:
-        return quorum_threshold(self.n)
+        self.quorum = quorum_threshold(self.n)
 
     def leader_for_view(self, view: int) -> int:
         """Round-robin leader schedule within the instance.
@@ -142,8 +143,12 @@ class InstanceContext:
         """The replica's global curRank (shared across instances)."""
         return 0
 
-    def observe_rank(self, rank: int, certificate: Any = None) -> None:
-        """Update the replica's global curRank if ``rank`` is higher."""
+    def observe_rank(self, rank: int, certificate: Any = None, signer_count: int = 0) -> None:
+        """Adopt ``rank`` into curRank if higher (``RankState.observe``)."""
+
+    def quorum_certificate(self, signer_count: int) -> RankCertificate:
+        """curRank certified by ``signer_count`` signers: what a rank report carries."""
+        return RankCertificate(rank=self.current_rank(), signer_count=signer_count)
 
     def max_rank(self) -> int:
         """maxRank of the replica's current epoch."""
@@ -198,7 +203,7 @@ class CollectingContext(InstanceContext):
     def current_rank(self) -> int:
         return self.rank
 
-    def observe_rank(self, rank: int, certificate: Any = None) -> None:
+    def observe_rank(self, rank: int, certificate: Any = None, signer_count: int = 0) -> None:
         if rank > self.rank:
             self.rank = rank
 

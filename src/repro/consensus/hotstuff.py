@@ -7,6 +7,13 @@ Multi-BFT deployment): the leader proposes node ``r`` justified by a QC of
 3-chain, i.e. node ``r-3`` commits while processing the proposal of node
 ``r`` (Appendix D commit rule).
 
+A chain node *is* its proposal: ``nodes`` maps a round to the immutable
+:class:`~repro.consensus.messages.HotStuffProposal` every replica received,
+so accepting one copies nothing.  A round has committed iff it is at or
+below the contiguous committed watermark or among the rounds committed
+above it.  Proposals and votes may piggyback the sender's certified rank
+(``rank_m``, Ladon-HotStuff), which a receiver adopts; vanilla leaves it 0.
+
 There is no view change: the leader never rotates, and a crashed leader's
 instance waits for the leader to recover, then resumes.  The paper's crash
 experiment (Fig. 8) is Ladon-PBFT only, so the HotStuff stacks refuse a
@@ -15,9 +22,8 @@ experiment (Fig. 8) is Ladon-PBFT only, so the HotStuff stacks refuse a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import AbstractSet, Dict, Mapping, Optional, Tuple
+from typing import AbstractSet, Dict, Mapping, Optional
 
 from repro.core.block import Block
 from repro.consensus.base import (
@@ -32,23 +38,6 @@ from repro.crypto.hashing import digest_hex
 from repro.workload.transactions import Batch
 
 
-@dataclass(slots=True)
-class ChainNode:
-    """A node of the instance's chain at one replica."""
-
-    round: int
-    digest: str
-    txs: Tuple = ()
-    tx_count: int = 0
-    batch_submitted_at: float = 0.0
-    rank: int = 0
-    epoch: int = 0
-    proposer: int = -1
-    proposed_at: float = 0.0
-    parent_round: int = 0
-    committed: bool = False
-
-
 class HotStuffInstance(ConsensusInstance):
     """One chained-HotStuff instance."""
 
@@ -61,11 +50,15 @@ class HotStuffInstance(ConsensusInstance):
     # (see the memory notes in :mod:`repro.consensus.pbft`).
     #: rounds committed ahead of the contiguous committed watermark
     _committed_above: AbstractSet[int] = frozenset()
+    #: voter -> the rank its latest vote reported; kept only by a leader that
+    #: manipulates ranks (Ladon-HotStuff), the one reader
+    _vote_ranks: Optional[Dict[int, int]] = None
 
     def __init__(self, config: InstanceConfig, context: InstanceContext) -> None:
         super().__init__(config, context)
         self.next_round = 1
-        self.nodes: Dict[int, ChainNode] = {}
+        #: round -> the proposal of that round (the chain node)
+        self.nodes: Dict[int, HotStuffProposal] = {}
         self.vote_tracker = QuorumTracker(config.quorum)
         #: highest round with a formed QC (leader side), and the one QC
         #: watermark: the stable leader proposes round r only once it holds
@@ -122,100 +115,86 @@ class HotStuffInstance(ConsensusInstance):
         )
 
     # --------------------------------------------------------------- proposal
-    def _validate_proposal(self, sender: int, message: HotStuffProposal) -> bool:
-        if message.view != self.view:
-            return False
-        if sender != self.config.leader_for_view(message.view):
-            return False
-        if message.round > 1 and message.justify_votes < self.config.quorum:
-            return False
-        existing = self.nodes.get(message.round)
-        if existing is not None and existing.digest != message.digest:
-            return False
-        return True
-
     def _on_proposal(self, sender: int, message: HotStuffProposal) -> None:
-        if not self._validate_proposal(sender, message):
+        config = self.config
+        view = self.view
+        round = message.round
+        nodes = self.nodes
+        # Validation, inline: the view, the leader (``leader_for_view``), the
+        # QC justifying every round after the first.  A round already held
+        # (duplicate or conflicting digest) or committed and pruned is dropped.
+        leader = (config.instance_id + view) % config.n
+        if (
+            message.view != view
+            or sender != leader
+            or (round > 1 and message.justify_votes < config.quorum)
+            or round in nodes
+            or round < self._stable_round
+        ):
             return
-        if message.round in self.nodes or message.round < self._stable_round:
-            return  # in flight already, or committed and pruned (duplicate)
-        node = ChainNode(
-            round=message.round,
-            digest=message.digest,
-            txs=message.txs,
-            tx_count=message.tx_count,
-            batch_submitted_at=message.batch_submitted_at,
-            rank=message.rank,
-            epoch=message.epoch,
-            proposer=sender,
-            proposed_at=message.proposed_at,
-            parent_round=message.parent_round,
-        )
-        self.nodes[message.round] = node
-        self._observe_proposal_rank(message)
-        self._try_commit_three_chain(message.round)
+        nodes[round] = message
+        context = self.context
+        if message.rank_m > 0:
+            # Ladon-HotStuff: backups adopt the leader's rank_m (Alg. 3, l. 15-18).
+            context.observe_rank(message.rank_m, message.rank_certificate)
+        self._try_commit_three_chain(round, leader)
 
         vote = self._build_vote(message)
-        self.context.record_crypto("sign")
-        leader = self.config.leader_for_view(self.view)
-        if leader == self.replica_id:
+        context.record_crypto("sign")
+        if leader == config.replica_id:
             # Direct self-delivery bypasses on_message: account its entry
             # verification here.
-            self.context.record_crypto("verify")
-            self._on_vote(self.replica_id, vote)
+            context.record_crypto("verify")
+            self._on_vote(leader, vote)
         else:
-            self.context.send(leader, vote, vote.size_bytes)
-
-    def _observe_proposal_rank(self, message: HotStuffProposal) -> None:
-        """Hook: Ladon-HotStuff adopts the leader's advertised rank_m."""
+            context.send(leader, vote, vote.size_bytes)
 
     def _build_vote(self, message: HotStuffProposal) -> HotStuffVote:
+        config = self.config
         return HotStuffVote(
-            sender=self.replica_id,
-            instance=self.instance_id,
+            sender=config.replica_id,
+            instance=config.instance_id,
             view=self.view,
             round=message.round,
             digest=message.digest,
             rank=message.rank,
         )
 
-    def _try_commit_three_chain(self, new_round: int) -> None:
-        """Commit node ``new_round - 3`` when the chain back from it is direct."""
+    def _try_commit_three_chain(self, new_round: int, proposer: int) -> None:
+        """Commit node ``new_round - 3`` when the chain back from it is direct;
+        ``proposer`` is the leader, who proposed the whole chain."""
         target_round = new_round - 3
-        if target_round < 1:
+        if target_round <= self._stable_round or target_round in self._committed_above:
+            return  # no 3-chain yet (the watermark starts at 0), or committed
+        nodes = self.nodes
+        target = nodes.get(target_round)
+        first = nodes.get(target_round + 1)
+        second = nodes.get(target_round + 2)
+        if (
+            target is None or first is None or second is None
+            or first.parent_round != target_round
+            or second.parent_round != target_round + 1
+            or nodes[new_round].parent_round != target_round + 2
+        ):
             return
-        chain = [self.nodes.get(target_round + offset) for offset in range(4)]
-        if any(node is None for node in chain):
-            return
-        for child, parent in zip(chain[1:], chain[:-1]):
-            if child.parent_round != parent.round:
-                return
-        target = chain[0]
-        if target.committed:
-            return
-        target.committed = True
-        self.last_committed_round = max(self.last_committed_round, target.round)
-        now = self.context.now()
+        if target_round > self.last_committed_round:
+            self.last_committed_round = target_round
+        context = self.context
+        now = context.now()
+        digest = target.digest
+        # Block(instance, round, rank, txs, epoch, proposer, proposed_at, committed_at,
+        # payload_digest = the consensus digest, tx_count_hint, batch_submitted_at)
         block = Block(
-            instance=self.instance_id,
-            round=target.round,
-            rank=target.rank,
-            txs=target.txs,
-            epoch=target.epoch,
-            proposer=target.proposer,
-            proposed_at=target.proposed_at,
-            committed_at=now,
-            # Consensus digest for the safety auditor (see PBFT commit path).
-            payload_digest=target.digest,
-            tx_count_hint=target.tx_count,
-            batch_submitted_at=target.batch_submitted_at,
+            self.config.instance_id, target_round, target.rank, target.txs, target.epoch,
+            proposer, target.proposed_at, now, digest, target.tx_count,
+            target.batch_submitted_at,
         )
-        self.commit_log.record(target.round, target.digest, now)
+        self.commit_log.record(target_round, digest, now)
         if self.retain_blocks:
             self.delivered_blocks.append(block)
-        self.context.deliver(block)
-        self._on_committed(target, block)
-        self._gc_committed(target.round)
+        context.deliver(block)
+        self._on_committed(target)
+        self._gc_committed(target_round)
 
     def _gc_committed(self, round: int) -> None:
         """Prune chain nodes behind the contiguous committed watermark.
@@ -241,14 +220,21 @@ class HotStuffInstance(ConsensusInstance):
                 nodes.pop(stable - 1, None)
         self._stable_round = stable
 
-    def _on_committed(self, node: ChainNode, block: Block) -> None:
+    def _on_committed(self, node: HotStuffProposal) -> None:
         """Hook for Ladon-HotStuff rank bookkeeping."""
 
     # ------------------------------------------------------------------ votes
     def _on_vote(self, sender: int, message: HotStuffVote) -> None:
         if message.view != self.view:
             return
-        self._observe_vote_rank(message)
+        rank_m = message.rank_m
+        if rank_m > 0:
+            # Ladon-HotStuff: the leader keeps the highest reported rank
+            # (Alg. 3, l. 38-42).
+            self.context.observe_rank(rank_m, message.rank_certificate)
+        vote_ranks = self._vote_ranks
+        if vote_ranks is not None:
+            vote_ranks[message.sender] = rank_m
         round = message.round
         if round <= self.high_qc_round:
             # QC already formed and its vote state released: stale vote.
@@ -265,6 +251,3 @@ class HotStuffInstance(ConsensusInstance):
 
     def _on_qc_formed(self, round: int) -> None:
         """Hook: called at the leader when a QC forms on ``round``."""
-
-    def _observe_vote_rank(self, message: HotStuffVote) -> None:
-        """Hook: Ladon-HotStuff updates curRank from vote rank reports."""

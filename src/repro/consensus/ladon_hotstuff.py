@@ -6,15 +6,17 @@ their votes (lines 25-26), the leader keeps the maximum (lines 38-42), and
 each new proposal advertises the leader's ``curRank`` so backups can catch up
 (lines 15-18).  The proposed node's rank is ``min(curRank + 1, maxRank(e))``
 (line 6) and the leader stops proposing once it proposes ``maxRank(e)``.
+
+Adopting a piggybacked ``rank_m`` is shared with vanilla HotStuff (see
+:mod:`repro.consensus.hotstuff`); this class adds what carries and
+certifies ranks.
 """
 
 from __future__ import annotations
 
 from repro.consensus.base import InstanceConfig, InstanceContext
-from repro.consensus.hotstuff import ChainNode, HotStuffInstance
+from repro.consensus.hotstuff import HotStuffInstance
 from repro.consensus.messages import HotStuffProposal, HotStuffVote
-from repro.core.block import Block
-from repro.core.rank import RankCertificate
 from repro.crypto.hashing import digest_hex
 
 
@@ -31,8 +33,9 @@ class LadonHotStuffInstance(HotStuffInstance):
         self.byzantine_rank_manipulation = byzantine_rank_manipulation
         self.stopped_for_epoch = False
         self._epoch_of_stop = -1
-        # Ranks reported by voters for the next proposal (leader side).
-        self._vote_ranks: dict = {}
+        if byzantine_rank_manipulation:
+            # Ranks reported by voters for the next proposal (leader side).
+            self._vote_ranks = {}
 
     # -------------------------------------------------------------- proposing
     def ready_to_propose(self) -> bool:
@@ -70,7 +73,7 @@ class LadonHotStuffInstance(HotStuffInstance):
             self._epoch_of_stop = epoch
         parent_round = round - 1
         parent = self.nodes.get(parent_round)
-        current = self.context.current_rank()
+        certificate = self.context.quorum_certificate(self.config.quorum)
         return HotStuffProposal(
             sender=self.replica_id,
             instance=self.instance_id,
@@ -84,48 +87,35 @@ class LadonHotStuffInstance(HotStuffInstance):
             parent_round=parent_round,
             parent_digest=parent.digest if parent else "",
             justify_votes=self.config.quorum if round > 1 else 0,
-            rank_m=current,
-            rank_certificate=RankCertificate(rank=current, signer_count=self.config.quorum),
+            rank_m=certificate.rank,
+            rank_certificate=certificate,
             proposed_at=now,
             batch_submitted_at=batch.submitted_at,
         )
 
     # ----------------------------------------------------------- rank updates
-    def _observe_proposal_rank(self, message: HotStuffProposal) -> None:
-        """Backups adopt the leader's advertised rank_m (lines 15-18)."""
-        if message.rank_m > 0:
-            self.context.observe_rank(message.rank_m, message.rank_certificate)
-
     def _build_vote(self, message: HotStuffProposal) -> HotStuffVote:
-        current = self.context.current_rank()
+        """A vote reports the voter's curRank and its certificate (lines 25-26)."""
+        config = self.config
+        certificate = self.context.quorum_certificate(config.quorum)
         return HotStuffVote(
-            sender=self.replica_id,
-            instance=self.instance_id,
+            sender=config.replica_id,
+            instance=config.instance_id,
             view=self.view,
             round=message.round,
             digest=message.digest,
             rank=message.rank,
-            rank_m=current,
-            rank_certificate=RankCertificate(rank=current, signer_count=self.config.quorum),
+            rank_m=certificate.rank,
+            rank_certificate=certificate,
         )
-
-    def _observe_vote_rank(self, message: HotStuffVote) -> None:
-        """Leader keeps the maximum rank reported by voters (lines 38-42)."""
-        if message.rank_m > 0:
-            self.context.observe_rank(message.rank_m, message.rank_certificate)
-        self._vote_ranks[message.sender] = message.rank_m
 
     def _on_qc_formed(self, round: int) -> None:
         """A QC on a node certifies that node's rank (MR-Monotonicity within
         the instance: the next proposal must carry a strictly larger rank)."""
         node = self.nodes.get(round)
         if node is not None:
-            self.context.observe_rank(
-                node.rank, RankCertificate(rank=node.rank, signer_count=self.config.quorum)
-            )
+            self.context.observe_rank(node.rank, None, self.config.quorum)
 
-    def _on_committed(self, node: ChainNode, block: Block) -> None:
+    def _on_committed(self, node: HotStuffProposal) -> None:
         """A committed node's rank is certified by its 3-chain of QCs."""
-        self.context.observe_rank(
-            node.rank, RankCertificate(rank=node.rank, signer_count=self.config.quorum)
-        )
+        self.context.observe_rank(node.rank, None, self.config.quorum)

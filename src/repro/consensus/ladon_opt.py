@@ -19,7 +19,6 @@ from __future__ import annotations
 from repro.consensus.ladon_pbft import LadonPBFTInstance
 from repro.consensus.messages import PrePrepare, RankMessage
 from repro.consensus.pbft import RoundEntry
-from repro.core.rank import RankCertificate
 
 
 #: private keys per replica for the rank-difference encoding: key ``k`` says
@@ -77,10 +76,10 @@ class LadonOptInstance(LadonPBFTInstance):
     # ------------------------------------------------------------- rank flow
     def _on_prepared(self, entry: RoundEntry) -> None:
         """Send the rank message signed with the key encoding the difference."""
-        quorum_cert = RankCertificate(rank=entry.rank, signer_count=self.config.quorum)
-        self.context.observe_rank(entry.rank, quorum_cert)
+        self.context.observe_rank(entry.rank, None, self.config.quorum)
         self.context.record_crypto("aggregate")
-        current = self.context.current_rank()
+        certificate = self.context.quorum_certificate(self.config.quorum)
+        current = certificate.rank
         difference = max(0, current - entry.rank)
         key_index = min(difference, KEY_COUNT - 1)
         rank_msg = RankMessage(
@@ -90,7 +89,7 @@ class LadonOptInstance(LadonPBFTInstance):
             round=entry.round,
             rank=entry.rank,
             key_index=key_index,
-            certificate=RankCertificate(rank=current, signer_count=self.config.quorum),
+            certificate=certificate,
         )
         self.context.record_crypto("sign")
         leader = self.config.leader_for_view(self.view)

@@ -24,7 +24,7 @@ from repro.consensus.base import InstanceConfig, InstanceContext
 from repro.consensus.messages import PrePrepare, RankMessage
 from repro.consensus.pbft import PBFTInstance, RoundEntry
 from repro.core.block import Block
-from repro.core.rank import RankCertificate, RankReport, choose_rank
+from repro.core.rank import RankReport, choose_rank
 from repro.crypto.hashing import digest_hex
 from repro.workload.transactions import Batch
 
@@ -195,17 +195,16 @@ class LadonPBFTInstance(PBFTInstance):
     # ------------------------------------------------------------- rank flow
     def _on_prepared(self, entry: RoundEntry) -> None:
         """Commit-phase rank bookkeeping (Algorithm 2, lines 23-28)."""
-        quorum_cert = RankCertificate(rank=entry.rank, signer_count=self.config.quorum)
-        self.context.observe_rank(entry.rank, quorum_cert)
+        self.context.observe_rank(entry.rank, None, self.config.quorum)
         self.context.record_crypto("aggregate")
-        report_rank = self.context.current_rank()
+        certificate = self.context.quorum_certificate(self.config.quorum)
         rank_msg = RankMessage(
             sender=self.replica_id,
             instance=self.instance_id,
             view=self.view,
             round=entry.round,
-            rank=report_rank,
-            certificate=RankCertificate(rank=report_rank, signer_count=self.config.quorum),
+            rank=certificate.rank,
+            certificate=certificate,
         )
         self.context.record_crypto("sign")
         leader = self.config.leader_for_view(self.view)
@@ -235,6 +234,4 @@ class LadonPBFTInstance(PBFTInstance):
     # ---------------------------------------------------------------- commits
     def _on_committed(self, entry: RoundEntry, block: Block) -> None:
         # A committed block's rank is certified by 2f+1 commit messages.
-        self.context.observe_rank(
-            entry.rank, RankCertificate(rank=entry.rank, signer_count=self.config.quorum)
-        )
+        self.context.observe_rank(entry.rank, None, self.config.quorum)

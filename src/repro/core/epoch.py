@@ -85,16 +85,24 @@ class EpochPacemaker:
 
     # ------------------------------------------------------------ observation
     def observe_commit(self, instance: int, rank: int, now: float) -> bool:
-        """Record a partial commit; returns True if the epoch may now advance.
+        """Record a partial commit; returns True if the current epoch is complete.
 
         Epoch ``e`` is complete when every instance has partially committed a
-        block carrying ``maxRank(e)``.
+        block carrying ``maxRank(e)``.  This runs once per partial commit
+        per replica, so the rank arithmetic of :class:`EpochConfig` and
+        :meth:`_state` are inlined; ``rank`` is a block's, never negative.
         """
-        epoch = self.config.epoch_of_rank(rank)
-        state = self._state(epoch)
-        if rank == self.config.max_rank(epoch):
+        length = self.config.length
+        epoch = rank // length
+        states = self._states
+        state = states.get(epoch)
+        if state is None:
+            state = states[epoch] = EpochState(epoch=epoch)
+        if rank % length == length - 1:  # rank == maxRank(epoch)
             state.instances_at_max_rank.add(instance)
-        return self.epoch_complete(epoch)
+        if epoch != self.current_epoch:
+            state = states[self.current_epoch]
+        return len(state.instances_at_max_rank) >= self.config.num_instances
 
     def epoch_complete(self, epoch: Optional[int] = None) -> bool:
         epoch = self.current_epoch if epoch is None else epoch

@@ -256,6 +256,11 @@ class DynamicOrderer(GlobalOrderer):
             self._advance_partially_confirmed(instance, round_, block.rank)
         else:
             rounds[round_] = block.rank  # out of order: wait for the gap to fill
+        bar_key = self._bar_key()
+        # A pending entry compares below the 2-tuple bar key exactly when
+        # its (rank, instance) does; ``held`` is never reached.
+        if bar_key is None or not self._heap[0] < bar_key:
+            return []  # the head is at or above the bar: nothing to drain
         return self._drain(now)
 
     # -------------------------------------------------------------- internals
@@ -309,12 +314,13 @@ class DynamicOrderer(GlobalOrderer):
             heapq.heappop(heap)  # stale: the instance has advanced past it
 
     def _drain(self, now: float) -> List[Confirmation]:
+        """Confirm every pending entry below the bar, in ``≺`` order."""
         bar_key = self._bar_key()
         if bar_key is None:
             return []
         newly: List[Confirmation] = []
         heap = self._heap
-        while heap and (heap[0][0], heap[0][1]) < bar_key:
+        while heap and heap[0] < bar_key:
             newly.append(self._append_confirmed(heapq.heappop(heap), now))
         return newly
 

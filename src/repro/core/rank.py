@@ -66,19 +66,34 @@ class RankState:
 
     rank: int = 0
     certificate: RankCertificate = field(default_factory=lambda: RankCertificate(rank=0))
+    #: the last :meth:`quorum_certificate`, reused while the rank stands
+    _reported: Optional[RankCertificate] = field(default=None, repr=False, compare=False)
 
-    def observe(self, rank: int, certificate: Optional[RankCertificate] = None) -> bool:
+    def observe(
+        self, rank: int, certificate: Optional[RankCertificate] = None, signer_count: int = 0
+    ) -> bool:
         """Adopt ``rank`` if it is higher than the current one.
 
         Returns True when the state advanced.  ``certificate`` defaults to a
-        bare certificate carrying the rank (callers in the optimised protocol
-        pass the aggregate QC they verified).
+        certificate of the rank by ``signer_count`` signers (a bare one by
+        default), built only when the rank is adopted; callers in the
+        optimised protocol pass the aggregate QC they verified.
         """
         if rank <= self.rank:
             return False
         self.rank = rank
-        self.certificate = certificate if certificate is not None else RankCertificate(rank=rank)
+        if certificate is None:
+            certificate = RankCertificate(rank=rank, signer_count=signer_count)
+        self.certificate = certificate
         return True
+
+    def quorum_certificate(self, signer_count: int) -> RankCertificate:
+        """The current rank by ``signer_count`` signers, what a vote carries:
+        one immutable certificate, shared until the rank moves."""
+        reported = self._reported
+        if reported is None or reported.rank != self.rank or reported.signer_count != signer_count:
+            reported = self._reported = RankCertificate(self.rank, signer_count)
+        return reported
 
     def report(self, replica: int, view: int, round: int, instance: int) -> RankReport:
         """Produce the rank message this replica sends to a leader."""

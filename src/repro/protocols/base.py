@@ -51,19 +51,21 @@ class ReplicaInstanceContext(InstanceContext):
     """Routes one instance's callbacks through its hosting replica.
 
     The per-message callbacks (clock, send, multicast, deliver, crypto
-    accounting) are instance attributes holding the replica's own bound
-    methods, so each call costs one Python frame, not two — these run once
+    accounting, rank adoption and rank certificates) are instance
+    attributes holding the replica's own bound methods, or its rank
+    state's, so each call costs one Python frame, not two — these run once
     or more per protocol message and dominate the instance-side overhead.
     They come from ``replica.context_bindings``, built once per replica:
-    its m contexts share five method objects instead of creating 5·m.
+    its m contexts share seven method objects instead of creating 7·m.
     """
 
     def __init__(self, replica: "MultiBFTReplica", instance_id: int) -> None:
         self.replica = replica
         self.instance_id = instance_id
-        self.now, self.send, self.multicast, self.deliver, self.record_crypto = (
-            replica.context_bindings
-        )
+        (
+            self.now, self.send, self.multicast, self.deliver, self.record_crypto,
+            self.observe_rank, self.quorum_certificate,
+        ) = replica.context_bindings
 
     def set_timer(self, name: str, delay: float, callback: Callable[[], None]) -> None:
         self.replica.set_timer(f"inst{self.instance_id}:{name}", delay, callback)
@@ -73,9 +75,6 @@ class ReplicaInstanceContext(InstanceContext):
 
     def current_rank(self) -> int:
         return self.replica.rank_state.rank
-
-    def observe_rank(self, rank: int, certificate: Any = None) -> None:
-        self.replica.rank_state.observe(rank, certificate)
 
     def max_rank(self) -> int:
         return self.replica.current_max_rank()
@@ -160,10 +159,13 @@ class MultiBFTReplica(Node):
         self._checkpoint_sent_for: set = set()
         self._last_checkpoint: Optional[CheckpointMessage] = None
         #: what every :class:`ReplicaInstanceContext` of this replica binds as
-        #: (now, send, multicast, deliver, record_crypto)
+        #: (now, send, multicast, deliver, record_crypto, observe_rank,
+        #: quorum_certificate)
+        rank_state = self.rank_state
         self.context_bindings = (
             self.now, self.send_protocol_message, self.multicast_protocol_message,
             self.on_partial_commit, self.record_crypto_op,
+            rank_state.observe, rank_state.quorum_certificate,
         )
         self._build_instances()
 
@@ -363,11 +365,20 @@ class MultiBFTReplica(Node):
             usage = self._usage = self.resources.usage(self.node_id)
         usage.bytes_sent += size_bytes
         usage.cpu_seconds += self._per_byte_cost * size_bytes
-        if dest == self.node_id:
+        node_id = self.node_id
+        if dest == node_id:
             # Loopback without a network hop.
-            self._dispatch(self.node_id, message)
+            self._dispatch(node_id, message)
             return
-        self.send(dest, message, size_bytes)
+        # Node.send's checks, in its order, then the transport's one
+        # fan-out with one receiver: no Node.send -> Network.send frames on
+        # every vote.
+        if self.crashed:
+            return
+        interceptor = self.interceptor
+        if interceptor is not None and interceptor.outbound(self, dest, message, size_bytes):
+            return
+        self.runtime.multicast(node_id, (dest,), message, size_bytes)
 
     def _multicast_split(self, receivers) -> None:
         """Recompute the below/above-own-id fan-out split (registration changed)."""
@@ -460,12 +471,15 @@ class MultiBFTReplica(Node):
     # ------------------------------------------------------------ commit path
     def on_partial_commit(self, block: Block) -> None:
         self.metrics.record_partial_commit()
-        if self.pacemaker is not None:
-            self.pacemaker.observe_commit(block.instance, block.rank, self.now())
-        newly = self.orderer.add_partially_committed(block, self.now())
+        now = self.now()
+        pacemaker = self.pacemaker
+        complete = pacemaker is not None and pacemaker.observe_commit(
+            block.instance, block.rank, now
+        )
+        newly = self.orderer.add_partially_committed(block, now)
         if newly:
             self._confirm(newly)
-        if self.pacemaker is not None:
+        if complete:
             self._maybe_checkpoint()
 
     def _confirm(self, newly: List[Confirmation]) -> None:
@@ -490,9 +504,8 @@ class MultiBFTReplica(Node):
 
     # ------------------------------------------------------------- checkpoints
     def _maybe_checkpoint(self) -> None:
+        """Checkpoint the current epoch, once; a commit just found it complete."""
         epoch = self.pacemaker.current_epoch
-        if not self.pacemaker.epoch_complete(epoch):
-            return
         if epoch in self._checkpoint_sent_for:
             return
         self._checkpoint_sent_for.add(epoch)

@@ -8,7 +8,10 @@ the Table 1 bandwidth accounting.
 
 This module sits on the simulation hot path (one fan-out per protocol
 message), and :meth:`Network.multicast` is its only sending code —
-:meth:`Network.send` is a one-receiver fan-out.  The fan-out is one loop
+:meth:`Network.send` is a one-receiver fan-out.  A protocol replica's
+unicast (every HotStuff vote) enters :meth:`multicast` directly with a
+one-receiver tuple, after ``Node.send``'s crash and interceptor checks
+(``MultiBFTReplica.send_protocol_message``).  The fan-out is one loop
 with the per-send work hoisted around it: the sender's bandwidth, the uplink
 clamp and the latency profile before it, the statistics and the uplink store
 after it.  The per-receiver *order* of operations (drop checks, uplink

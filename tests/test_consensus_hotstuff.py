@@ -246,16 +246,25 @@ class TestLadonHotStuff:
 
 
 class TestLazyPerInstanceState:
-    LAZY = ("_committed_above",)
+    LAZY = ("_committed_above", "_vote_ranks")
 
     def _own(self, instance):
         return sorted(name for name in self.LAZY if name in vars(instance))
 
-    def test_in_order_chain_allocates_none_of_it(self):
-        leader, leader_ctx = make_instance(replica_id=0)
-        backups = [make_instance(replica_id=r) for r in range(1, N)]
+    @pytest.mark.parametrize("cls", [HotStuffInstance, LadonHotStuffInstance])
+    def test_in_order_chain_allocates_none_of_it(self, cls):
+        leader, leader_ctx = make_instance(cls=cls, replica_id=0)
+        backups = [make_instance(cls=cls, replica_id=r) for r in range(1, N)]
         drive_chain(leader, leader_ctx, backups, rounds=6)
         for instance in [leader] + [backup for backup, _ in backups]:
             assert instance.last_committed_round == 3 == instance._stable_round
             assert self._own(instance) == []
         assert leader.high_qc_round == 6
+
+    def test_only_a_rank_manipulating_leader_keeps_vote_ranks(self):
+        leader, _ = make_instance(cls=LadonHotStuffInstance, byzantine_rank_manipulation=True)
+        proposal = leader.propose(Batch.synthetic(1, 0.0), now=0.0)
+        leader.on_message(
+            2, HotStuffVote(sender=2, instance=0, view=0, round=1, digest=proposal.digest, rank_m=9)
+        )
+        assert self._own(leader) == ["_vote_ranks"] and leader._vote_ranks == {2: 9}

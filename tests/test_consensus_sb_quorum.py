@@ -1,7 +1,10 @@
 """Tests for quorum thresholds and quorum tracking."""
 
+import dataclasses
+
 import pytest
 
+from repro.consensus.base import InstanceConfig
 from repro.consensus.quorum import QuorumTracker, fault_threshold, quorum_threshold
 
 
@@ -29,6 +32,17 @@ class TestThresholds:
     def test_honest_replicas_alone_form_a_quorum(self):
         for n in range(1, 257):
             assert quorum_threshold(n) <= n - fault_threshold(n), n
+
+    def test_instance_config_quorum_is_the_threshold_computed_once(self):
+        # Every replica hosts every instance, so a config exists n² times:
+        # the quorum is a stored field, derived at construction only.
+        for n in range(4, 201):
+            assert InstanceConfig(instance_id=0, replica_id=0, n=n).quorum == quorum_threshold(n)
+        quorum = {f.name: f for f in dataclasses.fields(InstanceConfig)}["quorum"]
+        assert not quorum.init
+        assert not isinstance(vars(InstanceConfig).get("quorum"), property)
+        with pytest.raises(TypeError):
+            InstanceConfig(instance_id=0, replica_id=0, n=4, quorum=2)
 
 
 class TestQuorumTracker:

@@ -527,3 +527,27 @@ class TestOneDispatchPath:
             assert not definers(instance_cls, "stop")
             replica = small_system(protocol).replicas[0]
             assert not [i for i in replica.instances.values() if hasattr(i, "stopped")]
+
+
+class TestPerReplicaBindings:
+    """What the m instance contexts of one replica share (paid n² times)."""
+
+    @pytest.mark.parametrize("protocol", ["ladon-hotstuff", "ladon-pbft"])
+    def test_contexts_share_one_object_per_callback(self, protocol):
+        replica = small_system(protocol, n=7).replicas[2]
+        contexts = [instance.context for instance in replica.instances.values()]
+        assert len(contexts) == 7
+        for name in ("observe_rank", "quorum_certificate", "send", "deliver"):
+            assert len({id(getattr(context, name)) for context in contexts}) == 1, name
+        assert contexts[0].observe_rank == replica.rank_state.observe
+
+    def test_one_rank_certificate_per_replica_while_the_rank_stands(self):
+        replica = small_system("ladon-hotstuff", n=7).replicas[2]
+        first, second = (instance.context for instance in list(replica.instances.values())[:2])
+        certificate = first.quorum_certificate(5)
+        assert second.quorum_certificate(5) is certificate
+        assert (certificate.rank, certificate.signer_count) == (0, 5)
+        second.observe_rank(4, None, 5)
+        moved = first.quorum_certificate(5)
+        assert moved is not certificate and (moved.rank, moved.signer_count) == (4, 5)
+        assert replica.rank_state.certificate == moved

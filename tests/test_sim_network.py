@@ -602,3 +602,65 @@ class TestOneSendPath:
         # one router, installed as the base sink a perturbation would wrap
         assert shard._push_calls.__name__ == "route_calls"
         assert shard._base_push_calls is shard._push_calls
+
+    @staticmethod
+    def hotstuff_system():
+        """A built, unstarted n=4 Ladon-HotStuff system on the DES runtime."""
+        from repro.bench.config import ExperimentCell
+        from repro.protocols.registry import build_system
+
+        return build_system(ExperimentCell(
+            protocol="ladon-hotstuff", n=4, batch_size=64, duration=3.0,
+            environment="lan", seed=1,
+        ))
+
+    def test_crashed_senders_protocol_unicast_schedules_nothing(self):
+        from repro.consensus.messages import HotStuffVote
+
+        system = self.hotstuff_system()
+        replica = system.replicas[1]
+        usage = replica.resources.usage(replica.node_id)
+        vote = HotStuffVote(sender=1, instance=0, view=0, round=1, digest="d")
+        replica.send_protocol_message(0, vote, vote.size_bytes)
+        sent = (usage.bytes_sent, system.runtime.stats.bytes_sent, len(system.runtime.simulator.queue))
+        assert sent[1:] == (vote.size_bytes, 1)
+        replica.crash()
+        replica.send_protocol_message(0, vote, vote.size_bytes)
+        # The replica charges the send before it checks for a crash (as
+        # Node.send always did); the transport sees nothing.
+        assert usage.bytes_sent == sent[0] + vote.size_bytes
+        assert (system.runtime.stats.bytes_sent, len(system.runtime.simulator.queue)) == sent[1:]
+        assert system.runtime.stats.messages_sent == 1
+
+    def test_an_interceptor_sees_every_protocol_unicast(self, monkeypatch):
+        from repro.consensus.messages import HotStuffVote
+
+        system = self.hotstuff_system()
+        runtime = system.runtime
+        offered, entered = [], []
+
+        class Tap:
+            """Passes every copy but the votes for replica 0, which it drops."""
+
+            def outbound(self, node, receiver, message, size_bytes):
+                offered.append((receiver, message))
+                return receiver == 0 and isinstance(message, HotStuffVote)
+
+        system.replicas[1].interceptor = Tap()
+        fan_out = runtime.multicast
+
+        def recording(sender, receivers, message, size_bytes=0):
+            if sender == 1:
+                entered.append((tuple(receivers), message))
+            fan_out(sender, receivers, message, size_bytes)
+
+        monkeypatch.setattr(runtime, "multicast", recording)
+        system.start()
+        runtime.run(until=3.0)
+        votes = [(receiver, m) for receiver, m in offered if isinstance(m, HotStuffVote)]
+        assert {receiver for receiver, _ in votes} == {0, 2, 3}
+        # Each vote is offered once, and only the passed ones enter the one
+        # fan-out, as one-receiver fan-outs, in the order offered.
+        assert [((receiver,), m) for receiver, m in votes if receiver != 0] == [
+            (receivers, m) for receivers, m in entered if isinstance(m, HotStuffVote)
+        ]
