@@ -368,12 +368,6 @@ def _budget_stopper(budget_s: Optional[float]) -> Optional[Callable[[], bool]]:
     return lambda: time.monotonic() >= deadline
 
 
-def _artifact_name(finding) -> str:
-    cell = finding.cell
-    flags = "-".join(cell.compat_flags) if cell.compat_flags else "faithful"
-    return f"fuzz-{flags}-seed{finding.seed_index}.json"
-
-
 def _fuzz_run(args: argparse.Namespace) -> int:
     from repro.fuzz.artifact import write_artifact
     from repro.fuzz.campaign import FuzzConfig, run_campaign
@@ -381,8 +375,7 @@ def _fuzz_run(args: argparse.Namespace) -> int:
     # Every campaign option is named after its FuzzConfig field.
     known = {field.name for field in dataclasses.fields(FuzzConfig)}
     config = FuzzConfig(
-        **{name: value for name, value in vars(args).items() if name in known},
-        compat_flags=tuple(args.compat or ()),
+        **{name: value for name, value in vars(args).items() if name in known}
     )
     report = run_campaign(
         config,
@@ -409,7 +402,9 @@ def _fuzz_run(args: argparse.Namespace) -> int:
         print(line)
         if args.artifact_dir:
             os.makedirs(args.artifact_dir, exist_ok=True)
-            path = os.path.join(args.artifact_dir, _artifact_name(finding))
+            path = os.path.join(
+                args.artifact_dir, f"fuzz-faithful-seed{finding.seed_index}.json"
+            )
             write_artifact(path, finding.artifact)
             print(f"  artifact: {path}")
     if args.json_path:
@@ -567,9 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "which have no view change")
     fuzz_run.add_argument("--scenario")
     fuzz_run.add_argument("--adversary")
-    fuzz_run.add_argument("--compat", action="append", metavar="FLAG",
-                          help="enable a compat bug reproduction "
-                               "(e.g. wedged-view-cursor); repeatable")
     fuzz_run.add_argument("--workers", type=int, default=1, help="sweep worker processes (default: 1)")
     fuzz_run.add_argument("--budget", type=float,
                           help="wall-clock budget in seconds (checked "

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.adversary.registry import get_adversary
 from repro.fuzz.perturb import PerturbationSpec
@@ -82,8 +82,6 @@ class ExperimentCell:
     #: schedule-space fuzzing: bounded delivery-order perturbation applied to
     #: the run (DES engine only); cache-keyed like every other field
     perturbation: Optional[PerturbationSpec] = None
-    #: opt-in historical-bug reproductions (regression corpus); cache-keyed
-    compat_flags: Tuple[str, ...] = ()
     #: per-instance view-change timeout
     view_change_timeout: float = 10.0
     #: record the run's schedule trace (single-process DES runtimes only)
@@ -160,7 +158,6 @@ class ExperimentCell:
                 ("adversary", self.adversary is not None),
                 ("runtime", self.runtime != "des"),
                 ("perturbation", self.perturbation is not None),
-                ("compat_flags", bool(self.compat_flags)),
                 ("trace", self.trace),
             ):
                 if des_only:
@@ -258,8 +255,6 @@ class ExperimentCell:
             tag += f"-adv:{self.adversary}"
         if self.perturbation is not None:
             tag += f"-perturb:{self.perturbation.seed}"
-        if self.compat_flags:
-            tag += "-compat:" + ",".join(self.compat_flags)
         if self.scenario is not None:
             return f"{tag}-{self.scenario}"
         return f"{tag}-{self.environment}"

@@ -21,22 +21,22 @@ from repro.consensus.quorum import quorum_threshold
 
 @dataclass(slots=True)
 class InstanceConfig:
-    """Static configuration of one consensus instance at one replica."""
+    """Static configuration of one consensus instance at one replica.
+
+    It holds only what instances read.  Batch sizes and epoch lengths live
+    with the hosting replica, which cuts the batches and runs the epochs.
+    A variant protocol, such as the fuzzer's planted bugs in the tests, is a
+    subclass of an instance class, not a value in here.
+    """
 
     instance_id: int
     replica_id: int
     n: int
-    batch_size: int = 4096
-    epoch_length: int = 64
     view_change_timeout: float = 10.0
     #: follower-side leader-failure detector: expect a proposal within this
     #: many seconds or start a view change; None = unarmed.  Only PBFT
     #: instances read it: HotStuff has no view change
     propose_timeout: Optional[float] = None
-    tx_payload_bytes: int = 500
-    #: opt-in reproductions of historical bugs, kept alive for the fuzzing
-    #: regression corpus (e.g. ``"wedged-view-cursor"``); empty = faithful.
-    compat_flags: Tuple[str, ...] = ()
     #: :func:`quorum_threshold` of ``n``, computed once here: the vote and
     #: proposal handlers read it on every message
     quorum: int = field(init=False)

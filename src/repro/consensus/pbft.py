@@ -529,12 +529,7 @@ class PBFTInstance(ConsensusInstance):
         # resume point are dropped below and must be re-proposed, so a new
         # leader whose cursor had advanced past them would otherwise wait
         # forever for commits of rounds nobody can propose any more.
-        if "wedged-view-cursor" not in self.config.compat_flags:
-            self.next_round = max(self.last_committed_round + 1, message.resume_round)
-        # else: regression-corpus reproduction of the wedged-proposal-cursor
-        # bug — the new leader keeps its stale cursor and proposes rounds the
-        # followers already garbage-collected, stalling the instance.  Kept
-        # behind an opt-in compat flag as the fuzzer's canonical target.
+        self.next_round = max(self.last_committed_round + 1, message.resume_round)
         self.view_resume_round = message.resume_round
         is_new_leader = self.config.leader_for_view(message.view) == self.replica_id
         # Drop uncommitted in-flight rounds; the new leader re-proposes them.

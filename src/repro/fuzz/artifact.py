@@ -3,7 +3,7 @@
 An artifact pins everything needed to re-run one violating execution and
 check the replay is *bit-exact*:
 
-* the experiment **cell** (protocol, n, duration, compat flags, ...);
+* the experiment **cell** (protocol, n, duration, perturbation, ...);
 * the **perturbation** spec in decision-replay form (the effective delta per
   delivery, stored sparse);
 * the **expected** outcome: audit verdict, violation kinds, confirmed-block
@@ -15,7 +15,11 @@ check the replay is *bit-exact*:
   event for diagnostics.
 
 Artifacts in ``tests/corpus/`` are permanent regression tests: each one is
-replayed by ``tests/test_corpus.py`` on every run.
+replayed by ``tests/test_corpus.py`` on every run, and by ``fuzz replay``.
+They are findings against the faithful protocols only.  An artifact of a
+bug planted on purpose lives in ``tests/planted/``: its cell names a stock
+protocol, and it replays only with the planted instance class installed in
+that protocol's registry row (``tests/planted_bugs.py``).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from repro.fuzz.perturb import PerturbationSpec
 from repro.sim.trace import TraceEvent, trace_digest, trace_from_jsonable, trace_to_jsonable
 
 #: bump on incompatible artifact layout changes; readers reject other versions
-FORMAT = 1
+FORMAT = 2
 
 
 # ----------------------------------------------------------------- outcome
@@ -61,8 +65,6 @@ def cell_to_jsonable(cell: ExperimentCell) -> Dict[str, Any]:
         value = getattr(cell, f.name)
         if f.name == "perturbation":
             value = value.as_dict() if value is not None else None
-        elif f.name == "compat_flags":
-            value = list(value)
         data[f.name] = value
     return data
 
@@ -71,7 +73,6 @@ def cell_from_jsonable(data: Dict[str, Any]) -> ExperimentCell:
     kwargs = dict(data)
     if kwargs.get("perturbation") is not None:
         kwargs["perturbation"] = PerturbationSpec.from_dict(kwargs["perturbation"])
-    kwargs["compat_flags"] = tuple(kwargs.get("compat_flags") or ())
     return ExperimentCell(**kwargs)
 
 

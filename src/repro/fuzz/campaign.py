@@ -55,7 +55,6 @@ class FuzzConfig:
     propose_timeout: Optional[float] = 2.0
     scenario: Optional[str] = None
     adversary: Optional[str] = None
-    compat_flags: Tuple[str, ...] = ()
 
     def base_cell(self) -> ExperimentCell:
         """The unperturbed cell every seed's run is a schedule variant of."""
@@ -67,7 +66,6 @@ class FuzzConfig:
             seed=self.seed,
             scenario=self.scenario,
             adversary=self.adversary,
-            compat_flags=self.compat_flags,
             view_change_timeout=self.view_change_timeout,
             propose_timeout=(
                 None if self.protocol in HOTSTUFF_STACKS else self.propose_timeout

@@ -56,17 +56,14 @@ class RunMetrics:
 class MetricsCollector:
     """Collects confirmations at one observing replica and summarises the run.
 
-    ``retain_confirmations=False`` marks the collector of a non-observer
-    replica (bounded-memory mode).  Only the observing replica is ever
-    summarised, so no other replica feeds its confirmations in: such a
-    collector counts partial commits and holds no block, latency sample or
-    throughput bin, and :meth:`summarise` raises on it.
+    Only the observing replica has one.  The DES system sets
+    ``partially_committed`` from the observer's commit logs at the end of a
+    run; the analytical engine counts with :meth:`record_partial_commit`.
     """
 
-    def __init__(self, retain_confirmations: bool = True) -> None:
+    def __init__(self) -> None:
         self.throughput = ThroughputSeries()
         self.latency = LatencyAccumulator()
-        self.retain_confirmations = retain_confirmations
         self.confirmed: List[ConfirmedBlock] = []
         self.partially_committed = 0
 
@@ -95,11 +92,6 @@ class MetricsCollector:
         resources: Optional[ResourceModel] = None,
         warmup: float = 0.0,
     ) -> RunMetrics:
-        if not self.retain_confirmations:
-            raise RuntimeError(
-                "collector runs with retain_confirmations=False (bounded "
-                "memory); only the observing replica can be summarised"
-            )
         effective = max(duration - warmup, 1e-9)
         confirmed_txs = sum(c.block.tx_count for c in self.confirmed if c.confirmed_at >= warmup)
         return RunMetrics(

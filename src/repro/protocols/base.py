@@ -34,7 +34,7 @@ from repro.sim.faults import FaultInjector
 from repro.sim.node import Node
 from repro.sim.trace import TraceRecorder
 from repro.workload.generator import TrafficStream
-from repro.workload.transactions import DEFAULT_PAYLOAD_BYTES, Batch
+from repro.workload.transactions import Batch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bench.config import ExperimentCell, ResolvedCell
@@ -119,8 +119,8 @@ class MultiBFTReplica(Node):
         self.faults = system.faults
         self.proposal_interval = system.proposal_interval
         #: False on every replica but the observer: orderer and instances
-        #: keep compact fingerprints only, and metrics count partial commits
-        #: only (bounded memory)
+        #: keep compact fingerprints only, and there is no metrics collector
+        #: (bounded memory)
         self.retain_history = retain_history
         #: the consensus-instance state machine this stack runs (the other
         #: half of the protocol's registry row)
@@ -145,7 +145,11 @@ class MultiBFTReplica(Node):
         self._mc_above: List[int] = []
         self.rank_state = RankState()
         self.quorum = quorum_threshold(config.n)
-        self.metrics = MetricsCollector(retain_confirmations=retain_history)
+        #: the observer's collector, the only one a run summarises; None on
+        #: every other replica
+        self.metrics: Optional[MetricsCollector] = (
+            MetricsCollector() if retain_history else None
+        )
         self.orderer: GlobalOrderer = self.build_orderer()
         self.instances: Dict[int, Any] = {}
         self.view_change_log: List[Tuple[float, int, int]] = []
@@ -173,21 +177,15 @@ class MultiBFTReplica(Node):
     def build_orderer(self) -> GlobalOrderer:
         raise NotImplementedError
 
-    def instance_config(
-        self, instance_id: int, tx_payload_bytes: int = DEFAULT_PAYLOAD_BYTES
-    ) -> InstanceConfig:
+    def instance_config(self, instance_id: int) -> InstanceConfig:
         """The configuration of ``instance_id`` at this replica."""
         config = self.config
         return InstanceConfig(
             instance_id=instance_id,
             replica_id=self.node_id,
             n=config.n,
-            batch_size=config.batch_size,
-            epoch_length=config.epoch_length,
             view_change_timeout=config.view_change_timeout,
             propose_timeout=config.propose_timeout,
-            tx_payload_bytes=tx_payload_bytes,
-            compat_flags=config.compat_flags,
         )
 
     def build_instance(self, instance_id: int) -> Any:
@@ -470,7 +468,6 @@ class MultiBFTReplica(Node):
 
     # ------------------------------------------------------------ commit path
     def on_partial_commit(self, block: Block) -> None:
-        self.metrics.record_partial_commit()
         now = self.now()
         pacemaker = self.pacemaker
         complete = pacemaker is not None and pacemaker.observe_commit(
@@ -485,8 +482,8 @@ class MultiBFTReplica(Node):
     def _confirm(self, newly: List[Confirmation]) -> None:
         """The tail of every confirmation site: the observer's metrics, the trace.
 
-        Only the observer's collector is ever summarised, so only it is fed.
-        Every other replica's orderer hands back audit fingerprints, not
+        Only the observer has a collector.  Every other replica's orderer
+        hands back audit fingerprints, not
         :class:`~repro.core.ordering.ConfirmedBlock` records; the trace reads
         the same fields from either, stamped ``now`` (every site confirms at
         ``now``).
@@ -632,7 +629,6 @@ class MultiBFTSystem:
             self.runtime,
             self.replicas,
             self.faults,
-            network=self.runtime,
             local_only=self._local_only,
             total_nodes=config.n,
         )
@@ -725,6 +721,13 @@ class MultiBFTSystem:
         )
         observer = self.replicas.get(self._observer_id)
         if observer is not None:  # a shard worker may not host the observer
+            # Each block an instance delivers is one commit-log record, so
+            # the logs count the partial commits; DQBFT's ordering instance
+            # is not paced and its blocks are not counted.
+            observer.metrics.partially_committed = sum(
+                len(observer.instances[instance_id].commit_log)
+                for instance_id in observer.paced_instance_ids()
+            )
             snapshot.collector = observer.metrics
             snapshot.confirmed = observer.orderer.confirmed
             if observer.pacemaker is not None:

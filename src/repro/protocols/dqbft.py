@@ -46,8 +46,7 @@ class DQBFTReplica(MultiBFTReplica):
 
     def _build_ordering_instance(self) -> PBFTInstance:
         return PBFTInstance(
-            # ordering batches carry block references
-            self.instance_config(self.ordering_instance_id, tx_payload_bytes=64),
+            self.instance_config(self.ordering_instance_id),
             ReplicaInstanceContext(self, self.ordering_instance_id),
         )
 
@@ -97,7 +96,6 @@ class DQBFTReplica(MultiBFTReplica):
         if block.instance == self.ordering_instance_id:
             self._on_ordering_block(block)
             return
-        self.metrics.record_partial_commit()
         if self.sequencer_id == self.node_id:
             self._pending_decisions.append(block.block_id)
         newly = self.orderer.add_partially_committed(block, self.now())

@@ -63,11 +63,6 @@ class DESRuntime(Runtime):
         self.set_link_filter = self.network.set_link_filter
         self.set_delivery_perturbation = self.network.set_delivery_perturbation
 
-    @classmethod
-    def wrap(cls, simulator: Simulator, network: Network) -> "DESRuntime":
-        """Adapt an existing (simulator, network) pair — the legacy wiring."""
-        return cls(simulator=simulator, network=network)
-
     # ------------------------------------------------------------- run loop
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run the event loop; the cyclic GC is off inside it and restored after."""

@@ -29,7 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adversary.interceptor import AdversaryInterceptor
     from repro.adversary.spec import AdversarySpec
     from repro.runtime.base import Runtime
-    from repro.sim.network import Network
 
 
 @dataclass(frozen=True)
@@ -223,17 +222,14 @@ class FaultConfig:
         """Replicas running any Byzantine behaviour (never fit observers)."""
         return self.adversary.replicas() if self.adversary is not None else frozenset()
 
-    def has_network_dynamics(self) -> bool:
-        return bool(self.partitions or self.degradations or self.loss_bursts)
-
 
 class FaultInjector:
     """Arms crash/recovery and network-dynamics events on one timeline.
 
     Crash and recovery act on nodes; partitions, degradation windows, and
-    loss bursts act on the network (which must be supplied when any such
-    specs are configured).  Every fired event is appended to ``event_log``;
-    ``crash_log`` keeps the historical crash/recover-only view.
+    loss bursts act on the runtime's network surface.  Every fired event is
+    appended to ``event_log``; ``crash_log`` keeps the historical
+    crash/recover-only view.
     """
 
     def __init__(
@@ -241,16 +237,13 @@ class FaultInjector:
         runtime: "Runtime",
         nodes: Dict[int, "object"],
         config: FaultConfig,
-        network: "Optional[Network | Runtime]" = None,
         *,
         local_only: bool = False,
         total_nodes: Optional[int] = None,
     ) -> None:
-        # ``runtime`` needs the scheduling surface (schedule_at / now);
-        # ``network`` needs the dynamics surface (set_partition /
-        # heal_partition / set_latency_scale / set_drop_probability /
-        # drop_probability).  A Runtime provides both, so systems pass the
-        # runtime twice; sim-layer tests still pass a bare Network.
+        # ``runtime`` supplies both the scheduling surface (schedule_at /
+        # now) and the dynamics surface (set_partition / heal_partition /
+        # set_latency_scale / set_drop_probability / drop_probability).
         #
         # ``local_only`` marks a sharded worker's partial view: ``nodes``
         # holds one shard's replicas, so node-scoped specs (crashes,
@@ -261,7 +254,6 @@ class FaultInjector:
         self.runtime = runtime
         self.nodes = nodes
         self.config = config
-        self.network = network
         self.local_only = local_only
         self.total_nodes = total_nodes
         self.crash_log: List[Tuple[float, int, str]] = []
@@ -286,8 +278,6 @@ class FaultInjector:
         """Install all configured events on the runtime timeline."""
         for spec in self.config.crashes:
             self._arm_crash(spec)
-        if self.config.has_network_dynamics() and self.network is None:
-            raise ValueError("network dynamics configured but no network supplied")
         for partition in self.config.partitions:
             self._arm_partition(partition)
         for degradation in self.config.degradations:
@@ -341,46 +331,46 @@ class FaultInjector:
 
     # ------------------------------------------------------ network dynamics
     def _arm_partition(self, spec: PartitionSpec) -> None:
-        network = self.network
+        runtime = self.runtime
 
         def _split() -> None:
-            network.set_partition(spec.groups)
+            runtime.set_partition(spec.groups)
             self._record("partition", f"groups={spec.groups}")
 
-        self.runtime.schedule_at(spec.at, _split, label="partition:split")
+        runtime.schedule_at(spec.at, _split, label="partition:split")
         if spec.heal_at is not None:
 
             def _heal() -> None:
-                network.heal_partition()
+                runtime.heal_partition()
                 self._record("heal", "")
 
-            self.runtime.schedule_at(spec.heal_at, _heal, label="partition:heal")
+            runtime.schedule_at(spec.heal_at, _heal, label="partition:heal")
 
     def _arm_degradation(self, spec: DegradationSpec) -> None:
-        network = self.network
+        runtime = self.runtime
 
         def _begin() -> None:
-            network.set_latency_scale(spec.factor)
+            runtime.set_latency_scale(spec.factor)
             self._record("degrade", f"factor={spec.factor}")
 
         def _end() -> None:
-            network.set_latency_scale(1.0)
+            runtime.set_latency_scale(1.0)
             self._record("degrade-end", "")
 
-        self.runtime.schedule_at(spec.at, _begin, label="degrade:begin")
-        self.runtime.schedule_at(spec.until, _end, label="degrade:end")
+        runtime.schedule_at(spec.at, _begin, label="degrade:begin")
+        runtime.schedule_at(spec.until, _end, label="degrade:end")
 
     def _arm_loss_burst(self, spec: LossBurstSpec) -> None:
-        network = self.network
-        baseline = network.drop_probability
+        runtime = self.runtime
+        baseline = runtime.drop_probability
 
         def _begin() -> None:
-            network.set_drop_probability(spec.drop_probability)
+            runtime.set_drop_probability(spec.drop_probability)
             self._record("loss-burst", f"p={spec.drop_probability}")
 
         def _end() -> None:
-            network.set_drop_probability(baseline)
+            runtime.set_drop_probability(baseline)
             self._record("loss-burst-end", "")
 
-        self.runtime.schedule_at(spec.at, _begin, label="loss:begin")
-        self.runtime.schedule_at(spec.until, _end, label="loss:end")
+        runtime.schedule_at(spec.at, _begin, label="loss:begin")
+        runtime.schedule_at(spec.until, _end, label="loss:end")

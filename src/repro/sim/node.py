@@ -5,11 +5,9 @@ A :class:`Node` owns a node id and a reference to its execution
 send/multicast helpers.  Subclasses implement :meth:`on_message`, or
 override :meth:`_receive` as protocol replicas do.  Nodes are *sans-I/O*:
 they never touch a simulator or a network directly, so the same node runs
-on the discrete-event backend and on the wall-clock backend.
-
-For the sim-layer tests and legacy wiring, ``Node(node_id, simulator,
-network)`` still works: the pair is adapted into a
-:class:`~repro.runtime.des.DESRuntime` on the fly.
+on the discrete-event backend and on the wall-clock backend.  Sim-layer
+tests that build their own simulator and network pass
+``DESRuntime(simulator=sim, network=net)``.
 """
 
 from __future__ import annotations
@@ -41,12 +39,7 @@ class Node:
     #: which may suppress, rewrite, or delay it.  None = honest node.
     interceptor: Optional[Any] = None
 
-    def __init__(self, node_id: int, runtime: Any, network: Any = None) -> None:
-        if network is not None:
-            # Legacy wiring: Node(node_id, simulator, network).
-            from repro.runtime.des import DESRuntime
-
-            runtime = DESRuntime.wrap(runtime, network)
+    def __init__(self, node_id: int, runtime: Any) -> None:
         self.node_id = node_id
         self.runtime = runtime
         self.crashed = False

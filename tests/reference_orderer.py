@@ -12,8 +12,8 @@ drain micro-benchmark (``benchmarks/test_orderer_drain_scaling.py``) pin the
 production orderer against an independent baseline.
 
 :func:`held_blocks` is the object-graph walk with which those tests and
-``benchmarks/test_memory_bounds.py`` show that a non-retaining orderer (or
-a non-observer's collector) keeps no block alive.
+``benchmarks/test_memory_bounds.py`` show that a non-retaining orderer
+keeps no block alive.
 """
 
 import gc

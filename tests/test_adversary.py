@@ -32,6 +32,7 @@ from repro.consensus.messages import (
 )
 from repro.metrics.auditor import audit_snapshot
 from repro.protocols.registry import build_system
+from repro.runtime.des import DESRuntime
 from repro.scenario.registry import available_scenarios, get_scenario
 from repro.sim.faults import FaultConfig, FaultInjector, StragglerSpec
 from repro.sim.network import Network
@@ -169,8 +170,8 @@ class TestAdversarySpec:
 
 # ----------------------------------------------------------- interceptor
 class _Recorder(Node):
-    def __init__(self, node_id, simulator, network):
-        super().__init__(node_id, simulator, network)
+    def __init__(self, node_id, runtime):
+        super().__init__(node_id, runtime)
         self.received = []
 
     def on_message(self, sender, message):
@@ -180,7 +181,8 @@ class _Recorder(Node):
 def _harness(n=4, seed=0):
     simulator = Simulator(seed=seed)
     network = Network(simulator)
-    nodes = {i: _Recorder(i, simulator, network) for i in range(n)}
+    runtime = DESRuntime(simulator=simulator, network=network)
+    nodes = {i: _Recorder(i, runtime) for i in range(n)}
     return simulator, network, nodes
 
 
@@ -276,7 +278,7 @@ class TestInterceptor:
         config = FaultConfig(
             adversary=AdversarySpec(attacks=(Silence(replicas=(2,)),))
         )
-        injector = FaultInjector(simulator, nodes, config, network=network)
+        injector = FaultInjector(nodes[0].runtime, nodes, config)
         injector.arm()
         assert set(injector.interceptors) == {2}
         assert nodes[2].interceptor is injector.interceptors[2]

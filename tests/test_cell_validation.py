@@ -5,29 +5,40 @@ parts: every invalid field value (or invalid combination) raises
 ``ValueError`` naming the field before anything can hash the cell into a
 sweep cache key or write it into a corpus artifact; every valid cell
 survives the artifact round trip unchanged under the same cache key; and
-every checked-in corpus artifact still loads.
+every checked-in corpus or planted-bug artifact still loads.  A structural
+guard keeps the planted bugs out of the configuration.
 """
 
+import dataclasses
 import glob
 import json
 import math
 import os
+import re
 import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.adversary.registry import available_adversaries
+from repro.bench.__main__ import main
 from repro.bench.config import ENGINES, ExperimentCell
 from repro.bench.sweep import cell_key
+from repro.consensus.base import InstanceConfig
 from repro.fuzz.artifact import artifact_cell, cell_from_jsonable, cell_to_jsonable, read_artifact
+from repro.fuzz.campaign import FuzzConfig
 from repro.fuzz.perturb import PerturbationSpec
 from repro.protocols.base import HOTSTUFF_STACKS
 from repro.protocols.registry import available_protocols, resolve_protocol
 from repro.runtime.base import RUNTIME_KINDS
 from repro.scenario.registry import available_scenarios
 
-CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.json")))
+TESTS_DIR = os.path.dirname(__file__)
+CORPUS = sorted(
+    glob.glob(os.path.join(TESTS_DIR, "corpus", "*.json"))
+    + glob.glob(os.path.join(TESTS_DIR, "planted", "*.json"))
+)
+SRC_DIR = os.path.join(os.path.dirname(TESTS_DIR), "src", "repro")
 
 BASE = dict(protocol="ladon-pbft", n=8)
 
@@ -86,7 +97,6 @@ INVALID = st.one_of(
     _case("runtime", st.just("realtime"), engine="analytical"),
     _case("runtime", st.just("sharded"), engine="analytical", shards=2),
     _case("perturbation", st.builds(PerturbationSpec), engine="analytical"),
-    _case("compat_flags", st.just(("wedged-view-cursor",)), engine="analytical"),
     _case("trace", st.just(True), engine="analytical"),
 )
 
@@ -124,7 +134,6 @@ def valid_cells(draw):
     if engine == "des":
         kwargs["scenario"] = draw(st.none() | st.sampled_from(available_scenarios()))
         kwargs["adversary"] = draw(st.none() | st.sampled_from(available_adversaries()))
-        kwargs["compat_flags"] = draw(st.sampled_from(((), ("wedged-view-cursor",))))
     if single_process_des:
         kwargs["trace"] = draw(st.booleans())
         kwargs["perturbation"] = draw(st.none() | st.builds(
@@ -156,3 +165,38 @@ class TestOneValidatedCell:
     def test_every_corpus_artifact_still_loads(self, path):
         cell = artifact_cell(read_artifact(path))
         assert cell_from_jsonable(cell_to_jsonable(cell)) == cell
+
+
+class TestPlantedBugsAreNotConfiguration:
+    """A planted bug is a test-local instance subclass, never a setting."""
+
+    def test_no_compat_knob_is_left_in_the_source(self):
+        hits = []
+        for root, _dirs, files in os.walk(SRC_DIR):
+            for name in files:
+                if name.endswith(".py"):
+                    path = os.path.join(root, name)
+                    with open(path, encoding="utf-8") as fh:
+                        # ``\b``: "incompatible" is fine, "compat_flags" is not
+                        if re.search(r"\bcompat", fh.read()):
+                            hits.append(os.path.relpath(path, SRC_DIR))
+        assert not hits, hits
+
+    def test_the_configuration_surfaces_keep_their_size(self):
+        assert len(dataclasses.fields(ExperimentCell)) == 22
+        assert len(dataclasses.fields(FuzzConfig)) == 14
+        assert [f.name for f in dataclasses.fields(InstanceConfig) if f.init] == [
+            "instance_id", "replica_id", "n", "view_change_timeout", "propose_timeout",
+        ]
+
+    def test_fuzz_run_refuses_a_compat_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["fuzz", "run", "--compat", "x"])
+        assert exit_.value.code == 2
+        assert "--compat" in capsys.readouterr().err
+
+    def test_a_format_1_artifact_is_refused_by_name(self):
+        artifact = read_artifact(CORPUS[0])
+        artifact["format"] = 1
+        with pytest.raises(ValueError, match="unsupported artifact format 1"):
+            artifact_cell(artifact)

@@ -15,7 +15,7 @@ QUORUM = 3
 
 
 def make_instance(cls=LadonPBFTInstance, replica_id=0, instance_id=0, byzantine=False, rank=0, epoch=0):
-    config = InstanceConfig(instance_id=instance_id, replica_id=replica_id, n=N, epoch_length=64)
+    config = InstanceConfig(instance_id=instance_id, replica_id=replica_id, n=N)
     context = CollectingContext(rank=rank, epoch=epoch)
     instance = cls(config, context, byzantine_rank_manipulation=byzantine)
     return instance, context

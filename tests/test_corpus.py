@@ -8,9 +8,11 @@ diverges means protocol or simulator behaviour changed on exactly the
 interleaving that once exposed a bug — the one interleaving we know is
 load-bearing.
 
-Artifacts carrying compat flags reproduce *historical* bugs behind opt-in
-flags; for those the faithful protocol (flags stripped) must NOT violate,
-which pins both directions: the bug stays reproducible, the fix stays fixed.
+Bugs planted on purpose live apart: ``tests/planted/`` holds the artifact of
+the wedged view cursor (:mod:`planted_bugs`).  It replays bit-exactly only
+with the planted instance class installed, and the faithful protocol must
+NOT violate on its schedule, which pins both directions: the bug stays
+reproducible, the fix stays fixed.
 """
 
 import glob
@@ -18,8 +20,10 @@ import os
 
 import pytest
 
-from repro.fuzz.artifact import artifact_cell, is_violation, read_artifact
-from repro.fuzz.replay import replay_artifact
+from repro.fuzz.artifact import artifact_cell, is_violation, outcome_of, read_artifact
+from repro.fuzz.replay import replay_artifact, run_cell_traced
+
+from planted_bugs import WEDGED_VIEW_CURSOR_ARTIFACT, plant_wedged_view_cursor
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 ARTIFACTS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
@@ -45,27 +49,21 @@ def test_artifact_replays_bit_exact(path):
     )
 
 
-@pytest.mark.parametrize(
-    "path",
-    [p for p in ARTIFACTS if read_artifact(p)["cell"].get("compat_flags")],
-    ids=_name,
-)
-def test_fixed_protocol_does_not_reproduce_compat_artifacts(path):
-    """Negative control: same schedule, compat flags stripped, no violation.
+def test_planted_wedged_view_cursor_replays_bit_exact(monkeypatch):
+    plant_wedged_view_cursor(monkeypatch)
+    artifact = read_artifact(WEDGED_VIEW_CURSOR_ARTIFACT)
+    report = replay_artifact(artifact)
+    assert report.ok, report.summary()
+    assert report.outcome == artifact["expected"]
+    assert report.outcome["violation_kinds"] == ["stalled"]
 
-    Only the verdict is checked — stripping the flag legitimately changes
-    the schedule (the fixed protocol sends different messages), so digest
-    equality is neither expected nor meaningful here.
+
+def test_faithful_protocol_does_not_reproduce_the_wedged_view_cursor():
+    """Negative control: same cell and schedule, no planted bug, no violation.
+
+    Only the verdict is checked: the faithful protocol sends different
+    messages, so the digest legitimately differs.
     """
-    from dataclasses import replace
-
-    from repro.fuzz.artifact import outcome_of
-    from repro.fuzz.replay import run_cell_traced
-
-    cell = replace(artifact_cell(read_artifact(path)), compat_flags=())
-    system, result = run_cell_traced(cell)
+    system, result = run_cell_traced(artifact_cell(read_artifact(WEDGED_VIEW_CURSOR_ARTIFACT)))
     outcome = outcome_of(result, system.trace.events)
-    assert not is_violation(outcome), (
-        f"{_name(path)}: faithful protocol still violates with the compat "
-        f"flag stripped: {outcome['violation_kinds']}"
-    )
+    assert not is_violation(outcome), outcome["violation_kinds"]

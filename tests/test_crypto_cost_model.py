@@ -33,7 +33,7 @@ SIZES = (4, 7, 10, 16)
 
 
 def make_instance(cls, n=4, replica_id=0, rank=0):
-    config = InstanceConfig(instance_id=0, replica_id=replica_id, n=n, epoch_length=64)
+    config = InstanceConfig(instance_id=0, replica_id=replica_id, n=n)
     context = CollectingContext(rank=rank)
     return cls(config, context), context
 

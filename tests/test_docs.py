@@ -158,7 +158,7 @@ CLI_OPTIONS = {
                  "--batch-size": 64, "--json": None, "--seeds": 16, "--base-seed": 0,
                  "--max-delay": 1.2, "--probability": 0.08, "--view-change-timeout": 1.0,
                  "--propose-timeout": 2.0, "--scenario": None, "--adversary": None,
-                 "--compat": None, "--workers": 1, "--budget": None, "--keep-going": False,
+                 "--workers": 1, "--budget": None, "--keep-going": False,
                  "--no-shrink": False, "--shrink-tests": 48, "--artifact-dir": None},
     "fuzz replay": {},
     "fuzz shrink": {"--shrink-tests": 96, "--output": None},

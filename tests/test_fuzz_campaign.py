@@ -1,15 +1,15 @@
 """End-to-end fuzz campaigns (``pytest -m fuzz``).
 
 The acceptance demo for the fuzzer: a historical bug (the wedged proposal
-cursor after a view change, reintroduced behind the ``wedged-view-cursor``
-compat flag) must be *found* by a bounded campaign, *shrunk* to a small
-decision vector, and the resulting artifact must *replay* bit-exactly —
-while the same campaign against the faithful protocol stays clean.
+cursor after a view change, planted by :mod:`planted_bugs`) must be *found*
+by a bounded campaign, *shrunk* to a small decision vector, and the
+resulting artifact must *replay* bit-exactly — while the same campaign
+against the faithful protocol stays clean.
 """
 
 import pytest
 
-from repro.fuzz.artifact import is_violation
+from repro.fuzz.artifact import artifact_cell, is_violation, read_artifact
 from repro.fuzz.campaign import (
     FuzzConfig,
     cell_breaks_safety,
@@ -18,6 +18,8 @@ from repro.fuzz.campaign import (
     run_campaign,
 )
 from repro.fuzz.replay import replay_artifact
+
+from planted_bugs import WEDGED_VIEW_CURSOR_ARTIFACT, plant_wedged_view_cursor
 
 pytestmark = pytest.mark.fuzz
 
@@ -29,8 +31,9 @@ def test_predicate_for_preserves_the_violation_class():
     assert predicate_for({"safety_ok": False}) is cell_breaks_safety
 
 
-def test_campaign_finds_shrinks_and_replays_the_wedged_cursor_bug():
-    config = FuzzConfig(seeds=4, compat_flags=("wedged-view-cursor",))
+def test_campaign_finds_shrinks_and_replays_the_wedged_cursor_bug(monkeypatch):
+    plant_wedged_view_cursor(monkeypatch)
+    config = FuzzConfig(seeds=4)
     report = run_campaign(config, shrink_max_tests=24, batch=2)
     assert report.findings, (
         f"campaign missed the reintroduced bug in {report.seeds_run} seeds"
@@ -46,11 +49,16 @@ def test_campaign_finds_shrinks_and_replays_the_wedged_cursor_bug():
     replay = replay_artifact(finding.artifact)
     assert replay.ok, replay.summary()
     assert is_violation(replay.outcome)
+    # It is the checked-in planted artifact, found again.
+    planted = read_artifact(WEDGED_VIEW_CURSOR_ARTIFACT)
+    assert finding.seed_index == 0
+    assert artifact_cell(finding.artifact) == artifact_cell(planted)
+    assert finding.artifact["expected"] == planted["expected"]
 
 
 def test_campaign_on_the_faithful_protocol_stays_clean():
     """Negative control on the identical schedule distribution: the only
-    delta to the finding campaign is the compat flag, so a violation here
+    delta to the finding campaign is the planted bug, so a violation here
     would implicate the fuzzer (or the protocol), not the planted bug."""
     config = FuzzConfig(seeds=4)
     report = run_campaign(config, do_shrink=False, batch=2)
@@ -58,14 +66,15 @@ def test_campaign_on_the_faithful_protocol_stays_clean():
     assert report.seeds_run == 4
 
 
-def test_should_stop_bounds_the_campaign():
+def test_should_stop_bounds_the_campaign(monkeypatch):
+    plant_wedged_view_cursor(monkeypatch)
     calls = []
 
     def stop_after_first_batch():
         calls.append(1)
         return len(calls) > 1
 
-    config = FuzzConfig(seeds=8, compat_flags=("wedged-view-cursor",))
+    config = FuzzConfig(seeds=8)
     report = run_campaign(
         config,
         should_stop=stop_after_first_batch,

@@ -214,18 +214,19 @@ class TestDESRuntime:
         assert [m for _, _, m in nodes[2].received] == ["flows"]
         assert runtime.stats.drops_by_cause == {"partition": 1}
 
-    def test_legacy_node_wiring_still_works(self):
+    def test_node_runs_on_a_runtime_over_an_existing_pair(self):
         from repro.sim.network import Network
         from repro.sim.simulator import Simulator
 
         simulator = Simulator(seed=0)
         network = Network(simulator, latency=UniformLatency(base=0.01, jitter=0.0))
-        a = _Echo.__new__(_Echo)
-        Node.__init__(a, 0, simulator, network)
-        a.received = []
-        assert isinstance(a.runtime, DESRuntime)
-        assert a.runtime.simulator is simulator
-        assert a.runtime.network is network
+        runtime = DESRuntime(simulator=simulator, network=network)
+        a = _Echo(0, runtime)
+        b = _Echo(1, runtime)
+        a.send(1, "x")
+        simulator.run()
+        assert a.runtime is runtime and runtime.network is network
+        assert [(sender, message) for _at, sender, message in b.received] == [(0, "x")]
 
 
 class TestRealtimeRuntime:

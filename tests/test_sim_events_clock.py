@@ -10,6 +10,7 @@ import weakref
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.runtime.des import DESRuntime
 from repro.sim.clock import VirtualClock
 from repro.sim.events import _BUCKETS_PER_SECOND, BUCKET_SECONDS, Event, EventQueue
 from repro.sim.network import Network
@@ -682,7 +683,7 @@ class TestCancelReleasesCallback:
 
     def test_node_timer_releases_its_closure_on_cancel_and_rearm(self):
         sim = Simulator()
-        node = _TimerNode(0, sim, Network(sim))
+        node = _TimerNode(0, DESRuntime(simulator=sim, network=Network(sim)))
         callback, first = self._callback()
         node.set_timer("t", 10.0, callback)
         callback, second = self._callback()

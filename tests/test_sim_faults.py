@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.runtime.des import DESRuntime
 from repro.sim.faults import (
     CrashSpec,
     DegradationSpec,
@@ -89,9 +90,9 @@ class _DummyNode(Node):
 class TestFaultInjector:
     def _build(self, crashes):
         sim = Simulator(seed=0)
-        net = Network(sim)
-        nodes = {i: _DummyNode(i, sim, net) for i in range(4)}
-        injector = FaultInjector(sim, nodes, FaultConfig(crashes=crashes))
+        runtime = DESRuntime(simulator=sim, network=Network(sim))
+        nodes = {i: _DummyNode(i, runtime) for i in range(4)}
+        injector = FaultInjector(runtime, nodes, FaultConfig(crashes=crashes))
         injector.arm()
         return sim, nodes, injector
 
@@ -113,16 +114,16 @@ class TestFaultInjector:
 
     def test_unknown_replica_rejected(self):
         sim = Simulator()
-        net = Network(sim)
-        nodes = {0: _DummyNode(0, sim, net)}
-        injector = FaultInjector(sim, nodes, FaultConfig(crashes=(CrashSpec(replica=7, at=1.0),)))
+        runtime = DESRuntime(simulator=sim, network=Network(sim))
+        nodes = {0: _DummyNode(0, runtime)}
+        injector = FaultInjector(runtime, nodes, FaultConfig(crashes=(CrashSpec(replica=7, at=1.0),)))
         with pytest.raises(KeyError):
             injector.arm()
 
 
 class _Echo(Node):
-    def __init__(self, node_id, simulator, network):
-        super().__init__(node_id, simulator, network)
+    def __init__(self, node_id, runtime):
+        super().__init__(node_id, runtime)
         self.received = []
 
     def on_message(self, sender, message):
@@ -137,19 +138,11 @@ class TestNetworkDynamicsInjection:
             latency=UniformLatency(base=0.01, jitter=0.0),
             config=NetworkConfig(processing_delay=0.0),
         )
-        nodes = {i: _Echo(i, sim, net) for i in range(4)}
-        injector = FaultInjector(sim, nodes, config, network=net)
+        runtime = DESRuntime(simulator=sim, network=net)
+        nodes = {i: _Echo(i, runtime) for i in range(4)}
+        injector = FaultInjector(runtime, nodes, config)
         injector.arm()
         return sim, net, nodes, injector
-
-    def test_network_required_for_dynamics(self):
-        sim = Simulator(seed=0)
-        net = Network(sim)
-        nodes = {i: _DummyNode(i, sim, net) for i in range(4)}
-        config = FaultConfig(partitions=(PartitionSpec(at=1.0, groups=((0, 1), (2, 3))),))
-        injector = FaultInjector(sim, nodes, config)
-        with pytest.raises(ValueError):
-            injector.arm()
 
     def test_partition_split_and_heal_transitions(self):
         config = FaultConfig(

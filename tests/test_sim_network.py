@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.fuzz.perturb import PerturbationSpec, SchedulePerturbation
+from repro.runtime.des import DESRuntime
 from repro.scenario import TopologySpec
 from repro.sim import latency as latency_module
 from repro.sim.latency import (
@@ -188,8 +189,8 @@ class TestLatencyModels:
 
 
 class _Recorder(Node):
-    def __init__(self, node_id, simulator, network):
-        super().__init__(node_id, simulator, network)
+    def __init__(self, node_id, runtime):
+        super().__init__(node_id, runtime)
         self.received = []
 
     def on_message(self, sender, message):
@@ -200,14 +201,14 @@ class _Recorder(Node):
 def sim_net():
     sim = Simulator(seed=1)
     net = Network(sim, latency=UniformLatency(base=0.01, jitter=0.0), config=NetworkConfig(processing_delay=0.0))
-    return sim, net
+    return sim, net, DESRuntime(simulator=sim, network=net)
 
 
 class TestNetwork:
     def test_send_delivers_with_latency(self, sim_net):
-        sim, net = sim_net
-        a = _Recorder(0, sim, net)
-        b = _Recorder(1, sim, net)
+        sim, net, runtime = sim_net
+        a = _Recorder(0, runtime)
+        b = _Recorder(1, runtime)
         a.send(1, "hello", size_bytes=0)
         sim.run()
         assert len(b.received) == 1
@@ -216,9 +217,9 @@ class TestNetwork:
         assert time == pytest.approx(0.01)
 
     def test_bandwidth_serialises_uplink(self, sim_net):
-        sim, net = sim_net
-        a = _Recorder(0, sim, net)
-        b = _Recorder(1, sim, net)
+        sim, net, runtime = sim_net
+        a = _Recorder(0, runtime)
+        b = _Recorder(1, runtime)
         big = 12_500_000  # 0.1 s at 1 Gbps
         a.send(1, "m1", size_bytes=big)
         a.send(1, "m2", size_bytes=big)
@@ -228,17 +229,17 @@ class TestNetwork:
         assert t2 - t1 == pytest.approx(0.1, rel=0.05)
 
     def test_broadcast_reaches_everyone(self, sim_net):
-        sim, net = sim_net
-        nodes = [_Recorder(i, sim, net) for i in range(4)]
+        sim, net, runtime = sim_net
+        nodes = [_Recorder(i, runtime) for i in range(4)]
         net.multicast(0, net.registered_nodes(), "ping")
         sim.run()
         for node in nodes:
             assert len(node.received) == 1
 
     def test_stats_count_messages_and_bytes(self, sim_net):
-        sim, net = sim_net
-        _Recorder(0, sim, net)
-        _Recorder(1, sim, net)
+        sim, net, runtime = sim_net
+        _Recorder(0, runtime)
+        _Recorder(1, runtime)
         net.send(0, 1, "x", size_bytes=100)
         sim.run()
         assert net.stats.messages_sent == 1
@@ -246,9 +247,9 @@ class TestNetwork:
         assert net.stats.bytes_per_node[0] == 100
 
     def test_link_filter_drops(self, sim_net):
-        sim, net = sim_net
-        _Recorder(0, sim, net)
-        b = _Recorder(1, sim, net)
+        sim, net, runtime = sim_net
+        _Recorder(0, runtime)
+        b = _Recorder(1, runtime)
         net.set_link_filter(lambda s, r: False)
         net.send(0, 1, "x")
         sim.run()
@@ -256,15 +257,15 @@ class TestNetwork:
         assert net.stats.messages_dropped == 1
 
     def test_duplicate_registration_rejected(self, sim_net):
-        sim, net = sim_net
-        _Recorder(0, sim, net)
+        sim, net, runtime = sim_net
+        _Recorder(0, runtime)
         with pytest.raises(ValueError):
             net.register(0, lambda s, m: None)
 
     def test_crashed_node_neither_sends_nor_receives(self, sim_net):
-        sim, net = sim_net
-        a = _Recorder(0, sim, net)
-        b = _Recorder(1, sim, net)
+        sim, net, runtime = sim_net
+        a = _Recorder(0, runtime)
+        b = _Recorder(1, runtime)
         b.crash()
         a.send(1, "x")
         b.send(0, "y")
@@ -273,8 +274,8 @@ class TestNetwork:
         assert a.received == []
 
     def test_crash_cancels_timers(self, sim_net):
-        sim, net = sim_net
-        a = _Recorder(0, sim, net)
+        sim, net, runtime = sim_net
+        a = _Recorder(0, runtime)
         fired = []
         a.set_timer("t", 1.0, lambda: fired.append(1))
         a.crash()
@@ -282,8 +283,8 @@ class TestNetwork:
         assert fired == []
 
     def test_node_timer_restart_replaces_previous(self, sim_net):
-        sim, net = sim_net
-        a = _Recorder(0, sim, net)
+        sim, net, runtime = sim_net
+        a = _Recorder(0, runtime)
         fired = []
         a.set_timer("t", 1.0, lambda: fired.append("first"))
         a.set_timer("t", 2.0, lambda: fired.append("second"))
@@ -291,8 +292,8 @@ class TestNetwork:
         assert fired == ["second"]
 
     def test_cancel_timer(self, sim_net):
-        sim, net = sim_net
-        a = _Recorder(0, sim, net)
+        sim, net, runtime = sim_net
+        a = _Recorder(0, runtime)
         fired = []
         a.set_timer("t", 1.0, lambda: fired.append(1))
         a.cancel_timer("t")
@@ -301,9 +302,9 @@ class TestNetwork:
         assert not a.has_timer("t")
 
     def test_recovered_node_receives_again(self, sim_net):
-        sim, net = sim_net
-        a = _Recorder(0, sim, net)
-        b = _Recorder(1, sim, net)
+        sim, net, runtime = sim_net
+        a = _Recorder(0, runtime)
+        b = _Recorder(1, runtime)
         b.crash()
         b.recover()
         a.send(1, "x")
@@ -311,10 +312,10 @@ class TestNetwork:
         assert len(b.received) == 1
 
     def test_link_filter_drop_accounting(self, sim_net):
-        sim, net = sim_net
-        _Recorder(0, sim, net)
-        b = _Recorder(1, sim, net)
-        c = _Recorder(2, sim, net)
+        sim, net, runtime = sim_net
+        _Recorder(0, runtime)
+        b = _Recorder(1, runtime)
+        c = _Recorder(2, runtime)
         net.set_link_filter(lambda s, r: r != 1)  # node 1 unreachable
         net.send(0, 1, "lost", size_bytes=10)
         net.send(0, 2, "ok", size_bytes=10)
@@ -329,9 +330,9 @@ class TestNetwork:
         assert b.received == [] and len(c.received) == 1
 
     def test_multicast_serialises_on_single_uplink(self, sim_net):
-        sim, net = sim_net
-        _Recorder(0, sim, net)
-        receivers = [_Recorder(i, sim, net) for i in range(1, 4)]
+        sim, net, runtime = sim_net
+        _Recorder(0, runtime)
+        receivers = [_Recorder(i, runtime) for i in range(1, 4)]
         big = 12_500_000  # 0.1 s at 1 Gbps
         net.multicast(0, [1, 2, 3], "blob", size_bytes=big)
         sim.run()
@@ -342,10 +343,10 @@ class TestNetwork:
         assert arrivals[2] - arrivals[1] == pytest.approx(0.1, rel=0.01)
 
     def test_per_node_bandwidth_override(self, sim_net):
-        sim, net = sim_net
-        _Recorder(0, sim, net)
-        _Recorder(1, sim, net)
-        b = _Recorder(2, sim, net)
+        sim, net, runtime = sim_net
+        _Recorder(0, runtime)
+        _Recorder(1, runtime)
+        b = _Recorder(2, runtime)
         net.config.node_bandwidth = {1: 12_500_000}  # 100 Mbps for node 1
         size = 1_250_000  # 0.01 s at 1 Gbps, 0.1 s at 100 Mbps
         net.send(0, 2, "fast", size_bytes=size)
@@ -363,8 +364,9 @@ class TestDuplicateDelivery:
             latency=UniformLatency(base=0.01, jitter=0.0),
             config=NetworkConfig(processing_delay=0.0, duplicate_probability=1.0),
         )
-        _Recorder(0, sim, net)
-        b = _Recorder(1, sim, net)
+        runtime = DESRuntime(simulator=sim, network=net)
+        _Recorder(0, runtime)
+        b = _Recorder(1, runtime)
         net.send(0, 1, "x")
         sim.run()
         assert len(b.received) == 2
@@ -380,8 +382,9 @@ class TestDuplicateDelivery:
                 latency=UniformLatency(base=0.01, jitter=0.001),
                 config=NetworkConfig(processing_delay=0.0, duplicate_probability=0.5),
             )
-            _Recorder(0, sim, net)
-            b = _Recorder(1, sim, net)
+            runtime = DESRuntime(simulator=sim, network=net)
+            _Recorder(0, runtime)
+            b = _Recorder(1, runtime)
             for i in range(50):
                 net.send(0, 1, i)
             sim.run()
@@ -399,8 +402,9 @@ class TestDuplicateDelivery:
             latency=UniformLatency(base=0.01, jitter=0.0),
             config=NetworkConfig(processing_delay=0.0),
         )
-        _Recorder(0, sim, net)
-        b = _Recorder(1, sim, net)
+        runtime = DESRuntime(simulator=sim, network=net)
+        _Recorder(0, runtime)
+        b = _Recorder(1, runtime)
         net.send(0, 1, "x")
         sim.run()
         assert len(b.received) == 1
@@ -415,7 +419,8 @@ class TestPartition:
             latency=UniformLatency(base=0.01, jitter=0.0),
             config=NetworkConfig(processing_delay=0.0),
         )
-        nodes = [_Recorder(i, sim, net) for i in range(4)]
+        runtime = DESRuntime(simulator=sim, network=net)
+        nodes = [_Recorder(i, runtime) for i in range(4)]
         return sim, net, nodes
 
     def test_partition_blocks_cross_group_traffic(self):
@@ -483,8 +488,9 @@ class TestDynamicControls:
             latency=UniformLatency(base=0.01, jitter=0.0),
             config=NetworkConfig(processing_delay=0.0),
         )
-        _Recorder(0, sim, net)
-        b = _Recorder(1, sim, net)
+        runtime = DESRuntime(simulator=sim, network=net)
+        _Recorder(0, runtime)
+        b = _Recorder(1, runtime)
         net.set_latency_scale(4.0)
         net.send(0, 1, "slow")
         sim.run()
