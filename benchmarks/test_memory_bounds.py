@@ -59,7 +59,6 @@ from repro.bench.config import ExperimentCell
 from repro.consensus.quorum import QuorumTracker
 from repro.core.ordering import _BAR_HEAP_SLACK
 from repro.protocols.registry import available_protocols, build_system
-from repro.sim.events import Event
 
 from reference_orderer import held_blocks
 
@@ -412,7 +411,7 @@ class TestRunPhaseFootprint:
             entry
             for entries in queue._far.values()
             for entry in entries
-            if entry[2].__class__ is Event and entry[2].cancelled and not entry[2].live
+            if entry[2] is None and entry[3].cancelled and not entry[3].live
         ]
         assert not dead, f"{len(dead)} cancelled timers still queued in far buckets"
         assert system.runtime.simulator.now() == 3.0

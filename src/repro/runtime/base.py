@@ -25,8 +25,13 @@ Scheduling handles returned by :meth:`Runtime.schedule_at` /
 attribute (the :class:`~repro.sim.events.Event` contract); backends supply
 their own handle type.  Message deliveries do not pass through this
 interface: the transport (:class:`~repro.sim.network.Network`) hands each
-fan-out's arrival times to its scheduler's ``push_calls`` sink itself, so
-protocol code has nothing to schedule per delivery.
+fan-out's arrival times to its scheduler's ``push_calls`` sink itself,
+together with its *handler row* — the list whose slot ``i`` is node ``i``'s
+inbound handler — and the scheduler calls ``row[receiver](sender,
+message)`` at each arrival, counting it into the transport's
+``messages_delivered``.  Protocol code has nothing to schedule per
+delivery, and no transport frame sits between the scheduler and the
+receiving replica.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ Design notes:
 
 * The transport reuses :class:`~repro.sim.network.Network` verbatim — the
   network only needs ``now()``, ``push_calls()`` (its one delivery sink: a
-  fan-out's arrival times, pushed in order) and a seeded ``rng`` from its
+  fan-out's arrival times, pushed in order, each calling the receiver's
+  slot of the network's handler row), ``delivery_stats`` (where the
+  scheduler counts what it delivers) and a seeded ``rng`` from its
   scheduler, which this runtime provides.  Drop/duplicate/partition
   semantics, uplink serialisation, and byte accounting are therefore
   *identical* on both backends by construction.
@@ -35,7 +37,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.runtime.base import Runtime
 from repro.sim.latency import LatencyModel
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import Network, NetworkConfig, NetworkStats
 from repro.sim.trace import TraceRecorder
 
 
@@ -73,6 +75,8 @@ class RealtimeRuntime(Runtime):
         self.rng = random.Random(seed)
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.time_scale = time_scale
+        #: set by the network to its stats: ``_deliver`` counts into it
+        self.delivery_stats: Optional[NetworkStats] = None
         self.network = Network(self, latency=latency, config=config)
         self.stats = self.network.stats
         self.send = self.network.send
@@ -116,10 +120,16 @@ class RealtimeRuntime(Runtime):
         return self._push(self.now() + delay, callback, ())
 
     def push_calls(
-        self, times: Sequence[float], fn: Callable[..., None], a: Any, bs: Sequence[Any], c: Any
+        self, times: Sequence[float], row: Sequence[Callable[[Any, Any], None]], a: Any,
+        bs: Sequence[Any], c: Any,
     ) -> None:
+        """The network's delivery sink: ``row[b](a, c)`` at each ``times[i]``."""
         for time, b in zip(times, bs):
-            self._push(time, fn, (a, b, c))
+            self._push(time, self._deliver, (row, a, b, c))
+
+    def _deliver(self, row: Sequence[Callable[[Any, Any], None]], a: Any, b: Any, c: Any) -> None:
+        self.delivery_stats.messages_delivered += 1
+        row[b](a, c)
 
     def _push(self, time: float, fn: Callable[..., None], args: Tuple) -> ScheduledCall:
         item = ScheduledCall(time, next(self._seq), fn, args)

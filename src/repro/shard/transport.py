@@ -95,7 +95,7 @@ class ShardNetwork(Network):
         push_local = self._push_calls
 
         def route_calls(
-            arrivals: List[float], fn, sender: int, receivers: Sequence[int], message: Any
+            arrivals: List[float], row, sender: int, receivers: Sequence[int], message: Any
         ) -> None:
             local_arrivals: List[float] = []
             add_arrival = local_arrivals.append
@@ -113,7 +113,7 @@ class ShardNetwork(Network):
                     else:
                         record[0].append(arrival)
                         record[2].append(receiver)
-            push_local(local_arrivals, fn, sender, local_receivers, message)
+            push_local(local_arrivals, row, sender, local_receivers, message)
             for shard, record in records.items():
                 outboxes[shard].append(record)
 
@@ -146,14 +146,15 @@ class ShardNetwork(Network):
         """Deliver incoming cross-shard records into the local event queue.
 
         Callers pass frames in source-shard order, so each record's one
-        ``push_calls`` hands out sequence numbers (tie-breaks at equal
-        timestamps) reproducibly.  Every arrival is checked against the
-        executed horizon, through its record's earliest one — a violation
-        means the lookahead contract broke.
+        ``push_calls`` (against this shard's handler row) hands out sequence
+        numbers (tie-breaks at equal timestamps) reproducibly.  Every
+        arrival is checked against the executed horizon, through its
+        record's earliest one — a violation means the lookahead contract
+        broke.
         """
         horizon = self._horizon
         push_calls = self.simulator.queue.push_calls
-        deliver = self._deliver
+        row = self._row
         margin = self.min_margin
         for arrivals, sender, receivers, message in records:
             earliest = min(arrivals)
@@ -167,7 +168,7 @@ class ShardNetwork(Network):
                 )
             if gap < margin:
                 margin = gap
-            push_calls(arrivals, deliver, sender, receivers, message)
+            push_calls(arrivals, row, sender, receivers, message)
         self.min_margin = margin
 
     def set_horizon(self, time: float) -> None:

@@ -3,39 +3,53 @@
 The queue is the hottest data structure in a DES run (one push/pop per
 message delivery and per timer), so it is built for allocation thrift:
 
-* entries are plain tuples ``(time, seq, ...)`` so ordering is decided by
-  C-level tuple comparison instead of a Python ``__lt__`` per sift step;
-* cancellable events are slim ``__slots__`` objects (no dataclass protocol);
-* fire-and-forget deliveries skip the :class:`Event` wrapper entirely via
-  :meth:`EventQueue.push_call`, which stores the callable and its three
-  arguments directly in the entry tuple — no closure, no handle.
+* entries are plain 6-tuples ``(time, seq, row, a, b, c)`` so ordering is
+  decided by C-level tuple comparison instead of a Python ``__lt__``;
+* a message delivery is ``(time, seq, row, sender, receiver, message)``:
+  the run loop calls ``row[receiver](sender, message)``, where ``row`` is
+  the transport's per-node handler list — no closure, no handle, no frame
+  between the loop and the receiving replica;
+* a cancellable timer is ``(time, seq, None, event, None, None)`` around a
+  slim ``__slots__`` :class:`Event`.
 
 Events are ordered by ``(time, seq)`` so that two events scheduled for the
 same instant fire in scheduling order, keeping runs deterministic.
 
-**Two-tier calendar queue.**  A saturated n=128 WAN run keeps ~48 k
-deliveries in flight, and a binary heap that deep pays a cache-missing
-``log n`` sift per pop.  The queue therefore splits the timeline into
-buckets of :data:`BUCKET_SECONDS`:
+**Calendar queue.**  A saturated n=128 WAN run keeps ~48 k deliveries in
+flight.  The queue splits the timeline into buckets of
+:data:`BUCKET_SECONDS` and keeps three tiers:
 
-* the *near* tier is one small binary heap;
-* the *far* tier is a dict ``bucket index -> unsorted list`` plus a tiny
-  heap of the occupied bucket indices.
+* the *run*: the current bucket, sorted once in descending order when it is
+  loaded, and consumed from the end with ``list.pop()``;
+* the *side heap*: a small binary heap of the entries pushed at or below the
+  current bucket after it was loaded (self-deliveries, zero-delay timers);
+* the *far* tier: a dict ``bucket index -> unsorted list`` plus a tiny heap
+  of the occupied bucket indices.
 
-Invariant: the near tier holds exactly the entries whose bucket is ``<=``
-the current bucket; every far list is unsorted and belongs to a later
-bucket.  A far push is an O(1) ``list.append``; when the near tier runs dry
-the earliest far bucket is ``heapify``-ed into it, so every pop is a
-``heappop`` on the few hundred entries of one bucket.  Buckets are disjoint
-time ranges and ``(time, seq)`` decides the order inside one, so the pop
-order is exactly that of a single heap.  A queue-level cancel takes a far
-entry out of its list at once (a cancelled 10 s view-change timer would
-otherwise sit there for 10 s); near entries are discarded when popped.
+Invariant: the run and the side heap hold exactly the entries whose bucket
+is ``<=`` the current bucket; every far list is unsorted and belongs to a
+later bucket.  A far push is an O(1) ``list.append``.  When the run and the
+side heap are both empty, the earliest far bucket is sorted into the run:
+one ``list.sort`` of a few hundred tuples, whose first elements are all
+floats, takes ``list.sort``'s float fast path instead of a generic rich
+compare per heap sift.  The next entry is whichever of the run's last entry
+and the side heap's head is smaller.  Buckets are disjoint time ranges and
+``(time, seq)`` is unique, so the pop order is exactly that of a single
+heap.  A queue-level cancel takes a far entry out of its list at once (a
+cancelled 10 s view-change timer would otherwise sit there for 10 s);
+entries in the run or the side heap are discarded when popped.
+
+:func:`bucket_of` is the one bucketing rule.  :meth:`EventQueue.push_calls`
+repeats it inline (it is the per-delivery path), and a test pins the two
+together and against the run loop's horizon bucket.
 
 The bucket width is a constant, not an option: it only has to be well under
 one network delay (so in-flight traffic lands in the far tier) and wide
-enough to hold more than a handful of events; measured wall time is flat
-from 0.06 ms to 4 ms, so there is nothing to tune.
+enough that a bucket holds more than a handful of events.  With the sorted
+run, ``pbft-wan-n128`` took 26.3 and 23.4 s of wall time at 0.25 ms, 27.2
+and 23.3 s at 1 ms, and 26.1 and 25.1 s at 4 ms (two interleaved runs each,
+2-core x86-64 host, CPython 3.11): flat within the host's run-to-run
+spread, so there is nothing to tune.
 """
 
 # staticcheck: hot-path
@@ -49,6 +63,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 BUCKET_SECONDS = 0.001
 _BUCKETS_PER_SECOND = 1.0 / BUCKET_SECONDS
 _INFINITY = float("inf")
+
+
+def bucket_of(time: float) -> int:
+    """The calendar bucket of ``time``: the queue's one bucketing rule.
+
+    Raises ``OverflowError`` or ``ValueError`` for a non-finite time.
+    """
+    return int(time * _BUCKETS_PER_SECOND)
 
 
 class Event:
@@ -65,8 +87,9 @@ class Event:
     timer closure and everything that closure captured alive.  Nothing calls
     a cancelled event, so nothing reads the field again.  A queue-level
     cancel (:meth:`EventQueue.cancel`) of a far-tier entry also takes the
-    entry out of its bucket; a direct ``cancel()``, or a cancel in the near
-    tier, leaves the entry where it is until the queue reaches it.
+    entry out of its bucket; a direct ``cancel()``, or a cancel of an entry
+    at or below the current bucket, leaves the entry where it is until the
+    queue reaches it.
     """
 
     __slots__ = ("time", "seq", "callback", "label", "cancelled", "popped", "live")
@@ -96,9 +119,10 @@ class EventQueue:
     Two entry kinds share the queue (and one ``seq`` counter, so cross-kind
     FIFO ties stay deterministic):
 
-    * ``(time, seq, Event)`` — cancellable, pushed by :meth:`push`;
-    * ``(time, seq, fn, a, b, c)`` — a direct call ``fn(a, b, c)``, pushed by
-      :meth:`push_call`; never cancellable, used for message deliveries.
+    * ``(time, seq, None, event, None, None)`` — a cancellable timer, pushed
+      by :meth:`push`;
+    * ``(time, seq, row, a, b, c)`` — a direct call ``row[b](a, c)``, pushed
+      by :meth:`push_calls`; never cancellable, used for message deliveries.
 
     ``seq`` is unique, so tuple comparison never reaches the third element.
 
@@ -108,9 +132,12 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        #: near tier: heap of every entry with bucket <= ``_current``.  The
-        #: list object never changes, so the run loop may hold on to it.
+        #: the current bucket, sorted descending: its earliest entry is last.
+        #: The list object never changes, so the run loop may hold on to it.
         self._near: List[tuple] = []
+        #: heap of the entries pushed at or below ``_current`` after it was
+        #: loaded.  The list object never changes either.
+        self._side: List[tuple] = []
         self._current = -1
         #: far tier: later bucket -> its entries, in push order
         self._far: Dict[int, List[tuple]] = {}
@@ -121,24 +148,37 @@ class EventQueue:
         self._live = 0
 
     def push(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
+        try:
+            bucket = bucket_of(time)
+        except (OverflowError, ValueError):  # infinity, NaN: no bucket
+            raise ValueError(f"event time must be finite, got {time!r}") from None
         event = Event(time, next(self._counter), callback, label)
-        self._insert((time, event.seq, event))
+        entry = (time, event.seq, None, event, None, None)
+        if bucket <= self._current:
+            heapq.heappush(self._side, entry)
+        else:
+            entries = self._far.get(bucket)
+            if entries is None:
+                self._far[bucket] = [entry]
+                heapq.heappush(self._far_buckets, bucket)
+            else:
+                entries.append(entry)
+        self._live += 1
         return event
 
-    def push_call(self, time: float, fn: Callable[..., None], a: Any, b: Any, c: Any) -> None:
-        """Schedule ``fn(a, b, c)`` at ``time`` with no cancellation handle."""
-        self._insert((time, next(self._counter), fn, a, b, c))
-
     def push_calls(
-        self, times: Sequence[float], fn: Callable[..., None], a: Any, bs: Sequence[Any], c: Any
+        self, times: Sequence[float], row: Sequence[Callable[[Any, Any], None]], a: Any,
+        bs: Sequence[Any], c: Any,
     ) -> None:
-        """Schedule ``fn(a, b, c)`` at ``time`` for each pair of ``zip(times, bs)``.
+        """Schedule ``row[b](a, c)`` at ``time`` for each pair of ``zip(times, bs)``.
 
         The transport's one delivery sink, for a single unicast as for a
-        whole fan-out: equal to one :meth:`push_call` per pair, in order,
-        with the per-call work hoisted out of the loop (``_insert`` is
-        repeated inline for that).  ``bs`` is as long as ``times``.  Nothing
-        is scheduled if any time is non-finite.
+        whole fan-out: ``row`` is the transport's handler row, ``a`` the
+        sender, ``bs`` the receivers and ``c`` the message.  ``row[b]`` is
+        read when the entry fires, so a handler change before then is seen.
+        The placement is :meth:`push`'s, repeated inline with the per-call
+        work hoisted out of the loop.  ``bs`` is as long as ``times``.
+        Nothing is scheduled if any time is non-finite.
 
         A one-pair batch is the common call (every unicast), so the per-call
         cost stays in bytecode: the finiteness test compares the sum rather
@@ -153,45 +193,30 @@ class EventQueue:
         seq = self._counter
         index = 0
         for time in times:
-            bucket = int(time * _BUCKETS_PER_SECOND)
+            bucket = int(time * _BUCKETS_PER_SECOND)  # bucket_of, inline
             if bucket <= current:
-                heapq.heappush(self._near, (time, next(seq), fn, a, bs[index], c))
+                heapq.heappush(self._side, (time, next(seq), row, a, bs[index], c))
             else:
                 entries = far.get(bucket)
                 if entries is None:
-                    far[bucket] = [(time, next(seq), fn, a, bs[index], c)]
+                    far[bucket] = [(time, next(seq), row, a, bs[index], c)]
                     heapq.heappush(self._far_buckets, bucket)
                 else:
-                    entries.append((time, next(seq), fn, a, bs[index], c))
+                    entries.append((time, next(seq), row, a, bs[index], c))
             index += 1
         self._live += index
 
-    def _insert(self, entry: tuple) -> None:
-        try:
-            bucket = int(entry[0] * _BUCKETS_PER_SECOND)
-        except (OverflowError, ValueError):  # infinity, NaN: no bucket
-            raise ValueError(f"event time must be finite, got {entry[0]!r}") from None
-        if bucket <= self._current:
-            heapq.heappush(self._near, entry)
-        else:
-            entries = self._far.get(bucket)
-            if entries is None:
-                self._far[bucket] = [entry]
-                heapq.heappush(self._far_buckets, bucket)
-            else:
-                entries.append(entry)
-        self._live += 1
-
     def _refill(self) -> bool:
-        """Move the earliest populated far bucket into the (empty) near tier.
+        """Sort the earliest populated far bucket into the (empty) run.
 
+        Called only when the run and the side heap are both empty.
         :meth:`cancel` drops a far list once its last entry is cancelled
         but leaves the bucket index in ``_far_buckets`` (taking it out of
         the middle of a heap costs O(k)), and a later push into that bucket
         indexes it a second time.  Indices without a list are skipped, so
         ``_current`` only ever lands on a bucket that still has entries:
         landing on an emptied one would send every later push at or below
-        it into the near heap.  Returns ``False`` when no populated bucket
+        it into the side heap.  Returns ``False`` when no populated bucket
         is left.
         """
         far = self._far
@@ -203,9 +228,33 @@ class EventQueue:
                 self._current = bucket
                 near = self._near
                 near.extend(entries)
-                heapq.heapify(near)
+                near.sort(reverse=True)
                 return True
         return False
+
+    def _pop_entry(self) -> Optional[tuple]:
+        """Pop the earliest live entry, or ``None`` when nothing is left.
+
+        Settles the live count for what it pops and discards; a timer comes
+        back marked ``popped``.
+        """
+        near = self._near
+        side = self._side
+        while near or side or self._refill():
+            if side and not (near and near[-1] < side[0]):
+                entry = heapq.heappop(side)
+            else:
+                entry = near.pop()
+            if entry[2] is not None:
+                self._live -= 1
+                return entry
+            event = entry[3]
+            self._forget(event)
+            if event.cancelled:
+                continue
+            event.popped = True
+            return entry
+        return None
 
     def _forget(self, event: Event) -> None:
         """Remove ``event`` from the live count exactly once.
@@ -224,58 +273,54 @@ class EventQueue:
 
         Direct-call entries are wrapped into a fired-once :class:`Event` so
         callers see one uniform handle type.  The simulator's run loop reads
-        the near tier directly and never pays for this wrapper.
+        the tiers directly and never pays for this wrapper.
         """
-        near = self._near
-        while near or self._refill():
-            entry = heapq.heappop(near)
-            payload = entry[2]
-            if payload.__class__ is not Event:
-                self._live -= 1
-                fn, a, b, c = entry[2], entry[3], entry[4], entry[5]
-                wrapper = Event(entry[0], entry[1], lambda: fn(a, b, c))
-                wrapper.live = False
-                wrapper.popped = True
-                return wrapper
-            self._forget(payload)
-            if payload.cancelled:
-                continue
-            payload.popped = True
-            return payload
-        return None
+        entry = self._pop_entry()
+        if entry is None:
+            return None
+        time, seq, row, a, b, c = entry
+        if row is None:
+            return a
+        wrapper = Event(time, seq, lambda: row[b](a, c))
+        wrapper.live = False
+        wrapper.popped = True
+        return wrapper
 
     def peek_time(self) -> Optional[float]:
         """Return the timestamp of the earliest live event without popping.
 
-        Cancelled heads are discarded on the way, across both tiers, so the
-        answer is always a time at which something will fire.
+        Cancelled heads are discarded on the way, across every tier, so the
+        answer is always a time at which something will fire.  The earliest
+        entry is the run's *last* one or the side heap's *first* one.
         """
         near = self._near
-        while near or self._refill():
-            payload = near[0][2]
-            if payload.__class__ is Event and payload.cancelled:
-                self._forget(heapq.heappop(near)[2])
+        side = self._side
+        while near or side or self._refill():
+            from_side = side and not (near and near[-1] < side[0])
+            entry = side[0] if from_side else near[-1]
+            if entry[2] is None and entry[3].cancelled:
+                self._forget((heapq.heappop(side) if from_side else near.pop())[3])
                 continue
-            return near[0][0]
+            return entry[0]
         return None
 
     def cancel(self, event: Event) -> None:
         """Cancel ``event``; a far-tier entry leaves its bucket right away.
 
         A cancelled round timer would otherwise wait out the whole
-        view-change timeout in its far list.  Near-tier entries stay in the
-        heap and are discarded lazily when popped.  Either way the live
-        count drops now, and the pop order of every other entry is
-        unchanged.
+        view-change timeout in its far list.  Entries at or below the
+        current bucket stay where they are and are discarded lazily when
+        popped.  Either way the live count drops now, and the pop order of
+        every other entry is unchanged.
         """
         if event.popped or event.cancelled:
             return  # already delivered (or already cancelled): nothing is live
         event.cancel()
         self._forget(event)
-        bucket = int(event.time * _BUCKETS_PER_SECOND)
+        bucket = bucket_of(event.time)
         if bucket > self._current:
             entries = self._far[bucket]
-            entries.remove((event.time, event.seq, event))
+            entries.remove((event.time, event.seq, None, event, None, None))
             if not entries:
                 del self._far[bucket]
 

@@ -20,9 +20,13 @@ unicasts, so a fan-out leaves event ordering and RNG streams byte-for-byte
 those of per-receiver sends.
 
 The ``simulator`` collaborator is duck-typed: anything exposing ``now()``,
-``push_calls(times, fn, a, bs, c)`` and a seeded ``rng`` works, which is how
-the realtime runtime reuses this exact transport model on a wall-clock
-scheduler.
+``push_calls(times, row, a, bs, c)``, a seeded ``rng`` and a settable
+``delivery_stats`` works, which is how the realtime runtime reuses this
+exact transport model on a wall-clock scheduler.  The scheduler calls
+``row[receiver](sender, message)`` at each arrival and counts it into
+``delivery_stats.messages_delivered``; the network keeps ``row``, its
+*handler row*, so a delivery reaches the receiver's handler with no
+transport frame in between.
 
 Every delivery leaves through one *sink* bound at construction
 (:meth:`Network._install_sink`).  It is the only thing a backend that
@@ -87,8 +91,9 @@ class Network:
     """Delivers messages between nodes registered with the simulator.
 
     Nodes call :meth:`send` / :meth:`multicast`; the network computes delivery
-    times and schedules the receiver's ``deliver`` callback.  A partitioned or
-    crashed node can be isolated via :meth:`set_link_filter`.
+    times and schedules each arrival against the receiver's slot of its
+    handler row.  A partitioned or crashed node can be isolated via
+    :meth:`set_link_filter`.
     """
 
     def __init__(
@@ -102,6 +107,10 @@ class Network:
         self.config = config if config is not None else NetworkConfig()
         self.stats = NetworkStats()
         self._handlers: Dict[int, Callable[[int, Any], None]] = {}
+        #: the handler row: slot ``i`` is what a message arriving at ``i``
+        #: calls.  Deliveries in flight hold this list, so it is only ever
+        #: changed in place.
+        self._row: List[Callable[[int, Any], None]] = []
         self._registered_sorted: List[int] = []
         self._uplink_free_at: Dict[int, float] = {}
         self._link_filter: Optional[Callable[[int, int], bool]] = None
@@ -113,6 +122,8 @@ class Network:
         # model refuses negative delays when it is built), so the scheduler
         # needs no past-time guard per delivery.
         self._install_sink(simulator.push_calls)
+        # The scheduler counts the deliveries it runs into these stats.
+        simulator.delivery_stats = self.stats
         # Scheduler-owned trace recorder: deliveries are recorded here when
         # tracing is on, making the trace a full schedule witness for replay.
         trace = getattr(simulator, "trace", None)
@@ -123,16 +134,18 @@ class Network:
 
     # --------------------------------------------------------- delivery sink
     def _install_sink(
-        self, push_calls: Callable[[List[float], Callable, int, Sequence[int], Any], Any]
+        self, push_calls: Callable[[List[float], List[Callable], int, Sequence[int], Any], Any]
     ) -> None:
         """Set where finished deliveries go (construction time only).
 
-        Every delivery leaves through ``push_calls(arrivals, fn, sender,
+        Every delivery leaves through ``push_calls(arrivals, row, sender,
         receivers, message)`` — one call per fan-out, ``arrivals[i]``
         belonging to ``receivers[i]`` — and that callable is the whole seam
-        between the transport arithmetic and the scheduler.  It takes a
-        batch rather than one delivery because the batched hand-over is
-        what keeps the n=128 fan-out free of a Python frame per receiver.  A
+        between the transport arithmetic and the scheduler.  ``row`` is the
+        network's handler row: the scheduler calls ``row[receiver](sender,
+        message)`` when the message arrives.  It takes a batch rather than
+        one delivery because the batched hand-over is what keeps the n=128
+        fan-out free of a Python frame per receiver.  A
         subclass that delivers somewhere else (the sharded backend's
         :class:`~repro.shard.transport.ShardNetwork`) calls this from its
         constructor with a wrapper around the sink the base class resolved;
@@ -143,16 +156,64 @@ class Network:
 
     # --------------------------------------------------------- registration
     def register(self, node_id: int, handler: Callable[[int, Any], None]) -> None:
-        """Register the message handler for ``node_id``."""
+        """Register the message handler for ``node_id``.
+
+        The handler row grows to cover ``node_id``, with the unregistered
+        slot in the gaps.  With tracing on, the slot is a wrapper that
+        records the ``deliver`` entry before it calls ``handler``.
+        """
         if node_id in self._handlers:
             raise ValueError(f"node {node_id} already registered")
         self._handlers[node_id] = handler
         self._uplink_free_at[node_id] = 0.0
         self._registered_sorted = sorted(self._handlers.keys())
+        row = self._row
+        if node_id >= len(row):
+            row.extend([self._unregistered] * (node_id + 1 - len(row)))
+        row[node_id] = self._traced(node_id, handler) if self._trace.enabled else handler
 
     def unregister(self, node_id: int) -> None:
         self._handlers.pop(node_id, None)
         self._registered_sorted = sorted(self._handlers.keys())
+        if node_id < len(self._row):
+            self._row[node_id] = self._unregistered
+
+    def _unregistered(self, sender: int, message: Any) -> None:
+        """The row slot of an id with no handler: the arrival is a drop.
+
+        The scheduler counts every arrival it runs as delivered, so this
+        takes the arrival back out of ``messages_delivered``.  A message to
+        an id above every registered one has no slot at all (``IndexError``
+        when it arrives): no system sends to an id it never registered.
+        """
+        stats = self.stats
+        stats.messages_delivered -= 1
+        stats.record_drop("unregistered")
+
+    def _traced(
+        self, receiver: int, handler: Callable[[int, Any], None]
+    ) -> Callable[[int, Any], None]:
+        """``handler`` behind a ``deliver`` trace record.
+
+        Every delivery lands in the trace: together with cancellations and
+        fault-timeline actions this makes the trace a complete schedule
+        witness (replayable, digestable).
+        """
+        record = self._trace.record
+        now = self.simulator.now
+
+        def deliver(sender: int, message: Any) -> None:
+            record(
+                now(),
+                "deliver",
+                receiver,
+                sender=sender,
+                kind=message.__class__.__name__,
+                instance=getattr(message, "instance", -1),
+            )
+            handler(sender, message)
+
+        return deliver
 
     def set_link_filter(self, predicate: Optional[Callable[[int, int], bool]]) -> None:
         """Install a predicate(sender, receiver) -> deliverable? (None = all)."""
@@ -174,12 +235,12 @@ class Network:
             return
         perturb = perturbation.perturb
 
-        def push_perturbed(arrivals, fn, sender, receivers, message) -> None:
+        def push_perturbed(arrivals, row, sender, receivers, message) -> None:
             perturbed = [
                 perturb(arrival, sender, receiver)
                 for arrival, receiver in zip(arrivals, receivers)
             ]
-            base(perturbed, fn, sender, receivers, message)
+            base(perturbed, row, sender, receivers, message)
 
         self._push_calls = push_perturbed
 
@@ -234,27 +295,6 @@ class Network:
     def send(self, sender: int, receiver: int, message: Any, size_bytes: int = 0) -> None:
         """Send one message: a one-receiver :meth:`multicast`."""
         self.multicast(sender, (receiver,), message, size_bytes)
-
-    def _deliver(self, sender: int, receiver: int, message: Any) -> None:
-        handler = self._handlers.get(receiver)
-        if handler is None:
-            self.stats.record_drop("unregistered")
-            return
-        self.stats.messages_delivered += 1
-        trace = self._trace
-        if trace.enabled:
-            # Every delivery lands in the trace: together with cancellations
-            # and fault-timeline actions this makes the trace a complete
-            # schedule witness (replayable, digestable).
-            trace.record(
-                self.simulator.now(),
-                "deliver",
-                receiver,
-                sender=sender,
-                kind=message.__class__.__name__,
-                instance=getattr(message, "instance", -1),
-            )
-        handler(sender, message)
 
     def multicast(
         self, sender: int, receivers: Sequence[int], message: Any, size_bytes: int = 0
@@ -341,7 +381,7 @@ class Network:
             per_node[sender] = per_node.get(sender, 0) + sent
             self._uplink_free_at[sender] = uplink_free
         if arrivals:
-            self._push_calls(arrivals, self._deliver, sender, targets, message)
+            self._push_calls(arrivals, self._row, sender, targets, message)
 
     # ------------------------------------------------------------- inspection
     def registered_nodes(self) -> "list[int]":

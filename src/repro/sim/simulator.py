@@ -4,6 +4,8 @@ Timers go through :meth:`Simulator.schedule_at` and
 :meth:`Simulator.schedule_after` (cancellable, past-time guarded); message
 deliveries go through ``Simulator.push_calls``, the event queue's batched,
 handle-free entry point that the transport uses as its one delivery sink.
+A delivery entry carries the transport's handler row, and the run loop
+calls the receiver's handler from it directly.
 """
 
 # staticcheck: hot-path
@@ -13,11 +15,14 @@ import gc
 import heapq
 import random
 from math import isfinite
-from typing import Callable, Optional
+from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.sim.clock import VirtualClock
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event, EventQueue, bucket_of
 from repro.sim.trace import TraceRecorder
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.network import NetworkStats
 
 
 class Simulator:
@@ -36,10 +41,13 @@ class Simulator:
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self._events_processed = 0
         self._stopped = False
-        #: the network's delivery sink: schedule ``fn(a, b, c)`` at
+        #: the network's delivery sink: schedule ``row[b](a, c)`` at
         #: ``times[i]`` for each ``b = bs[i]``, with no past-time guard (the
         #: transport never computes an arrival before now)
         self.push_calls = self.queue.push_calls
+        #: the transport statistics whose ``messages_delivered`` counts the
+        #: deliveries this simulator runs; set by the network built on it
+        self.delivery_stats: Optional["NetworkStats"] = None
 
     # ------------------------------------------------------------------ time
     def now(self) -> float:
@@ -83,13 +91,18 @@ class Simulator:
 
         Returns the clock value when the loop stops.
 
-        The loop works on the queue's tiers directly: it drains the near
-        heap, whose entries are either ``(time, seq, Event)`` or ``(time,
-        seq, fn, a, b, c)`` direct calls (see
-        :class:`~repro.sim.events.EventQueue`), dispatching them inline to
-        avoid a Python frame per event, and has the queue load the next
-        bucket when the near heap runs dry.  The horizon is checked by
-        peeking, so nothing is ever popped only to be pushed back.
+        The loop works on the queue's tiers directly (see
+        :class:`~repro.sim.events.EventQueue`): it takes the earlier of the
+        sorted run's last entry and the side heap's head, unpacks it once,
+        and either calls ``row[receiver](sender, message)`` — a delivery
+        goes straight to the receiver's handler — or fires a timer.  When
+        both tiers are empty the queue sorts the next bucket into the run.
+
+        The horizon is checked only in buckets at or past ``until``'s
+        bucket: every entry of an earlier bucket lies at or below ``until``.
+        The one entry found past the horizon goes back to the side heap.
+        The live count, the event count and the transport's
+        ``messages_delivered`` are settled once, when the loop ends.
 
         The cyclic garbage collector is off while the loop runs and is put
         back the way it was on the way out, also when a callback raises.
@@ -100,45 +113,64 @@ class Simulator:
         self._stopped = False
         queue = self.queue
         near = queue._near
+        side = queue._side
         refill = queue._refill
         clock = self.clock
         heappop = heapq.heappop
-        processed = 0
-        events_class = Event
         bounded = until is not None
-        if bounded and not isfinite(until):
-            raise ValueError(f"until must be finite, got {until!r}")
+        if bounded:
+            if not isfinite(until):
+                raise ValueError(f"until must be finite, got {until!r}")
+            horizon_bucket = bucket_of(until)
+        checking = bounded and queue._current >= horizon_bucket
+        processed = fired = forgotten = 0
         at_horizon = False
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
             while not self._stopped:
-                if not near and not refill():
+                if side:
+                    if near and near[-1] < side[0]:
+                        entry = near.pop()
+                    else:
+                        entry = heappop(side)
+                elif near:
+                    entry = near.pop()
+                elif refill():
+                    checking = bounded and queue._current >= horizon_bucket
+                    continue
+                else:
                     break
-                if bounded and near[0][0] > until:
+                time, _seq, row, a, b, c = entry
+                if checking and time > until:
+                    heapq.heappush(side, entry)
                     at_horizon = True
                     break
-                entry = heappop(near)
-                payload = entry[2]
-                if payload.__class__ is events_class:
-                    queue._forget(payload)
-                    if payload.cancelled:
+                if row is None:  # a timer: ``a`` is its Event
+                    if a.live:
+                        a.live = False
+                        forgotten += 1
+                    if a.cancelled:
                         continue
-                    clock._now = entry[0]
-                    payload.popped = True
-                    payload.callback()
+                    clock._now = time
+                    a.popped = True
+                    fired += 1
+                    processed += 1
+                    a.callback()
                 else:
-                    clock._now = entry[0]
-                    queue._live -= 1
-                    payload(entry[3], entry[4], entry[5])
-                processed += 1
+                    clock._now = time
+                    processed += 1
+                    row[b](a, c)
                 if max_events is not None and processed >= max_events:
                     break
         finally:
             if gc_was_enabled:
                 gc.enable()
-            # Batched: one attribute store per run() instead of one per event.
+            delivered = processed - fired
+            queue._live -= delivered + forgotten
             self._events_processed += processed
+            if delivered and self.delivery_stats is not None:
+                self.delivery_stats.messages_delivered += delivered
         if at_horizon:
             clock.advance_to(until)
             return until
@@ -152,10 +184,16 @@ class Simulator:
 
     def step(self) -> bool:
         """Process exactly one event; returns False when the queue is empty."""
-        event = self.queue.pop()
-        if event is None:
+        entry = self.queue._pop_entry()
+        if entry is None:
             return False
-        self.clock.advance_to(event.time)
-        event.callback()
+        time, _seq, row, a, b, c = entry
+        self.clock.advance_to(time)
         self._events_processed += 1
+        if row is None:
+            a.callback()
+        else:
+            if self.delivery_stats is not None:
+                self.delivery_stats.messages_delivered += 1
+            row[b](a, c)
         return True

@@ -22,6 +22,8 @@ artifact replay check with a diagnostic naming the first divergent event.
 
 import hashlib
 
+import pytest
+
 from repro.bench.config import ExperimentCell
 from repro.protocols.registry import build_system
 from repro.sim.faults import CrashSpec, FaultConfig
@@ -142,6 +144,30 @@ def test_full_schedule_trace_replays_bit_exact():
                         for c in second_result.confirmed]
     assert first_confirmed == second_confirmed
     assert first_confirmed, "run confirmed nothing; trace equality is vacuous"
+
+
+@pytest.mark.parametrize("scenario", ["wan", "lossy-lan"])
+def test_traced_run_records_every_delivery_and_matches_the_untraced_run(scenario):
+    """With tracing on, the handler row holds wrappers that record each
+    delivery first: one ``deliver`` record per counted delivery, and the
+    run is otherwise the untraced one."""
+    def run(trace):
+        system = build_system(_cell(scenario=scenario, n=8, duration=6.0, trace=trace))
+        result = system.run()
+        confirmed = [
+            (c.block.instance, c.block.round, c.block.payload_digest, c.confirmed_at)
+            for c in result.confirmed
+        ]
+        return system, confirmed, result.network_stats
+
+    traced, traced_confirmed, traced_stats = run(trace=True)
+    _untraced, confirmed, stats = run(trace=False)
+    delivered = sum(1 for event in traced.trace if event.category == "deliver")
+    assert delivered == traced_stats.messages_delivered > 1000
+    assert traced_confirmed == confirmed and confirmed
+    assert traced_stats == stats
+    if scenario == "lossy-lan":  # drops and duplicates are on the path too
+        assert stats.messages_dropped and stats.messages_duplicated
 
 
 def test_trace_round_trips_through_jsonable():

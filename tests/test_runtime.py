@@ -68,7 +68,7 @@ def test_only_the_queue_and_the_run_loop_touch_the_queue_tiers():
     an ``EventQueue``'s private fields (the old ``queue._heap`` fast paths);
     fan-out goes through ``push_calls`` and head peeks through ``peek_time``.
     """
-    reach_in = re.compile(r"queue\._[a-z]|\._(near|far|far_buckets)\b")
+    reach_in = re.compile(r"queue\._[a-z]|\._(near|side|far|far_buckets)\b")
     owners = {Path("sim/events.py"), Path("sim/simulator.py")}
     root = Path(SRC, "repro")
     offenders = [

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.runtime.des import DESRuntime
 from repro.sim.clock import VirtualClock
-from repro.sim.events import _BUCKETS_PER_SECOND, BUCKET_SECONDS, Event, EventQueue
-from repro.sim.network import Network
+from repro.sim.events import BUCKET_SECONDS, EventQueue, bucket_of
+from repro.sim.network import Network, NetworkStats
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator
 from repro.sim.trace import TraceRecorder
@@ -22,6 +22,17 @@ from repro.sim.trace import TraceRecorder
 class _TimerNode(Node):
     def on_message(self, sender, message):  # pragma: no cover - never sent to
         pass
+
+
+class _Row:
+    """A handler row with a slot for every index: slot ``b`` calls
+    ``handler(a, b, c)``, so a delivery entry names its own receiver."""
+
+    def __init__(self, handler):
+        self.handler = handler
+
+    def __getitem__(self, b):
+        return lambda a, c: self.handler(a, b, c)
 
 
 class TestVirtualClock:
@@ -246,8 +257,9 @@ _TIMES = st.one_of(
 )
 _QUEUE_OPS = st.one_of(
     st.tuples(st.just("push"), _TIMES),
-    st.tuples(st.just("push_call"), _TIMES),
     st.tuples(st.just("push_calls"), st.lists(_TIMES, max_size=5)),
+    # a push into the bucket being drained (or just below it): the side heap
+    st.tuples(st.just("push_current"), st.floats(min_value=-0.5, max_value=0.999)),
     st.tuples(st.sampled_from(["cancel", "cancel_direct"]), st.integers(min_value=0)),
     # a push at the exact time of an earlier handle: often a bucket that a
     # queue-level cancel has just emptied
@@ -262,6 +274,7 @@ class _CheckedQueue(EventQueue):
     """An :class:`EventQueue` that checks its tier invariants on every refill."""
 
     def _refill(self):
+        assert not self._near and not self._side  # only an exhausted bucket is replaced
         before = self._current
         loaded = super()._refill()
         if loaded:
@@ -274,14 +287,17 @@ class _CheckedQueue(EventQueue):
 
 def _assert_tiers(queue):
     """Far lists are non-empty, lie above ``_current``, are indexed, and hold
-    no entry cancelled through :meth:`EventQueue.cancel`; near entries lie at
-    or below ``_current``."""
+    no entry cancelled through :meth:`EventQueue.cancel`; the run and the
+    side heap lie at or below ``_current``, the run sorted descending and
+    the side heap a heap."""
     for bucket, entries in queue._far.items():
         assert entries and bucket > queue._current and bucket in queue._far_buckets
         for entry in entries:
-            payload = entry[2]
-            assert not (isinstance(payload, Event) and payload.cancelled and not payload.live)
-    assert all(int(entry[0] * _BUCKETS_PER_SECOND) <= queue._current for entry in queue._near)
+            assert not (entry[2] is None and entry[3].cancelled and not entry[3].live)
+    near, side = queue._near, queue._side
+    assert all(bucket_of(entry[0]) <= queue._current for entry in near + side)
+    assert near == sorted(near, reverse=True)
+    assert all(side[(i - 1) // 2] <= side[i] for i in range(1, len(side)))
 
 
 class TestCalendarQueueOrder:
@@ -298,8 +314,7 @@ class TestCalendarQueueOrder:
         lazily_counted = 0  # direct cancels the queue has not noticed yet
         fired = []
 
-        def record(_a, ident, _c):
-            fired.append(ident)
+        row = _Row(lambda _a, ident, _c: fired.append(ident))
 
         def reference_head():
             while reference and reference[0][1] in gone:
@@ -334,13 +349,17 @@ class TestCalendarQueueOrder:
                 for ident, handle in handles.items():
                     queue.cancel(handle)
                     gone.add(ident)
-            elif kind == "push_call":
-                ident = next(ids)
-                queue.push_call(arg, record, None, ident, None)
-                heapq.heappush(reference, (arg, ident))
+            elif kind == "push_current":
+                time = max(0.0, (max(queue._current, 0) + arg) * BUCKET_SECONDS)
+                if arg < 0.5:
+                    push(time)
+                else:
+                    ident = next(ids)
+                    queue.push_calls([time], row, None, [ident], None)
+                    heapq.heappush(reference, (time, ident))
             elif kind == "push_calls":
                 batch = [next(ids) for _ in arg]
-                queue.push_calls(arg, record, None, batch, None)
+                queue.push_calls(arg, row, None, batch, None)
                 for time, ident in zip(arg, batch):
                     heapq.heappush(reference, (time, ident))
             elif kind in ("cancel", "cancel_direct"):
@@ -378,6 +397,22 @@ class TestCalendarQueueOrder:
         while queue:
             queue.pop().callback()
         assert order == [0.0101, 0.0100, 0.0103, 0.0105, "tie", 0.0109]
+
+    def test_peek_time_reads_both_heads_and_skips_a_cancelled_one_in_each(self):
+        queue = _CheckedQueue()
+        run = {time: queue.push(time, lambda: None) for time in (0.0101, 0.0104, 0.0106, 0.0109)}
+        assert queue.pop().time == 0.0101
+        assert queue.peek_time() == 0.0104  # the run's earliest entry is its last
+        side = queue.push(0.0103, lambda: None)  # the side heap's head is earlier
+        assert queue.peek_time() == 0.0103
+        side.cancel()  # a cancelled side-heap head
+        assert queue.peek_time() == 0.0104 and not queue._side
+        run[0.0104].cancel()  # a cancelled run head, with a live side head behind it
+        queue.push(0.0107, lambda: None)
+        assert queue.peek_time() == 0.0106 and queue._near[-1][0] == 0.0106
+        _assert_tiers(queue)
+        assert [queue.pop().time for _ in range(3)] == [0.0106, 0.0107, 0.0109]
+        assert len(queue) == 0 and queue.peek_time() is None
 
     def test_peek_time_looks_past_a_cancelled_bucket(self):
         queue = EventQueue()
@@ -454,9 +489,9 @@ class TestCalendarQueueOrder:
         with pytest.raises(ValueError, match="finite"):
             queue.push(bad, lambda: None)
         with pytest.raises(ValueError, match="finite"):
-            queue.push_call(bad, print, 1, 2, 3)
+            queue.push_calls([bad], [print], 1, [0], 4)
         with pytest.raises(ValueError, match="finite"):
-            queue.push_calls([0.5, bad], print, 1, [2, 3], 4)
+            queue.push_calls([0.5, bad], [print], 1, [0, 0], 4)
         assert len(queue) == 0 and queue.pop() is None
         sim = Simulator()
         sim.schedule_at(1.0, lambda: None)
@@ -473,6 +508,7 @@ class _HeapSimulator:
         self.seq = itertools.count()
         self.time = 0.0
         self.stopped = False
+        self.delivery_stats = NetworkStats()
 
     def now(self):
         return self.time
@@ -482,9 +518,13 @@ class _HeapSimulator:
         heapq.heappush(self.heap, entry)
         return entry
 
-    def push_calls(self, times, fn, a, bs, c):
+    def push_calls(self, times, row, a, bs, c):
         for time, b in zip(times, bs):
-            heapq.heappush(self.heap, [time, next(self.seq), lambda b=b: fn(a, b, c), False])
+            heapq.heappush(self.heap, [time, next(self.seq), lambda b=b: self._deliver(row, a, b, c), False])
+
+    def _deliver(self, row, a, b, c):
+        self.delivery_stats.messages_delivered += 1
+        row[b](a, c)
 
     def cancel(self, entry):
         entry[3] = True
@@ -513,20 +553,42 @@ class _HeapSimulator:
             self.time = until
         return self.time
 
+    def step(self):
+        while self.heap:
+            time, _seq, callback, cancelled = heapq.heappop(self.heap)
+            if not cancelled:
+                self.time = time
+                callback()
+                return True
+        return False
+
 
 #: zero delay, same bucket, bucket neighbours, a WAN hop, far timers
 _DELAYS = (0.0, 0.0, 1e-5, 4e-4, BUCKET_SECONDS, 2.5 * BUCKET_SECONDS, 0.04, 1.5, 1e6)
 
 
-def _drive(sim, seed, steps):
-    """A self-scheduling workload; returns everything observable about it."""
+def _edge(until, side):
+    """The first bucket edge above ``until``, moved ``side`` ulps (-1, 0, 1)."""
+    edge = (bucket_of(until) + 1) * BUCKET_SECONDS
+    if side < 0:
+        return math.nextafter(edge, 0.0)
+    return math.nextafter(edge, math.inf) if side > 0 else edge
+
+
+def _drive(sim, seed, steps, edges=False):
+    """A self-scheduling workload; returns everything observable about it.
+
+    ``steps`` are ``("run", advance, max_events, snap)`` — run to a horizon
+    ``advance`` past the last one, snapped to the next bucket edge or one
+    ulp either side of it when ``snap`` is not None — and ``("step", k)``,
+    ``k`` calls of ``step()``.  ``edges`` adds roots at bucket edges and one
+    ulp either side of them.
+    """
     rng = random.Random(seed)
     log = []
     pending = []
     budget = [300]
-
-    def deliver(parent, child, _c):
-        log.append((parent, child, sim.now()))
+    row = _Row(lambda parent, child, _c: log.append((parent, child, sim.now())))
 
     def fire(ident):
         log.append((ident, sim.now()))
@@ -544,46 +606,66 @@ def _drive(sim, seed, steps):
             budget[0] -= 1
             delay = rng.choice(_DELAYS)
             if rng.random() < 0.5:
-                sim.push_calls([sim.now() + delay], deliver, ident, [child], None)
+                sim.push_calls([sim.now() + delay], row, ident, [child], None)
             else:
                 name = (ident, child)
                 pending.append(sim.schedule_after(delay, lambda name=name: fire(name)))
 
     for root in range(5):
         sim.schedule_after(rng.choice(_DELAYS), lambda root=root: fire(root))
+    if edges:
+        for bucket in (1, 2, 3, 40):
+            for side in (-1, 0, 1):
+                time = _edge((bucket - 0.5) * BUCKET_SECONDS, side)
+                sim.schedule_after(time, lambda name=("edge", bucket, side): fire(name))
     returned = []
     until = 0.0
-    for advance, max_events in steps:
-        until += advance
+    for step in steps:
+        if step[0] == "step":
+            returned.append([(sim.step(), sim.now()) for _ in range(step[1])])
+            continue
+        _kind, advance, max_events, snap = step
+        until = max(until + advance, sim.now())
+        if snap is not None:
+            until = _edge(until, snap)
         returned.append((sim.run(until=until, max_events=max_events), sim.now()))
     returned.append((sim.run(), sim.now()))
-    return log, returned
+    return log, returned, sim.delivery_stats.messages_delivered
+
+
+_RUN_STEPS = st.tuples(
+    st.just("run"),
+    # horizons that land mid-bucket, on a boundary, and far out
+    st.one_of(
+        st.floats(min_value=0.0, max_value=4 * BUCKET_SECONDS),
+        st.sampled_from([0.0, BUCKET_SECONDS, 0.04, 2.0]),
+    ),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=20)),
+    st.sampled_from([None, None, -1, 0, 1]),
+)
+_STEP_STEPS = st.tuples(st.just("step"), st.integers(min_value=1, max_value=6))
 
 
 class TestRunLoopEquivalence:
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        steps=st.lists(
-            st.tuples(
-                # horizons that land mid-bucket, on a boundary, and far out
-                st.one_of(
-                    st.floats(min_value=0.0, max_value=4 * BUCKET_SECONDS),
-                    st.sampled_from([0.0, BUCKET_SECONDS, 0.04, 2.0]),
-                ),
-                st.one_of(st.none(), st.integers(min_value=1, max_value=20)),
-            ),
-            max_size=12,
-        ),
+        steps=st.lists(st.one_of(_RUN_STEPS, _STEP_STEPS), max_size=12),
+        edges=st.booleans(),
     )
     # a max_events stop that leaves only cancelled entries behind: the queue
     # has drained, so both loops fast-forward to the horizon
-    @example(seed=24, steps=[(0.00390625, None), (0.04, None), (0.04, 1)])
+    @example(
+        seed=24,
+        steps=[("run", 0.00390625, None, None), ("run", 0.04, None, None), ("run", 0.04, 1, None)],
+        edges=False,
+    )
     @settings(max_examples=200, deadline=None)
-    def test_run_matches_single_heap_reference(self, seed, steps):
+    def test_run_matches_single_heap_reference(self, seed, steps, edges):
         sim = Simulator()
         sim.queue = _CheckedQueue()
         sim.push_calls = sim.queue.push_calls
-        assert _drive(sim, seed, steps) == _drive(_HeapSimulator(), seed, steps)
+        sim.delivery_stats = NetworkStats()
+        assert _drive(sim, seed, steps, edges) == _drive(_HeapSimulator(), seed, steps, edges)
         _assert_tiers(sim.queue)
 
     def test_run_is_reentrant_with_a_growing_horizon(self):
@@ -612,6 +694,73 @@ class TestRunLoopEquivalence:
         assert sim.run(until=0.2) == 0.2 and fired == [0.0101, 0.0102]
         assert sim.step() and sim.now() == 0.3
         assert not sim.step()
+
+    def test_max_events_stop_then_resume_with_both_tiers_live(self):
+        sim = Simulator()
+        sim.delivery_stats = NetworkStats()
+        fired = []
+        row = _Row(lambda a, b, _c: fired.append((a, b)))
+        sim.push_calls([0.0101, 0.0103, 0.0107], row, "run", [0, 1, 2], None)
+
+        def first():
+            fired.append("timer")
+            # into the bucket being drained, around what is left of the run
+            sim.push_calls([0.0102, 0.0108], row, "side", [3, 4], None)
+
+        sim.schedule_at(0.0100, first)
+        assert sim.run(max_events=2) == 0.0101
+        assert fired == ["timer", ("run", 0)] and len(sim.queue) == 4
+        assert sim.run(until=0.0105, max_events=2) == 0.0103
+        assert fired[2:] == [("side", 3), ("run", 1)]
+        assert sim.run() == 0.0108
+        assert fired[4:] == [("run", 2), ("side", 4)]
+        assert sim.delivery_stats.messages_delivered == 5 and sim.events_processed == 6
+
+
+class TestBucketRule:
+    """:func:`bucket_of` places every entry: ``push`` and ``push_calls`` file
+    each time under it, and the run loop's horizon test agrees with it at
+    every bucket edge."""
+
+    TIMES = sorted(
+        {
+            math.nextafter(edge, direction)
+            for bucket in (0, 1, 2, 3, 7, 10, 999, 1000, 40_000, 10**9)
+            for edge in (bucket * BUCKET_SECONDS,)
+            for direction in (0.0, edge, math.inf)
+        }
+        | {0.0, 0.0105, 0.2, 1.5}
+    )
+
+    @staticmethod
+    def _filed_under(queue):
+        """``{time: bucket}`` as the queue holds them, current bucket included."""
+        filed = {entry[0]: queue._current for entry in queue._side}
+        for bucket, entries in queue._far.items():
+            filed.update((entry[0], bucket) for entry in entries)
+        return filed
+
+    @pytest.mark.parametrize("current", [-1, 2, 1000])
+    def test_push_and_push_calls_file_each_time_under_bucket_of(self, current):
+        expected = {time: max(bucket_of(time), current) for time in self.TIMES}
+        for how in ("push", "push_calls"):
+            queue = EventQueue()
+            queue._current = current
+            for time in self.TIMES:
+                if how == "push":
+                    queue.push(time, lambda: None)
+                else:
+                    queue.push_calls([time], [print], None, [0], None)
+            assert self._filed_under(queue) == expected, how
+
+    @pytest.mark.parametrize("until", TIMES)
+    def test_run_fires_exactly_the_entries_at_or_below_the_horizon(self, until):
+        sim = Simulator()
+        fired = []
+        for time in self.TIMES:
+            sim.schedule_at(time, lambda time=time: fired.append(time))
+        assert sim.run(until=until) == until
+        assert fired == [time for time in self.TIMES if time <= until]
 
 
 class TestRunLoopGarbageCollector:

@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import math
 import random
 
 import pytest
@@ -354,6 +355,34 @@ class TestNetwork:
         sim.run()
         times = {message: time for time, _, message in b.received}
         assert times["slow"] - times["fast"] == pytest.approx(0.09, rel=0.05)
+
+
+class TestUnregisteredDrop:
+    def test_a_message_to_an_id_without_a_handler_is_one_drop_at_arrival(self):
+        sim = Simulator(seed=1)
+        net = Network(
+            sim,
+            latency=UniformLatency(base=0.01, jitter=0.0),
+            config=NetworkConfig(processing_delay=0.0),
+        )
+        received = []
+        for node in (0, 1, 3):
+            net.register(node, lambda sender, message, node=node: received.append((node, message)))
+        net.unregister(1)
+        net.send(0, 1, "to an unregistered id")
+        net.send(0, 2, "to an id never registered")
+        net.send(0, 3, "to a registered id")
+        assert net.stats.messages_dropped == 0  # nothing is dropped when sent
+        sim.run(until=math.nextafter(0.01, 0.0))
+        assert net.stats.messages_dropped == 0 and received == []  # nor before it arrives
+        sim.run(until=0.01)  # every copy arrives at 0.01
+        assert received == [(3, "to a registered id")]
+        assert net.stats.messages_sent == 3
+        assert net.stats.messages_delivered == 1
+        assert net.stats.messages_dropped == 2
+        assert net.stats.drops_by_cause == {"unregistered": 2}
+        sim.run()
+        assert net.stats.messages_delivered == 1 and net.stats.messages_dropped == 2
 
 
 class TestDuplicateDelivery:
