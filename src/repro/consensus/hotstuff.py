@@ -151,13 +151,11 @@ class HotStuffInstance(ConsensusInstance):
 
     def _build_vote(self, message: HotStuffProposal) -> HotStuffVote:
         config = self.config
+        # HotStuffVote(sender, instance, view, round, digest, rank, rank_m,
+        # rank_certificate), positional: keywords cost a dict per call
         return HotStuffVote(
-            sender=config.replica_id,
-            instance=config.instance_id,
-            view=self.view,
-            round=message.round,
-            digest=message.digest,
-            rank=message.rank,
+            config.replica_id, config.instance_id, self.view, message.round,
+            message.digest, message.rank,
         )
 
     def _try_commit_three_chain(self, new_round: int, proposer: int) -> None:

@@ -98,15 +98,11 @@ class LadonHotStuffInstance(HotStuffInstance):
         """A vote reports the voter's curRank and its certificate (lines 25-26)."""
         config = self.config
         certificate = self.context.quorum_certificate(config.quorum)
+        # HotStuffVote(sender, instance, view, round, digest, rank, rank_m,
+        # rank_certificate), positional: keywords cost a dict per call
         return HotStuffVote(
-            sender=config.replica_id,
-            instance=config.instance_id,
-            view=self.view,
-            round=message.round,
-            digest=message.digest,
-            rank=message.rank,
-            rank_m=certificate.rank,
-            rank_certificate=certificate,
+            config.replica_id, config.instance_id, self.view, message.round,
+            message.digest, message.rank, certificate.rank, certificate,
         )
 
     def _on_qc_formed(self, round: int) -> None:

@@ -11,6 +11,19 @@ design re-summed ``rank_reports`` on every access, which on a multicast
 meant one O(reports) scan per receiver — O(n²) per proposal.  Batches ride
 along by reference (``txs`` is the same tuple object at every hop), so a
 message fan-out never copies payload data.
+
+Every message is built through :func:`repro.core.frozen.fast_init`, the
+one constructor for hot frozen values (blocks, rank certificates and
+reports, and confirmations use it too).  The dataclass-generated
+``__init__`` of a frozen class stores each field through
+``object.__setattr__``; on CPython 3.11 that made a ``Prepare`` cost
+2.2–2.7 µs and an 11-field ``Block`` 2.3–3.0 µs, against 0.4–0.6 µs for
+the same ``Block`` unfrozen.  ``fast_init`` stores through each slot's
+descriptor instead: 1.4–1.7 µs per ``Prepare`` and 1.05–1.1 µs per
+``Block`` (best of 5 runs of 200 k constructions, two rounds).  The
+classes stay frozen, so assignment after construction still raises.  Hot
+call sites build ``HotStuffVote`` positionally: keywords cost CPython a
+dict per call, 0.5–1.0 µs more.
 """
 
 # staticcheck: hot-path
@@ -19,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.core.frozen import fast_init
 from repro.core.rank import RankCertificate, RankReport
 
 
@@ -32,6 +46,7 @@ def batch_size_bytes(tx_count: int, tx_payload_bytes: int = 500) -> int:
     return tx_count * tx_payload_bytes
 
 
+@fast_init
 @dataclass(frozen=True, slots=True)
 class InstanceMessage:
     """Base class: every instance message names its view/round/instance.
@@ -55,6 +70,7 @@ class InstanceMessage:
 
 
 # --------------------------------------------------------------------- PBFT
+@fast_init
 @dataclass(frozen=True, slots=True)
 class PrePrepare(InstanceMessage):
     """Leader's proposal.  Carries the batch, its digest, the assigned rank,
@@ -87,6 +103,7 @@ class PrePrepare(InstanceMessage):
         return base + rank_bytes + cert_bytes
 
 
+@fast_init
 @dataclass(frozen=True, slots=True)
 class Prepare(InstanceMessage):
     digest: str = ""
@@ -96,6 +113,7 @@ class Prepare(InstanceMessage):
         return HEADER_BYTES + SIGNATURE_BYTES + DIGEST_BYTES
 
 
+@fast_init
 @dataclass(frozen=True, slots=True)
 class Commit(InstanceMessage):
     digest: str = ""
@@ -105,6 +123,7 @@ class Commit(InstanceMessage):
         return HEADER_BYTES + SIGNATURE_BYTES + DIGEST_BYTES
 
 
+@fast_init
 @dataclass(frozen=True, slots=True)
 class RankMessage(InstanceMessage):
     """A backup's report of its current highest certified rank to the leader
@@ -131,6 +150,7 @@ class RankMessage(InstanceMessage):
 
 
 # -------------------------------------------------------------- view change
+@fast_init
 @dataclass(frozen=True, slots=True)
 class ViewChange(InstanceMessage):
     """Sent to the prospective leader of view ``view`` when a timer expires."""
@@ -142,6 +162,7 @@ class ViewChange(InstanceMessage):
         return HEADER_BYTES + SIGNATURE_BYTES + 16
 
 
+@fast_init
 @dataclass(frozen=True, slots=True)
 class NewView(InstanceMessage):
     """New leader's announcement, justified by 2f+1 view-change messages."""
@@ -154,6 +175,7 @@ class NewView(InstanceMessage):
 
 
 # --------------------------------------------------------------- checkpoint
+@fast_init
 @dataclass(frozen=True, slots=True)
 class CheckpointMessage(InstanceMessage):
     """Broadcast at the end of an epoch; 2f+1 form a stable checkpoint."""
@@ -166,6 +188,7 @@ class CheckpointMessage(InstanceMessage):
 
 
 # ----------------------------------------------------------------- HotStuff
+@fast_init
 @dataclass(frozen=True, slots=True)
 class HotStuffProposal(InstanceMessage):
     """A chained-HotStuff generic message: a new node extending ``parent_round``
@@ -197,6 +220,7 @@ class HotStuffProposal(InstanceMessage):
         )
 
 
+@fast_init
 @dataclass(frozen=True, slots=True)
 class HotStuffVote(InstanceMessage):
     digest: str = ""

@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.core.frozen import fast_init
 from repro.crypto.hashing import digest_hex
 
 
+@fast_init
 @dataclass(frozen=True, slots=True)
 class BlockId:
     """Uniquely identifies a block by instance and round."""
@@ -26,6 +28,7 @@ class BlockId:
         return f"B^{self.instance}_{self.round}"
 
 
+@fast_init
 @dataclass(frozen=True, slots=True)
 class Block:
     """A partially committed (or proposed) block.
@@ -74,22 +77,6 @@ class Block:
     @property
     def tx_count(self) -> int:
         return len(self.txs) if self.txs else self.tx_count_hint
-
-    def with_commit_time(self, committed_at: float) -> "Block":
-        """Return a copy of this block annotated with its partial-commit time."""
-        return Block(
-            instance=self.instance,
-            round=self.round,
-            rank=self.rank,
-            txs=self.txs,
-            epoch=self.epoch,
-            proposer=self.proposer,
-            proposed_at=self.proposed_at,
-            committed_at=committed_at,
-            payload_digest=self.payload_digest,
-            tx_count_hint=self.tx_count_hint,
-            batch_submitted_at=self.batch_submitted_at,
-        )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"Block(inst={self.instance}, round={self.round}, rank={self.rank})"

@@ -41,8 +41,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.block import Block, ordering_key
+from repro.core.frozen import fast_init
 
 
+@fast_init
 @dataclass(frozen=True, slots=True)
 class ConfirmedBlock:
     """A globally confirmed block with its global ordering index ``sn``."""
@@ -60,6 +62,7 @@ class ConfirmedBlock:
         return self.block.instance
 
 
+@fast_init
 @dataclass(frozen=True, slots=True)
 class ConfirmationBar:
     """The confirmation bar: the lowest ordering key future blocks can take."""

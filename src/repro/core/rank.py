@@ -10,9 +10,12 @@ to the epoch's ``maxRank``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
+
+from repro.core.frozen import fast_init
 
 
+@fast_init
 @dataclass(frozen=True, slots=True)
 class RankCertificate:
     """Proof that a rank was carried by a block prepared by 2f+1 replicas.
@@ -40,6 +43,7 @@ class RankCertificate:
         return 8
 
 
+@fast_init
 @dataclass(frozen=True, slots=True)
 class RankReport:
     """A rank message from one replica: its current highest certified rank."""
@@ -95,17 +99,6 @@ class RankState:
             reported = self._reported = RankCertificate(self.rank, signer_count)
         return reported
 
-    def report(self, replica: int, view: int, round: int, instance: int) -> RankReport:
-        """Produce the rank message this replica sends to a leader."""
-        return RankReport(
-            replica=replica,
-            rank=self.rank,
-            view=view,
-            round=round,
-            instance=instance,
-            certificate=self.certificate,
-        )
-
 
 def choose_rank(
     reports: Sequence[RankReport],
@@ -139,15 +132,3 @@ def choose_rank(
     winning = max(pool, key=lambda r: r.rank)
     rank = min(winning.rank + 1, max_rank)
     return rank, winning
-
-
-def merge_reports(
-    existing: Iterable[RankReport], new: Iterable[RankReport]
-) -> Tuple[RankReport, ...]:
-    """Merge rank reports keeping, per replica, only the highest-rank report."""
-    best = {}
-    for report in list(existing) + list(new):
-        current = best.get(report.replica)
-        if current is None or report.rank > current.rank:
-            best[report.replica] = report
-    return tuple(sorted(best.values(), key=lambda r: r.replica))

@@ -111,13 +111,6 @@ class ResourceModel:
         usage.crypto_ops[operation] = usage.crypto_ops.get(operation, 0) + count
         usage.cpu_seconds += cost * count
 
-    def record_message_handled(self, replica: int, size_bytes: int = 0) -> None:
-        usage = self.usage(replica)
-        usage.messages_handled += 1
-        usage.cpu_seconds += (
-            self.cost_model.message_handling + self.cost_model.per_byte * size_bytes
-        )
-
     def record_bytes_sent(self, replica: int, size_bytes: int) -> None:
         usage = self.usage(replica)
         usage.bytes_sent += size_bytes

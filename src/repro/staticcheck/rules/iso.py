@@ -5,7 +5,9 @@ processes.  That is only a refactor — not a behaviour change — if protocol
 code keeps all state per-instance and treats received messages as immutable
 values.  These rules pin the three ways that invariant historically breaks:
 module-level mutable state, in-place mutation of received messages inside
-handlers, and ``object.__setattr__`` escapes on frozen flyweights.
+handlers, and escapes on frozen flyweights: ``object.__setattr__`` outside
+``__post_init__``, or a slot descriptor's ``__set__`` outside the one
+constructor module, :mod:`repro.core.frozen`.
 """
 
 from __future__ import annotations
@@ -146,13 +148,30 @@ class IsoHandlerMutationRule(Rule):
                 yield from self._check_handler(module, node)
 
 
+#: the one module that may store through a slot descriptor's ``__set__``
+CONSTRUCTOR_MODULE = "repro.core.frozen"
+
+
 class IsoFrozenEscapeRule(Rule):
     id = "ISO-003"
-    name = "no object.__setattr__ outside __post_init__"
+    name = "no object.__setattr__ outside __post_init__, no slot __set__ outside repro.core.frozen"
     scope = "all scanned files"
 
     def check(self, module) -> Iterator[Violation]:
         for node, ctx in walk_with_context(module.tree):
+            if isinstance(node, ast.Attribute) and node.attr == "__set__":
+                # Reading ``Cls.field.__set__`` is how a frozen slot is
+                # written around ``FrozenInstanceError``: called on the spot
+                # or kept as a bound setter, only the constructor may do it.
+                if module.module != CONSTRUCTOR_MODULE:
+                    yield self.violation(
+                        module,
+                        node,
+                        "descriptor __set__ outside repro.core.frozen; a "
+                        "frozen value's slots are written only by its "
+                        "constructor",
+                    )
+                continue
             if not isinstance(node, ast.Call):
                 continue
             if dotted_name(node.func) != "object.__setattr__":

@@ -8,7 +8,6 @@ from repro.core.rank import (
     RankReport,
     RankState,
     choose_rank,
-    merge_reports,
 )
 
 
@@ -34,13 +33,6 @@ class TestBlock:
 
     def test_payload_digest_filled(self):
         assert make_block().payload_digest != ""
-
-    def test_with_commit_time(self):
-        block = make_block()
-        committed = block.with_commit_time(4.5)
-        assert committed.committed_at == 4.5
-        assert committed.block_id == block.block_id
-        assert block.committed_at is None
 
     @pytest.mark.parametrize("field,value", [("rank", -1), ("round", -1), ("instance", -1)])
     def test_negative_fields_rejected(self, field, value):
@@ -87,14 +79,6 @@ class TestRankState:
         state.observe(7, cert)
         assert state.certificate is cert
 
-    def test_report_carries_state(self):
-        state = RankState()
-        state.observe(9)
-        report = state.report(replica=2, view=0, round=4, instance=1)
-        assert report.rank == 9
-        assert report.replica == 2
-        assert report.round == 4
-
 
 def _report(replica, rank):
     return RankReport(replica=replica, rank=rank, view=0, round=1, instance=0)
@@ -137,17 +121,6 @@ class TestChooseRank:
         byz_rank, _ = choose_rank(reports, quorum=quorum, max_rank=1000, byzantine_minimize=True)
         median = sorted(r.rank for r in reports)[len(reports) // 2]
         assert byz_rank >= median + 1
-
-
-class TestMergeReports:
-    def test_keeps_highest_per_replica(self):
-        merged = merge_reports([_report(0, 3), _report(1, 2)], [_report(0, 5)])
-        by_replica = {r.replica: r.rank for r in merged}
-        assert by_replica == {0: 5, 1: 2}
-
-    def test_sorted_by_replica(self):
-        merged = merge_reports([_report(2, 1)], [_report(0, 1), _report(1, 1)])
-        assert [r.replica for r in merged] == [0, 1, 2]
 
 
 class TestRankCertificate:

@@ -213,6 +213,36 @@ def rule_ids(violations):
     return [v.rule for v in violations]
 
 
+class TestFrozenSlotEscapes:
+    """ISO-003 also covers a slot descriptor's ``__set__``, which writes a
+    frozen value as surely as ``object.__setattr__``; only the constructor
+    module may touch it."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "def bump(block):\n    type(block).rank.__set__(block, block.rank + 1)\n",
+            "from repro.core.block import Block\n\n"
+            "def setter():\n    return Block.rank.__set__\n",
+            "class M:\n"
+            "    def __post_init__(self):\n"
+            "        type(self).size.__set__(self, 10)\n",
+        ],
+        ids=["call", "bound-setter", "in-post-init"],
+    )
+    def test_descriptor_set_fires_outside_the_constructor(self, source):
+        for module in ("repro.consensus._fixture", "repro.core.block", "repro.sim._fixture"):
+            assert "ISO-003" in rule_ids(check_source(source, module=module)), module
+
+    def test_the_constructor_module_may_use_it(self):
+        source = "def bind(cls, name):\n    return getattr(cls, name).__set__\n"
+        assert "ISO-003" not in rule_ids(check_source(source, module="repro.core.frozen"))
+
+    def test_defining_a_descriptor_is_not_an_escape(self):
+        source = "class D:\n    def __set__(self, obj, value):\n        pass\n"
+        assert "ISO-003" not in rule_ids(check_source(source, module="repro.consensus._fixture"))
+
+
 # ------------------------------------------------------------ rule fixtures
 class TestRuleFixtures:
     @pytest.mark.parametrize("rule_id", sorted(POSITIVE_FIXTURES))
