@@ -288,7 +288,6 @@ class TestBoundedStateStructure:
             assert replica.metrics is None
             assert replica.orderer.confirmed_count > 0
             for instance in replica.instances.values():
-                assert instance.delivered_blocks == []
                 assert len(instance.commit_log) > 0  # compact audit log
 
     def test_committed_round_entries_pruned(self, system):

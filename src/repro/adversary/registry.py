@@ -56,9 +56,9 @@ register_adversary(
         name="equivocation",
         description=(
             "replica 3 forks its instance's proposals and votes into two "
-            "conflicting worlds; tolerable at n >= 4 (one fork can never "
-            "reach quorum), so honest odd replicas stall on instance 3 "
-            "while safety holds"
+            "conflicting worlds; safe only at n = 3f+1 today, where one fork "
+            "can never reach quorum and honest odd replicas stall on "
+            "instance 3 (at n=5 both forks commit: ROADMAP item 1)"
         ),
         attacks=(Equivocation(replicas=(3,)),),
     )

@@ -66,12 +66,6 @@ class AdversarySpec:
                     specs[replica] = StragglerSpec(replica=replica, slowdown=attack.slowdown)
         return tuple(specs[replica] for replica in sorted(specs))
 
-    def message_attacks(self) -> Tuple[Attack, ...]:
-        """The attacks carried by the message interceptor."""
-        return tuple(
-            attack for attack in self.attacks if not isinstance(attack, RankManipulation)
-        )
-
     def describe(self) -> str:
         return "; ".join(attack.describe() for attack in self.attacks)
 

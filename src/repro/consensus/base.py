@@ -223,6 +223,29 @@ class CollectingContext(InstanceContext):
         callback()
 
 
+class EpochStop:
+    """The epoch rule of Algorithms 2 and 3, one copy for both Ladon stacks.
+
+    A leader that proposes ``maxRank(e)`` proposes nothing more until the
+    context reports a later epoch.
+    """
+
+    #: the epoch whose ``maxRank`` this leader proposed (-1: none yet)
+    _epoch_of_stop = -1
+
+    def _cap_rank(self, rank: int, max_rank: int, epoch: int) -> int:
+        """``rank`` capped at ``max_rank``; proposing the cap stops this leader for ``epoch``."""
+        if rank >= max_rank:
+            self._epoch_of_stop = epoch
+            return max_rank
+        return rank
+
+    def _stopped_for_epoch(self) -> bool:
+        stop = self._epoch_of_stop
+        # a leader that never proposed a maxRank reads no epoch
+        return stop >= 0 and stop == self.context.current_epoch()
+
+
 class ConsensusInstance:
     """Common scaffolding for all instance implementations."""
 

@@ -66,12 +66,7 @@ class HotStuffInstance(ConsensusInstance):
         #: and every round at or below it is QC'd
         self.high_qc_round = 0
         self.last_committed_round = 0
-        #: full Block history of this instance's commits; only appended when
-        #: ``retain_blocks`` (the bounded-memory system mode clears it off
-        #: the observer replica) — the compact ``commit_log`` always grows
-        self.delivered_blocks: list = []
         self.commit_log = CommitLog()
-        self.retain_blocks = True
         # Committed rounds fold into a contiguous watermark; chain nodes
         # behind the watermark are pruned (their batches are released) and
         # vote state for QC'd rounds is dropped, keeping memory O(window).
@@ -188,8 +183,6 @@ class HotStuffInstance(ConsensusInstance):
             target.batch_submitted_at,
         )
         self.commit_log.record(target_round, digest, now)
-        if self.retain_blocks:
-            self.delivered_blocks.append(block)
         context.deliver(block)
         self._on_committed(target)
         self._gc_committed(target_round)

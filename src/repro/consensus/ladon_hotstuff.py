@@ -14,13 +14,13 @@ certifies ranks.
 
 from __future__ import annotations
 
-from repro.consensus.base import InstanceConfig, InstanceContext
+from repro.consensus.base import EpochStop, InstanceConfig, InstanceContext
 from repro.consensus.hotstuff import HotStuffInstance
 from repro.consensus.messages import HotStuffProposal, HotStuffVote
 from repro.crypto.hashing import digest_hex
 
 
-class LadonHotStuffInstance(HotStuffInstance):
+class LadonHotStuffInstance(EpochStop, HotStuffInstance):
     """Algorithm 3 of the paper."""
 
     def __init__(
@@ -31,21 +31,15 @@ class LadonHotStuffInstance(HotStuffInstance):
     ) -> None:
         super().__init__(config, context)
         self.byzantine_rank_manipulation = byzantine_rank_manipulation
-        self.stopped_for_epoch = False
-        self._epoch_of_stop = -1
         if byzantine_rank_manipulation:
             # Ranks reported by voters for the next proposal (leader side).
             self._vote_ranks = {}
 
     # -------------------------------------------------------------- proposing
     def ready_to_propose(self) -> bool:
-        if self.stopped_for_epoch and self._epoch_of_stop == self.context.current_epoch():
+        if self._stopped_for_epoch():
             return False
         return super().ready_to_propose()
-
-    def begin_epoch(self, epoch: int) -> None:
-        if self._epoch_of_stop < epoch:
-            self.stopped_for_epoch = False
 
     def _choose_rank(self) -> int:
         """Pick the rank for a new node from the leader's curRank.
@@ -65,12 +59,7 @@ class LadonHotStuffInstance(HotStuffInstance):
 
     def _build_proposal(self, round: int, batch, now: float) -> HotStuffProposal:
         epoch = self.context.current_epoch()
-        max_rank = self.context.max_rank()
-        rank = self._choose_rank()
-        if rank >= max_rank:
-            rank = max_rank
-            self.stopped_for_epoch = True
-            self._epoch_of_stop = epoch
+        rank = self._cap_rank(self._choose_rank(), self.context.max_rank(), epoch)
         parent_round = round - 1
         parent = self.nodes.get(parent_round)
         certificate = self.context.quorum_certificate(self.config.quorum)

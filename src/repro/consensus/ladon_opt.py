@@ -16,9 +16,12 @@ Ladon-PBFT; what changes is *how the rank information travels*:
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.consensus.ladon_pbft import LadonPBFTInstance
 from repro.consensus.messages import PrePrepare, RankMessage
 from repro.consensus.pbft import RoundEntry
+from repro.core.rank import RankCertificate, RankReport
 
 
 #: private keys per replica for the rank-difference encoding: key ``k`` says
@@ -36,26 +39,10 @@ class LadonOptInstance(LadonPBFTInstance):
     """Ladon-PBFT with the aggregate-signature rank message optimisation."""
 
     # -------------------------------------------------------------- proposing
-    def _build_pre_prepare(self, round: int, batch, now: float) -> PrePrepare:
-        base = super()._build_pre_prepare(round, batch, now)
-        # Same rank and certificate, but the report set is replaced by a single
-        # aggregate signature whose size is O(1) in n.
-        return PrePrepare(
-            sender=base.sender,
-            instance=base.instance,
-            view=base.view,
-            round=base.round,
-            digest=base.digest,
-            tx_count=base.tx_count,
-            txs=base.txs,
-            rank=base.rank,
-            epoch=base.epoch,
-            rank_certificate=base.rank_certificate,
-            rank_reports=(),
-            aggregated_rank_proof_bytes=_aggregate_proof_bytes(self.config.quorum),
-            proposed_at=base.proposed_at,
-            batch_submitted_at=base.batch_submitted_at,
-        )
+    def _rank_proof(self, reports: Tuple[RankReport, ...]) -> Tuple[Tuple[RankReport, ...], int]:
+        """Same rank and certificate, but the report set is replaced by a
+        single aggregate signature whose size is O(1) in n."""
+        return (), _aggregate_proof_bytes(self.config.quorum)
 
     # --------------------------------------------------------- rank validation
     def _validate_rank(self, message: PrePrepare) -> bool:
@@ -74,41 +61,16 @@ class LadonOptInstance(LadonPBFTInstance):
         return message.rank >= 0
 
     # ------------------------------------------------------------- rank flow
-    def _on_prepared(self, entry: RoundEntry) -> None:
-        """Send the rank message signed with the key encoding the difference."""
-        self.context.observe_rank(entry.rank, None, self.config.quorum)
-        self.context.record_crypto("aggregate")
-        certificate = self.context.quorum_certificate(self.config.quorum)
-        current = certificate.rank
-        difference = max(0, current - entry.rank)
-        key_index = min(difference, KEY_COUNT - 1)
-        rank_msg = RankMessage(
+    def _rank_message(self, entry: RoundEntry, certificate: RankCertificate) -> RankMessage:
+        """Report the round's rank, signed with the key encoding the difference
+        to the certified curRank (:meth:`RankMessage.to_report` decodes it)."""
+        difference = max(0, certificate.rank - entry.rank)
+        return RankMessage(
             sender=self.replica_id,
             instance=self.instance_id,
             view=self.view,
             round=entry.round,
             rank=entry.rank,
-            key_index=key_index,
+            key_index=min(difference, KEY_COUNT - 1),
             certificate=certificate,
         )
-        self.context.record_crypto("sign")
-        leader = self.config.leader_for_view(self.view)
-        if leader == self.replica_id:
-            self._store_rank_report(self.replica_id, rank_msg)
-        else:
-            self.context.send(leader, rank_msg, rank_msg.size_bytes)
-
-    def _store_rank_report(self, sender: int, message: RankMessage) -> None:
-        """Decode the reported rank from the key index before storing it."""
-        if message.key_index is not None:
-            decoded_rank = message.rank + message.key_index
-            message = RankMessage(
-                sender=message.sender,
-                instance=message.instance,
-                view=message.view,
-                round=message.round,
-                rank=decoded_rank,
-                certificate=message.certificate,
-                key_index=message.key_index,
-            )
-        super()._store_rank_report(sender, message)

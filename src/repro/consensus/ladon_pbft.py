@@ -20,16 +20,16 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
 
-from repro.consensus.base import InstanceConfig, InstanceContext
+from repro.consensus.base import EpochStop, InstanceConfig, InstanceContext
 from repro.consensus.messages import PrePrepare, RankMessage
 from repro.consensus.pbft import PBFTInstance, RoundEntry
 from repro.core.block import Block
-from repro.core.rank import RankReport, choose_rank
+from repro.core.rank import RankCertificate, RankReport, choose_rank
 from repro.crypto.hashing import digest_hex
 from repro.workload.transactions import Batch
 
 
-class LadonPBFTInstance(PBFTInstance):
+class LadonPBFTInstance(EpochStop, PBFTInstance):
     """Algorithm 2 of the paper."""
 
     HANDLERS: Mapping[type, str] = MappingProxyType(
@@ -49,15 +49,12 @@ class LadonPBFTInstance(PBFTInstance):
         # Pruned as the proposal cursor advances: reports for rounds the
         # leader has already proposed past can never gate anything again.
         self.rank_reports: Dict[int, Dict[int, RankReport]] = {}
-        # Set once the epoch's maxRank has been proposed; cleared on new epoch.
-        self.stopped_for_epoch = False
-        self._epoch_of_stop = -1
 
     # -------------------------------------------------------------- proposing
     def ready_to_propose(self) -> bool:
         if not super().ready_to_propose():
             return False
-        if self.stopped_for_epoch and self._epoch_of_stop == self.context.current_epoch():
+        if self._stopped_for_epoch():
             return False
         if self.next_round == 1:
             return True
@@ -68,11 +65,6 @@ class LadonPBFTInstance(PBFTInstance):
             # certified curRank (as in round 1).
             return True
         return len(reports) >= self.config.quorum
-
-    def begin_epoch(self, epoch: int) -> None:
-        """Called by the hosting replica when the system advances to ``epoch``."""
-        if self._epoch_of_stop < epoch:
-            self.stopped_for_epoch = False
 
     def propose(self, batch: Batch, now: float):
         message = super().propose(batch, now)
@@ -136,11 +128,9 @@ class LadonPBFTInstance(PBFTInstance):
                 # The manipulating leader only reveals the lowest 2f+1 reports
                 # so the (lower) chosen rank still validates.
                 reports = tuple(sorted(reports, key=lambda r: r.rank)[: self.config.quorum])
-        if rank >= max_rank:
-            rank = max_rank
-            self.stopped_for_epoch = True
-            self._epoch_of_stop = epoch
+        rank = self._cap_rank(rank, max_rank, epoch)
         self.context.record_crypto("aggregate")
+        rank_reports, proof_bytes = self._rank_proof(reports)
         return PrePrepare(
             sender=self.replica_id,
             instance=self.instance_id,
@@ -152,10 +142,16 @@ class LadonPBFTInstance(PBFTInstance):
             rank=rank,
             epoch=epoch,
             rank_certificate=winning.certificate,
-            rank_reports=reports,
+            rank_reports=rank_reports,
+            aggregated_rank_proof_bytes=proof_bytes,
             proposed_at=now,
             batch_submitted_at=batch.submitted_at,
         )
+
+    def _rank_proof(self, reports: Tuple[RankReport, ...]) -> Tuple[Tuple[RankReport, ...], int]:
+        """What a pre-prepare carries to prove its rank: the report set itself
+        (and no aggregate)."""
+        return reports, 0
 
     # --------------------------------------------------------- rank validation
     def _validate_pre_prepare(self, sender: int, message: PrePrepare) -> bool:
@@ -198,7 +194,17 @@ class LadonPBFTInstance(PBFTInstance):
         self.context.observe_rank(entry.rank, None, self.config.quorum)
         self.context.record_crypto("aggregate")
         certificate = self.context.quorum_certificate(self.config.quorum)
-        rank_msg = RankMessage(
+        rank_msg = self._rank_message(entry, certificate)
+        self.context.record_crypto("sign")
+        leader = self.config.leader_for_view(self.view)
+        if leader == self.replica_id:
+            self._store_rank_report(self.replica_id, rank_msg)
+        else:
+            self.context.send(leader, rank_msg, rank_msg.size_bytes)
+
+    def _rank_message(self, entry: RoundEntry, certificate: RankCertificate) -> RankMessage:
+        """The rank message for ``entry``'s round: the replica's certified curRank."""
+        return RankMessage(
             sender=self.replica_id,
             instance=self.instance_id,
             view=self.view,
@@ -206,12 +212,6 @@ class LadonPBFTInstance(PBFTInstance):
             rank=certificate.rank,
             certificate=certificate,
         )
-        self.context.record_crypto("sign")
-        leader = self.config.leader_for_view(self.view)
-        if leader == self.replica_id:
-            self._store_rank_report(self.replica_id, rank_msg)
-        else:
-            self.context.send(leader, rank_msg, rank_msg.size_bytes)
 
     def _on_rank_message(self, sender: int, message: RankMessage) -> None:
         # (entry verification accounted at the dispatch site)
@@ -227,9 +227,10 @@ class LadonPBFTInstance(PBFTInstance):
             # gate a proposal again; storing them would regrow pruned state.
             return
         per_round = self.rank_reports.setdefault(message.round, {})
+        report = message.to_report()
         existing = per_round.get(sender)
-        if existing is None or message.rank > existing.rank:
-            per_round[sender] = message.to_report()
+        if existing is None or report.rank > existing.rank:
+            per_round[sender] = report
 
     # ---------------------------------------------------------------- commits
     def _on_committed(self, entry: RoundEntry, block: Block) -> None:

@@ -128,7 +128,8 @@ class Commit(InstanceMessage):
 class RankMessage(InstanceMessage):
     """A backup's report of its current highest certified rank to the leader
     (Algorithm 2, lines 27-28).  ``key_index`` is only used by Ladon-opt,
-    where the rank difference is encoded in the signing key."""
+    where the rank difference is encoded in the signing key: the reported
+    rank is then ``rank + key_index``."""
 
     rank: int = 0
     certificate: Optional[RankCertificate] = None
@@ -139,13 +140,14 @@ class RankMessage(InstanceMessage):
         return HEADER_BYTES + SIGNATURE_BYTES + 8 + cert
 
     def to_report(self) -> RankReport:
+        rank = self.rank if self.key_index is None else self.rank + self.key_index
         return RankReport(
             replica=self.sender,
-            rank=self.rank,
+            rank=rank,
             view=self.view,
             round=self.round,
             instance=self.instance,
-            certificate=self.certificate or RankCertificate(rank=self.rank),
+            certificate=self.certificate or RankCertificate(rank=rank),
         )
 
 

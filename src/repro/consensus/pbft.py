@@ -23,9 +23,7 @@ Hot-path / memory notes:
   stale messages for pruned rounds are dropped at handler entry).  The
   compact columnar ``commit_log`` (:class:`CommitLog`) keeps (round,
   digest) per commit and the last commit time for the safety auditor;
-  full :class:`Block` objects are retained in
-  ``delivered_blocks`` only when ``retain_blocks`` is set (the default —
-  the bounded-memory system mode disables it off the observer replica).
+  a committed :class:`Block` goes to the host and is not kept here.
 """
 
 # staticcheck: hot-path
@@ -105,12 +103,8 @@ class PBFTInstance(ConsensusInstance):
         self.prepare_votes = QuorumTracker(config.quorum)
         self.commit_votes = QuorumTracker(config.quorum)
         self.view_change_in_progress = False
-        #: full Block history of this instance's partial commits; only
-        #: appended when ``retain_blocks`` (see module docstring)
-        self.delivered_blocks: list = []
         #: compact (round, digest) history + last commit time for the auditor
         self.commit_log = CommitLog()
-        self.retain_blocks = True
         #: first round of the current view after a view change (0 = no view change yet)
         self.view_resume_round = 0
         # ----- hot-path vote keys: digest -> small interned int -----
@@ -324,8 +318,6 @@ class PBFTInstance(ConsensusInstance):
             batch_submitted_at=entry.batch_submitted_at,
         )
         self.commit_log.record(entry.round, entry.digest, now)
-        if self.retain_blocks:
-            self.delivered_blocks.append(block)
         self.context.deliver(block)
         self._on_committed(entry, block)
         self._gc_committed(entry)

@@ -7,7 +7,7 @@ metric).  The protocol systems in :mod:`repro.protocols` drive these
 against the simulated network.
 """
 
-from repro.core.block import Block, BlockId, ordering_key, precedes
+from repro.core.block import Block, BlockId, ordering_key
 from repro.core.rank import RankState, RankReport, RankCertificate, choose_rank
 from repro.core.ordering import (
     GlobalOrderer,
@@ -24,7 +24,6 @@ __all__ = [
     "Block",
     "BlockId",
     "ordering_key",
-    "precedes",
     "RankState",
     "RankReport",
     "RankCertificate",

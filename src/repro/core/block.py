@@ -24,9 +24,6 @@ class BlockId:
     instance: int
     round: int
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"B^{self.instance}_{self.round}"
-
 
 @fast_init
 @dataclass(frozen=True, slots=True)
@@ -78,15 +75,7 @@ class Block:
     def tx_count(self) -> int:
         return len(self.txs) if self.txs else self.tx_count_hint
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Block(inst={self.instance}, round={self.round}, rank={self.rank})"
-
 
 def ordering_key(block: Block) -> Tuple[int, int]:
     """The total-order key: increasing rank, ties broken by instance index."""
     return (block.rank, block.instance)
-
-
-def precedes(a: Block, b: Block) -> bool:
-    """``a ≺ b``: a is globally ordered before b (Sec. 4.2)."""
-    return ordering_key(a) < ordering_key(b)

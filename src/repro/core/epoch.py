@@ -39,11 +39,6 @@ class EpochConfig:
     def max_rank(self, epoch: int) -> int:
         return self.min_rank(epoch) + self.length - 1
 
-    def epoch_of_rank(self, rank: int) -> int:
-        if rank < 0:
-            raise ValueError("rank must be non-negative")
-        return rank // self.length
-
 
 @dataclass
 class EpochState:

@@ -53,14 +53,6 @@ class ConfirmedBlock:
     sn: int
     confirmed_at: float
 
-    @property
-    def rank(self) -> int:
-        return self.block.rank
-
-    @property
-    def instance(self) -> int:
-        return self.block.instance
-
 
 @fast_init
 @dataclass(frozen=True, slots=True)

@@ -31,10 +31,6 @@ class PredeterminedOrderer(GlobalOrderer):
         self.num_instances = num_instances
         self._pending: Dict[int, PendingEntry] = {}
         self._next_sn = 0
-        # Highest global index ever received; because confirmation drains a
-        # contiguous prefix, whenever ``_pending`` is non-empty this is also
-        # the highest *pending* index, giving an O(1) ``hole_count``.
-        self._highest_seen = -1
 
     def global_index(self, block: Block) -> int:
         """The pre-determined index of ``block`` (rounds are 1-based)."""
@@ -51,8 +47,6 @@ class PredeterminedOrderer(GlobalOrderer):
         if index < self._next_sn or index in self._pending:
             return []  # duplicate delivery
         self._pending[index] = self._pending_entry(block)
-        if index > self._highest_seen:
-            self._highest_seen = index
         newly: List[Confirmation] = []
         pending = self._pending
         while self._next_sn in pending:
@@ -61,15 +55,3 @@ class PredeterminedOrderer(GlobalOrderer):
         if not pending:
             pending.clear()  # release the emptied table (pop never shrinks it)
         return newly
-
-    # ------------------------------------------------------------- inspection
-    def next_missing_index(self) -> int:
-        """The global index of the hole currently blocking confirmation."""
-        return self._next_sn
-
-    def hole_count(self) -> int:
-        """Number of holes below the highest pending index (diagnostic)."""
-        if not self._pending:
-            return 0
-        expected = self._highest_seen - self._next_sn + 1
-        return expected - len(self._pending)

@@ -32,9 +32,6 @@ class RankCertificate:
     rank: int
     signer_count: int = 0
 
-    def is_genesis(self) -> bool:
-        return self.signer_count == 0
-
     @property
     def size_bytes(self) -> int:
         if self.signer_count:

@@ -157,8 +157,3 @@ class SchedulePerturbation:
             # guarantee existed, so no clamp (and the frontier stays put).
         self.applied.append(time - arrival)
         return time
-
-    @property
-    def deliveries(self) -> int:
-        """How many deliveries have been perturbed so far."""
-        return self._index

@@ -3,7 +3,7 @@ and the safety/liveness auditor that self-verifies every run."""
 
 from repro.metrics.auditor import AuditViolation, SafetyAuditReport, audit_system
 from repro.metrics.collector import MetricsCollector, RunMetrics
-from repro.metrics.throughput import ThroughputSeries, peak_throughput
+from repro.metrics.throughput import ThroughputSeries
 from repro.metrics.latency import LatencyAccumulator
 from repro.metrics.resources import ResourceModel, ResourceUsage, CryptoCostModel
 
@@ -14,7 +14,6 @@ __all__ = [
     "SafetyAuditReport",
     "audit_system",
     "ThroughputSeries",
-    "peak_throughput",
     "LatencyAccumulator",
     "ResourceModel",
     "ResourceUsage",

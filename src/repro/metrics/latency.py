@@ -26,10 +26,6 @@ class LatencyAccumulator:
         self.samples.append(latency)
         self.weights.append(tx_count)
 
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
     def average(self) -> float:
         total_weight = sum(self.weights)
         if not total_weight:
@@ -38,19 +34,3 @@ class LatencyAccumulator:
 
     def maximum(self) -> float:
         return max(self.samples) if self.samples else 0.0
-
-    def percentile(self, percentile: float) -> float:
-        """Weighted percentile of per-block latencies."""
-        if not self.samples:
-            return 0.0
-        if not 0 <= percentile <= 100:
-            raise ValueError("percentile must be within [0, 100]")
-        pairs = sorted(zip(self.samples, self.weights))
-        total = sum(self.weights)
-        threshold = total * percentile / 100.0
-        running = 0.0
-        for sample, weight in pairs:
-            running += weight
-            if running >= threshold:
-                return sample
-        return pairs[-1][0]

@@ -102,20 +102,6 @@ class ResourceModel:
         """The op -> CPU-seconds mapping (hot-path callers index it directly)."""
         return self._costs
 
-    # ------------------------------------------------------------- recording
-    def record_crypto(self, replica: int, operation: str, count: int = 1) -> None:
-        cost = self._costs.get(operation)
-        if cost is None:
-            raise KeyError(f"unknown crypto operation {operation!r}")
-        usage = self.usage(replica)
-        usage.crypto_ops[operation] = usage.crypto_ops.get(operation, 0) + count
-        usage.cpu_seconds += cost * count
-
-    def record_bytes_sent(self, replica: int, size_bytes: int) -> None:
-        usage = self.usage(replica)
-        usage.bytes_sent += size_bytes
-        usage.cpu_seconds += self.cost_model.per_byte * size_bytes
-
     # ------------------------------------------------------------ aggregation
     def average_cpu_percent(self, duration: float) -> float:
         if not self._per_replica:
@@ -128,9 +114,6 @@ class ResourceModel:
             return 0.0
         values = [u.bandwidth_mbps(duration) for u in self._per_replica.values()]
         return sum(values) / len(values)
-
-    def total_bytes(self) -> int:
-        return sum(u.bytes_sent for u in self._per_replica.values())
 
     def total_crypto_ops(self) -> Dict[str, int]:
         totals: Dict[str, int] = {}

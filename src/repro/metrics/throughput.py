@@ -8,7 +8,7 @@ second (paper Sec. 6.2); blocks count toward throughput when they become
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 @dataclass
@@ -47,22 +47,8 @@ class ThroughputSeries:
             out.append((index * self.bin_width, count / self.bin_width))
         return out
 
-    def average(self, duration: float) -> float:
-        """Average throughput over ``duration`` seconds (tx/s)."""
-        if duration <= 0:
-            return 0.0
-        return self.total_txs / duration
-
     def peak(self) -> float:
         """Peak per-bin throughput (tx/s)."""
         if not self._bins:
             return 0.0
         return max(self._bins.values()) / self.bin_width
-
-
-def peak_throughput(confirmations: Sequence[Tuple[float, int]], bin_width: float = 1.0) -> float:
-    """Convenience: peak tx/s over a list of (time, tx_count) confirmations."""
-    series = ThroughputSeries(bin_width=bin_width)
-    for time, count in confirmations:
-        series.record(time, count)
-    return series.peak()

@@ -197,9 +197,7 @@ class MultiBFTReplica(Node):
 
     def _build_instances(self) -> None:
         for instance_id in range(self.config.n):
-            instance = self.build_instance(instance_id)
-            instance.retain_blocks = self.retain_history
-            self.instances[instance_id] = instance
+            self.instances[instance_id] = self.build_instance(instance_id)
         self._build_route()
 
     def _build_route(self) -> None:
@@ -368,9 +366,9 @@ class MultiBFTReplica(Node):
             # Loopback without a network hop.
             self._dispatch(node_id, message)
             return
-        # Node.send's checks, in its order, then the transport's one
-        # fan-out with one receiver: no Node.send -> Network.send frames on
-        # every vote.
+        # Node.multicast's checks, in its order, then the transport's one
+        # fan-out with one receiver: no Node -> Network frames on every
+        # vote.
         if self.crashed:
             return
         interceptor = self.interceptor
@@ -523,9 +521,6 @@ class MultiBFTReplica(Node):
                 self._on_epoch_advanced(self.pacemaker.current_epoch)
 
     def _on_epoch_advanced(self, new_epoch: int) -> None:
-        for instance in self.instances.values():
-            if hasattr(instance, "begin_epoch"):
-                instance.begin_epoch(new_epoch)
         # Checkpoint vote state for long-settled epochs is dead: the cluster
         # advanced past them, so their quorums can never matter again.  The
         # previous epoch is kept for the view-change re-broadcast rule.

@@ -31,9 +31,7 @@ class DQBFTReplica(MultiBFTReplica):
         super().__init__(node_id, system, *args, **kwargs)
         self.block_rate = system.block_rate
         self.ordering_instance_id = self.config.n
-        ordering_instance = self._build_ordering_instance()
-        ordering_instance.retain_blocks = self.retain_history
-        self.instances[self.ordering_instance_id] = ordering_instance
+        self.instances[self.ordering_instance_id] = self._build_ordering_instance()
         self._build_route()  # include the ordering instance in the fast path
         # Blocks this replica (as the sequencer) still has to sequence.
         self._pending_decisions: List[BlockId] = []

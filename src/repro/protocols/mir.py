@@ -1,15 +1,11 @@
 """Mir-BFT baseline.
 
 Mir (Stathakopoulou et al., JSys 2022) is the predecessor of ISS: the same
-pre-determined interleaving of instance logs into a global log, but with a
-heavier normal path — every replica re-verifies client request signatures in
-each batch and epochs end eagerly when any leader is suspected.  In the
-paper's evaluation Mir tracks ISS/RCC closely but with somewhat lower
-throughput and higher latency even without stragglers (Fig. 5).
-
-We model the protocol difference that matters at the measured scale: the
-per-batch request re-verification, charged as additional verify operations
-and a small per-proposal processing delay at every replica.
+pre-determined interleaving of instance logs into a global log, with a
+heavier normal path.  Of that path only the per-batch client request
+re-verification is modelled: every replica charges
+``max(1, int(tx_count * REQUEST_VERIFICATION_FRACTION))`` extra verify
+operations per pre-prepare.  Everything else is ISS-PBFT.
 """
 
 from __future__ import annotations

@@ -72,10 +72,6 @@ class Runtime:
         """Schedule ``callback`` ``delay`` seconds from now; returns a handle."""
         raise NotImplementedError
 
-    def spawn(self, callback: Callable[[], None], label: str = "") -> Any:
-        """Run ``callback`` as soon as possible (next scheduler slot)."""
-        return self.schedule_after(0.0, callback, label)
-
     def cancel(self, handle: Any) -> None:
         """Cancel a handle returned by ``schedule_at``/``schedule_after``."""
         handle.cancel()
@@ -83,9 +79,6 @@ class Runtime:
     # ------------------------------------------------------------- transport
     def register(self, node_id: int, handler: Callable[[int, Any], None]) -> None:
         """Register the inbound-message handler for ``node_id``."""
-        raise NotImplementedError
-
-    def unregister(self, node_id: int) -> None:
         raise NotImplementedError
 
     def send(self, sender: int, receiver: int, message: Any, size_bytes: int = 0) -> None:
@@ -125,18 +118,12 @@ class Runtime:
     def drop_probability(self) -> float:
         raise NotImplementedError
 
-    def set_link_filter(self, predicate: Optional[Callable[[int, int], bool]]) -> None:
-        raise NotImplementedError
-
     # -------------------------------------------------------------- run loop
     def run(self, until: Optional[float] = None) -> float:
         """Drive the backend until ``until`` (seconds); returns the end time."""
         raise NotImplementedError
 
-    def stop(self) -> None:
-        """Request the run loop to stop after the current callback."""
-        raise NotImplementedError
-
     @property
     def events_processed(self) -> int:
+        """Events the run loop has run (the two DES backends; perfbench reads it)."""
         raise NotImplementedError

@@ -50,23 +50,20 @@ class DESRuntime(Runtime):
         self.schedule_at = self.simulator.schedule_at
         self.schedule_after = self.simulator.schedule_after
         self.cancel = self.simulator.cancel
-        self.stop = self.simulator.stop
         self.send = self.network.send
         self.multicast = self.network.multicast
         self.register = self.network.register
-        self.unregister = self.network.unregister
         self.registered_nodes = self.network.registered_nodes
         self.set_partition = self.network.set_partition
         self.heal_partition = self.network.heal_partition
         self.set_latency_scale = self.network.set_latency_scale
         self.set_drop_probability = self.network.set_drop_probability
-        self.set_link_filter = self.network.set_link_filter
         self.set_delivery_perturbation = self.network.set_delivery_perturbation
 
     # ------------------------------------------------------------- run loop
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         """Run the event loop; the cyclic GC is off inside it and restored after."""
-        return self.simulator.run(until=until, max_events=max_events)
+        return self.simulator.run(until=until)
 
     def step(self) -> bool:
         return self.simulator.step()

@@ -82,13 +82,11 @@ class RealtimeRuntime(Runtime):
         self.send = self.network.send
         self.multicast = self.network.multicast
         self.register = self.network.register
-        self.unregister = self.network.unregister
         self.registered_nodes = self.network.registered_nodes
         self.set_partition = self.network.set_partition
         self.heal_partition = self.network.heal_partition
         self.set_latency_scale = self.network.set_latency_scale
         self.set_drop_probability = self.network.set_drop_probability
-        self.set_link_filter = self.network.set_link_filter
         self.set_delivery_perturbation = self.network.set_delivery_perturbation
         self._heap: List[Tuple[float, int, ScheduledCall]] = []
         self._seq = itertools.count()
@@ -99,7 +97,6 @@ class RealtimeRuntime(Runtime):
         self._finished: Optional[asyncio.Event] = None
         self._until: Optional[float] = None
         self._error: Optional[BaseException] = None
-        self._events_processed = 0
         self._final_now = 0.0
 
     # ------------------------------------------------------------------ time
@@ -165,7 +162,6 @@ class RealtimeRuntime(Runtime):
             item = heapq.heappop(heap)[2]
             if item.cancelled:
                 continue
-            self._events_processed += 1
             try:
                 item.fn(*item.args)
             except BaseException as exc:  # noqa: BLE001 - re-raised from run()
@@ -224,10 +220,6 @@ class RealtimeRuntime(Runtime):
         if self._finished is not None:
             self._finished.set()
 
-    def stop(self) -> None:
-        if self._loop is not None:
-            self._loop.call_soon(self._finish)
-
     @property
     def partitioned(self) -> bool:
         return self.network.partitioned
@@ -235,7 +227,3 @@ class RealtimeRuntime(Runtime):
     @property
     def drop_probability(self) -> float:
         return self.network.drop_probability
-
-    @property
-    def events_processed(self) -> int:
-        return self._events_processed

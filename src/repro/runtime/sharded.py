@@ -262,10 +262,8 @@ class ShardedDESRuntime(Runtime):
         self.sync.rounds += 1
         return next_inboxes, pending_min, next_min
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         """Drive all shards to ``until`` through epoch-barrier windows."""
-        if max_events is not None:
-            raise ValueError("the sharded runtime cannot bound max_events globally")
         duration = until if until is not None else self.config.duration
         if self._finished:
             raise RuntimeError("a sharded runtime drives exactly one run")
@@ -357,9 +355,6 @@ class ShardedDESRuntime(Runtime):
         if sys.platform != "darwin":  # ru_maxrss is KiB on Linux
             own *= 1024
         return own + sum(self.worker_peak_rss_bytes)
-
-    def stop(self) -> None:
-        self.close()
 
 
 def _merge_network_stats(total: NetworkStats, part: NetworkStats) -> None:

@@ -19,7 +19,7 @@ into the destination shard's queue before its next window
 per record), which checks the conservative-synchronization invariant: no
 arrival may predate the receiving shard's executed horizon.
 
-Sender-side effects (stats, link filter, partition, loss, uplink busy time,
+Sender-side effects (stats, partition, loss, uplink busy time,
 latency draws) all happen on the *sending* shard exactly as they would in
 one process, so the cross-shard channel carries finished arrivals — the
 receiving shard never re-rolls RNG for them.
@@ -74,7 +74,7 @@ class ShardNetwork(Network):
     def registered_nodes(self) -> List[int]:
         """Global membership (stable identity), not just local handlers.
 
-        Registration never changes mid-run (crashes do not unregister), so
+        Registration never changes mid-run (a crash keeps its handler), so
         the full-id list is correct on every shard and keeps the replicas'
         fan-out split caches valid.
         """

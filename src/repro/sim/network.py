@@ -10,8 +10,8 @@ This module sits on the simulation hot path (one fan-out per protocol
 message), and :meth:`Network.multicast` is its only sending code —
 :meth:`Network.send` is a one-receiver fan-out.  A protocol replica's
 unicast (every HotStuff vote) enters :meth:`multicast` directly with a
-one-receiver tuple, after ``Node.send``'s crash and interceptor checks
-(``MultiBFTReplica.send_protocol_message``).  The fan-out is one loop
+one-receiver tuple, after the crash and interceptor checks
+``Node.multicast`` makes (``MultiBFTReplica.send_protocol_message``).  The fan-out is one loop
 with the per-send work hoisted around it: the sender's bandwidth, the uplink
 clamp and the latency profile before it, the statistics and the uplink store
 after it.  The per-receiver *order* of operations (drop checks, uplink
@@ -92,8 +92,7 @@ class Network:
 
     Nodes call :meth:`send` / :meth:`multicast`; the network computes delivery
     times and schedules each arrival against the receiver's slot of its
-    handler row.  A partitioned or crashed node can be isolated via
-    :meth:`set_link_filter`.
+    handler row.  Nodes are isolated with :meth:`set_partition`.
     """
 
     def __init__(
@@ -113,7 +112,6 @@ class Network:
         self._row: List[Callable[[int, Any], None]] = []
         self._registered_sorted: List[int] = []
         self._uplink_free_at: Dict[int, float] = {}
-        self._link_filter: Optional[Callable[[int, int], bool]] = None
         self._partition_group: Optional[Dict[int, int]] = None
         self._latency_scale: float = 1.0
         self._rng = random.Random(simulator.rng.randint(0, 2**31 - 1))
@@ -172,12 +170,6 @@ class Network:
             row.extend([self._unregistered] * (node_id + 1 - len(row)))
         row[node_id] = self._traced(node_id, handler) if self._trace.enabled else handler
 
-    def unregister(self, node_id: int) -> None:
-        self._handlers.pop(node_id, None)
-        self._registered_sorted = sorted(self._handlers.keys())
-        if node_id < len(self._row):
-            self._row[node_id] = self._unregistered
-
     def _unregistered(self, sender: int, message: Any) -> None:
         """The row slot of an id with no handler: the arrival is a drop.
 
@@ -215,10 +207,6 @@ class Network:
 
         return deliver
 
-    def set_link_filter(self, predicate: Optional[Callable[[int, int], bool]]) -> None:
-        """Install a predicate(sender, receiver) -> deliverable? (None = all)."""
-        self._link_filter = predicate
-
     def set_delivery_perturbation(self, perturbation) -> None:
         """Install (None: remove) a delivery-schedule perturbation.
 
@@ -249,8 +237,7 @@ class Network:
         """Partition the network into ``groups`` of mutually reachable nodes.
 
         Messages crossing group boundaries are dropped; nodes absent from
-        every group are isolated.  The partition composes with (does not
-        replace) any installed link filter.
+        every group are isolated.
         """
         mapping: Dict[int, int] = {}
         for index, group in enumerate(groups):
@@ -307,7 +294,7 @@ class Network:
         :meth:`~repro.sim.latency.LatencyModel.multicast_profile` inline —
         ``base_row[r] + rng.random() * jitter``, one draw iff ``jitter > 0``
         and none for a self pair, the rule of
-        :meth:`~repro.sim.latency.LatencyModel.delay`.  Link filter, partition, loss and
+        :meth:`~repro.sim.latency.LatencyModel.delay`.  Partition, loss and
         duplication are per-receiver checks behind one ``armed`` local: an
         unarmed fan-out pays for none of them and hands the caller's
         receiver list to the sink as is.  A duplicate is one more
@@ -325,12 +312,11 @@ class Network:
         latency_scale = self._latency_scale
         processing_delay = config.processing_delay
         rng = self._rng
-        link_filter = self._link_filter
         partitioned = self._partition_group is not None
         drop_probability = config.drop_probability
         duplicate_probability = config.duplicate_probability
         draws = jitter > 0
-        armed = link_filter is not None or partitioned or drop_probability or duplicate_probability
+        armed = partitioned or drop_probability or duplicate_probability
         targets = [] if armed else receivers
         # ``arrivals.append`` and ``rng.random`` are called as methods, not
         # held as bound-method locals: binding one is an allocation per
@@ -338,9 +324,6 @@ class Network:
         arrivals: List[float] = []
         for receiver in receivers:
             if armed:
-                if link_filter is not None and not link_filter(sender, receiver):
-                    stats.record_drop("link-filter")
-                    continue
                 if partitioned and self._partition_blocks(sender, receiver):
                     stats.record_drop("partition")
                     continue

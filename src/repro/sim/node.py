@@ -2,7 +2,7 @@
 
 A :class:`Node` owns a node id and a reference to its execution
 :class:`~repro.runtime.base.Runtime`, and provides timers plus
-send/multicast helpers.  Subclasses implement :meth:`on_message`, or
+a multicast helper (a unicast is a one-receiver multicast).  Subclasses implement :meth:`on_message`, or
 override :meth:`_receive` as protocol replicas do.  Nodes are *sans-I/O*:
 they never touch a simulator or a network directly, so the same node runs
 on the discrete-event backend and on the wall-clock backend.  Sim-layer
@@ -23,13 +23,6 @@ class Timer:
     name: str
     event: Any  # a runtime scheduling handle: ``cancel()`` + ``cancelled``
 
-    def cancel(self) -> None:
-        self.event.cancel()
-
-    @property
-    def active(self) -> bool:
-        return not self.event.cancelled
-
 
 class Node:
     """Base class for simulated processes (replicas, clients, injectors)."""
@@ -48,20 +41,7 @@ class Node:
         # Hot-path binding: ``self.now()`` goes straight to the backend clock.
         self.now = runtime.now
 
-    # ------------------------------------------------------------------ time
-    def now(self) -> float:  # shadowed per-instance in __init__
-        return self.runtime.now()
-
     # ------------------------------------------------------------- messaging
-    def send(self, receiver: int, message: Any, size_bytes: int = 0) -> None:
-        if self.crashed:
-            return
-        if self.interceptor is not None and self.interceptor.outbound(
-            self, receiver, message, size_bytes
-        ):
-            return
-        self.runtime.send(self.node_id, receiver, message, size_bytes)
-
     def multicast(self, receivers, message: Any, size_bytes: int = 0) -> None:
         """Send ``message`` to every receiver through one transport fan-out.
 
@@ -118,7 +98,7 @@ class Node:
 
     def has_timer(self, name: str) -> bool:
         timer = self._timers.get(name)
-        return timer is not None and timer.active
+        return timer is not None and not timer.event.cancelled
 
     # ----------------------------------------------------------------- faults
     def crash(self) -> None:

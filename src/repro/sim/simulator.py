@@ -40,7 +40,6 @@ class Simulator:
         self.rng = random.Random(seed)
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self._events_processed = 0
-        self._stopped = False
         #: the network's delivery sink: schedule ``row[b](a, c)`` at
         #: ``times[i]`` for each ``b = bs[i]``, with no past-time guard (the
         #: transport never computes an arrival before now)
@@ -81,13 +80,9 @@ class Simulator:
             )
         self.queue.cancel(event)
 
-    def stop(self) -> None:
-        """Request the run loop to stop after the current event."""
-        self._stopped = True
-
     # -------------------------------------------------------------- run loop
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Process events until the queue drains, ``until`` passes, or limits hit.
+    def run(self, until: Optional[float] = None) -> float:
+        """Process events until the queue drains or ``until`` passes.
 
         Returns the clock value when the loop stops.
 
@@ -110,7 +105,6 @@ class Simulator:
         entry and message the moment it is dropped), but the collector would
         keep re-traversing the tens of thousands of in-flight entries.
         """
-        self._stopped = False
         queue = self.queue
         near = queue._near
         side = queue._side
@@ -128,7 +122,7 @@ class Simulator:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            while not self._stopped:
+            while True:
                 if side:
                     if near and near[-1] < side[0]:
                         entry = near.pop()
@@ -161,8 +155,6 @@ class Simulator:
                     clock._now = time
                     processed += 1
                     row[b](a, c)
-                if max_events is not None and processed >= max_events:
-                    break
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -174,11 +166,7 @@ class Simulator:
         if at_horizon:
             clock.advance_to(until)
             return until
-        # Fast-forward to the horizon only when the queue truly drained:
-        # breaking on ``max_events`` (or ``stop()``) leaves live events behind,
-        # and jumping the clock past them would make a later ``run()`` process
-        # them "in the past".
-        if bounded and clock._now < until and not self._stopped and not queue:
+        if bounded and clock._now < until:
             clock.advance_to(until)
         return clock._now
 

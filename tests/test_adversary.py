@@ -118,7 +118,6 @@ class TestAdversarySpec:
         stragglers = spec.straggler_specs()
         assert [s.replica for s in stragglers] == [1, 2]
         assert all(s.slowdown == 5.0 for s in stragglers)
-        assert len(spec.message_attacks()) == 1
 
     def test_merge_concatenates_attacks(self):
         a = AdversarySpec(attacks=(Equivocation(replicas=(3,)),), name="a")
@@ -201,9 +200,9 @@ class TestInterceptor:
         vote = Prepare(sender=3, instance=1, view=0, round=1, digest="d")
         pre = PrePrepare(sender=3, instance=3, view=0, round=1, digest="d")
         simulator.run(until=0.001)  # fire the activation event at t=0
-        nodes[3].send(0, vote)
-        nodes[3].send(1, vote)
-        nodes[3].send(0, pre)  # not a vote: passes
+        nodes[3].multicast((0,), vote)
+        nodes[3].multicast((1,), vote)
+        nodes[3].multicast((0,), pre)  # not a vote: passes
         simulator.run(until=1.0)
         assert not any(isinstance(m, Prepare) for _, m in nodes[0].received)
         assert any(isinstance(m, Prepare) for _, m in nodes[1].received)
@@ -216,8 +215,8 @@ class TestInterceptor:
             simulator, nodes, Silence(replicas=(3,), instances=(2,))
         )
         simulator.run(until=0.001)
-        nodes[3].send(0, Prepare(sender=3, instance=2, view=0, round=1))
-        nodes[3].send(0, Prepare(sender=3, instance=1, view=0, round=1))
+        nodes[3].multicast((0,), Prepare(sender=3, instance=2, view=0, round=1))
+        nodes[3].multicast((0,), Prepare(sender=3, instance=1, view=0, round=1))
         simulator.run(until=1.0)
         assert [m.instance for _, m in nodes[0].received] == [1]
         assert interceptors[3].suppressed == 1
@@ -228,7 +227,7 @@ class TestInterceptor:
             simulator, nodes, DelayedVotes(replicas=(3,), delay=2.0)
         )
         simulator.run(until=0.001)
-        nodes[3].send(0, Prepare(sender=3, instance=0, view=0, round=1))
+        nodes[3].multicast((0,), Prepare(sender=3, instance=0, view=0, round=1))
         simulator.run(until=1.0)
         assert nodes[0].received == []
         simulator.run(until=3.5)
@@ -241,11 +240,11 @@ class TestInterceptor:
         simulator.run(until=0.001)
         pre = PrePrepare(sender=3, instance=3, view=0, round=1, digest="d")
         for receiver in range(3):
-            nodes[3].send(receiver, pre)
+            nodes[3].multicast((receiver,), pre)
         # votes on the adversary's own instance are forked the same way
-        nodes[3].send(1, Prepare(sender=3, instance=3, view=0, round=1, digest="d"))
+        nodes[3].multicast((1,), Prepare(sender=3, instance=3, view=0, round=1, digest="d"))
         # votes on an honestly-led instance are NOT touched
-        nodes[3].send(1, Prepare(sender=3, instance=0, view=0, round=1, digest="h"))
+        nodes[3].multicast((1,), Prepare(sender=3, instance=0, view=0, round=1, digest="h"))
         simulator.run(until=1.0)
         by_receiver = {r: [m for _, m in nodes[r].received] for r in range(3)}
         assert by_receiver[0][0].digest == "d"  # honest even: original world
@@ -262,11 +261,11 @@ class TestInterceptor:
             simulator, nodes, Silence(replicas=(3,), start=2.0, until=4.0)
         )
         vote = Prepare(sender=3, instance=0, view=0, round=1)
-        nodes[3].send(0, vote)  # before the window: delivered
+        nodes[3].multicast((0,), vote)  # before the window: delivered
         simulator.run(until=3.0)
-        nodes[3].send(0, vote)  # inside the window: suppressed
+        nodes[3].multicast((0,), vote)  # inside the window: suppressed
         simulator.run(until=5.0)
-        nodes[3].send(0, vote)  # after the window: delivered
+        nodes[3].multicast((0,), vote)  # after the window: delivered
         simulator.run(until=6.0)
         assert len(nodes[0].received) == 2
         assert interceptors[3].suppressed == 1

@@ -227,15 +227,6 @@ class TestLadonHotStuff:
         )
         assert ctx.rank == 55
 
-    def test_rank_clamped_to_epoch_max_stops_proposals(self):
-        leader, ctx = make_instance(cls=LadonHotStuffInstance, rank=62)
-        ctx.epoch_length = 64
-        proposal = leader.propose(Batch.synthetic(1, 0.0), now=0.0)
-        assert proposal.rank == 63
-        assert leader.stopped_for_epoch
-        leader.begin_epoch(1)
-        assert not leader.stopped_for_epoch
-
     def test_full_chain_commits_blocks_with_monotonic_ranks(self):
         leader, leader_ctx = make_instance(cls=LadonHotStuffInstance, replica_id=0)
         backups = [make_instance(cls=LadonHotStuffInstance, replica_id=r) for r in range(1, N)]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.consensus.base import CollectingContext, InstanceConfig
+from repro.consensus.ladon_hotstuff import LadonHotStuffInstance
 from repro.consensus.ladon_opt import KEY_COUNT, LadonOptInstance
 from repro.consensus.ladon_pbft import LadonPBFTInstance
 from repro.consensus.messages import Commit, PrePrepare, Prepare, RankMessage
@@ -78,22 +79,37 @@ class TestRankAssignment:
         message = instance.propose(Batch.synthetic(1, 0.0), now=1.0)
         assert message.rank == 21
 
-    def test_rank_clamped_to_epoch_max_and_stops_proposing(self):
-        instance, context = make_instance(rank=62)
-        context.epoch_length = 64  # maxRank(0) = 63
+
+def _pbft_round_one_done(instance):
+    """Round 1 committed, and a quorum of round-1 rank reports at the leader."""
+    instance.last_committed_round = 1
+    for sender in range(1, QUORUM + 1):
+        instance.on_message(sender, rank_message(sender, rank=63, round=1))
+
+
+def _hotstuff_round_one_done(instance):
+    """The leader holds the QC on round 1."""
+    instance.high_qc_round = 1
+
+
+class TestEpochStop:
+    """A leader that proposes ``maxRank(e)`` proposes nothing more until the
+    context reports a later epoch (Algorithms 2 and 3)."""
+
+    @pytest.mark.parametrize(
+        "cls,round_one_done",
+        [(LadonPBFTInstance, _pbft_round_one_done),
+         (LadonHotStuffInstance, _hotstuff_round_one_done)],
+        ids=["ladon-pbft", "ladon-hotstuff"],
+    )
+    def test_leader_stops_at_max_rank_until_the_next_epoch(self, cls, round_one_done):
+        instance, context = make_instance(cls=cls, rank=62)  # maxRank(0) = 63
         message = instance.propose(Batch.synthetic(1, 0.0), now=0.0)
         assert message.rank == 63
-        assert instance.stopped_for_epoch
-        instance.last_committed_round = 1
+        round_one_done(instance)
         assert not instance.ready_to_propose()
-
-    def test_begin_epoch_resumes_proposing(self):
-        instance, context = make_instance(rank=62)
-        instance.propose(Batch.synthetic(1, 0.0), now=0.0)
-        assert instance.stopped_for_epoch
         context.epoch = 1
-        instance.begin_epoch(1)
-        assert not instance.stopped_for_epoch
+        assert instance.ready_to_propose()
 
 
 class TestByzantineManipulation:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.block import Block, BlockId, ordering_key, precedes
+from repro.core.block import Block, BlockId, ordering_key
 from repro.core.rank import (
     RankCertificate,
     RankReport,
@@ -43,21 +43,22 @@ class TestBlock:
 
 
 class TestOrderingRelation:
+    """``a ≺ b`` (Sec. 4.2) is ``ordering_key(a) < ordering_key(b)``."""
+
     def test_lower_rank_precedes(self):
-        assert precedes(make_block(rank=1, instance=5), make_block(rank=2, instance=0))
+        assert ordering_key(make_block(rank=1, instance=5)) < ordering_key(make_block(rank=2, instance=0))
 
     def test_tie_broken_by_instance(self):
-        assert precedes(make_block(rank=3, instance=0), make_block(rank=3, instance=1))
-        assert not precedes(make_block(rank=3, instance=1), make_block(rank=3, instance=0))
+        first, second = make_block(rank=3, instance=0), make_block(rank=3, instance=1)
+        assert ordering_key(first) < ordering_key(second)
+        assert not ordering_key(second) < ordering_key(first)
 
     def test_not_reflexive(self):
         block = make_block(rank=2, instance=2)
-        assert not precedes(block, block)
+        assert not ordering_key(block) < ordering_key(block)
 
-    def test_ordering_key_matches_relation(self):
-        a = make_block(rank=1, instance=3)
-        b = make_block(rank=2, instance=0)
-        assert (ordering_key(a) < ordering_key(b)) == precedes(a, b)
+    def test_ordering_key_is_rank_then_instance(self):
+        assert ordering_key(make_block(rank=1, instance=3)) == (1, 3)
 
 
 class TestRankState:
@@ -126,11 +127,10 @@ class TestChooseRank:
 class TestRankCertificate:
     def test_genesis_certificate(self):
         cert = RankCertificate(rank=0)
-        assert cert.is_genesis()
+        assert cert.signer_count == 0
         assert cert.size_bytes == 8
 
     def test_modelled_certificate_size_grows_with_signers(self):
         small = RankCertificate(rank=1, signer_count=3)
         large = RankCertificate(rank=1, signer_count=85)
-        assert not small.is_genesis()
         assert large.size_bytes > small.size_bytes

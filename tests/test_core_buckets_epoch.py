@@ -14,12 +14,6 @@ class TestEpochConfig:
         assert config.min_rank(1) == 64
         assert config.max_rank(2) == 191
 
-    def test_epoch_of_rank(self):
-        config = EpochConfig(length=10, num_instances=2)
-        assert config.epoch_of_rank(0) == 0
-        assert config.epoch_of_rank(9) == 0
-        assert config.epoch_of_rank(10) == 1
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             EpochConfig(length=0, num_instances=1)

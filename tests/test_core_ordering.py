@@ -403,13 +403,12 @@ class TestPredeterminedOrderer:
             orderer.add_partially_committed(block(0, round, 0), now=float(round))
             orderer.add_partially_committed(block(2, round, 0), now=float(round))
         assert len(orderer.confirmed) == 1  # only index 0
-        assert orderer.next_missing_index() == 1
         # The straggler's block arrives: exactly the contiguous prefix flushes
         # (indices 1 and 2 from round 1, then index 3 = instance 0's round 2;
         # index 4 is the straggler's still-missing round 2).
         newly = orderer.add_partially_committed(block(1, 1, 0), now=9.0)
         assert [c.sn for c in newly] == [1, 2, 3]
-        assert orderer.next_missing_index() == 4
+        assert len(orderer.confirmed) == 4
 
     def test_duplicate_ignored(self):
         orderer = PredeterminedOrderer(num_instances=1)
@@ -426,17 +425,15 @@ class TestPredeterminedOrderer:
         orderer.add_partially_committed(block(1, 1, 0), now=1.0)
         assert orderer.pending_count == 1
 
-    def test_hole_count_incremental(self):
+    def test_holes_drain_in_index_order(self):
         orderer = PredeterminedOrderer(num_instances=3)
-        assert orderer.hole_count() == 0
-        orderer.add_partially_committed(block(2, 2, 0), now=1.0)  # index 5
-        assert orderer.hole_count() == 5  # indices 0-4 missing
-        orderer.add_partially_committed(block(0, 1, 0), now=2.0)  # index 0 drains
-        assert orderer.hole_count() == 4  # indices 1-4 missing
+        assert orderer.add_partially_committed(block(2, 2, 0), now=1.0) == []  # index 5
+        newly = orderer.add_partially_committed(block(0, 1, 0), now=2.0)  # index 0 drains
+        assert [c.sn for c in newly] == [0]
         for blk in (block(1, 1, 0), block(2, 1, 0), block(0, 2, 0), block(1, 2, 0)):
             orderer.add_partially_committed(blk, now=3.0)
         assert orderer.pending_count == 0
-        assert orderer.hole_count() == 0
+        assert [c.sn for c in orderer.confirmed] == [0, 1, 2, 3, 4, 5]
 
 
 class TestDQBFTOrderer:

@@ -4,8 +4,9 @@ No run computes a signature.  What stands in for the paper's Ed25519/BLS
 signatures (Sec. 3.2 and 5.3) is:
 
 * the ``record_crypto`` counters each instance reports per sign, verify,
-  aggregate and aggregate-verify, charged as CPU time by
-  :class:`repro.metrics.resources.ResourceModel` (Table 1);
+  aggregate and aggregate-verify, charged as CPU time by the hosting
+  replica's ``record_crypto_op`` into its
+  :class:`repro.metrics.resources.ResourceModel` record (Table 1);
 * the signer-count wire size of a rank certificate
   (:attr:`repro.core.rank.RankCertificate.size_bytes`);
 * Ladon-opt's rank-difference key index, which lets every backup sign the
@@ -17,6 +18,8 @@ large the certificates and proofs it puts on the wire are.
 
 import pytest
 
+import repro.protocols.base
+from repro.bench.config import ExperimentCell
 from repro.consensus.base import CollectingContext, InstanceConfig
 from repro.consensus.ladon_opt import KEY_COUNT, LadonOptInstance
 from repro.consensus.ladon_pbft import LadonPBFTInstance
@@ -25,11 +28,19 @@ from repro.consensus.pbft import PBFTInstance
 from repro.consensus.quorum import quorum_threshold
 from repro.core.rank import RankCertificate, RankReport
 from repro.metrics.resources import CryptoCostModel, ResourceModel
+from repro.protocols.registry import build_system
 from repro.workload.transactions import Batch
 
 
 OPERATIONS = ("sign", "verify", "aggregate", "verify_aggregate")
 SIZES = (4, 7, 10, 16)
+
+
+def built_system():
+    """A built, unstarted n=4 Ladon-PBFT system: replicas account through it."""
+    return build_system(ExperimentCell(
+        protocol="ladon-pbft", n=4, batch_size=64, duration=1.0, environment="lan", seed=1,
+    ))
 
 
 def make_instance(cls, n=4, replica_id=0, rank=0):
@@ -82,9 +93,9 @@ def sent_rank_messages(context):
 class TestCryptoCostModel:
     @pytest.mark.parametrize("operation", OPERATIONS)
     def test_each_operation_is_counted_and_charged(self, operation):
-        model = ResourceModel()
-        model.record_crypto(3, operation, count=7)
-        usage = model.usage(3)
+        replica = built_system().replicas[3]
+        replica.record_crypto_op(operation, count=7)
+        usage = replica.resources.usage(3)
         assert usage.crypto_ops == {operation: 7}
         assert usage.cpu_seconds == pytest.approx(7 * CryptoCostModel().cost_of(operation))
 
@@ -92,19 +103,22 @@ class TestCryptoCostModel:
         with pytest.raises(KeyError):
             CryptoCostModel().cost_of("decrypt")
 
-    def test_custom_cost_model_is_charged(self):
-        model = ResourceModel(CryptoCostModel(sign=1e-3, verify_aggregate=2e-3))
-        model.record_crypto(0, "sign", count=2)
-        model.record_crypto(0, "verify_aggregate")
-        assert model.usage(0).cpu_seconds == pytest.approx(4e-3)
+    def test_custom_cost_model_is_charged(self, monkeypatch):
+        costs = CryptoCostModel(sign=1e-3, verify_aggregate=2e-3)
+        monkeypatch.setattr(repro.protocols.base, "ResourceModel", lambda: ResourceModel(costs))
+        replica = built_system().replicas[0]
+        replica.record_crypto_op("sign", count=2)
+        replica.record_crypto_op("verify_aggregate")
+        assert replica.resources.usage(0).cpu_seconds == pytest.approx(4e-3)
 
     def test_counts_are_kept_per_replica(self):
-        model = ResourceModel()
-        model.record_crypto(0, "sign")
-        model.record_crypto(0, "sign", count=2)
-        model.record_crypto(1, "verify")
-        assert model.usage(0).crypto_ops == {"sign": 3}
-        assert model.usage(1).crypto_ops == {"verify": 1}
+        replicas = built_system().replicas
+        replicas[0].record_crypto_op("sign")
+        replicas[0].record_crypto_op("sign", count=2)
+        replicas[1].record_crypto_op("verify")
+        resources = replicas[0].resources
+        assert resources.usage(0).crypto_ops == {"sign": 3}
+        assert resources.usage(1).crypto_ops == {"verify": 1}
 
     def test_aggregating_costs_more_than_one_signature(self):
         # BLS aggregation and pairing checks are the expensive operations the
@@ -245,5 +259,5 @@ class TestCertificateSizeModel:
         report = RankReport(replica=2, rank=5, view=0, round=1, instance=0, certificate=cert)
         assert report.size_bytes == 64 + cert.size_bytes
         bare = RankReport(replica=2, rank=0, view=0, round=1, instance=0)
-        assert bare.certificate.is_genesis()
+        assert bare.certificate.signer_count == 0
         assert bare.size_bytes == 64 + 8

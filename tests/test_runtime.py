@@ -181,9 +181,9 @@ class TestDESRuntime:
         runtime.schedule_after(0.5, lambda: fired.append("after"))
         handle = runtime.schedule_at(0.75, lambda: fired.append("cancelled"))
         runtime.cancel(handle)
-        runtime.spawn(lambda: fired.append("spawned"))
+        runtime.schedule_after(0.0, lambda: fired.append("now"))
         end = runtime.run(until=2.0)
-        assert fired == ["spawned", "after", "at"]
+        assert fired == ["now", "after", "at"]
         assert end == 2.0
         assert runtime.now() == 2.0
 
@@ -191,7 +191,7 @@ class TestDESRuntime:
         runtime = self._runtime()
         nodes = [_Echo(i, runtime) for i in range(3)]
         assert runtime.registered_nodes() == [0, 1, 2]
-        nodes[0].send(1, "hi")
+        nodes[0].multicast((1,), "hi")
         nodes[0].multicast([1, 2], "all")
         runtime.run(until=1.0)
         assert [m for _, _, m in nodes[1].received] == ["hi", "all"]
@@ -204,9 +204,9 @@ class TestDESRuntime:
         nodes = [_Echo(i, runtime) for i in range(4)]
         runtime.set_partition([(0, 1), (2, 3)])
         assert runtime.partitioned
-        nodes[0].send(2, "blocked")
+        nodes[0].multicast((2,), "blocked")
         runtime.heal_partition()
-        nodes[0].send(2, "flows")
+        nodes[0].multicast((2,), "flows")
         runtime.set_drop_probability(0.5)
         assert runtime.drop_probability == 0.5
         runtime.set_drop_probability(0.0)
@@ -223,7 +223,7 @@ class TestDESRuntime:
         runtime = DESRuntime(simulator=simulator, network=network)
         a = _Echo(0, runtime)
         b = _Echo(1, runtime)
-        a.send(1, "x")
+        a.multicast((1,), "x")
         simulator.run()
         assert a.runtime is runtime and runtime.network is network
         assert [(sender, message) for _at, sender, message in b.received] == [(0, "x")]
@@ -273,18 +273,19 @@ class TestRealtimeRuntime:
         runtime = self._runtime()
         nodes = [_Echo(i, runtime) for i in range(3)]
         nodes[0].multicast([1, 2], "m")
-        nodes[1].send(2, "u")
+        nodes[1].multicast((2,), "u")
         runtime.run(until=0.2)
         assert [m for _, _, m in nodes[2].received] == ["m", "u"]
         assert runtime.stats.messages_sent == 3
         assert runtime.stats.messages_delivered == 3
 
-    def test_events_processed_counts(self):
+    def test_same_deadline_callbacks_fire_in_schedule_order(self):
         runtime = self._runtime()
-        for _ in range(5):
-            runtime.schedule_after(0.01, lambda: None)
+        fired = []
+        for index in range(5):
+            runtime.schedule_after(0.01, lambda index=index: fired.append(index))
         runtime.run(until=0.1)
-        assert runtime.events_processed == 5
+        assert fired == [0, 1, 2, 3, 4]
 
     def test_callback_exception_propagates_out_of_run(self):
         """Regression: asyncio swallows callback exceptions into its logger;

@@ -257,8 +257,8 @@ ALL_LOCAL_PLAN = ShardPlan(shards=1, assignment=(0,) * TRANSPORT_N, strategy="ha
 
 def _drive_transport(plan, general):
     """One traffic script through a plain Network or (``plan``) a shard-0
-    ShardNetwork, same seed.  ``general`` turns on loss, duplication, a
-    partition and a link filter, which arms multicast's per-receiver checks.
+    ShardNetwork, same seed.  ``general`` turns on loss, duplication and a
+    partition, which arms multicast's per-receiver checks.
     Returns the transport and its ``(time, sender, receiver, message)``
     delivery log.
     """
@@ -287,7 +287,6 @@ def _drive_transport(plan, general):
         )
     if general:
         network.set_partition([[0, 1, 2, 3, 4, 5, 6], [7]])
-        network.set_link_filter(lambda sender, receiver: receiver != 5)
     everyone = list(range(TRANSPORT_N))
     for phase in range(2):  # the second phase starts with idle uplinks
         message = Prepare(instance=0, view=0, round=phase, digest="d" * 8, sender=0)
@@ -314,7 +313,7 @@ class TestTransportEquivalence:
         assert shard.drain_outboxes() == ([], float("inf"))
         if general:
             assert plain.stats.messages_duplicated and plain.stats.drops_by_cause.keys() == {
-                "loss", "partition", "link-filter"
+                "loss", "partition"
             }
 
     @pytest.mark.parametrize("general", [False, True], ids=["fast-path", "general-path"])

@@ -8,7 +8,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.runtime.des import DESRuntime
 from repro.sim.clock import VirtualClock
@@ -158,36 +158,6 @@ class TestSimulator:
         sim.run()
         assert fired == ["first", "second"]
         assert sim.now() == 2.0
-
-    def test_stop_halts_run(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(1.0, lambda: (fired.append(1), sim.stop()))
-        sim.schedule_at(2.0, lambda: fired.append(2))
-        sim.run()
-        assert fired == [1]
-
-    def test_max_events_limit(self):
-        sim = Simulator()
-        for i in range(10):
-            sim.schedule_at(float(i + 1), lambda: None)
-        sim.run(max_events=3)
-        assert sim.events_processed == 3
-
-    def test_max_events_break_does_not_fast_forward_clock(self):
-        # Regression: breaking on max_events used to advance the clock to
-        # ``until`` even though events remained in the queue, so the next
-        # run() processed them "in the past".
-        sim = Simulator()
-        fired = []
-        for i in range(5):
-            sim.schedule_at(float(i + 1), lambda i=i: fired.append((i, sim.now())))
-        sim.run(until=100.0, max_events=2)
-        assert sim.now() == 2.0  # clock stays at the last processed event
-        sim.run(until=100.0)
-        # The remaining events fire at their scheduled (future) times.
-        assert fired == [(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0), (4, 5.0)]
-        assert sim.now() == 100.0  # queue drained: now the horizon applies
 
     def test_run_until_fast_forwards_when_drained(self):
         sim = Simulator()
@@ -507,7 +477,6 @@ class _HeapSimulator:
         self.heap = []
         self.seq = itertools.count()
         self.time = 0.0
-        self.stopped = False
         self.delivery_stats = NetworkStats()
 
     def now(self):
@@ -529,13 +498,8 @@ class _HeapSimulator:
     def cancel(self, entry):
         entry[3] = True
 
-    def stop(self):
-        self.stopped = True
-
-    def run(self, until=None, max_events=None):
-        self.stopped = False
-        processed = 0
-        while self.heap and not self.stopped:
+    def run(self, until=None):
+        while self.heap:
             if self.heap[0][3]:
                 heapq.heappop(self.heap)
                 continue
@@ -544,12 +508,7 @@ class _HeapSimulator:
                 return until
             self.time, _seq, callback, _cancelled = heapq.heappop(self.heap)
             callback()
-            processed += 1
-            if max_events is not None and processed >= max_events:
-                break
-        # drained = nothing live is left; cancelled entries do not count
-        drained = all(entry[3] for entry in self.heap)
-        if until is not None and self.time < until and not self.stopped and drained:
+        if until is not None and self.time < until:
             self.time = until
         return self.time
 
@@ -578,7 +537,7 @@ def _edge(until, side):
 def _drive(sim, seed, steps, edges=False):
     """A self-scheduling workload; returns everything observable about it.
 
-    ``steps`` are ``("run", advance, max_events, snap)`` — run to a horizon
+    ``steps`` are ``("run", advance, snap)`` — run to a horizon
     ``advance`` past the last one, snapped to the next bucket edge or one
     ulp either side of it when ``snap`` is not None — and ``("step", k)``,
     ``k`` calls of ``step()``.  ``edges`` adds roots at bucket edges and one
@@ -598,8 +557,6 @@ def _drive(sim, seed, steps, edges=False):
             for handle in pending:
                 sim.cancel(handle)
             pending.clear()
-        if rng.random() < 0.02:
-            sim.stop()
         for child in range(rng.randrange(4)):
             if budget[0] <= 0:
                 return
@@ -624,11 +581,11 @@ def _drive(sim, seed, steps, edges=False):
         if step[0] == "step":
             returned.append([(sim.step(), sim.now()) for _ in range(step[1])])
             continue
-        _kind, advance, max_events, snap = step
+        _kind, advance, snap = step
         until = max(until + advance, sim.now())
         if snap is not None:
             until = _edge(until, snap)
-        returned.append((sim.run(until=until, max_events=max_events), sim.now()))
+        returned.append((sim.run(until=until), sim.now()))
     returned.append((sim.run(), sim.now()))
     return log, returned, sim.delivery_stats.messages_delivered
 
@@ -640,7 +597,6 @@ _RUN_STEPS = st.tuples(
         st.floats(min_value=0.0, max_value=4 * BUCKET_SECONDS),
         st.sampled_from([0.0, BUCKET_SECONDS, 0.04, 2.0]),
     ),
-    st.one_of(st.none(), st.integers(min_value=1, max_value=20)),
     st.sampled_from([None, None, -1, 0, 1]),
 )
 _STEP_STEPS = st.tuples(st.just("step"), st.integers(min_value=1, max_value=6))
@@ -651,13 +607,6 @@ class TestRunLoopEquivalence:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         steps=st.lists(st.one_of(_RUN_STEPS, _STEP_STEPS), max_size=12),
         edges=st.booleans(),
-    )
-    # a max_events stop that leaves only cancelled entries behind: the queue
-    # has drained, so both loops fast-forward to the horizon
-    @example(
-        seed=24,
-        steps=[("run", 0.00390625, None, None), ("run", 0.04, None, None), ("run", 0.04, 1, None)],
-        edges=False,
     )
     @settings(max_examples=200, deadline=None)
     def test_run_matches_single_heap_reference(self, seed, steps, edges):
@@ -695,7 +644,7 @@ class TestRunLoopEquivalence:
         assert sim.step() and sim.now() == 0.3
         assert not sim.step()
 
-    def test_max_events_stop_then_resume_with_both_tiers_live(self):
+    def test_horizon_stop_then_resume_with_both_tiers_live(self):
         sim = Simulator()
         sim.delivery_stats = NetworkStats()
         fired = []
@@ -708,9 +657,9 @@ class TestRunLoopEquivalence:
             sim.push_calls([0.0102, 0.0108], row, "side", [3, 4], None)
 
         sim.schedule_at(0.0100, first)
-        assert sim.run(max_events=2) == 0.0101
+        assert sim.run(until=0.01015) == 0.01015
         assert fired == ["timer", ("run", 0)] and len(sim.queue) == 4
-        assert sim.run(until=0.0105, max_events=2) == 0.0103
+        assert sim.run(until=0.0105) == 0.0105
         assert fired[2:] == [("side", 3), ("run", 1)]
         assert sim.run() == 0.0108
         assert fired[4:] == [("run", 2), ("side", 4)]

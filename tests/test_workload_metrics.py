@@ -10,8 +10,11 @@ from repro.core.ordering import ConfirmedBlock
 from repro.metrics.auditor import audit_logs
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.latency import LatencyAccumulator
-from repro.metrics.resources import CryptoCostModel, ResourceModel
-from repro.metrics.throughput import ThroughputSeries, peak_throughput
+from repro.bench.config import ExperimentCell
+from repro.consensus.messages import Prepare
+from repro.metrics.resources import CryptoCostModel
+from repro.metrics.throughput import ThroughputSeries
+from repro.protocols.registry import build_system
 from repro.workload.transactions import Batch
 
 
@@ -65,15 +68,18 @@ class TestThroughput:
         assert points[1.0] == 0
         assert points[2.0] == 30
 
-    def test_average_and_peak(self):
+    def test_total_and_peak(self):
         series = ThroughputSeries()
         series.record(0.5, 100)
         series.record(1.5, 300)
-        assert series.average(2.0) == 200
+        assert series.total_txs == 400
         assert series.peak() == 300
 
-    def test_peak_throughput_helper(self):
-        assert peak_throughput([(0.1, 10), (0.2, 10), (1.5, 5)]) == 20
+    def test_peak_sums_one_bin(self):
+        series = ThroughputSeries()
+        for time, count in [(0.1, 10), (0.2, 10), (1.5, 5)]:
+            series.record(time, count)
+        assert series.peak() == 20
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
@@ -118,44 +124,61 @@ class TestLatencyAccumulator:
     def test_zero_tx_blocks_ignored(self):
         acc = LatencyAccumulator()
         acc.record_block(0.0, 5.0, tx_count=0)
-        assert acc.count == 0
+        assert acc.samples == []
+        assert acc.average() == 0.0
 
-    def test_percentile(self):
+    def test_maximum(self):
         acc = LatencyAccumulator()
         for i in range(1, 11):
             acc.record_block(0.0, float(i), tx_count=1)
-        assert acc.percentile(100) == 10.0
-        assert acc.percentile(10) <= acc.percentile(90)
+        assert acc.maximum() == 10.0
 
 
 class TestResources:
+    """Runs account through the replica: ``record_crypto_op`` for crypto,
+    ``send_protocol_message`` for bytes; both charge its usage record."""
+
+    @staticmethod
+    def replicas():
+        system = build_system(ExperimentCell(
+            protocol="ladon-pbft", n=4, batch_size=64, duration=1.0, environment="lan", seed=1,
+        ))
+        return system.replicas
+
+    @staticmethod
+    def send(replica, size_bytes):
+        """One unicast of ``size_bytes`` from ``replica`` to its successor."""
+        message = Prepare(sender=replica.node_id, instance=0, view=0, round=1)
+        replica.send_protocol_message((replica.node_id + 1) % 4, message, size_bytes)
+
     def test_crypto_cost_charged(self):
-        model = ResourceModel()
-        model.record_crypto(0, "verify", count=10)
-        usage = model.usage(0)
+        replica = self.replicas()[0]
+        replica.record_crypto_op("verify", count=10)
+        usage = replica.resources.usage(0)
         assert usage.crypto_ops["verify"] == 10
         assert usage.cpu_seconds == pytest.approx(10 * CryptoCostModel().verify)
 
     def test_unknown_operation_rejected(self):
         with pytest.raises(KeyError):
-            ResourceModel().record_crypto(0, "teleport")
+            self.replicas()[0].record_crypto_op("teleport")
 
     def test_bandwidth_accounting(self):
-        model = ResourceModel()
-        model.record_bytes_sent(1, 2_000_000)
-        assert model.usage(1).bandwidth_mbps(2.0) == pytest.approx(1.0)
+        replica = self.replicas()[1]
+        self.send(replica, 2_000_000)
+        assert replica.resources.usage(1).bandwidth_mbps(2.0) == pytest.approx(1.0)
 
     def test_cpu_percent_normalised_by_duration(self):
-        model = ResourceModel()
-        model.record_crypto(0, "sign", count=40_000)  # 1 CPU-second at 25 us
-        assert model.usage(0).cpu_percent(duration=1.0) == pytest.approx(100.0, rel=0.01)
+        replica = self.replicas()[0]
+        replica.record_crypto_op("sign", count=40_000)  # 1 CPU-second at 25 us
+        assert replica.resources.usage(0).cpu_percent(duration=1.0) == pytest.approx(100.0, rel=0.01)
 
     def test_averages_over_replicas(self):
-        model = ResourceModel()
-        model.record_bytes_sent(0, 1_000_000)
-        model.record_bytes_sent(1, 3_000_000)
-        assert model.average_bandwidth_mbps(1.0) == pytest.approx(2.0)
-        assert model.total_bytes() == 4_000_000
+        replicas = self.replicas()
+        self.send(replicas[0], 1_000_000)
+        self.send(replicas[1], 3_000_000)
+        resources = replicas[0].resources
+        assert resources.average_bandwidth_mbps(1.0) == pytest.approx(2.0)
+        assert sum(u.bytes_sent for u in resources.per_replica().values()) == 4_000_000
 
 
 class TestMetricsCollector:
