@@ -122,8 +122,3 @@ class Runtime:
     def run(self, until: Optional[float] = None) -> float:
         """Drive the backend until ``until`` (seconds); returns the end time."""
         raise NotImplementedError
-
-    @property
-    def events_processed(self) -> int:
-        """Events the run loop has run (the two DES backends; perfbench reads it)."""
-        raise NotImplementedError

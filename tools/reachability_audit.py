@@ -2,9 +2,10 @@
 
 Usage (from the repository root; no ``PYTHONPATH`` needed)::
 
-    python tools/reachability_audit.py            # package table + never-called list
-    python tools/reachability_audit.py --check    # also exit 1 on an unclassified miss
-    python tools/reachability_audit.py --jobs 2   # two invocations at a time
+    python tools/reachability_audit.py
+
+It prints the package table and the never-called list, then runs the check
+below and exits 1 if it fails.  It runs one invocation per CPU it may use.
 
 **Method.**  Each invocation runs in a fresh interpreter (this script, in
 ``--child`` mode, with ``src`` on ``sys.path`` and a temporary working
@@ -35,7 +36,7 @@ not a verdict: ``MetricsCollector.record_partial_commit``,
 ``CampaignReport.ok``, ``cell_breaks_safety`` and ``ScenarioSpec.describe``
 are reached by those paths.
 
-**Check.**  With ``--check`` the script exits 1 when a never-called
+**Check.**  After the list, the script exits 1 when a never-called
 function in one of :data:`CHECKED_PACKAGES` is missing from
 :data:`CLASSIFIED`, or when a :data:`CLASSIFIED` entry names no function.
 Each entry says why the function stays: it is abstract, a named tool
@@ -116,8 +117,7 @@ CLASSIFIED: Dict[str, Tuple[str, str]] = {
     **{f"repro.runtime.base:Runtime.{name}": (ABSTRACT, "the runtime seam")
        for name in ("now", "schedule_at", "schedule_after", "register", "send", "multicast",
                     "registered_nodes", "set_partition", "heal_partition", "partitioned",
-                    "set_latency_scale", "set_drop_probability", "drop_probability", "run",
-                    "events_processed")},
+                    "set_latency_scale", "set_drop_probability", "drop_probability", "run")},
     "repro.runtime:__getattr__": (
         TEST_HANDLE, "the lazy export repro.runtime.RealtimeRuntime (a DES run imports "
                      "no asyncio); tests and benchmarks import it"),
@@ -327,6 +327,13 @@ def _run_one(argv: Sequence[str]) -> Tuple[Set[Tuple[str, int]], object]:
     return {tuple(key) for key in result["called"]}, result["status"]
 
 
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
 def called_keys(runs: Iterable[Sequence[str]], jobs: int = 1,
                 log=lambda message: None) -> Set[Tuple[str, int]]:
     """The union of called ``(path, first line)`` keys over ``runs``."""
@@ -371,7 +378,7 @@ def package_table(functions: Sequence[Function], missed: Sequence[Function]) -> 
 def check(functions: Sequence[Function], missed: Sequence[Function],
           classified: Dict[str, Tuple[str, str]] = CLASSIFIED,
           packages: Sequence[str] = CHECKED_PACKAGES) -> List[str]:
-    """Problems that fail ``--check`` (empty when the tree passes)."""
+    """Problems that fail the check (empty when the tree passes)."""
     names = {f.name for f in functions}
     problems = [
         f"unclassified never-called function: {f.name} ({f.path}:{f.first})"
@@ -387,11 +394,6 @@ def check(functions: Sequence[Function], missed: Sequence[Function],
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 on a never-called function in "
-                             f"{', '.join(CHECKED_PACKAGES)} missing from CLASSIFIED")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="invocations run at a time (default: 1)")
     parser.add_argument("--child", nargs=1, metavar="OUT", help=argparse.SUPPRESS)
     parser.add_argument("rest", nargs="*", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -400,7 +402,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     functions = inventory()
     runs = invocations()
-    called = called_keys(runs, jobs=args.jobs, log=lambda m: print(m, file=sys.stderr))
+    called = called_keys(runs, jobs=_cpus(), log=lambda m: print(m, file=sys.stderr))
     missed = never_called(functions, called)
     print(f"{len(runs)} invocations\n")
     print(package_table(functions, missed))
@@ -409,14 +411,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         kind = CLASSIFIED.get(f.name, ("", ""))[0]
         print(f"  {f.path}:{f.first}  {f.qualname}  ({f.lines} lines)"
               + (f"  [{kind}]" if kind else ""))
-    if args.check:
-        problems = check(functions, missed)
-        for problem in problems:
-            print(f"FAIL {problem}")
-        if problems:
-            return 1
-        print("\ncheck: every never-called function in "
-              f"{', '.join(CHECKED_PACKAGES)} is classified")
+    problems = check(functions, missed)
+    for problem in problems:
+        print(f"FAIL {problem}")
+    if problems:
+        return 1
+    print("\ncheck: every never-called function in "
+          f"{', '.join(CHECKED_PACKAGES)} is classified")
     return 0
 
 
