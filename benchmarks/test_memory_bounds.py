@@ -35,7 +35,7 @@ checks, for every registry protocol after a short saturated run, that no
 per-(replica, instance) dict that emptied still holds its hash table
 (``pop`` never shrinks one; ``clear`` frees it), that no timer cancelled
 through the queue still waits in a far calendar bucket, and, after a run
-with one straggler, that no non-observer orderer or collector references a
+with one straggler, that no non-observer orderer references a
 ``Block``/``ConfirmedBlock``.
 ``test_run_path_imports_no_unused_stdlib`` keeps ``asyncio``/``ssl`` and
 ``concurrent.futures`` (~4 MiB per process, paid again by every forked shard
@@ -280,12 +280,12 @@ class TestBoundedStateStructure:
         observer = system._observer_id
         for replica_id, replica in system.replicas.items():
             if replica_id == observer:
-                assert replica.metrics.confirmed  # the observer retains all
-                assert replica.metrics.partially_committed > 0
+                assert replica.orderer.confirmed  # the observer retains all
                 continue
-            # only the observer has a metrics collector; the others confirm
-            # through their orderer
-            assert replica.metrics is None
+            # the others confirm through their orderer, which hands out no
+            # blocks
+            with pytest.raises(RuntimeError):
+                replica.orderer.confirmed
             assert replica.orderer.confirmed_count > 0
             for instance in replica.instances.values():
                 assert len(instance.commit_log) > 0  # compact audit log

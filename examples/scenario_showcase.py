@@ -22,7 +22,7 @@ from repro.bench.runner import run_des_cell
 from repro.bench.sweep import SweepRunner, expand_grid
 from repro.protocols.registry import build_system
 from repro.scenario import (
-    LossBurst,
+    LossBurstSpec,
     Partition,
     ScenarioSpec,
     TopologySpec,
@@ -67,7 +67,7 @@ def run_custom_scenario():
             ),
             symmetric=False,
         ),
-        dynamics=(LossBurst(at=8.0, until=11.0, drop_probability=0.10),),
+        dynamics=(LossBurstSpec(at=8.0, until=11.0, drop_probability=0.10),),
         traffic=TrafficSpec(profile=RampTraffic(start_tps=500.0, end_tps=40_000.0,
                                                 ramp_duration=10.0)),
     )

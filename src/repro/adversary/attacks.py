@@ -110,13 +110,11 @@ class Attack:
     """Base of every catalog entry: who misbehaves and when.
 
     ``replicas`` are the conspirators carrying this behaviour; the attack
-    is active during ``[start, until)`` (``until=None`` = until the end of
-    the run).
+    is active from ``start`` to the end of the run.
     """
 
     replicas: Tuple[int, ...] = ()
     start: float = 0.0
-    until: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.replicas:
@@ -127,8 +125,6 @@ class Attack:
             raise ValueError("replica ids must be non-negative")
         if self.start < 0:
             raise ValueError("attack start must be non-negative")
-        if self.until is not None and self.until <= self.start:
-            raise ValueError("attack window must have positive length")
 
     @property
     def label(self) -> str:
@@ -139,8 +135,7 @@ class Attack:
         )
 
     def _window(self) -> str:
-        end = "end" if self.until is None else f"{self.until:g}s"
-        return f"t=[{self.start:g}s, {end})"
+        return f"t=[{self.start:g}s, end)"
 
     def describe(self) -> str:
         return f"{self.label} by {list(self.replicas)} {self._window()}"
@@ -235,8 +230,8 @@ class RankManipulation(Attack):
     ``slowdown`` is the ``k`` of Sec. 6.1: the manipulating leader proposes
     at ``1/k`` of the normal rate (and, like every straggler, proposes
     empty blocks).  Unlike the message-layer attacks this behaviour is
-    configuration-level (it rides the straggler machinery), so ``start`` /
-    ``until`` are not supported: it is active for the whole run.
+    configuration-level (it rides the straggler machinery), so ``start`` is
+    not supported: it is active for the whole run.
     """
 
     slowdown: float = 10.0
@@ -245,7 +240,7 @@ class RankManipulation(Attack):
         super().__post_init__()
         if self.slowdown < 1.0:
             raise ValueError("slowdown k must be >= 1")
-        if self.start != 0.0 or self.until is not None:
+        if self.start != 0.0:
             raise ValueError("rank manipulation is active for the whole run")
 
     def describe(self) -> str:

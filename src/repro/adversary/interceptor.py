@@ -11,9 +11,9 @@ currently active attacks in a fixed pipeline:
    conspiracy are rewritten for receivers living in the forged world;
 3. **delay** — matching messages are scheduled ``delay`` seconds late.
 
-Attacks are toggled on/off by :class:`~repro.sim.faults.FaultInjector`
-timeline events, so windows show up in the run's ``dynamics_log`` next to
-crashes and partitions.
+Attacks are switched on by :class:`~repro.sim.faults.FaultInjector`
+timeline events, so their starts show up in the run's ``dynamics_log`` next
+to crashes and partitions.
 
 The *forged world* is the set of honest replicas with odd ids: the
 conspiracy always shares the true view among itself (otherwise colluders
@@ -67,10 +67,6 @@ class AdversaryInterceptor:
     def activate(self, attack: Attack) -> None:
         if attack not in self._active:
             self._active.append(attack)
-
-    def deactivate(self, attack: Attack) -> None:
-        if attack in self._active:
-            self._active.remove(attack)
 
     def stats(self) -> Dict[str, int]:
         return {

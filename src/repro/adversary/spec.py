@@ -167,16 +167,3 @@ class AdversarySpec:
             log.append((runtime.now(), f"attack:{attack.label}", attack.describe()))
 
         runtime.schedule_at(attack.start, _on, label=f"attack:{attack.label}:on")
-        if attack.until is not None:
-
-            def _off() -> None:
-                for interceptor in targets:
-                    interceptor.deactivate(attack)
-                counts = {
-                    interceptor.replica_id: interceptor.stats() for interceptor in targets
-                }
-                log.append(
-                    (runtime.now(), f"attack:{attack.label}-end", f"stats={counts}")
-                )
-
-            runtime.schedule_at(attack.until, _off, label=f"attack:{attack.label}:off")

@@ -36,7 +36,7 @@ from repro.core.block import Block
 from repro.core.dqbft_ordering import DQBFTOrderer
 from repro.core.ordering import DynamicOrderer, GlobalOrderer
 from repro.core.predetermined import PredeterminedOrderer
-from repro.metrics.collector import MetricsCollector, RunMetrics
+from repro.metrics.collector import RunMetrics, summarise
 
 
 GIGABIT_BYTES_PER_S = 125_000_000.0
@@ -199,7 +199,7 @@ def run_analytical(cell: ExperimentCell) -> RunMetrics:
     """Run the block-level model and summarise it like a DES run."""
     planned = _plan_blocks(cell)
     orderer = _orderer_for(cell.protocol, cell.n)
-    collector = MetricsCollector()
+    partially_committed = 0
     rng = random.Random(cell.seed + 17)
 
     events: List[Tuple[float, str, _PlannedBlock]] = [
@@ -216,15 +216,15 @@ def run_analytical(cell: ExperimentCell) -> RunMetrics:
         if time > cell.duration:
             continue
         if kind == "commit":
-            collector.record_partial_commit()
-            newly = orderer.add_partially_committed(item.block, time)
+            partially_committed += 1
+            orderer.add_partially_committed(item.block, time)
         else:
             assert isinstance(orderer, DQBFTOrderer)
-            newly = orderer.add_sequencing_decision(item.block.block_id, time)
-        if newly:
-            collector.record_confirmations(newly)
+            orderer.add_sequencing_decision(item.block.block_id, time)
 
-    return collector.summarise(
+    return summarise(
+        orderer.confirmed,
+        partially_committed,
         protocol=cell.protocol,
         n=cell.n,
         stragglers=cell.stragglers,

@@ -115,7 +115,6 @@ class GlobalOrderer:
         self._confirmed: List[ConfirmedBlock] = []
         self._fingerprints: List[ConfirmedFingerprint] = []
         self._confirmed_count = 0
-        self._confirmed_cache: Optional[Tuple[ConfirmedBlock, ...]] = None
 
     def add_partially_committed(self, block: Block, now: float) -> List[Confirmation]:
         raise NotImplementedError
@@ -137,7 +136,6 @@ class GlobalOrderer:
         if self.retain_blocks:
             confirmed = ConfirmedBlock(block=entry[3], sn=sn, confirmed_at=now)
             self._confirmed.append(confirmed)
-            self._confirmed_cache = None
             return confirmed
         rank, instance, round_, digest = entry
         fingerprint = (sn, instance, round_, rank, digest)
@@ -156,12 +154,9 @@ class GlobalOrderer:
     # ------------------------------------------------------ confirmed history
     @property
     def confirmed(self) -> Tuple[ConfirmedBlock, ...]:
-        """The full confirmed history (cached: cheap on repeated calls)."""
+        """The full confirmed history, copied on every call."""
         self._require_blocks("confirmed")
-        cache = self._confirmed_cache
-        if cache is None or len(cache) != len(self._confirmed):
-            cache = self._confirmed_cache = tuple(self._confirmed)
-        return cache
+        return tuple(self._confirmed)
 
     @property
     def confirmed_count(self) -> int:

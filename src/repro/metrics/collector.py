@@ -1,15 +1,20 @@
-"""Per-run metric collection."""
+"""A run's numbers, computed from the observer's confirmed log.
+
+Throughput and latency are defined by when confirmed transactions reach
+clients (paper Sec. 6.2): a block counts when it is *globally confirmed*,
+not when it is only partially committed.  The observer's orderer keeps that
+log as :class:`~repro.core.ordering.ConfirmedBlock` records; the functions
+here read it once, at the end of a run, and keep no state of their own.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.ordering import ConfirmedBlock
-from repro.metrics.latency import LatencyAccumulator
-from repro.metrics.resources import ResourceModel
-from repro.metrics.throughput import ThroughputSeries
 from repro.core.causality import causal_strength
+from repro.core.ordering import ConfirmedBlock
+from repro.metrics.resources import ResourceModel
 
 
 @dataclass
@@ -53,60 +58,74 @@ class RunMetrics:
         return out
 
 
-class MetricsCollector:
-    """Collects confirmations at one observing replica and summarises the run.
+def _txs_per_second(confirmed: Sequence[ConfirmedBlock]) -> Dict[int, int]:
+    """Transactions confirmed per one-second bin.
 
-    Only the observing replica has one.  The DES system sets
-    ``partially_committed`` from the observer's commit logs at the end of a
-    run; the analytical engine counts with :meth:`record_partial_commit`.
+    A confirmation at or before time 0 lands in bin 0: the series starts
+    with the run, so no transaction can fall into a bin it never reports.
     """
+    bins: Dict[int, int] = {}
+    for c in confirmed:
+        second = max(0, int(c.confirmed_at // 1.0))
+        bins[second] = bins.get(second, 0) + c.block.tx_count
+    return bins
 
-    def __init__(self) -> None:
-        self.throughput = ThroughputSeries()
-        self.latency = LatencyAccumulator()
-        self.confirmed: List[ConfirmedBlock] = []
-        self.partially_committed = 0
 
-    # ------------------------------------------------------------- recording
-    def record_partial_commit(self) -> None:
-        self.partially_committed += 1
+def throughput_series(
+    confirmed: Sequence[ConfirmedBlock], until: Optional[float]
+) -> List[Tuple[float, float]]:
+    """(bin start, tx/s) per one-second bin, empty bins included.
 
-    def record_confirmation(self, confirmed: ConfirmedBlock) -> None:
-        block = confirmed.block
-        self.confirmed.append(confirmed)
-        self.throughput.record(confirmed.confirmed_at, block.tx_count)
-        submitted = block.batch_submitted_at if block.batch_submitted_at else block.proposed_at
-        self.latency.record_block(submitted, confirmed.confirmed_at, block.tx_count)
+    The series runs to the bin of ``until``, or of the last confirmation
+    when ``until`` is None.
+    """
+    bins = _txs_per_second(confirmed)
+    if not bins and until is None:
+        return []
+    last = max(0, int(until // 1.0)) if until is not None else max(bins)
+    return [(float(second), float(bins.get(second, 0))) for second in range(last + 1)]
 
-    def record_confirmations(self, confirmations: Sequence[ConfirmedBlock]) -> None:
-        for confirmed in confirmations:
-            self.record_confirmation(confirmed)
 
-    # ------------------------------------------------------------- summaries
-    def summarise(
-        self,
-        protocol: str,
-        n: int,
-        stragglers: int,
-        duration: float,
-        resources: Optional[ResourceModel] = None,
-        warmup: float = 0.0,
-    ) -> RunMetrics:
-        effective = max(duration - warmup, 1e-9)
-        confirmed_txs = sum(c.block.tx_count for c in self.confirmed if c.confirmed_at >= warmup)
-        return RunMetrics(
-            protocol=protocol,
-            n=n,
-            stragglers=stragglers,
-            duration=duration,
-            throughput_tps=confirmed_txs / effective,
-            peak_throughput_tps=self.throughput.peak(),
-            average_latency_s=self.latency.average(),
-            max_latency_s=self.latency.maximum(),
-            causal_strength=causal_strength(self.confirmed),
-            confirmed_blocks=len(self.confirmed),
-            confirmed_txs=confirmed_txs,
-            partially_committed_blocks=self.partially_committed,
-            cpu_percent=resources.average_cpu_percent(duration) if resources else 0.0,
-            bandwidth_mbps=resources.average_bandwidth_mbps(duration) if resources else 0.0,
-        )
+def summarise(
+    confirmed: Sequence[ConfirmedBlock],
+    partially_committed: int,
+    protocol: str,
+    n: int,
+    stragglers: int,
+    duration: float,
+    resources: Optional[ResourceModel] = None,
+) -> RunMetrics:
+    """Summarise one run from its confirmed log, read in confirmation order.
+
+    A block's latency runs from its batch's submission (its proposal when
+    it has none) to its confirmation; the average weights each block by its
+    transactions, so an empty block carries no latency sample.
+    """
+    per_second = _txs_per_second(confirmed)
+    confirmed_txs = sum(per_second.values())
+    weighted = 0.0
+    max_latency = 0.0
+    for c in confirmed:
+        block = c.block
+        tx_count = block.tx_count
+        if tx_count > 0:
+            submitted = block.batch_submitted_at or block.proposed_at
+            latency = max(0.0, c.confirmed_at - submitted)
+            weighted += latency * tx_count
+            max_latency = max(max_latency, latency)
+    return RunMetrics(
+        protocol=protocol,
+        n=n,
+        stragglers=stragglers,
+        duration=duration,
+        throughput_tps=confirmed_txs / max(duration, 1e-9),
+        peak_throughput_tps=float(max(per_second.values(), default=0)),
+        average_latency_s=weighted / confirmed_txs if confirmed_txs else 0.0,
+        max_latency_s=max_latency,
+        causal_strength=causal_strength(confirmed),
+        confirmed_blocks=len(confirmed),
+        confirmed_txs=confirmed_txs,
+        partially_committed_blocks=partially_committed,
+        cpu_percent=resources.average_cpu_percent(duration) if resources else 0.0,
+        bandwidth_mbps=resources.average_bandwidth_mbps(duration) if resources else 0.0,
+    )

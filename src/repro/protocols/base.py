@@ -26,7 +26,6 @@ from repro.core.block import Block
 from repro.core.epoch import EpochConfig, EpochPacemaker
 from repro.core.ordering import Confirmation, GlobalOrderer
 from repro.core.rank import RankState
-from repro.metrics.collector import MetricsCollector
 from repro.metrics.resources import ResourceModel
 from repro.protocols.result import RunSnapshot, SystemResult, assemble
 from repro.runtime import Runtime, build_runtime
@@ -119,8 +118,7 @@ class MultiBFTReplica(Node):
         self.faults = system.faults
         self.proposal_interval = system.proposal_interval
         #: False on every replica but the observer: orderer and instances
-        #: keep compact fingerprints only, and there is no metrics collector
-        #: (bounded memory)
+        #: keep compact fingerprints only (bounded memory)
         self.retain_history = retain_history
         #: the consensus-instance state machine this stack runs (the other
         #: half of the protocol's registry row)
@@ -145,11 +143,6 @@ class MultiBFTReplica(Node):
         self._mc_above: List[int] = []
         self.rank_state = RankState()
         self.quorum = quorum_threshold(config.n)
-        #: the observer's collector, the only one a run summarises; None on
-        #: every other replica
-        self.metrics: Optional[MetricsCollector] = (
-            MetricsCollector() if retain_history else None
-        )
         self.orderer: GlobalOrderer = self.build_orderer()
         self.instances: Dict[int, Any] = {}
         self.view_change_log: List[Tuple[float, int, int]] = []
@@ -478,16 +471,13 @@ class MultiBFTReplica(Node):
             self._maybe_checkpoint()
 
     def _confirm(self, newly: List[Confirmation]) -> None:
-        """The tail of every confirmation site: the observer's metrics, the trace.
+        """The tail of every confirmation site: the trace.
 
-        Only the observer has a collector.  Every other replica's orderer
-        hands back audit fingerprints, not
-        :class:`~repro.core.ordering.ConfirmedBlock` records; the trace reads
-        the same fields from either, stamped ``now`` (every site confirms at
-        ``now``).
+        The observer's orderer hands back
+        :class:`~repro.core.ordering.ConfirmedBlock` records, every other
+        replica's audit fingerprints; the trace reads the same fields from
+        either, stamped ``now`` (every site confirms at ``now``).
         """
-        if self.retain_history:
-            self.metrics.record_confirmations(newly)
         trace = self._trace
         if trace.enabled:
             now = self.now()
@@ -719,11 +709,10 @@ class MultiBFTSystem:
             # Each block an instance delivers is one commit-log record, so
             # the logs count the partial commits; DQBFT's ordering instance
             # is not paced and its blocks are not counted.
-            observer.metrics.partially_committed = sum(
+            snapshot.partially_committed = sum(
                 len(observer.instances[instance_id].commit_log)
                 for instance_id in observer.paced_instance_ids()
             )
-            snapshot.collector = observer.metrics
             snapshot.confirmed = observer.orderer.confirmed
             if observer.pacemaker is not None:
                 snapshot.epoch_log = list(observer.pacemaker.advancement_log)

@@ -22,7 +22,7 @@ from repro.metrics.auditor import (
     SafetyAuditReport,
     audit_snapshot,
 )
-from repro.metrics.collector import MetricsCollector, RunMetrics
+from repro.metrics.collector import RunMetrics, summarise, throughput_series
 from repro.metrics.resources import ResourceModel, ResourceUsage
 from repro.runtime import NetworkStats
 
@@ -50,9 +50,9 @@ class RunSnapshot:
     #: replica -> usage; iteration order is Table 1's float-sum order
     resources: Dict[int, ResourceUsage]
     net_stats: NetworkStats
-    #: the observing replica's metrics state, confirmed log and epoch
-    #: advancements; ``collector`` is None on a shard that does not host it
-    collector: Optional[MetricsCollector] = None
+    #: the observing replica's partial-commit count, confirmed log and
+    #: epoch advancements; the count is None on a shard that does not host it
+    partially_committed: Optional[int] = None
     confirmed: Tuple[ConfirmedBlock, ...] = ()
     epoch_log: List[Tuple[float, int]] = field(default_factory=list)
 
@@ -83,7 +83,6 @@ def assemble(snapshot: RunSnapshot, system: "MultiBFTSystem") -> SystemResult:
     folded in) the run was built with.
     """
     config = system.config
-    collector = snapshot.collector
     resources = ResourceModel()
     resources.absorb(snapshot.resources)
     # Attribute network byte counts to per-replica resource usage so that
@@ -91,7 +90,9 @@ def assemble(snapshot: RunSnapshot, system: "MultiBFTSystem") -> SystemResult:
     for replica_id, byte_count in snapshot.net_stats.bytes_per_node.items():
         usage = resources.usage(replica_id)
         usage.bytes_sent = max(usage.bytes_sent, byte_count)
-    metrics = collector.summarise(
+    metrics = summarise(
+        snapshot.confirmed,
+        snapshot.partially_committed,
         protocol=config.protocol,
         n=config.n,
         stragglers=system.faults.straggler_count(),
@@ -108,7 +109,7 @@ def assemble(snapshot: RunSnapshot, system: "MultiBFTSystem") -> SystemResult:
         confirmed=snapshot.confirmed,
         network_stats=snapshot.net_stats,
         resources=resources,
-        throughput_series=collector.throughput.series(until=config.duration),
+        throughput_series=throughput_series(snapshot.confirmed, until=config.duration),
         view_change_times=sorted(snapshot.view_change_log),
         epoch_advancements=snapshot.epoch_log,
         crash_log=snapshot.crash_log,

@@ -438,7 +438,7 @@ def _merge_snapshots(
     """
     from repro.protocols.result import RunSnapshot
 
-    observers = [part for part in parts if part.collector is not None]
+    observers = [part for part in parts if part.partially_committed is not None]
     if len(observers) != 1:  # pragma: no cover - structural invariant
         raise RuntimeError(
             f"expected exactly one shard to host the observer, got "
@@ -472,7 +472,7 @@ def _merge_snapshots(
         adversary_stats=adversary,
         resources={r: usage[r] for r in sorted(usage)},
         net_stats=stats,
-        collector=observer.collector,
+        partially_committed=observer.partially_committed,
         confirmed=observer.confirmed,
         epoch_log=observer.epoch_log,
     )
@@ -485,9 +485,9 @@ def _merge_dynamics_logs(
 
     Time-driven network dynamics arm identically on every shard, so those
     kinds come from shard 0 only; crash/recover entries are owned by the
-    hosting shard and concatenate; attack-window entries concatenate with
-    exact-duplicate suppression (identical "on" markers from shards sharing
-    a conspiracy collapse, per-shard "-end" stats entries all survive).
+    hosting shard and concatenate; attack entries concatenate with
+    exact-duplicate suppression (identical start markers from shards sharing
+    a conspiracy collapse).
     """
     merged: List[Tuple[float, str, str]] = []
     seen: set = set()

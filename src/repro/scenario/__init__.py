@@ -7,7 +7,8 @@ The public surface:
 * :class:`~repro.scenario.topology.TopologySpec` — region sets, delay
   matrices, placement, and per-region bandwidth;
 * the dynamics events (:class:`Partition`, :class:`RegionOutage`,
-  :class:`LinkDegradation`, :class:`LossBurst`, :class:`Churn`);
+  :class:`Churn`, and :mod:`repro.sim.faults`'s :class:`DegradationSpec`
+  and :class:`LossBurstSpec`);
 * the named-scenario registry (:func:`get_scenario`,
   :func:`register_scenario`, :func:`available_scenarios`).
 """
@@ -15,8 +16,6 @@ The public surface:
 from repro.scenario.dynamics import (
     Churn,
     DynamicsEvent,
-    LinkDegradation,
-    LossBurst,
     Partition,
     RegionOutage,
     resolve_dynamics,
@@ -28,12 +27,13 @@ from repro.scenario.registry import (
 )
 from repro.scenario.spec import ScenarioSpec, TrafficSpec
 from repro.scenario.topology import TopologySpec
+from repro.sim.faults import DegradationSpec, LossBurstSpec
 
 __all__ = [
     "Churn",
+    "DegradationSpec",
     "DynamicsEvent",
-    "LinkDegradation",
-    "LossBurst",
+    "LossBurstSpec",
     "Partition",
     "RegionOutage",
     "ScenarioSpec",

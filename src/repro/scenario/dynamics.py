@@ -1,12 +1,14 @@
 """Declarative network-dynamics timeline events.
 
-These are the scenario-level (region-aware) counterparts of the concrete
-specs in :mod:`repro.sim.faults`: a :class:`Partition` may group replicas by
-region name, a :class:`RegionOutage` crashes every replica placed in a
-region, and :class:`Churn` unrolls into a rolling crash/recover schedule.
-:func:`resolve_dynamics` lowers a timeline into a concrete
-:class:`~repro.sim.faults.FaultConfig` for a given deployment size and
-placement.
+A timeline holds the region-aware events defined here — a
+:class:`Partition` may group replicas by region name, a
+:class:`RegionOutage` crashes every replica placed in a region, and
+:class:`Churn` unrolls into a rolling crash/recover schedule — next to the
+placement-free specs of :mod:`repro.sim.faults` it takes as they are
+(:class:`~repro.sim.faults.DegradationSpec`,
+:class:`~repro.sim.faults.LossBurstSpec`).  :func:`resolve_dynamics` lowers
+a timeline into a concrete :class:`~repro.sim.faults.FaultConfig` for a
+given deployment size and placement.
 """
 
 from __future__ import annotations
@@ -60,25 +62,6 @@ class RegionOutage:
 
 
 @dataclass(frozen=True)
-class LinkDegradation:
-    """Scale all propagation delays by ``factor`` during ``[at, until)``."""
-
-    at: float
-    until: float
-    factor: float = 4.0
-
-
-@dataclass(frozen=True)
-class LossBurst:
-    """Raise the uniform loss probability to ``drop_probability`` during
-    ``[at, until)``."""
-
-    at: float
-    until: float
-    drop_probability: float = 0.2
-
-
-@dataclass(frozen=True)
 class Churn:
     """Rolling node churn: one replica down at a time.
 
@@ -104,7 +87,7 @@ class Churn:
             raise ValueError("need at least one churn cycle")
 
 
-DynamicsEvent = Union[Partition, RegionOutage, LinkDegradation, LossBurst, Churn]
+DynamicsEvent = Union[Partition, RegionOutage, DegradationSpec, LossBurstSpec, Churn]
 
 
 def _resolve_group(
@@ -150,16 +133,10 @@ def resolve_dynamics(
                 CrashSpec(replica=replica, at=event.at, recover_at=event.recover_at)
                 for replica in replicas
             )
-        elif isinstance(event, LinkDegradation):
-            degradations.append(
-                DegradationSpec(at=event.at, until=event.until, factor=event.factor)
-            )
-        elif isinstance(event, LossBurst):
-            loss_bursts.append(
-                LossBurstSpec(
-                    at=event.at, until=event.until, drop_probability=event.drop_probability
-                )
-            )
+        elif isinstance(event, DegradationSpec):
+            degradations.append(event)
+        elif isinstance(event, LossBurstSpec):
+            loss_bursts.append(event)
         elif isinstance(event, Churn):
             pool = event.replicas or tuple(range(1, n)) or (0,)
             for replica in pool:

@@ -14,15 +14,10 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.adversary.registry import get_adversary
-from repro.scenario.dynamics import (
-    Churn,
-    LinkDegradation,
-    LossBurst,
-    Partition,
-    RegionOutage,
-)
+from repro.scenario.dynamics import Churn, Partition, RegionOutage
 from repro.scenario.spec import ScenarioSpec, TrafficSpec
 from repro.scenario.topology import TopologySpec
+from repro.sim.faults import DegradationSpec, LossBurstSpec
 from repro.workload.generator import BurstyTraffic, DiurnalTraffic, RampTraffic
 
 _REGISTRY: Dict[str, ScenarioSpec] = {}
@@ -85,7 +80,7 @@ register_scenario(
         ),
         dynamics=(
             RegionOutage(region="ap-northeast-1", at=6.0, recover_at=14.0),
-            LinkDegradation(at=14.0, until=20.0, factor=2.0),
+            DegradationSpec(at=14.0, until=20.0, factor=2.0),
         ),
     )
 )
@@ -142,7 +137,7 @@ register_scenario(
         topology=TopologySpec.lan(),
         drop_probability=0.01,
         duplicate_probability=0.02,
-        dynamics=(LossBurst(at=5.0, until=8.0, drop_probability=0.15),),
+        dynamics=(LossBurstSpec(at=5.0, until=8.0, drop_probability=0.15),),
     )
 )
 

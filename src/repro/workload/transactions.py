@@ -1,17 +1,15 @@
 """Transaction batches.
 
-Transactions carry a 500-byte payload, the average Bitcoin transaction size
-used throughout the paper's evaluation (Sec. 6.1).  Payload contents are not
-interpreted by the protocols; only the size and count matter, so no run
-materialises a client transaction.
+Payload contents are not interpreted by the protocols; only the count
+matters, so no run materialises a client transaction.  The wire charges
+each transaction a 500-byte payload, the average Bitcoin transaction size
+of the paper's evaluation (Sec. 6.1), in
+:func:`repro.consensus.messages.batch_size_bytes`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-DEFAULT_PAYLOAD_BYTES = 500
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,10 +22,9 @@ class Batch:
       batch stands for without materialising them (every client batch: per-
       transaction identity is irrelevant, and allocating millions of objects
       would dominate the simulation);
-    * **materialised** — ``txs`` holds opaque items, each with a fixed 64 B
-      wire size.  The only materialised batch a run builds is DQBFT's
-      ordering batch, whose items are the :class:`~repro.core.block.BlockId`
-      references of the blocks it orders.
+    * **materialised** — ``txs`` holds opaque items.  The only materialised
+      batch a run builds is DQBFT's ordering batch, whose items are the
+      :class:`~repro.core.block.BlockId` references of the blocks it orders.
 
     ``submitted_at`` is the representative submission time used for latency
     accounting.
@@ -36,7 +33,6 @@ class Batch:
     txs: tuple = ()
     synthetic_count: int = 0
     submitted_at: float = 0.0
-    payload_bytes: int = DEFAULT_PAYLOAD_BYTES
 
     def __post_init__(self) -> None:
         if self.synthetic_count < 0:
@@ -48,15 +44,9 @@ class Batch:
     def tx_count(self) -> int:
         return len(self.txs) if self.txs else self.synthetic_count
 
-    @property
-    def size_bytes(self) -> int:
-        if self.txs:
-            return 64 * len(self.txs)
-        return self.synthetic_count * self.payload_bytes
-
     @classmethod
-    def synthetic(cls, count: int, submitted_at: float, payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> "Batch":
-        return cls(synthetic_count=count, submitted_at=submitted_at, payload_bytes=payload_bytes)
+    def synthetic(cls, count: int, submitted_at: float) -> "Batch":
+        return cls(synthetic_count=count, submitted_at=submitted_at)
 
     @classmethod
     def empty(cls) -> "Batch":

@@ -81,11 +81,7 @@ class TestCheckpointQuorumUnderSilence:
     @pytest.fixture(scope="class")
     def run(self):
         adversary = AdversarySpec(
-            attacks=(
-                Silence(
-                    replicas=(2, 3), kinds=("checkpoint",), start=0.0, until=self.SILENCE_UNTIL
-                ),
-            )
+            attacks=(Silence(replicas=(2, 3), kinds=("checkpoint",)),)
         )
         cell = ExperimentCell(
             protocol="ladon-pbft",
@@ -100,6 +96,14 @@ class TestCheckpointQuorumUnderSilence:
             view_change_timeout=4.0,
         )
         system = build_system(cell, faults=FaultConfig(adversary=adversary))
+
+        def lift_silence():
+            # attacks last to the end of the run: the silence lifts when the
+            # conspirators' interceptors come off their outbound hook
+            for replica in (2, 3):
+                system.replicas[replica].interceptor = None
+
+        system.runtime.schedule_at(self.SILENCE_UNTIL, lift_silence)
         return system, system.run()
 
     def test_epoch_stalls_until_the_silence_lifts(self, run):

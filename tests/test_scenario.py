@@ -12,8 +12,8 @@ from repro.bench.sweep import SweepRunner, expand_grid
 from repro.protocols.registry import build_system
 from repro.scenario import (
     Churn,
-    LinkDegradation,
-    LossBurst,
+    DegradationSpec,
+    LossBurstSpec,
     Partition,
     RegionOutage,
     ScenarioSpec,
@@ -264,15 +264,13 @@ class TestDynamicsResolution:
             Churn(period=2.0, downtime=2.0)
 
     def test_loss_and_degradation_pass_through(self):
+        burst = LossBurstSpec(at=1.0, until=2.0, drop_probability=0.3)
+        degradation = DegradationSpec(at=3.0, until=4.0, factor=2.0)
         config = resolve_dynamics(
-            (LossBurst(at=1.0, until=2.0, drop_probability=0.3),
-             LinkDegradation(at=3.0, until=4.0, factor=2.0)),
-            FaultConfig(),
-            TopologySpec.lan(),
-            4,
+            (burst, degradation), FaultConfig(), TopologySpec.lan(), 4
         )
-        assert config.loss_bursts[0].drop_probability == 0.3
-        assert config.degradations[0].factor == 2.0
+        assert config.loss_bursts == (burst,)
+        assert config.degradations == (degradation,)
 
     def test_unknown_partition_region_rejected(self):
         with pytest.raises(ValueError):
@@ -286,7 +284,7 @@ class TestDynamicsResolution:
     def test_base_faults_preserved(self):
         base = FaultConfig.with_stragglers(1, 4, seed=0)
         config = resolve_dynamics(
-            (LossBurst(at=1.0, until=2.0),), base, TopologySpec.lan(), 4
+            (LossBurstSpec(at=1.0, until=2.0),), base, TopologySpec.lan(), 4
         )
         assert config.stragglers == base.stragglers
 

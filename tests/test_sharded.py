@@ -37,7 +37,8 @@ from repro.bench.config import ExperimentCell
 from repro.bench.sweep import cell_key
 from repro.protocols.registry import build_system
 from repro.runtime import build_runtime
-from repro.runtime.sharded import ShardedSystem, _merge_dynamics_logs
+from repro.protocols.result import RunSnapshot
+from repro.runtime.sharded import ShardedSystem, _merge_dynamics_logs, _merge_snapshots
 from repro.shard import derive_lookahead, plan_shards
 from repro.shard.ipc import (
     ShardSyncError,
@@ -53,7 +54,7 @@ from repro.sim.faults import CrashSpec, DegradationSpec, FaultConfig
 from repro.scenario import TopologySpec
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.latency import LatencyModel, UniformLatency
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import Network, NetworkConfig, NetworkStats
 from repro.sim.simulator import Simulator
 from test_protocols_systems import result_digest
 
@@ -457,11 +458,11 @@ class TestDynamicsMerge:
     def test_attack_entries_dedupe_exact_duplicates(self):
         logs = [
             [(1.0, "attack:equivocation", "on")],
-            [(1.0, "attack:equivocation", "on"), (2.0, "attack:equivocation-end", "shard stats")],
+            [(1.0, "attack:equivocation", "on"), (2.0, "attack:silence", "on")],
         ]
         merged = _merge_dynamics_logs(logs)
         assert merged.count((1.0, "attack:equivocation", "on")) == 1
-        assert (2.0, "attack:equivocation-end", "shard stats") in merged
+        assert (2.0, "attack:silence", "on") in merged
 
 
 # --------------------------------------------------- equivalence vs oracle
@@ -708,9 +709,30 @@ class TestOneResultPath:
         assert "_merge" not in vars(ShardedSystem)
         assert "collect_result" in vars(ShardedSystem)
 
+    @staticmethod
+    def _part(replica, partially_committed=None, confirmed=()):
+        return RunSnapshot(
+            commit_logs={replica: {}}, confirmed_fps={replica: []}, view_change_log=[],
+            crash_log=[], event_log=[], adversary_stats=None, resources={},
+            net_stats=NetworkStats(), partially_committed=partially_committed,
+            confirmed=confirmed,
+        )
+
+    def test_the_observer_log_comes_from_the_shard_hosting_it(self):
+        # a count of 0 still marks the host: only None means "not here"
+        log = ("confirmed",)
+        parts = [self._part(1), self._part(0, 0, log)]
+        merged = _merge_snapshots(parts, NetworkStats(), crashes=())
+        assert merged.partially_committed == 0
+        assert merged.confirmed is log
+
+    def test_exactly_one_shard_hosts_the_observer(self):
+        with pytest.raises(RuntimeError):
+            _merge_snapshots([self._part(0), self._part(1)], NetworkStats(), crashes=())
+
     @pytest.mark.parametrize(
         "needle",
-        [".summarise(", ".confirmed_fingerprints()", "* config.view_change_timeout"],
+        ["= summarise(", ".confirmed_fingerprints()", "* config.view_change_timeout"],
     )
     def test_result_building_call_sites_occur_once(self, needle):
         root = os.path.join(os.path.dirname(__file__), "..", "src", "repro")

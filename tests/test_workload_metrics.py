@@ -8,44 +8,33 @@ from repro.consensus.base import CommitLog
 from repro.core.block import Block, BlockId
 from repro.core.ordering import ConfirmedBlock
 from repro.metrics.auditor import audit_logs
-from repro.metrics.collector import MetricsCollector
-from repro.metrics.latency import LatencyAccumulator
+from repro.metrics.collector import summarise, throughput_series
 from repro.bench.config import ExperimentCell
 from repro.consensus.messages import Prepare
 from repro.metrics.resources import CryptoCostModel
-from repro.metrics.throughput import ThroughputSeries
 from repro.protocols.registry import build_system
 from repro.workload.transactions import Batch
 
 
 class TestBatch:
     def test_materialised_batch(self):
-        # DQBFT's ordering batch: opaque block references at 64 B each.
+        # DQBFT's ordering batch: opaque block references.
         refs = tuple(BlockId(instance=i, round=1) for i in range(4))
         batch = Batch(txs=refs, submitted_at=1.5)
         assert batch.tx_count == 4
-        assert batch.size_bytes == 4 * 64
         assert batch.submitted_at == 1.5
 
     def test_synthetic_batch(self):
         batch = Batch.synthetic(4096, submitted_at=3.0)
         assert batch.tx_count == 4096
-        assert batch.size_bytes == 4096 * 500
         assert batch.submitted_at == 3.0
 
     def test_empty_batch(self):
-        batch = Batch.empty()
-        assert batch.tx_count == 0
-        assert batch.size_bytes == 0
+        assert Batch.empty().tx_count == 0
 
     def test_cannot_mix_representations(self):
         with pytest.raises(ValueError):
             Batch(txs=(1,), synthetic_count=5)
-
-
-    def test_synthetic_size_scales_with_payload(self):
-        assert Batch.synthetic(3, 0.0).size_bytes == 1500
-        assert Batch.synthetic(3, 0.0, payload_bytes=250).size_bytes == 750
 
     def test_negative_synthetic_count_rejected(self):
         with pytest.raises(ValueError):
@@ -57,81 +46,105 @@ class TestBatch:
             batch.submitted_at = 1.0
 
 
-class TestThroughput:
+def confirmed(sn, tx_count, confirmed_at, submitted_at=0.0):
+    """A hand-built confirmation of ``tx_count`` transactions submitted at
+    ``submitted_at``."""
+    block = Block(
+        instance=0, round=sn + 1, rank=sn, tx_count_hint=tx_count,
+        proposed_at=submitted_at, committed_at=confirmed_at, batch_submitted_at=submitted_at,
+    )
+    return ConfirmedBlock(block=block, sn=sn, confirmed_at=confirmed_at)
+
+
+def log(*entries):
+    """A confirmed log of ``(tx_count, confirmed_at[, submitted_at])`` rows."""
+    return tuple(confirmed(sn, *entry) for sn, entry in enumerate(entries))
+
+
+def summary(entries, duration=10.0, partially_committed=0):
+    return summarise(
+        entries, partially_committed, "ladon-pbft", n=4, stragglers=0, duration=duration
+    )
+
+
+class TestThroughputSeries:
     def test_series_bins(self):
-        series = ThroughputSeries(bin_width=1.0)
-        series.record(0.5, 100)
-        series.record(0.7, 50)
-        series.record(2.2, 30)
-        points = dict(series.series(until=3.0))
+        points = dict(throughput_series(log((100, 0.5), (50, 0.7), (30, 2.2)), until=3.0))
         assert points[0.0] == 150
         assert points[1.0] == 0
         assert points[2.0] == 30
 
     def test_total_and_peak(self):
-        series = ThroughputSeries()
-        series.record(0.5, 100)
-        series.record(1.5, 300)
-        assert series.total_txs == 400
-        assert series.peak() == 300
+        metrics = summary(log((100, 0.5), (300, 1.5)))
+        assert metrics.confirmed_txs == 400
+        assert metrics.peak_throughput_tps == 300
 
     def test_peak_sums_one_bin(self):
-        series = ThroughputSeries()
-        for time, count in [(0.1, 10), (0.2, 10), (1.5, 5)]:
-            series.record(time, count)
-        assert series.peak() == 20
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            ThroughputSeries().record(0.0, -1)
+        assert summary(log((10, 0.1), (10, 0.2), (5, 1.5))).peak_throughput_tps == 20
 
     def test_negative_time_clamped_into_bin_zero(self):
         # Regression: negative timestamps used to land in negative bins that
-        # series() silently dropped while total_txs/peak() still counted them.
-        series = ThroughputSeries(bin_width=1.0)
-        series.record(-0.5, 10)
-        series.record(0.5, 5)
-        points = dict(series.series())
+        # the series silently dropped while the totals and the peak still
+        # counted them.
+        entries = log((10, -0.5), (5, 0.5))
+        points = dict(throughput_series(entries, until=None))
         assert points[0.0] == 15
-        assert series.total_txs == 15
-        assert series.peak() == 15
-        assert sum(count for _, count in series.series()) == series.total_txs
+        metrics = summary(entries)
+        assert metrics.confirmed_txs == 15
+        assert metrics.peak_throughput_tps == 15
+        assert sum(count for _, count in throughput_series(entries, None)) == 15
 
     def test_bin_zero_boundary(self):
-        series = ThroughputSeries(bin_width=2.0)
-        series.record(0.0, 3)
-        series.record(2.0, 4)  # exactly on a bin edge opens the next bin
-        points = dict(series.series())
-        assert points[0.0] == 1.5
-        assert points[2.0] == 2.0
+        # exactly on a bin edge opens the next bin
+        points = dict(throughput_series(log((3, 0.0), (4, 1.0)), until=None))
+        assert points == {0.0: 3.0, 1.0: 4.0}
 
     def test_series_until_none_and_empty(self):
-        assert ThroughputSeries().series() == []
-        assert ThroughputSeries().series(until=None) == []
+        assert throughput_series((), until=None) == []
 
     def test_series_negative_until_clamped(self):
-        series = ThroughputSeries()
-        assert series.series(until=-3.0) == [(0.0, 0.0)]
+        assert throughput_series((), until=-3.0) == [(0.0, 0.0)]
 
 
-class TestLatencyAccumulator:
+class TestSummarise:
     def test_weighted_average(self):
-        acc = LatencyAccumulator()
-        acc.record_block(0.0, 1.0, tx_count=1)
-        acc.record_block(0.0, 3.0, tx_count=3)
-        assert acc.average() == pytest.approx((1.0 + 9.0) / 4)
+        metrics = summary(log((1, 1.0), (3, 3.0)))
+        assert metrics.average_latency_s == pytest.approx((1.0 + 9.0) / 4)
 
-    def test_zero_tx_blocks_ignored(self):
-        acc = LatencyAccumulator()
-        acc.record_block(0.0, 5.0, tx_count=0)
-        assert acc.samples == []
-        assert acc.average() == 0.0
+    def test_zero_tx_blocks_kept_out_of_latency(self):
+        metrics = summary(log((0, 5.0)))
+        assert metrics.average_latency_s == 0.0
+        assert metrics.max_latency_s == 0.0
+        assert metrics.confirmed_blocks == 1
+        assert summary(log((2, 1.0), (0, 9.0))).max_latency_s == 1.0
+
+    def test_latency_from_proposal_without_batch_time(self):
+        block = Block(instance=0, round=1, rank=0, tx_count_hint=4, proposed_at=1.0)
+        entries = (ConfirmedBlock(block=block, sn=0, confirmed_at=3.0),)
+        assert summary(entries).average_latency_s == 2.0
 
     def test_maximum(self):
-        acc = LatencyAccumulator()
-        for i in range(1, 11):
-            acc.record_block(0.0, float(i), tx_count=1)
-        assert acc.maximum() == 10.0
+        assert summary(log(*((1, float(i)) for i in range(1, 11)))).max_latency_s == 10.0
+
+    def test_summary_counts(self):
+        metrics = summary(log((100, 1.0), (50, 2.0)), partially_committed=2)
+        assert metrics.confirmed_blocks == 2
+        assert metrics.confirmed_txs == 150
+        assert metrics.partially_committed_blocks == 2
+        assert metrics.throughput_tps == pytest.approx(15.0)
+        assert metrics.causal_strength == 1.0
+
+    def test_empty_log(self):
+        metrics = summary((), duration=0.0)
+        assert metrics.throughput_tps == 0.0
+        assert metrics.peak_throughput_tps == 0.0
+        assert metrics.causal_strength == 1.0
+
+    def test_as_dict_round_trip(self):
+        metrics = summarise(log((10, 1.0)), 0, "mir", n=4, stragglers=1, duration=5.0)
+        data = metrics.as_dict()
+        assert data["protocol"] == "mir"
+        assert data["stragglers"] == 1
 
 
 class TestResources:
@@ -179,42 +192,6 @@ class TestResources:
         resources = replicas[0].resources
         assert resources.average_bandwidth_mbps(1.0) == pytest.approx(2.0)
         assert sum(u.bytes_sent for u in resources.per_replica().values()) == 4_000_000
-
-
-class TestMetricsCollector:
-    def _confirmed(self, sn, tx_count, confirmed_at, submitted_at=0.0):
-        block = Block(
-            instance=0, round=sn + 1, rank=sn, tx_count_hint=tx_count,
-            proposed_at=submitted_at, committed_at=confirmed_at, batch_submitted_at=submitted_at,
-        )
-        return ConfirmedBlock(block=block, sn=sn, confirmed_at=confirmed_at)
-
-    def test_summary_counts(self):
-        collector = MetricsCollector()
-        collector.record_partial_commit()
-        collector.record_partial_commit()
-        collector.record_confirmations([self._confirmed(0, 100, 1.0), self._confirmed(1, 50, 2.0)])
-        metrics = collector.summarise("ladon-pbft", n=4, stragglers=0, duration=10.0)
-        assert metrics.confirmed_blocks == 2
-        assert metrics.confirmed_txs == 150
-        assert metrics.partially_committed_blocks == 2
-        assert metrics.throughput_tps == pytest.approx(15.0)
-        assert metrics.causal_strength == 1.0
-
-    def test_warmup_excluded_from_throughput(self):
-        collector = MetricsCollector()
-        collector.record_confirmation(self._confirmed(0, 100, confirmed_at=1.0))
-        collector.record_confirmation(self._confirmed(1, 100, confirmed_at=9.0))
-        metrics = collector.summarise("iss-pbft", n=4, stragglers=0, duration=10.0, warmup=5.0)
-        assert metrics.confirmed_txs == 100
-
-    def test_as_dict_round_trip(self):
-        collector = MetricsCollector()
-        collector.record_confirmation(self._confirmed(0, 10, 1.0))
-        metrics = collector.summarise("mir", n=4, stragglers=1, duration=5.0)
-        data = metrics.as_dict()
-        assert data["protocol"] == "mir"
-        assert data["stragglers"] == 1
 
 
 def commit_log(*commits):

@@ -32,9 +32,8 @@ adversary but ``equivocation-colluding``, which runs as ``--expect-unsafe
 **What it does not run.**  Neither fig5-fig10, ``table1``/``table2``,
 ``fuzz shrink`` nor the shard workers (child processes of the sharded
 runtime, which are not traced).  So a never-called entry is a lead to grep,
-not a verdict: ``MetricsCollector.record_partial_commit``,
-``CampaignReport.ok``, ``cell_breaks_safety`` and ``ScenarioSpec.describe``
-are reached by those paths.
+not a verdict: ``CampaignReport.ok``, ``cell_breaks_safety`` and
+``ScenarioSpec.describe`` are reached by those paths.
 
 **Check.**  After the list, the script exits 1 when a never-called
 function in one of :data:`CHECKED_PACKAGES` is missing from
@@ -73,8 +72,6 @@ TEST_HANDLE = "test handle"  # kept on purpose for the tests that read it
 _DIFFERENTIAL = "the orderers' differential tests compare state through it"
 _PERFBENCH = "perfbench/child.py reads it"
 _TRACE = "the determinism tests read the trace through it"
-_WINDOW = ("ends an attack window (Attack.until): no registered adversary sets "
-           "one; tests/test_adversary.py drives it")
 _UNIFORM = ("the sim tests' latency model and Network's default; every system "
             "passes a topology model")
 
@@ -82,8 +79,6 @@ _UNIFORM = ("the sim tests' latency model and Network's default; every system "
 CLASSIFIED: Dict[str, Tuple[str, str]] = {
     # adversary
     "repro.adversary.attacks:Attack.describe": (ABSTRACT, "every catalog attack overrides it"),
-    "repro.adversary.interceptor:AdversaryInterceptor.deactivate": (TEST_HANDLE, _WINDOW),
-    "repro.adversary.spec:AdversarySpec._arm_window._off": (TEST_HANDLE, _WINDOW),
     "repro.adversary.registry:available_adversaries": (
         CLI, "`adversary list` and the unknown-adversary error"),
     "repro.adversary.spec:AdversarySpec.describe": (
@@ -106,8 +101,6 @@ CLASSIFIED: Dict[str, Tuple[str, str]] = {
     # metrics
     "repro.metrics.auditor:audit_system": (TOOL, _PERFBENCH),
     "repro.metrics.resources:ResourceModel.total_crypto_ops": (TOOL, _PERFBENCH),
-    "repro.metrics.collector:MetricsCollector.record_partial_commit": (
-        CLI, "the analytical engine (fig5, fig6, fig7, fig10)"),
     # protocols
     "repro.protocols.base:MultiBFTReplica.build_orderer": (ABSTRACT, "each replica class"),
     "repro.protocols.dqbft:DQBFTReplica._on_view_installed": (
