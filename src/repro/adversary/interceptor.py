@@ -76,7 +76,7 @@ class AdversaryInterceptor:
         }
 
     # ------------------------------------------------------------- the hook
-    def outbound(self, node: "Node", receiver: int, message: Any, size_bytes: int) -> bool:
+    def outbound(self, node: "Node", receiver: int, message: Any) -> bool:
         """Intercept one outbound message.
 
         Returns True when the interceptor took over delivery (the node must
@@ -104,20 +104,18 @@ class AdversaryInterceptor:
 
         if delay > 0.0:
             self.delayed += 1
-            self._send_later(node, receiver, out, size_bytes, delay)
+            self._send_later(node, receiver, out, delay)
             return True
         if out is not message:
-            node.runtime.send(node.node_id, receiver, out, size_bytes)
+            node.runtime.send(node.node_id, receiver, out)
             return True
         return False
 
     # ------------------------------------------------------------- internals
-    def _send_later(
-        self, node: "Node", receiver: int, message: Any, size_bytes: int, delay: float
-    ) -> None:
+    def _send_later(self, node: "Node", receiver: int, message: Any, delay: float) -> None:
         def _release() -> None:
             if not node.crashed:
-                node.runtime.send(node.node_id, receiver, message, size_bytes)
+                node.runtime.send(node.node_id, receiver, message)
 
         self.runtime.schedule_after(delay, _release)
 

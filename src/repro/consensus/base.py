@@ -119,10 +119,10 @@ class InstanceContext:
     def now(self) -> float:
         raise NotImplementedError
 
-    def send(self, dest: int, message: Any, size_bytes: int) -> None:
+    def send(self, dest: int, message: Any) -> None:
         raise NotImplementedError
 
-    def multicast(self, message: Any, size_bytes: int) -> None:
+    def multicast(self, message: Any) -> None:
         """Send to every replica, including this one (self-delivery is local)."""
         raise NotImplementedError
 
@@ -170,8 +170,8 @@ class CollectingContext(InstanceContext):
     """An in-memory context for unit tests: records everything it is told."""
 
     time: float = 0.0
-    sent: List[Tuple[int, Any, int]] = field(default_factory=list)
-    multicasts: List[Tuple[Any, int]] = field(default_factory=list)
+    sent: List[Tuple[int, Any]] = field(default_factory=list)
+    multicasts: List[Any] = field(default_factory=list)
     delivered: List[Block] = field(default_factory=list)
     crypto_ops: Dict[str, int] = field(default_factory=dict)
     timers: Dict[str, Tuple[float, Callable[[], None]]] = field(default_factory=dict)
@@ -182,11 +182,11 @@ class CollectingContext(InstanceContext):
     def now(self) -> float:
         return self.time
 
-    def send(self, dest: int, message: Any, size_bytes: int) -> None:
-        self.sent.append((dest, message, size_bytes))
+    def send(self, dest: int, message: Any) -> None:
+        self.sent.append((dest, message))
 
-    def multicast(self, message: Any, size_bytes: int) -> None:
-        self.multicasts.append((message, size_bytes))
+    def multicast(self, message: Any) -> None:
+        self.multicasts.append(message)
 
     def deliver(self, block: Block) -> None:
         self.delivered.append(block)

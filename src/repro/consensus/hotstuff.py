@@ -86,7 +86,7 @@ class HotStuffInstance(ConsensusInstance):
         self.next_round += 1
         message = self._build_proposal(round, batch, now)
         self.context.record_crypto("sign")
-        self.context.multicast(message, message.size_bytes)
+        self.context.multicast(message)
         return message
 
     def _build_proposal(self, round: int, batch: Batch, now: float) -> HotStuffProposal:
@@ -142,7 +142,7 @@ class HotStuffInstance(ConsensusInstance):
             context.record_crypto("verify")
             self._on_vote(leader, vote)
         else:
-            context.send(leader, vote, vote.size_bytes)
+            context.send(leader, vote)
 
     def _build_vote(self, message: HotStuffProposal) -> HotStuffVote:
         config = self.config

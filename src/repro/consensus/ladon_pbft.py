@@ -200,7 +200,7 @@ class LadonPBFTInstance(EpochStop, PBFTInstance):
         if leader == self.replica_id:
             self._store_rank_report(self.replica_id, rank_msg)
         else:
-            self.context.send(leader, rank_msg, rank_msg.size_bytes)
+            self.context.send(leader, rank_msg)
 
     def _rank_message(self, entry: RoundEntry, certificate: RankCertificate) -> RankMessage:
         """The rank message for ``entry``'s round: the replica's certified curRank."""

@@ -4,13 +4,19 @@ Message wire sizes follow the paper's configuration: 500-byte transactions,
 64-byte signatures, 32-byte digests, small fixed headers.  Sizes feed the
 bandwidth model and Table 1; they do not affect protocol logic.
 
-Messages are *flyweights*: they are frozen, ``__slots__``-backed (via
-``dataclass(slots=True)``), and their wire size is computed **once at
-construction** and stored in the ``size_bytes`` field.  The old property
-design re-summed ``rank_reports`` on every access, which on a multicast
-meant one O(reports) scan per receiver — O(n²) per proposal.  Batches ride
-along by reference (``txs`` is the same tuple object at every hop), so a
-message fan-out never copies payload data.
+A message's size travels on the message: the transport and the replica's
+usage accounting read ``message.size_bytes``, and no send path takes a size
+argument.  Messages are *flyweights*: they are frozen, ``__slots__``-backed
+(via ``dataclass(slots=True)``), and their size is known once per object.
+A class whose size reads no field (``Prepare``, ``Commit``, ``ViewChange``,
+``CheckpointMessage``) carries it as a class constant, so building one runs
+no size code.  A variable-size class declares ``size_bytes`` as a
+:func:`~repro.core.frozen.derived` field over its ``_wire_size``, which
+``fast_init`` stores **once at construction**.  The old property design
+re-summed ``rank_reports`` on every access, which on a multicast meant one
+O(reports) scan per receiver — O(n²) per proposal.  Batches ride along by
+reference (``txs`` is the same tuple object at every hop), so a message
+fan-out never copies payload data.
 
 Every message is built through :func:`repro.core.frozen.fast_init`, the
 one constructor for hot frozen values (blocks, rank certificates and
@@ -29,21 +35,22 @@ dict per call, 0.5–1.0 µs more.
 # staticcheck: hot-path
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, Optional, Tuple
 
-from repro.core.frozen import fast_init
+from repro.core.frozen import derived, fast_init
 from repro.core.rank import RankCertificate, RankReport
 
 
 SIGNATURE_BYTES = 64
 DIGEST_BYTES = 32
 HEADER_BYTES = 24  # type, view, round, instance, epoch, sender
+TX_PAYLOAD_BYTES = 500
 
 
-def batch_size_bytes(tx_count: int, tx_payload_bytes: int = 500) -> int:
+def batch_size_bytes(tx_count: int) -> int:
     """Wire size of a transaction batch."""
-    return tx_count * tx_payload_bytes
+    return tx_count * TX_PAYLOAD_BYTES
 
 
 @fast_init
@@ -51,22 +58,15 @@ def batch_size_bytes(tx_count: int, tx_payload_bytes: int = 500) -> int:
 class InstanceMessage:
     """Base class: every instance message names its view/round/instance.
 
-    ``size_bytes`` is a cached field, filled from :meth:`_wire_size` in
-    ``__post_init__``; subclasses override ``_wire_size`` (not the field).
+    ``size_bytes`` is the wire size: a class constant where it reads no
+    field, else a ``derived("_wire_size")`` field (see module docstring).
     """
 
     sender: int
     instance: int
     view: int
     round: int
-    #: wire size, computed once at construction (see module docstring)
-    size_bytes: int = field(init=False, repr=False, compare=False, default=0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "size_bytes", self._wire_size())
-
-    def _wire_size(self) -> int:
-        return HEADER_BYTES + SIGNATURE_BYTES
+    size_bytes: ClassVar[int] = HEADER_BYTES + SIGNATURE_BYTES
 
 
 # --------------------------------------------------------------------- PBFT
@@ -92,6 +92,7 @@ class PrePrepare(InstanceMessage):
     #: committed) in the previous view; digest and rank are carried over
     #: from the old view's prepared certificate instead of being recomputed
     reproposal: bool = False
+    size_bytes: int = derived("_wire_size")
 
     def _wire_size(self) -> int:
         base = HEADER_BYTES + SIGNATURE_BYTES + DIGEST_BYTES + batch_size_bytes(self.tx_count)
@@ -108,9 +109,7 @@ class PrePrepare(InstanceMessage):
 class Prepare(InstanceMessage):
     digest: str = ""
     rank: int = 0
-
-    def _wire_size(self) -> int:
-        return HEADER_BYTES + SIGNATURE_BYTES + DIGEST_BYTES
+    size_bytes: ClassVar[int] = HEADER_BYTES + SIGNATURE_BYTES + DIGEST_BYTES
 
 
 @fast_init
@@ -118,9 +117,7 @@ class Prepare(InstanceMessage):
 class Commit(InstanceMessage):
     digest: str = ""
     rank: int = 0
-
-    def _wire_size(self) -> int:
-        return HEADER_BYTES + SIGNATURE_BYTES + DIGEST_BYTES
+    size_bytes: ClassVar[int] = HEADER_BYTES + SIGNATURE_BYTES + DIGEST_BYTES
 
 
 @fast_init
@@ -134,6 +131,7 @@ class RankMessage(InstanceMessage):
     rank: int = 0
     certificate: Optional[RankCertificate] = None
     key_index: Optional[int] = None
+    size_bytes: int = derived("_wire_size")
 
     def _wire_size(self) -> int:
         cert = self.certificate.size_bytes if self.certificate else 0
@@ -159,9 +157,7 @@ class ViewChange(InstanceMessage):
 
     last_committed_round: int = 0
     highest_rank: int = 0
-
-    def _wire_size(self) -> int:
-        return HEADER_BYTES + SIGNATURE_BYTES + 16
+    size_bytes: ClassVar[int] = HEADER_BYTES + SIGNATURE_BYTES + 16
 
 
 @fast_init
@@ -171,6 +167,7 @@ class NewView(InstanceMessage):
 
     view_change_count: int = 0
     resume_round: int = 1
+    size_bytes: int = derived("_wire_size")
 
     def _wire_size(self) -> int:
         return HEADER_BYTES + SIGNATURE_BYTES + 16 + self.view_change_count * 32
@@ -184,9 +181,7 @@ class CheckpointMessage(InstanceMessage):
 
     epoch: int = 0
     state_digest: str = ""
-
-    def _wire_size(self) -> int:
-        return HEADER_BYTES + SIGNATURE_BYTES + DIGEST_BYTES
+    size_bytes: ClassVar[int] = HEADER_BYTES + SIGNATURE_BYTES + DIGEST_BYTES
 
 
 # ----------------------------------------------------------------- HotStuff
@@ -209,6 +204,7 @@ class HotStuffProposal(InstanceMessage):
     rank_certificate: Optional[RankCertificate] = None
     proposed_at: float = 0.0
     batch_submitted_at: float = 0.0
+    size_bytes: int = derived("_wire_size")
 
     def _wire_size(self) -> int:
         cert = self.rank_certificate.size_bytes if self.rank_certificate else 0
@@ -229,6 +225,7 @@ class HotStuffVote(InstanceMessage):
     rank: int = 0
     rank_m: int = 0
     rank_certificate: Optional[RankCertificate] = None
+    size_bytes: int = derived("_wire_size")
 
     def _wire_size(self) -> int:
         cert = self.rank_certificate.size_bytes if self.rank_certificate else 0

@@ -151,7 +151,7 @@ class PBFTInstance(ConsensusInstance):
         self.next_round += 1
         message = self._build_pre_prepare(round, batch, now)
         self.context.record_crypto("sign")
-        self.context.multicast(message, message.size_bytes)
+        self.context.multicast(message)
         return message
 
     def _build_pre_prepare(self, round: int, batch: Batch, now: float) -> PrePrepare:
@@ -222,7 +222,7 @@ class PBFTInstance(ConsensusInstance):
                 rank=message.rank,
             )
             self.context.record_crypto("sign")
-            self.context.multicast(prepare, prepare.size_bytes)
+            self.context.multicast(prepare)
 
         # Quorums may have formed before the pre-prepare reached this replica.
         self._maybe_send_commit(entry)
@@ -262,7 +262,7 @@ class PBFTInstance(ConsensusInstance):
             rank=entry.rank,
         )
         self.context.record_crypto("sign")
-        self.context.multicast(commit, commit.size_bytes)
+        self.context.multicast(commit)
         if entry.committed:
             # The round had already committed through the others' commit
             # quorum while this replica's own prepare quorum was still
@@ -479,7 +479,7 @@ class PBFTInstance(ConsensusInstance):
             self.context.record_crypto("verify")
             self._on_view_change(self.replica_id, message)
         else:
-            self.context.send(new_leader, message, message.size_bytes)
+            self.context.send(new_leader, message)
 
     def _on_view_change(self, sender: int, message: ViewChange) -> None:
         if message.view <= self.view:
@@ -508,7 +508,7 @@ class PBFTInstance(ConsensusInstance):
             resume_round=resume_round,
         )
         self.context.record_crypto("sign")
-        self.context.multicast(new_view_msg, new_view_msg.size_bytes)
+        self.context.multicast(new_view_msg)
 
     def _on_new_view(self, sender: int, message: NewView) -> None:
         if message.view <= self.view:
@@ -585,7 +585,7 @@ class PBFTInstance(ConsensusInstance):
             batch_submitted_at=entry.batch_submitted_at,
         )
         self.context.record_crypto("sign")
-        self.context.multicast(message, message.size_bytes)
+        self.context.multicast(message)
 
     # -------------------------------------------------------------- internals
     def _entry(self, round: int) -> RoundEntry:

@@ -5,7 +5,8 @@ Ladon proceeds in epochs.  Epoch ``e`` owns the contiguous rank range
 leader that proposes a block carrying ``maxRank(e)`` stops proposing; the
 system advances to epoch ``e+1`` only when every instance has partially
 committed its ``maxRank(e)`` block, after which 2f+1 checkpoint messages form
-a stable checkpoint.
+a stable checkpoint.  The pacemaker holds a replica's one count of those
+checkpoint votes.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class EpochState:
     epoch: int
     instances_at_max_rank: Set[int] = field(default_factory=set)
     checkpoint_votes: Set[int] = field(default_factory=set)
-    stable_checkpoint: bool = False
 
 
 class EpochPacemaker:
@@ -57,6 +57,12 @@ class EpochPacemaker:
     committed blocks and checkpoint messages and decides when *it* may start
     processing the next epoch.  The protocol layer feeds it via
     :meth:`observe_commit` and :meth:`observe_checkpoint`.
+
+    State is kept for the current and the previous epoch only (the previous
+    one for the view-change checkpoint re-broadcast): advancing to epoch
+    ``e`` drops every epoch below ``e - 1``.  Those are settled — the
+    replica advanced through them, each on a stable checkpoint — so they
+    report as stable and ignore further votes.
     """
 
     def __init__(self, config: EpochConfig, quorum: int) -> None:
@@ -64,6 +70,8 @@ class EpochPacemaker:
         self.quorum = quorum
         self.current_epoch = 0
         self._states: Dict[int, EpochState] = {0: EpochState(epoch=0)}
+        #: epochs below this are pruned and settled
+        self._floor = 0
         self.advancement_log: List[Tuple[float, int]] = []
 
     # ------------------------------------------------------------- rank range
@@ -105,23 +113,35 @@ class EpochPacemaker:
         return len(state.instances_at_max_rank) >= self.config.num_instances
 
     def observe_checkpoint(self, epoch: int, replica: int) -> bool:
-        """Record a checkpoint vote; returns True when it became stable (2f+1)."""
-        state = self._state(epoch)
-        state.checkpoint_votes.add(replica)
-        if not state.stable_checkpoint and len(state.checkpoint_votes) >= self.quorum:
-            state.stable_checkpoint = True
-            return True
-        return False
+        """Record ``replica``'s checkpoint vote for ``epoch``; True when that
+        epoch's checkpoint is stable (2f+1 votes, or settled)."""
+        if epoch >= self._floor:
+            self._state(epoch).checkpoint_votes.add(replica)
+        return self._stable(epoch)
+
+    def votes(self, epoch: int) -> int:
+        """Distinct checkpoint votes seen for ``epoch`` (a quorum once settled)."""
+        if epoch < self._floor:
+            return self.quorum
+        state = self._states.get(epoch)
+        return len(state.checkpoint_votes) if state is not None else 0
+
+    def _stable(self, epoch: int) -> bool:
+        """The one checkpoint quorum comparison."""
+        return self.votes(epoch) >= self.quorum
 
     # ------------------------------------------------------------ advancement
     def try_advance(self, now: float) -> bool:
         """Advance to the next epoch if the current one is complete and checkpointed."""
-        state = self._state(self.current_epoch)
         if not self.epoch_complete(self.current_epoch):
             return False
-        if not state.stable_checkpoint:
+        if not self._stable(self.current_epoch):
             return False
         self.current_epoch += 1
         self._state(self.current_epoch)
         self.advancement_log.append((now, self.current_epoch))
+        self._floor = self.current_epoch - 1
+        states = self._states
+        for epoch in [e for e in states if e < self._floor]:
+            del states[epoch]
         return True

@@ -13,14 +13,18 @@ import): 1.05–1.1 µs per ``Block``, about half.
 Everything else stays the dataclass's own: the signature, defaults,
 ``default_factory`` and ``init=False`` fields, the ``__post_init__`` call,
 ``FrozenInstanceError`` on assignment, ``__eq__``/``__hash__``/``__repr__``
-and pickling.  Only public :mod:`dataclasses` API is read, so the same code
-runs on every Python the project supports.  This module is the one place
-that may touch a slot descriptor's ``__set__`` (staticcheck ISO-003).
+and pickling.  One thing is added: a :func:`derived` field, a value worked
+out from the others (a message's wire size), is stored once at the end of
+construction by the same descriptor store, so no ``__post_init__`` and no
+``object.__setattr__`` run for it.  Only public :mod:`dataclasses` API is
+read, so the same code runs on every Python the project supports.  This
+module is the one place that may touch a slot descriptor's ``__set__``
+(staticcheck ISO-003).
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, field, fields
 from typing import Any, Callable, Dict, List, Tuple, TypeVar
 
 T = TypeVar("T", bound=type)
@@ -31,6 +35,20 @@ DATACLASS_INITS: Dict[type, Callable[..., None]] = {}
 
 #: stands in for an omitted ``default_factory`` argument, as in dataclasses
 _FACTORY = object()
+
+#: the field-metadata key of a :func:`derived` field
+DERIVED = "fast_init.derived"
+
+
+def derived(method: str) -> Any:
+    """A field :func:`fast_init` fills with ``cls.<method>(self)``, once.
+
+    The value is computed after every other field is stored and is never an
+    ``__init__`` argument.  It is a function of the other fields, so it is
+    left out of ``__eq__``, ``__hash__`` and ``__repr__``; pickling carries
+    it like any field.
+    """
+    return field(init=False, repr=False, compare=False, metadata={DERIVED: method})
 
 
 def fast_init(cls: T) -> T:
@@ -43,6 +61,7 @@ def fast_init(cls: T) -> T:
     namespace: Dict[str, Any] = {"_FACTORY": _FACTORY}
     parameters: List[str] = ["self"]
     body: List[str] = []
+    derive: List[str] = []
     for f in fields(cls):
         name = f.name
         namespace[f"_set_{name}"] = getattr(cls, name).__set__
@@ -64,9 +83,14 @@ def fast_init(cls: T) -> T:
             value = default
         elif f.default_factory is not MISSING:
             value = f"{default}()"
+        elif DERIVED in f.metadata:
+            namespace[f"_derive_{name}"] = getattr(cls, f.metadata[DERIVED])
+            derive.append(f"    _set_{name}(self, _derive_{name}(self))")
+            continue
         else:
             continue  # init=False without a default: left unset, as dataclasses does
         body.append(f"    _set_{name}(self, {value})")
+    body += derive
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
     source = f"def __init__({', '.join(parameters)}):\n" + ("\n".join(body) or "    pass")

@@ -19,7 +19,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, TYPE_CHECKING
 
 from repro.consensus.base import CommitLog, InstanceConfig, InstanceContext
-from repro.consensus.checkpoint import CheckpointManager
+from repro.consensus.checkpoint import build_checkpoint
 from repro.consensus.messages import CheckpointMessage
 from repro.consensus.quorum import quorum_threshold
 from repro.core.block import Block
@@ -146,7 +146,6 @@ class MultiBFTReplica(Node):
         self.orderer: GlobalOrderer = self.build_orderer()
         self.instances: Dict[int, Any] = {}
         self.view_change_log: List[Tuple[float, int, int]] = []
-        self.checkpoints = CheckpointManager(node_id, self.quorum)
         self.pacemaker: Optional[EpochPacemaker] = None
         if self.uses_epochs:
             self.pacemaker = EpochPacemaker(
@@ -348,12 +347,13 @@ class MultiBFTReplica(Node):
         ops[operation] = ops.get(operation, 0) + count
         usage.cpu_seconds += self._crypto_costs[operation] * count
 
-    def send_protocol_message(self, dest: int, message: Any, size_bytes: int) -> None:
+    def send_protocol_message(self, dest: int, message: Any) -> None:
+        size = message.size_bytes
         usage = self._usage
         if usage is None:
             usage = self._usage = self.resources.usage(self.node_id)
-        usage.bytes_sent += size_bytes
-        usage.cpu_seconds += self._per_byte_cost * size_bytes
+        usage.bytes_sent += size
+        usage.cpu_seconds += self._per_byte_cost * size
         node_id = self.node_id
         if dest == node_id:
             # Loopback without a network hop.
@@ -365,9 +365,9 @@ class MultiBFTReplica(Node):
         if self.crashed:
             return
         interceptor = self.interceptor
-        if interceptor is not None and interceptor.outbound(self, dest, message, size_bytes):
+        if interceptor is not None and interceptor.outbound(self, dest, message):
             return
-        self.runtime.multicast(node_id, (dest,), message, size_bytes)
+        self.runtime.multicast(node_id, (dest,), message)
 
     def _multicast_split(self, receivers) -> None:
         """Recompute the below/above-own-id fan-out split (registration changed)."""
@@ -376,12 +376,12 @@ class MultiBFTReplica(Node):
         self._mc_above = [r for r in receivers if r > node_id]
         self._mc_receivers = receivers
 
-    def multicast_protocol_message(self, message: Any, size_bytes: int) -> None:
+    def multicast_protocol_message(self, message: Any) -> None:
         receivers = self.runtime.registered_nodes()
         if receivers is not self._mc_receivers:
             self._multicast_split(receivers)
         sent = len(receivers) - 1
-        sent_bytes = size_bytes * sent if sent > 0 else 0
+        sent_bytes = message.size_bytes * sent if sent > 0 else 0
         usage = self._usage
         if usage is None:
             usage = self._usage = self.resources.usage(self.node_id)
@@ -392,10 +392,10 @@ class MultiBFTReplica(Node):
         # reactions to our own message interleave with the remaining sends
         # the same way they always did.
         if self._mc_below:
-            self.multicast(self._mc_below, message, size_bytes)
+            self.multicast(self._mc_below, message)
         self._dispatch(self.node_id, message)
         if self._mc_above:
-            self.multicast(self._mc_above, message, size_bytes)
+            self.multicast(self._mc_above, message)
 
     def _receive(self, sender: int, message: Any) -> None:
         """Transport delivery entry point: accounting + dispatch, one frame.
@@ -414,11 +414,10 @@ class MultiBFTReplica(Node):
         if usage is None:
             usage = self._usage = self.resources.usage(self.node_id)
         usage.messages_handled += 1
+        size = message.size_bytes  # the transport read it too
         try:
-            size = message.size_bytes
             instance_id = message.instance
         except AttributeError:  # a foreign payload: _dispatch drops it
-            size = getattr(message, "size_bytes", 0)
             instance_id = -1
         usage.cpu_seconds += (
             self._message_handling_cost + self._per_byte_cost * size
@@ -494,27 +493,25 @@ class MultiBFTReplica(Node):
         if epoch in self._checkpoint_sent_for:
             return
         self._checkpoint_sent_for.add(epoch)
-        message = self.checkpoints.build_checkpoint(epoch, self.orderer.confirmed_count)
+        message = build_checkpoint(self.node_id, epoch, self.orderer.confirmed_count)
         self._last_checkpoint = message
         self.record_crypto_op("sign")
-        self.multicast_protocol_message(message, message.size_bytes)
+        self.multicast_protocol_message(message)
 
     def _on_checkpoint(self, sender: int, message: CheckpointMessage) -> None:
         self.record_crypto_op("verify")
-        became_stable = self.checkpoints.on_checkpoint(message)
-        if self.pacemaker is None:
-            return
-        self.pacemaker.observe_checkpoint(message.epoch, sender)
-        if became_stable or self.checkpoints.is_stable(message.epoch):
-            advanced = self.pacemaker.try_advance(self.now())
-            if advanced:
-                self._on_epoch_advanced(self.pacemaker.current_epoch)
+        pacemaker = self.pacemaker
+        if (
+            pacemaker is not None
+            and pacemaker.observe_checkpoint(message.epoch, sender)
+            and pacemaker.try_advance(self.now())
+        ):
+            self._on_epoch_advanced(pacemaker.current_epoch)
 
     def _on_epoch_advanced(self, new_epoch: int) -> None:
-        # Checkpoint vote state for long-settled epochs is dead: the cluster
-        # advanced past them, so their quorums can never matter again.  The
-        # previous epoch is kept for the view-change re-broadcast rule.
-        self.checkpoints.prune_below(new_epoch - 1)
+        # As the pacemaker prunes its vote state: long-settled epochs are
+        # dead, and the previous epoch is kept for the view-change
+        # re-broadcast rule.
         self._checkpoint_sent_for = {
             e for e in self._checkpoint_sent_for if e >= new_epoch - 1
         }
@@ -532,12 +529,10 @@ class MultiBFTReplica(Node):
         # voters clearly didn't gate progress) and are never re-sent.
         if (
             self._last_checkpoint is not None
-            and self.checkpoints.votes(self._last_checkpoint.epoch) < self.config.n
+            and self.pacemaker.votes(self._last_checkpoint.epoch) < self.config.n
             and self.current_epoch() <= self._last_checkpoint.epoch + 1
         ):
-            self.multicast_protocol_message(
-                self._last_checkpoint, self._last_checkpoint.size_bytes
-            )
+            self.multicast_protocol_message(self._last_checkpoint)
         instance = self.instances[instance_id]
         if instance.leader == self.node_id and not self.has_timer(f"pace:{instance_id}"):
             self._arm_pacing(instance_id, 0.01)

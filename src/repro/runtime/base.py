@@ -31,7 +31,9 @@ inbound handler — and the scheduler calls ``row[receiver](sender,
 message)`` at each arrival, counting it into the transport's
 ``messages_delivered``.  Protocol code has nothing to schedule per
 delivery, and no transport frame sits between the scheduler and the
-receiving replica.
+receiving replica.  Message sizes do not pass through it either: a message
+carries its own ``size_bytes``, which the transport reads, so
+:meth:`Runtime.send` and :meth:`Runtime.multicast` take the message alone.
 """
 
 from __future__ import annotations
@@ -81,13 +83,11 @@ class Runtime:
         """Register the inbound-message handler for ``node_id``."""
         raise NotImplementedError
 
-    def send(self, sender: int, receiver: int, message: Any, size_bytes: int = 0) -> None:
+    def send(self, sender: int, receiver: int, message: Any) -> None:
         """Send one message from ``sender`` to ``receiver``."""
         raise NotImplementedError
 
-    def multicast(
-        self, sender: int, receivers: Sequence[int], message: Any, size_bytes: int = 0
-    ) -> None:
+    def multicast(self, sender: int, receivers: Sequence[int], message: Any) -> None:
         """Send ``message`` to every receiver (one fused fan-out)."""
         raise NotImplementedError
 

@@ -4,7 +4,9 @@ The paper limits each replica's NIC to 1 Gbps and observes that neither ISS
 nor Ladon is CPU-bound.  We model transmission time as ``bytes / bandwidth``
 serialised per sender (a sender's messages queue behind each other on its
 uplink) plus the propagation delay from the latency model.  Byte counts feed
-the Table 1 bandwidth accounting.
+the Table 1 bandwidth accounting.  A message's size is its own
+``size_bytes`` (:mod:`repro.consensus.messages`), read once per fan-out;
+no sending method takes a size argument.
 
 This module sits on the simulation hot path (one fan-out per protocol
 message), and :meth:`Network.multicast` is its only sending code —
@@ -279,18 +281,16 @@ class Network:
         return sender_group is None or receiver_group is None or sender_group != receiver_group
 
     # --------------------------------------------------------------- sending
-    def send(self, sender: int, receiver: int, message: Any, size_bytes: int = 0) -> None:
+    def send(self, sender: int, receiver: int, message: Any) -> None:
         """Send one message: a one-receiver :meth:`multicast`."""
-        self.multicast(sender, (receiver,), message, size_bytes)
+        self.multicast(sender, (receiver,), message)
 
-    def multicast(
-        self, sender: int, receivers: Sequence[int], message: Any, size_bytes: int = 0
-    ) -> None:
+    def multicast(self, sender: int, receivers: Sequence[int], message: Any) -> None:
         """Send the same message to every receiver (possibly the sender too).
 
-        Every copy counts as sent, dropped or not, and the copies that go
-        out queue behind each other on the sender's uplink.  Propagation
-        comes from the latency model's
+        Every copy counts as sent, dropped or not, at ``message.size_bytes``
+        each, and the copies that go out queue behind each other on the
+        sender's uplink.  Propagation comes from the latency model's
         :meth:`~repro.sim.latency.LatencyModel.multicast_profile` inline —
         ``base_row[r] + rng.random() * jitter``, one draw iff ``jitter > 0``
         and none for a self pair, the rule of
@@ -303,6 +303,7 @@ class Network:
         """
         stats = self.stats
         config = self.config
+        size_bytes = message.size_bytes
         transmission = size_bytes / config.bandwidth_of(sender) if size_bytes else 0.0
         now = self.simulator.now()
         uplink_free = self._uplink_free_at.get(sender, 0.0)

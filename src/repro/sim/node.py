@@ -42,7 +42,7 @@ class Node:
         self.now = runtime.now
 
     # ------------------------------------------------------------- messaging
-    def multicast(self, receivers, message: Any, size_bytes: int = 0) -> None:
+    def multicast(self, receivers, message: Any) -> None:
         """Send ``message`` to every receiver through one transport fan-out.
 
         With an interceptor installed, each receiver is first offered to
@@ -59,11 +59,11 @@ class Node:
             receivers = [
                 receiver
                 for receiver in receivers
-                if not outbound(self, receiver, message, size_bytes)
+                if not outbound(self, receiver, message)
             ]
             if not receivers:
                 return
-        self.runtime.multicast(self.node_id, receivers, message, size_bytes)
+        self.runtime.multicast(self.node_id, receivers, message)
 
     def _receive(self, sender: int, message: Any) -> None:
         if self.crashed:

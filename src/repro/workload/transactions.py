@@ -3,8 +3,9 @@
 Payload contents are not interpreted by the protocols; only the count
 matters, so no run materialises a client transaction.  The wire charges
 each transaction a 500-byte payload, the average Bitcoin transaction size
-of the paper's evaluation (Sec. 6.1), in
-:func:`repro.consensus.messages.batch_size_bytes`.
+of the paper's evaluation (Sec. 6.1):
+:data:`repro.consensus.messages.TX_PAYLOAD_BYTES`, which
+:func:`~repro.consensus.messages.batch_size_bytes` multiplies by the count.
 """
 
 from __future__ import annotations

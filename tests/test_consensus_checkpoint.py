@@ -1,6 +1,7 @@
 """Checkpointing under adversarial silence.
 
-Unit coverage for :mod:`repro.consensus.checkpoint` plus the end-to-end
+Unit coverage for the checkpoint vote count (:class:`EpochPacemaker`) and
+:func:`~repro.consensus.checkpoint.build_checkpoint`, plus the end-to-end
 story the adversary subsystem enables: suppressed checkpoint messages
 stall the epoch (no stable checkpoint → no advancement → leaders that hit
 ``maxRank`` stop proposing), and the system recovers through the
@@ -11,8 +12,9 @@ messages carry them.
 import pytest
 
 from repro.adversary import AdversarySpec, Silence
-from repro.consensus.checkpoint import CheckpointManager
+from repro.consensus.checkpoint import build_checkpoint
 from repro.bench.config import ExperimentCell
+from repro.core.epoch import EpochConfig, EpochPacemaker
 from repro.protocols.registry import build_system
 from repro.sim.faults import FaultConfig
 
@@ -20,52 +22,72 @@ from repro.sim.faults import FaultConfig
 QUORUM = 3  # n=4
 
 
-def make_manager(replica_id=0):
-    return CheckpointManager(replica_id, QUORUM)
+def make_pacemaker(length=4):
+    return EpochPacemaker(EpochConfig(length=length, num_instances=1), QUORUM)
 
 
-class TestCheckpointManager:
+def advance(pacemaker, now=1.0):
+    """Complete and checkpoint the current epoch, then advance past it."""
+    epoch = pacemaker.current_epoch
+    pacemaker.observe_commit(0, pacemaker.max_rank(), now)
+    for replica in range(QUORUM):
+        pacemaker.observe_checkpoint(epoch, replica)
+    assert pacemaker.try_advance(now)
+
+
+class TestCheckpointVotes:
+    """The one checkpoint count, :class:`EpochPacemaker`'s."""
+
     def test_below_quorum_is_not_stable(self):
-        manager = make_manager()
-        message = manager.build_checkpoint(epoch=0, confirmed_count=10)
-        assert not manager.on_checkpoint(message)
-        assert not manager.is_stable(0)
-        assert manager.votes(0) == 1
+        pacemaker = make_pacemaker()
+        assert not pacemaker.observe_checkpoint(0, 0)
+        assert pacemaker.votes(0) == 1
 
-    def test_becomes_stable_exactly_once_at_quorum(self):
-        manager = make_manager()
-        base = manager.build_checkpoint(epoch=0, confirmed_count=10)
-        assert not manager.on_checkpoint(base)
-        from dataclasses import replace
-
-        assert not manager.on_checkpoint(replace(base, sender=1))
-        assert manager.on_checkpoint(replace(base, sender=2))  # True exactly here
-        assert manager.is_stable(0)
-        # further votes count but never re-trigger stability
-        assert not manager.on_checkpoint(replace(base, sender=3))
-        assert manager.votes(0) == 4
+    def test_stable_from_the_quorum_vote_on(self):
+        pacemaker = make_pacemaker()
+        assert not pacemaker.observe_checkpoint(0, 0)
+        assert not pacemaker.observe_checkpoint(0, 1)
+        assert pacemaker.observe_checkpoint(0, 2)  # the quorum vote
+        assert pacemaker.observe_checkpoint(0, 3)  # and every later one
+        assert pacemaker.votes(0) == 4
 
     def test_votes_are_idempotent_per_sender(self):
         """Re-broadcast checkpoints (the view-change recovery path) must
         not double-count a sender."""
-        manager = make_manager()
-        message = manager.build_checkpoint(epoch=0, confirmed_count=10)
-        manager.on_checkpoint(message)
-        manager.on_checkpoint(message)
-        assert manager.votes(0) == 1
-        assert not manager.is_stable(0)
+        pacemaker = make_pacemaker()
+        pacemaker.observe_checkpoint(0, 0)
+        assert not pacemaker.observe_checkpoint(0, 0)
+        assert pacemaker.votes(0) == 1
 
     def test_epochs_are_tracked_independently(self):
-        manager = make_manager()
-        manager.on_checkpoint(manager.build_checkpoint(epoch=0, confirmed_count=5))
-        assert manager.votes(1) == 0
-        assert not manager.is_stable(1)
+        pacemaker = make_pacemaker()
+        for replica in range(QUORUM):
+            pacemaker.observe_checkpoint(0, replica)
+        assert pacemaker.votes(1) == 0
+        assert not pacemaker.observe_checkpoint(1, 0)
+
+    def test_one_vote_short_does_not_advance(self):
+        pacemaker = make_pacemaker()
+        pacemaker.observe_commit(0, pacemaker.max_rank(), 1.0)
+        for replica in range(QUORUM - 1):
+            pacemaker.observe_checkpoint(0, replica)
+        assert not pacemaker.try_advance(1.0)
+
+    def test_settled_epochs_are_pruned_and_stable(self):
+        pacemaker = make_pacemaker()
+        advance(pacemaker)
+        assert pacemaker.votes(0) == QUORUM  # the previous epoch is kept
+        advance(pacemaker)
+        assert pacemaker.current_epoch == 2
+        assert 0 not in pacemaker._states
+        assert pacemaker.observe_checkpoint(0, 3)  # settled: stable, not recorded
+        assert 0 not in pacemaker._states and pacemaker.votes(0) == QUORUM
+        assert pacemaker.votes(1) == QUORUM
 
     def test_state_digest_depends_on_progress(self):
-        manager = make_manager()
-        a = manager.build_checkpoint(epoch=0, confirmed_count=5)
-        b = make_manager().build_checkpoint(epoch=0, confirmed_count=6)
-        c = make_manager().build_checkpoint(epoch=0, confirmed_count=5)
+        a = build_checkpoint(0, epoch=0, confirmed_count=5)
+        b = build_checkpoint(0, epoch=0, confirmed_count=6)
+        c = build_checkpoint(1, epoch=0, confirmed_count=5)
         assert a.state_digest != b.state_digest
         assert a.state_digest == c.state_digest
 
@@ -137,4 +159,4 @@ class TestCheckpointQuorumUnderSilence:
     def test_checkpoint_quorum_eventually_stable_everywhere(self, run):
         system, _ = run
         for replica in system.replicas.values():
-            assert replica.checkpoints.is_stable(0)
+            assert replica.pacemaker.votes(0) >= replica.quorum

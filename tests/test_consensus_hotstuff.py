@@ -30,7 +30,7 @@ def drive_chain(leader, leader_ctx, backups, rounds):
         # Gather votes sent to the leader (and the leader's own local vote).
         votes = []
         for node, ctx in all_nodes:
-            votes.extend(m for _, m, _ in ctx.sent if isinstance(m, HotStuffVote) and m.round == round)
+            votes.extend(m for _, m in ctx.sent if isinstance(m, HotStuffVote) and m.round == round)
         for vote in votes:
             leader.on_message(vote.sender, vote)
 
@@ -67,7 +67,7 @@ class TestChainedHotStuff:
         backup, ctx = make_instance(replica_id=1)
         bogus = HotStuffProposal(sender=2, instance=0, view=0, round=1, digest="d", tx_count=1)
         backup.on_message(2, bogus)
-        assert not any(isinstance(m, HotStuffVote) for _, m, _ in ctx.sent)
+        assert not any(isinstance(m, HotStuffVote) for _, m in ctx.sent)
 
     def test_proposal_without_quorum_justification_rejected(self):
         backup, ctx = make_instance(replica_id=1)
@@ -75,7 +75,7 @@ class TestChainedHotStuff:
             sender=0, instance=0, view=0, round=2, digest="d", tx_count=1, justify_votes=1
         )
         backup.on_message(0, bogus)
-        assert not any(isinstance(m, HotStuffVote) for _, m, _ in ctx.sent)
+        assert not any(isinstance(m, HotStuffVote) for _, m in ctx.sent)
 
     def test_vote_quorum_advances_high_qc(self):
         leader, _ = make_instance()
@@ -120,7 +120,7 @@ def justified(round, **fields):
 
 
 def votes_sent(ctx):
-    return [m for _, m, _ in ctx.sent if isinstance(m, HotStuffVote)]
+    return [m for _, m in ctx.sent if isinstance(m, HotStuffVote)]
 
 
 class TestCommitRule:
@@ -144,7 +144,7 @@ class TestCommitRule:
         leader, leader_ctx = make_instance(replica_id=0)
         backups = [make_instance(replica_id=r) for r in range(1, N)]
         drive_chain(leader, leader_ctx, backups, rounds=8)
-        proposals = [m for m, _ in leader_ctx.multicasts]
+        proposals = list(leader_ctx.multicasts)
         # Re-deliver the whole chain, newest first, then oldest first.
         for proposal in proposals[::-1] + proposals:
             for node, _ in [(leader, leader_ctx)] + backups:
@@ -215,7 +215,7 @@ class TestLadonHotStuff:
             sender=0, instance=0, view=0, round=1, digest="d", tx_count=1, rank=8, rank_m=7
         )
         backup.on_message(0, proposal)
-        votes = [m for _, m, _ in ctx.sent if isinstance(m, HotStuffVote)]
+        votes = [m for _, m in ctx.sent if isinstance(m, HotStuffVote)]
         assert votes and votes[0].rank_m == 33
 
     def test_leader_adopts_highest_vote_rank(self):

@@ -183,7 +183,7 @@ class TestRankValidation:
         reports = tuple(rank_message(s, 5, 1).to_report() for s in range(QUORUM))
         bad = self._valid_pre_prepare(reports, rank=9)
         backup.on_message(0, bad)
-        assert not any(isinstance(m, Prepare) for m, _ in context.multicasts)
+        assert not any(isinstance(m, Prepare) for m in context.multicasts)
 
 
 class TestRankFlow:
@@ -197,7 +197,7 @@ class TestRankFlow:
         backup.on_message(0, pre_prepare)
         for sender in range(QUORUM):
             backup.on_message(sender, Prepare(sender=sender, instance=0, view=0, round=1, digest="d", rank=1))
-        rank_msgs = [(dest, m) for dest, m, _ in context.sent if isinstance(m, RankMessage)]
+        rank_msgs = [(dest, m) for dest, m in context.sent if isinstance(m, RankMessage)]
         assert len(rank_msgs) == 1
         dest, message = rank_msgs[0]
         assert dest == 0  # the instance leader
@@ -259,7 +259,7 @@ class TestLadonOpt:
         backup.on_message(0, pre_prepare)
         for sender in range(QUORUM):
             backup.on_message(sender, Prepare(sender=sender, instance=0, view=0, round=1, digest="d", rank=4))
-        rank_msgs = [m for _, m, _ in context.sent if isinstance(m, RankMessage)]
+        rank_msgs = [m for _, m in context.sent if isinstance(m, RankMessage)]
         assert len(rank_msgs) == 1
         assert rank_msgs[0].rank == 4
         assert rank_msgs[0].key_index == key_index

@@ -36,13 +36,13 @@ def drive_round(leader, leader_ctx, backups, round=1, tx_count=5):
     # Gather prepares and deliver all-to-all.
     prepares = []
     for node, ctx in all_nodes:
-        prepares.extend(m for m, _ in ctx.multicasts if isinstance(m, Prepare) and m.round == round)
+        prepares.extend(m for m in ctx.multicasts if isinstance(m, Prepare) and m.round == round)
     for prepare in prepares:
         for node, _ in all_nodes:
             node.on_message(prepare.sender, prepare)
     commits = []
     for node, ctx in all_nodes:
-        commits.extend(m for m, _ in ctx.multicasts if isinstance(m, Commit) and m.round == round)
+        commits.extend(m for m in ctx.multicasts if isinstance(m, Commit) and m.round == round)
     for commit in commits:
         for node, _ in all_nodes:
             node.on_message(commit.sender, commit)
@@ -69,7 +69,7 @@ class TestProposal:
         instance, context = make_instance()
         message = instance.propose(Batch.synthetic(10, 0.0), now=2.0)
         assert isinstance(message, PrePrepare)
-        assert any(isinstance(m, PrePrepare) for m, _ in context.multicasts)
+        assert any(isinstance(m, PrePrepare) for m in context.multicasts)
         assert message.tx_count == 10
         assert message.proposed_at == 2.0
 
@@ -144,7 +144,7 @@ class TestNormalCase:
         backups = [make_instance(replica_id=r) for r in range(1, N)]
         drive_round(leader, leader_ctx, backups)
         # Replay a commit message.
-        commit = next(m for m, _ in leader_ctx.multicasts if isinstance(m, Commit))
+        commit = next(m for m in leader_ctx.multicasts if isinstance(m, Commit))
         leader.on_message(commit.sender, commit)
         assert len(leader_ctx.delivered) == 1
 
@@ -154,13 +154,13 @@ class TestValidation:
         instance, context = make_instance(replica_id=1)
         bogus = PrePrepare(sender=2, instance=0, view=0, round=1, digest="d", tx_count=1, rank=1)
         instance.on_message(2, bogus)
-        assert not any(isinstance(m, Prepare) for m, _ in context.multicasts)
+        assert not any(isinstance(m, Prepare) for m in context.multicasts)
 
     def test_pre_prepare_from_wrong_view_rejected(self):
         instance, context = make_instance(replica_id=1)
         bogus = PrePrepare(sender=0, instance=0, view=3, round=1, digest="d", tx_count=1, rank=1)
         instance.on_message(0, bogus)
-        assert not any(isinstance(m, Prepare) for m, _ in context.multicasts)
+        assert not any(isinstance(m, Prepare) for m in context.multicasts)
 
     def test_conflicting_pre_prepare_for_same_round_rejected(self):
         instance, context = make_instance(replica_id=1)
@@ -170,7 +170,7 @@ class TestValidation:
         instance.on_message(
             0, PrePrepare(sender=0, instance=0, view=0, round=1, digest="d2", tx_count=1, rank=1)
         )
-        prepares = [m for m, _ in context.multicasts if isinstance(m, Prepare)]
+        prepares = [m for m in context.multicasts if isinstance(m, Prepare)]
         assert len(prepares) == 1
         assert prepares[0].digest == "d1"
 
@@ -193,7 +193,7 @@ class TestViewChange:
         context.fire_timer(timer_name)
         assert instance.view_change_in_progress
         view_changes = [
-            (dest, m) for dest, m, _ in context.sent if isinstance(m, ViewChange)
+            (dest, m) for dest, m in context.sent if isinstance(m, ViewChange)
         ]
         assert view_changes and view_changes[0][0] == instance.config.leader_for_view(1)
 
@@ -205,7 +205,7 @@ class TestViewChange:
                 sender,
                 ViewChange(sender=sender, instance=0, view=1, round=0, last_committed_round=0),
             )
-        new_views = [m for m, _ in context.multicasts if isinstance(m, NewView)]
+        new_views = [m for m in context.multicasts if isinstance(m, NewView)]
         assert len(new_views) == 1
         assert new_views[0].view == 1
 
@@ -279,7 +279,7 @@ class TestNewViewReproposal:
             1, NewView(sender=1, instance=0, view=1, round=1,
                        view_change_count=QUORUM, resume_round=1)
         )
-        reproposals = [m for m, _ in context.multicasts
+        reproposals = [m for m in context.multicasts
                        if isinstance(m, PrePrepare) and m.reproposal]
         assert len(reproposals) == 1
         message = reproposals[0]
@@ -298,7 +298,7 @@ class TestNewViewReproposal:
             1, NewView(sender=1, instance=0, view=1, round=1,
                        view_change_count=QUORUM, resume_round=1)
         )
-        reproposal = next(m for m, _ in leader_ctx.multicasts
+        reproposal = next(m for m in leader_ctx.multicasts
                           if isinstance(m, PrePrepare) and m.reproposal)
         backup, backup_ctx = make_instance(replica_id=2, instance_id=0)
         backup.on_message(
@@ -306,7 +306,7 @@ class TestNewViewReproposal:
                        view_change_count=QUORUM, resume_round=1)
         )
         backup.on_message(1, reproposal)
-        prepares = [m for m, _ in backup_ctx.multicasts if isinstance(m, Prepare)]
+        prepares = [m for m in backup_ctx.multicasts if isinstance(m, Prepare)]
         assert prepares and prepares[-1].digest == "original"
 
     def test_prepared_round_past_a_hole_is_still_reproposed(self):
@@ -326,7 +326,7 @@ class TestNewViewReproposal:
             1, NewView(sender=1, instance=0, view=1, round=1,
                        view_change_count=QUORUM, resume_round=1)
         )
-        reproposals = [m for m, _ in context.multicasts
+        reproposals = [m for m in context.multicasts
                        if isinstance(m, PrePrepare) and m.reproposal]
         assert [m.round for m in reproposals] == [2]
         assert reproposals[0].digest == "later"
@@ -343,7 +343,7 @@ class TestNewViewReproposal:
                        view_change_count=QUORUM, resume_round=1)
         )
         assert not any(isinstance(m, PrePrepare) and m.reproposal
-                       for m, _ in context.multicasts)
+                       for m in context.multicasts)
         # the pacing loop proposes the round fresh instead
         assert instance.next_round == 1
 
@@ -410,14 +410,14 @@ class TestBoundedMemoryGC:
 
         # The late prepare quorum lands: the commit send fires and the
         # deferred round's state is finally released.
-        before = len([m for m, _ in ctx.multicasts
+        before = len([m for m in ctx.multicasts
                       if isinstance(m, Commit) and m.round == 1])
         for sender in (0, 2, 3):
             instance.on_message(sender, Prepare(
                 sender=sender, instance=0, view=0, round=1,
                 digest="d1", rank=1,
             ))
-        late_commits = [m for m, _ in ctx.multicasts
+        late_commits = [m for m in ctx.multicasts
                         if isinstance(m, Commit) and m.round == 1]
         assert len(late_commits) == before + 1  # the deferred send fired
         assert 1 not in instance._deferred_sends
@@ -516,7 +516,7 @@ class TestLazyPerInstanceState:
             new_leader.on_message(
                 sender, ViewChange(sender=sender, instance=0, view=1, round=0, last_committed_round=0)
             )
-        (new_view,) = [m for m, _ in context.multicasts if isinstance(m, NewView)]
+        (new_view,) = [m for m in context.multicasts if isinstance(m, NewView)]
         assert (new_view.view_change_count, new_view.resume_round) == (QUORUM, 5)
         new_leader.on_message(1, new_view)
         assert new_leader.view == 1

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.consensus.checkpoint import CheckpointManager
 from repro.core.epoch import EpochConfig, EpochPacemaker
 
 
@@ -49,12 +48,12 @@ class TestEpochPacemaker:
         assert pacemaker.current_epoch == 1
         assert pacemaker.min_rank() == 4
 
-    def test_checkpoint_becomes_stable_exactly_once(self):
+    def test_checkpoint_is_stable_from_the_quorum_vote_on(self):
         pacemaker = self._pacemaker()
         assert not pacemaker.observe_checkpoint(0, 0)
         assert not pacemaker.observe_checkpoint(0, 1)
         assert pacemaker.observe_checkpoint(0, 2)
-        assert not pacemaker.observe_checkpoint(0, 3)
+        assert pacemaker.observe_checkpoint(0, 3)
 
     def test_advancement_log(self):
         pacemaker = self._pacemaker()
@@ -64,31 +63,3 @@ class TestEpochPacemaker:
             pacemaker.observe_checkpoint(0, replica)
         pacemaker.try_advance(now=5.0)
         assert pacemaker.advancement_log == [(5.0, 1)]
-
-
-class TestCheckpointManager:
-    def test_stable_after_quorum(self):
-        manager = CheckpointManager(replica_id=0, quorum=3)
-        msg = manager.build_checkpoint(epoch=0, confirmed_count=10)
-        assert manager.on_checkpoint(msg) is False
-        from repro.consensus.messages import CheckpointMessage
-
-        for sender in (1, 2):
-            vote = CheckpointMessage(
-                sender=sender, instance=-1, view=0, round=0, epoch=0, state_digest=msg.state_digest
-            )
-            became_stable = manager.on_checkpoint(vote)
-        assert became_stable is True
-        assert manager.is_stable(0)
-        assert manager.votes(0) == 3
-
-    def test_different_epochs_tracked_separately(self):
-        manager = CheckpointManager(replica_id=0, quorum=2)
-        manager.build_checkpoint(epoch=0, confirmed_count=5)
-        manager.build_checkpoint(epoch=1, confirmed_count=9)
-        from repro.consensus.messages import CheckpointMessage
-
-        manager.on_checkpoint(CheckpointMessage(sender=0, instance=-1, view=0, round=0, epoch=0))
-        manager.on_checkpoint(CheckpointMessage(sender=1, instance=-1, view=0, round=0, epoch=1))
-        assert not manager.is_stable(0)
-        assert not manager.is_stable(1)

@@ -8,6 +8,9 @@ arguments must give equal objects with equal hash and repr, the same
 pickle round-trip, the same ``ValueError`` for invalid input, and a
 ``FrozenInstanceError`` on assignment.  A structural test keeps a new
 frozen class in those modules from falling back to the slow ``__init__``.
+A :func:`~repro.core.frozen.derived` field (a message's ``size_bytes``) is
+the one thing the reference does not fill; ``tests/test_message_sizes.py``
+pins it against the size formulas instead.
 """
 
 import dataclasses
@@ -20,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.consensus import messages
 from repro.core import block, frozen, ordering, rank
-from repro.core.frozen import DATACLASS_INITS, fast_init
+from repro.core.frozen import DATACLASS_INITS, DERIVED, derived, fast_init
 
 MODULES = (messages, block, rank, ordering)
 
@@ -106,8 +109,9 @@ def construct(init, cls, args, kwargs):
 
 
 def all_fields(obj):
-    """Every field value, ``compare=False`` ones (``size_bytes``) included."""
-    return [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    """Every field value, ``compare=False`` ones included, but the derived
+    ones: the dataclass ``__init__`` leaves those unset."""
+    return [getattr(obj, f.name) for f in dataclasses.fields(obj) if DERIVED not in f.metadata]
 
 
 # ----------------------------------------------------------------- the tests
@@ -199,6 +203,29 @@ class TestFastInit:
         assert (shape.a, shape.b, shape.c, shape.d) == (1, (1,), 7, [])
         assert Shape(1).d is not shape.d  # one factory call per construction
         assert Shape(1, (2,)) == Shape(a=1, b=(2,))
+
+    def test_derived_field_is_computed_once_after_the_others(self):
+        computed = []
+
+        @fast_init
+        @dataclass(frozen=True, slots=True)
+        class Sum:
+            a: int
+            total: int = derived("_total")
+            b: int = 2
+
+            def _total(self):
+                computed.append(self.a)
+                return self.a + self.b
+
+        value = Sum(1)
+        assert value.total == 3 and computed == [1]
+        assert value == Sum(1, 2) and hash(value) == hash(Sum(1, 2))
+        assert repr(value).endswith("Sum(a=1, b=2)")
+        with pytest.raises(FrozenInstanceError):
+            value.total = 4
+        with pytest.raises(TypeError):
+            Sum(1, total=5)
 
     def test_post_init_runs(self):
         @fast_init

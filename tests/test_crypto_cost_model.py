@@ -87,7 +87,7 @@ def prepare_round_one(backup, block_rank=4):
 
 
 def sent_rank_messages(context):
-    return [message for _, message, _ in context.sent if isinstance(message, RankMessage)]
+    return [message for _, message in context.sent if isinstance(message, RankMessage)]
 
 
 class TestCryptoCostModel:

@@ -242,3 +242,13 @@ def test_readme_architecture_map_matches_source_tree():
     )
     missing = [pkg for pkg in packages if f"`{pkg}/`" not in readme]
     assert not missing, f"README architecture map is missing packages: {missing}"
+
+
+def test_readme_python_floor_is_the_lowest_ci_version():
+    readme = open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8").read()
+    (floor,) = re.findall(r"Python \((3\.\d+)\+\)", readme)
+    ci = open(os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml"), encoding="utf-8").read()
+    matrix = re.search(r"python-version: \[([^\]]*)\]", ci).group(1)
+    lowest = min(re.findall(r"3\.\d+", matrix), key=lambda v: int(v.split(".")[1]))
+    assert floor == lowest, f"README says Python {floor}+, CI's lowest is {lowest}"
+    assert int(floor.split(".")[1]) >= 10  # dataclass(slots=True)

@@ -18,6 +18,7 @@ Covers:
   same block sequence on both backends (realtime variant marked ``slow``).
 """
 
+import inspect
 import os
 import re
 import threading
@@ -36,6 +37,9 @@ from repro.runtime import (
 )
 from repro.sim.latency import UniformLatency
 from repro.sim.node import Node
+
+from sized import Sized
+
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -122,6 +126,32 @@ def test_shard_worker_never_advertises_a_cancelled_timer(monkeypatch):
     assert not thread.is_alive()
 
 
+def test_no_send_path_takes_a_size():
+    """A message's size travels on the message (``message.size_bytes``): no
+    function between a consensus instance and the transport takes one."""
+    from repro.adversary.interceptor import AdversaryInterceptor
+    from repro.consensus.base import CollectingContext, InstanceContext
+    from repro.protocols.base import MultiBFTReplica
+    from repro.sim.network import Network
+
+    send_path = [
+        InstanceContext.send, InstanceContext.multicast,
+        CollectingContext.send, CollectingContext.multicast,
+        MultiBFTReplica.send_protocol_message, MultiBFTReplica.multicast_protocol_message,
+        Node.multicast,
+        Runtime.send, Runtime.multicast,
+        Network.send, Network.multicast,
+        AdversaryInterceptor.outbound, AdversaryInterceptor._send_later,
+    ]
+    sized = [
+        f"{function.__qualname__}({name})"
+        for function in send_path
+        for name in inspect.signature(function).parameters
+        if "size" in name
+    ]
+    assert sized == []
+
+
 # ------------------------------------------------------------ the interface
 class TestBuildRuntime:
     def test_kinds(self):
@@ -162,7 +192,7 @@ class _Echo(Node):
         self.received = []
 
     def on_message(self, sender, message):
-        self.received.append((round(self.now(), 6), sender, message))
+        self.received.append((round(self.now(), 6), sender, message.payload))
 
 
 class TestDESRuntime:
@@ -191,8 +221,8 @@ class TestDESRuntime:
         runtime = self._runtime()
         nodes = [_Echo(i, runtime) for i in range(3)]
         assert runtime.registered_nodes() == [0, 1, 2]
-        nodes[0].multicast((1,), "hi")
-        nodes[0].multicast([1, 2], "all")
+        nodes[0].multicast((1,), Sized("hi"))
+        nodes[0].multicast([1, 2], Sized("all"))
         runtime.run(until=1.0)
         assert [m for _, _, m in nodes[1].received] == ["hi", "all"]
         assert [m for _, _, m in nodes[2].received] == ["all"]
@@ -204,9 +234,9 @@ class TestDESRuntime:
         nodes = [_Echo(i, runtime) for i in range(4)]
         runtime.set_partition([(0, 1), (2, 3)])
         assert runtime.partitioned
-        nodes[0].multicast((2,), "blocked")
+        nodes[0].multicast((2,), Sized("blocked"))
         runtime.heal_partition()
-        nodes[0].multicast((2,), "flows")
+        nodes[0].multicast((2,), Sized("flows"))
         runtime.set_drop_probability(0.5)
         assert runtime.drop_probability == 0.5
         runtime.set_drop_probability(0.0)
@@ -223,7 +253,7 @@ class TestDESRuntime:
         runtime = DESRuntime(simulator=simulator, network=network)
         a = _Echo(0, runtime)
         b = _Echo(1, runtime)
-        a.multicast((1,), "x")
+        a.multicast((1,), Sized("x"))
         simulator.run()
         assert a.runtime is runtime and runtime.network is network
         assert [(sender, message) for _at, sender, message in b.received] == [(0, "x")]
@@ -272,8 +302,8 @@ class TestRealtimeRuntime:
     def test_transport_matches_des_semantics(self):
         runtime = self._runtime()
         nodes = [_Echo(i, runtime) for i in range(3)]
-        nodes[0].multicast([1, 2], "m")
-        nodes[1].multicast((2,), "u")
+        nodes[0].multicast([1, 2], Sized("m"))
+        nodes[1].multicast((2,), Sized("u"))
         runtime.run(until=0.2)
         assert [m for _, _, m in nodes[2].received] == ["m", "u"]
         assert runtime.stats.messages_sent == 3
@@ -312,7 +342,7 @@ class _PassThrough:
     def __init__(self):
         self.seen = []
 
-    def outbound(self, node, receiver, message, size_bytes):
+    def outbound(self, node, receiver, message):
         self.seen.append((node.node_id, receiver))
         return False
 
@@ -330,7 +360,7 @@ class TestMulticastInterceptorAlignment:
         nodes = [_Echo(i, runtime) for i in range(5)]
         nodes[0].interceptor = interceptor
         for _ in range(20):
-            nodes[0].multicast([1, 2, 3, 4], "payload", size_bytes=4096)
+            nodes[0].multicast([1, 2, 3, 4], Sized("payload", 4096))
         runtime.run(until=5.0)
         received = {n.node_id: n.received for n in nodes}
         return runtime.stats, received

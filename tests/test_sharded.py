@@ -56,6 +56,7 @@ from repro.scenario.spec import ScenarioSpec
 from repro.sim.latency import LatencyModel, UniformLatency
 from repro.sim.network import Network, NetworkConfig, NetworkStats
 from repro.sim.simulator import Simulator
+from sized import Sized
 from test_protocols_systems import result_digest
 
 
@@ -292,10 +293,10 @@ def _drive_transport(plan, general):
     for phase in range(2):  # the second phase starts with idle uplinks
         message = Prepare(instance=0, view=0, round=phase, digest="d" * 8, sender=0)
         for _ in range(3):
-            network.multicast(0, everyone, message, 4096)
-        network.multicast(2, [1, 2, 3, 4], message, 256)
+            network.multicast(0, everyone, Sized(message, 4096))
+        network.multicast(2, [1, 2, 3, 4], Sized(message, 256))
         for receiver in everyone:
-            network.send(4, receiver, message, 1024)
+            network.send(4, receiver, Sized(message, 1024))
         simulator.run(until=0.5 * (phase + 1))
     simulator.run()
     return network, log
@@ -343,7 +344,7 @@ class TestTransportEquivalence:
     def test_broadcast_reaches_remote_replicas(self):
         shard, _ = _drive_transport(TWO_SHARD_PLAN, general=False)
         shard.drain_outboxes()
-        shard.multicast(0, shard.registered_nodes(), "ping", 64)
+        shard.multicast(0, shard.registered_nodes(), Sized("ping", 64))
         (_, frame), = shard.drain_outboxes()[0]
         assert sorted(e[2] for e in flatten(decode_batch(frame))) == [1, 3, 5, 7]
 

@@ -17,6 +17,8 @@ from repro.sim.latency import UniformLatency
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator
 
+from sized import Sized
+
 
 class TestStragglerSpec:
     def test_rejects_speedup(self):
@@ -127,7 +129,7 @@ class _Echo(Node):
         self.received = []
 
     def on_message(self, sender, message):
-        self.received.append((self.now(), sender, message))
+        self.received.append((self.now(), sender, message.payload))
 
 
 class TestNetworkDynamicsInjection:
@@ -150,13 +152,13 @@ class TestNetworkDynamicsInjection:
         )
         sim, net, nodes, injector = self._build(config)
         # Before the split: cross-group traffic flows.
-        net.send(0, 2, "before")
+        net.send(0, 2, Sized("before"))
         sim.run(until=2.0)
         assert net.partitioned
-        net.send(0, 2, "during")
+        net.send(0, 2, Sized("during"))
         sim.run(until=4.0)
         assert not net.partitioned
-        net.send(0, 2, "after")
+        net.send(0, 2, Sized("after"))
         sim.run()
         assert [m for _, _, m in nodes[2].received] == ["before", "after"]
         assert [(t, kind) for t, kind, _ in injector.event_log] == [
@@ -173,9 +175,9 @@ class TestNetworkDynamicsInjection:
         config = FaultConfig(degradations=(DegradationSpec(at=1.0, until=2.0, factor=5.0),))
         sim, net, nodes, _ = self._build(config)
         sim.run(until=1.5)
-        net.send(0, 1, "degraded")
+        net.send(0, 1, Sized("degraded"))
         sim.run(until=2.5)
-        net.send(0, 1, "nominal")
+        net.send(0, 1, Sized("nominal"))
         sim.run()
         received = {m: t for t, _, m in nodes[1].received}
         assert received["degraded"] - 1.5 == pytest.approx(0.05)

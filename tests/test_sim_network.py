@@ -21,6 +21,8 @@ from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator
 
+from sized import Sized
+
 
 def wan_latency(n, jitter=None):
     return TopologySpec.wan(jitter=jitter).build_latency(n)
@@ -160,8 +162,8 @@ class TestLatencyModels:
             net = Network(Simulator(seed=3), latency=model)
             expected = random.Random()
             expected.setstate(net._rng.getstate())
-            net.multicast(0, [0, 1, 2, 3], "x")
-            net.send(2, 2, "self")
+            net.multicast(0, [0, 1, 2, 3], Sized("x"))
+            net.send(2, 2, Sized("self"))
             for _ in range(3 if jitter else 0):
                 expected.random()
             assert net._rng.getstate() == expected.getstate()
@@ -176,7 +178,7 @@ class TestLatencyModels:
                 return 0.01
 
         with pytest.raises(NotImplementedError, match="_DelayOnly provides no fan-out profile"):
-            Network(Simulator(), latency=_DelayOnly()).send(0, 1, "x")
+            Network(Simulator(), latency=_DelayOnly()).send(0, 1, Sized("x"))
 
     @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
     def test_bad_default_delay_is_refused(self, bad):
@@ -210,11 +212,11 @@ class TestNetwork:
         sim, net, runtime = sim_net
         a = _Recorder(0, runtime)
         b = _Recorder(1, runtime)
-        a.multicast((1,), "hello", size_bytes=0)
+        a.multicast((1,), Sized("hello"))
         sim.run()
         assert len(b.received) == 1
         time, sender, message = b.received[0]
-        assert sender == 0 and message == "hello"
+        assert sender == 0 and message == Sized("hello")
         assert time == pytest.approx(0.01)
 
     def test_bandwidth_serialises_uplink(self, sim_net):
@@ -222,8 +224,8 @@ class TestNetwork:
         a = _Recorder(0, runtime)
         b = _Recorder(1, runtime)
         big = 12_500_000  # 0.1 s at 1 Gbps
-        a.multicast((1,), "m1", size_bytes=big)
-        a.multicast((1,), "m2", size_bytes=big)
+        a.multicast((1,), Sized("m1", big))
+        a.multicast((1,), Sized("m2", big))
         sim.run()
         t1 = b.received[0][0]
         t2 = b.received[1][0]
@@ -232,7 +234,7 @@ class TestNetwork:
     def test_broadcast_reaches_everyone(self, sim_net):
         sim, net, runtime = sim_net
         nodes = [_Recorder(i, runtime) for i in range(4)]
-        net.multicast(0, net.registered_nodes(), "ping")
+        net.multicast(0, net.registered_nodes(), Sized("ping"))
         sim.run()
         for node in nodes:
             assert len(node.received) == 1
@@ -241,7 +243,7 @@ class TestNetwork:
         sim, net, runtime = sim_net
         _Recorder(0, runtime)
         _Recorder(1, runtime)
-        net.send(0, 1, "x", size_bytes=100)
+        net.send(0, 1, Sized("x", 100))
         sim.run()
         assert net.stats.messages_sent == 1
         assert net.stats.messages_delivered == 1
@@ -258,8 +260,8 @@ class TestNetwork:
         a = _Recorder(0, runtime)
         b = _Recorder(1, runtime)
         b.crash()
-        a.multicast((1,), "x")
-        b.multicast((0,), "y")
+        a.multicast((1,), Sized("x"))
+        b.multicast((0,), Sized("y"))
         sim.run()
         assert b.received == []
         assert a.received == []
@@ -298,7 +300,7 @@ class TestNetwork:
         b = _Recorder(1, runtime)
         b.crash()
         b.recover()
-        a.multicast((1,), "x")
+        a.multicast((1,), Sized("x"))
         sim.run()
         assert len(b.received) == 1
 
@@ -308,8 +310,8 @@ class TestNetwork:
         b = _Recorder(1, runtime)
         c = _Recorder(2, runtime)
         net.set_partition([(0, 2), (1,)])  # node 1 unreachable from node 0
-        net.send(0, 1, "lost", size_bytes=10)
-        net.send(0, 2, "ok", size_bytes=10)
+        net.send(0, 1, Sized("lost", 10))
+        net.send(0, 2, Sized("ok", 10))
         sim.run()
         # Every send is counted as sent (and in the byte totals) even when
         # the partition drops it; only deliveries reflect the partition.
@@ -325,7 +327,7 @@ class TestNetwork:
         _Recorder(0, runtime)
         receivers = [_Recorder(i, runtime) for i in range(1, 4)]
         big = 12_500_000  # 0.1 s at 1 Gbps
-        net.multicast(0, [1, 2, 3], "blob", size_bytes=big)
+        net.multicast(0, [1, 2, 3], Sized("blob", big))
         sim.run()
         arrivals = sorted(node.received[0][0] for node in receivers)
         # Copies queue behind each other on the sender's uplink: each later
@@ -340,10 +342,10 @@ class TestNetwork:
         b = _Recorder(2, runtime)
         net.config.node_bandwidth = {1: 12_500_000}  # 100 Mbps for node 1
         size = 1_250_000  # 0.01 s at 1 Gbps, 0.1 s at 100 Mbps
-        net.send(0, 2, "fast", size_bytes=size)
-        net.send(1, 2, "slow", size_bytes=size)
+        net.send(0, 2, Sized("fast", size))
+        net.send(1, 2, Sized("slow", size))
         sim.run()
-        times = {message: time for time, _, message in b.received}
+        times = {message.payload: time for time, _, message in b.received}
         assert times["slow"] - times["fast"] == pytest.approx(0.09, rel=0.05)
 
 
@@ -358,14 +360,14 @@ class TestUnregisteredDrop:
         received = []
         for node in (0, 3):
             net.register(node, lambda sender, message, node=node: received.append((node, message)))
-        net.send(0, 1, "to an id never registered")
-        net.send(0, 2, "to another id never registered")
-        net.send(0, 3, "to a registered id")
+        net.send(0, 1, Sized("to an id never registered"))
+        net.send(0, 2, Sized("to another id never registered"))
+        net.send(0, 3, Sized("to a registered id"))
         assert net.stats.messages_dropped == 0  # nothing is dropped when sent
         sim.run(until=math.nextafter(0.01, 0.0))
         assert net.stats.messages_dropped == 0 and received == []  # nor before it arrives
         sim.run(until=0.01)  # every copy arrives at 0.01
-        assert received == [(3, "to a registered id")]
+        assert received == [(3, Sized("to a registered id"))]
         assert net.stats.messages_sent == 3
         assert net.stats.messages_delivered == 1
         assert net.stats.messages_dropped == 2
@@ -385,7 +387,7 @@ class TestDuplicateDelivery:
         runtime = DESRuntime(simulator=sim, network=net)
         _Recorder(0, runtime)
         b = _Recorder(1, runtime)
-        net.send(0, 1, "x")
+        net.send(0, 1, Sized("x"))
         sim.run()
         assert len(b.received) == 2
         assert net.stats.messages_duplicated == 1
@@ -404,7 +406,7 @@ class TestDuplicateDelivery:
             _Recorder(0, runtime)
             b = _Recorder(1, runtime)
             for i in range(50):
-                net.send(0, 1, i)
+                net.send(0, 1, Sized(i))
             sim.run()
             return [(round(t, 9), m) for t, _, m in b.received], net.stats.messages_duplicated
 
@@ -423,7 +425,7 @@ class TestDuplicateDelivery:
         runtime = DESRuntime(simulator=sim, network=net)
         _Recorder(0, runtime)
         b = _Recorder(1, runtime)
-        net.send(0, 1, "x")
+        net.send(0, 1, Sized("x"))
         sim.run()
         assert len(b.received) == 1
         assert net.stats.messages_duplicated == 0
@@ -444,8 +446,8 @@ class TestPartition:
     def test_partition_blocks_cross_group_traffic(self):
         sim, net, nodes = self._net()
         net.set_partition([(0, 1), (2, 3)])
-        net.send(0, 1, "same-group")
-        net.send(0, 2, "cross-group")
+        net.send(0, 1, Sized("same-group"))
+        net.send(0, 2, Sized("cross-group"))
         sim.run()
         assert len(nodes[1].received) == 1
         assert nodes[2].received == []
@@ -454,19 +456,19 @@ class TestPartition:
     def test_heal_restores_full_connectivity(self):
         sim, net, nodes = self._net()
         net.set_partition([(0, 1), (2, 3)])
-        net.send(0, 2, "during")
+        net.send(0, 2, Sized("during"))
         sim.run()
         net.heal_partition()
-        net.send(0, 2, "after")
+        net.send(0, 2, Sized("after"))
         sim.run()
-        assert [m for _, _, m in nodes[2].received] == ["after"]
+        assert [m for _, _, m in nodes[2].received] == [Sized("after")]
         assert not net.partitioned
 
     def test_node_outside_every_group_is_isolated(self):
         sim, net, nodes = self._net()
         net.set_partition([(0, 1, 2)])  # node 3 in no group
-        net.send(0, 3, "to-isolated")
-        net.send(3, 0, "from-isolated")
+        net.send(0, 3, Sized("to-isolated"))
+        net.send(3, 0, Sized("from-isolated"))
         sim.run()
         assert nodes[3].received == []
         assert nodes[0].received == []
@@ -476,8 +478,8 @@ class TestPartition:
         sim, net, nodes = self._net()
         net.set_partition([(0, 1), (2, 3)])
         net.set_partition([(0, 2), (1, 3)])
-        net.send(0, 2, "now-same-group")
-        net.send(0, 1, "now-cross-group")
+        net.send(0, 2, Sized("now-same-group"))
+        net.send(0, 1, Sized("now-cross-group"))
         sim.run()
         assert len(nodes[2].received) == 1
         assert nodes[1].received == []
@@ -500,7 +502,7 @@ class TestDynamicControls:
         _Recorder(0, runtime)
         b = _Recorder(1, runtime)
         net.set_latency_scale(4.0)
-        net.send(0, 1, "slow")
+        net.send(0, 1, Sized("slow"))
         sim.run()
         assert b.received[0][0] == pytest.approx(0.04)
         with pytest.raises(ValueError):
@@ -552,7 +554,9 @@ def send_path_digest(model, mode):
     for node in everyone:
         net.register(
             node,
-            lambda sender, message, node=node: log.append((sim.now(), sender, node, message)),
+            lambda sender, message, node=node: log.append(
+                (sim.now(), sender, node, message.payload)
+            ),
         )
     if armed:
         net.set_partition([[0, 1, 2, 3, 4, 5, 6], [7]])
@@ -561,13 +565,13 @@ def send_path_digest(model, mode):
     elif mode == "perturbed":
         net.set_delivery_perturbation(SchedulePerturbation(PerturbationSpec(max_delay=0.0)))
     for phase in range(2):  # the second phase starts with idle uplinks
-        net.multicast(0, everyone, ("all", phase), 4096)
-        net.multicast(1, [], ("none", phase), 512)
-        net.multicast(2, [3, 2, 6, 1], ("some", phase), 256)
-        net.send(3, 3, ("self", phase), 64)
+        net.multicast(0, everyone, Sized(("all", phase), 4096))
+        net.multicast(1, [], Sized(("none", phase), 512))
+        net.multicast(2, [3, 2, 6, 1], Sized(("some", phase), 256))
+        net.send(3, 3, Sized(("self", phase), 64))
         for receiver in everyone:
-            net.send(4, receiver, ("one", phase, receiver), 1024)
-        net.send(6, 7, ("empty", phase))
+            net.send(4, receiver, Sized(("one", phase, receiver), 1024))
+        net.send(6, 7, Sized(("empty", phase)))
         sim.run(until=0.5 * (phase + 1))
     sim.run()
     assert log
@@ -636,11 +640,11 @@ class TestOneSendPath:
         replica = system.replicas[1]
         usage = replica.resources.usage(replica.node_id)
         vote = HotStuffVote(sender=1, instance=0, view=0, round=1, digest="d")
-        replica.send_protocol_message(0, vote, vote.size_bytes)
+        replica.send_protocol_message(0, vote)
         sent = (usage.bytes_sent, system.runtime.stats.bytes_sent, len(system.runtime.simulator.queue))
         assert sent[1:] == (vote.size_bytes, 1)
         replica.crash()
-        replica.send_protocol_message(0, vote, vote.size_bytes)
+        replica.send_protocol_message(0, vote)
         # The replica charges the send before it checks for a crash (as
         # Node.send always did); the transport sees nothing.
         assert usage.bytes_sent == sent[0] + vote.size_bytes
@@ -657,17 +661,17 @@ class TestOneSendPath:
         class Tap:
             """Passes every copy but the votes for replica 0, which it drops."""
 
-            def outbound(self, node, receiver, message, size_bytes):
+            def outbound(self, node, receiver, message):
                 offered.append((receiver, message))
                 return receiver == 0 and isinstance(message, HotStuffVote)
 
         system.replicas[1].interceptor = Tap()
         fan_out = runtime.multicast
 
-        def recording(sender, receivers, message, size_bytes=0):
+        def recording(sender, receivers, message):
             if sender == 1:
                 entered.append((tuple(receivers), message))
-            fan_out(sender, receivers, message, size_bytes)
+            fan_out(sender, receivers, message)
 
         monkeypatch.setattr(runtime, "multicast", recording)
         system.start()

@@ -10,10 +10,11 @@ from repro.core.ordering import ConfirmedBlock
 from repro.metrics.auditor import audit_logs
 from repro.metrics.collector import summarise, throughput_series
 from repro.bench.config import ExperimentCell
-from repro.consensus.messages import Prepare
 from repro.metrics.resources import CryptoCostModel
 from repro.protocols.registry import build_system
 from repro.workload.transactions import Batch
+
+from sized import Sized
 
 
 class TestBatch:
@@ -161,8 +162,7 @@ class TestResources:
     @staticmethod
     def send(replica, size_bytes):
         """One unicast of ``size_bytes`` from ``replica`` to its successor."""
-        message = Prepare(sender=replica.node_id, instance=0, view=0, round=1)
-        replica.send_protocol_message((replica.node_id + 1) % 4, message, size_bytes)
+        replica.send_protocol_message((replica.node_id + 1) % 4, Sized("bytes", size_bytes))
 
     def test_crypto_cost_charged(self):
         replica = self.replicas()[0]
