@@ -37,10 +37,11 @@ per-(replica, instance) dict that emptied still holds its hash table
 through the queue still waits in a far calendar bucket, and, after a run
 with one straggler, that no non-observer orderer references a
 ``Block``/``ConfirmedBlock``.
-``test_run_path_imports_no_unused_stdlib`` keeps ``asyncio``/``ssl`` and
-``concurrent.futures`` (~4 MiB per process, paid again by every forked shard
-worker) off the import path of a DES run, and ``hmac`` too: no run computes a
-signature, so nothing on that path needs it.  The CI ``perfbench-smoke`` job
+``test_run_path_imports_no_unused_stdlib`` keeps ``asyncio``/``ssl`` (which
+nothing under ``src/`` imports) and ``concurrent.futures`` (~4 MiB per
+process, paid again by every forked shard worker) off the import path of a
+DES run, and ``hmac`` too: no run computes a signature, so nothing on that
+path needs it.  The CI ``perfbench-smoke`` job
 runs these next to the n=128 and straggler slices, so every memory guard
 runs in one place.
 """
@@ -333,30 +334,20 @@ sys.path.insert(0, {src!r})
 import repro.protocols.registry, repro.bench.config, repro.metrics.auditor
 loaded = [name for name in ("asyncio", "ssl", "concurrent.futures", "hmac") if name in sys.modules]
 from repro.bench import SweepRunner
-from repro.runtime import RealtimeRuntime, build_runtime
-runtime = build_runtime("realtime", time_scale=0.01)
-fired = []
-runtime.schedule_after(0.5, lambda: fired.append(runtime.now()))
-runtime.run(until=1.0)
-print(json.dumps({{
-    "loaded": loaded,
-    "realtime": type(runtime) is RealtimeRuntime,
-    "fired": len(fired),
-    "sweep": SweepRunner(workers=2).run([]),
-}}))
+print(json.dumps({{"loaded": loaded, "sweep": SweepRunner(workers=2).run([])}}))
 """
 
 
 def test_run_path_imports_no_unused_stdlib():
-    """Building and auditing a DES run imports neither the realtime backend's
-    asyncio (and ssl) nor the sweep pool's concurrent.futures, both of which
-    still load on first use, nor hmac, which no run needs."""
+    """Building and auditing a DES run imports neither asyncio nor ssl, nor
+    the sweep pool's concurrent.futures, which loads on first use, nor hmac,
+    which no run needs."""
     out = subprocess.run(
         [sys.executable, "-c", _IMPORTS.format(src=SRC)],
         capture_output=True, text=True, check=True,
     )
     row = json.loads(out.stdout.strip().splitlines()[-1])
-    assert row == {"loaded": [], "realtime": True, "fired": 1, "sweep": []}
+    assert row == {"loaded": [], "sweep": []}
 
 
 def _tables(owner):

@@ -58,7 +58,8 @@ register_adversary(
             "replica 3 forks its instance's proposals and votes into two "
             "conflicting worlds; safe only at n = 3f+1 today, where one fork "
             "can never reach quorum and honest odd replicas stall on "
-            "instance 3 (at n=5 both forks commit: ROADMAP item 1)"
+            "instance 3 (at n=5 both forks commit: see ROADMAP, 'Quorums "
+            "that share an honest replica at every n')"
         ),
         attacks=(Equivocation(replicas=(3,)),),
     )

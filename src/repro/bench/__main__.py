@@ -5,7 +5,7 @@ Usage::
     python -m repro.bench list
     python -m repro.bench fig5 --workers 4
     python -m repro.bench table2 --cache-dir .sweep-cache --json out.json
-    python -m repro.bench run --runtime realtime --duration 3
+    python -m repro.bench run --duration 3
     python -m repro.bench run --protocol iss-pbft --scenario lossy-lan
     python -m repro.bench scenario list
     python -m repro.bench scenario run wan-partition --protocol ladon-pbft
@@ -144,8 +144,8 @@ def _add_json_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_cell_arguments(parser: argparse.ArgumentParser, n: int, duration: float,
-                        batch_size: int, runtime: bool = True) -> None:
-    """The one-cell block; ``runtime=False`` leaves out the backend choice."""
+                        batch_size: int) -> None:
+    """The one-cell block."""
     parser.add_argument("--protocol", default="ladon-pbft")
     parser.add_argument("--n", type=int, default=n)
     parser.add_argument("--duration", type=float, default=duration,
@@ -153,12 +153,6 @@ def _add_cell_arguments(parser: argparse.ArgumentParser, n: int, duration: float
     parser.add_argument("--seed", type=int, default=0,
                         help="base cell seed (workload/latency RNG)")
     parser.add_argument("--batch-size", type=int, default=batch_size)
-    if runtime:
-        parser.add_argument("--runtime", choices=["des", "realtime"], default="des",
-                            help="execution backend (default: des)")
-        parser.add_argument("--timescale", type=float, default=1.0,
-                            help="realtime only: wall seconds per simulated second "
-                                 "(0.5 runs a 10 s scenario in ~5 s)")
     _add_json_argument(parser)
 
 
@@ -193,8 +187,6 @@ def _cell(args: argparse.Namespace, **fields) -> ExperimentCell:
             duration=args.duration,
             seed=args.seed,
             batch_size=args.batch_size,
-            runtime=args.runtime,
-            realtime_timescale=args.timescale,
             **fields,
         )
     except ValueError as error:
@@ -239,7 +231,7 @@ def _list(args: argparse.Namespace) -> int:
     for name in sorted(EXPERIMENTS):
         suffix = " (sweepable)" if _sweepable(EXPERIMENTS[name]) else ""
         print(f"{name:12s} {_summary(EXPERIMENTS[name])}{suffix}")
-    print("run          one cell on a chosen backend: 'run --runtime des|realtime'")
+    print("run          one cell end-to-end, audited: 'run --scenario S --adversary A'")
     print("scenario     named-scenario engine: 'scenario list|run|sweep' (sweepable)")
     print("adversary    Byzantine attack catalog: 'adversary list|run'")
     print("fuzz         schedule-space fuzzer: 'fuzz run|replay|shrink'")
@@ -258,10 +250,9 @@ def _experiment(args: argparse.Namespace) -> int:
 def _run(args: argparse.Namespace) -> int:
     cell = _cell(args, scenario=args.scenario, adversary=args.adversary)
     result = run_des_cell(cell)
-    row = _row(result, cell, runtime=args.runtime)
-    safe = _report(result, [row], ["runtime"] + list(DEFAULT_COLUMNS),
-                   f"run {cell.label()}", args.json_path,
-                   cell=cell.label(), runtime=args.runtime, metrics=row)
+    row = _row(result, cell)
+    safe = _report(result, [row], DEFAULT_COLUMNS, f"run {cell.label()}", args.json_path,
+                   cell=cell.label(), metrics=row)
     return 0 if safe else 1
 
 
@@ -504,8 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
             _add_json_argument(experiment)
 
     run = _command(commands, "run", _run,
-                   "Run one experiment cell end-to-end on a chosen runtime backend "
-                   "(DES virtual time, or asyncio wall clock) and audit it.")
+                   "Run one experiment cell end-to-end on the DES and audit it.")
     _add_cell_arguments(run, n=4, duration=5.0, batch_size=1024)
     run.add_argument("--scenario", help="named scenario (default: paper WAN preset)")
     run.add_argument("--adversary", help="named adversary (default: all honest)")
@@ -547,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_run = _command(fuzz, "run", _fuzz_run,
                         "sweep perturbation seeds, audit every run, shrink and "
                         "serialize violations (exit 1 iff a violation was found)")
-    _add_cell_arguments(fuzz_run, n=4, duration=8.0, batch_size=64, runtime=False)
+    _add_cell_arguments(fuzz_run, n=4, duration=8.0, batch_size=64)
     fuzz_run.add_argument("--seeds", type=int, default=16, help="perturbation seeds to sweep (default: 16)")
     fuzz_run.add_argument("--base-seed", type=int, default=0,
                           help="campaign seed the perturbation seeds derive from")

@@ -66,13 +66,10 @@ class ExperimentCell:
     #: named adversary (see :mod:`repro.adversary.registry`), applied on top
     #: of whatever the scenario configures; cache-keyed like ``scenario``
     adversary: Optional[str] = None
-    #: execution backend for the DES engine's system: "des" (virtual time,
-    #: the default), "realtime" (asyncio wall clock), or "sharded"
-    #: (conservative-parallel DES across worker processes); cache-keyed
+    #: execution backend for the DES engine's system: "des" (one process,
+    #: the default) or "sharded" (conservative-parallel DES across worker
+    #: processes); cache-keyed
     runtime: str = "des"
-    #: realtime backend only: wall seconds per simulated second (0.1 runs a
-    #: 10 s scenario in about 1 s of wall time)
-    realtime_timescale: float = 1.0
     #: sharded backend only: number of DES worker processes; cache-keyed
     shards: int = 1
     #: sharded backend only: replica placement ("affine" keeps regions whole
@@ -108,8 +105,7 @@ class ExperimentCell:
         if self.runtime not in RUNTIME_KINDS:
             raise ValueError(f"runtime must be one of {RUNTIME_KINDS}")
         for name in (
-            "duration", "view_change_timeout", "realtime_timescale",
-            "total_block_rate", "propose_timeout",
+            "duration", "view_change_timeout", "total_block_rate", "propose_timeout",
         ):
             value = getattr(self, name)
             if value is None and name in ("total_block_rate", "propose_timeout"):

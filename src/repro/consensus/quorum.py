@@ -1,7 +1,8 @@
 """Quorum thresholds and quorum vote tracking.
 
-:func:`quorum_threshold` and :func:`fault_threshold` give the 2f+1 and f of
-an ``n = 3f+1`` system; every quorum size in the package derives from them.
+:func:`fault_threshold` gives the f of an ``n = 3f+1`` system and
+:func:`quorum_threshold` the 2f+1 built on it; every quorum size in the
+package derives from them.
 
 The tracker stores, per key, a **voter bitmask** (one bit per replica id)
 instead of a ``set`` of ids: recording a vote is a bit-or, the quorum check
@@ -26,19 +27,7 @@ Two memory guarantees back the bounded-memory mode of the protocol layer:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Tuple
-
-
-def quorum_threshold(n: int) -> int:
-    """Return 2f+1 with ``f = (n - 1) // 3``, for every n.
-
-    Two such quorums share an honest replica only when ``n = 3f+1``; for
-    other n they may overlap in f replicas or fewer (n = 8: 2, and f = 2).
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    f = (n - 1) // 3
-    return 2 * f + 1
+from typing import Dict, Hashable
 
 
 def fault_threshold(n: int) -> int:
@@ -46,6 +35,15 @@ def fault_threshold(n: int) -> int:
     if n <= 0:
         raise ValueError("n must be positive")
     return (n - 1) // 3
+
+
+def quorum_threshold(n: int) -> int:
+    """Return 2f+1 with ``f = fault_threshold(n)``, for every n.
+
+    Two such quorums share an honest replica only when ``n = 3f+1``; for
+    other n they may overlap in f replicas or fewer (n = 8: 2, and f = 2).
+    """
+    return 2 * fault_threshold(n) + 1
 
 
 @dataclass(slots=True)
@@ -80,26 +78,10 @@ class QuorumTracker:
         votes[key] = mask
         return False
 
-    @staticmethod
-    def _mask_of(value: int) -> int:
-        return ~value if value < 0 else value
-
-    def voters(self, key: Hashable) -> Tuple[int, ...]:
-        mask = self._mask_of(self._votes.get(key, 0))
-        out = []
-        voter = 0
-        while mask:
-            if mask & 1:
-                out.append(voter)
-            mask >>= 1
-            voter += 1
-        return tuple(out)
-
     def count(self, key: Hashable) -> int:
-        return self._mask_of(self._votes.get(key, 0)).bit_count()
-
-    def has_quorum(self, key: Hashable) -> bool:
-        return self._votes.get(key, 0) < 0
+        """Number of distinct voters recorded for ``key``."""
+        mask = self._votes.get(key, 0)
+        return (~mask if mask < 0 else mask).bit_count()
 
     def clear(self, key: Hashable) -> None:
         """Release all state held for ``key`` (committed/garbage rounds).

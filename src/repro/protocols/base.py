@@ -2,9 +2,9 @@
 
 A :class:`MultiBFTSystem` builds one :class:`MultiBFTReplica` per replica on
 a shared execution :class:`~repro.runtime.base.Runtime` (selected by
-``ExperimentCell.runtime``: the discrete-event backend or the asyncio
-wall-clock backend).  Each replica hosts ``m`` consensus-instance state
-machines and one global orderer; the replica that leads an instance paces
+``ExperimentCell.runtime``; a sharded system runs one per worker).  Each
+replica hosts ``m`` consensus-instance state machines and one global
+orderer; the replica that leads an instance paces
 its proposals to respect the total block rate (16 blocks/s in WAN, 32 in
 LAN, as in the paper's evaluation), slows down if it is a straggler, and
 leaves its blocks empty if so.
@@ -582,7 +582,6 @@ class MultiBFTSystem:
                 latency=self.scenario.build_latency(config.n),
                 network_config=self.scenario.network_config(config.n),
                 trace=self.trace,
-                time_scale=config.realtime_timescale,
             )
         else:
             self.runtime = runtime

@@ -4,25 +4,19 @@ Protocol code (nodes, consensus state machines, the Multi-BFT systems)
 imports *only* from this package — never from ``repro.sim.simulator`` or
 ``repro.sim.network`` — and therefore runs unchanged on every backend:
 
-========== ============================================ ====================
-backend    class                                        time
-========== ============================================ ====================
-``des``    :class:`~repro.runtime.des.DESRuntime`       virtual (simulated)
-``realtime`` :class:`~repro.runtime.realtime.RealtimeRuntime` wall clock
-``sharded`` :class:`~repro.runtime.sharded.ShardedDESRuntime` virtual, parallel
-========== ============================================ ====================
+=========== ===================================================== ==================
+backend     class                                                 time
+=========== ===================================================== ==================
+``des``     :class:`~repro.runtime.des.DESRuntime`                virtual (simulated)
+``sharded`` :class:`~repro.runtime.sharded.ShardedDESRuntime`     virtual, parallel
+=========== ===================================================== ==================
 
 Use :func:`build_runtime` to construct a backend by name.
-
-Only the DES backend is imported with the package.  The realtime backend
-pulls in ``asyncio`` (and with it ``ssl``), ~4 MiB per process that a DES
-run never uses, so it is imported on first use: by ``build_runtime
-("realtime")`` or by reading ``repro.runtime.RealtimeRuntime``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.runtime.base import Runtime, RUNTIME_KINDS
 from repro.runtime.des import DESRuntime
@@ -34,19 +28,10 @@ __all__ = [
     "Runtime",
     "RUNTIME_KINDS",
     "DESRuntime",
-    "RealtimeRuntime",
     "NetworkConfig",
     "NetworkStats",
     "build_runtime",
 ]
-
-
-def __getattr__(name: str) -> Any:
-    if name == "RealtimeRuntime":
-        from repro.runtime.realtime import RealtimeRuntime
-
-        return RealtimeRuntime
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_runtime(
@@ -55,28 +40,15 @@ def build_runtime(
     latency: Optional[LatencyModel] = None,
     network_config: Optional[NetworkConfig] = None,
     trace: Optional[TraceRecorder] = None,
-    time_scale: float = 1.0,
 ) -> Runtime:
     """Construct the single-process execution backend named ``kind``.
 
-    ``time_scale`` only applies to the realtime backend (wall seconds per
-    virtual second; e.g. ``0.1`` runs a 10 s scenario in ~1 s of wall time).
     The sharded backend is system-scoped — the hub partitions replicas and
     derives its lookahead from the whole cell — so it is built with the
     system, by :func:`repro.protocols.registry.build_system`.
     """
     if kind == "des":
         return DESRuntime(seed=seed, latency=latency, config=network_config, trace=trace)
-    if kind == "realtime":
-        from repro.runtime.realtime import RealtimeRuntime
-
-        return RealtimeRuntime(
-            seed=seed,
-            latency=latency,
-            config=network_config,
-            trace=trace,
-            time_scale=time_scale,
-        )
     if kind == "sharded":
         raise ValueError(
             "the sharded runtime is system-scoped: build the whole system "

@@ -9,8 +9,6 @@ concrete backend, so the same replica state machines run unchanged on:
 
 * :class:`~repro.runtime.des.DESRuntime` — the discrete-event simulator
   (virtual time, deterministic, fast);
-* :class:`~repro.runtime.realtime.RealtimeRuntime` — an asyncio wall-clock
-  backend (real sleeps, in-process queues, optional artificial latency);
 * :class:`~repro.runtime.sharded.ShardedDESRuntime` — conservative-parallel
   DES across worker processes; protocol code runs inside the workers on
   per-shard :class:`~repro.runtime.sharded.ShardWorkerRuntime` instances;
@@ -44,7 +42,7 @@ from typing import Any, Callable, List, Optional, Sequence
 from repro.sim.trace import TraceRecorder
 
 #: the selectable execution backends (``ExperimentCell.runtime`` values)
-RUNTIME_KINDS = ("des", "realtime", "sharded")
+RUNTIME_KINDS = ("des", "sharded")
 
 
 class Runtime:
@@ -76,7 +74,7 @@ class Runtime:
 
     def cancel(self, handle: Any) -> None:
         """Cancel a handle returned by ``schedule_at``/``schedule_after``."""
-        handle.cancel()
+        raise NotImplementedError
 
     # ------------------------------------------------------------- transport
     def register(self, node_id: int, handler: Callable[[int, Any], None]) -> None:

@@ -189,7 +189,8 @@ register_scenario(
             "4-region WAN; replica 3 equivocates on its instance: honest "
             "odd-id replicas receive a conflicting fork, stall on instance "
             "3, and the even-side quorum loses all slack (latency rises); "
-            "the auditor confirms safety at n = 3f+1 (not at n=5: ROADMAP item 1)"
+            "the auditor confirms safety at n = 3f+1 (not at n=5: see "
+            "ROADMAP, 'Quorums that share an honest replica at every n')"
         ),
         adversary=get_adversary("equivocation"),
     )

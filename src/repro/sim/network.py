@@ -21,14 +21,12 @@ serialisation, latency draw, duplication draw) is that of a sequence of
 unicasts, so a fan-out leaves event ordering and RNG streams byte-for-byte
 those of per-receiver sends.
 
-The ``simulator`` collaborator is duck-typed: anything exposing ``now()``,
-``push_calls(times, row, a, bs, c)``, a seeded ``rng`` and a settable
-``delivery_stats`` works, which is how the realtime runtime reuses this
-exact transport model on a wall-clock scheduler.  The scheduler calls
-``row[receiver](sender, message)`` at each arrival and counts it into
-``delivery_stats.messages_delivered``; the network keeps ``row``, its
-*handler row*, so a delivery reaches the receiver's handler with no
-transport frame in between.
+The network reads four things of its :class:`~repro.sim.simulator.Simulator`
+(every backend runs on one): ``now()``, ``push_calls(times, row, a, bs, c)``,
+the seeded ``rng`` and the settable ``delivery_stats``.  The simulator calls ``row[receiver](sender, message)``
+at each arrival and counts it into ``delivery_stats.messages_delivered``;
+the network keeps ``row``, its *handler row*, so a delivery reaches the
+receiver's handler with no transport frame in between.
 
 Every delivery leaves through one *sink* bound at construction
 (:meth:`Network._install_sink`).  It is the only thing a backend that

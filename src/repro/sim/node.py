@@ -5,7 +5,7 @@ A :class:`Node` owns a node id and a reference to its execution
 a multicast helper (a unicast is a one-receiver multicast).  Subclasses implement :meth:`on_message`, or
 override :meth:`_receive` as protocol replicas do.  Nodes are *sans-I/O*:
 they never touch a simulator or a network directly, so the same node runs
-on the discrete-event backend and on the wall-clock backend.  Sim-layer
+on every backend, a shard worker's included.  Sim-layer
 tests that build their own simulator and network pass
 ``DESRuntime(simulator=sim, network=net)``.
 """

@@ -41,10 +41,6 @@ DES_REACHABLE_PACKAGES = SANS_IO_PACKAGES + (
     "shard",
 )
 
-#: modules exempt from the determinism rules by design (the realtime backend
-#: *is* the wall clock)
-DET_EXEMPT_MODULES = ("repro.runtime.realtime",)
-
 #: the sharded-execution scope: the shard support package plus the hub
 #: runtime.  Everything here coordinates worker *processes*, so the SHARD
 #: rules police cross-process state and serialization discipline.

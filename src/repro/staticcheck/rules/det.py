@@ -7,8 +7,7 @@ the process-global RNG, OS entropy, ``id()`` ordering, and iteration over
 unordered sets where the order can escape into message traffic.
 
 Scope: every package a DES run can reach (protocols, consensus, core,
-adversary, sim, scenario, workload, crypto, metrics, runtime) except
-``repro.runtime.realtime``, which *is* the wall-clock backend by design.
+adversary, sim, scenario, workload, crypto, metrics, runtime).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from typing import Iterator, Optional
 
 from repro.staticcheck.rules.base import (
     DES_REACHABLE_PACKAGES,
-    DET_EXEMPT_MODULES,
     Rule,
     collect_imports,
     is_set_expression,
@@ -28,11 +26,9 @@ from repro.staticcheck.violations import Violation
 
 
 class DetRule(Rule):
-    scope = "DES-reachable packages (not repro.runtime.realtime)"
+    scope = "DES-reachable packages"
 
     def applies(self, module) -> bool:
-        if module.module in DET_EXEMPT_MODULES:
-            return False
         return module.package in DES_REACHABLE_PACKAGES
 
 

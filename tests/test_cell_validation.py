@@ -74,8 +74,7 @@ INVALID = st.one_of(
     _case("shard_strategy", NAMES.filter(lambda name: name not in ("affine", "hash"))),
     *(
         _case(field, NOT_POSITIVE_FINITE)
-        for field in ("duration", "view_change_timeout", "realtime_timescale",
-                      "total_block_rate", "propose_timeout")
+        for field in ("duration", "view_change_timeout", "total_block_rate", "propose_timeout")
     ),
     _case("batch_size", st.integers(max_value=0)),
     _case("epoch_length", st.integers(max_value=0)),
@@ -94,7 +93,6 @@ INVALID = st.one_of(
     _case("perturbation", st.builds(PerturbationSpec), runtime="sharded", shards=2),
     _case("scenario", st.sampled_from(available_scenarios()), engine="analytical"),
     _case("adversary", st.sampled_from(available_adversaries()), engine="analytical"),
-    _case("runtime", st.just("realtime"), engine="analytical"),
     _case("runtime", st.just("sharded"), engine="analytical", shards=2),
     _case("perturbation", st.builds(PerturbationSpec), engine="analytical"),
     _case("trace", st.just(True), engine="analytical"),
@@ -126,7 +124,6 @@ def valid_cells(draw):
         propose_timeout=None if protocol in HOTSTUFF_STACKS else draw(st.none() | POSITIVE),
         view_change_timeout=draw(POSITIVE),
         runtime=runtime,
-        realtime_timescale=draw(POSITIVE),
         shard_strategy=draw(st.sampled_from(("affine", "hash"))),
     )
     if runtime == "sharded":
@@ -161,6 +158,14 @@ class TestOneValidatedCell:
         assert loaded == cell
         assert cell_key(loaded) == cell_key(cell)
 
+    def test_an_artifact_naming_a_field_this_build_lacks_is_refused_by_name(self):
+        # artifacts written before the realtime backend was deleted carry
+        # ``realtime_timescale``; they need the key dropped, not ignored
+        data = cell_to_jsonable(ExperimentCell(protocol="ladon-pbft", n=4))
+        data["realtime_timescale"] = 1.0
+        with pytest.raises(TypeError, match="realtime_timescale"):
+            cell_from_jsonable(data)
+
     @pytest.mark.parametrize("path", CORPUS, ids=os.path.basename)
     def test_every_corpus_artifact_still_loads(self, path):
         cell = artifact_cell(read_artifact(path))
@@ -183,7 +188,7 @@ class TestPlantedBugsAreNotConfiguration:
         assert not hits, hits
 
     def test_the_configuration_surfaces_keep_their_size(self):
-        assert len(dataclasses.fields(ExperimentCell)) == 22
+        assert len(dataclasses.fields(ExperimentCell)) == 21
         assert len(dataclasses.fields(FuzzConfig)) == 14
         assert [f.name for f in dataclasses.fields(InstanceConfig) if f.init] == [
             "instance_id", "replica_id", "n", "view_change_timeout", "propose_timeout",

@@ -61,23 +61,23 @@ class TestQuorumTracker:
 
     def test_independent_keys(self):
         tracker = QuorumTracker(threshold=2)
-        tracker.add_vote("a", 0)
-        assert not tracker.has_quorum("a")
-        tracker.add_vote("b", 0)
+        assert not tracker.add_vote("a", 0)
+        assert not tracker.add_vote("b", 0)
         assert tracker.add_vote("a", 1)
-        assert not tracker.has_quorum("b")
+        assert tracker.count("b") == 1
+        assert tracker.add_vote("b", 1)
 
-    def test_voters_sorted(self):
+    def test_count_ignores_vote_order(self):
         tracker = QuorumTracker(threshold=5)
         for voter in (3, 1, 2):
             tracker.add_vote("k", voter)
-        assert tracker.voters("k") == (1, 2, 3)
+        assert tracker.count("k") == 3
 
     def test_clear(self):
         tracker = QuorumTracker(threshold=1)
-        tracker.add_vote("k", 0)
+        assert tracker.add_vote("k", 0)
         tracker.clear("k")
-        assert not tracker.has_quorum("k")
+        assert tracker.count("k") == 0
         assert tracker.add_vote("k", 1)
 
     def test_rejects_bad_threshold(self):
@@ -87,14 +87,12 @@ class TestQuorumTracker:
     def test_threshold_one_fires_on_first_vote(self):
         tracker = QuorumTracker(threshold=1)
         assert tracker.add_vote("k", 5)
-        assert tracker.has_quorum("k")
+        assert not tracker.add_vote("k", 6)
 
-    def test_voters_and_count_readable_after_quorum(self):
+    def test_count_readable_after_quorum(self):
         tracker = QuorumTracker(threshold=2)
-        tracker.add_vote("k", 4)
-        tracker.add_vote("k", 1)
-        assert tracker.has_quorum("k")
-        assert tracker.voters("k") == (1, 4)
+        assert not tracker.add_vote("k", 4)
+        assert tracker.add_vote("k", 1)
         assert tracker.count("k") == 2
 
     def test_clearing_unknown_key_is_a_no_op(self):
@@ -108,10 +106,11 @@ class TestQuorumTracker:
         tracker = QuorumTracker(threshold=2)
         for key in ("a", "b", "c"):
             tracker.add_vote(key, 0)
-        tracker.add_vote("b", 1)
+        assert tracker.add_vote("b", 1)
         tracker.clear("a")
         assert tracker.tracked_keys() == 2
-        assert tracker.has_quorum("b")
+        assert tracker.count("b") == 2
+        assert not tracker.add_vote("b", 2)  # quorum state survived the clear
         assert tracker.add_vote("c", 1)
 
 
@@ -134,14 +133,8 @@ class ReferenceSetTracker:
             return True
         return False
 
-    def voters(self, key):
-        return tuple(sorted(self._votes.get(key, set())))
-
     def count(self, key):
         return len(self._votes.get(key, set()))
-
-    def has_quorum(self, key):
-        return key in self._reached
 
     def clear(self, key):
         self._votes.pop(key, None)
@@ -175,9 +168,7 @@ class TestBitmaskEquivalence:
             assert bitmask.add_vote(key, voter) == reference.add_vote(key, voter), (
                 f"divergence at step {step} key {key} voter {voter}"
             )
-            assert bitmask.has_quorum(key) == reference.has_quorum(key)
             assert bitmask.count(key) == reference.count(key)
-            assert bitmask.voters(key) == reference.voters(key)
 
     def test_post_quorum_votes_dropped_by_default(self):
         tracker = QuorumTracker(threshold=2)
@@ -188,21 +179,20 @@ class TestBitmaskEquivalence:
         for voter in range(2, 50):
             assert not tracker.add_vote("k", voter)
         assert tracker.count("k") == before == 2
-        assert tracker.voters("k") == (0, 1)
 
     def test_clear_releases_all_state(self):
         tracker = QuorumTracker(threshold=1)
-        tracker.add_vote("k", 3)
-        assert tracker.has_quorum("k")
+        assert tracker.add_vote("k", 3)
         assert tracker.tracked_keys() == 1
         tracker.clear("k")
         assert tracker.tracked_keys() == 0
-        assert not tracker.has_quorum("k")
+        assert tracker.count("k") == 0
         # The key can reach quorum again after a clear (fresh state).
         assert tracker.add_vote("k", 4)
 
     def test_large_voter_ids_supported(self):
         tracker = QuorumTracker(threshold=2)
-        tracker.add_vote("k", 1000)
+        assert not tracker.add_vote("k", 1000)
+        assert not tracker.add_vote("k", 1000)
         assert tracker.add_vote("k", 2000)
-        assert tracker.voters("k") == (1000, 2000)
+        assert tracker.count("k") == 2

@@ -129,8 +129,6 @@ def test_fenced_bench_command_parses(doc, command):
             )
 
 
-#: the one-cell subcommands' runtime flags
-_BACKEND = {"--runtime": "des", "--timescale": 1.0}
 #: the sweep flags of grid experiments, scenario sweep and ``list``
 _SWEEP = {"--workers": 1, "--cache-dir": ".sweep-cache", "--no-cache": False,
           "--quiet": False, "--json": None}
@@ -142,17 +140,17 @@ CLI_OPTIONS = {
     **{name: _SWEEP for name in ("fig10", "fig2b", "fig5", "fig6", "fig7", "table1", "table2")},
     **{name: {"--json": None} for name in ("appendix-a", "fig2a", "fig8")},
     "run": {"--protocol": "ladon-pbft", "--n": 4, "--duration": 5.0, "--seed": 0,
-            "--batch-size": 1024, **_BACKEND, "--json": None,
+            "--batch-size": 1024, "--json": None,
             "--scenario": None, "--adversary": None},
     "scenario list": {},
     "scenario run": {"--protocol": "ladon-pbft", "--n": 8, "--duration": 30.0, "--seed": 0,
-                     "--batch-size": 1024, **_BACKEND, "--json": None},
+                     "--batch-size": 1024, "--json": None},
     "scenario sweep": {"--scenarios": "all", "--protocols": "ladon-pbft,iss-pbft",
                        "--n": 8, "--duration": 30.0, "--seed": 0, "--batch-size": 1024,
                        **_SWEEP},
     "adversary list": {},
     "adversary run": {"--protocol": "ladon-pbft", "--n": 4, "--duration": 30.0, "--seed": 0,
-                      "--batch-size": 1024, **_BACKEND, "--json": None, "--scenario": None,
+                      "--batch-size": 1024, "--json": None, "--scenario": None,
                       "--no-baseline": False, "--expect-unsafe": False},
     "fuzz run": {"--protocol": "ladon-pbft", "--n": 4, "--duration": 8.0, "--seed": 0,
                  "--batch-size": 64, "--json": None, "--seeds": 16, "--base-seed": 0,
@@ -252,3 +250,47 @@ def test_readme_python_floor_is_the_lowest_ci_version():
     lowest = min(re.findall(r"3\.\d+", matrix), key=lambda v: int(v.split(".")[1]))
     assert floor == lowest, f"README says Python {floor}+, CI's lowest is {lowest}"
     assert int(floor.split(".")[1]) >= 10  # dataclass(slots=True)
+
+
+#: roadmap item numbers change between re-anchors; only the planning records
+#: (the Markdown files at the root other than the user docs) and the benchmark
+#: (changed only with the benchmark) may cite them
+_USER_DOCS = ("README.md", "EXPERIMENTS.md", "PAPER.md", "PAPERS.md", "SNIPPETS.md")
+
+
+def _may_cite_item_numbers(path):
+    if path.startswith("perfbench/"):
+        return True
+    return "/" not in path and path.endswith(".md") and path not in _USER_DOCS
+
+
+def _tracked_files():
+    """The repository's files: ``git ls-files``, or a walk outside a checkout."""
+    try:
+        return subprocess.run(
+            ["git", "ls-files"], cwd=REPO_ROOT, capture_output=True, text=True, check=True
+        ).stdout.splitlines()
+    except (OSError, subprocess.CalledProcessError):
+        pass
+    found = []
+    for directory, subdirs, files in os.walk(REPO_ROOT):
+        subdirs[:] = [name for name in subdirs if not name.startswith((".", "__pycache__"))]
+        found += [os.path.relpath(os.path.join(directory, name), REPO_ROOT) for name in files]
+    return found
+
+
+def test_no_file_cites_a_roadmap_item_by_number():
+    """Outside the planning records a roadmap item is cited by its title."""
+    cites = re.compile(r"ROADMAP items? \d")
+    offenders = []
+    for path in _tracked_files():
+        if _may_cite_item_numbers(path) or not os.path.isfile(
+            os.path.join(REPO_ROOT, path)
+        ):
+            continue
+        with open(os.path.join(REPO_ROOT, path), encoding="utf-8", errors="ignore") as handle:
+            offenders += [
+                f"{path}:{number}" for number, line in enumerate(handle, start=1)
+                if cites.search(line)
+            ]
+    assert not offenders, f"cite the roadmap item by its title: {offenders}"

@@ -3,7 +3,7 @@
 The audit compares the ``(co_filename, co_firstlineno)`` of every called
 code object with an AST inventory of ``src/repro``.  These tests pin the
 inventory's side of that join on a small fixture module, and run the
-check on made-up misses; the 34 traced invocations themselves run in CI's
+check on made-up misses; the 33 traced invocations themselves run in CI's
 ``reachability`` job, not here.
 """
 

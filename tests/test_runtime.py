@@ -1,23 +1,21 @@
-"""Tests for the sans-I/O runtime seam and its two execution backends.
+"""Tests for the sans-I/O runtime seam and its execution backends.
 
 Covers:
 
 * the architectural lint: no protocol/consensus module may import the
   simulator or the network directly — everything goes through
   :mod:`repro.runtime`;
-* the :class:`~repro.runtime.des.DESRuntime` and
-  :class:`~repro.runtime.realtime.RealtimeRuntime` contracts (scheduling,
+* the :class:`~repro.runtime.des.DESRuntime` contract (scheduling,
   cancellation, transport, dynamics controls);
 * multicast-path alignment: an honest pass-through interceptor must be
   network-level indistinguishable from no interceptor;
 * the event-queue encapsulation lint: only ``sim/events.py`` and the
   ``Simulator.run`` loop know the queue's tiers, and the shard worker's
   idle-skip report goes through ``peek_time()``;
-* crash–recover timer semantics (the ``on_recover`` hook);
-* DES vs realtime equivalence: the same deterministic scenario confirms the
-  same block sequence on both backends (realtime variant marked ``slow``).
+* crash–recover timer semantics (the ``on_recover`` hook).
 """
 
+import ast
 import inspect
 import os
 import re
@@ -30,7 +28,6 @@ import pytest
 from repro.runtime import (
     DESRuntime,
     NetworkConfig,
-    RealtimeRuntime,
     Runtime,
     RUNTIME_KINDS,
     build_runtime,
@@ -63,6 +60,21 @@ def test_no_direct_simulator_or_network_imports(package):
         f"sans-I/O violation: protocol code must talk to repro.runtime, not "
         f"the DES engine or the OS directly:\n{details}"
     )
+
+
+def test_nothing_under_src_imports_asyncio():
+    """Every backend runs the DES event loop; no module needs an asyncio
+    event loop (nor its ~4 MiB with ssl)."""
+    importers = []
+    for path in sorted(Path(SRC, "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = (
+                [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                else [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            )
+            if any(name.split(".")[0] == "asyncio" for name in names):
+                importers.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not importers
 
 
 def test_only_the_queue_and_the_run_loop_touch_the_queue_tiers():
@@ -155,13 +167,33 @@ def test_no_send_path_takes_a_size():
 # ------------------------------------------------------------ the interface
 class TestBuildRuntime:
     def test_kinds(self):
-        assert RUNTIME_KINDS == ("des", "realtime", "sharded")
+        assert RUNTIME_KINDS == ("des", "sharded")
 
-    def test_builds_each_kind(self):
+    def test_builds_the_single_process_kind(self):
         assert isinstance(build_runtime("des"), DESRuntime)
-        assert isinstance(build_runtime("realtime"), RealtimeRuntime)
         assert isinstance(build_runtime("des"), Runtime)
-        assert isinstance(build_runtime("realtime"), Runtime)
+
+    def test_sharded_kind_is_built_with_the_system(self):
+        with pytest.raises(ValueError, match="build_system"):
+            build_runtime("sharded")
+
+    def test_the_bare_seam_implements_nothing(self):
+        """Every seam method is the backend's to supply; a backend that
+        forgets one fails at the first call instead of inheriting a default."""
+        seam = Runtime()
+        calls = [
+            seam.now, lambda: seam.schedule_at(1.0, print),
+            lambda: seam.schedule_after(1.0, print), lambda: seam.cancel(None),
+            lambda: seam.register(0, print), lambda: seam.send(0, 1, None),
+            lambda: seam.multicast(0, (1,), None), seam.registered_nodes,
+            lambda: seam.set_partition([(0,), (1,)]), seam.heal_partition,
+            lambda: seam.partitioned, lambda: seam.set_latency_scale(2.0),
+            lambda: seam.set_drop_probability(0.5), lambda: seam.drop_probability,
+            seam.run,
+        ]
+        for call in calls:
+            with pytest.raises(NotImplementedError):
+                call()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -172,18 +204,16 @@ class TestBuildRuntime:
 
         with pytest.raises(ValueError):
             ExperimentCell(protocol="ladon-pbft", n=16, runtime="threads")
-        with pytest.raises(ValueError):
-            ExperimentCell(
-                protocol="ladon-pbft", n=16, runtime="realtime", realtime_timescale=0.0
-            )
+        with pytest.raises(ValueError, match="runtime"):
+            ExperimentCell(protocol="ladon-pbft", n=16, runtime="realtime")
 
     def test_cell_key_includes_runtime(self):
         from repro.bench.config import ExperimentCell
         from repro.bench.sweep import cell_key
 
         des = ExperimentCell(protocol="ladon-pbft", n=4)
-        realtime = ExperimentCell(protocol="ladon-pbft", n=4, runtime="realtime")
-        assert cell_key(des) != cell_key(realtime)
+        sharded = ExperimentCell(protocol="ladon-pbft", n=4, runtime="sharded", shards=2)
+        assert cell_key(des) != cell_key(sharded)
 
 
 class _Echo(Node):
@@ -258,15 +288,7 @@ class TestDESRuntime:
         assert a.runtime is runtime and runtime.network is network
         assert [(sender, message) for _at, sender, message in b.received] == [(0, "x")]
 
-
-class TestRealtimeRuntime:
-    def _runtime(self, **kwargs):
-        kwargs.setdefault("latency", UniformLatency(base=0.0, jitter=0.0))
-        kwargs.setdefault("network_config", NetworkConfig(processing_delay=0.0))
-        kwargs.setdefault("time_scale", 0.02)
-        return build_runtime("realtime", **kwargs)
-
-    def test_schedule_order_and_cancel(self):
+    def test_schedule_order_and_handle_cancel(self):
         runtime = self._runtime()
         fired = []
         runtime.schedule_at(0.2, lambda: fired.append("b"))
@@ -285,6 +307,7 @@ class TestRealtimeRuntime:
         runtime.schedule_at(0.05, lambda: fired.append(1))
         runtime.run()
         assert fired == [1]
+        assert runtime.now() == 0.05
 
     def test_timers_rearm_during_run(self):
         runtime = self._runtime()
@@ -297,17 +320,7 @@ class TestRealtimeRuntime:
 
         runtime.schedule_after(0.1, tick)
         runtime.run(until=1.0)
-        assert len(fired) == 3
-
-    def test_transport_matches_des_semantics(self):
-        runtime = self._runtime()
-        nodes = [_Echo(i, runtime) for i in range(3)]
-        nodes[0].multicast([1, 2], Sized("m"))
-        nodes[1].multicast((2,), Sized("u"))
-        runtime.run(until=0.2)
-        assert [m for _, _, m in nodes[2].received] == ["m", "u"]
-        assert runtime.stats.messages_sent == 3
-        assert runtime.stats.messages_delivered == 3
+        assert fired == [0.1, 0.2, 0.3]
 
     def test_same_deadline_callbacks_fire_in_schedule_order(self):
         runtime = self._runtime()
@@ -318,10 +331,8 @@ class TestRealtimeRuntime:
         assert fired == [0, 1, 2, 3, 4]
 
     def test_callback_exception_propagates_out_of_run(self):
-        """Regression: asyncio swallows callback exceptions into its logger;
-        the runtime must instead end the run and re-raise from run(), like
-        the DES backend, rather than silently idling to the horizon with a
-        disarmed scheduler."""
+        """A callback exception ends the run at the failure point and
+        re-raises from run(); no later event fires."""
         runtime = self._runtime()
         fired = []
 
@@ -333,6 +344,30 @@ class TestRealtimeRuntime:
         with pytest.raises(RuntimeError, match="protocol bug"):
             runtime.run(until=1.0)
         assert fired == []  # the run ended at the failure point
+
+    def test_cancel_after_the_timer_fired_is_a_no_op(self):
+        runtime = self._runtime()
+        fired = []
+        handle = runtime.schedule_at(0.1, lambda: fired.append(runtime.now()))
+        runtime.schedule_at(0.2, lambda: runtime.cancel(handle))
+        runtime.schedule_at(0.3, lambda: fired.append(runtime.now()))
+        runtime.run(until=1.0)
+        assert fired == [0.1, 0.3]
+        assert not handle.cancelled
+
+    def test_refuses_a_past_time(self):
+        """``schedule_at`` before now raises instead of firing late."""
+        runtime = self._runtime()
+        errors = []
+
+        def late():
+            with pytest.raises(ValueError, match="past"):
+                runtime.schedule_at(0.1, lambda: errors.append("fired"))
+            errors.append(runtime.now())
+
+        runtime.schedule_at(0.5, late)
+        runtime.run(until=1.0)
+        assert errors == [0.5]
 
 
 # ---------------------------------------------------- multicast alignment
@@ -443,55 +478,3 @@ class TestCrashRecoverTimers:
             if c.block.instance == 1 and c.confirmed_at > 5.0 and c.block.proposed_at > 4.0
         ]
         assert late, "recovered leader never proposed again"
-
-
-# ----------------------------------------------- DES vs realtime equivalence
-def _confirmed_sequence(runtime_kind, time_scale=1.0):
-    from repro.bench.config import ExperimentCell
-    from repro.protocols.registry import build_system
-
-    cell = ExperimentCell(
-        protocol="ladon-pbft",
-        n=4,
-        duration=2.0,
-        environment="lan",
-        total_block_rate=16.0,
-        batch_size=256,
-        seed=3,
-        runtime=runtime_kind,
-        realtime_timescale=time_scale,
-    )
-    result = build_system(cell).run()
-    assert result.audit.safety_ok
-    return [(c.block.instance, c.block.rank, c.block.tx_count) for c in result.confirmed]
-
-
-@pytest.mark.slow
-def test_realtime_confirms_the_same_block_sequence_as_des():
-    """The tentpole equivalence property: one deterministic scenario, two
-    backends, the same confirmed-block sequence.  The realtime run executes
-    2 simulated seconds in ~1 s of wall time (time_scale=0.5)."""
-    des = _confirmed_sequence("des")
-    realtime = _confirmed_sequence("realtime", time_scale=0.5)
-    assert len(des) >= 20, "scenario too short to be meaningful"
-    overlap = min(len(des), len(realtime))
-    # Wall-clock jitter may cut the realtime run a block or two earlier or
-    # later at the horizon; the committed prefix must match exactly.
-    assert abs(len(des) - len(realtime)) <= 4
-    assert des[:overlap] == realtime[:overlap]
-
-
-def test_runtime_flag_flows_through_experiment_cell():
-    from repro.bench.config import ExperimentCell
-    from repro.protocols.registry import build_system
-
-    cell = ExperimentCell(
-        protocol="ladon-pbft", n=4, runtime="realtime", realtime_timescale=0.25
-    )
-    system = build_system(cell)
-    assert system.runtime.kind == "realtime"
-    assert system.runtime.time_scale == 0.25
-    assert "rt:realtime" in cell.label()
-
-    with pytest.raises(ValueError, match="runtime"):
-        ExperimentCell(protocol="ladon-pbft", n=4, engine="analytical", runtime="realtime")

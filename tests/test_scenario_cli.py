@@ -128,6 +128,13 @@ class TestOneCellHandlers:
         assert main(["adversary", "run", "equivocation", *SMALL,
                      "--no-baseline", "--expect-unsafe"]) == 1
 
+    @pytest.mark.parametrize("flag", [["--runtime", "des"], ["--timescale", "0.5"]])
+    def test_the_deleted_backend_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", *SMALL, *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
     def test_a_refused_cell_is_a_usage_error(self, capsys):
         # It used to end in a 22-line ValueError traceback and exit 1.
         with pytest.raises(SystemExit) as exit_info:

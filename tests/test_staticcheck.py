@@ -262,11 +262,11 @@ class TestRuleFixtures:
         assert set(NEGATIVE_FIXTURES) == set(ALL_RULE_IDS)
 
     def test_rules_scope_by_package(self):
-        # the same wall-clock call is fine in bench (measurement code) and
-        # in the realtime backend (it IS the wall clock)
+        # the same wall-clock call is fine in bench (measurement code), and
+        # no runtime module is exempt from it
         _, source = POSITIVE_FIXTURES["DET-001"]
         assert not check_source(source, module="repro.bench._fixture")
-        assert not check_source(source, module="repro.runtime.realtime")
+        assert "DET-001" in rule_ids(check_source(source, module="repro.runtime._fixture"))
         # engine imports are fine outside the sans-I/O packages
         _, seam = POSITIVE_FIXTURES["SEAM-001"]
         assert not check_source(seam, module="repro.bench._fixture")

@@ -19,15 +19,14 @@ first line -- the first decorator's line when there is one, which is what
 ``co_firstlineno`` reports.  A function is *never called* when its key is
 not in the union; its lines run from that first line to ``end_lineno``.
 
-**Invocations** (34; ``cell`` = ``--n 8 --duration 5 --batch-size 64``):
+**Invocations** (33; ``cell`` = ``--n 8 --duration 5 --batch-size 64``):
 ``run --protocol P cell`` for each of the 8 registry protocols; ``scenario
 run S --n 8 --duration 20 --batch-size 64`` for each of the 14 scenarios;
 ``adversary run A --n 8 --duration 10 --batch-size 64`` for every named
 adversary but ``equivocation-colluding``, which runs as ``--expect-unsafe
 --n 4 --duration 5``; ``fuzz replay tests/corpus/*.json``; ``fuzz run
 --seeds 4 --duration 4 --batch-size 64``, with and without ``--no-shrink
---probability 0.5``; ``run --runtime realtime --timescale 0.1 cell``;
-``fig2a``; ``appendix-a``; and one 2-shard ``run_cell`` at n=8.
+--probability 0.5``; ``fig2a``; ``appendix-a``; and one 2-shard ``run_cell`` at n=8.
 
 **What it does not run.**  Neither fig5-fig10, ``table1``/``table2``,
 ``fuzz shrink`` nor the shard workers (child processes of the sharded
@@ -61,7 +60,9 @@ SRC = os.path.join(REPO, "src")
 PACKAGE_ROOT = os.path.join(SRC, "repro")
 
 #: packages whose never-called functions must each be classified
-CHECKED_PACKAGES = ("adversary", "core", "metrics", "protocols", "runtime", "sim")
+CHECKED_PACKAGES = (
+    "adversary", "consensus", "core", "metrics", "protocols", "runtime", "sim",
+)
 
 #: the four reasons a never-called function stays
 ABSTRACT = "abstract"  # an interface method or hook that subclasses override
@@ -85,6 +86,25 @@ CLASSIFIED: Dict[str, Tuple[str, str]] = {
         TOOL, "examples/byzantine_attacks.py; `adversary list` for a spec with no description"),
     "repro.adversary.spec:AdversarySpec.merge": (
         CLI, "`run --scenario byz-rank --adversary equivocation`"),
+    # consensus
+    **{f"repro.consensus.base:InstanceContext.{name}": (
+        ABSTRACT, "the replica's context and CollectingContext")
+       for name in ("now", "send", "multicast", "deliver", "set_timer", "cancel_timer",
+                    "record_crypto", "current_rank", "observe_rank", "quorum_certificate",
+                    "max_rank", "min_rank", "current_epoch", "on_view_installed")},
+    **{f"repro.consensus.base:CollectingContext.{name}": (
+        TEST_HANDLE, "the consensus unit tests' in-memory context")
+       for name in ("now", "send", "multicast", "deliver", "set_timer", "cancel_timer",
+                    "record_crypto", "current_rank", "observe_rank", "max_rank", "min_rank",
+                    "current_epoch", "fire_timer")},
+    "repro.consensus.base:CommitLog.__reduce__": (
+        TOOL, "the shard worker pickles its snapshot's commit logs to the hub"),
+    "repro.consensus.base:ConsensusInstance.propose": (ABSTRACT, "each instance class"),
+    "repro.consensus.base:ConsensusInstance.ready_to_propose": (
+        ABSTRACT, "each instance class"),
+    "repro.consensus.quorum:QuorumTracker.tracked_keys": (
+        TEST_HANDLE, "benchmarks/test_memory_bounds.py and the consensus tests' "
+                     "vote-state release checks"),
     # core
     "repro.core.block:ordering_key": (
         TEST_HANDLE, "the order of Sec. 4.2; the orderers inline it, the reference "
@@ -108,20 +128,13 @@ CLASSIFIED: Dict[str, Tuple[str, str]] = {
     "repro.protocols.registry:available_protocols": (CLI, "the unknown-protocol error"),
     # runtime: the seam's interface, then what no invocation reaches
     **{f"repro.runtime.base:Runtime.{name}": (ABSTRACT, "the runtime seam")
-       for name in ("now", "schedule_at", "schedule_after", "register", "send", "multicast",
-                    "registered_nodes", "set_partition", "heal_partition", "partitioned",
-                    "set_latency_scale", "set_drop_probability", "drop_probability", "run")},
-    "repro.runtime:__getattr__": (
-        TEST_HANDLE, "the lazy export repro.runtime.RealtimeRuntime (a DES run imports "
-                     "no asyncio); tests and benchmarks import it"),
+       for name in ("now", "schedule_at", "schedule_after", "cancel", "register", "send",
+                    "multicast", "registered_nodes", "set_partition", "heal_partition",
+                    "partitioned", "set_latency_scale", "set_drop_probability",
+                    "drop_probability", "run")},
     "repro.runtime.des:DESRuntime.step": (TEST_HANDLE, "single-stepping the simulator"),
     "repro.runtime.des:DESRuntime.partitioned": (TEST_HANDLE, "partition tests"),
     "repro.runtime.des:DESRuntime.events_processed": (TOOL, _PERFBENCH),
-    "repro.runtime.realtime:RealtimeRuntime.schedule_at": (
-        CLI, "a dynamics timeline, e.g. `run --runtime realtime --scenario lossy-lan`"),
-    "repro.runtime.realtime:RealtimeRuntime.drop_probability": (
-        CLI, "a loss burst, e.g. `run --runtime realtime --scenario lossy-lan`"),
-    "repro.runtime.realtime:RealtimeRuntime.partitioned": (TEST_HANDLE, "partition tests"),
     "repro.runtime.sharded:ShardWorkerRuntime.__init__": (TOOL, "the shard worker"),
     "repro.runtime.sharded:ShardedDESRuntime.events_processed": (TOOL, _PERFBENCH),
     "repro.runtime.sharded:ShardedDESRuntime.total_peak_rss_bytes": (TOOL, _PERFBENCH),
@@ -230,7 +243,7 @@ def inventory(src: str = SRC) -> List[Function]:
 
 
 def invocations(repo: str = REPO) -> List[Tuple[str, ...]]:
-    """The 34 argument vectors the audit runs (see the module docstring)."""
+    """The 33 argument vectors the audit runs (see the module docstring)."""
     sys.path.insert(0, os.path.join(repo, "src"))
     from repro.adversary.registry import available_adversaries
     from repro.protocols.registry import available_protocols
@@ -256,7 +269,6 @@ def invocations(repo: str = REPO) -> List[Tuple[str, ...]]:
     fuzz = ("fuzz", "run", "--seeds", "4", "--duration", "4", "--batch-size", "64")
     runs.append(fuzz)
     runs.append(fuzz + ("--no-shrink", "--probability", "0.5"))
-    runs.append(("run", "--runtime", "realtime", "--timescale", "0.1") + _CELL)
     runs.append(("fig2a",))
     runs.append(("appendix-a",))
     runs.append((_SHARD_RUN,))
